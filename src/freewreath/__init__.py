@@ -2,10 +2,9 @@
 
 from .config import CapExceededError
 from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
-                       character_moments_wreath, classical_wreath_limit,
-                       classical_wreath_moment, compound_poisson_moments,
-                       free_cumulants_to_moments, moment_of_rep,
-                       moments_to_free_cumulants, parse_eps,
+                       character_moments_wreath, classical_wreath_moment,
+                       compound_poisson_moments, free_cumulants_to_moments,
+                       moment_of_rep, moments_to_free_cumulants, parse_eps,
                        partial_trace_moments, plain_eps, render_eps)
 from .fusion import (ChebyshevFusion, FiniteGroup, FusionData, IntegersFusion,
                      QuantumPermutationFusion, ReducedWord, TableFusion,
@@ -17,8 +16,7 @@ from .fusion import (ChebyshevFusion, FiniteGroup, FusionData, IntegersFusion,
                      reduce_word, render_word, sort_words,
                      symmetric_group_3, symmetric_group_3_fusion,
                      trivial_fusion)
-from .homspaces import (DecoratedPartition, dim_hom_wreath,
-                        enumerate_admissible, parse_star_list)
+from .homspaces import DecoratedPartition, dim_hom_wreath, parse_star_list
 from .linmaps import (GramMatrix, SparseMap, build_group_dual_tp, build_tp,
                       gram_nc, identity_map, verify_category_relations,
                       verify_conjugate_equations, verify_gram_methods)
@@ -32,4 +30,4 @@ from .tl import (ScaledPartition, TLDiagram, collapse, fatten, markov_trace,
 from .weingarten import (WeingartenTable, haar_state, wg_certify_asymptotics,
                          wg_gram, wg_indices, wg_leading_coeff, wg_table)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -12,8 +12,9 @@ import sys
 from fractions import Fraction
 
 from .config import CapExceededError
-from .fusion import (central_char_poly, dim_wreath, fuse, fusion_from_uri,
-                     parse_word, render_word, sort_words)
+from .fusion import (central_char_poly, dim_multiplicativity_failures,
+                     dim_wreath, fuse, fusion_from_uri, parse_word,
+                     render_word, sort_words)
 from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
                        classical_wreath_moment, compound_poisson_moments,
                        parse_eps, partial_trace_moments, plain_eps,
@@ -175,28 +176,19 @@ def cmd_verify(args) -> int:
     if which == "iso":
         return _print_report(verify_phi(max_points=args.max_points))
     if which == "weingarten":
-        category = args.category or ("singletons" if args.s == 1 else "noncrossing")
-        return _print_report(wg_certify_asymptotics(args.k, args.s, category))
+        return _print_report(wg_certify_asymptotics(args.k, args.s,
+                                                    args.category))
     if which == "fusion-dim":
         import random
 
         from .report import VerificationReport
         fd = fusion_from_uri(args.fusion)
-        labels = fd.labels()
-        if labels is None:
+        if fd.labels() is None:
             print("fusion-dim needs a finite fusion table", file=sys.stderr)
             return 1
-        rng = random.Random(args.seed)
+        bad = dim_multiplicativity_failures(
+            fd, args.N, random.Random(args.seed), args.count)
         report = VerificationReport(f"dimension multiplicativity N={args.N}")
-        bad = []
-        for _ in range(args.count):
-            x = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
-            y = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
-            lhs = dim_wreath(x, fd, args.N) * dim_wreath(y, fd, args.N)
-            rhs = sum(m * dim_wreath(w, fd, args.N)
-                      for w, m in fuse(x, y, fd).items())
-            if lhs != rhs:
-                bad.append((x, y, lhs, rhs))
         report.add(f"{args.count} random products have multiplicative dimension",
                    not bad, f"first failure {bad[0]}" if bad else "")
         return _print_report(report)

@@ -8,8 +8,8 @@ Defaults are overridable through environment variables (read once at import):
                            linear map (default 10**7)
 
 Exceeding a cap raises :class:`CapExceededError`, which the command line
-interface maps to exit code 2.  Callers may also pass explicit ``cap=``
-arguments to the enumeration functions to override per call.
+interface maps to exit code 2.  Callers may also pass an explicit ``cap=``
+to ``enumerate_partitions`` and ``build_tp`` to override it per call.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 The workhorses are Bareiss fraction-free elimination for determinant and rank
 of integer matrices (intermediate values are minors, so they stay integral and
 their bit growth is controlled) and a Bareiss-Jordan variant that produces the
-exact inverse.  A plain Fraction Gauss-Jordan is kept as an independent oracle
-and for kernel vectors of singular matrices.
+exact inverse.  A plain Fraction Gauss-Jordan is kept for kernel vectors of
+singular matrices and, as ``gauss_jordan_inverse``, as an independent oracle:
+tests/test_exactmat.py checks it against ``bareiss_inverse`` on Weingarten
+Gram matrices, and the weingarten workload of perfbench/ builds its Haar-state
+oracle with it.
 """
 
 from __future__ import annotations
@@ -135,20 +138,3 @@ def kernel_vector(matrix) -> list[Fraction] | None:
     for r, c in pivots:
         vec[c] = -a[r][free_col]
     return vec
-
-
-def mat_mul_frac(a, b) -> FracMatrix:
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(mid):
-            x = ai[k]
-            if x == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(cols):
-                if bk[j] != 0:
-                    row[j] += x * bk[j]
-    return out

@@ -28,12 +28,13 @@ noncrossing partition by t^{number of blocks}.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .fusion import FusionData, Word
-from .homspaces import dim_hom_wreath
-from .partition import Partition, enumerate_partitions
+from .fusion import FusionData
+from .homspaces import dim_hom_wreath, tensor_fold
+from .partition import Block, Mode, enumerate_partitions
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -94,27 +95,24 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
     """
     rd = rep_as_dict(fd, rep)
     rd_bar = conj_rep(fd, rd)
-    acc = {fd.trivial(): 1}
-    for star in eps:
-        factor = rd_bar if star else rd
-        nxt: dict = {}
-        for c, m in acc.items():
-            for a, ma in factor.items():
-                for d, md in fd.tensor(c, a).items():
-                    if md:
-                        nxt[d] = nxt.get(d, 0) + m * ma * md
-        acc = nxt
-    return acc.get(fd.trivial(), 0)
+    return tensor_fold(fd, [rd_bar if star else rd for star in eps]).get(
+        fd.trivial(), 0)
 
 
 # ---------------------------------------------------------------------------
 # noncrossing moment/cumulant transforms on eps-indexed families
 
 
-def _nc_block_indices(n: int):
-    """Blocks of each noncrossing partition of n points as 0-based index lists."""
-    for p in enumerate_partitions(0, n, mode="noncrossing"):
-        yield [[pt - 1 for pt in block] for block in p.blocks]
+def _partition_sum(n: int, mode: Mode,
+                   term: Callable[[tuple[Block, ...]], int]):
+    """Sum of term(blocks) over the partitions of n points 1..n."""
+    return sum(term(p.blocks) for p in enumerate_partitions(0, n, mode=mode))
+
+
+def _cumulant_product(cumulants: dict, eps: Eps):
+    """The term of a partition: prod over its blocks of k(eps|block)."""
+    return lambda blocks: math.prod(cumulants[tuple(eps[i - 1] for i in b)]
+                                    for b in blocks)
 
 
 def free_cumulants_to_moments(cumulants: dict) -> dict:
@@ -123,36 +121,20 @@ def free_cumulants_to_moments(cumulants: dict) -> dict:
     Input maps every eps-word with 1 <= |eps| <= max length to its cumulant;
     the output has the same key set.
     """
-    keys = sorted(cumulants, key=len)
-    moments: dict = {}
-    for eps in keys:
-        total = 0
-        for blocks in _nc_block_indices(len(eps)):
-            term = 1
-            for block in blocks:
-                term *= cumulants[tuple(eps[i] for i in block)]
-                if term == 0:
-                    break
-            total += term
-        moments[eps] = total
-    return moments
+    return {eps: _partition_sum(len(eps), "noncrossing",
+                                _cumulant_product(cumulants, eps))
+            for eps in sorted(cumulants, key=len)}
 
 
 def moments_to_free_cumulants(moments: dict) -> dict:
     """Inverse transform, by induction on word length."""
-    keys = sorted(moments, key=len)
     cumulants: dict = {}
-    for eps in keys:
-        n = len(eps)
-        rest = 0
-        for blocks in _nc_block_indices(n):
-            if len(blocks) == 1:
-                continue
-            term = 1
-            for block in blocks:
-                term *= cumulants[tuple(eps[i] for i in block)]
-            rest += term
-        cumulants[eps] = moments[eps] - rest
+    for eps in sorted(moments, key=len):
+        # the one-block partition's term is the unknown k(eps) itself: count
+        # it as 0 in the sum over NC
+        cumulants[eps] = 0
+        cumulants[eps] = moments[eps] - _partition_sum(
+            len(eps), "noncrossing", _cumulant_product(cumulants, eps))
     return cumulants
 
 
@@ -213,13 +195,12 @@ def partial_trace_moments(t, block_moment: Callable[[int], int],
     the diagonal.
     """
     t = Fraction(t)
-    total = Fraction(0)
-    for p in enumerate_partitions(0, k, mode="noncrossing"):
-        term = t ** len(p.blocks)
-        for block in p.blocks:
-            term *= block_moment(len(block))
-        total += term
-    return total
+
+    def term(blocks):
+        return t ** len(blocks) * math.prod(block_moment(len(b))
+                                            for b in blocks)
+
+    return _partition_sum(k, "noncrossing", term)
 
 
 def rep_block_moment(fd: FusionData, rep) -> Callable[[int], int]:
@@ -243,28 +224,13 @@ def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
     """
     if k == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for p in enumerate_partitions(0, k, mode="all"):
-        if len(p.blocks) > n:
-            continue
-        term = Fraction(1)
-        for block in p.blocks:
-            term *= block_moment(len(block))
-        total += term
-    return total
 
+    def term(blocks):
+        if len(blocks) > n:
+            return 0
+        return math.prod(block_moment(len(b)) for b in blocks)
 
-def classical_wreath_limit(block_moment: Callable[[int], int], k: int) -> Fraction:
-    """Large-n limit: the classical compound Poisson moment (all partitions)."""
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for p in enumerate_partitions(0, k, mode="all"):
-        term = Fraction(1)
-        for block in p.blocks:
-            term *= block_moment(len(block))
-        total += term
-    return total
+    return Fraction(_partition_sum(k, "all", term))
 
 
 def brute_force_z2_s3_moments(rep: str, max_k: int) -> list[Fraction]:

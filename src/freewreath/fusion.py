@@ -677,6 +677,26 @@ def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
     return int(frac)
 
 
+def dim_multiplicativity_failures(fd: FusionData, n: int, rng,
+                                  count: int) -> list:
+    """Check dim(x) dim(y) = sum of dims over x tensor y on count random pairs.
+
+    Each pair draws x, then y, as words of length 0..3 over the finite label
+    set, from ``rng`` (a random.Random).  Returns the failures as
+    (x, y, lhs, rhs) tuples.
+    """
+    labels = fd.labels()
+    bad = []
+    for _ in range(count):
+        x = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
+        y = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
+        lhs = dim_wreath(x, fd, n) * dim_wreath(y, fd, n)
+        rhs = sum(m * dim_wreath(w, fd, n) for w, m in fuse(x, y, fd).items())
+        if lhs != rhs:
+            bad.append((x, y, lhs, rhs))
+    return bad
+
+
 def central_char_poly(word: Word, fd: FusionData) -> tuple[int, ...]:
     """Coefficients (low degree first) of the central character polynomial.
 

@@ -29,15 +29,21 @@ from .fusion import FusionData, Word, fuse
 from .partition import Partition, enumerate_partitions
 
 
-def tensor_fold(fd: FusionData, labels: Sequence) -> dict:
-    """Irreducible multiplicities of the tensor product of the labels, in order."""
+def tensor_fold(fd: FusionData, factors: Sequence) -> dict:
+    """Irreducible multiplicities of the tensor product of the factors, in order.
+
+    A factor is a label->multiplicity dict; a bare label stands for {label: 1}.
+    """
     acc = {fd.trivial(): 1}
-    for label in labels:
+    for factor in factors:
+        terms = factor.items() if isinstance(factor, dict) else ((factor, 1),)
         nxt: dict = {}
         for c, m in acc.items():
-            for d, md in fd.tensor(c, label).items():
-                if md:
-                    nxt[d] = nxt.get(d, 0) + m * md
+            for a, ma in terms:
+                mm = m * ma
+                for d, md in fd.tensor(c, a).items():
+                    if md:
+                        nxt[d] = nxt.get(d, 0) + mm * md
         acc = nxt
     return acc
 
@@ -102,10 +108,6 @@ def hom_terms(up: Word, down: Word, fd: FusionData,
             continue
         out.append(dp)
     return tuple(out)
-
-
-def enumerate_admissible(up: Word, down: Word, fd: FusionData) -> tuple[DecoratedPartition, ...]:
-    return hom_terms(up, down, fd, admissible_only=True)
 
 
 def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:

@@ -24,8 +24,9 @@ stored entries; exceeding it raises CapExceededError rather than thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -33,7 +34,6 @@ import numpy as np
 from .config import check_entry_cap
 from .exactmat import bareiss_det_rank, kernel_vector
 from .partition import Partition, enumerate_partitions, nested_pairing
-from .qnum import QNum
 from .report import VerificationReport
 
 Index = tuple[int, ...]
@@ -78,18 +78,18 @@ class SparseMap:
         return SparseMap(self.dim, self.in_arity, self.out_arity,
                          {k: v * c for k, v in self.entries.items()})
 
-    def tensor(self, other: "SparseMap", cap: int | None = None) -> "SparseMap":
+    def tensor(self, other: "SparseMap") -> "SparseMap":
         if self.dim != other.dim:
             raise ValueError("tensor factors must share the dimension N")
-        check_entry_cap(len(self.entries) * len(other.entries), cap)
+        check_entry_cap(len(self.entries) * len(other.entries))
         entries = {}
         for (o1, i1), v1 in self.entries.items():
             for (o2, i2), v2 in other.entries.items():
                 entries[(o1 + o2, i1 + i2)] = v1 * v2
         return SparseMap(self.dim, self.in_arity + other.in_arity,
-                         self.out_arity + other.out_arity, entries, cap)
+                         self.out_arity + other.out_arity, entries)
 
-    def compose(self, other: "SparseMap", cap: int | None = None) -> "SparseMap":
+    def compose(self, other: "SparseMap") -> "SparseMap":
         """self after other (matrix product self . other)."""
         if self.dim != other.dim:
             raise ValueError("composition requires equal dimension N")
@@ -110,7 +110,7 @@ class SparseMap:
                 key = (o, i)
                 prev = acc.get(key)
                 acc[key] = v1 * v2 if prev is None else prev + v1 * v2
-        return SparseMap(self.dim, other.in_arity, self.out_arity, acc, cap)
+        return SparseMap(self.dim, other.in_arity, self.out_arity, acc)
 
     def adjoint(self) -> "SparseMap":
         return SparseMap(self.dim, self.out_arity, self.in_arity,
@@ -255,42 +255,27 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
 class GramMatrix:
     partitions: tuple[Partition, ...]
     dim: int
-    entries: tuple[tuple[QNum, ...], ...]
-    method: str = "join_formula"
-    _cache: dict = field(default_factory=dict, repr=False)
+    entries: tuple[tuple[int, ...], ...]
 
     def size(self) -> int:
         return len(self.partitions)
 
-    def int_matrix(self) -> list[list[int]]:
-        out = []
-        for row in self.entries:
-            vals = []
-            for x in row:
-                f = x.as_fraction()
-                if f.denominator != 1:
-                    raise ValueError("non-integer Gram entry")
-                vals.append(f.numerator)
-            out.append(vals)
-        return out
-
+    @cached_property
     def _rank_det(self) -> tuple[int, int]:
-        if "rank_det" not in self._cache:
-            self._cache["rank_det"] = bareiss_det_rank(self.int_matrix())
-        return self._cache["rank_det"]
+        return bareiss_det_rank(self.entries)
 
     def rank(self) -> int:
-        return self._rank_det()[0]
+        return self._rank_det[0]
 
     def det(self) -> int:
-        return self._rank_det()[1]
+        return self._rank_det[1]
 
     def is_singular(self) -> bool:
         return self.det() == 0
 
     def kernel_vector(self):
         """A nonzero rational dependence among the T_p, or None."""
-        return kernel_vector(self.int_matrix())
+        return kernel_vector(self.entries)
 
 
 def _np_digit_table(dim: int, width: int) -> np.ndarray:
@@ -343,10 +328,8 @@ def gram_nc(k: int, l: int, dim: int, method: str = "join_formula",
             return gram_entry_brute(p, q, dim)
     else:
         raise ValueError(f"unknown Gram method {method!r}")
-    rows = []
-    for p in partitions:
-        rows.append(tuple(QNum.rational(entry(p, q)) for q in partitions))
-    return GramMatrix(tuple(partitions), dim, tuple(rows), method)
+    rows = tuple(tuple(entry(p, q) for q in partitions) for p in partitions)
+    return GramMatrix(tuple(partitions), dim, rows)
 
 
 def verify_gram_methods(k: int, l: int, dim: int) -> VerificationReport:
@@ -374,8 +357,7 @@ def group_dual_block_admissible(group, upper_dec, lower_dec) -> bool:
 
 
 def build_group_dual_tp(p: Partition, dim: int, group,
-                        upper_dec, lower_dec,
-                        cap: int | None = None) -> SparseMap | None:
+                        upper_dec, lower_dec) -> SparseMap | None:
     """T_p for the dual of a finite group, with group-element decorations.
 
     upper_dec/lower_dec attach one group element to each upper/lower point.
@@ -391,4 +373,4 @@ def build_group_dual_tp(p: Partition, dim: int, group,
         lows = [lower_dec[pt - p.upper - 1] for pt in b if pt > p.upper]
         if not group_dual_block_admissible(group, ups, lows):
             return None
-    return build_tp(p, dim, cap)
+    return build_tp(p, dim)

@@ -34,8 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
-from typing import Iterable, Iterator, Literal
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .config import check_enum_cap
 
@@ -50,6 +50,36 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
             raise ValueError("empty block")
         out.append(t)
     return tuple(sorted(out, key=lambda b: b[0]))
+
+
+def _merge(n: int, chains: Iterable[Sequence[int]],
+           boundary: Iterable[int]) -> tuple[list[list[int]], int]:
+    """Union-find on the points 1..n that merges the points of each chain.
+
+    Returns the classes that meet ``boundary`` as blocks of the labels 1, 2, ...
+    given to its points in the order listed, and the number of classes that
+    miss ``boundary``.
+    """
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    classes = n
+    for pts in chains:
+        root = find(pts[0])
+        for pt in pts[1:]:
+            other = find(pt)
+            if other != root:
+                parent[other] = root
+                classes -= 1
+    groups: dict[int, list[int]] = {}
+    for label, pt in enumerate(boundary, 1):
+        groups.setdefault(find(pt), []).append(label)
+    return list(groups.values()), classes - len(groups)
 
 
 @dataclass(frozen=True)
@@ -78,12 +108,6 @@ class Partition:
 
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, point: int) -> Block:
-        for b in self.blocks:
-            if point in b:
-                return b
-        raise ValueError(f"point {point} out of range")
 
     # -- circular order ----------------------------------------------------
 
@@ -141,46 +165,15 @@ class Partition:
                 f"cannot compose: top has {top.lower} lower points, "
                 f"bottom has {self.upper} upper points"
             )
-        m = self.upper
-        k, l = top.upper, self.lower
-        # union-find over top's points (0-based ids 0..) and self's points
-        n_top = top.points
-        parent = list(range(n_top + self.points))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for b in top.blocks:
-            for pt in b[1:]:
-                union(b[0] - 1, pt - 1)
-        for b in self.blocks:
-            for pt in b[1:]:
-                union(n_top + b[0] - 1, n_top + pt - 1)
-        for j in range(1, m + 1):
-            union(top.upper + j - 1, n_top + j - 1)  # top's lower j ~ self's upper j
-
-        # result ground set: top's uppers become 1..k, self's lowers k+1..k+l
-        groups: dict[int, list[int]] = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i + 1)
-        for j in range(l):
-            groups.setdefault(find(n_top + m + j), []).append(k + j + 1)
-        boundary_roots = set(groups)
-        middle_roots = set()
-        for j in range(m):
-            r = find(top.upper + j)
-            if r not in boundary_roots:
-                middle_roots.add(r)
-        result = Partition(k, l, tuple(tuple(b) for b in groups.values()))
-        return ComposeResult(result, len(middle_roots))
+        k, m, n_top = top.upper, self.upper, top.points
+        # self's upper row is top's lower row k+1..k+m; its lower row follows
+        # top's points
+        glued = [tuple(pt + k if pt <= m else pt + n_top - m for pt in b)
+                 for b in self.blocks]
+        blocks, closed = _merge(
+            n_top + self.lower, chain(top.blocks, glued),
+            chain(range(1, k + 1), range(n_top + 1, n_top + self.lower + 1)))
+        return ComposeResult(Partition(k, self.lower, blocks), closed)
 
     def involute(self) -> "Partition":
         """Upside-down reflection: upper and lower rows trade places."""
@@ -197,24 +190,9 @@ class Partition:
         """Common coarsening in the partition lattice of the ground set."""
         if (self.upper, self.lower) != (other.upper, other.lower):
             raise ValueError("join requires identical point sets")
-        parent = list(range(self.points))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in (self, other):
-            for b in p.blocks:
-                for pt in b[1:]:
-                    ra, rb = find(b[0] - 1), find(pt - 1)
-                    if ra != rb:
-                        parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for pt in range(self.points):
-            groups.setdefault(find(pt), []).append(pt + 1)
-        return Partition(self.upper, self.lower, tuple(tuple(b) for b in groups.values()))
+        blocks, _ = _merge(self.points, self.blocks + other.blocks,
+                           range(1, self.points + 1))
+        return Partition(self.upper, self.lower, blocks)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from .config import check_enum_cap
-from .partition import ComposeResult, Partition
+from .partition import ComposeResult, Partition, _merge, _position_to_point
 from .qnum import QNum
 from .report import VerificationReport
 
@@ -72,12 +72,6 @@ class TLDiagram:
 
     def strands(self) -> int:
         return len(self.pairs)
-
-    # positions on the cut-open boundary circle (0-based, wrap = left edge)
-    def _pos(self, pt: int) -> int:
-        if pt <= self.upper:
-            return pt - 1
-        return self.upper + (self.points - pt)
 
     def tensor(self, other: "TLDiagram") -> "TLDiagram":
         p = self.as_partition().tensor(other.as_partition())
@@ -143,16 +137,13 @@ def _matching_shapes(n: int) -> tuple[tuple[Pair, ...], ...]:
     return tuple(out)
 
 
-def tl_enumerate(a: int, b: int, cap_points: int | None = None) -> tuple[TLDiagram, ...]:
+def tl_enumerate(a: int, b: int) -> tuple[TLDiagram, ...]:
     """All diagrams in TL(a, b), canonically ordered; empty if a+b is odd."""
     n = a + b
-    check_enum_cap(n, cap_points)
+    check_enum_cap(n)
     if n % 2:
         return ()
-
-    def conv(t: int) -> int:
-        return t + 1 if t < a else 2 * a + b - t
-
+    conv = _position_to_point(a, b)
     diags = [TLDiagram(a, b, [(conv(x), conv(y)) for x, y in shape])
              for shape in _matching_shapes(n)]
     diags.sort(key=lambda d: d.pairs)
@@ -189,31 +180,6 @@ def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
     return step2, loops1 + loops2
 
 
-def closure_components(d: TLDiagram) -> int:
-    """Closed curves when upper i is joined to lower i around the side."""
-    if d.upper != d.lower:
-        raise ValueError("closure needs a square diagram")
-    k = d.upper
-    parent = list(range(2 * k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, b in d.pairs:
-        union(a - 1, b - 1)
-    for i in range(k):
-        union(i, k + i)
-    return len({find(x) for x in range(2 * k)})
-
-
 def markov_trace(d: TLDiagram, dim: int) -> QNum:
     """sqrt(N)^{closed curves}, computed by iterated partial closing."""
     exponent = markov_trace_exponent(d)
@@ -245,33 +211,18 @@ def collapse(d: TLDiagram) -> Partition:
     """Identify upper points (1,2),(3,4),... and lower points likewise."""
     if d.upper % 2 or d.lower % 2:
         raise ValueError("collapse needs even arities TL(2k, 2l)")
-    k, l = d.upper // 2, d.lower // 2
-    n = d.points
-    parent = list(range(n))
+    # the odd points 1, 3, ... stand for the collapsed points in order
+    odd = range(1, d.points, 2)
+    blocks, _ = _merge(d.points, d.pairs + tuple((x, x + 1) for x in odd), odd)
+    return Partition(d.upper // 2, d.lower // 2, blocks)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+def _position(upper: int, lower: int, pt: int) -> int:
+    """Position of a point on the cut-open boundary circle.
 
-    for a, b in d.pairs:
-        union(a - 1, b - 1)
-    for i in range(k):
-        union(2 * i, 2 * i + 1)
-    for j in range(l):
-        union(d.upper + 2 * j, d.upper + 2 * j + 1)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(2 * i), []).append(i + 1)
-    for j in range(l):
-        groups.setdefault(find(d.upper + 2 * j), []).append(k + j + 1)
-    return Partition(k, l, tuple(tuple(g) for g in groups.values()))
+    Positions are 0-based and the wrap gap is the left edge of the picture.
+    """
+    return pt - 1 if pt <= upper else 2 * upper + lower - pt
 
 
 def fatten(p: Partition) -> TLDiagram:
@@ -290,12 +241,9 @@ def fatten(p: Partition) -> TLDiagram:
         j = pt - k
         return 2 * k + 2 * j, 2 * k + 2 * j - 1
 
-    def pos(pt: int) -> int:
-        return pt - 1 if pt <= k else k + (k + l - pt)
-
     pairs = []
     for block in p.blocks:
-        cyc = sorted(block, key=pos)
+        cyc = sorted(block, key=lambda pt: _position(k, l, pt))
         m = len(cyc)
         for t in range(m):
             a = copies(cyc[t])[1]
@@ -311,7 +259,8 @@ def black_regions(d: TLDiagram) -> int:
     a strand properly contained in an even number of other strands bounds a
     region at odd depth from the white outer region, hence black.
     """
-    arcs = [tuple(sorted((d._pos(a), d._pos(b)))) for a, b in d.pairs]
+    arcs = [tuple(sorted(_position(d.upper, d.lower, pt) for pt in pair))
+            for pair in d.pairs]
     count = 0
     for u, v in arcs:
         depth = sum(1 for x, y in arcs if x < u and v < y)
@@ -374,25 +323,8 @@ def nc_closure_components(p: Partition) -> int:
     if p.upper != p.lower:
         raise ValueError("closure needs equal arities")
     k = p.upper
-    parent = list(range(2 * k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for b in p.blocks:
-        for pt in b[1:]:
-            union(b[0] - 1, pt - 1)
-    for i in range(k):
-        union(i, k + i)
-    return len({find(x) for x in range(2 * k)})
+    return _merge(2 * k, p.blocks + tuple((i, k + i) for i in range(1, k + 1)),
+                  ())[1]
 
 
 def markov_trace_nc(p: Partition, dim: int) -> QNum:

@@ -51,6 +51,16 @@ def inner_partitions(k: int, category: str) -> tuple[Partition, ...]:
     raise ValueError(f"unknown category {category!r}, expected one of {CATEGORIES}")
 
 
+def _category_in_effect(s: int, category: str | None) -> str:
+    """The inner category in effect.
+
+    s = 1 forces "singletons"; otherwise None means "noncrossing".
+    """
+    if s == 1:
+        return "singletons"
+    return "noncrossing" if category is None else category
+
+
 def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
     """All pairs (outer noncrossing p, inner a refining p)."""
     inners = inner_partitions(k, category)
@@ -86,9 +96,6 @@ class WeingartenTable:
     gram: tuple
     winv: tuple
 
-    def index_of(self, p: Partition, a: Partition) -> int:
-        return self.indices.index((p, a))
-
 
 def wg_table(k: int, n: int, s: int = 1,
              category: str | None = None) -> WeingartenTable:
@@ -102,12 +109,7 @@ def wg_table(k: int, n: int, s: int = 1,
         raise ValueError("k must be at least 1")
     if n < 1 or s < 1:
         raise ValueError("N and s must be positive")
-    if category is None:
-        category = "singletons" if s == 1 else "noncrossing"
-    if s == 1:
-        category = "singletons"
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}")
+    category = _category_in_effect(s, category)
     indices = wg_indices(k, category)
     gram = wg_gram(k, n, s, category)
     winv = bareiss_inverse(gram)
@@ -156,14 +158,7 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
 @cache
 def _inner_weingarten(m: int, s: int, category: str):
     """Partitions and inverse Gram of the inner group alone at order m."""
-    if category == "singletons":
-        parts = (discrete_partition(0, m),)
-    elif category == "noncrossing":
-        parts = enumerate_partitions(0, m, mode="noncrossing")
-    elif category == "all":
-        parts = enumerate_partitions(0, m, mode="all")
-    else:
-        raise ValueError(f"unknown category {category!r}")
+    parts = inner_partitions(m, category)
     gram = [[s ** len(a.join(b).blocks) for b in parts] for a in parts]
     return parts, bareiss_inverse(gram)
 
@@ -202,7 +197,7 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
     return coeff
 
 
-def wg_scaled_errors(k: int, n: int, s: int, category: str) -> dict:
+def wg_scaled_errors(k: int, n: int, s: int, category: str | None) -> dict:
     """Scaled deviations |W - leading| * sqrt(N)^{b(p)+b(q)}, exact Fractions.
 
     Requires N to be a perfect square so the scale is an integer.
@@ -210,8 +205,7 @@ def wg_scaled_errors(k: int, n: int, s: int, category: str) -> dict:
     root = math.isqrt(n)
     if root * root != n:
         raise ValueError(f"N = {n} must be a perfect square")
-    if s == 1:
-        category = "singletons"
+    category = _category_in_effect(s, category)
     table = wg_table(k, n, s, category)
     errors = {}
     for t, idx1 in enumerate(table.indices):
@@ -225,7 +219,7 @@ def wg_scaled_errors(k: int, n: int, s: int, category: str) -> dict:
     return errors
 
 
-def wg_certify_asymptotics(k: int, s: int, category: str,
+def wg_certify_asymptotics(k: int, s: int, category: str | None,
                            ladder: Sequence[int] = (16, 64, 256)) -> VerificationReport:
     """Check the Weingarten concentration along a quadrupling ladder of N.
 
@@ -233,8 +227,7 @@ def wg_certify_asymptotics(k: int, s: int, category: str,
     zero to stay zero), which also forces monotone decrease.  As everywhere,
     s = 1 degenerates the category to singletons.
     """
-    if s == 1:
-        category = "singletons"
+    category = _category_in_effect(s, category)
     report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
     if len(ladder) < 2:
         raise ValueError("need at least two ladder points")

@@ -6,7 +6,6 @@ import pytest
 from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
                                  character_moments_wreath,
-                                 classical_wreath_limit,
                                  classical_wreath_moment,
                                  compound_poisson_moments, conj_rep,
                                  free_cumulants_to_moments, moment_of_rep,
@@ -128,7 +127,7 @@ def test_classical_wreath_frozen_values():
 
 def test_classical_limit_exceeds_truncation():
     bm = z2_block_moment("regular")
-    assert classical_wreath_limit(bm, 4) == 49
+    assert classical_wreath_moment(bm, 4, 4) == 49
     assert classical_wreath_moment(bm, 3, 4) == 48
     # monotone in n: more blocks allowed, nonnegative terms
     vals = [classical_wreath_moment(bm, n, 4) for n in (1, 2, 3, 4, 5)]

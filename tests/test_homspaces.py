@@ -5,8 +5,8 @@ import pytest
 from freewreath.fusion import cyclic_fusion, symmetric_group_3_fusion, trivial_fusion
 from freewreath.homspaces import (basic_rep_decomposition, block_trivial_mult,
                                   dim_hom_fusion, dim_hom_partition,
-                                  dim_hom_wreath, enumerate_admissible,
-                                  hom_terms, parse_star_list, tensor_fold,
+                                  dim_hom_wreath, hom_terms,
+                                  parse_star_list, tensor_fold,
                                   trivial_mult, word_tensor_decomposition)
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
@@ -92,7 +92,7 @@ def test_word_tensor_decomposition():
 
 def test_hom_terms_admissibility():
     terms = hom_terms(("g",), ("g",), Z2, admissible_only=False)
-    admissible = enumerate_admissible(("g",), ("g",), Z2)
+    admissible = hom_terms(("g",), ("g",), Z2)
     assert len(terms) == 2            # {1,2} and {1|2}
     assert len(admissible) == 1       # the singleton blocks have no invariants
     assert admissible[0].weight() == 1

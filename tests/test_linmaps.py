@@ -135,7 +135,7 @@ def test_gram_kernel_vector():
     g = gram_nc(0, 4, 2)
     vec = g.kernel_vector()
     assert vec is not None
-    m = g.int_matrix()
+    m = g.entries
     prod = [sum(m[i][j] * vec[j] for j in range(len(vec)))
             for i in range(len(vec))]
     assert all(x == 0 for x in prod)
@@ -145,7 +145,7 @@ def test_gram_kernel_vector():
 def test_gram_methods_agree():
     a = gram_nc(1, 2, 3, method="join_formula")
     b = gram_nc(1, 2, 3, method="brute_force")
-    assert a.int_matrix() == b.int_matrix()
+    assert a.entries == b.entries
     with pytest.raises(ValueError):
         gram_nc(1, 1, 3, method="nonsense")
 

@@ -158,3 +158,48 @@ def test_enumeration_cap():
     assert enumerate_partitions(0, 3, mode="all", cap=3)
     with pytest.raises(CapExceededError):
         enumerate_partitions(0, 4, mode="all", cap=3)
+
+
+
+def _join_tables(max_points: int):
+    """(parts, {(a, b): a.join(b)}) for every shape (k, l), k + l <= max_points."""
+    for n in range(max_points + 1):
+        for k in range(n + 1):
+            parts = enumerate_partitions(k, n - k, mode="all")
+            yield parts, {(a, b): a.join(b) for a in parts for b in parts}
+
+
+def test_join_commutative_idempotent_upper_bound():
+    for parts, join in _join_tables(5):
+        for a in parts:
+            assert join[a, a] == a
+            for b in parts:
+                assert join[a, b] == join[b, a]
+                assert a.refines(join[a, b]) and b.refines(join[a, b])
+
+
+def test_join_associative():
+    # joins of partitions of a shape stay in that shape, so every nested
+    # join is in the table
+    for parts, join in _join_tables(4):
+        for a in parts:
+            for b in parts:
+                for c in parts:
+                    assert join[join[a, b], c] == join[a, join[b, c]]
+
+
+def test_compose_associative_with_closed_blocks():
+    # every noncrossing partition with rows of at most 2 points; compose
+    # keeps the rows, so every nested composition is in the table
+    nc = [p for k in range(3) for l in range(3)
+          for p in enumerate_partitions(k, l, mode="noncrossing")]
+    comp = {(a, b): a.compose(b) for a in nc for b in nc if b.lower == a.upper}
+    for (a, b), ab in comp.items():
+        for c in nc:
+            if c.lower == b.upper:
+                bc = comp[b, c]
+                left = comp[ab.partition, c]
+                right = comp[a, bc.partition]
+                assert left.partition == right.partition
+                assert (ab.closed_blocks + left.closed_blocks
+                        == bc.closed_blocks + right.closed_blocks)

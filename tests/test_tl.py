@@ -5,11 +5,11 @@ from freewreath.partition import (Partition, discrete_partition,
                                   identity_partition)
 from freewreath.qnum import QNum
 from freewreath.tl import (ScaledPartition, TLDiagram, black_regions, cap,
-                           closure_components, collapse, cup, fatten,
-                           markov_trace, markov_trace_exponent,
-                           markov_trace_nc, nc_closure_components, parse_tl,
-                           partial_close, phi, tl_compose, tl_enumerate,
-                           tl_identity, verify_phi)
+                           collapse, cup, fatten, markov_trace,
+                           markov_trace_exponent, markov_trace_nc,
+                           nc_closure_components, parse_tl, partial_close,
+                           phi, tl_compose, tl_enumerate, tl_identity,
+                           verify_phi)
 
 
 def test_diagram_validation():
@@ -83,7 +83,8 @@ def test_markov_trace_values():
 def test_markov_trace_exponent_matches_closure():
     for k in (1, 2, 3):
         for d in tl_enumerate(k, k):
-            assert markov_trace_exponent(d) == closure_components(d)
+            assert markov_trace_exponent(d) == \
+                nc_closure_components(d.as_partition())
 
 
 def test_collapse():
