@@ -6,15 +6,14 @@ from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
                        compound_poisson_moments, free_cumulants_to_moments,
                        moment_of_rep, moments_to_free_cumulants, parse_eps,
                        partial_trace_moments, plain_eps, render_eps)
-from .fusion import (ChebyshevFusion, FiniteGroup, FusionData, IntegersFusion,
+from .fusion import (FiniteGroup, FusionData, IntegersFusion,
                      QuantumPermutationFusion, ReducedWord, TableFusion,
-                     central_char_poly, chebyshev_fusion, conj_word,
-                     cyclic_fusion, cyclic_group, dim_wreath, expand_reduced,
-                     fuse, fuse_free_product, fusion_from_json,
-                     fusion_from_uri, group_dual_fusion, integers_fusion,
-                     load_fusion_file, parse_word, quantum_permutation_fusion,
-                     reduce_word, render_word, sort_words,
-                     symmetric_group_3, symmetric_group_3_fusion,
+                     central_char_poly, conj_word, cyclic_fusion,
+                     cyclic_group, dim_wreath, expand_reduced, fuse,
+                     fusion_from_json, fusion_from_uri, group_dual_fusion,
+                     integers_fusion, load_fusion_file, parse_word,
+                     quantum_permutation_fusion, reduce_word, render_word,
+                     sort_words, symmetric_group_3, symmetric_group_3_fusion,
                      trivial_fusion)
 from .homspaces import DecoratedPartition, dim_hom_wreath, parse_star_list
 from .linmaps import (GramMatrix, SparseMap, build_group_dual_tp, build_tp,

@@ -11,9 +11,7 @@ the trivial group, cyclic groups, the integers (a group dual on infinitely
 many labels), duals of arbitrary finite groups given by multiplication table,
 arbitrary finite tables loaded from a JSON file, the character ring of the
 symmetric group on three letters (the standard non-abelian example with
-dimensions 1, 1, 2), and two oracle families used by the engine itself: the
-even-part fusion of quantum SU(2) (half of the Chebyshev recursion) and the
-quantum permutation groups.
+dimensions 1, 1, 2), and the quantum permutation groups.
 
 Tensor products of word representations decompose by two independent routes,
 which must agree:
@@ -24,10 +22,12 @@ which must agree:
   b = first(v) with each constituent of a tensor b -- the trivial constituent
   included (it leaves a trivial letter in the word);
 
-* the reduced-word route: words embed in the free product of Irr(G) and the
-  quantum SU(2) fusion semiring as alternating words b^{l1} a1 b^{l2} ... b^{lk}
-  (outer exponents odd, inner even, letters nontrivial), tensor products are
-  expanded by the recursive free-product rule, and the results are folded back.
+* the reduced-word route: a word embeds in the free product of Irr(G) with
+  quantum SU(2) as the reduced word b^{l1} a1 b^{l2} ... b^{lk} (outer
+  exponents odd, inner ones even, letters nontrivial).  The free-product rule
+  walks inward from the boundary of the concatenation: b^p x b^q and a x c
+  splice each nontrivial constituent into the concatenation, and the trivial
+  one removes both boundary letters and moves on to the next pair.
 
 The dimension of the word (a1, ..., a_{k-1}) with reduced exponents (l1..lk)
 is prod dim(a_i) * prod A_{l_i}(sqrt(N)), always a rational integer; replacing
@@ -301,15 +301,7 @@ def group_dual_fusion(group: FiniteGroup, name: str | None = None) -> TableFusio
 
 def cyclic_fusion(s: int) -> TableFusion:
     """Irreducibles of the dual of Z/s; labels 1, g, g2, ..."""
-    if s < 1:
-        raise ValueError("order must be positive")
-    labels = ["1"] + [f"g{j}" if j > 1 else "g" for j in range(1, s)]
-    idx = {a: i for i, a in enumerate(labels)}
-    tensor = {(a, b): {labels[(idx[a] + idx[b]) % s]: 1}
-              for a in labels for b in labels}
-    conj = {a: labels[(-idx[a]) % s] for a in labels}
-    return TableFusion(labels, {a: 1 for a in labels}, "1", conj, tensor,
-                       f"cyclic({s})")
+    return group_dual_fusion(cyclic_group(s), f"cyclic({s})")
 
 
 def trivial_fusion() -> TableFusion:
@@ -358,36 +350,6 @@ def symmetric_group_3_fusion() -> TableFusion:
     t[("std", "sgn")] = {"std": 1}
     t[("std", "std")] = {"triv": 1, "sgn": 1, "std": 1}
     return TableFusion(labels, dims, "triv", conj, t, "character ring of S3")
-
-
-class ChebyshevFusion(FusionData):
-    """Fusion of quantum SU(2): labels are nonnegative integers, and
-    m x n = |m-n|, |m-n|+2, ..., m+n.  Quantum dimensions are values of the
-    dilated Chebyshev polynomials, not integers, so dim() refuses; this factor
-    is only ever used inside free-product fusion, which never needs it.
-    """
-
-    name = "chebyshev"
-
-    def trivial(self):
-        return 0
-
-    def dim(self, label):
-        raise ValueError(
-            "quantum SU(2) labels have non-integer quantum dimensions; "
-            "evaluate the dilated Chebyshev polynomial at sqrt(N) instead")
-
-    def conj(self, label):
-        return label
-
-    def tensor(self, a, b):
-        if a < 0 or b < 0:
-            raise ValueError("labels must be nonnegative")
-        return {j: 1 for j in range(abs(a - b), a + b + 1, 2)}
-
-
-def chebyshev_fusion() -> ChebyshevFusion:
-    return ChebyshevFusion()
 
 
 class QuantumPermutationFusion(FusionData):
@@ -541,8 +503,8 @@ def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> Counter:
     """Decompose the tensor product of two word representations.
 
     Returns a Counter over words.  method="direct" uses the closed splitting
-    formula; method="free-product" reduces to the free product with the
-    quantum SU(2) semiring and recurses; both agree.
+    formula; method="free-product" applies the free-product rule to the
+    reduced words; both agree.
     """
     if method == "direct":
         return fuse_direct(x, y, fd)
@@ -566,89 +528,41 @@ def fuse_direct(x: Word, y: Word, fd: FusionData) -> Counter:
     return out
 
 
-AltWord = tuple  # alternating ((factor, label), ...) with factor 0=G, 1=SU(2)
-
-
-def fuse_free_product(w1: AltWord, w2: AltWord,
-                      fd0: FusionData, fd1: FusionData) -> Counter:
-    """Tensor decomposition in a free product, on alternating words.
-
-    Letters are (factor, label) pairs with the two factors' labels drawn from
-    fd0 and fd1; within a word the factors alternate.  The recursion: if the
-    boundary letters lie in different factors the concatenation is already
-    irreducible; otherwise expand their tensor product, nontrivial
-    constituents splice into the concatenation, and the trivial one (present
-    exactly for conjugate boundary letters) recurses on the shortened words.
-    """
-    fds = (fd0, fd1)
-
-    def rec(a: AltWord, b: AltWord) -> Counter:
-        out: Counter = Counter()
-        if not a or not b:
-            out[a + b] += 1
-            return out
-        (fac1, z1), (fac2, z2) = a[-1], b[0]
-        if fac1 != fac2:
-            out[a + b] += 1
-            return out
-        fd = fds[fac1]
-        head, tail = a[:-1], b[1:]
-        prod = fd.tensor(z1, z2)
-        triv = fd.trivial()
-        for t, mult in prod.items():
-            if t == triv or not mult:
-                continue
-            out[head + ((fac1, t),) + tail] += mult
-        triv_mult = prod.get(triv, 0)
-        if triv_mult:
-            for w, m in rec(head, tail).items():
-                out[w] += m * triv_mult
-        return out
-
-    return rec(w1, w2)
-
-
-def _to_alternating(rw: ReducedWord) -> AltWord:
-    if not rw.letters and rw.exponents == (0,):
-        return ()
-    out: list = [(1, rw.exponents[0])]
-    for a, e in zip(rw.letters, rw.exponents[1:]):
-        out.append((0, a))
-        out.append((1, e))
-    return tuple(x for x in out if not (x[0] == 1 and x[1] == 0))
-
-
-def _from_alternating(alt: AltWord, fd: FusionData) -> Word:
-    if not alt:
-        return ()
-    exps: list[int] = []
-    letters: list = []
-    expect_b = True
-    for fac, lab in alt:
-        if fac == 1:
-            if not expect_b:
-                raise ValueError(f"word {alt} does not alternate")
-            exps.append(lab)
-            expect_b = False
-        else:
-            if expect_b:
-                raise ValueError(f"word {alt} does not alternate")
-            letters.append(lab)
-            expect_b = True
-    if expect_b:
-        raise ValueError(f"word {alt} must end with an SU(2) letter")
-    return expand_reduced(ReducedWord(tuple(exps), tuple(letters)), fd)
-
-
 def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
-    cheb = chebyshev_fusion()
-    w1 = _to_alternating(reduce_word(x, fd))
-    w2 = _to_alternating(reduce_word(y, fd))
-    raw = fuse_free_product(w1, w2, fd, cheb)
+    """The free-product rule on the reduced forms, one boundary product a step.
+
+    The boundary exponents give b^p x b^q = b^|p-q| + b^(|p-q|+2) + ... +
+    b^(p+q); the boundary letters of G give fd.tensor(a, c).  Each nontrivial
+    constituent is spliced into the concatenation.  The trivial one, present
+    once when p = q or c = conj(a), drops both boundary letters and exposes
+    the next pair.
+    """
+    rx, ry = reduce_word(x, fd), reduce_word(y, fd)
+    xe, xl, ye, yl = rx.exponents, rx.letters, ry.exponents, ry.letters
+    triv = fd.trivial()
     out: Counter = Counter()
-    for alt, mult in raw.items():
-        out[_from_alternating(alt, fd)] += mult
-    return out
+    i, j = len(xl), 0
+    while True:
+        p, q = xe[i], ye[j]
+        for r in range(abs(p - q) or 2, p + q + 1, 2):  # r = 0 is trivial
+            rw = ReducedWord(xe[:i] + (r,) + ye[j + 1:], xl[:i] + yl[j:])
+            out[expand_reduced(rw, fd)] += 1
+        if p != q:
+            return out
+        if i == 0 or j == len(yl):
+            # by parity both words are used up here, leaving the empty word
+            rw = ReducedWord(xe[:i] + ye[j + 1:] or (0,), xl[:i] + yl[j:])
+            out[expand_reduced(rw, fd)] += 1
+            return out
+        prod = fd.tensor(xl[i - 1], yl[j])
+        for c, m in prod.items():
+            if c != triv and m:
+                rw = ReducedWord(xe[:i] + ye[j + 1:],
+                                 xl[:i - 1] + (c,) + yl[j + 1:])
+                out[expand_reduced(rw, fd)] += m
+        if not prod.get(triv):
+            return out
+        i, j = i - 1, j + 1
 
 
 def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
@@ -663,9 +577,12 @@ def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
 
 
 def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
-    """prod dim(letters) * prod A_l(sqrt(N)) over the reduced exponents."""
-    if n < 1:
-        raise ValueError("N must be a positive integer")
+    """prod dim(letters) * prod A_l(sqrt(N)) over the reduced exponents.
+
+    The formula holds for N >= 4 only; smaller N is refused.
+    """
+    if n < 4:
+        raise ValueError(f"word dimensions need N >= 4, got N={n}")
     rw = reduce_word(word, fd)
     value = QNum.rational(1)
     for a in rw.letters:

@@ -131,8 +131,7 @@ def basic_rep_decomposition(letter, fd: FusionData) -> Counter:
     return out
 
 
-def word_tensor_decomposition(letters: Word, fd: FusionData,
-                              method: str = "direct") -> Counter:
+def word_tensor_decomposition(letters: Word, fd: FusionData) -> Counter:
     """Decompose r(a_1) x ... x r(a_k) into irreducible word representations."""
     acc: Counter = Counter({(): 1})
     for letter in letters:
@@ -140,17 +139,16 @@ def word_tensor_decomposition(letters: Word, fd: FusionData,
         nxt: Counter = Counter()
         for w, m in acc.items():
             for w1, m1 in basic.items():
-                for w2, m2 in fuse(w, w1, fd, method=method).items():
+                for w2, m2 in fuse(w, w1, fd).items():
                     nxt[w2] += m * m1 * m2
         acc = nxt
     return acc
 
 
-def dim_hom_fusion(up: Word, down: Word, fd: FusionData,
-                   method: str = "direct") -> int:
+def dim_hom_fusion(up: Word, down: Word, fd: FusionData) -> int:
     """Hom dimension by pairing the two irreducible decompositions."""
-    dec_up = word_tensor_decomposition(up, fd, method=method)
-    dec_down = word_tensor_decomposition(down, fd, method=method)
+    dec_up = word_tensor_decomposition(up, fd)
+    dec_down = word_tensor_decomposition(down, fd)
     return sum(m * dec_down.get(w, 0) for w, m in dec_up.items())
 
 

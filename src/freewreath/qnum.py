@@ -290,15 +290,16 @@ def render_poly(coeffs, var: str = "X") -> str:
 
 @cache
 def cheb_poly(l: int) -> tuple[int, ...]:
-    """Coefficient tuple of the dilated Chebyshev polynomial A_l."""
+    """Coefficient tuple of the dilated Chebyshev polynomial A_l.
+
+    Closed form: A_l = sum over 0 <= j <= l/2 of (-1)^j C(l-j, j) X^(l-2j).
+    """
     if l < 0:
         raise ValueError(f"negative Chebyshev index {l}")
-    if l == 0:
-        return (1,)
-    if l == 1:
-        return (0, 1)
-    prev, cur = cheb_poly(l - 2), cheb_poly(l - 1)
-    return poly_trim(poly_add(poly_mul((0, 1), cur), tuple(-c for c in prev)))
+    coeffs = [0] * (l + 1)
+    for j in range(l // 2 + 1):
+        coeffs[l - 2 * j] = (-1) ** j * math.comb(l - j, j)
+    return tuple(coeffs)
 
 
 def cheb_eval_sqrtN(l: int, n: int) -> QNum:

@@ -150,6 +150,21 @@ def test_exit_code_domain_error(capsys):
     assert code2 == 1
 
 
+def test_dim_below_four_refused(capsys):
+    for word, n in (("(1,1)", "2"), ("(1,1,1)", "3")):
+        code, out, err = run(capsys, "dim", word, "--N", n)
+        assert code == 1 and out == "" and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "fusion-dim", "--N", "3")
+    assert code == 1 and out == ""
+
+
+def test_dim_long_trivial_word(capsys):
+    # one reduced exponent of 1200: A_1200(2) = 1201
+    word = "(" + ",".join(["1"] * 600) + ")"
+    code, out, _ = run(capsys, "dim", word, "--N", "4")
+    assert code == 0 and out == "1201\n"
+
+
 def test_exit_code_usage(capsys):
     code, _, _ = run(capsys, "dim", "(g)")            # missing --N
     assert code == 1

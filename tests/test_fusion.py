@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from freewreath.fusion import (ChebyshevFusion, FiniteGroup,
-                               QuantumPermutationFusion, ReducedWord,
+from freewreath.fusion import (FiniteGroup, QuantumPermutationFusion,
+                               ReducedWord,
                                central_char_poly, conj_word, cyclic_fusion,
                                cyclic_group, dim_wreath, expand_reduced, fuse,
                                fuse_via_reduced, fusion_from_json,
@@ -184,14 +184,6 @@ def test_quantum_permutation_fusion():
     assert q4.tensor(2, 1) == {1: 1, 2: 1, 3: 1}
     with pytest.raises(ValueError):
         QuantumPermutationFusion(3)
-
-
-def test_chebyshev_fusion():
-    cf = ChebyshevFusion()
-    assert cf.tensor(2, 3) == {1: 1, 3: 1, 5: 1}
-    assert cf.tensor(0, 5) == {5: 1}
-    with pytest.raises(ValueError):
-        cf.dim(1)
 
 
 def test_json_round_trip(tmp_path):
