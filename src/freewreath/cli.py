@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .config import CapExceededError
+from .config import CapExceededError, caps
 from .fusion import (central_char_poly, dim_multiplicativity_failures,
                      dim_wreath, fuse, fusion_from_uri, parse_word,
                      render_word, sort_words)
@@ -81,6 +81,8 @@ def cmd_char_law(args) -> int:
     fd.check_label(rep)
     if args.eps is not None:
         eps_list = [parse_eps(args.eps)]
+        if not eps_list[0]:
+            raise ValueError("--eps needs a star word of at least one letter")
     else:
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
     max_len = max(len(e) for e in eps_list)
@@ -100,6 +102,8 @@ def cmd_classical(args) -> int:
     if args.group != "z2":
         print(f"unknown group {args.group!r}", file=sys.stderr)
         return 1
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = z2_block_moment(args.rep)
     values = [classical_wreath_moment(bm, args.n, k) for k in range(args.k + 1)]
     for k, value in enumerate(values):
@@ -319,6 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        caps()  # refuse a bad cap variable even where no cap is checked
         return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -1,20 +1,21 @@
 """Resource caps for enumeration and sparse storage.
 
-Defaults are overridable through environment variables (read once at import):
+Defaults are overridable through environment variables (read at first use):
 
     FREEWREATH_ENUM_CAP    maximum number of ground points a partition/diagram
                            enumeration will accept (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored nonzero entries in a sparse
                            linear map (default 10**7)
 
-Exceeding a cap raises :class:`CapExceededError`, which the command line
-interface maps to exit code 2.  Callers may also pass an explicit ``cap=``
-to ``enumerate_partitions`` and ``build_tp`` to override it per call.
+A value that is not a positive integer raises ValueError.  Exceeding a cap
+raises :class:`CapExceededError`, which the command line interface maps to
+exit code 2.  ``enumerate_partitions`` and ``build_tp`` take ``cap=``.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 
 
 class CapExceededError(Exception):
@@ -34,12 +35,15 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-ENUM_CAP: int = _env_int("FREEWREATH_ENUM_CAP", 14)
-ENTRY_CAP: int = _env_int("FREEWREATH_ENTRY_CAP", 10**7)
+@cache
+def caps() -> tuple[int, int]:
+    """(enumeration cap, entry cap) from the environment, read on first use."""
+    return (_env_int("FREEWREATH_ENUM_CAP", 14),
+            _env_int("FREEWREATH_ENTRY_CAP", 10**7))
 
 
 def check_enum_cap(points: int, cap: int | None = None) -> None:
-    limit = ENUM_CAP if cap is None else cap
+    limit = caps()[0] if cap is None else cap
     if points > limit:
         raise CapExceededError(
             f"enumeration over {points} points exceeds the cap of {limit}"
@@ -47,7 +51,7 @@ def check_enum_cap(points: int, cap: int | None = None) -> None:
 
 
 def check_entry_cap(entries: int, cap: int | None = None) -> None:
-    limit = ENTRY_CAP if cap is None else cap
+    limit = caps()[1] if cap is None else cap
     if entries > limit:
         raise CapExceededError(
             f"sparse map with {entries} stored entries exceeds the cap of {limit}"

@@ -3,11 +3,11 @@
 The workhorses are Bareiss fraction-free elimination for determinant and rank
 of integer matrices (intermediate values are minors, so they stay integral and
 their bit growth is controlled) and a Bareiss-Jordan variant that produces the
-exact inverse.  A plain Fraction Gauss-Jordan is kept for kernel vectors of
-singular matrices and, as ``gauss_jordan_inverse``, as an independent oracle:
-tests/test_exactmat.py checks it against ``bareiss_inverse`` on Weingarten
-Gram matrices, and the weingarten workload of perfbench/ builds its Haar-state
-oracle with it.
+exact inverse.  One plain Fraction Gauss-Jordan, which tolerates rank
+deficiency, gives kernel vectors of singular matrices and, as
+``gauss_jordan_inverse``, an oracle independent of Bareiss: tests/ check it
+against ``bareiss_inverse`` on Weingarten Gram matrices, and the weingarten
+workload of perfbench/ builds its Haar-state oracle with it.
 """
 
 from __future__ import annotations
@@ -91,22 +91,33 @@ def bareiss_inverse(matrix) -> FracMatrix:
     return out
 
 
+def _reduce_rows(a: FracMatrix, cols: int) -> list[int]:
+    """Gauss-Jordan on the first cols columns of a, in place; returns the
+    pivot column of each leading row, fewer than cols when a is singular."""
+    pivots: list[int] = []
+    for col in range(cols):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                fac = a[r][col]
+                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots
+
+
 def gauss_jordan_inverse(matrix) -> FracMatrix:
     """Fraction Gauss-Jordan inverse; independent oracle for bareiss_inverse."""
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                fac = a[r][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[col])]
+    if len(_reduce_rows(a, n)) < n:
+        raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in a]
 
 
@@ -114,27 +125,12 @@ def kernel_vector(matrix) -> list[Fraction] | None:
     """A nonzero rational kernel vector of a square matrix, or None."""
     n = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                fac = a[r][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-    if row == n:
+    pivots = _reduce_rows(a, n)
+    if len(pivots) == n:
         return None
-    pivot_cols = {c for _, c in pivots}
-    free_col = next(c for c in range(n) if c not in pivot_cols)
+    free_col = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
     vec[free_col] = Fraction(1)
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         vec[c] = -a[r][free_col]
     return vec

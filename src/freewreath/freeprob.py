@@ -222,6 +222,8 @@ def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
     of block moments; the symmetric-group average contributes exactly the
     block-count cutoff.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"classical moments need n, k >= 0, got n={n}, k={k}")
     if k == 0:
         return Fraction(1)
 

@@ -260,29 +260,44 @@ class TableFusion(FusionData):
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """value itself when it has the JSON type ``kind``, else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def fusion_from_json(text: str, name: str = "file") -> TableFusion:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"fusion file is not valid JSON: {exc}") from exc
-    for key in ("irreps", "trivial", "conj", "tensor"):
-        if key not in doc:
-            raise ValueError(f"fusion file misses required field {key!r}")
     try:
-        labels = [entry["label"] for entry in doc["irreps"]]
-        dims = {entry["label"]: int(entry["dim"]) for entry in doc["irreps"]}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad irreps entry in fusion file: {exc}") from exc
-    tensor = {}
-    for key, val in doc["tensor"].items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad tensor key {key!r}, expected 'a,b'")
-        tensor[(parts[0], parts[1])] = {c: int(m) for c, m in val.items()}
-    missing = [(a, b) for a in labels for b in labels if (a, b) not in tensor]
-    if missing:
-        raise ValueError(f"missing tensor entries for pairs {missing[:5]}")
-    return TableFusion(labels, dims, doc["trivial"], doc["conj"], tensor, name)
+        labels, dims = [], {}
+        for entry in _expect(_expect(doc, dict, "fusion file")["irreps"],
+                             list, "irreps"):
+            label = _expect(_expect(entry, dict, "irreps entry")["label"],
+                            str, "irrep label")
+            labels.append(label)
+            dims[label] = _expect(entry["dim"], int, f"dimension of {label!r}")
+        conj = {a: _expect(b, str, f"conjugate of {a!r}")
+                for a, b in _expect(doc["conj"], dict, "conj").items()}
+        tensor = {}
+        for key, val in _expect(doc["tensor"], dict, "tensor").items():
+            parts = key.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"bad tensor key {key!r}, expected 'a,b'")
+            tensor[(parts[0], parts[1])] = {
+                c: _expect(m, int, f"multiplicity of {c!r} in {key!r}")
+                for c, m in _expect(val, dict, f"tensor entry {key!r}").items()}
+        trivial = _expect(doc["trivial"], str, "trivial")
+    except KeyError as exc:
+        raise ValueError(f"fusion file misses the field {exc}") from exc
+    return TableFusion(labels, dims, trivial, conj, tensor, name)
 
 
 def load_fusion_file(path: str) -> TableFusion:

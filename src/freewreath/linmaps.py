@@ -13,9 +13,9 @@ satisfy
 and the nested pairing solves the conjugate equations.  The family
 {T_p : p noncrossing} is linearly independent iff N >= 4; its Gram matrix is
 <T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}, computed here both through
-the join formula and through brute-force index enumeration (the two must
-agree, and the brute force iterates only over assignments constant on the
-blocks of p, which keeps it usable at N=5 on six points).
+the join formula and by brute force, counting the index assignments where
+both maps are nonzero (the two must agree; the brute force never takes a
+join, so it is an independent oracle).
 
 Everything is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
 nonzero Fractions.  A configurable cap (default 10**7) bounds the number of
@@ -29,11 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-import numpy as np
-
 from .config import check_entry_cap
 from .exactmat import bareiss_det_rank, kernel_vector
-from .partition import Partition, enumerate_partitions, nested_pairing
+from .partition import (Partition, _block_index, enumerate_partitions,
+                        nested_pairing)
 from .report import VerificationReport
 
 Index = tuple[int, ...]
@@ -142,10 +141,7 @@ def build_tp(p: Partition, dim: int, cap: int | None = None) -> SparseMap:
     check_entry_cap(dim ** p.block_count(), cap)
     k, l = p.upper, p.lower
     # block index feeding each boundary point, split into the two rows
-    owner = {}
-    for bi, b in enumerate(p.blocks):
-        for pt in b:
-            owner[pt] = bi
+    owner = _block_index(p.blocks)
     upper_sel = [owner[pt] for pt in range(1, k + 1)]
     lower_sel = [owner[pt] for pt in range(k + 1, k + l + 1)]
     entries = {}
@@ -278,36 +274,16 @@ class GramMatrix:
         return kernel_vector(self.entries)
 
 
-def _np_digit_table(dim: int, width: int) -> np.ndarray:
-    if width == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grid = np.indices((dim,) * width).reshape(width, -1).T
-    return np.ascontiguousarray(grid)
-
-
 def gram_entry_brute(p: Partition, q: Partition, dim: int) -> int:
-    """Tr(T_p* T_q) by enumerating index assignments constant on p's blocks.
+    """Tr(T_p* T_q) as the number of nonzero entries T_p and T_q share.
 
-    For each of the N**blocks(p) assignments, the contribution is 1 exactly
-    when the induced point values are also constant on every block of q.
-    numpy is used purely as the iteration engine; the count is an exact
-    small integer.
+    Both maps come from :func:`build_tp`, which enumerates the index
+    assignments constant on each partition's blocks; no join is taken, so
+    the count is an independent check of the join formula.
     """
     if (p.upper, p.lower) != (q.upper, q.lower):
         raise ValueError("Gram entries need partitions on the same point set")
-    owner = {}
-    for bi, b in enumerate(p.blocks):
-        for pt in b:
-            owner[pt] = bi
-    width = p.block_count()
-    check_entry_cap(dim ** width)
-    table = _np_digit_table(dim, width)
-    valid = np.ones(table.shape[0], dtype=bool)
-    for b in q.blocks:
-        ids = sorted({owner[pt] for pt in b})
-        for other in ids[1:]:
-            valid &= table[:, ids[0]] == table[:, other]
-    return int(valid.sum())
+    return int(build_tp(p, dim).inner(build_tp(q, dim)))
 
 
 def gram_nc(k: int, l: int, dim: int, method: str = "join_formula",
@@ -315,20 +291,20 @@ def gram_nc(k: int, l: int, dim: int, method: str = "join_formula",
     """Gram matrix of {T_p} over the noncrossing partitions of (k, l).
 
     method="join_formula" computes N^{blocks(join(p,q))}; method="brute_force"
-    counts matching index assignments directly.  Both are exact and must
-    agree; verify_gram_methods compares them.
+    counts the entries the maps share, as gram_entry_brute does, building
+    each T_p once.  Both are exact and must agree; verify_gram_methods
+    compares them.
     """
     if partitions is None:
         partitions = enumerate_partitions(k, l, "noncrossing")
     if method == "join_formula":
-        def entry(p, q):
-            return dim ** p.join(q).block_count()
+        rows = tuple(tuple(dim ** p.join(q).block_count() for q in partitions)
+                     for p in partitions)
     elif method == "brute_force":
-        def entry(p, q):
-            return gram_entry_brute(p, q, dim)
+        maps = [build_tp(p, dim) for p in partitions]
+        rows = tuple(tuple(int(a.inner(b)) for b in maps) for a in maps)
     else:
         raise ValueError(f"unknown Gram method {method!r}")
-    rows = tuple(tuple(entry(p, q) for q in partitions) for p in partitions)
     return GramMatrix(tuple(partitions), dim, rows)
 
 

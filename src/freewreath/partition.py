@@ -52,6 +52,11 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
     return tuple(sorted(out, key=lambda b: b[0]))
 
 
+def _block_index(blocks: Iterable[Block]) -> dict[int, int]:
+    """Each point mapped to the position of its block."""
+    return {pt: i for i, b in enumerate(blocks) for pt in b}
+
+
 def _merge(n: int, chains: Iterable[Sequence[int]],
            boundary: Iterable[int]) -> tuple[list[list[int]], int]:
     """Union-find on the points 1..n that merges the points of each chain.
@@ -118,10 +123,7 @@ class Partition:
         return ups + lows
 
     def is_noncrossing(self) -> bool:
-        block_id = {}
-        for i, b in enumerate(self.blocks):
-            for pt in b:
-                block_id[pt] = i
+        block_id = _block_index(self.blocks)
         remaining = [len(b) for b in self.blocks]
         stack: list[int] = []
         for pt in self.traversal():
@@ -198,10 +200,7 @@ class Partition:
         """True when every block of self lies inside a block of other."""
         if (self.upper, self.lower) != (other.upper, other.lower):
             raise ValueError("refinement requires identical point sets")
-        owner = {}
-        for i, b in enumerate(other.blocks):
-            for pt in b:
-                owner[pt] = i
+        owner = _block_index(other.blocks)
         return all(len({owner[pt] for pt in b}) == 1 for b in self.blocks)
 
     # -- rendering ---------------------------------------------------------

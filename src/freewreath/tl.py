@@ -198,6 +198,8 @@ def markov_trace_exponent(d: TLDiagram) -> int:
 
 def sqrt_power(dim: int, exponent: int) -> QNum:
     """sqrt(dim)**exponent as an exact QNum (exponent may be negative)."""
+    if dim < 1:
+        raise ValueError(f"N must be a positive integer, got {dim}")
     if exponent % 2 == 0:
         return QNum.rational(Fraction(dim) ** (exponent // 2))
     return QNum(Fraction(0), Fraction(dim) ** ((exponent - 1) // 2), dim)

@@ -1,12 +1,27 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import freewreath
 from freewreath.cli import main
+
+SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv, **env):
+    """Run a fresh interpreter on src/ with extra environment variables."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env={**os.environ, **env,
+                                          "PYTHONPATH": path})
 
 
 def test_fuse(capsys):
@@ -54,6 +69,17 @@ def test_char_law_eps(capsys):
     assert out.splitlines() == ["moment 1*1*: 3"]
 
 
+def test_char_law_empty_eps_refused(capsys):
+    code, out, err = run(capsys, "char-law", "--rep", "g", "--eps", "")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_classical_out_of_range_refused(capsys):
+    for n, k in (("-1", "3"), ("3", "-2")):
+        code, out, err = run(capsys, "classical", "--n", n, "--k", k)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_classical(capsys):
     code, out, _ = run(capsys, "classical", "--n", "3", "--k", "4")
     assert code == 0
@@ -99,6 +125,13 @@ def test_tl_trace(capsys):
     code, out, _ = run(capsys, "tl", "trace", "TL(2,2): (1,3)(2,4)",
                        "--N", "4")
     assert code == 0 and out.strip() == "4"
+
+
+def test_tl_trace_nonpositive_N_refused(capsys):
+    for n in ("-3", "0"):
+        code, out, err = run(capsys, "tl", "trace", "TL(2,2): (1,3)(2,4)",
+                             "--N", n)
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_tl_collapse(capsys):
@@ -175,3 +208,35 @@ def test_exit_code_usage(capsys):
 def test_tl_crossing_rejected(capsys):
     code, _, err = run(capsys, "tl", "collapse", "TL(2,2): (1,4)(2,3)")
     assert code == 1 and "cross" in err
+
+
+def test_malformed_fusion_file_refused(capsys, tmp_path):
+    path = tmp_path / "fd.json"
+    path.write_text('{"irreps": [{"label": "1", "dim": 1}], "trivial": "1", '
+                    '"conj": {"1": "1"}, "tensor": {"1,1": 5}}')
+    code, out, err = run(capsys, "fuse", "(1)", "(1)", "--fusion",
+                         f"file:{path}")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_bad_cap_variable_refused():
+    cases = (
+        ("FREEWREATH_ENUM_CAP", "abc",
+         "error: FREEWREATH_ENUM_CAP must be an integer, got 'abc'\n"),
+        ("FREEWREATH_ENUM_CAP", "0",
+         "error: FREEWREATH_ENUM_CAP must be positive, got 0\n"),
+        ("FREEWREATH_ENTRY_CAP", "1e7",
+         "error: FREEWREATH_ENTRY_CAP must be an integer, got '1e7'\n"),
+    )
+    for name, value, message in cases:
+        done = python("-m", "freewreath.cli", "dim", "(g)", "--N", "4",
+                      **{name: value})
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert python("-c", "import freewreath",
+                  FREEWREATH_ENUM_CAP="abc").returncode == 0
+
+
+def test_cli_imports_stdlib_only():
+    done = python("-c", "import sys, freewreath.cli; "
+                        "assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr

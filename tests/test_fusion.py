@@ -208,6 +208,22 @@ def test_json_malformed():
     doc2["irreps"] = [{"label": "1"}]
     with pytest.raises(ValueError):
         fusion_from_json(json.dumps(doc2))
+    # wrong JSON types: each used to crash or be truncated by int()
+    edits = (
+        lambda d: d.update(tensor=[]),
+        lambda d: d["tensor"].update({"1,1": 5}),
+        lambda d: d["tensor"]["g,g"].update({"1": None}),
+        lambda d: d["tensor"]["g,g"].update({"1": 1.5}),
+        lambda d: d["irreps"][1].update(dim=1.7),
+        lambda d: d["conj"].update(g=["g"]),
+    )
+    for edit in edits:
+        doc3 = json.loads(Z2.to_json())
+        edit(doc3)
+        with pytest.raises(ValueError):
+            fusion_from_json(json.dumps(doc3))
+    with pytest.raises(ValueError):
+        fusion_from_json("null")
 
 
 def test_fusion_from_uri(tmp_path):

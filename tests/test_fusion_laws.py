@@ -1,7 +1,10 @@
-"""Algebraic laws of word fusion, as property tests.
+"""Algebraic laws of word fusion and of Q[sqrt(N)], as property tests.
 
 The profile is derandomised, so every run draws the same examples.
 """
+
+from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from freewreath.fusion import (conj_word, cyclic_fusion, expand_reduced,
                                group_dual_fusion, integers_fusion,
                                reduce_word, symmetric_group_3,
                                symmetric_group_3_fusion)
+from freewreath.qnum import QNum
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         database=None)
@@ -28,9 +32,13 @@ def ring_and_words(draw, count, max_len=10):
     return (fd,) + tuple(draw(letters) for _ in range(count))
 
 
-def s3_words(max_len):
-    return st.lists(st.sampled_from(S3_DUAL.labels()),
-                    max_size=max_len).map(tuple)
+def s3_words(max_len, fd=S3_DUAL):
+    return st.lists(st.sampled_from(fd.labels()), max_size=max_len).map(tuple)
+
+
+def qnums(base):
+    rat = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+    return st.builds(QNum, rat, rat, st.just(base))
 
 
 @DERANDOMIZED
@@ -61,3 +69,37 @@ def test_routes_agree_past_old_recursion_limit():
     fd = cyclic_fusion(2)
     x = ("g", "1", "g") * 400
     assert fuse_via_reduced(x, x[::-1], fd) == fuse_direct(x, x[::-1], fd)
+
+
+def _fuse_sum(left: Counter, right: Counter, fd) -> Counter:
+    out = Counter()
+    for x, m in left.items():
+        for y, n in right.items():
+            for w, k in fuse_direct(x, y, fd).items():
+                out[w] += m * n * k
+    return +out
+
+
+@DERANDOMIZED
+@given(st.sampled_from([symmetric_group_3_fusion(), S3_DUAL]).flatmap(
+    lambda fd: st.tuples(st.just(fd), *[s3_words(3, fd)] * 3)))
+def test_fusion_associative(case):
+    # (x (x) y) (x) z = x (x) (y (x) z), over a commutative and a
+    # non-commutative ring
+    fd, x, y, z = case
+    assert _fuse_sum(fuse_direct(x, y, fd), Counter([z]), fd) == \
+        _fuse_sum(Counter([x]), fuse_direct(y, z, fd), fd)
+
+
+@DERANDOMIZED
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda n: st.tuples(qnums(n), qnums(n), qnums(n))))
+def test_qnum_field_laws(case):
+    a, b, c = case
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    if a != 0:
+        assert a / a == 1 and (b / a) * a == b
+    value = float(a)
+    assert a.sign() == (value > 0) - (value < 0)

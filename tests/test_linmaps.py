@@ -115,8 +115,9 @@ def test_gram_entries_match_brute_force():
 
 
 def test_verify_gram_methods():
-    report = verify_gram_methods(0, 4, 3)
-    assert report.passed, report.render()
+    for k, l, n in ((0, 4, 3), (0, 5, 2), (0, 5, 4), (2, 2, 3)):
+        report = verify_gram_methods(k, l, n)
+        assert report.passed, report.render()
 
 
 def test_gram_rank_small():
