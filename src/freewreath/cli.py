@@ -83,6 +83,8 @@ def cmd_char_law(args) -> int:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
+    elif args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
     max_len = max(len(e) for e in eps_list)
@@ -123,6 +125,8 @@ def cmd_partial_trace(args) -> int:
     rep = fd.parse_label(args.rep) if args.rep is not None else fd.trivial()
     fd.check_label(rep)
     t = Fraction(args.t)
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = rep_block_moment(fd, rep)
     for k in range(1, args.k + 1):
         value = partial_trace_moments(t, bm, k)

@@ -1,17 +1,18 @@
 """Exact integer/rational matrix elimination (no floating point).
 
-The workhorses are Bareiss fraction-free elimination for determinant and rank
-of integer matrices (intermediate values are minors, so they stay integral and
-their bit growth is controlled) and a Bareiss-Jordan variant that produces the
-exact inverse.  One plain Fraction Gauss-Jordan, which tolerates rank
-deficiency, gives kernel vectors of singular matrices and, as
-``gauss_jordan_inverse``, an oracle independent of Bareiss: tests/ check it
-against ``bareiss_inverse`` on Weingarten Gram matrices, and the weingarten
-workload of perfbench/ builds its Haar-state oracle with it.
+Bareiss fraction-free elimination gives determinant and rank of integer
+matrices (intermediate values are minors, so they stay integral).  The exact
+inverse comes from integer Gauss-Jordan that keeps every row primitive by
+dividing out its content, so entries stay near the size of the result.  One
+plain Fraction Gauss-Jordan, which tolerates rank deficiency, gives kernel
+vectors of singular matrices and, as ``gauss_jordan_inverse``, an oracle
+independent of the integer route: tests/ check it against ``bareiss_inverse``,
+and the weingarten workload of perfbench/ builds its Haar-state oracle with it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
@@ -49,46 +50,35 @@ def bareiss_det_rank(matrix) -> tuple[int, int]:
 def bareiss_inverse(matrix) -> FracMatrix:
     """Exact inverse of a square integer matrix via fraction-free elimination.
 
-    Runs Bareiss-Jordan on the augmented [M | I]; all intermediate entries are
-    integers (divisions are exact), and the final right block divided by the
-    determinant is the inverse.  Raises ZeroDivisionError on singular input.
+    Integer Gauss-Jordan on the augmented [M | I]: each elimination step
+    replaces a row by (pv/g)*row - (fac/g)*pivot_row with g = gcd(pv, fac),
+    and then divides the row by the gcd of its entries, so every division is
+    exact and entries stay near the size of the result instead of growing to
+    determinant size.  Row r then reads a[r][r] * e_r | a[r][r] * (row r of
+    the inverse).  Raises ZeroDivisionError on singular input.  The name is
+    kept from the former Bareiss-Jordan version: perfbench/tracer.py hooks it
+    and the exactmat.inverse_s sweeps of perfbench/ call it.
     """
     n = len(matrix)
     a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(matrix)]
-    sign = 1
-    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise ZeroDivisionError("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pv = a[col][col]
+        a[col], a[piv] = a[piv], a[col]
+        pivot_row = a[col]
+        pv = pivot_row[col]
         for r in range(n):
-            if r == col:
-                continue
             fac = a[r][col]
-            for c in range(2 * n):
-                num = pv * a[r][c] - fac * a[col][c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                a[r][c] = q
-        prev = pv
-    det = sign * prev
-    if det == 0:
-        raise ZeroDivisionError("matrix is singular")
-    # after full Jordan elimination each row r of the left block is
-    # a[r][r] * e_r with a[r][r] == prev (+- the running pivot); divide row by it
-    out = []
-    for r in range(n):
-        d = a[r][r]
-        if d == 0:
-            raise ZeroDivisionError("matrix is singular")
-        out.append([Fraction(a[r][n + c] * sign, d * sign) for c in range(n)])
-    return out
+            if r == col or fac == 0:
+                continue
+            g = math.gcd(pv, fac)
+            p, f = pv // g, fac // g
+            row = [p * x - f * y for x, y in zip(a[r], pivot_row)]
+            content = math.gcd(*row)
+            a[r] = [x // content for x in row] if content > 1 else row
+    return [[Fraction(x, a[r][r]) for x in a[r][n:]] for r in range(n)]
 
 
 def _reduce_rows(a: FracMatrix, cols: int) -> list[int]:

@@ -192,9 +192,13 @@ def partial_trace_moments(t, block_moment: Callable[[int], int],
 
     Sum over noncrossing partitions of t^{blocks} * prod block_moment(|B|).
     This is the limit law of the truncated character keeping a fraction t of
-    the diagonal.
+    the diagonal, so t must lie in [0, 1].
     """
     t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
 
     def term(blocks):
         return t ** len(blocks) * math.prod(block_moment(len(b))

@@ -617,6 +617,8 @@ def dim_multiplicativity_failures(fd: FusionData, n: int, rng,
     set, from ``rng`` (a random.Random).  Returns the failures as
     (x, y, lhs, rhs) tuples.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     labels = fd.labels()
     bad = []
     for _ in range(count):

@@ -174,6 +174,8 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     points, so the dense work is bounded by N**max_points; the involution
     relation runs over single diagrams up to max_points.
     """
+    if max_points < 0:
+        raise ValueError(f"max_points must be nonnegative, got {max_points}")
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams = _nc_shapes_up_to(max_points)
     cache: dict[Partition, SparseMap] = {}

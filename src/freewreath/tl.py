@@ -341,6 +341,8 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     partitions, which proves them for every N at once.  Diagrams range over
     all of TL(a,b) with a+b <= max_points (even arities where phi applies).
     """
+    if max_points < 0:
+        raise ValueError(f"max_points must be nonnegative, got {max_points}")
     rep = VerificationReport(f"collapsing isomorphism up to {max_points} points")
     even_shapes = [(a, b) for a in range(0, max_points + 1, 2)
                    for b in range(0, max_points + 1 - a, 2)]

@@ -72,18 +72,20 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
     return tuple(out)
 
 
+@cache
+def _join_block_counts(k: int, category: str) -> tuple[tuple[bytes, ...], ...]:
+    """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row."""
+    indices = wg_indices(k, category)
+    return tuple(tuple(bytes(len(x.join(y).blocks) for y in column)
+                       for x in column)
+                 for column in zip(*indices))
+
+
 def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
-    indices = wg_indices(k, category)
-    gram = []
-    for p, a in indices:
-        row = []
-        for q, b in indices:
-            outer = len(p.join(q).blocks)
-            inner = len(a.join(b).blocks)
-            row.append(n ** outer * s ** inner)
-        gram.append(row)
-    return gram
+    outer, inner = _join_block_counts(k, category)
+    return [[n ** b * s ** c for b, c in zip(orow, irow)]
+            for orow, irow in zip(outer, inner)]
 
 
 @dataclass(frozen=True)

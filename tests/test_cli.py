@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import freewreath
 from freewreath.cli import main
 
@@ -181,6 +183,24 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
     code2, _, _ = run(capsys, "dim", "(g)", "--N", "0")
     assert code2 == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("partial-trace", "--t", "2", "--k", "3"), "t must lie in [0, 1], got 2"),
+    (("partial-trace", "--t", "-1", "--k", "3"), "t must lie in [0, 1], got -1"),
+    (("partial-trace", "--t", "1/2", "--k", "-3"),
+     "--k must be nonnegative, got -3"),
+    (("char-law", "--rep", "g", "--order", "0"),
+     "--order must be at least 1, got 0"),
+    (("verify", "fusion-dim", "--N", "4", "--count", "-5"),
+     "count must be nonnegative, got -5"),
+    (("verify", "category", "--N", "4", "--max-points", "-1"),
+     "max_points must be nonnegative, got -1"),
+    (("tl", "verify", "--max-points", "-1"),
+     "max_points must be nonnegative, got -1"),
+])
+def test_out_of_range_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_dim_below_four_refused(capsys):

@@ -106,6 +106,9 @@ def test_partial_trace_moments():
     for k in (1, 2, 3, 4):
         assert partial_trace_moments(1, bm, k) == \
             character_moment_wreath(trivial_fusion(), "1", plain_eps(k))
+    for t, k in ((2, 3), (-1, 3), (half, -1)):
+        with pytest.raises(ValueError):
+            partial_trace_moments(t, bm, k)
 
 
 def test_classical_wreath_small_n_brute_force():
