@@ -124,12 +124,16 @@ def cmd_partial_trace(args) -> int:
     fd = _fusion(args)
     rep = fd.parse_label(args.rep) if args.rep is not None else fd.trivial()
     fd.check_label(rep)
-    t = Fraction(args.t)
+    try:
+        t = Fraction(args.t)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--t must be a fraction such as 1/2, "
+                         f"got {args.t!r}") from None
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = rep_block_moment(fd, rep)
-    for k in range(1, args.k + 1):
-        value = partial_trace_moments(t, bm, k)
+    values = [partial_trace_moments(t, bm, k) for k in range(1, args.k + 1)]
+    for k, value in enumerate(values, start=1):
         shown = float(value) if args.float else value
         print(f"k={k}: {shown}")
     return 0

@@ -3,7 +3,8 @@
 Defaults are overridable through environment variables (read at first use):
 
     FREEWREATH_ENUM_CAP    maximum number of ground points a partition/diagram
-                           enumeration will accept (default 14)
+                           enumeration will accept, and the longest word or
+                           order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored nonzero entries in a sparse
                            linear map (default 10**7)
 

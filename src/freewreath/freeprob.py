@@ -14,15 +14,22 @@ Three independent computations meet here:
 
 * cumulant route: a free compound Poisson law of rate t with jump law mu has
   free cumulants k(eps) = t * m_mu(eps); the moment/cumulant dictionaries are
-  converted through the noncrossing partition recursion;
+  converted by the recursion on the block B that holds the first letter
+  (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
+  Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
+  that B leaves;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
-  at most n blocks, checked against a direct group average for Z/2 wr S_3.
+  at most n blocks, computed by a recursion on the number of blocks and
+  checked against a direct group average for Z/2 wr S_3.
 
 The truncated character (a partial sum of t*N of the N diagonal entries)
-converges to the free compound Poisson of rate t, whose moments weight each
-noncrossing partition by t^{number of blocks}.
+converges to the free compound Poisson of rate t: its plain free cumulants
+are t times the jump moments.
+
+No partition is materialised.  The enumeration cap bounds the longest word or
+order of every transform here, and is checked before any sum is computed.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .config import check_enum_cap
 from .fusion import FusionData
 from .homspaces import dim_hom_wreath, tensor_fold
-from .partition import Block, Mode, enumerate_partitions
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -103,38 +110,57 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
 # noncrossing moment/cumulant transforms on eps-indexed families
 
 
-def _partition_sum(n: int, mode: Mode,
-                   term: Callable[[tuple[Block, ...]], int]):
-    """Sum of term(blocks) over the partitions of n points 1..n."""
-    return sum(term(p.blocks) for p in enumerate_partitions(0, n, mode=mode))
+def _nc_sum(cumulants: dict, moments: dict, eps: Eps):
+    """Sum over NC(|eps|) of prod over blocks of k(eps|block).
 
-
-def _cumulant_product(cumulants: dict, eps: Eps):
-    """The term of a partition: prod over its blocks of k(eps|block)."""
-    return lambda blocks: math.prod(cumulants[tuple(eps[i - 1] for i in b)]
-                                    for b in blocks)
+    The noncrossing partitions are grouped by the block B that holds the first
+    letter.  The letters strictly between two points of B, or after its last
+    point, form a gap; no other block crosses B, so the rest of the partition
+    is any noncrossing partition of each gap, and the gaps contribute their
+    moments: the sum is that of k(eps|B) * prod m(gap) over the 2^(|eps|-1)
+    choices of B.  ``moments`` must hold every word shorter than eps.
+    """
+    n = len(eps)
+    if n == 0:
+        return 1  # the empty partition, which has no first block
+    total = 0
+    for size in range(n):
+        for rest in itertools.combinations(range(1, n), size):
+            block = (0, *rest)
+            term = cumulants[tuple(eps[i] for i in block)]
+            for a, b in zip(block, (*rest, n)):
+                if b > a + 1:
+                    term *= moments[eps[a + 1:b]]
+            total += term
+    return total
 
 
 def free_cumulants_to_moments(cumulants: dict) -> dict:
     """Moments from free cumulants: m(eps) = sum over NC of prod k(eps|block).
 
     Input maps every eps-word with 1 <= |eps| <= max length to its cumulant;
-    the output has the same key set.
+    the output has the same key set.  Words are taken by increasing length, so
+    each first-block sum finds the moments of its gaps already computed.
     """
-    return {eps: _partition_sum(len(eps), "noncrossing",
-                                _cumulant_product(cumulants, eps))
-            for eps in sorted(cumulants, key=len)}
+    check_enum_cap(max(map(len, cumulants), default=0))
+    moments: dict = {}
+    for eps in sorted(cumulants, key=len):
+        moments[eps] = _nc_sum(cumulants, moments, eps)
+    return moments
 
 
 def moments_to_free_cumulants(moments: dict) -> dict:
-    """Inverse transform, by induction on word length."""
+    """Inverse transform, by induction on word length.
+
+    In the first-block sum for eps, the block of all letters contributes the
+    unknown k(eps) itself; it is counted as 0 and k(eps) is what remains of
+    m(eps).
+    """
+    check_enum_cap(max(map(len, moments), default=0))
     cumulants: dict = {}
     for eps in sorted(moments, key=len):
-        # the one-block partition's term is the unknown k(eps) itself: count
-        # it as 0 in the sum over NC
         cumulants[eps] = 0
-        cumulants[eps] = moments[eps] - _partition_sum(
-            len(eps), "noncrossing", _cumulant_product(cumulants, eps))
+        cumulants[eps] = moments[eps] - _nc_sum(cumulants, moments, eps)
     return cumulants
 
 
@@ -143,8 +169,10 @@ def compound_poisson_moments(fd: FusionData, rep, max_len: int,
     """eps-moments of the free compound Poisson with jump law chi_rep.
 
     Built through the cumulant route: every free cumulant equals rate times
-    the matching eps-moment of chi_rep in G.
+    the matching eps-moment of chi_rep in G.  The cap is checked on max_len
+    before any of those 2^(max_len+1)-2 moments of G is computed.
     """
+    check_enum_cap(max_len)
     cumulants = {}
     for k in range(1, max_len + 1):
         for eps in all_eps(k):
@@ -190,7 +218,8 @@ def partial_trace_moments(t, block_moment: Callable[[int], int],
                           k: int) -> Fraction:
     """k-th moment of the rate-t free compound Poisson with the given jump moments.
 
-    Sum over noncrossing partitions of t^{blocks} * prod block_moment(|B|).
+    Its plain free cumulants are t * block_moment(s), so the moment comes
+    from the first-block recursion of :func:`free_cumulants_to_moments`.
     This is the limit law of the truncated character keeping a fraction t of
     the diagonal, so t must lie in [0, 1].
     """
@@ -199,12 +228,10 @@ def partial_trace_moments(t, block_moment: Callable[[int], int],
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-
-    def term(blocks):
-        return t ** len(blocks) * math.prod(block_moment(len(b))
-                                            for b in blocks)
-
-    return _partition_sum(k, "noncrossing", term)
+    if k == 0:
+        return Fraction(1)
+    cumulants = {plain_eps(s): t * block_moment(s) for s in range(1, k + 1)}
+    return free_cumulants_to_moments(cumulants)[plain_eps(k)]
 
 
 def rep_block_moment(fd: FusionData, rep) -> Callable[[int], int]:
@@ -224,19 +251,23 @@ def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
 
     Sum over *all* partitions of k points with at most n blocks of the product
     of block moments; the symmetric-group average contributes exactly the
-    block-count cutoff.
+    block-count cutoff.  Let a_j(m) be that sum over the partitions of m
+    points into exactly j blocks.  The block of the last point has some size
+    s, and C(m-1, s-1) ways to pick its other points, so
+    a_j(m) = sum over s of C(m-1, s-1) * block_moment(s) * a_{j-1}(m-s);
+    the moment is the sum of a_j(k) over j <= n.
     """
     if n < 0 or k < 0:
         raise ValueError(f"classical moments need n, k >= 0, got n={n}, k={k}")
-    if k == 0:
-        return Fraction(1)
-
-    def term(blocks):
-        if len(blocks) > n:
-            return 0
-        return math.prod(block_moment(len(b)) for b in blocks)
-
-    return Fraction(_partition_sum(k, "all", term))
+    check_enum_cap(k)
+    beta = {s: block_moment(s) for s in range(1, k + 1)}
+    row = [1] + [0] * k  # a_0(m)
+    total = row[k]
+    for _ in range(min(n, k)):  # a_j vanishes for j > k
+        row = [sum(math.comb(m - 1, s - 1) * beta[s] * row[m - s]
+                   for s in range(1, m + 1)) for m in range(k + 1)]
+        total += row[k]
+    return Fraction(total)
 
 
 def brute_force_z2_s3_moments(rep: str, max_k: int) -> list[Fraction]:

@@ -198,9 +198,24 @@ def test_exit_code_domain_error(capsys):
      "max_points must be nonnegative, got -1"),
     (("tl", "verify", "--max-points", "-1"),
      "max_points must be nonnegative, got -1"),
+    (("partial-trace", "--t", "1/0", "--k", "3"),
+     "--t must be a fraction such as 1/2, got '1/0'"),
+    (("partial-trace", "--t", "abc", "--k", "3"),
+     "--t must be a fraction such as 1/2, got 'abc'"),
 ])
 def test_out_of_range_refused(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("partial-trace", "--t", "1/2", "--k", "6"),
+    ("char-law", "--rep", "g", "--order", "6"),
+    ("classical", "--n", "3", "--k", "6"),
+])
+def test_order_over_cap_prints_nothing(argv):
+    done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENUM_CAP="5")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("cap exceeded:")
 
 
 def test_dim_below_four_refused(capsys):

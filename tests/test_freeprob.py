@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from freewreath import freeprob
+from freewreath.config import CapExceededError
 from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
                                  character_moments_wreath,
@@ -15,10 +18,22 @@ from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  z2_block_moment)
 from freewreath.fusion import (cyclic_fusion, symmetric_group_3_fusion,
                                trivial_fusion)
+from freewreath.partition import enumerate_partitions
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
+
+
+def partition_sum(n, mode, term):
+    """Oracle: sum of term(blocks) over every partition of the points 1..n."""
+    return sum(term(p.blocks) for p in enumerate_partitions(0, n, mode=mode))
+
+
+def nc_cumulant_sum(cumulants, eps):
+    """Oracle: sum over NC(|eps|) of prod over blocks of k(eps|block)."""
+    return partition_sum(len(eps), "noncrossing", lambda blocks: math.prod(
+        cumulants[tuple(eps[i - 1] for i in b)] for b in blocks))
 
 
 def test_eps_parsing():
@@ -66,6 +81,22 @@ def test_cumulant_transform_round_trip():
     assert back == cum
 
 
+def test_transforms_match_partition_oracle():
+    rng = random.Random(7)
+    keys = [eps for k in range(7) for eps in all_eps(k)]  # () included
+    cum = {eps: Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+           for eps in keys}
+    assert free_cumulants_to_moments(cum) == \
+        {eps: nc_cumulant_sum(cum, eps) for eps in keys}
+    mom = {eps: Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+           for eps in keys}
+    expect: dict = {}
+    for eps in keys:  # by increasing length; the one-block term counts 0
+        expect[eps] = 0
+        expect[eps] = mom[eps] - nc_cumulant_sum(expect, eps)
+    assert moments_to_free_cumulants(mom) == expect
+
+
 def test_semicircle_from_cumulants():
     # second cumulant 1, all else 0: Catalan moments on even lengths
     keys = [eps for k in range(1, 7) for eps in all_eps(k)]
@@ -109,6 +140,43 @@ def test_partial_trace_moments():
     for t, k in ((2, 3), (-1, 3), (half, -1)):
         with pytest.raises(ValueError):
             partial_trace_moments(t, bm, k)
+
+
+def test_partial_trace_matches_partition_oracle():
+    for fd, rep in ((Z2, "1"), (Z2, "g"), (S3, "std")):
+        bm = rep_block_moment(fd, rep)
+        for t in (0, Fraction(1, 3), Fraction(1, 2), 1):
+            for k in range(9):
+                expect = partition_sum(k, "noncrossing", lambda blocks: (
+                    Fraction(t) ** len(blocks)
+                    * math.prod(bm(len(b)) for b in blocks)))
+                assert partial_trace_moments(t, bm, k) == expect, (rep, t, k)
+
+
+def test_classical_matches_partition_oracle():
+    for rep in ("sign", "regular"):
+        bm = z2_block_moment(rep)
+        for n in range(6):
+            for k in range(9):
+                expect = partition_sum(k, "all", lambda blocks: (
+                    math.prod(bm(len(b)) for b in blocks)
+                    if len(blocks) <= n else 0))
+                assert classical_wreath_moment(bm, n, k) == expect, (rep, n, k)
+
+
+def test_cap_checked_before_any_sum(monkeypatch):
+    # order 15 is over the default cap of 14: refused before any shorter
+    # word is summed, and classical before any block moment is taken
+    def refuse(*args):
+        raise AssertionError("summed before the cap was checked")
+
+    monkeypatch.setattr(freeprob, "_nc_sum", refuse)
+    with pytest.raises(CapExceededError):
+        compound_poisson_moments(Z2, "g", 15)
+    with pytest.raises(CapExceededError):
+        partial_trace_moments(Fraction(1, 2), z2_block_moment("regular"), 15)
+    with pytest.raises(CapExceededError):
+        classical_wreath_moment(refuse, 3, 15)
 
 
 def test_classical_wreath_small_n_brute_force():
