@@ -132,8 +132,9 @@ def cmd_partial_trace(args) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = rep_block_moment(fd, rep)
-    values = [partial_trace_moments(t, bm, k) for k in range(1, args.k + 1)]
-    for k, value in enumerate(values, start=1):
+    # k = 0 (the moment 1, not printed) checks t even when --k is 0
+    values = [partial_trace_moments(t, bm, k) for k in range(args.k + 1)]
+    for k, value in enumerate(values[1:], start=1):
         shown = float(value) if args.float else value
         print(f"k={k}: {shown}")
     return 0

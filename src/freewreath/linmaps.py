@@ -17,19 +17,24 @@ the join formula and by brute force, counting the index assignments where
 both maps are nonzero (the two must agree; the brute force never takes a
 join, so it is an independent oracle).
 
-Everything is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
-nonzero Fractions.  A configurable cap (default 10**7) bounds the number of
-stored entries; exceeding it raises CapExceededError rather than thrashing.
+A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
+nonzero Fractions, with tensor, compose and adjoint; the conjugate equations
+and the Gram brute force use it.  The category check turns each T_p from
+:func:`build_tp` into 0/1 bit rows and columns, one Python int each, and
+compares the three relations through shifts, ANDs and popcounts; its
+partition side (the pairs and their products) is computed once per point
+bound.  A configurable cap (default 10**7) bounds the number of stored
+entries; exceeding it raises CapExceededError rather than thrashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
-from .config import check_entry_cap
+from .config import check_entry_cap, check_enum_cap
 from .exactmat import bareiss_det_rank, kernel_vector
 from .partition import (Partition, _block_index, enumerate_partitions,
                         nested_pairing)
@@ -156,12 +161,84 @@ def build_tp(p: Partition, dim: int, cap: int | None = None) -> SparseMap:
 # category relation verification
 
 
-def _nc_shapes_up_to(max_points: int) -> list[Partition]:
-    out = []
-    for total in range(max_points + 1):
-        for k in range(total + 1):
-            out.extend(enumerate_partitions(k, total - k, "noncrossing"))
-    return out
+@cache
+def _category_pairs(max_points: int):
+    """The partition side of the category check; it does not depend on N.
+
+    Returns the noncrossing diagrams on at most max_points points and, as
+    indices into that tuple: (p, q, p tensor q) for every pair with at most
+    max_points points in all; (top, bottom, result, closed blocks) for every
+    composable pair whose stacked picture has at most max_points points; and
+    the index of p* for each p.
+    """
+    diagrams = tuple(d for total in range(max_points + 1)
+                     for k in range(total + 1)
+                     for d in enumerate_partitions(k, total - k, "noncrossing"))
+    index = {d: n for n, d in enumerate(diagrams)}
+    by_points: dict[int, list[int]] = {}
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for n, d in enumerate(diagrams):
+        by_points.setdefault(d.points, []).append(n)
+        by_shape.setdefault((d.upper, d.lower), []).append(n)
+    tensors = [(a, b, index[p.tensor(diagrams[b])])
+               for a, p in enumerate(diagrams)
+               for total in range(max_points - p.points + 1)
+               for b in by_points[total]]
+    composes = []
+    for (k, m), tops in by_shape.items():
+        for l in range(max_points - k - m + 1):
+            for t in tops:
+                for b in by_shape[m, l]:
+                    res = diagrams[b].compose(diagrams[t])
+                    composes.append((t, b, index[res.partition],
+                                     res.closed_blocks))
+    involutes = [index[d.involute()] for d in diagrams]
+    return diagrams, tensors, composes, involutes
+
+
+def _bit_rows(p: Partition, dim: int, position: dict[Index, int]):
+    """T_p from :func:`build_tp` as one bitmask per row and one per column.
+
+    Row j has bit i set when T_p[j, i] = 1, column i has bit j set; a
+    multi-index is read as a base-N number, first letter most significant.
+    Returns None when a stored value is not 1.
+    """
+    rows = [0] * dim ** p.lower
+    cols = [0] * dim ** p.upper
+    for (j, i), v in build_tp(p, dim).entries.items():
+        if v != 1:
+            return None
+        j, i = position[j], position[i]
+        rows[j] |= 1 << i
+        cols[i] |= 1 << j
+    return rows, cols
+
+
+def _spread(x: int, stride: int) -> int:
+    """Move bit b of x to bit b * stride."""
+    return int(("0" * (stride - 1)).join(format(x, "b")), 2)
+
+
+def _product_is(rows: list[int], cols: list[int], want: list[int],
+                scale: int) -> bool:
+    """Whether rows times cols is scale times the 0/1 matrix with rows want.
+
+    Entry (o, i) of the product is the popcount of rows[o] & cols[i]; every
+    entry is compared, zeros included.
+    """
+    for row, want_row in zip(rows, want):
+        if not row:
+            if want_row:
+                return False
+            continue
+        expected = [0] * len(cols)
+        while want_row:
+            low = want_row & -want_row
+            expected[low.bit_length() - 1] = scale
+            want_row ^= low
+        if list(map(int.bit_count, map(row.__and__, cols))) != expected:
+            return False
+    return True
 
 
 def verify_category_relations(dim: int, max_points: int = 6) -> VerificationReport:
@@ -173,57 +250,58 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     glued middle row, lower row of the bottom factor) has at most max_points
     points, so the dense work is bounded by N**max_points; the involution
     relation runs over single diagrams up to max_points.
+
+    Each T_p comes from :func:`build_tp` and is compared entry by entry,
+    zeros included, as 0/1 bit rows: the Kronecker row of T_p tensor T_q at
+    (j1, j2) is the row of T_p at j1 with bit b moved to b * N^upper(q),
+    times the row of T_q at j2; the (o, i) entry of T_bottom T_top is the
+    popcount of row o of T_bottom and column i of T_top.
     """
     if max_points < 0:
         raise ValueError(f"max_points must be nonnegative, got {max_points}")
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    # refuse before any work: the discrete partition on max_points points is
+    # among the diagrams, and its map has N**max_points entries
+    check_enum_cap(max_points)
+    check_entry_cap(dim ** max_points)
     rep = VerificationReport(f"category relations at N={dim}")
-    diagrams = _nc_shapes_up_to(max_points)
-    cache: dict[Partition, SparseMap] = {}
-
-    def tp(p: Partition) -> SparseMap:
-        m = cache.get(p)
-        if m is None:
-            m = cache[p] = build_tp(p, dim)
-        return m
+    diagrams, tensors, composes, involutes = _category_pairs(max_points)
+    position = {index: n for r in range(max_points + 1)
+                for n, index in enumerate(product(range(1, dim + 1), repeat=r))}
+    maps = [_bit_rows(d, dim, position) for d in diagrams]
 
     failures = 0
-    checked = 0
-    for p in diagrams:
-        for q in diagrams:
-            if p.points + q.points > max_points:
-                continue
-            checked += 1
-            lhs = tp(p.tensor(q))
-            rhs = tp(p).tensor(tp(q))
-            if lhs != rhs:
-                failures += 1
-    rep.add(f"T_(p tensor q) = T_p tensor T_q on {checked} pairs",
+    spread: dict[tuple[int, int], list[int]] = {}
+    for a, b, ab in tensors:
+        if None in (maps[a], maps[b], maps[ab]):
+            failures += 1
+            continue
+        stride = dim ** diagrams[b].upper
+        left = spread.get((a, stride))
+        if left is None:
+            rows = maps[a][0]
+            # rows of T_p repeat, so each distinct one is spread once
+            moved = {r: _spread(r, stride) for r in set(rows)}
+            left = spread[a, stride] = list(map(moved.__getitem__, rows))
+        kron = [x * y for x in left for y in maps[b][0]]
+        if kron != maps[ab][0]:
+            failures += 1
+    rep.add(f"T_(p tensor q) = T_p tensor T_q on {len(tensors)} pairs",
             failures == 0, f"{failures} failures")
 
     failures = 0
-    checked = 0
-    by_shape: dict[tuple[int, int], list[Partition]] = {}
-    for d in diagrams:
-        by_shape.setdefault((d.upper, d.lower), []).append(d)
-    for (k, m), tops in by_shape.items():
-        for (m2, l), bottoms in by_shape.items():
-            if m2 != m or k + m + l > max_points:
-                continue
-            for top in tops:
-                t_top = tp(top)
-                for bottom in bottoms:
-                    checked += 1
-                    res = bottom.compose(top)
-                    lhs = tp(res.partition).scale(dim ** res.closed_blocks)
-                    rhs = tp(bottom).compose(t_top)
-                    if lhs != rhs:
-                        failures += 1
+    for top, bottom, res, closed in composes:
+        if None in (maps[top], maps[bottom], maps[res]) or not _product_is(
+                maps[bottom][0], maps[top][1], maps[res][0], dim ** closed):
+            failures += 1
     rep.add("T_(p compose q) * N^closed = T_p . T_q "
-            f"on {checked} stacked pairs", failures == 0, f"{failures} failures")
+            f"on {len(composes)} stacked pairs", failures == 0,
+            f"{failures} failures")
 
     failures = 0
-    for p in diagrams:
-        if tp(p.involute()) != tp(p).adjoint():
+    for p, star in enumerate(involutes):
+        if None in (maps[p], maps[star]) or maps[star][0] != maps[p][1]:
             failures += 1
     rep.add(f"T_(p*) = (T_p)* on {len(diagrams)} diagrams",
             failures == 0, f"{failures} failures")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import freewreath
+from freewreath import linmaps
 from freewreath.cli import main
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
@@ -202,6 +203,8 @@ def test_exit_code_domain_error(capsys):
      "--t must be a fraction such as 1/2, got '1/0'"),
     (("partial-trace", "--t", "abc", "--k", "3"),
      "--t must be a fraction such as 1/2, got 'abc'"),
+    (("partial-trace", "--t", "2", "--k", "0"), "t must lie in [0, 1], got 2"),
+    (("verify", "category", "--N", "-40"), "dimension must be positive, got -40"),
 ])
 def test_out_of_range_refused(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -216,6 +219,20 @@ def test_order_over_cap_prints_nothing(argv):
     done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENUM_CAP="5")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("cap exceeded:")
+
+
+def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the entry cap was checked")
+
+    monkeypatch.setattr(linmaps, "build_tp", never)
+    monkeypatch.setattr(linmaps, "enumerate_partitions", never)
+    code, out, err = run(capsys, "verify", "category", "--N", "40")
+    assert (code, out) == (2, "")
+    assert err.startswith("cap exceeded:")
+    done = python("-m", "freewreath.cli", "verify", "category", "--N", "4",
+                  "--max-points", "5", FREEWREATH_ENTRY_CAP="1000")
+    assert (done.returncode, done.stdout) == (2, "")
 
 
 def test_dim_below_four_refused(capsys):

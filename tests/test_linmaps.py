@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from freewreath import linmaps
 from freewreath.config import CapExceededError
 from freewreath.fusion import cyclic_group, symmetric_group_3
 from freewreath.linmaps import (GramMatrix, SparseMap, build_group_dual_tp,
@@ -83,10 +85,49 @@ def test_category_relations_random_pairs():
         assert build_tp(p.tensor(q), n) == build_tp(p, n).tensor(build_tp(q, n))
 
 
+def _pair_counts(report):
+    return tuple(int(re.search(r" on (\d+) ", c.description).group(1))
+                 for c in report.checks)
+
+
+def _failure_counts(report):
+    return tuple(int(c.detail.split()[0]) for c in report.checks)
+
+
 def test_verify_category_relations():
-    for n in (2, 3):
-        report = verify_category_relations(n, max_points=4)
+    for n, max_points, counts in ((2, 4, (341, 597, 99)),
+                                  (3, 4, (341, 597, 99)),
+                                  (2, 5, (1365, 4758, 351))):
+        report = verify_category_relations(n, max_points=max_points)
         assert report.passed, report.render()
+        assert _pair_counts(report) == counts
+
+
+def _drop_first(entries):
+    del entries[next(iter(entries))]
+
+
+def _first_to_two(entries):
+    entries[next(iter(entries))] = 2
+
+
+# a map holding a value other than 1 fails every relation it enters, even
+# p tensor (empty) = p, where both sides carry the same corrupt entry
+@pytest.mark.parametrize("corrupt, failures", [(_drop_first, (5, 9, 2)),
+                                               (_first_to_two, (7, 10, 2))])
+def test_verify_category_relations_catches_a_corrupt_map(monkeypatch, corrupt,
+                                                         failures):
+    target = Partition(1, 2, [(1, 2), (3,)])
+
+    def corrupted_tp(p, dim, cap=None):
+        t = build_tp(p, dim, cap)
+        if p == target:
+            corrupt(t.entries)
+        return t
+
+    monkeypatch.setattr(linmaps, "build_tp", corrupted_tp)
+    report = verify_category_relations(3, max_points=4)
+    assert _failure_counts(report) == failures, report.render()
 
 
 def test_verify_conjugate_equations():
