@@ -1,9 +1,10 @@
 """Exact integer/rational matrix elimination (no floating point).
 
-Bareiss fraction-free elimination gives determinant and rank of integer
-matrices (intermediate values are minors, so they stay integral).  The exact
-inverse comes from integer Gauss-Jordan that keeps every row primitive by
-dividing out its content, so entries stay near the size of the result.  One
+Integer elimination keeps every row primitive by dividing out its content,
+so entries stay near the size of the result instead of growing to
+determinant-sized minors.  Forward elimination gives rank and determinant,
+the latter through an exact rational factor that undoes each row scaling;
+Gauss-Jordan on [M | I] gives the exact inverse.  One
 plain Fraction Gauss-Jordan, which tolerates rank deficiency, gives kernel
 vectors of singular matrices and, as ``gauss_jordan_inverse``, an oracle
 independent of the integer route: tests/ check it against ``bareiss_inverse``,
@@ -20,31 +21,51 @@ FracMatrix = list[list[Fraction]]
 
 
 def bareiss_det_rank(matrix) -> tuple[int, int]:
-    """(rank, determinant) of a square integer matrix; det is 0 when singular."""
+    """(rank, determinant) of a square integer matrix; det is 0 when singular.
+
+    Integer forward elimination that keeps rows primitive, as
+    ``bareiss_inverse`` does: a row below the pivot becomes
+    (pv/g)*row - (fac/g)*pivot_row and is then divided by its content c.
+    Each such step scales the determinant by (pv/g)/c, so the exact rational
+    factor -1 per swap, times c, divided by pv/g undoes them all, and
+    det = factor * (product of the pivots).  The rank is the number of
+    pivots.  The name is kept from the former Bareiss version:
+    perfbench/tracer.py hooks it and the weingarten workload of perfbench/
+    calls it.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    rank = 0
-    row = 0
+    factor = Fraction(1)
+    pivots: list[int] = []
     for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if a[r][col] != 0), None)
         if piv is None:
             continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-            sign = -sign
-        for r in range(row + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[row][col] * a[r][c] - a[r][col] * a[row][c]) // prev
-            a[r][col] = 0
-        prev = a[row][col]
-        rank += 1
-        row += 1
-    det = sign * prev if rank == n else 0
-    return rank, det
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            factor = -factor
+        pivot_row = a[top]
+        pv = pivot_row[col]
+        for r in range(top + 1, n):
+            fac = a[r][col]
+            if fac == 0:
+                continue
+            g = math.gcd(pv, fac)
+            p, f = pv // g, fac // g
+            row = [p * x - f * y for x, y in zip(a[r], pivot_row)]
+            content = math.gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+                factor *= content
+            a[r] = row
+            factor /= p
+        pivots.append(pv)
+    if len(pivots) < n:
+        return len(pivots), 0
+    return n, int(factor * math.prod(pivots))
 
 
 def bareiss_inverse(matrix) -> FracMatrix:

@@ -151,8 +151,8 @@ def build_tp(p: Partition, dim: int, cap: int | None = None) -> SparseMap:
     lower_sel = [owner[pt] for pt in range(k + 1, k + l + 1)]
     entries = {}
     for values in product(range(1, dim + 1), repeat=p.block_count()):
-        i = tuple(values[s] for s in upper_sel)
-        j = tuple(values[s] for s in lower_sel)
+        i = tuple(map(values.__getitem__, upper_sel))
+        j = tuple(map(values.__getitem__, lower_sel))
         entries[(j, i)] = 1
     return SparseMap(dim, k, l, entries, cap)
 

@@ -32,8 +32,8 @@ from functools import cache
 from typing import Sequence
 
 from .exactmat import bareiss_inverse
-from .partition import (Partition, discrete_partition, enumerate_partitions,
-                        kernel)
+from .partition import (Partition, _merge, discrete_partition,
+                        enumerate_partitions, kernel)
 from .report import VerificationReport
 
 CATEGORIES = ("noncrossing", "all", "singletons")
@@ -61,6 +61,7 @@ def _category_in_effect(s: int, category: str | None) -> str:
     return "noncrossing" if category is None else category
 
 
+@cache
 def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
     """All pairs (outer noncrossing p, inner a refining p)."""
     inners = inner_partitions(k, category)
@@ -76,7 +77,8 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 def _join_block_counts(k: int, category: str) -> tuple[tuple[bytes, ...], ...]:
     """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row."""
     indices = wg_indices(k, category)
-    return tuple(tuple(bytes(len(x.join(y).blocks) for y in column)
+    return tuple(tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
+                             for y in column)
                        for x in column)
                  for column in zip(*indices))
 
@@ -139,18 +141,30 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
             raise ValueError(f"{name} must have length {k}")
         if any(not (1 <= x <= hi) for x in tup):
             raise ValueError(f"{name} entries must lie in 1..{hi}")
-    ker_ir, ker_ic = kernel(inner_row), kernel(inner_col)
-    ker_or, ker_oc = kernel(outer_row), kernel(outer_col)
-    rows = [t for t, (p, a) in enumerate(table.indices)
-            if p.refines(ker_or) and a.refines(ker_ir)]
-    cols = [t for t, (q, b) in enumerate(table.indices)
-            if q.refines(ker_oc) and b.refines(ker_ic)]
+    rows = _support(k, table.category, _pattern(outer_row), _pattern(inner_row))
+    cols = _support(k, table.category, _pattern(outer_col), _pattern(inner_col))
     total = Fraction(0)
     for t in rows:
         wrow = table.winv[t]
         for u in cols:
             total += wrow[u]
     return total
+
+
+def _pattern(values: Sequence[int]) -> tuple[int, ...]:
+    """An index tuple relabelled by first occurrence: its kernel as a tuple."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in values)
+
+
+@cache
+def _support(k: int, category: str, outer: tuple[int, ...],
+             inner: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions in wg_indices(k, category) of the (p, a) with p refining the
+    outer kernel and a the inner one; the same for every N and s."""
+    ker_outer, ker_inner = kernel(outer), kernel(inner)
+    return tuple(t for t, (p, a) in enumerate(wg_indices(k, category))
+                 if p.refines(ker_outer) and a.refines(ker_inner))
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +223,25 @@ def wg_scaled_errors(k: int, n: int, s: int, category: str | None) -> dict:
         raise ValueError(f"N = {n} must be a perfect square")
     category = _category_in_effect(s, category)
     table = wg_table(k, n, s, category)
+    coeffs = _leading_coeffs(k, s, category)
+    blocks = [len(p.blocks) for p, _ in table.indices]
     errors = {}
-    for t, idx1 in enumerate(table.indices):
-        for u, idx2 in enumerate(table.indices):
-            coeff = wg_leading_coeff(idx1, idx2, s, category)
-            bp = len(idx1[0].blocks)
-            bq = len(idx2[0].blocks)
-            leading = coeff * Fraction(1, n ** bp)
+    for t, bp in enumerate(blocks):
+        for u, bq in enumerate(blocks):
+            leading = coeffs[t][u] * Fraction(1, n ** bp)
             err = abs(table.winv[t][u] - leading) * root ** (bp + bq)
             errors[(t, u)] = err
     return errors
+
+
+@cache
+def _leading_coeffs(k: int, s: int,
+                    category: str) -> tuple[tuple[Fraction, ...], ...]:
+    """wg_leading_coeff over all index pairs; it does not depend on N."""
+    indices = wg_indices(k, category)
+    return tuple(tuple(wg_leading_coeff(idx1, idx2, s, category)
+                       for idx2 in indices)
+                 for idx1 in indices)
 
 
 def wg_certify_asymptotics(k: int, s: int, category: str | None,

@@ -1,11 +1,14 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewreath.exactmat import (bareiss_det_rank, bareiss_inverse,
-                                 gauss_jordan_inverse)
+from freewreath.exactmat import (_reduce_rows, bareiss_det_rank,
+                                 bareiss_inverse, gauss_jordan_inverse)
+from freewreath.qnum import QNum, cheb_eval_sqrtN
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
@@ -86,3 +89,54 @@ def test_gram_is_fresh():
     gram[0][0] = -1
     gram.pop()
     assert wg_gram(3, 4, 2) == expected
+
+
+def leibniz_det(matrix) -> int:
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(
+            row[c] for row, c in zip(matrix, perm))
+    return total
+
+
+@DERANDOMIZED
+@given(square_matrices(), st.integers(0, 6),
+       st.lists(st.integers(-2, 2), min_size=36, max_size=36))
+def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
+    # the last `dependent` rows become combinations of the leading ones
+    n = len(matrix)
+    free = n - min(dependent, n)
+    for i in range(free, n):
+        matrix[i] = [sum(c * x for c, x in zip(coeffs[6 * i:], column))
+                     for column in zip(*matrix[:free])] or [0] * n
+    rank, det = bareiss_det_rank(matrix)
+    assert det == leibniz_det(matrix)
+    assert rank == len(_reduce_rows([[Fraction(x) for x in row]
+                                     for row in matrix], n))
+    assert rank <= free
+    assert (det == 0) == (rank < n)
+
+
+def meander_det(k: int, n: int) -> QNum:
+    """Di Francesco's product sqrt(N)^{C_k} prod_j U_j(sqrt N)^{a_{k,j}}."""
+    def binom(top, bottom):
+        return math.comb(top, bottom) if bottom >= 0 else 0
+
+    catalan = math.comb(2 * k, k) // (k + 1)
+    det = math.prod([QNum.sqrt(n)] * catalan, start=QNum.rational(1))
+    for j in range(1, k + 1):
+        a = (binom(2 * k, k - j) - 2 * binom(2 * k, k - j - 1)
+             + binom(2 * k, k - j - 2))
+        det = math.prod([cheb_eval_sqrtN(j, n)] * a, start=det)
+    return det
+
+
+@pytest.mark.parametrize("k, ns", [(k, (1, 2, 3, 4, 5, 7, 9)) for k in range(1, 6)]
+                         + [(6, (2, 3, 4, 5))])
+def test_gram_det_is_meander_product(k, ns):
+    for n in ns:
+        assert bareiss_det_rank(wg_gram(k, n, 1, "singletons"))[1] \
+            == meander_det(k, n), (k, n)

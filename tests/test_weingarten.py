@@ -1,13 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from freewreath import weingarten
 from freewreath.exactmat import bareiss_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
 from freewreath.linmaps import build_tp
-from freewreath.partition import discrete_partition, enumerate_partitions
+from freewreath.partition import (discrete_partition, enumerate_partitions,
+                                  kernel)
 from freewreath.weingarten import (character_moment_via_indices, haar_state,
                                    inner_partitions, trace_identity,
                                    wg_certify_asymptotics, wg_gram,
@@ -131,6 +134,48 @@ def test_haar_state_row_sums():
         total = sum(haar_state(table, (1, 1), (1, 1), r, (r[0], c))
                     for c in range(1, n + 1))
         assert total == haar_state(table1, (1,), (1,), (r[0],), (r[0],))
+
+
+def _haar_oracle(table, inner_row, inner_col, outer_row, outer_col):
+    """The Weingarten double sum over indices refining the four kernels."""
+    def support(outer, inner):
+        return [t for t, (p, a) in enumerate(table.indices)
+                if p.refines(kernel(outer)) and a.refines(kernel(inner))]
+    return sum((table.winv[t][u] for t in support(outer_row, inner_row)
+                for u in support(outer_col, inner_col)), Fraction(0))
+
+
+def _queries(k, n, s):
+    inner = list(itertools.product(range(1, s + 1), repeat=k))
+    outer = list(itertools.product(range(1, n + 1), repeat=k))
+    return itertools.product(inner, inner, outer, outer)
+
+
+@pytest.mark.parametrize("category", ("noncrossing", "all"))
+def test_haar_state_matches_oracle_inner(category):
+    for k in (1, 2):
+        table = wg_table(k, 4, 2, category)
+        for query in _queries(k, 4, 2):
+            assert haar_state(table, *query) == _haar_oracle(table, *query)
+    # k = 3, where the two inner categories differ, on a seeded sample
+    table = wg_table(3, 4, 4, category)
+    rng = random.Random(8)
+    for _ in range(300):
+        query = [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(4)]
+        assert haar_state(table, *query) == _haar_oracle(table, *query)
+
+
+def test_haar_state_tables_share_supports():
+    # the supports are cached per (k, category); two tables that differ in
+    # N and s, queried in alternation, must each get their own values
+    weingarten._support.cache_clear()
+    tables = (wg_table(2, 4, 2, "all"), wg_table(2, 5, 3, "all"))
+    differ = 0
+    for query in _queries(2, 4, 2):
+        values = [haar_state(t, *query) for t in tables]
+        assert values == [_haar_oracle(t, *query) for t in tables]
+        differ += values[0] != values[1]
+    assert differ > 0
 
 
 def test_haar_state_validates():
