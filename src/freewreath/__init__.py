@@ -16,9 +16,9 @@ from .fusion import (FiniteGroup, FusionData, IntegersFusion,
                      sort_words, symmetric_group_3, symmetric_group_3_fusion,
                      trivial_fusion)
 from .homspaces import DecoratedPartition, dim_hom_wreath, parse_star_list
-from .linmaps import (GramMatrix, SparseMap, build_group_dual_tp, build_tp,
-                      gram_nc, identity_map, verify_category_relations,
-                      verify_conjugate_equations, verify_gram_methods)
+from .linmaps import (SparseMap, build_tp, gram_brute, gram_nc, identity_map,
+                      verify_category_relations, verify_conjugate_equations,
+                      verify_gram_methods)
 from .partition import (Partition, discrete_partition, enumerate_partitions,
                         full_block, identity_partition, kernel,
                         nested_pairing, parse_partition)

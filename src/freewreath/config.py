@@ -6,11 +6,12 @@ Defaults are overridable through environment variables (read at first use):
                            enumeration will accept, and the longest word or
                            order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored nonzero entries in a sparse
-                           linear map (default 10**7)
+                           linear map, and of composable pairs the category
+                           check lists (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
-exit code 2.  ``enumerate_partitions`` and ``build_tp`` take ``cap=``.
+exit code 2.  Tests lower a cap through the variables or by replacing caps().
 """
 
 from __future__ import annotations
@@ -43,16 +44,16 @@ def caps() -> tuple[int, int]:
             _env_int("FREEWREATH_ENTRY_CAP", 10**7))
 
 
-def check_enum_cap(points: int, cap: int | None = None) -> None:
-    limit = caps()[0] if cap is None else cap
+def check_enum_cap(points: int) -> None:
+    limit = caps()[0]
     if points > limit:
         raise CapExceededError(
             f"enumeration over {points} points exceeds the cap of {limit}"
         )
 
 
-def check_entry_cap(entries: int, cap: int | None = None) -> None:
-    limit = caps()[1] if cap is None else cap
+def check_entry_cap(entries: int) -> None:
+    limit = caps()[1]
     if entries > limit:
         raise CapExceededError(
             f"sparse map with {entries} stored entries exceeds the cap of {limit}"

@@ -164,19 +164,18 @@ def moments_to_free_cumulants(moments: dict) -> dict:
     return cumulants
 
 
-def compound_poisson_moments(fd: FusionData, rep, max_len: int,
-                             rate=1) -> dict:
+def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
     """eps-moments of the free compound Poisson with jump law chi_rep.
 
-    Built through the cumulant route: every free cumulant equals rate times
-    the matching eps-moment of chi_rep in G.  The cap is checked on max_len
+    Built through the cumulant route: every free cumulant equals the
+    matching eps-moment of chi_rep in G.  The cap is checked on max_len
     before any of those 2^(max_len+1)-2 moments of G is computed.
     """
     check_enum_cap(max_len)
     cumulants = {}
     for k in range(1, max_len + 1):
         for eps in all_eps(k):
-            cumulants[eps] = rate * moment_of_rep(fd, rep, eps)
+            cumulants[eps] = moment_of_rep(fd, rep, eps)
     return free_cumulants_to_moments(cumulants)
 
 

@@ -12,10 +12,10 @@ satisfy
 
 and the nested pairing solves the conjugate equations.  The family
 {T_p : p noncrossing} is linearly independent iff N >= 4; its Gram matrix is
-<T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}, computed here both through
-the join formula and by brute force, counting the index assignments where
-both maps are nonzero (the two must agree; the brute force never takes a
-join, so it is an independent oracle).
+<T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}: :func:`gram_nc` powers the
+counts of ``partition._join_counts``, and :func:`gram_brute` counts the index
+assignments where both maps are nonzero (the two must agree; the brute force
+never takes a join, so it is an independent oracle).
 
 A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
 nonzero Fractions, with tensor, compose and adjoint; the conjugate equations
@@ -24,20 +24,20 @@ and the Gram brute force use it.  The category check turns each T_p from
 compares the three relations through shifts, ANDs and popcounts; its
 partition side (the pairs and their products) is computed once per point
 bound.  A configurable cap (default 10**7) bounds the number of stored
-entries; exceeding it raises CapExceededError rather than thrashing.
+entries, and the number of composable pairs the category check lists;
+exceeding it raises CapExceededError rather than thrashing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 
 from .config import check_entry_cap, check_enum_cap
-from .exactmat import bareiss_det_rank, kernel_vector
-from .partition import (Partition, _block_index, enumerate_partitions,
-                        nested_pairing)
+from .partition import (Partition, _block_index, _join_counts,
+                        enumerate_partitions, nested_pairing)
 from .report import VerificationReport
 
 Index = tuple[int, ...]
@@ -51,8 +51,7 @@ class SparseMap:
     """
 
     def __init__(self, dim: int, in_arity: int, out_arity: int,
-                 entries: dict | None = None,
-                 cap: int | None = None):
+                 entries: dict | None = None):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
@@ -61,7 +60,7 @@ class SparseMap:
         # values are exact ints or Fractions; zeros are dropped
         self.entries: dict[tuple[Index, Index], Fraction | int] = \
             {key: val for key, val in entries.items() if val} if entries else {}
-        check_entry_cap(len(self.entries), cap)
+        check_entry_cap(len(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMap):
@@ -141,9 +140,9 @@ def identity_map(k: int, dim: int) -> SparseMap:
     return SparseMap(dim, k, k, entries)
 
 
-def build_tp(p: Partition, dim: int, cap: int | None = None) -> SparseMap:
+def build_tp(p: Partition, dim: int) -> SparseMap:
     """The map T_p: one entry per assignment of a value in 1..N to each block."""
-    check_entry_cap(dim ** p.block_count(), cap)
+    check_entry_cap(dim ** p.block_count())
     k, l = p.upper, p.lower
     # block index feeding each boundary point, split into the two rows
     owner = _block_index(p.blocks)
@@ -154,7 +153,7 @@ def build_tp(p: Partition, dim: int, cap: int | None = None) -> SparseMap:
         i = tuple(map(values.__getitem__, upper_sel))
         j = tuple(map(values.__getitem__, lower_sel))
         entries[(j, i)] = 1
-    return SparseMap(dim, k, l, entries, cap)
+    return SparseMap(dim, k, l, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +193,16 @@ def _category_pairs(max_points: int):
                                      res.closed_blocks))
     involutes = [index[d.involute()] for d in diagrams]
     return diagrams, tensors, composes, involutes
+
+
+def _compose_pair_count(max_points: int) -> int:
+    """len(_category_pairs(max_points)[2]): Cat(k+m) Cat(m+l) noncrossing
+    pairs of shapes (k, m) over (m, l), summed over k + m + l <= max_points."""
+    cat = [math.comb(2 * n, n) // (n + 1) for n in range(max_points + 1)]
+    return sum(cat[k + m] * cat[m + l]
+               for k in range(max_points + 1)
+               for m in range(max_points + 1 - k)
+               for l in range(max_points + 1 - k - m))
 
 
 def _bit_rows(p: Partition, dim: int, position: dict[Index, int]):
@@ -262,9 +271,11 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     # refuse before any work: the discrete partition on max_points points is
-    # among the diagrams, and its map has N**max_points entries
+    # among the diagrams, and its map has N**max_points entries; the list of
+    # composable pairs is stored too
     check_enum_cap(max_points)
     check_entry_cap(dim ** max_points)
+    check_entry_cap(_compose_pair_count(max_points))
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     position = {index: n for r in range(max_points + 1)
@@ -327,106 +338,28 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
 # Gram matrices
 
 
-@dataclass
-class GramMatrix:
-    partitions: tuple[Partition, ...]
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def size(self) -> int:
-        return len(self.partitions)
-
-    @cached_property
-    def _rank_det(self) -> tuple[int, int]:
-        return bareiss_det_rank(self.entries)
-
-    def rank(self) -> int:
-        return self._rank_det[0]
-
-    def det(self) -> int:
-        return self._rank_det[1]
-
-    def is_singular(self) -> bool:
-        return self.det() == 0
-
-    def kernel_vector(self):
-        """A nonzero rational dependence among the T_p, or None."""
-        return kernel_vector(self.entries)
+def gram_nc(k: int, l: int, dim: int) -> list[list[int]]:
+    """Gram matrix <T_p, T_q> = N^{b(p v q)} over the noncrossing partitions
+    of (k, l), in the order of enumerate_partitions."""
+    parts = enumerate_partitions(k, l, "noncrossing")
+    return [[dim ** c for c in row] for row in _join_counts(parts)]
 
 
-def gram_entry_brute(p: Partition, q: Partition, dim: int) -> int:
-    """Tr(T_p* T_q) as the number of nonzero entries T_p and T_q share.
+def gram_brute(k: int, l: int, dim: int) -> list[list[int]]:
+    """The matrix of gram_nc by brute force: Tr(T_p* T_q) as the number of
+    nonzero entries T_p and T_q share.
 
-    Both maps come from :func:`build_tp`, which enumerates the index
-    assignments constant on each partition's blocks; no join is taken, so
-    the count is an independent check of the join formula.
+    Each T_p comes once from :func:`build_tp`, which enumerates the index
+    assignments constant on its blocks; no join is taken, so the count is an
+    independent check of the join formula.
     """
-    if (p.upper, p.lower) != (q.upper, q.lower):
-        raise ValueError("Gram entries need partitions on the same point set")
-    return int(build_tp(p, dim).inner(build_tp(q, dim)))
-
-
-def gram_nc(k: int, l: int, dim: int, method: str = "join_formula",
-            partitions: tuple[Partition, ...] | None = None) -> GramMatrix:
-    """Gram matrix of {T_p} over the noncrossing partitions of (k, l).
-
-    method="join_formula" computes N^{blocks(join(p,q))}; method="brute_force"
-    counts the entries the maps share, as gram_entry_brute does, building
-    each T_p once.  Both are exact and must agree; verify_gram_methods
-    compares them.
-    """
-    if partitions is None:
-        partitions = enumerate_partitions(k, l, "noncrossing")
-    if method == "join_formula":
-        rows = tuple(tuple(dim ** p.join(q).block_count() for q in partitions)
-                     for p in partitions)
-    elif method == "brute_force":
-        maps = [build_tp(p, dim) for p in partitions]
-        rows = tuple(tuple(int(a.inner(b)) for b in maps) for a in maps)
-    else:
-        raise ValueError(f"unknown Gram method {method!r}")
-    return GramMatrix(tuple(partitions), dim, rows)
+    maps = [build_tp(p, dim) for p in enumerate_partitions(k, l, "noncrossing")]
+    return [[int(a.inner(b)) for b in maps] for a in maps]
 
 
 def verify_gram_methods(k: int, l: int, dim: int) -> VerificationReport:
     rep = VerificationReport(f"Gram methods NC({k},{l}) at N={dim}")
-    a = gram_nc(k, l, dim, "join_formula")
-    b = gram_nc(k, l, dim, "brute_force")
-    rep.add(f"join formula equals brute force on {a.size()}x{a.size()} entries",
-            a.entries == b.entries)
+    a = gram_nc(k, l, dim)
+    rep.add(f"join formula equals brute force on {len(a)}x{len(a)} entries",
+            a == gram_brute(k, l, dim))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# group-dual decorated maps
-
-
-def group_dual_block_admissible(group, upper_dec, lower_dec) -> bool:
-    """Ordered product of upper decorations equals that of lower decorations."""
-    top = group.identity
-    for g in upper_dec:
-        top = group.mult(top, g)
-    bot = group.identity
-    for g in lower_dec:
-        bot = group.mult(bot, g)
-    return top == bot
-
-
-def build_group_dual_tp(p: Partition, dim: int, group,
-                        upper_dec, lower_dec) -> SparseMap | None:
-    """T_p for the dual of a finite group, with group-element decorations.
-
-    upper_dec/lower_dec attach one group element to each upper/lower point.
-    The decorated map exists iff in every block the ordered product of the
-    upper decorations equals the ordered product of the lower ones; returns
-    None otherwise, and plain T_p on the nose when it exists (the decoration
-    only gates existence for a group dual, it does not change the matrix).
-    """
-    if len(upper_dec) != p.upper or len(lower_dec) != p.lower:
-        raise ValueError("decoration lengths must match the point counts")
-    for b in p.blocks:
-        ups = [upper_dec[pt - 1] for pt in b if pt <= p.upper]
-        lows = [lower_dec[pt - p.upper - 1] for pt in b if pt > p.upper]
-        if not group_dual_block_admissible(group, ups, lows):
-            return None
-    return build_tp(p, dim)

@@ -87,6 +87,16 @@ def _merge(n: int, chains: Iterable[Sequence[int]],
     return list(groups.values()), classes - len(groups)
 
 
+def _join_counts(parts: Sequence[Partition]) -> tuple[bytes, ...]:
+    """Rows of b(x v y), the block count of the join, over parts x and y.
+
+    Every Gram matrix of the package is a power of these counts.
+    """
+    return tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
+                       for y in parts)
+                 for x in parts)
+
+
 @dataclass(frozen=True)
 class Partition:
     upper: int
@@ -335,7 +345,7 @@ Mode = Literal["noncrossing", "all"]
 
 
 def enumerate_partitions(
-    k: int, l: int, mode: Mode = "noncrossing", cap: int | None = None
+    k: int, l: int, mode: Mode = "noncrossing"
 ) -> tuple[Partition, ...]:
     """All partitions with k upper and l lower points, canonically ordered.
 
@@ -345,7 +355,7 @@ def enumerate_partitions(
     ground-point cap (default 14) guards against runaway enumeration.
     """
     n = k + l
-    check_enum_cap(n, cap)
+    check_enum_cap(n)
     conv = _position_to_point(k, l)
     if mode == "noncrossing":
         shapes: Iterable[tuple[Block, ...]] = _nc_shapes(n)

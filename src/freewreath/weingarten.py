@@ -32,11 +32,14 @@ from functools import cache
 from typing import Sequence
 
 from .exactmat import bareiss_inverse
-from .partition import (Partition, _merge, discrete_partition,
+from .partition import (Partition, _join_counts, discrete_partition,
                         enumerate_partitions, kernel)
 from .report import VerificationReport
 
 CATEGORIES = ("noncrossing", "all", "singletons")
+
+# the values of N the certification compares, each four times the last
+LADDER = (16, 64, 256)
 
 Index = tuple  # (outer Partition, inner Partition)
 
@@ -76,11 +79,7 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 @cache
 def _join_block_counts(k: int, category: str) -> tuple[tuple[bytes, ...], ...]:
     """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row."""
-    indices = wg_indices(k, category)
-    return tuple(tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
-                             for y in column)
-                       for x in column)
-                 for column in zip(*indices))
+    return tuple(map(_join_counts, zip(*wg_indices(k, category))))
 
 
 def wg_gram(k: int, n: int, s: int,
@@ -175,7 +174,7 @@ def _support(k: int, category: str, outer: tuple[int, ...],
 def _inner_weingarten(m: int, s: int, category: str):
     """Partitions and inverse Gram of the inner group alone at order m."""
     parts = inner_partitions(m, category)
-    gram = [[s ** len(a.join(b).blocks) for b in parts] for a in parts]
+    gram = [[s ** c for c in row] for row in _join_counts(parts)]
     return parts, bareiss_inverse(gram)
 
 
@@ -244,9 +243,9 @@ def _leading_coeffs(k: int, s: int,
                  for idx1 in indices)
 
 
-def wg_certify_asymptotics(k: int, s: int, category: str | None,
-                           ladder: Sequence[int] = (16, 64, 256)) -> VerificationReport:
-    """Check the Weingarten concentration along a quadrupling ladder of N.
+def wg_certify_asymptotics(k: int, s: int,
+                           category: str | None) -> VerificationReport:
+    """Check the Weingarten concentration along the quadrupling LADDER of N.
 
     Every scaled error must at least halve at each step (entrywise, allowing
     zero to stay zero), which also forces monotone decrease.  As everywhere,
@@ -254,22 +253,17 @@ def wg_certify_asymptotics(k: int, s: int, category: str | None,
     """
     category = _category_in_effect(s, category)
     report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
-    if len(ladder) < 2:
-        raise ValueError("need at least two ladder points")
-    for a, b in zip(ladder, ladder[1:]):
-        if b != 4 * a:
-            raise ValueError(f"ladder must quadruple, got {a} -> {b}")
-    error_maps = [wg_scaled_errors(k, n, s, category) for n in ladder]
+    error_maps = [wg_scaled_errors(k, n, s, category) for n in LADDER]
     n_entries = len(error_maps[0])
-    for step in range(len(ladder) - 1):
+    for step in range(len(LADDER) - 1):
         prev, nxt = error_maps[step], error_maps[step + 1]
         bad = [key for key in prev if nxt[key] * 2 > prev[key]]
         report.add(
-            f"scaled error halves from N={ladder[step]} to N={ladder[step+1]} "
+            f"scaled error halves from N={LADDER[step]} to N={LADDER[step+1]} "
             f"on all {n_entries} entries",
             not bad,
             f"violations at index pairs {bad[:4]}" if bad else
-            f"max scaled error {max(nxt.values())} at N={ladder[step+1]}")
+            f"max scaled error {max(nxt.values())} at N={LADDER[step+1]}")
     worst = [max(em.values()) for em in error_maps]
     report.add(
         "largest scaled error decreases monotonically along the ladder",

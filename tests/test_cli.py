@@ -235,6 +235,16 @@ def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
     assert (done.returncode, done.stdout) == (2, "")
 
 
+def test_verify_category_caps_the_compose_pairs():
+    # 6 points list 43,371 composable pairs; every map has at most 64 entries
+    argv = ("-m", "freewreath.cli", "verify", "category", "--N", "2",
+            "--max-points", "6")
+    done = python(*argv, FREEWREATH_ENTRY_CAP="40000")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("cap exceeded:")
+    assert python(*argv, FREEWREATH_ENTRY_CAP="50000").returncode == 0
+
+
 def test_dim_below_four_refused(capsys):
     for word, n in (("(1,1)", "2"), ("(1,1,1)", "3")):
         code, out, err = run(capsys, "dim", word, "--N", n)

@@ -119,7 +119,7 @@ def test_character_is_free_compound_poisson():
     for fd, rep in ((Z2, "g"), (Z3, "g"), (S3, "std"), (Z2, "1"),
                     (S3, {"std": 1, "sgn": 1})):
         wreath = character_moments_wreath(fd, rep, 4)
-        poisson = compound_poisson_moments(fd, rep, 4, rate=1)
+        poisson = compound_poisson_moments(fd, rep, 4)
         assert wreath == poisson, (fd, rep)
 
 

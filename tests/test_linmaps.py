@@ -1,21 +1,24 @@
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from freewreath import linmaps
+from freewreath import config, linmaps
 from freewreath.config import CapExceededError
-from freewreath.fusion import cyclic_group, symmetric_group_3
-from freewreath.linmaps import (GramMatrix, SparseMap, build_group_dual_tp,
-                                build_tp, gram_entry_brute, gram_nc,
-                                group_dual_block_admissible, identity_map,
+from freewreath.exactmat import bareiss_det_rank, kernel_vector
+from freewreath.fusion import (cyclic_group, group_dual_fusion,
+                               symmetric_group_3)
+from freewreath.homspaces import block_trivial_mult, hom_terms
+from freewreath.linmaps import (build_tp, gram_brute, gram_nc, identity_map,
                                 verify_category_relations,
                                 verify_conjugate_equations,
                                 verify_gram_methods)
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition, nested_pairing)
+from freewreath.weingarten import wg_gram
 
 
 def test_build_tp_identity():
@@ -40,9 +43,10 @@ def test_build_tp_discrete():
     assert all(v == 1 for v in t.entries.values())
 
 
-def test_entry_cap():
+def test_entry_cap(monkeypatch):
+    monkeypatch.setattr(config, "caps", lambda: (14, 10 ** 6))
     with pytest.raises(CapExceededError):
-        build_tp(discrete_partition(0, 10), 10, cap=10 ** 6)
+        build_tp(discrete_partition(0, 10), 10)
 
 
 def test_tensor_of_maps():
@@ -103,6 +107,12 @@ def test_verify_category_relations():
         assert _pair_counts(report) == counts
 
 
+def test_compose_pair_count_closed_form():
+    for p in range(7):
+        assert linmaps._compose_pair_count(p) == \
+            len(linmaps._category_pairs(p)[2])
+
+
 def _drop_first(entries):
     del entries[next(iter(entries))]
 
@@ -119,8 +129,8 @@ def test_verify_category_relations_catches_a_corrupt_map(monkeypatch, corrupt,
                                                          failures):
     target = Partition(1, 2, [(1, 2), (3,)])
 
-    def corrupted_tp(p, dim, cap=None):
-        t = build_tp(p, dim, cap)
+    def corrupted_tp(p, dim):
+        t = build_tp(p, dim)
         if p == target:
             corrupt(t.entries)
         return t
@@ -145,14 +155,17 @@ def test_verify_conjugate_equations():
 
 
 def test_gram_entries_match_brute_force():
-    rng = random.Random(9)
     for n in (2, 3):
-        for k, l in ((0, 2), (1, 1), (0, 3), (2, 1)):
+        for k, l in ((0, 2), (1, 1), (0, 3), (2, 1), (1, 2)):
             ps = enumerate_partitions(k, l, mode="noncrossing")
-            for _ in range(6):
-                p, q = rng.choice(ps), rng.choice(ps)
-                join_count = n ** len(p.join(q).blocks)
-                assert gram_entry_brute(p, q, n) == join_count
+            joins = [[n ** len(p.join(q).blocks) for q in ps] for p in ps]
+            assert gram_nc(k, l, n) == gram_brute(k, l, n) == joins
+
+
+def test_gram_nc_is_the_singleton_weingarten_gram():
+    for k in range(1, 7):
+        for n in range(2, 6):
+            assert gram_nc(0, k, n) == wg_gram(k, n, 1, "singletons")
 
 
 def test_verify_gram_methods():
@@ -164,51 +177,64 @@ def test_verify_gram_methods():
 def test_gram_rank_small():
     # NC(0,4) Gram at N=2: the vectors span the fixed space of S_2 acting on
     # (C^2)^{x4}, of dimension (tr(id)^4 + tr(swap)^4)/2 = (16 + 0)/2 = 8 < 14
-    g = gram_nc(0, 4, 2)
-    assert g.is_singular()
-    assert g.rank() == 8
+    assert bareiss_det_rank(gram_nc(0, 4, 2)) == (8, 0)
     # at N=4 the 14 vectors are independent
-    g4 = gram_nc(0, 4, 4)
-    assert not g4.is_singular()
-    assert g4.rank() == 14
+    rank, det = bareiss_det_rank(gram_nc(0, 4, 4))
+    assert det != 0
+    assert rank == 14
 
 
 def test_gram_kernel_vector():
-    g = gram_nc(0, 4, 2)
-    vec = g.kernel_vector()
+    m = gram_nc(0, 4, 2)
+    vec = kernel_vector(m)
     assert vec is not None
-    m = g.entries
     prod = [sum(m[i][j] * vec[j] for j in range(len(vec)))
             for i in range(len(vec))]
     assert all(x == 0 for x in prod)
     assert any(v != 0 for v in vec)
 
 
-def test_gram_methods_agree():
-    a = gram_nc(1, 2, 3, method="join_formula")
-    b = gram_nc(1, 2, 3, method="brute_force")
-    assert a.entries == b.entries
-    with pytest.raises(ValueError):
-        gram_nc(1, 1, 3, method="nonsense")
+def _ordered_product(group, letters):
+    out = group.identity
+    for g in letters:
+        out = group.mult(out, g)
+    return out
 
 
 def test_group_dual_admissibility():
-    g3 = symmetric_group_3()
-    # ordered product of upper decorations must equal the lower product
-    assert group_dual_block_admissible(g3, ("213", "132"), ("213", "132"))
-    prod = g3.mult("213", "132")
-    assert group_dual_block_admissible(g3, (prod,), ())  is (prod == g3.identity)
-    z3 = cyclic_group(3)
-    assert group_dual_block_admissible(z3, ("g", "g"), ("g2",))
-    assert not group_dual_block_admissible(z3, ("g",), ("g2",))
+    # for a group dual a block carries the trivial rep, once, exactly when the
+    # ordered product of its upper decorations equals that of its lower ones
+    for group in (symmetric_group_3(), cyclic_group(3)):
+        fd = group_dual_fusion(group)
+        words = [w for n in range(4)
+                 for w in itertools.product(group.elements, repeat=n)]
+        for up in words:
+            for down in words:
+                if len(up) + len(down) <= 3:
+                    agree = (_ordered_product(group, up)
+                             == _ordered_product(group, down))
+                    assert block_trivial_mult(fd, up, down) == int(agree)
 
 
 def test_group_dual_map():
-    z2 = cyclic_group(2)
-    p = full_block(1, 1)
-    t = build_group_dual_tp(p, 3, z2, ("g",), ("g",))
-    assert t == build_tp(p, 3)
-    assert build_group_dual_tp(p, 3, z2, ("g",), ("1",)) is None
+    # the decoration only gates existence for a group dual: a noncrossing p
+    # is a Hom term, with multiplicity 1 on each block, exactly when every
+    # block's upper and lower ordered products agree
+    group = cyclic_group(3)
+    fd = group_dual_fusion(group)
+    for up, down in ((("g",), ("g",)), (("g",), ("1",)), (("g", "g"), ("g2",)),
+                     (("g", "g2"), ("1", "g")), (("g2", "g"), ("g", "g2"))):
+        k = len(up)
+        expected = [p for p in enumerate_partitions(k, len(down))
+                    if all(_ordered_product(group, [up[pt - 1] for pt in b
+                                                    if pt <= k])
+                           == _ordered_product(group, [down[pt - k - 1]
+                                                       for pt in b if pt > k])
+                           for b in p.blocks)]
+        terms = hom_terms(up, down, fd)
+        assert [t.partition for t in terms] == expected
+        assert all(set(t.block_dims) == {1} for t in terms)
+    assert hom_terms(("g",), ("1",), fd) == ()
 
 
 def test_sparse_map_trace_inner():

@@ -1,5 +1,6 @@
 import pytest
 
+from freewreath import config
 from freewreath.config import CapExceededError
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
@@ -151,13 +152,14 @@ def test_enumerate_deterministic_order():
     assert a == b
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         enumerate_partitions(0, 40, mode="noncrossing")
-    # an explicit cap overrides the default
-    assert enumerate_partitions(0, 3, mode="all", cap=3)
+    # a lowered cap holds as well
+    monkeypatch.setattr(config, "caps", lambda: (3, 10 ** 7))
+    assert enumerate_partitions(0, 3, mode="all")
     with pytest.raises(CapExceededError):
-        enumerate_partitions(0, 4, mode="all", cap=3)
+        enumerate_partitions(0, 4, mode="all")
 
 
 

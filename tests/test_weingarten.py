@@ -5,12 +5,9 @@ from fractions import Fraction
 import pytest
 
 from freewreath import weingarten
-from freewreath.exactmat import bareiss_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
-from freewreath.linmaps import build_tp
-from freewreath.partition import (discrete_partition, enumerate_partitions,
-                                  kernel)
+from freewreath.partition import discrete_partition, kernel
 from freewreath.weingarten import (character_moment_via_indices, haar_state,
                                    inner_partitions, trace_identity,
                                    wg_certify_asymptotics, wg_gram,
@@ -91,33 +88,12 @@ def test_s1_certification_degenerates_too():
     assert report.passed, report.render()
 
 
-def _projection_oracle(k: int, n: int):
-    """Entries of the orthogonal projection onto the span of the T_p at s=1."""
-    parts = enumerate_partitions(0, k, mode="noncrossing")
-    gram = [[n ** len(p.join(q).blocks) for q in parts] for p in parts]
-    winv = bareiss_inverse(gram)
-    vecs = [build_tp(p, n) for p in parts]
-
-    def entry(row: tuple, col: tuple) -> Fraction:
-        total = Fraction(0)
-        for i, vi in enumerate(vecs):
-            ci = vi.entries.get((col, ()), 0)
-            if not ci:
-                continue
-            for j, vj in enumerate(vecs):
-                rj = vj.entries.get((row, ()), 0)
-                if rj:
-                    total += rj * winv[j][i] * ci
-        return total
-    return entry
-
-
-def test_haar_state_matches_projection_s1():
+def test_haar_state_matches_projection_s1(projection_oracle):
     # at s=1 the Haar state of u_{r1 c1} ... u_{rk ck} is the matrix entry of
     # the projection onto the noncrossing span
     for k, n in ((2, 4), (2, 5), (3, 4)):
         table = wg_table(k, n, 1)
-        entry = _projection_oracle(k, n)
+        entry = projection_oracle(k, n)
         for row in itertools.product(range(1, n + 1), repeat=k):
             for col in itertools.product(range(1, n + 1), repeat=k):
                 got = haar_state(table, (1,) * k, (1,) * k, row, col)
@@ -214,8 +190,3 @@ def test_certification_passes():
         for k in (2, 3):
             report = wg_certify_asymptotics(k, s, cat)
             assert report.passed, report.render()
-
-
-def test_certification_needs_ladder():
-    with pytest.raises(ValueError):
-        wg_certify_asymptotics(2, 4, "noncrossing", ladder=(16,))
