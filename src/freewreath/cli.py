@@ -11,14 +11,15 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .config import CapExceededError, caps
+from .config import CapExceededError, caps, check_enum_cap
 from .fusion import (central_char_poly, dim_multiplicativity_failures,
                      dim_wreath, fuse, fusion_from_uri, parse_word,
                      render_word, sort_words)
 from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
                        classical_wreath_moment, compound_poisson_moments,
-                       parse_eps, partial_trace_moments, plain_eps,
-                       rep_block_moment, render_eps, z2_block_moment)
+                       free_cumulants_to_moments, parse_eps,
+                       partial_trace_moments, plain_eps, rep_block_moment,
+                       render_eps, z2_block_moment)
 from .homspaces import dim_hom_wreath, parse_star_list
 from .linmaps import verify_category_relations, verify_conjugate_equations
 from .qnum import render_poly
@@ -83,12 +84,15 @@ def cmd_char_law(args) -> int:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
+        predicted = compound_poisson_moments(fd, rep, len(eps_list[0]))
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
+        check_enum_cap(args.order)  # plain words need plain cumulants only
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
-    max_len = max(len(e) for e in eps_list)
-    predicted = compound_poisson_moments(fd, rep, max_len)
+        block_moment = rep_block_moment(fd, rep)
+        predicted = free_cumulants_to_moments(
+            {eps: block_moment(len(eps)) for eps in eps_list})
     for eps in eps_list:
         value = character_moment_wreath(fd, rep, eps)
         if value != predicted[eps]:

@@ -5,9 +5,9 @@ Defaults are overridable through environment variables (read at first use):
     FREEWREATH_ENUM_CAP    maximum number of ground points a partition/diagram
                            enumeration will accept, and the longest word or
                            order of a character law in freeprob (default 14)
-    FREEWREATH_ENTRY_CAP   maximum number of stored nonzero entries in a sparse
-                           linear map, and of composable pairs the category
-                           check lists (default 10**7)
+    FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
+                           map or a Gram matrix, and of composable pairs the
+                           category check lists (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
@@ -44,17 +44,18 @@ def caps() -> tuple[int, int]:
             _env_int("FREEWREATH_ENTRY_CAP", 10**7))
 
 
+def _check(count: int, limit: int, what: str) -> None:
+    if count > limit:
+        raise CapExceededError(f"{what} exceeds the cap of {limit}")
+
+
 def check_enum_cap(points: int) -> None:
-    limit = caps()[0]
-    if points > limit:
-        raise CapExceededError(
-            f"enumeration over {points} points exceeds the cap of {limit}"
-        )
+    _check(points, caps()[0], f"enumeration over {points} points")
 
 
 def check_entry_cap(entries: int) -> None:
-    limit = caps()[1]
-    if entries > limit:
-        raise CapExceededError(
-            f"sparse map with {entries} stored entries exceeds the cap of {limit}"
-        )
+    _check(entries, caps()[1], f"storing {entries} entries")
+
+
+def check_pair_cap(pairs: int) -> None:
+    _check(pairs, caps()[1], f"listing {pairs} composable pairs")

@@ -30,7 +30,9 @@ which must agree:
   one removes both boundary letters and moves on to the next pair.
 
 The dimension of the word (a1, ..., a_{k-1}) with reduced exponents (l1..lk)
-is prod dim(a_i) * prod A_{l_i}(sqrt(N)), always a rational integer; replacing
+is prod dim(a_i) * prod A_{l_i}(sqrt(N)).  Each factor is the integer a_l(N)
+times sqrt(N)**(l mod 2), and 0 or 2 exponents are odd, so it is computed in
+integers as N**(odd/2) * prod dim(a_i) * prod a_{l_i}(N).  Replacing
 sqrt(N) by a variable sqrt(X) gives the central character polynomial, an
 integer polynomial in X.
 """
@@ -38,14 +40,14 @@ integer polynomial in X.
 from __future__ import annotations
 
 import json
+import math
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
-from .qnum import QNum, cheb_eval_sqrtN, cheb_poly, poly_mul, poly_trim
+from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
 Word = tuple
@@ -371,8 +373,8 @@ class QuantumPermutationFusion(FusionData):
     """Fusion of the quantum permutation group on s >= 4 points.
 
     Labels are nonnegative integers, m x n = |m-n|, |m-n|+1, ..., m+n, each
-    once; dimensions are the even dilated Chebyshev values A_{2m}(sqrt(s)),
-    which are integers.
+    once; dimensions are the even dilated Chebyshev values
+    A_{2m}(sqrt(s)) = a_{2m}(s), which are integers.
     """
 
     def __init__(self, s: int):
@@ -387,9 +389,7 @@ class QuantumPermutationFusion(FusionData):
     def dim(self, label):
         if label < 0:
             raise ValueError("labels must be nonnegative")
-        value = cheb_eval_sqrtN(2 * label, self.s).as_fraction()
-        assert value.denominator == 1 and value > 0
-        return int(value)
+        return cheb_int_factor(2 * label, self.s)
 
     def conj(self, label):
         return label
@@ -594,19 +594,15 @@ def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
 def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
     """prod dim(letters) * prod A_l(sqrt(N)) over the reduced exponents.
 
-    The formula holds for N >= 4 only; smaller N is refused.
+    That is N**(odd // 2) * prod dim(letters) * prod a_l(N), the 0 or 2 odd
+    exponents giving one sqrt(N) each.  It holds for N >= 4 only.
     """
     if n < 4:
         raise ValueError(f"word dimensions need N >= 4, got N={n}")
     rw = reduce_word(word, fd)
-    value = QNum.rational(1)
-    for a in rw.letters:
-        value = value * fd.dim(a)
-    for e in rw.exponents:
-        value = value * cheb_eval_sqrtN(e, n)
-    frac = value.as_fraction()
-    assert frac.denominator == 1
-    return int(frac)
+    odd = sum(e % 2 for e in rw.exponents)
+    return (n ** (odd // 2) * math.prod(map(fd.dim, rw.letters))
+            * math.prod(cheb_int_factor(e, n) for e in rw.exponents))
 
 
 def dim_multiplicativity_failures(fd: FusionData, n: int, rng,

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .config import check_entry_cap, check_enum_cap
+from .config import check_entry_cap, check_enum_cap, check_pair_cap
 from .partition import (Partition, _block_index, _join_counts,
                         enumerate_partitions, nested_pairing)
 from .report import VerificationReport
@@ -275,7 +275,7 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     # composable pairs is stored too
     check_enum_cap(max_points)
     check_entry_cap(dim ** max_points)
-    check_entry_cap(_compose_pair_count(max_points))
+    check_pair_cap(_compose_pair_count(max_points))
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     position = {index: n for r in range(max_points + 1)

@@ -15,8 +15,10 @@ The dilated Chebyshev polynomials are the family
     A_0 = 1,  A_1 = X,  A_1 * A_k = A_{k+1} + A_{k-1},
 
 so A_2 = X**2 - 1, A_3 = X**3 - 2X, A_4 = X**4 - 3X**2 + 1, and A_l(2) = l+1.
-They are the dimension polynomials of the engine: ``cheb_eval_sqrtN(l, N)``
-returns A_l(sqrt(N)) as a QNum with base N.
+They are the dimension polynomials of the engine.  A_l holds only powers of X
+of the parity of l, so A_l(sqrt(N)) = sqrt(N)**(l mod 2) * a_l(N), where the
+integer a_l(N) = sum_j (-1)^j C(l-j, j) N^(l//2 - j) is ``cheb_int_factor``;
+``cheb_eval_sqrtN(l, N)`` returns A_l(sqrt(N)) as a QNum with base N.
 """
 
 from __future__ import annotations
@@ -302,21 +304,14 @@ def cheb_poly(l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def cheb_eval_sqrtN(l: int, n: int) -> QNum:
-    """A_l(sqrt(n)) as an exact QNum with base n.
+def cheb_int_factor(l: int, n: int) -> int:
+    """a_l(n): the coefficients of A_l of l's parity, evaluated at X**2 = n."""
+    return poly_eval(cheb_poly(l)[l % 2::2], n)
 
-    Even coefficients contribute n**(i/2) to the rational part; odd ones
-    contribute n**((i-1)/2) to the surd part.
-    """
+
+def cheb_eval_sqrtN(l: int, n: int) -> QNum:
+    """A_l(sqrt(n)) as a QNum with base n: a_l(n) times sqrt(n)**(l % 2)."""
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"base must be a positive integer, got {n!r}")
-    rat = Fraction(0)
-    surd = Fraction(0)
-    for i, c in enumerate(cheb_poly(l)):
-        if c == 0:
-            continue
-        if i % 2 == 0:
-            rat += c * n ** (i // 2)
-        else:
-            surd += c * n ** ((i - 1) // 2)
-    return QNum(rat, surd, n if surd != 0 else None)
+    a = cheb_int_factor(l, n)
+    return QNum(0, a, n) if l % 2 else QNum.rational(a)

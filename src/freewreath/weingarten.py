@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
+from .config import check_entry_cap
 from .exactmat import bareiss_inverse
 from .partition import (Partition, _join_counts, discrete_partition,
                         enumerate_partitions, kernel)
@@ -112,6 +113,8 @@ def wg_table(k: int, n: int, s: int = 1,
         raise ValueError("k must be at least 1")
     if n < 1 or s < 1:
         raise ValueError("N and s must be positive")
+    # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries
+    check_entry_cap((math.comb(2 * k, k) // (k + 1)) ** 2)
     category = _category_in_effect(s, category)
     indices = wg_indices(k, category)
     gram = wg_gram(k, n, s, category)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from freewreath.exactmat import bareiss_inverse
 from freewreath.linmaps import build_tp
 from freewreath.partition import enumerate_partitions
+from freewreath.qnum import QNum, cheb_poly
 
 
 def _projection_oracle(k: int, n: int):
@@ -36,3 +38,18 @@ def _projection_oracle(k: int, n: int):
 def projection_oracle():
     """(k, n) -> entry(row, col) of the s=1 projection, the Haar-state oracle."""
     return _projection_oracle
+
+
+@cache
+def _cheb_qnum(l: int, n: int) -> QNum:
+    """A_l(sqrt(n)) by Horner's rule on cheb_poly(l), in Q[sqrt(n)] arithmetic."""
+    value, x = QNum.rational(0), QNum.sqrt(n)
+    for c in reversed(cheb_poly(l)):
+        value = value * x + c
+    return value
+
+
+@pytest.fixture
+def cheb_qnum():
+    """(l, n) -> A_l(sqrt(n)) as a QNum, the oracle for the integer route."""
+    return _cheb_qnum

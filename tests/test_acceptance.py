@@ -9,7 +9,7 @@ import itertools
 import random
 
 from freewreath.exactmat import bareiss_det_rank
-from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
+from freewreath.freeprob import (brute_force_z2_s3_moments,
                                  character_moment_wreath,
                                  character_moments_wreath,
                                  classical_wreath_moment,

@@ -1,13 +1,12 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import freewreath
-from freewreath import linmaps
+from freewreath import linmaps, weingarten
 from freewreath.cli import main
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
@@ -229,7 +228,8 @@ def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(linmaps, "enumerate_partitions", never)
     code, out, err = run(capsys, "verify", "category", "--N", "40")
     assert (code, out) == (2, "")
-    assert err.startswith("cap exceeded:")
+    assert err == ("cap exceeded: storing 4096000000 entries exceeds the cap "
+                   "of 10000000\n")
     done = python("-m", "freewreath.cli", "verify", "category", "--N", "4",
                   "--max-points", "5", FREEWREATH_ENTRY_CAP="1000")
     assert (done.returncode, done.stdout) == (2, "")
@@ -241,8 +241,35 @@ def test_verify_category_caps_the_compose_pairs():
             "--max-points", "6")
     done = python(*argv, FREEWREATH_ENTRY_CAP="40000")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("cap exceeded:")
+    assert done.stderr == ("cap exceeded: listing 43371 composable pairs "
+                           "exceeds the cap of 40000\n")
     assert python(*argv, FREEWREATH_ENTRY_CAP="50000").returncode == 0
+
+
+def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
+    # wg_table(9, ...) has at least Catalan(9)**2 = 23,639,044 Gram entries
+    def never(*args, **kwargs):
+        raise AssertionError("called before the entry cap was checked")
+
+    monkeypatch.setattr(weingarten, "wg_indices", never)
+    monkeypatch.setattr(weingarten, "enumerate_partitions", never)
+    for argv in (("weingarten", "--k", "9", "--N", "4"),
+                 ("verify", "weingarten", "--k", "9")):
+        assert run(capsys, *argv) == (2, "", "cap exceeded: storing 23639044 "
+                                      "entries exceeds the cap of 10000000\n")
+
+
+def test_weingarten_caps_the_gram_entries():
+    # k = 4 has Catalan(4)**2 = 196 entries at least; k = 3 has 25
+    for argv in (("weingarten", "--k", "4", "--N", "4"),
+                 ("verify", "weingarten", "--k", "4", "--s", "4")):
+        done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENTRY_CAP="195")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("cap exceeded: storing 196 entries exceeds the "
+                               "cap of 195\n")
+    done = python("-m", "freewreath.cli", "weingarten", "--k", "3", "--N", "4",
+                  FREEWREATH_ENTRY_CAP="25")
+    assert done.returncode == 0 and done.stdout
 
 
 def test_dim_below_four_refused(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from freewreath.fusion import (FiniteGroup, QuantumPermutationFusion,
                                reduce_word, render_word, sort_words,
                                symmetric_group_3, symmetric_group_3_fusion,
                                trivial_fusion)
+from freewreath.qnum import QNum
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
@@ -157,6 +160,20 @@ def test_dim_values():
     assert dim_wreath((std,), S3, 9) == 2 * 9
 
 
+def test_dim_matches_qnum_product(cheb_qnum):
+    # the Q[sqrt(N)] product of the letter dimensions and the A_l(sqrt(N))
+    for fd in (Z2, Z3, S3):
+        labels = fd.labels()
+        words = [w for k in range(7) for w in itertools.product(labels, repeat=k)]
+        for n in (4, 5, 9, 16):
+            for w in words:
+                rw = reduce_word(w, fd)
+                value = math.prod(map(fd.dim, rw.letters), start=QNum.rational(1))
+                for e in rw.exponents:
+                    value = value * cheb_qnum(e, n)
+                assert value == dim_wreath(w, fd, n), (w, n)
+
+
 def test_sort_words_deterministic():
     out = fuse(("g",), ("g",), Z2)
     listed = sort_words(out, Z2)
@@ -184,6 +201,15 @@ def test_quantum_permutation_fusion():
     assert q4.tensor(2, 1) == {1: 1, 2: 1, 3: 1}
     with pytest.raises(ValueError):
         QuantumPermutationFusion(3)
+    assert [QuantumPermutationFusion(5).dim(m) for m in range(6)] == \
+        [1, 4, 11, 29, 76, 199]
+
+
+def test_quantum_permutation_dims_match_qnum(cheb_qnum):
+    for s in (4, 5, 7):
+        qs = QuantumPermutationFusion(s)
+        for m in range(9):
+            assert qs.dim(m) == cheb_qnum(2 * m, s)
 
 
 def test_json_round_trip(tmp_path):

@@ -128,6 +128,13 @@ def test_cheb_eval_sqrt():
     assert v.as_fraction() == 9 * 9 - 3 * 9 + 1
 
 
+def test_cheb_eval_sqrt_matches_horner(cheb_qnum):
+    # perfect squares fold sqrt(n) into the rational part on both sides
+    for n in range(1, 31):
+        for l in range(25):
+            assert cheb_eval_sqrtN(l, n) == cheb_qnum(l, n), (l, n)
+
+
 def test_cheb_recursion():
     # A_{l+1} = t A_l - A_{l-1}
     for l in range(1, 8):
