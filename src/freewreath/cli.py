@@ -16,7 +16,7 @@ from .fusion import (central_char_poly, dim_multiplicativity_failures,
                      dim_wreath, fuse, fusion_from_uri, parse_word,
                      render_word, sort_words)
 from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
-                       classical_wreath_moment, compound_poisson_moments,
+                       classical_wreath_moment, compound_poisson_moment,
                        free_cumulants_to_moments, parse_eps,
                        partial_trace_moments, plain_eps, rep_block_moment,
                        render_eps, z2_block_moment)
@@ -84,7 +84,7 @@ def cmd_char_law(args) -> int:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
-        predicted = compound_poisson_moments(fd, rep, len(eps_list[0]))
+        predicted = {eps_list[0]: compound_poisson_moment(fd, rep, eps_list[0])}
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:

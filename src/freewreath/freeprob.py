@@ -9,15 +9,18 @@ over {1, *}: the eps-moment of x is the state applied to x^{eps_1}...x^{eps_k}.
 Three independent computations meet here:
 
 * moment route: the eps-moments of chi(r(a)) are Hom dimensions
-  dim Hom(1, r(a)^{eps_1} x ... x r(a)^{eps_k}), delegated to the decorated
-  partition count;
+  dim Hom(1, r(a)^{eps_1} x ... x r(a)^{eps_k}), delegated to the partition
+  route of :mod:`freewreath.homspaces`, whose sum over decorated noncrossing
+  partitions runs as the first-block sum below with trivial multiplicities
+  in G as cumulants (the enumeration of those partitions is its oracle);
 
 * cumulant route: a free compound Poisson law of rate t with jump law mu has
   free cumulants k(eps) = t * m_mu(eps); the moment/cumulant dictionaries are
   converted by the recursion on the block B that holds the first letter
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
-  that B leaves;
+  that B leaves.  The one implementation of that sum, ``_nc_sum``, lives in
+  :mod:`freewreath.homspaces`;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -41,7 +44,7 @@ from typing import Callable, Iterable
 
 from .config import check_enum_cap
 from .fusion import FusionData
-from .homspaces import dim_hom_wreath, tensor_fold
+from .homspaces import _nc_moment, _nc_sum, dim_hom_wreath, tensor_fold
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -110,31 +113,6 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
 # noncrossing moment/cumulant transforms on eps-indexed families
 
 
-def _nc_sum(cumulants: dict, moments: dict, eps: Eps):
-    """Sum over NC(|eps|) of prod over blocks of k(eps|block).
-
-    The noncrossing partitions are grouped by the block B that holds the first
-    letter.  The letters strictly between two points of B, or after its last
-    point, form a gap; no other block crosses B, so the rest of the partition
-    is any noncrossing partition of each gap, and the gaps contribute their
-    moments: the sum is that of k(eps|B) * prod m(gap) over the 2^(|eps|-1)
-    choices of B.  ``moments`` must hold every word shorter than eps.
-    """
-    n = len(eps)
-    if n == 0:
-        return 1  # the empty partition, which has no first block
-    total = 0
-    for size in range(n):
-        for rest in itertools.combinations(range(1, n), size):
-            block = (0, *rest)
-            term = cumulants[tuple(eps[i] for i in block)]
-            for a, b in zip(block, (*rest, n)):
-                if b > a + 1:
-                    term *= moments[eps[a + 1:b]]
-            total += term
-    return total
-
-
 def free_cumulants_to_moments(cumulants: dict) -> dict:
     """Moments from free cumulants: m(eps) = sum over NC of prod k(eps|block).
 
@@ -177,6 +155,18 @@ def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
         for eps in all_eps(k):
             cumulants[eps] = moment_of_rep(fd, rep, eps)
     return free_cumulants_to_moments(cumulants)
+
+
+def compound_poisson_moment(fd: FusionData, rep, eps: Eps) -> int:
+    """The eps-moment of the free compound Poisson with jump law chi_rep.
+
+    The same value as ``compound_poisson_moments(fd, rep, len(eps))[eps]``,
+    but the first-block sum only asks for the moments of the contiguous
+    subwords of eps and for the cumulants, moments of chi_rep in G, of the
+    sub-sequences that its blocks pick out.
+    """
+    check_enum_cap(len(eps))
+    return _nc_moment(lambda sub: moment_of_rep(fd, rep, sub), tuple(eps))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,19 @@ and l lower points *decorated* by the letters, where each block carries the
 multiplicity of the trivial representation in the tensor product of its
 decorations (upper ones conjugated and read right to left, then lower ones
 left to right).  The Hom dimension is the sum over all of NC(k,l) of the
-product of these block multiplicities; blocks with multiplicity zero kill
-their term, so only the admissible partitions contribute.  No dependence on N
-remains (the count is valid in the stable range N >= 4).
+product of these block multiplicities.  No dependence on N remains (the count
+is valid in the stable range N >= 4).
+
+That sum is computed without listing a partition.  Read the boundary as the
+word w = (conj a_k, ..., conj a_1, b_1, ..., b_l): it goes once around the
+circle on which NC(k,l) is drawn, so NC(k,l) is NC(|w|) on this linear order
+and each block's decoration is w restricted to the block.  The sum is then a
+moment-cumulant sum with the trivial multiplicity as cumulant, evaluated by
+the recursion on the block of the first letter (:func:`_nc_sum`, shared with
+:mod:`freewreath.freeprob`), with moments memoised on the contiguous subwords
+of w: about 2^(|w|+1) block choices in place of Catalan(|w|) partitions.
+The enumerating sum over decorated partitions (:func:`hom_terms`) stays as
+the oracle for it.
 
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words and pair up the multiplicity vectors.
@@ -21,10 +31,12 @@ stands for the conjugate representation and is resolved at parse time.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
+from .config import check_enum_cap
 from .fusion import FusionData, Word, fuse
 from .partition import Partition, enumerate_partitions
 
@@ -110,11 +122,60 @@ def hom_terms(up: Word, down: Word, fd: FusionData,
     return tuple(out)
 
 
-def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
+class _Memo(dict):
+    """A dict that computes a missing value as fn(key) and keeps it."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _nc_sum(cumulants, moments, word: tuple):
+    """Sum over NC(|word|) of prod over blocks of cumulants[word|block].
+
+    The noncrossing partitions are grouped by the block B that holds the first
+    letter.  The letters strictly between two points of B, or after its last
+    point, form a gap; no other block crosses B, so the rest of the partition
+    is any noncrossing partition of each gap, and the gaps contribute their
+    moments: the sum is that of k(word|B) * prod m(gap) over the 2^(|word|-1)
+    choices of B (Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, 2006, Lecture 10).  ``moments`` must hold, or compute on
+    lookup, every contiguous subword shorter than word.
+    """
+    n = len(word)
+    if n == 0:
+        return 1  # the empty partition, which has no first block
     total = 0
-    for dp in hom_terms(up, down, fd, admissible_only=True):
-        total += dp.weight()
+    for size in range(n):
+        for rest in itertools.combinations(range(1, n), size):
+            block = (0, *rest)
+            term = cumulants[tuple(word[i] for i in block)]
+            for a, b in zip(block, (*rest, n)):
+                if b > a + 1:
+                    term *= moments[word[a + 1:b]]
+            total += term
     return total
+
+
+def _nc_moment(cumulant: Callable, word: tuple):
+    """_nc_sum of one word, with cumulant(letters) and the moments of its
+    contiguous subwords computed on demand and memoised for this call only."""
+    cumulants = _Memo(cumulant)
+    moments = _Memo(lambda sub: _nc_sum(cumulants, moments, sub))
+    return moments[word]
+
+
+def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
+    """Hom dimension as the first-block sum over the boundary word."""
+    for letter in up + down:
+        fd.check_label(letter)
+    check_enum_cap(len(up) + len(down))
+    boundary = tuple(fd.conj(a) for a in reversed(up)) + tuple(down)
+    return _nc_moment(lambda letters: trivial_mult(fd, letters), boundary)
 
 
 def basic_rep_decomposition(letter, fd: FusionData) -> Counter:

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import freewreath
-from freewreath import linmaps, weingarten
+from freewreath import homspaces, linmaps, partition, weingarten
 from freewreath.cli import main
+from freewreath.fusion import fusion_from_uri
+from freewreath.homspaces import dim_hom_fusion, parse_star_list
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
@@ -69,6 +71,25 @@ def test_char_law_eps(capsys):
     assert code == 0
     # admissible: {12|34}, {14|23}, and the full block g g2 g g2
     assert out.splitlines() == ["moment 1*1*: 3"]
+
+
+def test_hom_dim_enumerates_no_partition(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the partition route enumerated partitions")
+
+    monkeypatch.setattr(homspaces, "enumerate_partitions", never)
+    monkeypatch.setattr(partition, "enumerate_partitions", never)
+    z3 = fusion_from_uri("builtin:cyclic:3")
+    up, down = "g,g2,g,1", "1,g,1,g2,g,g,g2,g2,g,1"  # 14 points, the cap
+    expect = dim_hom_fusion(parse_star_list(up, z3),
+                            parse_star_list(down, z3), z3)
+    assert expect == 8337
+    assert run(capsys, "hom-dim", "--up", up, "--down", down, "--fusion",
+               "builtin:cyclic:3") == (0, f"{expect}\n", "")
+    assert run(capsys, "hom-dim", "--up", up, "--down", down + ",1",
+               "--fusion", "builtin:cyclic:3") == (
+        2, "", "cap exceeded: enumeration over 15 points exceeds the cap "
+               "of 14\n")
 
 
 def test_char_law_empty_eps_refused(capsys):

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from freewreath import freeprob
+from freewreath import freeprob, homspaces
 from freewreath.config import CapExceededError
 from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
                                  character_moments_wreath,
                                  classical_wreath_moment,
+                                 compound_poisson_moment,
                                  compound_poisson_moments, conj_rep,
                                  free_cumulants_to_moments, moment_of_rep,
                                  moments_to_free_cumulants, parse_eps,
@@ -123,6 +124,14 @@ def test_character_is_free_compound_poisson():
         assert wreath == poisson, (fd, rep)
 
 
+def test_single_word_compound_poisson_moment():
+    # one word from its own subwords equals that word in the full table
+    for fd, rep in ((Z2, "g"), (Z3, "g"), (S3, "std"), (S3, {"std": 1, "sgn": 1})):
+        table = compound_poisson_moments(fd, rep, 6)
+        for eps, value in table.items():
+            assert compound_poisson_moment(fd, rep, eps) == value, (rep, eps)
+
+
 def test_character_moment_trivial_letter_catalan():
     for k, c in enumerate((1, 2, 5, 14), start=1):
         assert character_moment_wreath(Z2, "1", plain_eps(k)) == c
@@ -170,9 +179,16 @@ def test_cap_checked_before_any_sum(monkeypatch):
     def refuse(*args):
         raise AssertionError("summed before the cap was checked")
 
+    # the one first-block sum lives in homspaces; freeprob holds a copy of
+    # the binding, so both are replaced
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
+    monkeypatch.setattr(homspaces, "_nc_sum", refuse)
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
+    with pytest.raises(CapExceededError):
+        compound_poisson_moment(Z2, "g", plain_eps(15))
+    with pytest.raises(CapExceededError):
+        homspaces.dim_hom_partition(("g",) * 5, ("g",) * 10, Z2)
     with pytest.raises(CapExceededError):
         partial_trace_moments(Fraction(1, 2), z2_block_moment("regular"), 15)
     with pytest.raises(CapExceededError):

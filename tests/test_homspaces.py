@@ -1,8 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freewreath.fusion import cyclic_fusion, symmetric_group_3_fusion, trivial_fusion
+from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
+                               symmetric_group_3, symmetric_group_3_fusion,
+                               trivial_fusion)
 from freewreath.homspaces import (basic_rep_decomposition, block_trivial_mult,
                                   dim_hom_fusion, dim_hom_partition,
                                   dim_hom_wreath, hom_terms,
@@ -12,6 +17,10 @@ Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
 TRIV = trivial_fusion()
+S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
+                        database=None)
 
 
 def test_tensor_fold():
@@ -114,3 +123,63 @@ def test_parse_star_list():
     assert parse_star_list("std*", S3) == ("std",)
     with pytest.raises(ValueError):
         parse_star_list("nope", Z2)
+
+
+def _words(fd, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(fd.labels(), repeat=n)
+
+
+def _oracle(up, down, fd):
+    return sum(dp.weight() for dp in hom_terms(up, down, fd))
+
+
+def test_first_block_sum_matches_enumeration():
+    # the enumerated decorated partitions are the oracle of the partition route
+    for fd in (Z2, Z3, S3):
+        for word in _words(fd, 5):
+            assert dim_hom_partition((), word, fd) == _oracle((), word, fd), word
+    for word in _words(S3, 5):
+        for k in range(len(word) + 1):
+            up, down = word[:k], word[k:]
+            assert dim_hom_partition(up, down, S3) == _oracle(up, down, S3), \
+                (up, down)
+
+
+def test_first_block_sum_matches_fusion_route_std_powers():
+    values = [dim_hom_partition((), ("std",) * n, S3) for n in range(13)]
+    assert values == [dim_hom_fusion((), ("std",) * n, S3) for n in range(13)]
+    assert values[12] == 35537
+
+
+def _bend(up, fd):
+    return tuple(fd.conj(a) for a in reversed(up))
+
+
+@st.composite
+def ring_and_split(draw, max_len):
+    fd = draw(st.sampled_from((Z2, Z3, S3, S3_DUAL)))
+    letters = st.lists(st.sampled_from(fd.labels()), max_size=max_len)
+    return fd, tuple(draw(letters)), tuple(draw(letters))
+
+
+@DERANDOMIZED
+@given(ring_and_split(4))
+def test_frobenius_reciprocity(case):
+    # bending the upper letters down: Hom(a, b) = Hom(1, conj(reversed a) b)
+    fd, up, down = case
+    for method in ("partition", "fusion"):
+        assert dim_hom_wreath(up, down, fd, method) == \
+            dim_hom_wreath((), _bend(up, fd) + down, fd, method), method
+
+
+@DERANDOMIZED
+@given(ring_and_split(6))
+def test_rotation_invariance(case):
+    # the first-block sum reads the boundary word linearly, so rotating it
+    # moves the first letter into another block
+    fd, up, down = case
+    word = up + down
+    value = dim_hom_partition((), word, fd)
+    assert value == dim_hom_partition((), word[1:] + word[:1], fd)
+    assert value == dim_hom_fusion((), word, fd)
