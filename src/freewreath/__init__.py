@@ -17,15 +17,15 @@ from .fusion import (FiniteGroup, FusionData, IntegersFusion,
                      trivial_fusion)
 from .homspaces import DecoratedPartition, dim_hom_wreath, parse_star_list
 from .linmaps import (SparseMap, build_tp, gram_brute, gram_nc, identity_map,
-                      verify_category_relations, verify_conjugate_equations,
-                      verify_gram_methods)
+                      verify_category_relations, verify_conjugate_equations)
 from .partition import (Partition, discrete_partition, enumerate_partitions,
                         full_block, identity_partition, kernel,
                         nested_pairing, parse_partition)
-from .qnum import QNum, cheb_eval_sqrtN, cheb_poly, render_poly
+from .qnum import cheb_int_factor, cheb_poly, render_poly
 from .report import CheckResult, VerificationReport
-from .tl import (ScaledPartition, TLDiagram, collapse, fatten, markov_trace,
-                 parse_tl, phi, tl_compose, tl_enumerate, verify_phi)
+from .tl import (ScaledPartition, TLDiagram, collapse, fatten,
+                 markov_trace_exponent, parse_tl, phi, sqrt_power, tl_compose,
+                 tl_enumerate, verify_phi)
 from .weingarten import (WeingartenTable, haar_state, wg_certify_asymptotics,
                          wg_gram, wg_indices, wg_leading_coeff, wg_table)
 

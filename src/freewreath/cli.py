@@ -8,6 +8,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
 from .homspaces import dim_hom_wreath, parse_star_list
 from .linmaps import verify_category_relations, verify_conjugate_equations
 from .qnum import render_poly
-from .tl import collapse, markov_trace, parse_tl, phi, verify_phi
+from .tl import (collapse, markov_trace_exponent, parse_tl, phi, sqrt_power,
+                 verify_phi)
 from .weingarten import haar_state, wg_certify_asymptotics, wg_table
 
 
@@ -37,6 +39,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _fusion(args):
     return fusion_from_uri(args.fusion)
+
+
+def _float(value) -> float:
+    """value as a float for --float output, refused past the float range."""
+    shown = float(value)  # a huge exact value raises OverflowError here
+    if math.isinf(shown):
+        raise OverflowError("the value exceeds the float range")
+    return shown
+
+
+def _print_lines(lines) -> int:
+    """Print lines that are all formatted, so a refusal prints none of them."""
+    for line in lines:
+        print(line)
+    return 0
 
 
 def _print_report(report) -> int:
@@ -93,15 +110,16 @@ def cmd_char_law(args) -> int:
         block_moment = rep_block_moment(fd, rep)
         predicted = free_cumulants_to_moments(
             {eps: block_moment(len(eps)) for eps in eps_list})
+    lines = []
     for eps in eps_list:
         value = character_moment_wreath(fd, rep, eps)
         if value != predicted[eps]:
             print(f"internal disagreement at {render_eps(eps)}: "
                   f"{value} vs {predicted[eps]}", file=sys.stderr)
             return 3
-        shown = float(value) if args.float else value
-        print(f"moment {render_eps(eps)}: {shown}")
-    return 0
+        shown = _float(value) if args.float else value
+        lines.append(f"moment {render_eps(eps)}: {shown}")
+    return _print_lines(lines)
 
 
 def cmd_classical(args) -> int:
@@ -112,9 +130,8 @@ def cmd_classical(args) -> int:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = z2_block_moment(args.rep)
     values = [classical_wreath_moment(bm, args.n, k) for k in range(args.k + 1)]
-    for k, value in enumerate(values):
-        shown = float(value) if args.float else value
-        print(f"k={k}: {shown}")
+    _print_lines([f"k={k}: {_float(value) if args.float else value}"
+                  for k, value in enumerate(values)])
     if args.n == 3:
         brute = brute_force_z2_s3_moments(args.rep, args.k)
         if brute != values:
@@ -138,10 +155,8 @@ def cmd_partial_trace(args) -> int:
     bm = rep_block_moment(fd, rep)
     # k = 0 (the moment 1, not printed) checks t even when --k is 0
     values = [partial_trace_moments(t, bm, k) for k in range(args.k + 1)]
-    for k, value in enumerate(values[1:], start=1):
-        shown = float(value) if args.float else value
-        print(f"k={k}: {shown}")
-    return 0
+    return _print_lines([f"k={k}: {_float(value) if args.float else value}"
+                         for k, value in enumerate(values[1:], start=1)])
 
 
 def cmd_weingarten(args) -> int:
@@ -156,17 +171,14 @@ def cmd_weingarten(args) -> int:
         k = args.k
         value = haar_state(table, tuple(flat[:k]), tuple(flat[k:2 * k]),
                            tuple(flat[2 * k:3 * k]), tuple(flat[3 * k:]))
-        print(float(value) if args.float else value)
+        print(_float(value) if args.float else value)
         return 0
-    for t, (p, a) in enumerate(table.indices):
-        print(f"index {t}: outer {p.render()}  inner {a.render()}")
-    matrix = table.winv if args.invert else table.gram
-    for row in matrix:
-        if args.float:
-            print(" ".join(str(float(x)) for x in row))
-        else:
-            print(" ".join(str(x) for x in row))
-    return 0
+    lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
+             for t, (p, a) in enumerate(table.indices)]
+    shown = _float if args.float else str
+    for row in table.winv if args.invert else table.gram:
+        lines.append(" ".join(str(shown(x)) for x in row))
+    return _print_lines(lines)
 
 
 def cmd_tl(args) -> int:
@@ -174,8 +186,8 @@ def cmd_tl(args) -> int:
         return _print_report(verify_phi(max_points=args.max_points))
     diagram = parse_tl(args.diagram)
     if args.tl_command == "trace":
-        value = markov_trace(diagram, args.N)
-        print(float(value) if args.float else value.render())
+        value = sqrt_power(args.N, markov_trace_exponent(diagram), args.float)
+        print(_float(value) if args.float else value)
     elif args.tl_command == "collapse":
         print(collapse(diagram).render())
     elif args.tl_command == "phi":

@@ -355,11 +355,3 @@ def gram_brute(k: int, l: int, dim: int) -> list[list[int]]:
     """
     maps = [build_tp(p, dim) for p in enumerate_partitions(k, l, "noncrossing")]
     return [[int(a.inner(b)) for b in maps] for a in maps]
-
-
-def verify_gram_methods(k: int, l: int, dim: int) -> VerificationReport:
-    rep = VerificationReport(f"Gram methods NC({k},{l}) at N={dim}")
-    a = gram_nc(k, l, dim)
-    rep.add(f"join formula equals brute force on {len(a)}x{len(a)} entries",
-            a == gram_brute(k, l, dim))
-    return rep

@@ -23,12 +23,14 @@ region (its region lies at odd tree depth).  The rescaled collapse
     phi(D) = N^{(k+l)/4 - br(D)/2} c(D)
 
 is a trace-preserving tensor-* isomorphism; its coefficients are quarter
-powers of N, so scaled diagrams carry the exponent in quarter units and
-materialize to a QNum only when the exponent is a half-integer multiple.
+powers of N, so scaled diagrams carry the exponent in quarter units.  Every
+scalar here is a power of sqrt(N) and is kept as its integer exponent; only
+``sqrt_power`` turns one into a number, for display.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +38,6 @@ from functools import cache
 
 from .config import check_enum_cap
 from .partition import ComposeResult, Partition, _merge, _position_to_point
-from .qnum import QNum
 from .report import VerificationReport
 
 Pair = tuple[int, int]
@@ -180,14 +181,11 @@ def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
     return step2, loops1 + loops2
 
 
-def markov_trace(d: TLDiagram, dim: int) -> QNum:
-    """sqrt(N)^{closed curves}, computed by iterated partial closing."""
-    exponent = markov_trace_exponent(d)
-    return sqrt_power(dim, exponent)
-
-
 def markov_trace_exponent(d: TLDiagram) -> int:
-    """The exponent of sqrt(N) in the Markov trace of a square diagram."""
+    """The exponent of sqrt(N) in the Markov trace of a square diagram.
+
+    The trace is sqrt(N)^{closed curves}, counted by iterated partial closing.
+    """
     total = 0
     cur = d
     while cur.upper > 0:
@@ -196,13 +194,25 @@ def markov_trace_exponent(d: TLDiagram) -> int:
     return total
 
 
-def sqrt_power(dim: int, exponent: int) -> QNum:
-    """sqrt(dim)**exponent as an exact QNum (exponent may be negative)."""
+def sqrt_power(dim: int, exponent: int, as_float: bool = False) -> str | float:
+    """sqrt(dim)**exponent for exponent >= 0, as exact text or as a float.
+
+    The text is "c" when the power is an integer, a perfect-square dim folded
+    into c, and "0 + c*sqrt(dim)" otherwise.  The float is float(c), times
+    float(dim)**0.5 in the second case; past the float range it is inf or
+    raises OverflowError.
+    """
     if dim < 1:
         raise ValueError(f"N must be a positive integer, got {dim}")
-    if exponent % 2 == 0:
-        return QNum.rational(Fraction(dim) ** (exponent // 2))
-    return QNum(Fraction(0), Fraction(dim) ** ((exponent - 1) // 2), dim)
+    if exponent < 0:
+        raise ValueError(f"negative exponent {exponent}")
+    c, odd = dim ** (exponent // 2), exponent % 2
+    root = math.isqrt(dim)
+    if odd and root * root == dim:
+        c, odd = c * root, 0
+    if as_float:
+        return float(c) * float(dim) ** 0.5 if odd else float(c)
+    return f"0 + {c}*sqrt({dim})" if odd else str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +304,6 @@ class ScaledPartition:
     def involute(self) -> "ScaledPartition":
         return ScaledPartition(self.quarters, self.partition.involute())
 
-    def coefficient(self, dim: int) -> QNum:
-        if self.quarters % 2:
-            raise ValueError(
-                f"coefficient N^({self.quarters}/4) is not a half-integer power")
-        return sqrt_power(dim, self.quarters // 2)
-
     def render(self) -> str:
         q = self.quarters
         if q == 0:
@@ -327,11 +331,6 @@ def nc_closure_components(p: Partition) -> int:
     k = p.upper
     return _merge(2 * k, p.blocks + tuple((i, k + i) for i in range(1, k + 1)),
                   ())[1]
-
-
-def markov_trace_nc(p: Partition, dim: int) -> QNum:
-    """The collapsed-side trace N^{components of the closure} on NC(k,k)."""
-    return QNum.rational(Fraction(dim) ** nc_closure_components(p))
 
 
 def verify_phi(max_points: int = 6) -> VerificationReport:

@@ -287,12 +287,3 @@ def trace_identity(table: WeingartenTable) -> tuple[Fraction, int]:
         for u in range(m):
             total += table.winv[t][u] * table.gram[u][t]
     return total, m
-
-
-def character_moment_via_indices(k: int, category: str = "noncrossing") -> int:
-    """Haar moment of the character of the basic representation.
-
-    The k-th moment equals the number of fixed-vector indices (p, a); it must
-    match the decorated-partition Hom count for the inner fusion data.
-    """
-    return len(wg_indices(k, category))

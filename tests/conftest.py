@@ -6,7 +6,7 @@ import pytest
 from freewreath.exactmat import bareiss_inverse
 from freewreath.linmaps import build_tp
 from freewreath.partition import enumerate_partitions
-from freewreath.qnum import QNum, cheb_poly
+from freewreath.qnum import cheb_poly
 
 
 def _projection_oracle(k: int, n: int):
@@ -40,16 +40,34 @@ def projection_oracle():
     return _projection_oracle
 
 
+# Q[sqrt(n)] as (rational, surd) pairs a + b*sqrt(n), sqrt(n) kept formal even
+# for a square n; the oracle of the integer parity split of A_l(sqrt(n)).
+
+
 @cache
-def _cheb_qnum(l: int, n: int) -> QNum:
-    """A_l(sqrt(n)) by Horner's rule on cheb_poly(l), in Q[sqrt(n)] arithmetic."""
-    value, x = QNum.rational(0), QNum.sqrt(n)
+def _cheb_qnum(l: int, n: int) -> tuple:
+    """A_l(sqrt(n)) by Horner's rule on cheb_poly(l): (a, b) -> (b*n + c, a)."""
+    a, b = 0, 0
     for c in reversed(cheb_poly(l)):
-        value = value * x + c
-    return value
+        a, b = b * n + c, a
+    return a, b
+
+
+def _qnum_prod(factors, n: int) -> tuple:
+    """The product of (rational, surd) pairs in Q[sqrt(n)]."""
+    a, b = 1, 0
+    for c, d in factors:
+        a, b = a * c + b * d * n, a * d + b * c
+    return a, b
 
 
 @pytest.fixture
 def cheb_qnum():
-    """(l, n) -> A_l(sqrt(n)) as a QNum, the oracle for the integer route."""
+    """(l, n) -> A_l(sqrt(n)) as a (rational, surd) pair."""
     return _cheb_qnum
+
+
+@pytest.fixture
+def qnum_prod():
+    """(factors, n) -> the product of (rational, surd) pairs in Q[sqrt(n)]."""
+    return _qnum_prod

@@ -1,15 +1,17 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import freewreath
-from freewreath import homspaces, linmaps, partition, weingarten
+from freewreath import cli, homspaces, linmaps, partition, weingarten
 from freewreath.cli import main
 from freewreath.fusion import fusion_from_uri
 from freewreath.homspaces import dim_hom_fusion, parse_star_list
+from freewreath.tl import tl_identity
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
@@ -155,6 +157,112 @@ def test_tl_trace_nonpositive_N_refused(capsys):
         code, out, err = run(capsys, "tl", "trace", "TL(2,2): (1,3)(2,4)",
                              "--N", n)
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+# tl trace of the identity of TL(e, e), whose Markov trace is sqrt(N)^e:
+# (text, --float) for e = 0..9, pinned; 1, 4 and 9 are perfect squares
+TRACE_TABLE = {
+    1: [("1", "1.0")] * 10,
+    2: [("1", "1.0"), ("0 + 1*sqrt(2)", "1.4142135623730951"), ("2", "2.0"),
+        ("0 + 2*sqrt(2)", "2.8284271247461903"), ("4", "4.0"),
+        ("0 + 4*sqrt(2)", "5.656854249492381"), ("8", "8.0"),
+        ("0 + 8*sqrt(2)", "11.313708498984761"), ("16", "16.0"),
+        ("0 + 16*sqrt(2)", "22.627416997969522")],
+    3: [("1", "1.0"), ("0 + 1*sqrt(3)", "1.7320508075688772"), ("3", "3.0"),
+        ("0 + 3*sqrt(3)", "5.196152422706632"), ("9", "9.0"),
+        ("0 + 9*sqrt(3)", "15.588457268119894"), ("27", "27.0"),
+        ("0 + 27*sqrt(3)", "46.76537180435968"), ("81", "81.0"),
+        ("0 + 81*sqrt(3)", "140.29611541307906")],
+    4: [("1", "1.0"), ("2", "2.0"), ("4", "4.0"), ("8", "8.0"), ("16", "16.0"),
+        ("32", "32.0"), ("64", "64.0"), ("128", "128.0"), ("256", "256.0"),
+        ("512", "512.0")],
+    5: [("1", "1.0"), ("0 + 1*sqrt(5)", "2.23606797749979"), ("5", "5.0"),
+        ("0 + 5*sqrt(5)", "11.180339887498949"), ("25", "25.0"),
+        ("0 + 25*sqrt(5)", "55.90169943749474"), ("125", "125.0"),
+        ("0 + 125*sqrt(5)", "279.5084971874737"), ("625", "625.0"),
+        ("0 + 625*sqrt(5)", "1397.5424859373686")],
+    6: [("1", "1.0"), ("0 + 1*sqrt(6)", "2.449489742783178"), ("6", "6.0"),
+        ("0 + 6*sqrt(6)", "14.696938456699067"), ("36", "36.0"),
+        ("0 + 36*sqrt(6)", "88.18163074019441"), ("216", "216.0"),
+        ("0 + 216*sqrt(6)", "529.0897844411664"), ("1296", "1296.0"),
+        ("0 + 1296*sqrt(6)", "3174.5387066469984")],
+    7: [("1", "1.0"), ("0 + 1*sqrt(7)", "2.6457513110645907"), ("7", "7.0"),
+        ("0 + 7*sqrt(7)", "18.520259177452136"), ("49", "49.0"),
+        ("0 + 49*sqrt(7)", "129.64181424216494"), ("343", "343.0"),
+        ("0 + 343*sqrt(7)", "907.4926996951547"), ("2401", "2401.0"),
+        ("0 + 2401*sqrt(7)", "6352.448897866082")],
+    8: [("1", "1.0"), ("0 + 1*sqrt(8)", "2.8284271247461903"), ("8", "8.0"),
+        ("0 + 8*sqrt(8)", "22.627416997969522"), ("64", "64.0"),
+        ("0 + 64*sqrt(8)", "181.01933598375618"), ("512", "512.0"),
+        ("0 + 512*sqrt(8)", "1448.1546878700494"), ("4096", "4096.0"),
+        ("0 + 4096*sqrt(8)", "11585.237502960395")],
+    9: [("1", "1.0"), ("3", "3.0"), ("9", "9.0"), ("27", "27.0"),
+        ("81", "81.0"), ("243", "243.0"), ("729", "729.0"), ("2187", "2187.0"),
+        ("6561", "6561.0"), ("19683", "19683.0")],
+    10: [("1", "1.0"), ("0 + 1*sqrt(10)", "3.1622776601683795"),
+         ("10", "10.0"), ("0 + 10*sqrt(10)", "31.622776601683796"),
+         ("100", "100.0"), ("0 + 100*sqrt(10)", "316.22776601683796"),
+         ("1000", "1000.0"), ("0 + 1000*sqrt(10)", "3162.2776601683795"),
+         ("10000", "10000.0"), ("0 + 10000*sqrt(10)", "31622.776601683796")],
+    11: [("1", "1.0"), ("0 + 1*sqrt(11)", "3.3166247903554"), ("11", "11.0"),
+         ("0 + 11*sqrt(11)", "36.4828726939094"), ("121", "121.0"),
+         ("0 + 121*sqrt(11)", "401.31159963300337"), ("1331", "1331.0"),
+         ("0 + 1331*sqrt(11)", "4414.427595963037"), ("14641", "14641.0"),
+         ("0 + 14641*sqrt(11)", "48558.703555593405")],
+    12: [("1", "1.0"), ("0 + 1*sqrt(12)", "3.4641016151377544"),
+         ("12", "12.0"), ("0 + 12*sqrt(12)", "41.569219381653056"),
+         ("144", "144.0"), ("0 + 144*sqrt(12)", "498.8306325798366"),
+         ("1728", "1728.0"), ("0 + 1728*sqrt(12)", "5985.967590958039"),
+         ("20736", "20736.0"), ("0 + 20736*sqrt(12)", "71831.61109149648")],
+}
+
+
+def test_tl_trace_table(capsys):
+    for n, rows in TRACE_TABLE.items():
+        for e, (text, shown) in enumerate(rows):
+            argv = ("tl", "trace", tl_identity(e).render(), "--N", str(n))
+            assert run(capsys, *argv) == (0, f"{text}\n", ""), (n, e)
+            assert run(capsys, *argv, "--float") == (0, f"{shown}\n", ""), (n, e)
+
+
+@pytest.mark.parametrize("argv", [
+    # sqrt(10^71)^9 is 10^284 * sqrt(10^71): float(10^284) * 3e35 is inf
+    ("tl", "trace", tl_identity(9).render(), "--N", str(10 ** 71)),
+    # sqrt(10^72)^9 = 10^324 and 10^(40 * 10) do not convert to a float
+    ("tl", "trace", tl_identity(9).render(), "--N", str(10 ** 72)),
+    ("tl", "trace", tl_identity(20).render(), "--N", str(10 ** 40)),
+    # the Gram entries N^b are past the float range; the index lines come first
+    ("weingarten", "--k", "2", "--N", str(10 ** 400)),
+])
+def test_float_overflow_refused(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--float")
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def _huge(k):
+    """A moment of order k that passes the float range from k = 2 on."""
+    return Fraction(10) ** (200 * k)
+
+
+@pytest.mark.parametrize("argv, patches", [
+    (("classical", "--n", "4", "--k", "3"),
+     {"classical_wreath_moment": lambda bm, n, k: _huge(k)}),
+    (("partial-trace", "--t", "1/2", "--k", "3"),
+     {"partial_trace_moments": lambda t, bm, k: _huge(k)}),
+    (("char-law", "--rep", "g", "--order", "3"),
+     {"character_moment_wreath": lambda fd, rep, eps: _huge(len(eps)),
+      "free_cumulants_to_moments": lambda cumulants: {
+          eps: _huge(len(eps)) for eps in cumulants}}),
+])
+def test_float_overflow_prints_nothing(capsys, monkeypatch, argv, patches):
+    # no input within the caps reaches the float range in these commands, so
+    # the moments are replaced by ones that do
+    for name, fake in patches.items():
+        monkeypatch.setattr(cli, name, fake)
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--float")
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_tl_collapse(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from freewreath.exactmat import (_reduce_rows, bareiss_det_rank,
                                  bareiss_inverse, gauss_jordan_inverse)
-from freewreath.qnum import QNum, cheb_eval_sqrtN
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
@@ -120,23 +119,24 @@ def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
     assert (det == 0) == (rank < n)
 
 
-def meander_det(k: int, n: int) -> QNum:
-    """Di Francesco's product sqrt(N)^{C_k} prod_j U_j(sqrt N)^{a_{k,j}}."""
+def meander_factors(k: int, n: int, cheb_qnum) -> list:
+    """Di Francesco's product sqrt(N)^{C_k} prod_j U_j(sqrt N)^{a_{k,j}}, as
+    its factors in Q[sqrt(N)]."""
     def binom(top, bottom):
         return math.comb(top, bottom) if bottom >= 0 else 0
 
-    catalan = math.comb(2 * k, k) // (k + 1)
-    det = math.prod([QNum.sqrt(n)] * catalan, start=QNum.rational(1))
+    factors = [(0, 1)] * (math.comb(2 * k, k) // (k + 1))
     for j in range(1, k + 1):
         a = (binom(2 * k, k - j) - 2 * binom(2 * k, k - j - 1)
              + binom(2 * k, k - j - 2))
-        det = math.prod([cheb_eval_sqrtN(j, n)] * a, start=det)
-    return det
+        factors += [cheb_qnum(j, n)] * a
+    return factors
 
 
 @pytest.mark.parametrize("k, ns", [(k, (1, 2, 3, 4, 5, 7, 9)) for k in range(1, 6)]
                          + [(6, (2, 3, 4, 5))])
-def test_gram_det_is_meander_product(k, ns):
+def test_gram_det_is_meander_product(k, ns, cheb_qnum, qnum_prod):
     for n in ns:
-        assert bareiss_det_rank(wg_gram(k, n, 1, "singletons"))[1] \
-            == meander_det(k, n), (k, n)
+        det = qnum_prod(meander_factors(k, n, cheb_qnum), n)
+        assert (bareiss_det_rank(wg_gram(k, n, 1, "singletons"))[1], 0) \
+            == det, (k, n)

@@ -3,13 +3,11 @@ import pytest
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
-from freewreath.qnum import QNum
 from freewreath.tl import (ScaledPartition, TLDiagram, black_regions, cap,
-                           collapse, cup, fatten, markov_trace,
-                           markov_trace_exponent, markov_trace_nc,
+                           collapse, cup, fatten, markov_trace_exponent,
                            nc_closure_components, parse_tl, partial_close,
-                           phi, tl_compose, tl_enumerate, tl_identity,
-                           verify_phi)
+                           phi, sqrt_power, tl_compose, tl_enumerate,
+                           tl_identity, verify_phi)
 
 
 def test_diagram_validation():
@@ -71,13 +69,15 @@ def test_partial_close():
 
 
 def test_markov_trace_values():
-    # tau(id_k) = N^{k/2 * 2 / 2}: closure has k components
-    assert markov_trace(tl_identity(2), 4) == QNum.rational(4)
-    assert markov_trace(tl_identity(2), 5) == QNum.rational(5)
+    # tau(id_k) = sqrt(N)^k: the closure has k components
+    assert markov_trace_exponent(tl_identity(2)) == 2
+    assert sqrt_power(4, 2) == "4" and sqrt_power(5, 2) == "5"
     e = TLDiagram(2, 2, [(1, 2), (3, 4)])
-    assert markov_trace(e, 4) == QNum.rational(2)       # sqrt(4)
-    assert markov_trace(e, 5) == QNum.sqrt(5)
-    assert markov_trace(TLDiagram(0, 0, []), 7) == QNum.rational(1)
+    assert markov_trace_exponent(e) == 1
+    assert sqrt_power(4, 1) == "2"                      # sqrt(4)
+    assert sqrt_power(5, 1) == "0 + 1*sqrt(5)"
+    assert markov_trace_exponent(TLDiagram(0, 0, [])) == 0
+    assert sqrt_power(7, 0) == "1"
 
 
 def test_markov_trace_exponent_matches_closure():
@@ -144,21 +144,26 @@ def test_phi_cap_cup_compose_gives_sqrtN():
     sp = phi(cup()).compose(phi(cap()))
     assert sp.partition == Partition(0, 0, [])
     assert sp.quarters == 2
-    assert sp.coefficient(9) == QNum.rational(3)
-    assert sp.coefficient(5) == QNum.sqrt(5)
+    assert sqrt_power(9, sp.quarters // 2) == "3"
+    assert sqrt_power(5, sp.quarters // 2) == "0 + 1*sqrt(5)"
 
 
 def test_scaled_partition_coefficient_requires_half_powers():
+    # N^(-1/4) stays a quarter power; N^(2/4) is sqrt(N) and renders as one
     sp = ScaledPartition(-1, discrete_partition(0, 1))
+    assert sp.quarters % 2 == 1 and sp.render().startswith("N^(-1/4) * ")
+    half = ScaledPartition(2, full_block(0, 2))
+    assert half.render().startswith("N^(1/2) * ")
+    assert sqrt_power(4, half.quarters // 2) == "2"
     with pytest.raises(ValueError):
-        sp.coefficient(4)
-    assert ScaledPartition(2, full_block(0, 2)).coefficient(4) == QNum.rational(2)
+        sqrt_power(4, -1)
 
 
 def test_nc_closure_and_trace():
     assert nc_closure_components(identity_partition(2)) == 2
     assert nc_closure_components(full_block(2, 2)) == 1
-    assert markov_trace_nc(identity_partition(2), 3) == QNum.rational(9)
+    # the collapsed-side trace N^{components} of id_2 at N = 3
+    assert sqrt_power(3, 2 * nc_closure_components(identity_partition(2))) == "9"
     with pytest.raises(ValueError):
         nc_closure_components(full_block(1, 2))
 

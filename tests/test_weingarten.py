@@ -8,10 +8,9 @@ from freewreath import weingarten
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
 from freewreath.partition import discrete_partition, kernel
-from freewreath.weingarten import (character_moment_via_indices, haar_state,
-                                   inner_partitions, trace_identity,
-                                   wg_certify_asymptotics, wg_gram,
-                                   wg_indices, wg_leading_coeff,
+from freewreath.weingarten import (haar_state, inner_partitions,
+                                   trace_identity, wg_certify_asymptotics,
+                                   wg_gram, wg_indices, wg_leading_coeff,
                                    wg_scaled_errors, wg_table)
 
 
@@ -30,10 +29,10 @@ def test_index_count_is_character_moment():
     fd = quantum_permutation_fusion(4)
     rep = {0: 1, 1: 1}
     for k in range(1, 5):
-        assert character_moment_via_indices(k, "noncrossing") == \
+        assert len(wg_indices(k, "noncrossing")) == \
             character_moment_wreath(fd, rep, plain_eps(k))
     # frozen sequence 1, 3, 12, 55
-    assert [character_moment_via_indices(k) for k in range(1, 5)] == \
+    assert [len(wg_indices(k, "noncrossing")) for k in range(1, 5)] == \
         [1, 3, 12, 55]
 
 
