@@ -17,15 +17,19 @@ counts of ``partition._join_counts``, and :func:`gram_brute` counts the index
 assignments where both maps are nonzero (the two must agree; the brute force
 never takes a join, so it is an independent oracle).
 
+The support of T_p is enumerated once, by ``_support``: each block has a
+base-N weight in the upper and in the lower multi-index, and each of the
+N^blocks value assignments gives one position (j, i) as a pair of integers.
 A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
-nonzero Fractions, with tensor, compose and adjoint; the conjugate equations
-and the Gram brute force use it.  The category check turns each T_p from
-:func:`build_tp` into 0/1 bit rows and columns, one Python int each, and
-compares the three relations through shifts, ANDs and popcounts; its
-partition side (the pairs and their products) is computed once per point
-bound.  A configurable cap (default 10**7) bounds the number of stored
-entries, and the number of composable pairs the category check lists;
-exceeding it raises CapExceededError rather than thrashing.
+nonzero Fractions, with tensor, compose and adjoint; :func:`build_tp` decodes
+the support into index tuples for the conjugate equations and the Gram brute
+force.  The category check ORs the support into 0/1 bit rows and columns, one
+Python int each, and compares the three relations through shifts, ANDs and
+popcounts; its partition side (the pairs and their products, on block
+labels) is computed once per point bound.  A configurable cap (default 10**7)
+bounds the number of stored entries, and the number of composable pairs the
+category check lists; exceeding it raises CapExceededError rather than
+thrashing.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from functools import cache
 from itertools import product
 
 from .config import check_entry_cap, check_enum_cap, check_pair_cap
-from .partition import (Partition, _block_index, _join_counts,
-                        enumerate_partitions, nested_pairing)
+from .partition import (Partition, _compose_labels, _involute_labels,
+                        _join_counts, _tensor_labels, enumerate_partitions,
+                        nested_pairing)
 from .report import VerificationReport
 
 Index = tuple[int, ...]
@@ -140,20 +145,42 @@ def identity_map(k: int, dim: int) -> SparseMap:
     return SparseMap(dim, k, k, entries)
 
 
+def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
+    """The nonzero positions (j, i) of T_p, one per block assignment.
+
+    Each block takes a value in 0..N-1.  A multi-index is read as a base-N
+    number, first letter most significant, so a block adds its value times
+    its weight in the lower row to j and times its weight in the upper row
+    to i.
+    """
+    blocks = p.block_count()
+    check_entry_cap(dim ** blocks)
+    k, n = p.upper, p.points
+    upper, lower = [0] * blocks, [0] * blocks
+    for pt, b in enumerate(p.labels):
+        if pt < k:
+            upper[b] += dim ** (k - 1 - pt)
+        else:
+            lower[b] += dim ** (n - 1 - pt)
+    cells = [(0, 0)]
+    for u, w in zip(upper, lower):
+        steps = [(v * w, v * u) for v in range(dim)]
+        cells = [(j + dj, i + di) for j, i in cells for dj, di in steps]
+    return cells
+
+
 def build_tp(p: Partition, dim: int) -> SparseMap:
-    """The map T_p: one entry per assignment of a value in 1..N to each block."""
-    check_entry_cap(dim ** p.block_count())
-    k, l = p.upper, p.lower
-    # block index feeding each boundary point, split into the two rows
-    owner = _block_index(p.blocks)
-    upper_sel = [owner[pt] for pt in range(1, k + 1)]
-    lower_sel = [owner[pt] for pt in range(k + 1, k + l + 1)]
-    entries = {}
-    for values in product(range(1, dim + 1), repeat=p.block_count()):
-        i = tuple(map(values.__getitem__, upper_sel))
-        j = tuple(map(values.__getitem__, lower_sel))
-        entries[(j, i)] = 1
-    return SparseMap(dim, k, l, entries)
+    """The map T_p: the positions of :func:`_support` as index tuples."""
+    def word(x: int, length: int) -> Index:
+        letters = []
+        for _ in range(length):
+            x, v = divmod(x, dim)
+            letters.append(v + 1)
+        return tuple(reversed(letters))
+
+    return SparseMap(dim, p.upper, p.lower,
+                     {(word(j, p.lower), word(i, p.upper)): 1
+                      for j, i in _support(p, dim)})
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +195,37 @@ def _category_pairs(max_points: int):
     indices into that tuple: (p, q, p tensor q) for every pair with at most
     max_points points in all; (top, bottom, result, closed blocks) for every
     composable pair whose stacked picture has at most max_points points; and
-    the index of p* for each p.
+    the index of p* for each p.  The products are taken on block labels and
+    looked up by (upper, lower, labels); no Partition is built per pair.
     """
     diagrams = tuple(d for total in range(max_points + 1)
                      for k in range(total + 1)
                      for d in enumerate_partitions(k, total - k, "noncrossing"))
-    index = {d: n for n, d in enumerate(diagrams)}
+    shapes = [(d.upper, d.lower) for d in diagrams]
+    labels = [d.labels for d in diagrams]
+    index = {(k, l, lab): n
+             for n, ((k, l), lab) in enumerate(zip(shapes, labels))}
     by_points: dict[int, list[int]] = {}
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for n, d in enumerate(diagrams):
-        by_points.setdefault(d.points, []).append(n)
-        by_shape.setdefault((d.upper, d.lower), []).append(n)
-    tensors = [(a, b, index[p.tensor(diagrams[b])])
-               for a, p in enumerate(diagrams)
-               for total in range(max_points - p.points + 1)
-               for b in by_points[total]]
+    for n, (k, l) in enumerate(shapes):
+        by_points.setdefault(k + l, []).append(n)
+        by_shape.setdefault((k, l), []).append(n)
+    tensors = []
+    for a, (k1, l1) in enumerate(shapes):
+        for total in range(max_points - k1 - l1 + 1):
+            for b in by_points[total]:
+                k2, l2 = shapes[b]
+                tensors.append((a, b, index[k1 + k2, l1 + l2, _tensor_labels(
+                    k1, labels[a], k2, labels[b])]))
     composes = []
     for (k, m), tops in by_shape.items():
         for l in range(max_points - k - m + 1):
             for t in tops:
                 for b in by_shape[m, l]:
-                    res = diagrams[b].compose(diagrams[t])
-                    composes.append((t, b, index[res.partition],
-                                     res.closed_blocks))
-    involutes = [index[d.involute()] for d in diagrams]
+                    res, closed = _compose_labels(k, m, labels[t], labels[b])
+                    composes.append((t, b, index[k, l, res], closed))
+    involutes = [index[l, k, _involute_labels(k, lab)]
+                 for (k, l), lab in zip(shapes, labels)]
     return diagrams, tensors, composes, involutes
 
 
@@ -205,19 +239,14 @@ def _compose_pair_count(max_points: int) -> int:
                for l in range(max_points + 1 - k - m))
 
 
-def _bit_rows(p: Partition, dim: int, position: dict[Index, int]):
-    """T_p from :func:`build_tp` as one bitmask per row and one per column.
+def _bit_rows(p: Partition, dim: int) -> tuple[list[int], list[int]]:
+    """T_p as one bitmask per row and one per column, from :func:`_support`.
 
-    Row j has bit i set when T_p[j, i] = 1, column i has bit j set; a
-    multi-index is read as a base-N number, first letter most significant.
-    Returns None when a stored value is not 1.
+    Row j has bit i set when T_p[j, i] = 1, column i has bit j set.
     """
     rows = [0] * dim ** p.lower
     cols = [0] * dim ** p.upper
-    for (j, i), v in build_tp(p, dim).entries.items():
-        if v != 1:
-            return None
-        j, i = position[j], position[i]
+    for j, i in _support(p, dim):
         rows[j] |= 1 << i
         cols[i] |= 1 << j
     return rows, cols
@@ -260,9 +289,9 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     points, so the dense work is bounded by N**max_points; the involution
     relation runs over single diagrams up to max_points.
 
-    Each T_p comes from :func:`build_tp` and is compared entry by entry,
-    zeros included, as 0/1 bit rows: the Kronecker row of T_p tensor T_q at
-    (j1, j2) is the row of T_p at j1 with bit b moved to b * N^upper(q),
+    Each T_p is compared entry by entry, zeros included, as 0/1 bit rows
+    built from its support: the Kronecker row of T_p tensor T_q at (j1, j2)
+    is the row of T_p at j1 with bit b moved to b * N^upper(q),
     times the row of T_q at j2; the (o, i) entry of T_bottom T_top is the
     popcount of row o of T_bottom and column i of T_top.
     """
@@ -278,16 +307,11 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     check_pair_cap(_compose_pair_count(max_points))
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
-    position = {index: n for r in range(max_points + 1)
-                for n, index in enumerate(product(range(1, dim + 1), repeat=r))}
-    maps = [_bit_rows(d, dim, position) for d in diagrams]
+    maps = [_bit_rows(d, dim) for d in diagrams]
 
     failures = 0
     spread: dict[tuple[int, int], list[int]] = {}
     for a, b, ab in tensors:
-        if None in (maps[a], maps[b], maps[ab]):
-            failures += 1
-            continue
         stride = dim ** diagrams[b].upper
         left = spread.get((a, stride))
         if left is None:
@@ -303,8 +327,8 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
 
     failures = 0
     for top, bottom, res, closed in composes:
-        if None in (maps[top], maps[bottom], maps[res]) or not _product_is(
-                maps[bottom][0], maps[top][1], maps[res][0], dim ** closed):
+        if not _product_is(maps[bottom][0], maps[top][1], maps[res][0],
+                           dim ** closed):
             failures += 1
     rep.add("T_(p compose q) * N^closed = T_p . T_q "
             f"on {len(composes)} stacked pairs", failures == 0,
@@ -312,7 +336,7 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
 
     failures = 0
     for p, star in enumerate(involutes):
-        if None in (maps[p], maps[star]) or maps[star][0] != maps[p][1]:
+        if maps[star][0] != maps[p][1]:
             failures += 1
     rep.add(f"T_(p*) = (T_p)* on {len(diagrams)} diagrams",
             failures == 0, f"{failures} failures")

@@ -21,7 +21,10 @@ Conventions, fixed once and used everywhere:
 Operations: ``tensor`` is horizontal concatenation, ``compose`` is vertical
 concatenation (lower row of the top factor glued to the upper row of the
 bottom factor) together with the count of closed blocks it produces,
-``involute`` turns the picture upside down.  ``join`` is the common coarsening
+``involute`` turns the picture upside down.  All three run on block labels,
+the block index of each point: tensor and involute reorder and renumber
+them, and compose joins the top's lower row to the bottom's upper row by the
+one union-find, ``_merge``, over block ids.  ``join`` is the common coarsening
 in the full partition lattice of the ground set, ``refines`` the comparison,
 and ``kernel`` the level-set partition of an index tuple.
 
@@ -40,6 +43,9 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .config import check_enum_cap
 
 Block = tuple[int, ...]
+# the block index of each point 1..k+l; blocks are ordered by their smallest
+# point, so equal partitions have equal labels
+Labels = tuple[int, ...]
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
@@ -58,12 +64,12 @@ def _block_index(blocks: Iterable[Block]) -> dict[int, int]:
 
 
 def _merge(n: int, chains: Iterable[Sequence[int]],
-           boundary: Iterable[int]) -> tuple[list[list[int]], int]:
+           boundary: Iterable[int]) -> tuple[Labels, int]:
     """Union-find on the points 1..n that merges the points of each chain.
 
-    Returns the classes that meet ``boundary`` as blocks of the labels 1, 2, ...
-    given to its points in the order listed, and the number of classes that
-    miss ``boundary``.
+    Returns the block labels of the points of ``boundary`` in the order
+    listed, the classes numbered 0, 1, ... by first appearance, and the
+    number of classes that miss ``boundary``.
     """
     parent = list(range(n + 1))
 
@@ -81,10 +87,9 @@ def _merge(n: int, chains: Iterable[Sequence[int]],
             if other != root:
                 parent[other] = root
                 classes -= 1
-    groups: dict[int, list[int]] = {}
-    for label, pt in enumerate(boundary, 1):
-        groups.setdefault(find(pt), []).append(label)
-    return list(groups.values()), classes - len(groups)
+    ids: dict[int, int] = {}
+    labels = tuple([ids.setdefault(find(pt), len(ids)) for pt in boundary])
+    return labels, classes - len(ids)
 
 
 def _join_counts(parts: Sequence[Partition]) -> tuple[bytes, ...]:
@@ -95,6 +100,50 @@ def _join_counts(parts: Sequence[Partition]) -> tuple[bytes, ...]:
     return tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
                        for y in parts)
                  for x in parts)
+
+
+# -- category operations on block labels ------------------------------------
+
+
+def _canonical_labels(raw: Iterable[int]) -> Labels:
+    """Blocks renumbered 0, 1, ... in the order of their first point."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(b, len(first)) for b in raw)
+
+
+def _tensor_labels(k1: int, a: Labels, k2: int, b: Labels) -> Labels:
+    """a tensor b, for a with k1 and b with k2 upper points."""
+    shift = max(a, default=-1) + 1
+    moved = [x + shift for x in b]
+    return _canonical_labels(chain(a[:k1], moved[:k2], a[k1:], moved[k2:]))
+
+
+def _compose_labels(k: int, m: int, top: Labels,
+                    bottom: Labels) -> tuple[Labels, int]:
+    """top, with k upper and m lower points, stacked on bottom.
+
+    The blocks of both are the points of the union-find: top's block b is
+    b + 1 and bottom's block c is c + 1 + (top's block count), and the middle
+    row joins the two.  Returns the labels of the result and the number of
+    closed blocks.
+    """
+    shift = max(top, default=-1) + 1
+    return _merge(
+        shift + max(bottom, default=-1) + 1,
+        [(t + 1, shift + c + 1) for t, c in zip(top[k:], bottom[:m])],
+        [t + 1 for t in top[:k]] + [shift + c + 1 for c in bottom[m:]])
+
+
+def _involute_labels(k: int, a: Labels) -> Labels:
+    """a turned upside down, for a with k upper points."""
+    return _canonical_labels(a[k:] + a[:k])
+
+
+def _from_labels(k: int, l: int, labels: Labels) -> Partition:
+    blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for pt, b in enumerate(labels, 1):
+        blocks[b].append(pt)
+    return Partition(k, l, blocks)
 
 
 @dataclass(frozen=True)
@@ -124,6 +173,15 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
+    @property
+    def labels(self) -> Labels:
+        """The block index of each point 1..k+l."""
+        labels = [0] * self.points
+        for b, block in enumerate(self.blocks):
+            for pt in block:
+                labels[pt - 1] = b
+        return tuple(labels)
+
     # -- circular order ----------------------------------------------------
 
     def traversal(self) -> tuple[int, ...]:
@@ -151,17 +209,9 @@ class Partition:
 
     def tensor(self, other: "Partition") -> "Partition":
         """Horizontal concatenation: self on the left, other on the right."""
-        k1, l1, k2, l2 = self.upper, self.lower, other.upper, other.lower
-
-        def shift_self(pt: int) -> int:
-            return pt if pt <= k1 else pt + k2
-
-        def shift_other(pt: int) -> int:
-            return pt + k1 if pt <= k2 else pt + k1 + l1
-
-        blocks = [tuple(shift_self(p) for p in b) for b in self.blocks]
-        blocks += [tuple(shift_other(p) for p in b) for b in other.blocks]
-        return Partition(k1 + k2, l1 + l2, blocks)
+        return _from_labels(self.upper + other.upper, self.lower + other.lower,
+                            _tensor_labels(self.upper, self.labels,
+                                           other.upper, other.labels))
 
     def compose(self, top: "Partition") -> "ComposeResult":
         """Vertical concatenation with ``top`` above ``self``.
@@ -177,24 +227,14 @@ class Partition:
                 f"cannot compose: top has {top.lower} lower points, "
                 f"bottom has {self.upper} upper points"
             )
-        k, m, n_top = top.upper, self.upper, top.points
-        # self's upper row is top's lower row k+1..k+m; its lower row follows
-        # top's points
-        glued = [tuple(pt + k if pt <= m else pt + n_top - m for pt in b)
-                 for b in self.blocks]
-        blocks, closed = _merge(
-            n_top + self.lower, chain(top.blocks, glued),
-            chain(range(1, k + 1), range(n_top + 1, n_top + self.lower + 1)))
-        return ComposeResult(Partition(k, self.lower, blocks), closed)
+        labels, closed = _compose_labels(top.upper, self.upper, top.labels,
+                                         self.labels)
+        return ComposeResult(_from_labels(top.upper, self.lower, labels), closed)
 
     def involute(self) -> "Partition":
         """Upside-down reflection: upper and lower rows trade places."""
-        k, l = self.upper, self.lower
-
-        def flip(pt: int) -> int:
-            return pt + l if pt <= k else pt - k
-
-        return Partition(l, k, [tuple(flip(p) for p in b) for b in self.blocks])
+        return _from_labels(self.lower, self.upper,
+                            _involute_labels(self.upper, self.labels))
 
     # -- lattice operations ------------------------------------------------
 
@@ -202,9 +242,9 @@ class Partition:
         """Common coarsening in the partition lattice of the ground set."""
         if (self.upper, self.lower) != (other.upper, other.lower):
             raise ValueError("join requires identical point sets")
-        blocks, _ = _merge(self.points, self.blocks + other.blocks,
+        labels, _ = _merge(self.points, self.blocks + other.blocks,
                            range(1, self.points + 1))
-        return Partition(self.upper, self.lower, blocks)
+        return _from_labels(self.upper, self.lower, labels)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""

@@ -8,9 +8,10 @@ right-to-left, so the wrap gap is the left edge of the box.
 
 Composition glues boxes vertically; every strand closed in the middle becomes
 a loop worth sqrt(N), so D compose E = N^{loops/2} times a diagram.  The
-Markov trace closes a square diagram strand by strand from the right
-(partial_close implements one step, as conditional expectation to one fewer
-strand) and equals sqrt(N)^{closed curves of the full closure}.
+Markov trace equals sqrt(N)^{closed curves of the full closure}, counted by
+the union-find of the closure; closing strand by strand from the right
+(partial_close, one step as conditional expectation to one fewer strand)
+gives the same count.
 
 The collapsing map identifies the upper points in consecutive pairs
 (1,2),(3,4),... and likewise below, sending TL(2k, 2l) onto the noncrossing
@@ -37,7 +38,8 @@ from fractions import Fraction
 from functools import cache
 
 from .config import check_enum_cap
-from .partition import ComposeResult, Partition, _merge, _position_to_point
+from .partition import (ComposeResult, Partition, _from_labels, _merge,
+                        _position_to_point)
 from .report import VerificationReport
 
 Pair = tuple[int, int]
@@ -184,14 +186,15 @@ def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
 def markov_trace_exponent(d: TLDiagram) -> int:
     """The exponent of sqrt(N) in the Markov trace of a square diagram.
 
-    The trace is sqrt(N)^{closed curves}, counted by iterated partial closing.
+    The trace is sqrt(N)^{closed curves}: the components of the closure,
+    which joins upper point i to lower point i.  A diagram with no upper
+    points has nothing to close and gives 0.
     """
-    total = 0
-    cur = d
-    while cur.upper > 0:
-        cur, loops = partial_close(cur)
-        total += loops
-    return total
+    if d.upper == 0:
+        return 0
+    if d.upper != d.lower:
+        raise ValueError("partial closing needs a square diagram")
+    return nc_closure_components(d.as_partition())
 
 
 def sqrt_power(dim: int, exponent: int, as_float: bool = False) -> str | float:
@@ -225,8 +228,8 @@ def collapse(d: TLDiagram) -> Partition:
         raise ValueError("collapse needs even arities TL(2k, 2l)")
     # the odd points 1, 3, ... stand for the collapsed points in order
     odd = range(1, d.points, 2)
-    blocks, _ = _merge(d.points, d.pairs + tuple((x, x + 1) for x in odd), odd)
-    return Partition(d.upper // 2, d.lower // 2, blocks)
+    labels, _ = _merge(d.points, d.pairs + tuple((x, x + 1) for x in odd), odd)
+    return _from_labels(d.upper // 2, d.lower // 2, labels)
 
 
 def _position(upper: int, lower: int, pt: int) -> int:

@@ -353,7 +353,7 @@ def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("called before the entry cap was checked")
 
-    monkeypatch.setattr(linmaps, "build_tp", never)
+    monkeypatch.setattr(linmaps, "_support", never)
     monkeypatch.setattr(linmaps, "enumerate_partitions", never)
     code, out, err = run(capsys, "verify", "category", "--N", "40")
     assert (code, out) == (2, "")

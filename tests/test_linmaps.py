@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -112,29 +113,76 @@ def test_compose_pair_count_closed_form():
             len(linmaps._category_pairs(p)[2])
 
 
-def _drop_first(entries):
-    del entries[next(iter(entries))]
+# sha256 of _category_pairs(p): each diagram's render() on its own line,
+# then repr((tensors, composes, involutes)); taken from the tables built
+# with Partition objects
+CATEGORY_PAIRS_DIGESTS = (
+    "e62bde35711813e8fe9e7035a31042cbd1d9af3e9cd69a406a8eb2aca4af3370",
+    "2df17ecc440d5d70c2f878dbfe9d9b69828b449499444da618c55b5c21bde9f6",
+    "ecfcda4d34b07db63135e7b7a971781cc0439582fd846628331ea0d4c3e2bf28",
+    "513137262816a220a0ec6a73c69e332d9bd94c7d11fa6f5f791b064088a8b75e",
+    "f2d421c4ee03ca974a2084a209700c99a65041f5c82bff4e5157377876083dee",
+    "21f8a51d492fa69790dd8def6803e3d72659992fae1c824b639982ee7b6d4b96",
+    "49dec30196ba9a77c081844489f575a273e03044eeebf2edda4a68b7df871e82",
+)
 
 
-def _first_to_two(entries):
-    entries[next(iter(entries))] = 2
+@pytest.mark.parametrize("max_points", range(7))
+def test_category_pairs_digest(max_points):
+    diagrams, tensors, composes, involutes = \
+        linmaps._category_pairs(max_points)
+    h = hashlib.sha256()
+    for d in diagrams:
+        h.update(d.render().encode() + b"\n")
+    h.update(repr((tensors, composes, involutes)).encode())
+    assert h.hexdigest() == CATEGORY_PAIRS_DIGESTS[max_points]
 
 
-# a map holding a value other than 1 fails every relation it enters, even
-# p tensor (empty) = p, where both sides carry the same corrupt entry
+def _number(index, n):
+    out = 0
+    for x in index:
+        out = out * n + x - 1
+    return out
+
+
+def test_bit_rows_match_build_tp():
+    # a multi-index is a base-N number, first letter most significant
+    for p in enumerate_partitions(2, 2) + enumerate_partitions(1, 3):
+        for n in (1, 2, 3):
+            rows, cols = [0] * n ** p.lower, [0] * n ** p.upper
+            for (j, i), v in build_tp(p, n).entries.items():
+                j, i = _number(j, n), _number(i, n)
+                rows[j] |= v << i
+                cols[i] |= v << j
+            assert linmaps._bit_rows(p, n) == (rows, cols)
+
+
+def _drop_first(cells):
+    # position (j, i) = (0, 0), every index 1: the entry listed first
+    cells.remove((0, 0))
+
+
+def _add_spurious(cells):
+    # a 1 at lower (2, 1), upper (1,), off the support: j = 1 * 3 + 0, i = 0
+    cells.append((3, 0))
+
+
+# the counts are the ones the check gave when it read the same corruption
+# from build_tp's entries dict
 @pytest.mark.parametrize("corrupt, failures", [(_drop_first, (5, 9, 2)),
-                                               (_first_to_two, (7, 10, 2))])
+                                               (_add_spurious, (5, 6, 2))])
 def test_verify_category_relations_catches_a_corrupt_map(monkeypatch, corrupt,
                                                          failures):
     target = Partition(1, 2, [(1, 2), (3,)])
+    support = linmaps._support
 
-    def corrupted_tp(p, dim):
-        t = build_tp(p, dim)
+    def corrupted_support(p, dim):
+        cells = support(p, dim)
         if p == target:
-            corrupt(t.entries)
-        return t
+            corrupt(cells)
+        return cells
 
-    monkeypatch.setattr(linmaps, "build_tp", corrupted_tp)
+    monkeypatch.setattr(linmaps, "_support", corrupted_support)
     report = verify_category_relations(3, max_points=4)
     assert _failure_counts(report) == failures, report.render()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from freewreath import config
@@ -205,3 +207,76 @@ def test_compose_associative_with_closed_blocks():
                 assert left.partition == right.partition
                 assert (ab.closed_blocks + left.closed_blocks
                         == bc.closed_blocks + right.closed_blocks)
+
+
+def _nc_upto(max_points: int):
+    return [p for n in range(max_points + 1) for k in range(n + 1)
+            for p in enumerate_partitions(k, n - k, mode="noncrossing")]
+
+
+def _composable(max_points: int):
+    """(top, bottom) over noncrossing diagrams whose stacked picture has at
+    most max_points points, by stacked point count."""
+    nc = _nc_upto(max_points)
+    out = {n: [] for n in range(max_points + 1)}
+    for top in nc:
+        for bottom in nc:
+            n = top.points + bottom.lower
+            if bottom.upper == top.lower and n <= max_points:
+                out[n].append((top, bottom))
+    return out
+
+
+# sha256 of "<render> <closed>" lines of bottom.compose(top) over every pair
+# of partitions, crossing ones included, with at most 5 stacked points, in
+# the order of the loops below; taken from the point-based compose
+COMPOSE_ALL_5 = \
+    "45878d231b165351ac0b827266299d24238eba567a8f7a857b4b3701bc01a335"
+
+
+def test_compose_digest_all_partitions():
+    h = hashlib.sha256()
+    for k in range(6):
+        for m in range(6 - k):
+            for l in range(6 - k - m):
+                for top in enumerate_partitions(k, m, mode="all"):
+                    for bottom in enumerate_partitions(m, l, mode="all"):
+                        res = bottom.compose(top)
+                        h.update(f"{res.partition.render()} "
+                                 f"{res.closed_blocks}\n".encode())
+    assert h.hexdigest() == COMPOSE_ALL_5
+
+
+def test_involute_reverses_compose():
+    for pairs in _composable(5).values():
+        for top, bottom in pairs:
+            res = bottom.compose(top)
+            star = top.involute().compose(bottom.involute())
+            assert star.partition == res.partition.involute()
+            assert star.closed_blocks == res.closed_blocks
+            assert res.partition.involute().involute() == res.partition
+
+
+def test_interchange_law():
+    # (p tensor q) . (r tensor s) = (p . r) tensor (q . s), r over p and s
+    # over q, with closed blocks adding up
+    by_points = _composable(5)
+    for n1, first in by_points.items():
+        for n2 in range(6 - n1):
+            for r, p in first:
+                pr = p.compose(r)
+                for s, q in by_points[n2]:
+                    qs = q.compose(s)
+                    res = p.tensor(q).compose(r.tensor(s))
+                    assert res.partition == pr.partition.tensor(qs.partition)
+                    assert res.closed_blocks == \
+                        pr.closed_blocks + qs.closed_blocks
+
+
+def test_identities_are_neutral():
+    empty = Partition(0, 0, [])
+    for p in _nc_upto(5):
+        for res in (p.compose(identity_partition(p.upper)),
+                    identity_partition(p.lower).compose(p)):
+            assert (res.partition, res.closed_blocks) == (p, 0)
+        assert p.tensor(empty) == empty.tensor(p) == p
