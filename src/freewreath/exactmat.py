@@ -1,105 +1,121 @@
 """Exact integer/rational matrix elimination (no floating point).
 
-Integer elimination keeps every row primitive by dividing out its content,
-so entries stay near the size of the result instead of growing to
-determinant-sized minors.  Forward elimination gives rank and determinant,
-the latter through an exact rational factor that undoes each row scaling;
-Gauss-Jordan on [M | I] gives the exact inverse.  One
-plain Fraction Gauss-Jordan, which tolerates rank deficiency, gives kernel
-vectors of singular matrices and, as ``gauss_jordan_inverse``, an oracle
-independent of the integer route: tests/ check it against ``bareiss_inverse``,
-and the weingarten workload of perfbench/ builds its Haar-state oracle with it.
+One integer elimination, ``_eliminate``, gives rank and determinant from its
+forward pass, and the inverse and kernel vectors from an optional backward
+pass.  One plain Fraction Gauss-Jordan is the oracle independent of it: as
+``gauss_jordan_inverse`` tests/ check it against ``bareiss_inverse``, and
+the weingarten workload of perfbench/ builds its Haar-state oracle with it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 IntMatrix = list[list[int]]
 FracMatrix = list[list[Fraction]]
 
 
-def bareiss_det_rank(matrix) -> tuple[int, int]:
-    """(rank, determinant) of a square integer matrix; det is 0 when singular.
-
-    Integer forward elimination that keeps rows primitive, as
-    ``bareiss_inverse`` does: a row below the pivot becomes
-    (pv/g)*row - (fac/g)*pivot_row and is then divided by its content c.
-    Each such step scales the determinant by (pv/g)/c, so the exact rational
-    factor -1 per swap, times c, divided by pv/g undoes them all, and
-    det = factor * (product of the pivots).  The rank is the number of
-    pivots.  The name is kept from the former Bareiss version:
-    perfbench/tracer.py hooks it and the weingarten workload of perfbench/
-    calls it.
-    """
+def _square_ints(matrix) -> IntMatrix:
+    """A fresh copy of a square matrix of ints; ValueError if not square."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    a = [[int(x) for x in row] for row in matrix]
-    factor = Fraction(1)
+    return [[index(x) for x in row] for row in matrix]
+
+
+def _clear(a: IntMatrix, r: int, top: int, col: int) -> tuple[int, int]:
+    """Clear a[r][col] != 0 with the pivot row a[top]; returns (c, p)."""
+    pv, fac = a[top][col], a[r][col]
+    g = math.gcd(pv, fac)
+    p, f = pv // g, fac // g
+    row = [p * x - f * y for x, y in zip(a[r], a[top])]
+    content = math.gcd(*row)
+    a[r] = [x // content for x in row] if content > 1 else row
+    return content, p
+
+
+def _eliminate(a: IntMatrix, cols: int, back: bool
+               ) -> tuple[list[int], int, int]:
+    """Integer elimination on the first cols columns of the rows a, in place.
+
+    A row with entry fac in the column of the pivot pv becomes p*row -
+    f*pivot_row, p, f = pv/g, fac/g for g = gcd(pv, fac), divided by its
+    content c: every division is exact, and entries stay near result size.
+    The forward pass leaves a in row echelon form and returns the pivot
+    columns and num/den, the product of -1 per swap and of c/p per step:
+    for square a, det = num * (product of the diagonal) / den.  The backward
+    pass (if back), last pivot first, then clears the entries above the
+    pivots, leaving each pivot row a multiple of its reduced echelon row.
+    """
+    num = den = 1
     pivots: list[int] = []
-    for col in range(n):
+    for col in range(cols):
         top = len(pivots)
-        piv = next((r for r in range(top, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
         if piv != top:
             a[top], a[piv] = a[piv], a[top]
-            factor = -factor
-        pivot_row = a[top]
-        pv = pivot_row[col]
-        for r in range(top + 1, n):
-            fac = a[r][col]
-            if fac == 0:
-                continue
-            g = math.gcd(pv, fac)
-            p, f = pv // g, fac // g
-            row = [p * x - f * y for x, y in zip(a[r], pivot_row)]
-            content = math.gcd(*row)
-            if content > 1:
-                row = [x // content for x in row]
-                factor *= content
-            a[r] = row
-            factor /= p
-        pivots.append(pv)
-    if len(pivots) < n:
-        return len(pivots), 0
-    return n, int(factor * math.prod(pivots))
+            num = -num
+        pivots.append(col)
+        for r in range(top + 1, len(a)):
+            if a[r][col] != 0:
+                content, p = _clear(a, r, top, col)
+                num *= content
+                den *= p
+    for top in reversed(range(len(pivots)) if back else ()):
+        for r in range(top):
+            if a[r][pivots[top]] != 0:
+                _clear(a, r, top, pivots[top])
+    return pivots, num, den
+
+
+def bareiss_det_rank(matrix) -> tuple[int, int]:
+    """(rank, determinant) of a square integer matrix; det is 0 when singular.
+
+    The forward pass of ``_eliminate``.  The former Bareiss name stays:
+    perfbench/tracer.py hooks it and perfbench/'s weingarten workload calls it.
+    """
+    a = _square_ints(matrix)
+    n = len(a)
+    pivots, num, den = _eliminate(a, n, back=False)
+    return len(pivots), num * math.prod(a[r][r] for r in range(n)) // den
 
 
 def bareiss_inverse(matrix) -> FracMatrix:
     """Exact inverse of a square integer matrix via fraction-free elimination.
 
-    Integer Gauss-Jordan on the augmented [M | I]: each elimination step
-    replaces a row by (pv/g)*row - (fac/g)*pivot_row with g = gcd(pv, fac),
-    and then divides the row by the gcd of its entries, so every division is
-    exact and entries stay near the size of the result instead of growing to
-    determinant size.  Row r then reads a[r][r] * e_r | a[r][r] * (row r of
-    the inverse).  Raises ZeroDivisionError on singular input.  The name is
-    kept from the former Bareiss-Jordan version: perfbench/tracer.py hooks it
-    and the exactmat.inverse_s sweeps of perfbench/ call it.
+    Both passes of ``_eliminate`` on [M | I] leave row r as a[r][r] * e_r |
+    a[r][r] * W_r for the inverse W; ZeroDivisionError if M is singular.
+    The former Bareiss-Jordan name stays: perfbench/tracer.py hooks it and
+    reads its Fraction denominators, and perfbench/'s inverse sweeps call it.
     """
     n = len(matrix)
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pivot_row = a[col]
-        pv = pivot_row[col]
-        for r in range(n):
-            fac = a[r][col]
-            if r == col or fac == 0:
-                continue
-            g = math.gcd(pv, fac)
-            p, f = pv // g, fac // g
-            row = [p * x - f * y for x, y in zip(a[r], pivot_row)]
-            content = math.gcd(*row)
-            a[r] = [x // content for x in row] if content > 1 else row
+    a = [row + [int(i == j) for j in range(n)]
+         for i, row in enumerate(_square_ints(matrix))]
+    if len(_eliminate(a, n, back=True)[0]) < n:
+        raise ZeroDivisionError("matrix is singular")
     return [[Fraction(x, a[r][r]) for x in a[r][n:]] for r in range(n)]
+
+
+def kernel_vector(matrix) -> list[Fraction] | None:
+    """A nonzero rational kernel vector of a square integer matrix, or None.
+
+    Both passes of ``_eliminate``; the first free column c gets 1 and pivot
+    column p_r gets -a[r][c] / a[r][p_r], as in the reduced echelon form.
+    """
+    a = _square_ints(matrix)
+    n = len(a)
+    pivots = _eliminate(a, n, back=True)[0]
+    if len(pivots) == n:
+        return None
+    free_col = next(c for c in range(n) if c not in pivots)
+    vec = [Fraction(c == free_col) for c in range(n)]
+    for r, c in enumerate(pivots):
+        vec[c] = Fraction(-a[r][free_col], a[r][c])
+    return vec
 
 
 def _reduce_rows(a: FracMatrix, cols: int) -> list[int]:
@@ -130,18 +146,3 @@ def gauss_jordan_inverse(matrix) -> FracMatrix:
     if len(_reduce_rows(a, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in a]
-
-
-def kernel_vector(matrix) -> list[Fraction] | None:
-    """A nonzero rational kernel vector of a square matrix, or None."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pivots = _reduce_rows(a, n)
-    if len(pivots) == n:
-        return None
-    free_col = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free_col] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -a[r][free_col]
-    return vec

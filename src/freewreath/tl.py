@@ -187,11 +187,9 @@ def markov_trace_exponent(d: TLDiagram) -> int:
     """The exponent of sqrt(N) in the Markov trace of a square diagram.
 
     The trace is sqrt(N)^{closed curves}: the components of the closure,
-    which joins upper point i to lower point i.  A diagram with no upper
-    points has nothing to close and gives 0.
+    which joins upper point i to lower point i.  A non-square diagram is
+    refused with ValueError.
     """
-    if d.upper == 0:
-        return 0
     if d.upper != d.lower:
         raise ValueError("partial closing needs a square diagram")
     return nc_closure_components(d.as_partition())

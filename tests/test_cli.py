@@ -152,6 +152,16 @@ def test_tl_trace(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize("diagram", ["TL(0,2): (1,2)", "TL(2,0): (1,2)"])
+def test_tl_trace_non_square_refused(capsys, diagram):
+    code, out, err = run(capsys, "tl", "trace", diagram, "--N", "4")
+    assert code == 1 and out == "" and "square" in err
+
+
+def test_tl_trace_empty_diagram(capsys):
+    assert run(capsys, "tl", "trace", "TL(0,0):", "--N", "4") == (0, "1\n", "")
+
+
 def test_tl_trace_nonpositive_N_refused(capsys):
     for n in ("-3", "0"):
         code, out, err = run(capsys, "tl", "trace", "TL(2,2): (1,3)(2,4)",

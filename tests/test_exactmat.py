@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewreath.exactmat import (_reduce_rows, bareiss_det_rank,
-                                 bareiss_inverse, gauss_jordan_inverse)
+                                 bareiss_inverse, gauss_jordan_inverse,
+                                 kernel_vector)
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
@@ -101,22 +102,71 @@ def leibniz_det(matrix) -> int:
     return total
 
 
-@DERANDOMIZED
-@given(square_matrices(), st.integers(0, 6),
-       st.lists(st.integers(-2, 2), min_size=36, max_size=36))
-def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
-    # the last `dependent` rows become combinations of the leading ones
+def make_dependent(matrix, dependent, coeffs) -> int:
+    """Make the last `dependent` rows combinations of the leading ones, in
+    place; returns the number of leading rows kept."""
     n = len(matrix)
     free = n - min(dependent, n)
     for i in range(free, n):
         matrix[i] = [sum(c * x for c, x in zip(coeffs[6 * i:], column))
                      for column in zip(*matrix[:free])] or [0] * n
+    return free
+
+
+DEPENDENT_ROWS = (square_matrices(), st.integers(0, 6),
+                  st.lists(st.integers(-2, 2), min_size=36, max_size=36))
+
+
+@DERANDOMIZED
+@given(*DEPENDENT_ROWS)
+def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
+    n = len(matrix)
+    free = make_dependent(matrix, dependent, coeffs)
     rank, det = bareiss_det_rank(matrix)
     assert det == leibniz_det(matrix)
     assert rank == len(_reduce_rows([[Fraction(x) for x in row]
                                      for row in matrix], n))
     assert rank <= free
     assert (det == 0) == (rank < n)
+
+
+@DERANDOMIZED
+@given(*DEPENDENT_ROWS)
+def test_kernel_vector_matches_reduction(matrix, dependent, coeffs):
+    make_dependent(matrix, dependent, coeffs)
+    n = len(matrix)
+    # the oracle: the first free column of the reduced row echelon form
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots = _reduce_rows(a, n)
+    free_col = next((c for c in range(n) if c not in pivots), None)
+    expected = None
+    if free_col is not None:
+        expected = [Fraction(c == free_col) for c in range(n)]
+        for r, c in enumerate(pivots):
+            expected[c] = -a[r][free_col]
+    vec = kernel_vector(matrix)
+    assert vec == expected
+    assert (vec is None) == (bareiss_det_rank(matrix)[0] == n)
+    if vec is not None:
+        assert [sum(x * v for x, v in zip(row, vec)) for row in matrix] \
+            == [0] * n
+
+
+@pytest.mark.parametrize("function",
+                         (bareiss_det_rank, bareiss_inverse, kernel_vector))
+@pytest.mark.parametrize("matrix", ([[1, 2]], [[1], [2]], [[1, 2], [3]],
+                                    [[1, 2, 3], [4, 5, 6]]))
+def test_non_square_refused(function, matrix):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        function(matrix)
+
+
+@pytest.mark.parametrize("function",
+                         (bareiss_det_rank, bareiss_inverse, kernel_vector))
+def test_non_integer_refused(function):
+    # int() would truncate 1/2 to 0 and turn this singular matrix regular
+    with pytest.raises(TypeError):
+        function([[Fraction(1, 2), 1], [1, 2]])
 
 
 def meander_factors(k: int, n: int, cheb_qnum) -> list:
