@@ -11,16 +11,19 @@ Three independent computations meet here:
 * moment route: the eps-moments of chi(r(a)) are Hom dimensions
   dim Hom(1, r(a)^{eps_1} x ... x r(a)^{eps_k}), delegated to the partition
   route of :mod:`freewreath.homspaces`, whose sum over decorated noncrossing
-  partitions runs as the first-block sum below with trivial multiplicities
-  in G as cumulants (the enumeration of those partitions is its oracle);
+  partitions runs as the recursion on the first block with trivial
+  multiplicities in G as cumulants, all blocks from one start carried as one
+  element of the fusion ring of G (the enumeration of those partitions is
+  its oracle);
 
 * cumulant route: a free compound Poisson law of rate t with jump law mu has
   free cumulants k(eps) = t * m_mu(eps); the moment/cumulant dictionaries are
   converted by the recursion on the block B that holds the first letter
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
-  that B leaves.  The one implementation of that sum, ``_nc_sum``, lives in
-  :mod:`freewreath.homspaces`;
+  that B leaves.  That sum over the choices of B, ``_nc_sum``, lives in
+  :mod:`freewreath.homspaces`; the moment route does not use it, so the two
+  routes stay independent;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with

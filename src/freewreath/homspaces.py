@@ -15,11 +15,14 @@ word w = (conj a_k, ..., conj a_1, b_1, ..., b_l): it goes once around the
 circle on which NC(k,l) is drawn, so NC(k,l) is NC(|w|) on this linear order
 and each block's decoration is w restricted to the block.  The sum is then a
 moment-cumulant sum with the trivial multiplicity as cumulant, evaluated by
-the recursion on the block of the first letter (:func:`_nc_sum`, shared with
-:mod:`freewreath.freeprob`), with moments memoised on the contiguous subwords
-of w: about 2^(|w|+1) block choices in place of Catalan(|w|) partitions.
-The enumerating sum over decorated partitions (:func:`hom_terms`) stays as
-the oracle for it.
+the recursion on the block of the first letter.  The generic form of that
+recursion, :func:`_nc_sum` (shared with :mod:`freewreath.freeprob`), tries
+the 2^(|w|-1) choices of the block one by one.  Here a block's weight is
+linear in the tensor product of its letters, so all partial blocks from one
+start are carried together as one element of the fusion ring
+(:func:`_boundary_moment`): O(|w|^2) tensor steps and O(|w|^3) integer
+additions in place of Catalan(|w|) partitions.  The enumerating sum over
+decorated partitions (:func:`hom_terms`) stays as the oracle for it.
 
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words and pair up the multiplicity vectors.
@@ -41,12 +44,15 @@ from .fusion import FusionData, Word, fuse
 from .partition import Partition, enumerate_partitions
 
 
-def tensor_fold(fd: FusionData, factors: Sequence) -> dict:
+def tensor_fold(fd: FusionData, factors: Sequence,
+                start: dict | None = None) -> dict:
     """Irreducible multiplicities of the tensor product of the factors, in order.
 
     A factor is a label->multiplicity dict; a bare label stands for {label: 1}.
+    The product is taken on the right of ``start``, a label->multiplicity
+    dict, or of the trivial representation.
     """
-    acc = {fd.trivial(): 1}
+    acc = {fd.trivial(): 1} if start is None else start
     for factor in factors:
         terms = factor.items() if isinstance(factor, dict) else ((factor, 1),)
         nxt: dict = {}
@@ -169,13 +175,50 @@ def _nc_moment(cumulant: Callable, word: tuple):
     return moments[word]
 
 
+def _boundary_moment(fd: FusionData, word: Word) -> int:
+    """Sum over NC(|word|) of the product of the block trivial multiplicities.
+
+    m[i][j] is that sum for word[i:j] (m[i][i] = 1).  For a start i, taken
+    from the right, v[t] is the sum over the partial blocks from i to t of
+    the tensor product of their letters times the moments of their inner
+    gaps: v[i] = word[i] and v[t] = (sum over i <= r < t of
+    m[r+1][t] v[r]) x word[t], one tensor step.  Closing the block at t
+    leaves the gap word[t+1:j], so
+    m[i][j] = sum over i <= t < j of <1, v[t]> m[t+1][j].
+    """
+    n = len(word)
+    one = fd.trivial()
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    m[n][n] = 1
+    for i in range(n - 1, -1, -1):
+        v = [{word[i]: 1}]
+        for t in range(i + 1, n):
+            acc: dict = {}
+            for r in range(i, t):
+                c = m[r + 1][t]
+                if c:
+                    for a, x in v[r - i].items():
+                        acc[a] = acc.get(a, 0) + c * x
+            v.append(tensor_fold(fd, (word[t],), acc) if acc else {})
+        row = m[i]
+        row[i] = 1
+        for t, vt in enumerate(v, i):
+            c = vt.get(one, 0)
+            if c:
+                gaps = m[t + 1]
+                for j in range(t + 1, n + 1):
+                    row[j] += c * gaps[j]
+    return m[0][n]
+
+
 def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
-    """Hom dimension as the first-block sum over the boundary word."""
+    """Hom dimension by the fusion-ring-valued first-block recursion over the
+    boundary word (conj u_k, ..., conj u_1, v_1, ..., v_l)."""
     for letter in up + down:
         fd.check_label(letter)
     check_enum_cap(len(up) + len(down))
     boundary = tuple(fd.conj(a) for a in reversed(up)) + tuple(down)
-    return _nc_moment(lambda letters: trivial_mult(fd, letters), boundary)
+    return _boundary_moment(fd, boundary)
 
 
 def basic_rep_decomposition(letter, fd: FusionData) -> Counter:

@@ -191,7 +191,7 @@ def markov_trace_exponent(d: TLDiagram) -> int:
     refused with ValueError.
     """
     if d.upper != d.lower:
-        raise ValueError("partial closing needs a square diagram")
+        raise ValueError("the Markov trace needs a square diagram")
     return nc_closure_components(d.as_partition())
 
 

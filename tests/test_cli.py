@@ -156,6 +156,7 @@ def test_tl_trace(capsys):
 def test_tl_trace_non_square_refused(capsys, diagram):
     code, out, err = run(capsys, "tl", "trace", diagram, "--N", "4")
     assert code == 1 and out == "" and "square" in err
+    assert "partial closing" not in err
 
 
 def test_tl_trace_empty_diagram(capsys):

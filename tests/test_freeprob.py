@@ -179,10 +179,13 @@ def test_cap_checked_before_any_sum(monkeypatch):
     def refuse(*args):
         raise AssertionError("summed before the cap was checked")
 
-    # the one first-block sum lives in homspaces; freeprob holds a copy of
-    # the binding, so both are replaced
+    # the first-block sum over block choices lives in homspaces and freeprob
+    # holds a copy of the binding, so both are replaced; the Hom partition
+    # route runs its own recursion on tensor_fold, so both are replaced too
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
     monkeypatch.setattr(homspaces, "_nc_sum", refuse)
+    monkeypatch.setattr(homspaces, "_boundary_moment", refuse)
+    monkeypatch.setattr(homspaces, "tensor_fold", refuse)
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
     with pytest.raises(CapExceededError):

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
-                               symmetric_group_3, symmetric_group_3_fusion,
-                               trivial_fusion)
-from freewreath.homspaces import (basic_rep_decomposition, block_trivial_mult,
-                                  dim_hom_fusion, dim_hom_partition,
-                                  dim_hom_wreath, hom_terms,
-                                  parse_star_list, tensor_fold,
+                               integers_fusion, symmetric_group_3,
+                               symmetric_group_3_fusion, trivial_fusion)
+from freewreath.homspaces import (_nc_moment, basic_rep_decomposition,
+                                  block_trivial_mult, dim_hom_fusion,
+                                  dim_hom_partition, dim_hom_wreath,
+                                  hom_terms, parse_star_list, tensor_fold,
                                   trivial_mult, word_tensor_decomposition)
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
 TRIV = trivial_fusion()
 S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
+INTEGERS = integers_fusion()  # infinitely many labels: labels() is None
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         database=None)
@@ -28,6 +29,13 @@ def test_tensor_fold():
     assert tensor_fold(Z2, ("g", "g")) == {"1": 1}
     assert tensor_fold(S3, ("std", "std")) == {"triv": 1, "sgn": 1, "std": 1}
     assert trivial_mult(S3, ("std", "std", "std")) == 1
+    # a start vector is multiplied on the left of the factors
+    assert tensor_fold(S3, ("std",), {"sgn": 2, "std": 1}) == \
+        {"std": 3, "triv": 1, "sgn": 1}
+    swap, cycle = "213", "231"
+    assert tensor_fold(S3_DUAL, (cycle,), {swap: 1}) == \
+        tensor_fold(S3_DUAL, (swap, cycle)) != \
+        tensor_fold(S3_DUAL, (cycle, swap))
 
 
 def test_block_trivial_mult_conjugates_upper():
@@ -147,9 +155,32 @@ def test_first_block_sum_matches_enumeration():
 
 
 def test_first_block_sum_matches_fusion_route_std_powers():
-    values = [dim_hom_partition((), ("std",) * n, S3) for n in range(13)]
-    assert values == [dim_hom_fusion((), ("std",) * n, S3) for n in range(13)]
+    # up to 14 letters, the enumeration cap
+    values = [dim_hom_partition((), ("std",) * n, S3) for n in range(15)]
+    assert values == [dim_hom_fusion((), ("std",) * n, S3) for n in range(15)]
     assert values[12] == 35537
+    assert values[14] == 394873
+
+
+def test_first_block_recursion_makes_quadratically_many_tensor_calls():
+    # the partial blocks from one start are carried as one fusion-ring
+    # element: one tensor step per (start, end) pair, each at most one
+    # tensor call per irreducible in its support
+    fd = symmetric_group_3_fusion()
+    calls = []
+    tensor = fd.tensor
+
+    def counted(a, b):
+        calls.append((a, b))
+        return tensor(a, b)
+
+    fd.tensor = counted
+    word = ("std", "sgn", "std", "triv", "std", "std", "sgn") * 2
+    up, down = word[:5], word[5:]
+    n = len(word)
+    value = dim_hom_partition(up, down, fd)
+    assert len(calls) <= len(fd.labels()) * n * (n + 1) // 2
+    assert value == dim_hom_fusion(up, down, S3)
 
 
 def _bend(up, fd):
@@ -161,6 +192,28 @@ def ring_and_split(draw, max_len):
     fd = draw(st.sampled_from((Z2, Z3, S3, S3_DUAL)))
     letters = st.lists(st.sampled_from(fd.labels()), max_size=max_len)
     return fd, tuple(draw(letters)), tuple(draw(letters))
+
+
+@st.composite
+def ring_and_word_split(draw, max_len):
+    fd, labels = draw(st.sampled_from(
+        [(fd, fd.labels()) for fd in (Z2, Z3, S3, S3_DUAL)]
+        + [(INTEGERS, tuple(range(-2, 3)))]))
+    word = tuple(draw(st.lists(st.sampled_from(labels), max_size=max_len)))
+    k = draw(st.integers(0, len(word)))
+    return fd, word[:k], word[k:]
+
+
+@DERANDOMIZED
+@given(ring_and_word_split(8))
+def test_three_partition_routes_agree(case):
+    # the fusion-ring-valued recursion, the first-block sum over block
+    # choices with memoised trivial multiplicities, and the enumeration
+    fd, up, down = case
+    by_blocks = _nc_moment(lambda letters: trivial_mult(fd, letters),
+                           _bend(up, fd) + down)
+    assert dim_hom_partition(up, down, fd) == by_blocks == \
+        _oracle(up, down, fd)
 
 
 @DERANDOMIZED
