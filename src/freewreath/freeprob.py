@@ -21,9 +21,8 @@ Three independent computations meet here:
   converted by the recursion on the block B that holds the first letter
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
-  that B leaves.  That sum over the choices of B, ``_nc_sum``, lives in
-  :mod:`freewreath.homspaces`; the moment route does not use it, so the two
-  routes stay independent;
+  that B leaves.  That sum over the choices of B is ``_nc_sum`` here; the
+  moment route does not use it, so the two routes stay independent;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -47,7 +46,7 @@ from typing import Callable, Iterable
 
 from .config import check_enum_cap
 from .fusion import FusionData
-from .homspaces import _nc_moment, _nc_sum, dim_hom_wreath, tensor_fold
+from .homspaces import dim_hom_wreath, tensor_fold
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -114,6 +113,53 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
 
 # ---------------------------------------------------------------------------
 # noncrossing moment/cumulant transforms on eps-indexed families
+
+
+class _Memo(dict):
+    """A dict that computes a missing value as fn(key) and keeps it."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _nc_sum(cumulants, moments, word: tuple):
+    """Sum over NC(|word|) of prod over blocks of cumulants[word|block].
+
+    The noncrossing partitions are grouped by the block B that holds the first
+    letter.  The letters strictly between two points of B, or after its last
+    point, form a gap; no other block crosses B, so the rest of the partition
+    is any noncrossing partition of each gap, and the gaps contribute their
+    moments: the sum is that of k(word|B) * prod m(gap) over the 2^(|word|-1)
+    choices of B (Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, 2006, Lecture 10).  ``moments`` must hold, or compute on
+    lookup, every contiguous subword shorter than word.
+    """
+    n = len(word)
+    if n == 0:
+        return 1  # the empty partition, which has no first block
+    total = 0
+    for size in range(n):
+        for rest in itertools.combinations(range(1, n), size):
+            block = (0, *rest)
+            term = cumulants[tuple(word[i] for i in block)]
+            for a, b in zip(block, (*rest, n)):
+                if b > a + 1:
+                    term *= moments[word[a + 1:b]]
+            total += term
+    return total
+
+
+def _nc_moment(cumulant: Callable, word: tuple):
+    """_nc_sum of one word, with cumulant(letters) and the moments of its
+    contiguous subwords computed on demand and memoised for this call only."""
+    cumulants = _Memo(cumulant)
+    moments = _Memo(lambda sub: _nc_sum(cumulants, moments, sub))
+    return moments[word]
 
 
 def free_cumulants_to_moments(cumulants: dict) -> dict:

@@ -148,7 +148,7 @@ class FusionData(ABC):
 
     @abstractmethod
     def tensor(self, a: Label, b: Label) -> dict:
-        """Multiplicities of the irreducible constituents of a tensor b."""
+        """Constituent multiplicities of a tensor b, read-only to callers."""
 
     def labels(self) -> tuple | None:
         """The full label list for finite data, None for infinite oracles."""
@@ -215,11 +215,12 @@ class TableFusion(FusionData):
     def __init__(self, labels: Sequence[str], dims: dict, trivial: str,
                  conj: dict, tensor: dict, name: str = "table"):
         self._labels = tuple(labels)
+        self._label_set = frozenset(self._labels)
         self._dims = dict(dims)
         self._trivial = trivial
         self._conj = dict(conj)
         self._tensor = {k: {c: int(m) for c, m in v.items() if m}
-                        for k, v in tensor.items()}
+                        for k, v in tensor.items() if set(k) <= self._label_set}
         self.name = name
         for a in self._labels:
             if a not in self._dims:
@@ -244,12 +245,18 @@ class TableFusion(FusionData):
         return self._conj[label]
 
     def tensor(self, a, b):
-        self.check_label(a)
-        self.check_label(b)
-        return dict(self._tensor[(a, b)])
+        try:
+            return self._tensor[(a, b)]
+        except KeyError:
+            bad = b if a in self._label_set else a
+            raise ValueError(f"unknown irreducible label {bad!r}") from None
 
     def labels(self):
         return self._labels
+
+    def check_label(self, label):
+        if label not in self._label_set:
+            raise ValueError(f"unknown irreducible label {label!r}")
 
     def to_json(self) -> str:
         doc = {
@@ -519,8 +526,10 @@ def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> Counter:
 
     Returns a Counter over words.  method="direct" uses the closed splitting
     formula; method="free-product" applies the free-product rule to the
-    reduced words; both agree.
+    reduced words; both agree.  The letters are checked here, once.
     """
+    for letter in x + y:
+        fd.check_label(letter)
     if method == "direct":
         return fuse_direct(x, y, fd)
     if method == "free-product":

@@ -16,8 +16,8 @@ circle on which NC(k,l) is drawn, so NC(k,l) is NC(|w|) on this linear order
 and each block's decoration is w restricted to the block.  The sum is then a
 moment-cumulant sum with the trivial multiplicity as cumulant, evaluated by
 the recursion on the block of the first letter.  The generic form of that
-recursion, :func:`_nc_sum` (shared with :mod:`freewreath.freeprob`), tries
-the 2^(|w|-1) choices of the block one by one.  Here a block's weight is
+recursion, ``_nc_sum`` in :mod:`freewreath.freeprob`, tries the 2^(|w|-1)
+choices of the block one by one.  Here a block's weight is
 linear in the tensor product of its letters, so all partial blocks from one
 start are carried together as one element of the fusion ring
 (:func:`_boundary_moment`): O(|w|^2) tensor steps and O(|w|^3) integer
@@ -25,8 +25,8 @@ additions in place of Catalan(|w|) partitions.  The enumerating sum over
 decorated partitions (:func:`hom_terms`) stays as the oracle for it.
 
 The same dimension is computable through the fusion ring: decompose both
-tensor products into irreducible words and pair up the multiplicity vectors.
-The two routes are independent implementations and must agree.
+tensor products into irreducible words, one letter at a time, and pair up
+the multiplicity vectors.  The two routes are independent and must agree.
 
 Letters may carry a conjugation star in text form ("g,g2*"); a starred letter
 stands for the conjugate representation and is resolved at parse time.
@@ -34,13 +34,11 @@ stands for the conjugate representation and is resolved at parse time.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import check_enum_cap
-from .fusion import FusionData, Word, fuse
+from .fusion import FusionData, Word
 from .partition import Partition, enumerate_partitions
 
 
@@ -128,53 +126,6 @@ def hom_terms(up: Word, down: Word, fd: FusionData,
     return tuple(out)
 
 
-class _Memo(dict):
-    """A dict that computes a missing value as fn(key) and keeps it."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _nc_sum(cumulants, moments, word: tuple):
-    """Sum over NC(|word|) of prod over blocks of cumulants[word|block].
-
-    The noncrossing partitions are grouped by the block B that holds the first
-    letter.  The letters strictly between two points of B, or after its last
-    point, form a gap; no other block crosses B, so the rest of the partition
-    is any noncrossing partition of each gap, and the gaps contribute their
-    moments: the sum is that of k(word|B) * prod m(gap) over the 2^(|word|-1)
-    choices of B (Nica-Speicher, Lectures on the Combinatorics of Free
-    Probability, 2006, Lecture 10).  ``moments`` must hold, or compute on
-    lookup, every contiguous subword shorter than word.
-    """
-    n = len(word)
-    if n == 0:
-        return 1  # the empty partition, which has no first block
-    total = 0
-    for size in range(n):
-        for rest in itertools.combinations(range(1, n), size):
-            block = (0, *rest)
-            term = cumulants[tuple(word[i] for i in block)]
-            for a, b in zip(block, (*rest, n)):
-                if b > a + 1:
-                    term *= moments[word[a + 1:b]]
-            total += term
-    return total
-
-
-def _nc_moment(cumulant: Callable, word: tuple):
-    """_nc_sum of one word, with cumulant(letters) and the moments of its
-    contiguous subwords computed on demand and memoised for this call only."""
-    cumulants = _Memo(cumulant)
-    moments = _Memo(lambda sub: _nc_sum(cumulants, moments, sub))
-    return moments[word]
-
-
 def _boundary_moment(fd: FusionData, word: Word) -> int:
     """Sum over NC(|word|) of the product of the block trivial multiplicities.
 
@@ -221,30 +172,31 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
     return _boundary_moment(fd, boundary)
 
 
-def basic_rep_decomposition(letter, fd: FusionData) -> Counter:
-    """Irreducible constituents of the basic representation r(a).
+def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:
+    """Decompose r(a_1) x ... x r(a_k) into irreducible word representations.
 
-    For a nontrivial letter r(a) is the irreducible word (a); for the trivial
-    letter the basic representation on N-space with trivial decoration splits
-    off a copy of the trivial representation, r(1) = 1 + (1).
+    One letter at a time: the fusion rule splits w x (a) at two cuts, into
+    w.(a) with w[:-1].(gamma) for gamma in last(w) x a, and w[:-1] when
+    last(w) = conj(a); for the trivial letter r(1) = () + (1) adds w itself.
     """
-    fd.check_label(letter)
-    out = Counter({(letter,): 1})
-    if letter == fd.trivial():
-        out[()] += 1
-    return out
-
-
-def word_tensor_decomposition(letters: Word, fd: FusionData) -> Counter:
-    """Decompose r(a_1) x ... x r(a_k) into irreducible word representations."""
-    acc: Counter = Counter({(): 1})
     for letter in letters:
-        basic = basic_rep_decomposition(letter, fd)
-        nxt: Counter = Counter()
+        fd.check_label(letter)
+    acc = {(): 1}
+    for a in letters:
+        a_bar, trivial = fd.conj(a), a == fd.trivial()
+        nxt: dict = {}
         for w, m in acc.items():
-            for w1, m1 in basic.items():
-                for w2, m2 in fuse(w, w1, fd).items():
-                    nxt[w2] += m * m1 * m2
+            key = w + (a,)
+            nxt[key] = nxt.get(key, 0) + m
+            if w:
+                head = w[:-1]
+                for gamma, mult in fd.tensor(w[-1], a).items():
+                    key = head + (gamma,)
+                    nxt[key] = nxt.get(key, 0) + m * mult
+                if w[-1] == a_bar:
+                    nxt[head] = nxt.get(head, 0) + m
+            if trivial:
+                nxt[w] = nxt.get(w, 0) + m
         acc = nxt
     return acc
 

@@ -420,6 +420,14 @@ def test_dim_below_four_refused(capsys):
     assert code == 1 and out == ""
 
 
+def test_hom_dim_unknown_letter_refused(capsys):
+    for method in ("partition", "fusion"):
+        code, out, err = run(capsys, "hom-dim", "--up", "g", "--down", "g,g3",
+                             "--fusion", "builtin:cyclic:3", "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown irreducible label 'g3'\n"
+
+
 def test_dim_long_trivial_word(capsys):
     # one reduced exponent of 1200: A_1200(2) = 1201
     word = "(" + ",".join(["1"] * 600) + ")"

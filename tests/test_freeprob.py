@@ -179,11 +179,9 @@ def test_cap_checked_before_any_sum(monkeypatch):
     def refuse(*args):
         raise AssertionError("summed before the cap was checked")
 
-    # the first-block sum over block choices lives in homspaces and freeprob
-    # holds a copy of the binding, so both are replaced; the Hom partition
-    # route runs its own recursion on tensor_fold, so both are replaced too
+    # the first-block sum over block choices is replaced, and so are the
+    # Hom partition route's own recursion and the tensor_fold it runs on
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
-    monkeypatch.setattr(homspaces, "_nc_sum", refuse)
     monkeypatch.setattr(homspaces, "_boundary_moment", refuse)
     monkeypatch.setattr(homspaces, "tensor_fold", refuse)
     with pytest.raises(CapExceededError):

@@ -1,15 +1,19 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
-                               integers_fusion, symmetric_group_3,
-                               symmetric_group_3_fusion, trivial_fusion)
-from freewreath.homspaces import (_nc_moment, basic_rep_decomposition,
-                                  block_trivial_mult, dim_hom_fusion,
+from freewreath import fusion, homspaces
+from freewreath.freeprob import _nc_moment
+from freewreath.fusion import (cyclic_fusion, fuse, fuse_direct,
+                               fuse_via_reduced, group_dual_fusion,
+                               integers_fusion, quantum_permutation_fusion,
+                               symmetric_group_3, symmetric_group_3_fusion,
+                               trivial_fusion)
+from freewreath.homspaces import (block_trivial_mult, dim_hom_fusion,
                                   dim_hom_partition, dim_hom_wreath,
                                   hom_terms, parse_star_list, tensor_fold,
                                   trivial_mult, word_tensor_decomposition)
@@ -92,8 +96,63 @@ def test_dual_routes_agree_length_four():
 
 
 def test_basic_rep_decomposition():
-    assert basic_rep_decomposition("g", Z2) == {("g",): 1}
-    assert basic_rep_decomposition("1", Z2) == {(): 1, ("1",): 1}
+    # r(a) is the irreducible word (a), and r(1) = () + (1)
+    assert word_tensor_decomposition(("g",), Z2) == {("g",): 1}
+    assert word_tensor_decomposition(("1",), Z2) == {(): 1, ("1",): 1}
+
+
+def _fold_with(route, letters, fd):
+    """The decomposition as a fold of general word fusions with r(a)."""
+    acc = Counter({(): 1})
+    for a in letters:
+        basic = Counter({(a,): 1})
+        if a == fd.trivial():
+            basic[()] += 1
+        nxt = Counter()
+        for w, m in acc.items():
+            for w1, m1 in basic.items():
+                for w2, m2 in route(w, w1, fd).items():
+                    nxt[w2] += m * m1 * m2
+        acc = nxt
+    return acc
+
+
+def test_letter_fold_matches_both_fusion_routes():
+    cases = [(Z3, Z3.labels(), 5), (S3, S3.labels(), 5),
+             (quantum_permutation_fusion(5), (0, 1, 2), 4),
+             (INTEGERS, tuple(range(-2, 3)), 4)]
+    for fd, labels, max_len in cases:
+        for n in range(max_len + 1):
+            for word in itertools.product(labels, repeat=n):
+                dec = word_tensor_decomposition(word, fd)
+                assert dec == _fold_with(fuse_direct, word, fd), word
+                assert dec == _fold_with(fuse_via_reduced, word, fd), word
+
+
+def test_fusion_route_calls_no_word_fusion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fusion route called a word fusion")
+
+    # homspaces imports none of them; a copied binding would be caught too
+    for name in ("fuse", "fuse_direct", "fuse_via_reduced", "conj_word"):
+        for module in (fusion, homspaces):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    up, down = ("g", "1", "g2", "g"), ("1", "g", "g", "g", "1")
+    assert dim_hom_fusion(up, down, Z3) == dim_hom_partition(up, down, Z3)
+
+
+@pytest.mark.parametrize("fd, bad", [(Z3, "g3"), (S3, "g")])
+def test_unknown_labels_refused(fd, bad):
+    good, message = fd.labels()[1], f"unknown irreducible label {bad!r}"
+    for x, y in (((good,), (bad,)), ((bad,), ())):
+        with pytest.raises(ValueError, match=message):
+            fuse(x, y, fd)
+    with pytest.raises(ValueError, match=message):
+        tensor_fold(fd, (good, bad))
+    for method in ("partition", "fusion"):
+        for up, down in (((bad,), ()), ((good,), (good, bad))):
+            with pytest.raises(ValueError, match=message):
+                dim_hom_wreath(up, down, fd, method)
 
 
 def test_word_tensor_decomposition():
