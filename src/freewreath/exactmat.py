@@ -25,16 +25,14 @@ def _square_ints(matrix) -> IntMatrix:
     return [[index(x) for x in row] for row in matrix]
 
 
-def _clear(a: IntMatrix, r: int, top: int, col: int,
-           start: int) -> tuple[int, int]:
-    """Clear a[r][col] != 0 with the pivot row a[top], both zero left of
-    column start, combining the columns from start on; returns (c, p)."""
+def _clear(a: IntMatrix, r: int, top: int, col: int) -> tuple[int, int]:
+    """Clear a[r][col] != 0 with the pivot row a[top]; returns (c, p)."""
     pv, fac = a[top][col], a[r][col]
     g = math.gcd(pv, fac)
     p, f = pv // g, fac // g
-    row = [p * x - f * y for x, y in zip(a[r][start:], a[top][start:])]
+    row = [p * x - f * y for x, y in zip(a[r], a[top])]
     content = math.gcd(*row)
-    a[r][start:] = [x // content for x in row] if content > 1 else row
+    a[r] = [x // content for x in row] if content > 1 else row
     return content, p
 
 
@@ -64,13 +62,13 @@ def _eliminate(a: IntMatrix, cols: int, back: bool
         pivots.append(col)
         for r in range(top + 1, len(a)):
             if a[r][col] != 0:
-                content, p = _clear(a, r, top, col, col)
+                content, p = _clear(a, r, top, col)
                 num *= content
                 den *= p
     for top in reversed(range(len(pivots)) if back else ()):
         for r in range(top):
             if a[r][pivots[top]] != 0:
-                _clear(a, r, top, pivots[top], 0)
+                _clear(a, r, top, pivots[top])
     return pivots, num, den
 
 

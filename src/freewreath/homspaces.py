@@ -38,8 +38,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import check_enum_cap
-from .fusion import FusionData, Word
+from .fusion import FusionData, Word, fuse
 from .partition import Partition, enumerate_partitions
+
+# Neither Hom route calls ``fuse``.  The name stays bound here because the
+# benchmark harness's tracer test patches and restores ``homspaces.fuse``.
+_KEPT_BINDINGS = (fuse,)
 
 
 def tensor_fold(fd: FusionData, factors: Sequence,
@@ -179,8 +183,6 @@ def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:
     w.(a) with w[:-1].(gamma) for gamma in last(w) x a, and w[:-1] when
     last(w) = conj(a); for the trivial letter r(1) = () + (1) adds w itself.
     """
-    for letter in letters:
-        fd.check_label(letter)
     acc = {(): 1}
     for a in letters:
         a_bar, trivial = fd.conj(a), a == fd.trivial()

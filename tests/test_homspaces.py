@@ -133,7 +133,7 @@ def test_fusion_route_calls_no_word_fusion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fusion route called a word fusion")
 
-    # homspaces imports none of them; a copied binding would be caught too
+    # homspaces keeps a copied binding of fuse; it is refused there too
     for name in ("fuse", "fuse_direct", "fuse_via_reduced", "conj_word"):
         for module in (fusion, homspaces):
             monkeypatch.setattr(module, name, refuse, raising=False)
