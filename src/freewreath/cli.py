@@ -1,8 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad input or mathematical domain error, 2 an
-enumeration or entry cap was exceeded, 3 a verification suite reported
-failures.
+Each subcommand is one function from the parsed arguments to its output: a
+list of lines, or a verification report.  ``main`` alone prints that output
+and picks the exit code: 0 success, 1 bad input or mathematical domain error,
+2 an enumeration or entry cap was exceeded, 3 a verification suite reported
+failures or a second route to the same values disagreed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
 from .homspaces import dim_hom_wreath, parse_star_list
 from .linmaps import verify_category_relations, verify_conjugate_equations
 from .qnum import render_poly
+from .report import VerificationReport
 from .tl import (collapse, markov_trace_exponent, parse_tl, phi, sqrt_power,
                  verify_phi)
 from .weingarten import haar_state, wg_certify_asymptotics, wg_table
@@ -37,64 +40,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fusion(args):
-    return fusion_from_uri(args.fusion)
+class Disagreement(Exception):
+    """Two routes to the same values disagree: exit 3, nothing on stdout."""
 
 
-def _float(value) -> float:
-    """value as a float for --float output, refused past the float range."""
+def _float(args, value):
+    """value as printed: exact, or with --float a float, refused past its range."""
+    if not args.float:
+        return value
     shown = float(value)  # a huge exact value raises OverflowError here
     if math.isinf(shown):
         raise OverflowError("the value exceeds the float range")
     return shown
 
 
-def _print_lines(lines) -> int:
-    """Print lines that are all formatted, so a refusal prints none of them."""
-    for line in lines:
-        print(line)
-    return 0
+def cmd_fuse(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
+    result = fuse(parse_word(args.x, fd), parse_word(args.y, fd), fd,
+                  method=args.method)
+    return [f"{render_word(word, fd)} ×{mult}"
+            for word, mult in sort_words(result, fd)]
 
 
-def _print_report(report) -> int:
-    print(report.render())
-    return 0 if report.passed else 3
+def cmd_dim(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
+    return [str(dim_wreath(parse_word(args.x, fd), fd, args.N))]
 
 
-def cmd_fuse(args) -> int:
-    fd = _fusion(args)
-    x = parse_word(args.x, fd)
-    y = parse_word(args.y, fd)
-    result = fuse(x, y, fd, method=args.method)
-    for word, mult in sort_words(result, fd):
-        print(f"{render_word(word, fd)} ×{mult}")
-    return 0
+def cmd_char_poly(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
+    return [render_poly(central_char_poly(parse_word(args.x, fd), fd))]
 
 
-def cmd_dim(args) -> int:
-    fd = _fusion(args)
-    word = parse_word(args.x, fd)
-    print(dim_wreath(word, fd, args.N))
-    return 0
-
-
-def cmd_char_poly(args) -> int:
-    fd = _fusion(args)
-    word = parse_word(args.x, fd)
-    print(render_poly(central_char_poly(word, fd)))
-    return 0
-
-
-def cmd_hom_dim(args) -> int:
-    fd = _fusion(args)
+def cmd_hom_dim(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
     up = parse_star_list(args.up, fd)
     down = parse_star_list(args.down, fd)
-    print(dim_hom_wreath(up, down, fd, method=args.method))
-    return 0
+    return [str(dim_hom_wreath(up, down, fd, method=args.method))]
 
 
-def cmd_char_law(args) -> int:
-    fd = _fusion(args)
+def cmd_char_law(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
     rep = fd.parse_label(args.rep)
     fd.check_label(rep)
     if args.eps is not None:
@@ -114,35 +100,27 @@ def cmd_char_law(args) -> int:
     for eps in eps_list:
         value = character_moment_wreath(fd, rep, eps)
         if value != predicted[eps]:
-            print(f"internal disagreement at {render_eps(eps)}: "
-                  f"{value} vs {predicted[eps]}", file=sys.stderr)
-            return 3
-        shown = _float(value) if args.float else value
-        lines.append(f"moment {render_eps(eps)}: {shown}")
-    return _print_lines(lines)
+            raise Disagreement(f"internal disagreement at {render_eps(eps)}: "
+                               f"{value} vs {predicted[eps]}")
+        lines.append(f"moment {render_eps(eps)}: {_float(args, value)}")
+    return lines
 
 
-def cmd_classical(args) -> int:
-    if args.group != "z2":
-        print(f"unknown group {args.group!r}", file=sys.stderr)
-        return 1
+def cmd_classical(args) -> list[str]:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = z2_block_moment(args.rep)
     values = [classical_wreath_moment(bm, args.n, k) for k in range(args.k + 1)]
-    _print_lines([f"k={k}: {_float(value) if args.float else value}"
-                  for k, value in enumerate(values)])
+    lines = [f"k={k}: {_float(args, value)}" for k, value in enumerate(values)]
     if args.n == 3:
-        brute = brute_force_z2_s3_moments(args.rep, args.k)
-        if brute != values:
-            print("brute-force group average disagrees", file=sys.stderr)
-            return 3
-        print("verified against the average over all 48 group elements")
-    return 0
+        if brute_force_z2_s3_moments(args.rep, args.k) != values:
+            raise Disagreement("brute-force group average disagrees")
+        lines.append("verified against the average over all 48 group elements")
+    return lines
 
 
-def cmd_partial_trace(args) -> int:
-    fd = _fusion(args)
+def cmd_partial_trace(args) -> list[str]:
+    fd = fusion_from_uri(args.fusion)
     rep = fd.parse_label(args.rep) if args.rep is not None else fd.trivial()
     fd.check_label(rep)
     try:
@@ -155,191 +133,170 @@ def cmd_partial_trace(args) -> int:
     bm = rep_block_moment(fd, rep)
     # k = 0 (the moment 1, not printed) checks t even when --k is 0
     values = [partial_trace_moments(t, bm, k) for k in range(args.k + 1)]
-    return _print_lines([f"k={k}: {_float(value) if args.float else value}"
-                         for k, value in enumerate(values[1:], start=1)])
+    return [f"k={k}: {_float(args, value)}"
+            for k, value in enumerate(values[1:], start=1)]
 
 
-def cmd_weingarten(args) -> int:
+def cmd_weingarten(args) -> list[str]:
     table = wg_table(args.k, args.N, args.s, args.category)
+    k = args.k
     if args.haar is not None:
         flat = [int(x) for x in args.haar.split(",")]
-        if len(flat) != 4 * args.k:
-            print(f"--haar needs 4*k = {4 * args.k} comma-separated indices "
-                  f"(inner row, inner col, outer row, outer col)",
-                  file=sys.stderr)
-            return 1
-        k = args.k
+        if len(flat) != 4 * k:
+            raise ValueError(f"--haar needs 4*k = {4 * k} comma-separated "
+                             f"indices (inner row, inner col, outer row, "
+                             f"outer col)")
         value = haar_state(table, tuple(flat[:k]), tuple(flat[k:2 * k]),
                            tuple(flat[2 * k:3 * k]), tuple(flat[3 * k:]))
-        print(_float(value) if args.float else value)
-        return 0
+        return [str(_float(args, value))]
     lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
              for t, (p, a) in enumerate(table.indices)]
-    shown = _float if args.float else str
     for row in table.winv if args.invert else table.gram:
-        lines.append(" ".join(str(shown(x)) for x in row))
-    return _print_lines(lines)
+        lines.append(" ".join(str(_float(args, x)) for x in row))
+    return lines
 
 
-def cmd_tl(args) -> int:
-    if args.tl_command == "verify":
-        return _print_report(verify_phi(max_points=args.max_points))
+def cmd_tl_trace(args) -> list[str]:
     diagram = parse_tl(args.diagram)
-    if args.tl_command == "trace":
-        value = sqrt_power(args.N, markov_trace_exponent(diagram), args.float)
-        print(_float(value) if args.float else value)
-    elif args.tl_command == "collapse":
-        print(collapse(diagram).render())
-    elif args.tl_command == "phi":
-        print(phi(diagram).render())
-    return 0
+    value = sqrt_power(args.N, markov_trace_exponent(diagram), args.float)
+    return [str(_float(args, value))]
 
 
-def cmd_verify(args) -> int:
-    which = args.verify_command
-    if which == "category":
-        return _print_report(verify_category_relations(args.N,
-                                                       max_points=args.max_points))
-    if which == "conjugate":
-        return _print_report(verify_conjugate_equations(args.k, args.N))
-    if which == "iso":
-        return _print_report(verify_phi(max_points=args.max_points))
-    if which == "weingarten":
-        return _print_report(wg_certify_asymptotics(args.k, args.s,
-                                                    args.category))
-    if which == "fusion-dim":
-        import random
+def cmd_verify_fusion_dim(args) -> VerificationReport:
+    import random
 
-        from .report import VerificationReport
-        fd = fusion_from_uri(args.fusion)
-        if fd.labels() is None:
-            print("fusion-dim needs a finite fusion table", file=sys.stderr)
-            return 1
-        bad = dim_multiplicativity_failures(
-            fd, args.N, random.Random(args.seed), args.count)
-        report = VerificationReport(f"dimension multiplicativity N={args.N}")
-        report.add(f"{args.count} random products have multiplicative dimension",
-                   not bad, f"first failure {bad[0]}" if bad else "")
-        return _print_report(report)
-    raise ValueError(f"unknown verification {which!r}")
+    fd = fusion_from_uri(args.fusion)
+    if fd.labels() is None:
+        raise ValueError("fusion-dim needs a finite fusion table")
+    bad = dim_multiplicativity_failures(
+        fd, args.N, random.Random(args.seed), args.count)
+    report = VerificationReport(f"dimension multiplicativity N={args.N}")
+    report.add(f"{args.count} random products have multiplicative dimension",
+               not bad, f"first failure {bad[0]}" if bad else "")
+    return report
+
+
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> _Parser:
+    fusion = _option("--fusion", default="builtin:cyclic:2")
+    as_float = _option("--float", action="store_true")
+    n = _option("--N", type=int, required=True)
+    max_points = _option("--max-points", type=int, default=6)
+    category = _option("--category", default=None,
+                       choices=("noncrossing", "all", "singletons"))
+
     parser = _Parser(prog="freewreath",
                      description="Representation combinatorics of free wreath "
                                  "product quantum groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fuse", parents=[], help="tensor decomposition of two words")
+    p = sub.add_parser("fuse", parents=[fusion],
+                       help="tensor decomposition of two words")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--fusion", default="builtin:cyclic:2")
     p.add_argument("--method", choices=("direct", "free-product"),
                    default="direct")
     p.set_defaults(run=cmd_fuse)
 
-    p = sub.add_parser("dim", help="dimension of a word representation")
+    p = sub.add_parser("dim", parents=[fusion, n],
+                       help="dimension of a word representation")
     p.add_argument("x")
-    p.add_argument("--fusion", default="builtin:cyclic:2")
-    p.add_argument("--N", type=int, required=True)
     p.set_defaults(run=cmd_dim)
 
-    p = sub.add_parser("char-poly",
+    p = sub.add_parser("char-poly", parents=[fusion],
                        help="central character polynomial of a word")
     p.add_argument("x")
-    p.add_argument("--fusion", default="builtin:cyclic:2")
     p.set_defaults(run=cmd_char_poly)
 
-    p = sub.add_parser("hom-dim",
+    p = sub.add_parser("hom-dim", parents=[fusion],
                        help="dimension of an intertwiner space between "
                             "tensor products of basic representations")
     p.add_argument("--up", required=True,
                    help="comma-separated letters, * marks conjugates")
     p.add_argument("--down", required=True)
-    p.add_argument("--fusion", default="builtin:cyclic:2")
     p.add_argument("--method", choices=("partition", "fusion"),
                    default="partition")
     p.set_defaults(run=cmd_hom_dim)
 
-    p = sub.add_parser("char-law",
+    p = sub.add_parser("char-law", parents=[fusion, as_float],
                        help="moments of the character of a basic representation")
     p.add_argument("--rep", required=True)
-    p.add_argument("--fusion", default="builtin:cyclic:2")
     p.add_argument("--eps", help="a star word over '1' and '*'")
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--float", action="store_true")
     p.set_defaults(run=cmd_char_law)
 
-    p = sub.add_parser("classical",
-                       help="character moments of a classical wreath product")
-    p.add_argument("--group", default="z2")
+    p = sub.add_parser("classical", parents=[as_float],
+                       help="character moments of the classical wreath "
+                            "product Z/2 wr S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--rep", choices=("sign", "regular"), default="regular")
-    p.add_argument("--float", action="store_true")
     p.set_defaults(run=cmd_classical)
 
+    # the only --fusion with another default, so declared on its own
     p = sub.add_parser("partial-trace",
+                       parents=[_option("--fusion", default="builtin:trivial"),
+                                as_float],
                        help="moments of the truncated character law")
     p.add_argument("--t", required=True, help="truncation ratio, e.g. 1/2")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--fusion", default="builtin:trivial")
     p.add_argument("--rep", default=None)
-    p.add_argument("--float", action="store_true")
     p.set_defaults(run=cmd_partial_trace)
 
-    p = sub.add_parser("weingarten",
+    p = sub.add_parser("weingarten", parents=[n, category, as_float],
                        help="Gram and Weingarten matrices, Haar states")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--category", default=None,
-                   choices=("noncrossing", "all", "singletons"))
     p.add_argument("--invert", action="store_true")
     p.add_argument("--haar",
                    help="4*k comma-separated indices: inner row, inner col, "
                         "outer row, outer col")
-    p.add_argument("--float", action="store_true")
     p.set_defaults(run=cmd_weingarten)
 
     p = sub.add_parser("tl", help="Temperley-Lieb diagram operations")
     tsub = p.add_subparsers(dest="tl_command", required=True)
-    t = tsub.add_parser("trace", help="Markov trace of a diagram")
+    t = tsub.add_parser("trace", parents=[n, as_float],
+                        help="Markov trace of a diagram")
     t.add_argument("diagram")
-    t.add_argument("--N", type=int, required=True)
-    t.add_argument("--float", action="store_true")
+    t.set_defaults(run=cmd_tl_trace)
     t = tsub.add_parser("collapse", help="collapse a diagram to a partition")
     t.add_argument("diagram")
+    t.set_defaults(run=lambda args: [collapse(parse_tl(args.diagram)).render()])
     t = tsub.add_parser("phi", help="image of a diagram under the collapsing "
                                     "isomorphism, with its power of sqrt(N)")
     t.add_argument("diagram")
-    t = tsub.add_parser("verify", help="check the collapsing isomorphism")
-    t.add_argument("--max-points", type=int, default=6)
-    p.set_defaults(run=cmd_tl)
+    t.set_defaults(run=lambda args: [phi(parse_tl(args.diagram)).render()])
+    t = tsub.add_parser("verify", parents=[max_points],
+                        help="check the collapsing isomorphism")
+    t.set_defaults(run=lambda args: verify_phi(max_points=args.max_points))
 
     p = sub.add_parser("verify", help="verification suites")
     vsub = p.add_subparsers(dest="verify_command", required=True)
-    v = vsub.add_parser("category", help="tensor/compose/involution relations "
-                                         "of the partition maps")
-    v.add_argument("--N", type=int, required=True)
-    v.add_argument("--max-points", type=int, default=6)
-    v = vsub.add_parser("conjugate", help="conjugate equations")
+    v = vsub.add_parser("category", parents=[n, max_points],
+                        help="tensor/compose/involution relations of the "
+                             "partition maps")
+    v.set_defaults(run=lambda args: verify_category_relations(
+        args.N, max_points=args.max_points))
+    v = vsub.add_parser("conjugate", parents=[n], help="conjugate equations")
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--N", type=int, required=True)
-    v = vsub.add_parser("iso", help="collapsing isomorphism")
-    v.add_argument("--max-points", type=int, default=6)
-    v = vsub.add_parser("fusion-dim", help="dimension multiplicativity on "
-                                           "random words")
-    v.add_argument("--fusion", default="builtin:cyclic:2")
-    v.add_argument("--N", type=int, required=True)
+    v.set_defaults(run=lambda args: verify_conjugate_equations(args.k, args.N))
+    v = vsub.add_parser("fusion-dim", parents=[fusion, n],
+                        help="dimension multiplicativity on random words")
     v.add_argument("--count", type=int, default=200)
     v.add_argument("--seed", type=int, default=0)
-    v = vsub.add_parser("weingarten", help="Weingarten asymptotics")
+    v.set_defaults(run=cmd_verify_fusion_dim)
+    v = vsub.add_parser("weingarten", parents=[category],
+                        help="Weingarten asymptotics")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--s", type=int, default=1)
-    v.add_argument("--category", default=None,
-                   choices=("noncrossing", "all", "singletons"))
-    p.set_defaults(run=cmd_verify)
+    v.set_defaults(run=lambda args: wg_certify_asymptotics(
+        args.k, args.s, args.category))
 
     return parser
 
@@ -349,13 +306,22 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         caps()  # refuse a bad cap variable even where no cap is checked
-        return args.run(args)
+        result = args.run(args)
+        if isinstance(result, VerificationReport):
+            print(result.render())
+            return 0 if result.passed else 3
+        for line in result:
+            print(line)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+    except Disagreement as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from freewreath import cli, homspaces, linmaps, partition, weingarten
 from freewreath.cli import main
 from freewreath.fusion import fusion_from_uri
 from freewreath.homspaces import dim_hom_fusion, parse_star_list
+from freewreath.report import VerificationReport
 from freewreath.tl import tl_identity
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
@@ -440,6 +443,48 @@ def test_exit_code_usage(capsys):
     assert code == 1
     code2, _, _ = run(capsys, "no-such-command")
     assert code2 == 1
+
+
+def test_classical_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_z2_s3_moments",
+                        lambda rep, k: [0] * (k + 1))
+    assert run(capsys, "classical", "--n", "3") == (
+        3, "", "brute-force group average disagrees\n")
+
+
+def test_char_law_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "character_moment_wreath",
+                        lambda fd, rep, eps: -1)
+    assert run(capsys, "char-law", "--rep", "g") == (
+        3, "", "internal disagreement at 1: -1 vs 0\n")
+    assert run(capsys, "char-law", "--rep", "g", "--eps", "1*") == (
+        3, "", "internal disagreement at 1*: -1 vs 1\n")
+
+
+def test_failing_report_exits_3(capsys, monkeypatch):
+    report = VerificationReport("collapsing isomorphism")
+    report.add("a check that fails", False, "1 failure")
+    monkeypatch.setattr(cli, "verify_phi", lambda max_points: report)
+    assert run(capsys, "tl", "verify") == (3, report.render() + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("weingarten", "--k", "2", "--N", "4", "--haar", "1,1"),
+    ("verify", "fusion-dim", "--N", "4", "--fusion", "builtin:integers"),
+])
+def test_command_refusal_prints_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_only_main_prints():
+    # the commands return lines or a report; main prints them and exits
+    tree = ast.parse(inspect.getsource(cli))
+    printers = {fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id in ("print", "sys")}
+    assert printers == {"main", "error"}
 
 
 def test_tl_crossing_rejected(capsys):

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from freewreath.fusion import (FiniteGroup, QuantumPermutationFusion,
-                               ReducedWord,
+                               ReducedWord, TableFusion,
                                central_char_poly, conj_word, cyclic_fusion,
                                cyclic_group, dim_wreath, expand_reduced, fuse,
-                               fuse_via_reduced, fusion_from_json,
+                               fuse_direct, fuse_via_reduced, fusion_from_json,
                                fusion_from_uri, group_dual_fusion,
                                integers_fusion, load_fusion_file, parse_word,
                                reduce_word, render_word, sort_words,
@@ -132,6 +132,15 @@ def test_fuse_methods_agree():
             direct = fuse(x, y, fd, method="direct")
             free = fuse_via_reduced(x, y, fd)
             assert +direct == +free, (x, y)
+
+
+def test_fusion_routes_check_letters():
+    # the unknown letter sits at no cut and in no boundary product
+    for route in (fuse_direct, fuse_via_reduced):
+        with pytest.raises(ValueError, match="unknown irreducible label 'g3'"):
+            route(("g3",), (), Z3)
+        with pytest.raises(ValueError, match="unknown irreducible label 'g3'"):
+            route((), ("g", "g3"), Z3)
 
 
 def test_fuse_dimension_count():
@@ -264,3 +273,126 @@ def test_group_dual_matches_cyclic():
     fd = group_dual_fusion(cyclic_group(3))
     assert set(fd.labels()) == set(Z3.labels())
     assert fd.tensor("g", "g") == {"g2": 1}
+
+
+class _Unchecked(TableFusion):
+    """A table built without validate, for the triple-loop oracle."""
+
+    def validate(self):
+        pass
+
+
+def _triple_loop_refusal(fd):
+    """The former validate, Frobenius over every label triple: the oracle.
+
+    Returns None for an accepted table, else "pair" or "frobenius" for the
+    loop that refuses it.
+    """
+    labels, triv = fd.labels(), fd.trivial()
+    try:
+        if triv not in labels or fd.conj(triv) != triv:
+            return "pair"
+        for a in labels:
+            if (fd.dim(a) < 1 or fd.conj(fd.conj(a)) != a
+                    or fd.dim(fd.conj(a)) != fd.dim(a)):
+                return "pair"
+        for a in labels:
+            for b in labels:
+                prod = fd.tensor(a, b)
+                if any(c not in labels or m < 0 for c, m in prod.items()):
+                    return "pair"
+                if (sum(m * fd.dim(c) for c, m in prod.items())
+                        != fd.dim(a) * fd.dim(b)):
+                    return "pair"
+                if prod.get(triv, 0) != (1 if b == fd.conj(a) else 0):
+                    return "pair"
+    except ValueError:
+        return "pair"
+    for a in labels:
+        for b in labels:
+            prod = fd.tensor(a, b)
+            for c in labels:
+                if prod.get(c, 0) != \
+                        fd.tensor(b, fd.conj(c)).get(fd.conj(a), 0):
+                    return "frobenius"
+    return None
+
+
+def _products(dims, total):
+    """Every multiplicity dict over the labels with dimension count total."""
+    labels = list(dims)
+    for mults in itertools.product(*(range(total // dims[c] + 1)
+                                     for c in labels)):
+        if sum(m * dims[c] for m, c in zip(mults, labels)) == total:
+            yield {c: m for c, m in zip(labels, mults) if m}
+
+
+def _commutative_tables(dims):
+    """Every commutative tensor table with these dimensions."""
+    pairs = list(itertools.combinations_with_replacement(dims, 2))
+    for choice in itertools.product(*(list(_products(dims, dims[a] * dims[b]))
+                                      for a, b in pairs)):
+        tensor = {}
+        for (a, b), prod in zip(pairs, choice):
+            tensor[(a, b)] = tensor[(b, a)] = prod
+        yield tensor
+
+
+def _one_entry_changed(fd):
+    """fd's tensor table with one ordered pair's product replaced."""
+    labels = fd.labels()
+    dims = {a: fd.dim(a) for a in labels}
+    base = {(a, b): fd.tensor(a, b) for a in labels for b in labels}
+    for a, b in base:
+        for prod in _products(dims, dims[a] * dims[b]):
+            yield {**base, (a, b): prod}
+
+
+# a loop of order 6 (a Latin square with identity 0) with two-sided inverses,
+# not an inverse-property loop: 1 x 2 = 3 but 2 x conj(3) = 2 x 3 = 5, not 1
+LOOP6 = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1),
+         (3, 4, 5, 0, 1, 2), (4, 5, 0, 1, 2, 3), (5, 2, 1, 4, 3, 0))
+
+
+def _frobenius_cases():
+    """(labels, dims, trivial, conj, tensor) for every table in the check."""
+    s3 = {a: S3.dim(a) for a in S3.labels()}
+    for tensor in itertools.chain(_commutative_tables(s3),
+                                  _one_entry_changed(S3)):
+        yield S3.labels(), s3, "triv", {a: a for a in s3}, tensor
+    z3 = {a: 1 for a in Z3.labels()}
+    for conj in ({"1": "1", "g": "g2", "g2": "g"}, {a: a for a in z3}):
+        for tensor in itertools.chain(_commutative_tables(z3),
+                                      _one_entry_changed(Z3)):
+            yield Z3.labels(), z3, "1", conj, tensor
+    s3_dual = group_dual_fusion(symmetric_group_3())  # not commutative
+    for tensor in _one_entry_changed(s3_dual):
+        yield (s3_dual.labels(), dict.fromkeys(s3_dual.labels(), 1), "123",
+               {a: s3_dual.conj(a) for a in s3_dual.labels()}, tensor)
+    labels = [str(a) for a in range(6)]
+    inverse = {str(a): str(row.index(0)) for a, row in enumerate(LOOP6)}
+    tensor = {(str(a), str(b)): {str(LOOP6[a][b]): 1}
+              for a in range(6) for b in range(6)}
+    yield labels, dict.fromkeys(labels, 1), "0", inverse, tensor
+
+
+def test_validate_refuses_what_the_triple_loop_refuses():
+    seen = {"s3": set(), "z3": set(), "s3_dual": set(), "loop": set()}
+    for labels, dims, triv, conj, tensor in _frobenius_cases():
+        expect = _triple_loop_refusal(
+            _Unchecked(labels, dims, triv, conj, tensor))
+        try:
+            TableFusion(labels, dims, triv, conj, tensor)
+            refused = None
+        except ValueError as exc:
+            refused = str(exc)
+        assert (refused is None) == (expect is None), (conj, tensor, refused)
+        if expect == "frobenius":
+            assert refused.startswith("Frobenius symmetry fails"), refused
+        family = {"triv": "s3", "1": "z3", "123": "s3_dual", "0": "loop"}[triv]
+        seen[family].add(expect)
+    # each family has tables refused by Frobenius alone; the others also
+    # have accepted tables and ones refused by a pair check
+    assert seen["loop"] == {"frobenius"}
+    assert seen["s3"] == seen["z3"] == seen["s3_dual"] == {
+        None, "pair", "frobenius"}
