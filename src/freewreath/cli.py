@@ -151,7 +151,8 @@ def cmd_weingarten(args) -> list[str]:
         return [str(_float(args, value))]
     lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
              for t, (p, a) in enumerate(table.indices)]
-    for row in table.winv if args.invert else table.gram:
+    rows = ([Fraction(x, table.wden) for x in row] for row in table.wnum)
+    for row in rows if args.invert else table.gram:
         lines.append(" ".join(str(_float(args, x)) for x in row))
     return lines
 

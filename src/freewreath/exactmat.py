@@ -2,7 +2,9 @@
 
 One integer elimination, ``_eliminate``, gives rank and determinant from its
 forward pass, and the inverse and kernel vectors from an optional backward
-pass.  One plain Fraction Gauss-Jordan is the oracle independent of it: as
+pass.  The inverse can be asked for on chosen columns only: the elimination
+then runs on [M | those columns of I], n + |cols| entries a row, not 2n.
+One plain Fraction Gauss-Jordan is the oracle independent of it: as
 ``gauss_jordan_inverse`` tests/ check it against ``bareiss_inverse``, and
 the weingarten workload of perfbench/ builds its Haar-state oracle with it.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index
+from typing import Sequence
 
 IntMatrix = list[list[int]]
 FracMatrix = list[list[Fraction]]
@@ -84,17 +87,23 @@ def bareiss_det_rank(matrix) -> tuple[int, int]:
     return len(pivots), num * math.prod(a[r][r] for r in range(n)) // den
 
 
-def bareiss_inverse(matrix) -> FracMatrix:
+def bareiss_inverse(matrix, cols: Sequence[int] | None = None) -> FracMatrix:
     """Exact inverse of a square integer matrix via fraction-free elimination.
 
-    Both passes of ``_eliminate`` on [M | I] leave row r as a[r][r] * e_r |
-    a[r][r] * W_r for the inverse W; ZeroDivisionError if M is singular.
-    The former Bareiss-Jordan name stays: perfbench/tracer.py hooks it and
-    reads its Fraction denominators, and perfbench/'s inverse sweeps call it.
+    Both passes of ``_eliminate`` on [M | E] leave row r as a[r][r] * e_r |
+    a[r][r] * W_r E for the inverse W, where E holds the columns ``cols`` of
+    the identity (all of them by default): row r of the result is W[r][c]
+    for c in cols.  ZeroDivisionError if M is singular.  The former
+    Bareiss-Jordan name stays: perfbench/tracer.py hooks it and reads its
+    Fraction denominators, and perfbench/'s inverse sweeps call it.
     """
-    n = len(matrix)
-    a = [row + [int(i == j) for j in range(n)]
-         for i, row in enumerate(_square_ints(matrix))]
+    a = _square_ints(matrix)
+    n = len(a)
+    cols = range(n) if cols is None else cols
+    if any(not 0 <= c < n for c in cols):
+        raise ValueError(f"column indices must lie in 0..{n - 1}")
+    for i, row in enumerate(a):
+        row.extend(int(i == c) for c in cols)
     if len(_eliminate(a, n, back=True)[0]) < n:
         raise ZeroDivisionError("matrix is singular")
     return [[Fraction(x, a[r][r]) for x in a[r][n:]] for r in range(n)]

@@ -82,12 +82,29 @@ class FiniteGroup:
         for a in self.elements:
             if not any(self.table[(a, b)] == ident for b in self.elements):
                 raise ValueError(f"{a} has no inverse")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[(self.table[(a, b)], c)] != \
-                            self.table[(a, self.table[(b, c)])]:
-                        raise ValueError("multiplication is not associative")
+        # Light's test: the b with (xb)y = x(by) for all x, y are closed
+        # under the product, so it suffices to check b on a generating set,
+        # chosen greedily; span lists what the checked b generate, and the
+        # pairs among span[:done] have been multiplied
+        t = self.table
+        span, spanned, done = [ident], {ident}, 0
+        for b in self.elements:
+            if b in spanned:
+                continue
+            for x in self.elements:
+                xb = t[(x, b)]
+                if any(t[(xb, y)] != t[(x, t[(b, y)])] for y in self.elements):
+                    raise ValueError("multiplication is not associative")
+            span.append(b)
+            spanned.add(b)
+            while done < len(span):
+                x = span[done]
+                for y in span[:done + 1]:
+                    for z in (t[(x, y)], t[(y, x)]):
+                        if z not in spanned:
+                            span.append(z)
+                            spanned.add(z)
+                done += 1
 
     @property
     def identity(self) -> str:

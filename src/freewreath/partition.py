@@ -92,14 +92,17 @@ def _merge(n: int, chains: Iterable[Sequence[int]],
     return labels, classes - len(ids)
 
 
-def _join_counts(parts: Sequence[Partition]) -> tuple[bytes, ...]:
+def _join_counts(parts: Sequence[Partition],
+                 rows: Sequence[int] | None = None) -> tuple[bytes, ...]:
     """Rows of b(x v y), the block count of the join, over parts x and y.
 
-    Every Gram matrix of the package is a power of these counts.
+    With ``rows``, only the rows of the parts at those positions.  Every Gram
+    matrix of the package is a power of these counts.
     """
+    xs = parts if rows is None else [parts[r] for r in rows]
     return tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
                        for y in parts)
-                 for x in parts)
+                 for x in xs)
 
 
 # -- category operations on block labels ------------------------------------

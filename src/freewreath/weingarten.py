@@ -13,7 +13,8 @@ refining p, drawn from the inner group's category:
 The Gram matrix of these vectors is N^{b(p v q)} * s^{b(a v b)} with b the
 block count and v the join; its inverse is the Weingarten matrix, which turns
 Haar-state integration of matrix entries into a finite double sum over
-compatible index pairs.
+compatible index pairs.  Both matrices are invariant under rotating the k
+points, so only the rows of one index per rotation orbit are computed.
 
 As N grows with s fixed, the Weingarten matrix concentrates: the entry at
 ((p, a), (q, b)) approaches delta_{p,q} N^{-b(p)} times the product over the
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from operator import mul
 from typing import Sequence
 
 from .config import check_entry_cap
@@ -78,27 +80,89 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 
 
 @cache
+def _orbits(k: int, category: str
+            ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                       tuple[tuple[int, ...], ...]]:
+    """The rotation orbits of wg_indices(k, category).
+
+    The rotation r of the k points, point i to i + 1 mod k, maps NC(k) and
+    each inner category to itself and preserves refinement and b(x v y), so
+    it permutes the indices by sigma(p, a) = (rp, ra), and the Gram and
+    Weingarten matrices X satisfy X[sigma t][sigma u] = X[t][u].  Returns
+    the representatives (the first index of each orbit), for each index t
+    the pair (j, e) with t = sigma^e(reps[j]), and back[e] = sigma^-e as a
+    tuple, so that row t of X is row reps[j] read at the positions back[e].
+    """
+    indices = wg_indices(k, category)
+    position = {idx: t for t, idx in enumerate(indices)}
+
+    def rotate(p: Partition) -> Partition:
+        return Partition(0, k, [[pt % k + 1 for pt in b] for b in p.blocks])
+
+    sigma = [position[rotate(p), rotate(a)] for p, a in indices]
+    reps: list[int] = []
+    source: list[tuple[int, int] | None] = [None] * len(indices)
+    for t in range(len(indices)):
+        if source[t] is None:
+            u, e = t, 0
+            while source[u] is None:
+                source[u] = (len(reps), e)
+                u, e = sigma[u], e + 1
+            reps.append(t)
+    unrotate = [0] * len(indices)
+    for t, u in enumerate(sigma):
+        unrotate[u] = t
+    back = [tuple(range(len(indices)))]
+    for _ in range(1, k):
+        back.append(tuple(back[-1][u] for u in unrotate))
+    return tuple(reps), tuple(source), tuple(back)
+
+
+def _fill(rep_rows: Sequence, k: int, category: str, kind=tuple) -> tuple:
+    """Every row of a rotation-invariant matrix from its representative rows."""
+    _, source, back = _orbits(k, category)
+    return tuple(kind(map(rep_rows[j].__getitem__, back[e]))
+                 for j, e in source)
+
+
+@cache
 def _join_block_counts(k: int, category: str) -> tuple[tuple[bytes, ...], ...]:
-    """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row."""
-    return tuple(map(_join_counts, zip(*wg_indices(k, category))))
+    """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row;
+    computed on the orbit representatives' rows only."""
+    reps = _orbits(k, category)[0]
+    return tuple(_fill(_join_counts(parts, reps), k, category, bytes)
+                 for parts in zip(*wg_indices(k, category)))
 
 
 def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
     outer, inner = _join_block_counts(k, category)
-    return [[n ** b * s ** c for b, c in zip(orow, irow)]
+    powers = [[n ** b * s ** c for c in range(k + 1)] for b in range(k + 1)]
+    return [[powers[b][c] for b, c in zip(orow, irow)]
             for orow, irow in zip(outer, inner)]
 
 
 @dataclass(frozen=True)
 class WeingartenTable:
+    """The Gram matrix of the (p, a) indices and its inverse W.
+
+    W is held as one integer matrix over one positive denominator:
+    W = wnum / wden, with wden the least common denominator of W's entries.
+    """
     k: int
     n: int
     s: int
     category: str
     indices: tuple
     gram: tuple
-    winv: tuple
+    wnum: tuple
+    wden: int
+
+    @cached_property
+    def winv(self) -> tuple[tuple[Fraction, ...], ...]:
+        """W entry by entry, as Fractions."""
+        return tuple(tuple(Fraction(x, self.wden) for x in row)
+                     for row in self.wnum)
 
 
 def wg_table(k: int, n: int, s: int = 1,
@@ -108,6 +172,9 @@ def wg_table(k: int, n: int, s: int = 1,
     With s = 1 the category degenerates to "singletons" automatically; the
     default otherwise is "noncrossing".  Raises ZeroDivisionError when the
     Gram matrix is singular (the parameters sit outside the free range).
+    Only the columns of W at the rotation orbit representatives are solved
+    for; W is symmetric, so they are the representatives' rows, and the
+    rest follows by rotation invariance.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -118,9 +185,13 @@ def wg_table(k: int, n: int, s: int = 1,
     category = _category_in_effect(s, category)
     indices = wg_indices(k, category)
     gram = wg_gram(k, n, s, category)
-    winv = bareiss_inverse(gram)
+    columns = bareiss_inverse(gram, _orbits(k, category)[0])
+    wden = math.lcm(*{x.denominator for row in columns for x in row})
+    rep_rows = [[x.numerator * (wden // x.denominator) for x in col]
+                for col in zip(*columns)]
     return WeingartenTable(k, n, s, category, indices,
-                           tuple(tuple(row) for row in gram), winv)
+                           tuple(tuple(row) for row in gram),
+                           _fill(rep_rows, k, category), wden)
 
 
 def haar_state(table: WeingartenTable, inner_row: Sequence[int],
@@ -145,12 +216,8 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
             raise ValueError(f"{name} entries must lie in 1..{hi}")
     rows = _support(k, table.category, _pattern(outer_row), _pattern(inner_row))
     cols = _support(k, table.category, _pattern(outer_col), _pattern(inner_col))
-    total = Fraction(0)
-    for t in rows:
-        wrow = table.winv[t]
-        for u in cols:
-            total += wrow[u]
-    return total
+    wnum = table.wnum
+    return Fraction(sum(wnum[t][u] for t in rows for u in cols), table.wden)
 
 
 def _pattern(values: Sequence[int]) -> tuple[int, ...]:
@@ -226,13 +293,18 @@ def wg_scaled_errors(k: int, n: int, s: int, category: str | None) -> dict:
     category = _category_in_effect(s, category)
     table = wg_table(k, n, s, category)
     coeffs = _leading_coeffs(k, s, category)
+    wden = table.wden
     blocks = [len(p.blocks) for p, _ in table.indices]
     errors = {}
+    # |wnum/wden - c/N^b(p)| * root^(b(p)+b(q)) with c = c_num/c_den
     for t, bp in enumerate(blocks):
+        npow = n ** bp
         for u, bq in enumerate(blocks):
-            leading = coeffs[t][u] * Fraction(1, n ** bp)
-            err = abs(table.winv[t][u] - leading) * root ** (bp + bq)
-            errors[(t, u)] = err
+            c = coeffs[t][u]
+            errors[(t, u)] = Fraction(
+                abs(table.wnum[t][u] * npow * c.denominator
+                    - c.numerator * wden) * root ** (bp + bq),
+                wden * npow * c.denominator)
     return errors
 
 
@@ -281,9 +353,6 @@ def wg_certify_asymptotics(k: int, s: int,
 
 def trace_identity(table: WeingartenTable) -> tuple[Fraction, int]:
     """Tr(W G) against the index count; equal when the inversion is sound."""
-    total = Fraction(0)
-    m = len(table.indices)
-    for t in range(m):
-        for u in range(m):
-            total += table.winv[t][u] * table.gram[u][t]
-    return total, m
+    total = sum(sum(map(mul, wrow, gcol))
+                for wrow, gcol in zip(table.wnum, zip(*table.gram)))
+    return Fraction(total, table.wden), len(table.indices)

@@ -152,6 +152,35 @@ def test_kernel_vector_matches_reduction(matrix, dependent, coeffs):
             == [0] * n
 
 
+@DERANDOMIZED
+@given(*DEPENDENT_ROWS, st.lists(st.integers(0, 5), max_size=8))
+def test_inverse_columns_match_full_inverse(matrix, dependent, coeffs, picks):
+    # any columns, in any order and with repeats; singular matrices refused
+    make_dependent(matrix, dependent, coeffs)
+    n = len(matrix)
+    cols = [c % n for c in picks]
+    if bareiss_det_rank(matrix)[0] < n:
+        with pytest.raises(ZeroDivisionError):
+            bareiss_inverse(matrix, cols)
+        return
+    full = gauss_jordan_inverse(matrix)
+    assert bareiss_inverse(matrix, cols) == \
+        [[row[c] for c in cols] for row in full]
+
+
+@pytest.mark.parametrize("matrix", ([[1, 2]], [[1], [2]], [[1, 2], [3]],
+                                    [[1, 2, 3], [4, 5, 6]]))
+def test_inverse_columns_non_square_refused(matrix):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        bareiss_inverse(matrix, [0])
+
+
+@pytest.mark.parametrize("cols", ([2], [-1], [0, 3]))
+def test_inverse_columns_out_of_range_refused(cols):
+    with pytest.raises(ValueError, match="column indices"):
+        bareiss_inverse([[2, 1], [1, 2]], cols)
+
+
 @pytest.mark.parametrize("function",
                          (bareiss_det_rank, bareiss_inverse, kernel_vector))
 @pytest.mark.parametrize("matrix", ([[1, 2]], [[1], [2]], [[1, 2], [3]],

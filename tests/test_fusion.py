@@ -32,6 +32,48 @@ def test_finite_group_validation():
         FiniteGroup(("1", "a"), bad)                     # no inverse for a
 
 
+def _loops(n):
+    """Every Latin square on 0..n-1 whose row and column 0 are the identity:
+    the loops of order n with identity 0, each element with two-sided
+    inverses."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == (n - 1) ** 2:
+            yield tuple(map(tuple, rows))
+            return
+        r, c = divmod(cell, n - 1)
+        r, c = r + 1, c + 1
+        used = set(rows[r][:c]) | {rows[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                rows[r][c] = v
+                yield from fill(cell + 1)
+        rows[r][c] = None
+
+    yield from fill(0)
+
+
+def test_finite_group_refuses_non_associative_loops():
+    # the former check over every triple is the oracle; the 4 loops of
+    # order 4 are groups, of the 56 of order 5 only the 6 labellings of Z/5,
+    # and LOOP6 is none
+    accepted = 0
+    for square in itertools.chain(_loops(4), _loops(5), [LOOP6]):
+        n = len(square)
+        labels = tuple(str(a) for a in range(n))
+        table = {(str(a), str(b)): str(square[a][b])
+                 for a in range(n) for b in range(n)}
+        if all(square[square[a][b]][c] == square[a][square[b][c]]
+               for a, b, c in itertools.product(range(n), repeat=3)):
+            FiniteGroup(labels, table)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteGroup(labels, table)
+    assert accepted == 4 + 6
+
+
 def test_symmetric_group_3():
     g = symmetric_group_3()
     assert len(g.elements) == 6

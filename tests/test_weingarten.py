@@ -1,14 +1,21 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import cache
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freewreath import weingarten
+from freewreath import partition, weingarten
+from freewreath.exactmat import bareiss_inverse, gauss_jordan_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
-from freewreath.partition import discrete_partition, kernel
-from freewreath.weingarten import (haar_state, inner_partitions,
+from freewreath.partition import (Partition, _join_counts, discrete_partition,
+                                  kernel)
+from freewreath.weingarten import (CATEGORIES, haar_state, inner_partitions,
                                    trace_identity, wg_certify_asymptotics,
                                    wg_gram, wg_indices, wg_leading_coeff,
                                    wg_scaled_errors, wg_table)
@@ -189,3 +196,148 @@ def test_certification_passes():
         for k in (2, 3):
             report = wg_certify_asymptotics(k, s, cat)
             assert report.passed, report.render()
+
+
+# ---------------------------------------------------------------------------
+# rotation orbits and the integer table
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=30,
+                        database=None)
+
+
+def _rotation(k, category):
+    """sigma(t): the position of the index t with its k points rotated by
+    one, i -> i + 1 mod k; built here from the partitions themselves."""
+    indices = wg_indices(k, category)
+    position = {idx: t for t, idx in enumerate(indices)}
+
+    def rotate(p):
+        return Partition(0, k, [[pt % k + 1 for pt in b] for b in p.blocks])
+
+    return [position[rotate(p), rotate(a)] for p, a in indices]
+
+
+@cache
+def _full_join_counts(k, category):
+    """Every row of b(p v q) and b(a v b), with no orbit map."""
+    return tuple(_join_counts(parts) for parts in zip(*wg_indices(k, category)))
+
+
+@st.composite
+def table_parameters(draw):
+    category = draw(st.sampled_from(CATEGORIES))
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from((4, 5, 9)))
+    # inner Grams regular: S_s^+ needs s >= 4, S_s needs s >= k
+    low = {"noncrossing": 4, "all": max(k, 2), "singletons": 1}[category]
+    return k, n, draw(st.integers(low, low + 3)), category
+
+
+@DERANDOMIZED
+@given(table_parameters())
+def test_gram_and_weingarten_are_rotation_invariant(params):
+    # G and W computed at full width, without the orbit map, satisfy
+    # X[sigma t][sigma u] = X[t][u]; the table built from the orbit
+    # representatives equals them
+    k, n, s, category = params
+    outer, inner = _full_join_counts(k, category)
+    gram = [[n ** b * s ** c for b, c in zip(orow, irow)]
+            for orow, irow in zip(outer, inner)]
+    winv = bareiss_inverse(gram)
+    sigma = _rotation(k, category)
+    m = len(sigma)
+    for matrix in (gram, winv):
+        assert all(matrix[sigma[t]][sigma[u]] == matrix[t][u]
+                   for t in range(m) for u in range(m))
+    table = wg_table(k, n, s, category)
+    assert [list(row) for row in table.gram] == gram
+    assert [list(row) for row in table.winv] == winv
+
+
+@pytest.mark.parametrize("category, n, s, top", (
+    ("noncrossing", 5, 4, 4), ("all", 4, 4, 4), ("singletons", 4, 1, 5)))
+def test_table_matches_gauss_jordan(category, n, s, top):
+    # the Fraction oracle takes tens of seconds at the 273 and 288 indices
+    # of k = 5 in the two inner categories; the property test above
+    # compares those with the full-width integer inverse
+    for k in range(1, top + 1):
+        table = wg_table(k, n, s, category)
+        assert [list(row) for row in table.winv] == \
+            gauss_jordan_inverse(wg_gram(k, n, s, category))
+        assert table.wden > 0
+        assert math.gcd(table.wden, *(x for row in table.wnum for x in row)) == 1
+
+
+def _assert_integer_columns(table, cols):
+    """Columns cols of wnum G equal those of wden I, in integers."""
+    m = len(table.indices)
+    for u in cols:
+        column = [row[u] for row in table.gram]
+        assert [sum(map(mul, row, column)) for row in table.wnum] == \
+            [table.wden * (t == u) for t in range(m)], u
+
+
+def test_integer_inverse_k6_full():
+    table = wg_table(6, 4, 1)
+    _assert_integer_columns(table, range(len(table.indices)))
+
+
+def test_integer_inverse_k7_representative_columns():
+    # wnum G is rotation invariant with W and G, so its columns at the
+    # orbit representatives determine it
+    table = wg_table(7, 4, 1)
+    reps = weingarten._orbits(7, "singletons")[0]
+    assert len(table.indices) == 429 and len(reps) == 63
+    _assert_integer_columns(table, reps)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k, orbits, m", ((6, 28, 132), (7, 63, 429)))
+def test_work_scales_with_the_orbits(monkeypatch, k, orbits, m):
+    # join rows and inverse columns only at the orbit representatives:
+    # one outer and one inner join per representative row and index, one
+    # inverse column per representative
+    merges = []
+    merge = partition._merge
+
+    def counted(*args):
+        merges.append(1)
+        return merge(*args)
+
+    weingarten._join_block_counts.cache_clear()
+    monkeypatch.setattr(partition, "_merge", counted)
+    weingarten._join_block_counts(k, "singletons")
+    monkeypatch.setattr(partition, "_merge", merge)
+    weingarten._join_block_counts.cache_clear()
+    assert len(merges) == 2 * orbits * m
+
+    calls = []
+
+    def stop(matrix, cols=None):
+        calls.append((len(matrix), list(cols)))
+        raise _Stop     # the elimination itself is not needed here
+
+    monkeypatch.setattr(weingarten, "bareiss_inverse", stop)
+    with pytest.raises(_Stop):
+        wg_table(k, 4, 1)
+    assert calls == [(m, list(weingarten._orbits(k, "singletons")[0]))]
+    assert len(calls[0][1]) == orbits
+
+
+def test_orbit_counts():
+    for k, category, orbits, m in ((4, "noncrossing", 19, 55),
+                                   (6, "singletons", 28, 132),
+                                   (7, "singletons", 63, 429)):
+        reps, source, back = weingarten._orbits(k, category)
+        assert (len(reps), len(source)) == (orbits, m)
+        sigma = _rotation(k, category)
+        for t, (j, e) in enumerate(source):
+            u = reps[j]
+            for _ in range(e):
+                u = sigma[u]
+            assert u == t
+        assert all(back[e][sigma[t]] == back[e - 1][t]
+                   for e in range(1, k) for t in range(m))
