@@ -29,7 +29,8 @@ from .qnum import render_poly
 from .report import VerificationReport
 from .tl import (collapse, markov_trace_exponent, parse_tl, phi, sqrt_power,
                  verify_phi)
-from .weingarten import haar_state, wg_certify_asymptotics, wg_table
+from .weingarten import (CATEGORIES, haar_state, wg_certify_asymptotics,
+                         wg_table)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +152,7 @@ def cmd_weingarten(args) -> list[str]:
         return [str(_float(args, value))]
     lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
              for t, (p, a) in enumerate(table.indices)]
-    rows = ([Fraction(x, table.wden) for x in row] for row in table.wnum)
-    for row in rows if args.invert else table.gram:
+    for row in table.winv if args.invert else table.gram:
         lines.append(" ".join(str(_float(args, x)) for x in row))
     return lines
 
@@ -189,8 +189,7 @@ def build_parser() -> _Parser:
     as_float = _option("--float", action="store_true")
     n = _option("--N", type=int, required=True)
     max_points = _option("--max-points", type=int, default=6)
-    category = _option("--category", default=None,
-                       choices=("noncrossing", "all", "singletons"))
+    category = _option("--category", default=None, choices=CATEGORIES)
 
     parser = _Parser(prog="freewreath",
                      description="Representation combinatorics of free wreath "

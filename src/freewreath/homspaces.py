@@ -97,10 +97,6 @@ class DecoratedPartition:
             w *= d
         return w
 
-    def render(self) -> str:
-        dims = ",".join(str(d) for d in self.block_dims)
-        return f"{self.partition.render()} dims[{dims}]"
-
 
 def _decorate(p: Partition, up: Word, down: Word, fd: FusionData) -> DecoratedPartition:
     k = p.upper

@@ -20,16 +20,16 @@ never takes a join, so it is an independent oracle).
 The support of T_p is enumerated once, by ``_support``: each block has a
 base-N weight in the upper and in the lower multi-index, and each of the
 N^blocks value assignments gives one position (j, i) as a pair of integers.
-A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs to
-nonzero Fractions, with tensor, compose and adjoint; :func:`build_tp` decodes
-the support into index tuples for the conjugate equations and the Gram brute
-force.  The category check ORs the support into 0/1 bit rows and columns, one
-Python int each, and compares the three relations through shifts, ANDs and
-popcounts; its partition side (the pairs and their products, on block
-labels) is computed once per point bound.  A configurable cap (default 10**7)
-bounds the number of stored entries, and the number of composable pairs the
-category check lists; exceeding it raises CapExceededError rather than
-thrashing.
+A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs of
+such integers to nonzero Fractions, with tensor, compose and adjoint;
+:func:`build_tp` keys T_p by its support for the conjugate equations and the
+Gram brute force.  The category check ORs the support into 0/1 bit rows and
+columns, one Python int each, and compares the three relations through
+shifts, ANDs and popcounts; its partition side (the pairs and their
+products, on block labels) is computed once per point bound.  A
+configurable cap (default 10**7) bounds the number of stored entries, and
+the number of composable pairs the category check lists; exceeding it
+raises CapExceededError rather than thrashing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 from .config import check_entry_cap, check_enum_cap, check_pair_cap
 from .partition import (Partition, _compose_labels, _involute_labels,
@@ -45,14 +44,12 @@ from .partition import (Partition, _compose_labels, _involute_labels,
                         nested_pairing)
 from .report import VerificationReport
 
-Index = tuple[int, ...]
-
 
 class SparseMap:
     """Exact sparse linear map (C^N)^{in_arity} -> (C^N)^{out_arity}.
 
-    Entries are keyed (out_index, in_index) by tuples over 1..N; only nonzero
-    values are stored.
+    Entries are keyed (out_index, in_index) by multi-indices read as base-N
+    integers, first letter most significant; only nonzero values are stored.
     """
 
     def __init__(self, dim: int, in_arity: int, out_arity: int,
@@ -63,7 +60,7 @@ class SparseMap:
         self.in_arity = in_arity
         self.out_arity = out_arity
         # values are exact ints or Fractions; zeros are dropped
-        self.entries: dict[tuple[Index, Index], Fraction | int] = \
+        self.entries: dict[tuple[int, int], Fraction | int] = \
             {key: val for key, val in entries.items() if val} if entries else {}
         check_entry_cap(len(self.entries))
 
@@ -90,10 +87,12 @@ class SparseMap:
         if self.dim != other.dim:
             raise ValueError("tensor factors must share the dimension N")
         check_entry_cap(len(self.entries) * len(other.entries))
+        out_shift = self.dim ** other.out_arity
+        in_shift = self.dim ** other.in_arity
         entries = {}
         for (o1, i1), v1 in self.entries.items():
             for (o2, i2), v2 in other.entries.items():
-                entries[(o1 + o2, i1 + i2)] = v1 * v2
+                entries[(o1 * out_shift + o2, i1 * in_shift + i2)] = v1 * v2
         return SparseMap(self.dim, self.in_arity + other.in_arity,
                          self.out_arity + other.out_arity, entries)
 
@@ -105,10 +104,10 @@ class SparseMap:
             raise ValueError(
                 f"arity mismatch: composing in_arity {self.in_arity} "
                 f"with out_arity {other.out_arity}")
-        by_mid: dict[Index, list] = {}
+        by_mid: dict[int, list] = {}
         for (o, mid), v in self.entries.items():
             by_mid.setdefault(mid, []).append((o, v))
-        acc: dict[tuple[Index, Index], Fraction | int] = {}
+        acc: dict[tuple[int, int], Fraction | int] = {}
         get = by_mid.get
         for (mid, i), v2 in other.entries.items():
             hits = get(mid)
@@ -141,8 +140,8 @@ class SparseMap:
 
 
 def identity_map(k: int, dim: int) -> SparseMap:
-    entries = {(i, i): 1 for i in product(range(1, dim + 1), repeat=k)}
-    return SparseMap(dim, k, k, entries)
+    check_entry_cap(dim ** k)
+    return SparseMap(dim, k, k, {(i, i): 1 for i in range(dim ** k)})
 
 
 def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
@@ -170,17 +169,9 @@ def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
 
 
 def build_tp(p: Partition, dim: int) -> SparseMap:
-    """The map T_p: the positions of :func:`_support` as index tuples."""
-    def word(x: int, length: int) -> Index:
-        letters = []
-        for _ in range(length):
-            x, v = divmod(x, dim)
-            letters.append(v + 1)
-        return tuple(reversed(letters))
-
+    """The map T_p: a 1 at each position of :func:`_support`."""
     return SparseMap(dim, p.upper, p.lower,
-                     {(word(j, p.lower), word(i, p.upper)): 1
-                      for j, i in _support(p, dim)})
+                     dict.fromkeys(_support(p, dim), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +336,12 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
 
 def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     """Check (T_r* tensor id) . (id tensor T_r) = id with r the nested pairing."""
-    rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
     r = nested_pairing(k)
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    # refuse before any work: both tensor products hold N**(2k) entries
+    check_entry_cap(dim ** (2 * k))
+    rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
     t_r = build_tp(r, dim)
     ident = identity_map(k, dim)
     left = t_r.adjoint().tensor(ident)

@@ -24,9 +24,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def render(self) -> str:
         lines = [f"verify {self.name}: {'PASS' if self.passed else 'FAIL'}"]
         for c in self.checks:

@@ -1,10 +1,11 @@
 """Temperley-Lieb diagrams and the collapsing map onto noncrossing partitions.
 
 A diagram in TL(a, b) is a noncrossing perfect matching of a upper and b lower
-points, drawn in a box; a+b must be even.  Points are numbered as in
-:mod:`freewreath.partition`: 1..a on top left to right, a+1..a+b on the bottom
-left to right, and the boundary circle runs top left-to-right then bottom
-right-to-left, so the wrap gap is the left edge of the box.
+points, drawn in a box, held as a :class:`Partition` into pairs; a+b must be
+even.  Points are numbered as in :mod:`freewreath.partition`: 1..a on top left
+to right, a+1..a+b on the bottom left to right, and the boundary circle runs
+top left-to-right then bottom right-to-left, so the wrap gap is the left edge
+of the box.
 
 Composition glues boxes vertically; every strand closed in the middle becomes
 a loop worth sqrt(N), so D compose E = N^{loops/2} times a diagram.  The
@@ -38,54 +39,38 @@ from fractions import Fraction
 from functools import cache
 
 from .config import check_enum_cap
-from .partition import (ComposeResult, Partition, _from_labels, _merge,
-                        _position_to_point)
+from .partition import Partition, _from_labels, _merge, _position_to_point
 from .report import VerificationReport
 
 Pair = tuple[int, int]
 
 
-def _canonical_pairs(pairs) -> tuple[Pair, ...]:
-    return tuple(sorted(tuple(sorted(pr)) for pr in pairs))
-
-
-@dataclass(frozen=True)
-class TLDiagram:
-    upper: int
-    lower: int
-    pairs: tuple[Pair, ...]
+class TLDiagram(Partition):
+    """A noncrossing partition whose blocks are pairs."""
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _canonical_pairs(self.pairs))
+        # the matching checks come first, so a bad diagram gets their message
         n = self.upper + self.lower
         if n % 2:
             raise ValueError("a Temperley-Lieb diagram needs an even point count")
-        flat = sorted(pt for pr in self.pairs for pt in pr)
-        if flat != list(range(1, n + 1)):
-            raise ValueError(f"pairs {self.pairs} are not a perfect matching of 1..{n}")
-        if not self.as_partition().is_noncrossing():
-            raise ValueError(f"pairs {self.pairs} cross")
-
-    @property
-    def points(self) -> int:
-        return self.upper + self.lower
-
-    def as_partition(self) -> Partition:
-        return Partition(self.upper, self.lower, self.pairs)
-
-    def strands(self) -> int:
-        return len(self.pairs)
+        pairs = tuple(sorted(tuple(sorted(pr)) for pr in self.blocks))
+        flat = sorted(pt for pr in pairs for pt in pr)
+        if flat != list(range(1, n + 1)) or any(len(pr) != 2 for pr in pairs):
+            raise ValueError(f"pairs {pairs} are not a perfect matching of 1..{n}")
+        super().__post_init__()
+        if not self.is_noncrossing():
+            raise ValueError(f"pairs {self.blocks} cross")
 
     def tensor(self, other: "TLDiagram") -> "TLDiagram":
-        p = self.as_partition().tensor(other.as_partition())
+        p = super().tensor(other)
         return TLDiagram(p.upper, p.lower, p.blocks)
 
     def involute(self) -> "TLDiagram":
-        p = self.as_partition().involute()
+        p = super().involute()
         return TLDiagram(p.upper, p.lower, p.blocks)
 
     def render(self) -> str:
-        body = "".join(f"({a},{b})" for a, b in self.pairs)
+        body = "".join(f"({a},{b})" for a, b in self.blocks)
         return f"TL({self.upper},{self.lower}): {body}"
 
     __str__ = render
@@ -149,7 +134,7 @@ def tl_enumerate(a: int, b: int) -> tuple[TLDiagram, ...]:
     conv = _position_to_point(a, b)
     diags = [TLDiagram(a, b, [(conv(x), conv(y)) for x, y in shape])
              for shape in _matching_shapes(n)]
-    diags.sort(key=lambda d: d.pairs)
+    diags.sort(key=lambda d: d.blocks)
     return tuple(diags)
 
 
@@ -159,7 +144,7 @@ def tl_compose(bottom: TLDiagram, top: TLDiagram) -> tuple[TLDiagram, int]:
     As elements of the algebra at loop value sqrt(N):
     T_bottom . T_top = N^{loops/2} T_diagram.
     """
-    res: ComposeResult = bottom.as_partition().compose(top.as_partition())
+    res = bottom.compose(top)
     p = res.partition
     return TLDiagram(p.upper, p.lower, p.blocks), res.closed_blocks
 
@@ -192,7 +177,7 @@ def markov_trace_exponent(d: TLDiagram) -> int:
     """
     if d.upper != d.lower:
         raise ValueError("the Markov trace needs a square diagram")
-    return nc_closure_components(d.as_partition())
+    return nc_closure_components(d)
 
 
 def sqrt_power(dim: int, exponent: int, as_float: bool = False) -> str | float:
@@ -226,7 +211,7 @@ def collapse(d: TLDiagram) -> Partition:
         raise ValueError("collapse needs even arities TL(2k, 2l)")
     # the odd points 1, 3, ... stand for the collapsed points in order
     odd = range(1, d.points, 2)
-    labels, _ = _merge(d.points, d.pairs + tuple((x, x + 1) for x in odd), odd)
+    labels, _ = _merge(d.points, d.blocks + tuple((x, x + 1) for x in odd), odd)
     return _from_labels(d.upper // 2, d.lower // 2, labels)
 
 
@@ -273,7 +258,7 @@ def black_regions(d: TLDiagram) -> int:
     region at odd depth from the white outer region, hence black.
     """
     arcs = [tuple(sorted(_position(d.upper, d.lower, pt) for pt in pair))
-            for pair in d.pairs]
+            for pair in d.blocks]
     count = 0
     for u, v in arcs:
         depth = sum(1 for x, y in arcs if x < u and v < y)

@@ -35,8 +35,8 @@ from typing import Sequence
 
 from .config import check_entry_cap
 from .exactmat import bareiss_inverse
-from .partition import (Partition, _join_counts, discrete_partition,
-                        enumerate_partitions, kernel)
+from .partition import (Partition, _canonical_labels, _join_counts,
+                        discrete_partition, enumerate_partitions, kernel)
 from .report import VerificationReport
 
 CATEGORIES = ("noncrossing", "all", "singletons")
@@ -214,16 +214,13 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
             raise ValueError(f"{name} must have length {k}")
         if any(not (1 <= x <= hi) for x in tup):
             raise ValueError(f"{name} entries must lie in 1..{hi}")
-    rows = _support(k, table.category, _pattern(outer_row), _pattern(inner_row))
-    cols = _support(k, table.category, _pattern(outer_col), _pattern(inner_col))
+    # an index tuple relabelled by first occurrence is its kernel as a tuple
+    rows = _support(k, table.category, _canonical_labels(outer_row),
+                    _canonical_labels(inner_row))
+    cols = _support(k, table.category, _canonical_labels(outer_col),
+                    _canonical_labels(inner_col))
     wnum = table.wnum
     return Fraction(sum(wnum[t][u] for t in rows for u in cols), table.wden)
-
-
-def _pattern(values: Sequence[int]) -> tuple[int, ...]:
-    """An index tuple relabelled by first occurrence: its kernel as a tuple."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(v, len(first)) for v in values)
 
 
 @cache

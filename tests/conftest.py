@@ -9,6 +9,15 @@ from freewreath.partition import enumerate_partitions
 from freewreath.qnum import cheb_poly
 
 
+def _position(index: tuple, n: int) -> int:
+    """A multi-index over 1..n as a base-n number, first letter most
+    significant: the key of its entry in a SparseMap."""
+    out = 0
+    for x in index:
+        out = out * n + x - 1
+    return out
+
+
 def _projection_oracle(k: int, n: int):
     """Entries of the orthogonal projection onto the span of the T_p at s=1.
 
@@ -22,12 +31,13 @@ def _projection_oracle(k: int, n: int):
 
     def entry(row: tuple, col: tuple) -> Fraction:
         total = Fraction(0)
+        row, col = _position(row, n), _position(col, n)
         for i, vi in enumerate(vecs):
-            ci = vi.entries.get((col, ()), 0)
+            ci = vi.entries.get((col, 0), 0)
             if not ci:
                 continue
             for j, vj in enumerate(vecs):
-                rj = vj.entries.get((row, ()), 0)
+                rj = vj.entries.get((row, 0), 0)
                 if rj:
                     total += rj * winv[j][i] * ci
         return total

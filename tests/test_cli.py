@@ -389,6 +389,18 @@ def test_verify_category_caps_the_compose_pairs():
     assert python(*argv, FREEWREATH_ENTRY_CAP="50000").returncode == 0
 
 
+def test_verify_conjugate_over_cap_refused_before_any_work(capsys,
+                                                          monkeypatch):
+    # both tensor products of k = 6 at N = 10 hold 10**12 entries
+    def never(*args, **kwargs):
+        raise AssertionError("called before the entry cap was checked")
+
+    monkeypatch.setattr(linmaps, "_support", never)
+    assert run(capsys, "verify", "conjugate", "--k", "6", "--N", "10") == \
+        (2, "", "cap exceeded: storing 1000000000000 entries exceeds the cap "
+                "of 10000000\n")
+
+
 def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
     # wg_table(9, ...) has at least Catalan(9)**2 = 23,639,044 Gram entries
     def never(*args, **kwargs):

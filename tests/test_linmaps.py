@@ -24,7 +24,7 @@ from freewreath.weingarten import wg_gram
 def test_build_tp_identity():
     t = build_tp(identity_partition(2), 3)
     assert t == identity_map(2, 3)
-    assert t.entries[((1, 1), (1, 1))] == 1
+    assert t.entries[(0, 0)] == 1
     assert len(t.entries) == 9
 
 
@@ -32,8 +32,9 @@ def test_build_tp_full_block():
     # one block forces all indices equal: dim nonzero entries
     t = build_tp(full_block(2, 1), 3)
     assert len(t.entries) == 3
-    assert t.entries[((1,), (1, 1))] == 1
-    assert ((0,), (0, 1)) not in t.entries
+    # lower index (1,) and upper (1, 1) is position (0, 0); upper (1, 2) is 1
+    assert t.entries[(0, 0)] == 1
+    assert (0, 1) not in t.entries
 
 
 def test_build_tp_discrete():
@@ -67,7 +68,7 @@ def test_compose_with_loop_factor():
     rhs = build_tp(res.partition, n).scale(Fraction(n) ** res.closed_blocks)
     assert lhs == rhs
     # the scalar map value is N
-    assert lhs.entries[((), ())] == n
+    assert lhs.entries[(0, 0)] == n
 
 
 def test_adjoint_is_involution_transpose():
@@ -139,19 +140,36 @@ def test_category_pairs_digest(max_points):
 
 
 def _number(index, n):
+    """A multi-index over 0..n-1 as a base-n number, first letter most
+    significant."""
     out = 0
     for x in index:
-        out = out * n + x - 1
+        out = out * n + x
     return out
 
 
+def test_support_matches_brute_force():
+    # the positions (j, i) of the index tuples, upper row then lower row,
+    # that are constant on every block
+    for points in range(5):
+        for k in range(points + 1):
+            for mode in ("noncrossing", "all"):
+                for p in enumerate_partitions(k, points - k, mode):
+                    for n in (1, 2, 3):
+                        want = {(_number(idx[k:], n), _number(idx[:k], n))
+                                for idx in itertools.product(range(n),
+                                                             repeat=points)
+                                if all(len({idx[pt - 1] for pt in b}) == 1
+                                       for b in p.blocks)}
+                        got = linmaps._support(p, n)
+                        assert len(got) == len(want) and set(got) == want
+
+
 def test_bit_rows_match_build_tp():
-    # a multi-index is a base-N number, first letter most significant
     for p in enumerate_partitions(2, 2) + enumerate_partitions(1, 3):
         for n in (1, 2, 3):
             rows, cols = [0] * n ** p.lower, [0] * n ** p.upper
             for (j, i), v in build_tp(p, n).entries.items():
-                j, i = _number(j, n), _number(i, n)
                 rows[j] |= v << i
                 cols[i] |= v << j
             assert linmaps._bit_rows(p, n) == (rows, cols)

@@ -11,13 +11,22 @@ from freewreath.tl import (ScaledPartition, TLDiagram, black_regions, cap,
 
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
+    # the matching checks run before the partition check, so each bad
+    # diagram gets the diagram's own message
+    with pytest.raises(ValueError, match="needs an even point count"):
         TLDiagram(1, 2, [(1, 2), (3, 3)])        # odd total / bad pair
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pairs \(\(1, 2\), \(3, 3\)\) "
+                       "are not a perfect matching of 1..4$"):
         TLDiagram(2, 2, [(1, 2), (3, 3)])        # 3 repeated, 4 missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="are not a perfect matching"):
+        TLDiagram(2, 2, [(1, 2, 3), (4,)])       # blocks that are not pairs
+    with pytest.raises(ValueError, match=r"^pairs \(\(1, 4\), \(2, 3\)\) cross$"):
         TLDiagram(2, 2, [(1, 4), (2, 3)])        # crossing
-    TLDiagram(2, 2, [(1, 2), (3, 4)])
+    d = TLDiagram(2, 2, [(4, 3), (2, 1)])
+    assert d.blocks == ((1, 2), (3, 4)) and d == TLDiagram(2, 2, [(1, 2), (3, 4)])
+    # a diagram is a partition, but never equal to a plain one
+    assert isinstance(d, Partition) and d != Partition(2, 2, d.blocks)
+    assert len({d, Partition(2, 2, d.blocks)}) == 2
 
 
 def test_enumeration_catalan():

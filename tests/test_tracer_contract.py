@@ -9,7 +9,7 @@ imported by path and run as it is, without edits.
 import importlib.util
 from pathlib import Path
 
-from freewreath import exactmat, partition, tl
+from freewreath import exactmat, linmaps, partition, tl
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,6 +33,26 @@ def test_tracer_installs_and_uninstalls():
     assert (dict(vars(tl)), dict(vars(partition.Partition))) == before
     summary = tracer.summary()
     assert summary["tl.calls"] >= 1 and summary["tl.diagrams"] == 2
+
+
+def test_tracer_wraps_the_diagram_and_map_methods():
+    # TLDiagram's own tensor and involute, and SparseMap's methods on its
+    # integer keys, run through the wrappers and come back on uninstall
+    before = dict(vars(tl.TLDiagram)), dict(vars(linmaps.SparseMap))
+    tracer = load_tracer().Tracer().install()
+    try:
+        assert tl.verify_phi(4).passed
+        assert linmaps.verify_conjugate_equations(1, 2).passed
+    finally:
+        tracer.uninstall()
+    assert (dict(vars(tl.TLDiagram)), dict(vars(linmaps.SparseMap))) == before
+    summary = tracer.summary()
+    assert summary["tl.calls"] > 0 and summary["linmaps.calls"] > 0
+    assert summary["tl.errors"] == summary["linmaps.errors"] == 0
+    called = {tracer.names[nid] for nid in tracer.span_name}
+    assert {"tl.TLDiagram.tensor", "tl.TLDiagram.involute",
+            "linmaps.SparseMap.tensor", "linmaps.SparseMap.compose",
+            "linmaps.SparseMap.adjoint"} <= called
 
 
 def test_tracer_counts_each_exactmat_matrix_once():
