@@ -108,6 +108,8 @@ def cmd_char_law(args) -> list[str]:
 
 
 def cmd_classical(args) -> list[str]:
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = z2_block_moment(args.rep)
@@ -152,7 +154,9 @@ def cmd_weingarten(args) -> list[str]:
         return [str(_float(args, value))]
     lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
              for t, (p, a) in enumerate(table.indices)]
-    for row in table.winv if args.invert else table.gram:
+    # W from wnum row by row: table.winv would hold all m^2 Fractions at once
+    rows = ((Fraction(x, table.wden) for x in row) for row in table.wnum)
+    for row in rows if args.invert else table.gram:
         lines.append(" ".join(str(_float(args, x)) for x in row))
     return lines
 

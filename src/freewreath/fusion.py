@@ -183,7 +183,8 @@ class FusionData(ABC):
             raise ValueError(f"unknown irreducible label {label!r}")
 
     def validate(self) -> None:
-        """Check the semiring axioms; complete for finite label sets.
+        """Check the semiring axioms other than associativity (which
+        ``fusion_from_json`` checks); complete for finite label sets.
 
         Frobenius symmetry N(a, b, c) = N(b, conj c, conj a) is checked on the
         nonzero entries only, which is complete: that triple map has order 3.
@@ -309,6 +310,8 @@ def fusion_from_json(text: str, name: str = "file") -> TableFusion:
                              list, "irreps"):
             label = _expect(_expect(entry, dict, "irreps entry")["label"],
                             str, "irrep label")
+            if label in dims:
+                raise ValueError(f"duplicate irrep label {label!r}")
             labels.append(label)
             dims[label] = _expect(entry["dim"], int, f"dimension of {label!r}")
         conj = {a: _expect(b, str, f"conjugate of {a!r}")
@@ -324,7 +327,34 @@ def fusion_from_json(text: str, name: str = "file") -> TableFusion:
         trivial = _expect(doc["trivial"], str, "trivial")
     except KeyError as exc:
         raise ValueError(f"fusion file misses the field {exc}") from exc
-    return TableFusion(labels, dims, trivial, conj, tensor, name)
+    fd = TableFusion(labels, dims, trivial, conj, tensor, name)
+    _check_associative(fd)
+    return fd
+
+
+def _check_associative(fd: TableFusion) -> None:
+    """ValueError unless (a x b) x c = a x (b x c) for all labels a, b, c.
+
+    Not part of ``validate``: it costs two products per label triple, and
+    the group duals built here already pass Light's test in ``FiniteGroup``.
+    """
+    labels = fd.labels()
+    table = {(a, b): tuple(fd.tensor(a, b).items())
+             for a in labels for b in labels}
+    for (a, b), ab in table.items():
+        for c in labels:
+            left: dict = {}
+            right: dict = {}
+            for d, m in ab:
+                for e, n in table[d, c]:
+                    left[e] = left.get(e, 0) + m * n
+            for d, m in table[b, c]:
+                for e, n in table[a, d]:
+                    right[e] = right.get(e, 0) + m * n
+            if left != right:
+                raise ValueError(
+                    f"fusion rules are not associative: "
+                    f"({a!r}x{b!r})x{c!r} != {a!r}x({b!r}x{c!r})")
 
 
 def load_fusion_file(path: str) -> TableFusion:

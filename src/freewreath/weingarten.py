@@ -18,7 +18,10 @@ points, so only the rows of one index per rotation orbit are computed.
 
 As N grows with s fixed, the Weingarten matrix concentrates: the entry at
 ((p, a), (q, b)) approaches delta_{p,q} N^{-b(p)} times the product over the
-blocks of p of the *inner* Weingarten matrices at the block sizes.  The
+blocks of p of the *inner* Weingarten matrices at the block sizes.  For one
+p these products are the inverse of the inner Gram block [s^{b(a v b)}] over
+the indices (p, a): a refines p block by block and b(a v b) adds over the
+blocks, so that block is a Kronecker product of inner Gram matrices.  The
 certification routine checks this on a ladder of perfect squares, where the
 natural scale sqrt(N)^{b(p)+b(q)} is an exact integer, demanding the scaled
 error at least halve with each quadrupling of N.
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
 from operator import mul
 from typing import Sequence
 
@@ -80,6 +84,12 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 
 
 @cache
+def _positions(k: int, category: str) -> dict[Index, int]:
+    """Each index of wg_indices(k, category) mapped to its position."""
+    return {idx: t for t, idx in enumerate(wg_indices(k, category))}
+
+
+@cache
 def _orbits(k: int, category: str
             ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
                        tuple[tuple[int, ...], ...]]:
@@ -94,7 +104,7 @@ def _orbits(k: int, category: str
     tuple, so that row t of X is row reps[j] read at the positions back[e].
     """
     indices = wg_indices(k, category)
-    position = {idx: t for t, idx in enumerate(indices)}
+    position = _positions(k, category)
 
     def rotate(p: Partition) -> Partition:
         return Partition(0, k, [[pt % k + 1 for pt in b] for b in p.blocks])
@@ -237,46 +247,23 @@ def _support(k: int, category: str, outer: tuple[int, ...],
 # asymptotics
 
 
-@cache
-def _inner_weingarten(m: int, s: int, category: str):
-    """Partitions and inverse Gram of the inner group alone at order m."""
-    parts = inner_partitions(m, category)
-    gram = [[s ** c for c in row] for row in _join_counts(parts)]
-    return parts, bareiss_inverse(gram)
-
-
-def _restrict(a: Partition, points: Sequence[int]) -> Partition:
-    """Restriction of a partition to a subset of its points, relabeled 1..m."""
-    pos = {pt: i + 1 for i, pt in enumerate(sorted(points))}
-    blocks = []
-    for block in a.blocks:
-        inside = [pos[pt] for pt in block if pt in pos]
-        if inside:
-            if len(inside) != len(block):
-                raise ValueError("partition does not refine the block structure")
-            blocks.append(tuple(inside))
-    return Partition(0, len(points), tuple(blocks))
-
-
 def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
                      category: str) -> Fraction:
     """Coefficient c of the large-N law W -> c * N^{-b(p)} at this entry.
 
-    Zero unless the outer partitions agree; otherwise the product over the
-    outer blocks of the inner Weingarten entries at the restricted inner
-    partitions.
+    Zero unless the outer partitions agree; otherwise the entry of the
+    inverse inner Gram block of that outer partition.  ValueError for an
+    index not in wg_indices.
     """
-    p, a = idx1
-    q, b = idx2
-    if p != q:
+    if idx1[0] != idx2[0]:
         return Fraction(0)
-    coeff = Fraction(1)
-    for block in p.blocks:
-        parts, winner = _inner_weingarten(len(block), s, category)
-        ra = _restrict(a, block)
-        rb = _restrict(b, block)
-        coeff *= winner[parts.index(ra)][parts.index(rb)]
-    return coeff
+    k = idx1[0].points
+    position = _positions(k, category)
+    for idx in (idx1, idx2):
+        if idx not in position:
+            raise ValueError(f"{idx!r} is not an index of order {k} "
+                             f"in the {category!r} category")
+    return _leading_coeffs(k, s, category)[position[idx1]][position[idx2]]
 
 
 def wg_scaled_errors(k: int, n: int, s: int, category: str | None) -> dict:
@@ -308,11 +295,20 @@ def wg_scaled_errors(k: int, n: int, s: int, category: str | None) -> dict:
 @cache
 def _leading_coeffs(k: int, s: int,
                     category: str) -> tuple[tuple[Fraction, ...], ...]:
-    """wg_leading_coeff over all index pairs; it does not depend on N."""
+    """wg_leading_coeff over all index pairs; it does not depend on N.
+
+    wg_indices lists the indices of one outer p in a run: one inverse each.
+    """
     indices = wg_indices(k, category)
-    return tuple(tuple(wg_leading_coeff(idx1, idx2, s, category)
-                       for idx2 in indices)
-                 for idx1 in indices)
+    inner = _join_block_counts(k, category)[1]
+    zero = Fraction(0)
+    coeffs = [[zero] * len(indices) for _ in indices]
+    for _, run in groupby(range(len(indices)), key=lambda t: indices[t][0]):
+        run = list(run)
+        block = bareiss_inverse([[s ** inner[t][u] for u in run] for t in run])
+        for t, row in zip(run, block):
+            coeffs[t][run[0]:run[-1] + 1] = row
+    return tuple(map(tuple, coeffs))
 
 
 def wg_certify_asymptotics(k: int, s: int,

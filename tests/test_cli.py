@@ -1,6 +1,8 @@
 import ast
 import inspect
+import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -106,6 +108,10 @@ def test_classical_out_of_range_refused(capsys):
     for n, k in (("-1", "3"), ("3", "-2")):
         code, out, err = run(capsys, "classical", "--n", n, "--k", k)
         assert code == 1 and out == "" and err.startswith("error:")
+        # the message names the input that is out of range, as given
+        bad = "--n" if n.startswith("-") else "--k"
+        value = n if bad == "--n" else k
+        assert err == f"error: {bad} must be nonnegative, got {value}\n"
 
 
 def test_classical(capsys):
@@ -135,6 +141,21 @@ def test_weingarten_invert(capsys):
     code, out, _ = run(capsys, "weingarten", "--k", "1", "--N", "5", "--invert")
     assert code == 0
     assert out.splitlines()[-1] == "1/5"
+
+
+def test_weingarten_invert_prints_from_wnum(capsys, monkeypatch):
+    # W is printed row by row from wnum / wden: the Fraction matrix winv,
+    # all m^2 entries at once, is never built
+    def never(table):
+        raise AssertionError("winv built")
+    monkeypatch.setattr(weingarten.WeingartenTable, "winv", property(never))
+    code, out, _ = run(capsys, "weingarten", "--k", "3", "--N", "4", "--s",
+                       "3", "--invert")
+    assert code == 0
+    table = weingarten.wg_table(3, 4, 3)
+    assert out.splitlines()[len(table.indices):] == [
+        " ".join(str(Fraction(x, table.wden)) for x in row)
+        for row in table.wnum]
 
 
 def test_weingarten_haar(capsys):
@@ -511,6 +532,76 @@ def test_malformed_fusion_file_refused(capsys, tmp_path):
     code, out, err = run(capsys, "fuse", "(1)", "(1)", "--fusion",
                          f"file:{path}")
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def _steiner_loop_table() -> dict:
+    """The Steiner loop of the affine plane AG(2,3) as a fusion file: labels e
+    and nine points pXY, x.x = e and x.y = -(x+y) mod 3 coordinatewise.  It
+    passes every semiring check but associativity."""
+    def mult(a, b):
+        if "e" in (a, b):
+            return b if a == "e" else a
+        if a == b:
+            return "e"
+        return "p" + "".join(str(-(int(u) + int(v)) % 3)
+                             for u, v in zip(a[1:], b[1:]))
+    labels = ["e"] + [f"p{x}{y}" for x in range(3) for y in range(3)]
+    return {"irreps": [{"label": a, "dim": 1} for a in labels],
+            "trivial": "e", "conj": {a: a for a in labels},
+            "tensor": {f"{a},{b}": {mult(a, b): 1}
+                       for a in labels for b in labels}}
+
+
+def test_non_associative_fusion_file_refused(capsys, tmp_path):
+    path = tmp_path / "steiner.json"
+    path.write_text(json.dumps(_steiner_loop_table()))
+    # both routes refuse, before either can answer from the table
+    for method in ("partition", "fusion"):
+        code, out, err = run(capsys, "hom-dim", "--up", "p20,p10", "--down",
+                             "p21,p01,p20", "--method", method, "--fusion",
+                             f"file:{path}")
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "not associative" in err
+
+
+def test_duplicate_irrep_label_refused(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "irreps": [{"label": a, "dim": 1} for a in ("1", "g", "g")],
+        "trivial": "1", "conj": {"1": "1", "g": "g"},
+        "tensor": {"1,1": {"1": 1}, "1,g": {"g": 1}, "g,1": {"g": 1},
+                   "g,g": {"1": 1}}}))
+    code, out, err = run(capsys, "fuse", "(g)", "(g)", "--fusion",
+                         f"file:{path}")
+    assert (code, out, err) == (1, "", "error: duplicate irrep label 'g'\n")
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """The `$ freewreath ...` examples of README.md with their output: the
+    lines after each command up to the next blank line or closing fence."""
+    lines = (Path(SRC).parent / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ freewreath "):
+            end = next(j for j in range(i + 1, len(lines))
+                       if lines[j] in ("", "```"))
+            examples.append((shlex.split(line)[2:],
+                             "".join(f"{out}\n" for out in lines[i + 1:end])))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_found():
+    text = (Path(SRC).parent / "README.md").read_text()
+    assert len(README_EXAMPLES) == text.count("\n$ freewreath ") > 0
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_bad_cap_variable_refused():

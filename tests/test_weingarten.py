@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -179,6 +180,100 @@ def test_leading_coefficient():
     pairs = [(i, j) for i in ids2 for j in ids2 if i[0] != j[0]]
     assert all(wg_leading_coeff(a, b, 4, "noncrossing") == 0
                for a, b in pairs)
+
+
+# sha256 of wg_leading_coeff over every index pair, rows in wg_indices order,
+# entries as str(Fraction) joined by spaces and rows by newlines; the values
+# of the product over the outer blocks of p of the inner Weingarten entries
+# at the restricted inner partitions, computed block by block
+LEADING_DIGESTS = {
+    ("noncrossing", 4, 1):
+        "f70b94aeb67de2a5eb4bd8c2ea85128f13776cb545a661abe422b378a6cf3099",
+    ("noncrossing", 4, 2):
+        "0d64d3e7ab346dfca7ba075efccef8cff8d1f24b0c237e971c9b3f61afe83072",
+    ("noncrossing", 4, 3):
+        "328e69691c7eeb62ffa2298fc7c26911145d3ed1d0e745bdf8aeaf928c89fcc8",
+    ("noncrossing", 4, 4):
+        "b1a786d2e2795a64e30b5f09d91c9cd247a4b7d4df2e8640f05b393bee463ec1",
+    ("noncrossing", 4, 5):
+        "ade07596e7e994feaae9be50c9bd88ec53874699ac10e4dd5be33688488fa16a",
+    ("all", 5, 1):
+        "bd82a28b1f088b3a186737712fb16fe7323aecb3abc234b38c9534349aaa1757",
+    ("all", 5, 2):
+        "e71fd44ea68fc500acf7d48ca0cd10f28cb59a39bb57cc819ea400a035366b19",
+    ("all", 5, 3):
+        "a5a7ee6b213559550d22cf08318cbaec76eede882e9a8d56a4432c3069f337c8",
+    ("all", 5, 4):
+        "e6a6cc9f1e82e049cd4ed0b62130ba5703478911b34a9c12e6a4eae43685d2cf",
+    ("singletons", 1, 1):
+        "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("singletons", 1, 2):
+        "efff5df765588565b88b1ded5d6014ff6808f137207cd5be6973b119e1c5c26b",
+    ("singletons", 1, 3):
+        "814c218eb642191eab0a5180d75abf70ba2f3099fa3388ea6b989556ca47cd2a",
+    ("singletons", 1, 4):
+        "651b8c2953b77f9df30aae9b65b801bf8493d3278b8076ee846fa6542722902e",
+    ("singletons", 1, 5):
+        "cfd72a14c1e7759a3a7383acf8958842106cce1178602a379309243e50dca5f0",
+    ("singletons", 1, 6):
+        "5aa76dc8f5799ec81f02cbe498d1b682ed3cd477c308152f8e2196cc7170022d",
+    ("singletons", 3, 1):
+        "0d7f0e336166042f8cc9e4c20ae427ba367c279d6e3dfd1bd7247b0fbce61d50",
+    ("singletons", 3, 2):
+        "4e25cea7b9de0d89bfb52a1128ecf221e7e594dc30d7a40316a9f7428a6f9d6d",
+    ("singletons", 3, 3):
+        "82c06196a0e12a3512efd64b435500ccb3992df69172c711a92003b3f3fa60bf",
+    ("singletons", 3, 4):
+        "92552d13fae543f6e7e4b2759537c77c22eb5ec0b35f863f96a64ba303270d65",
+    ("singletons", 3, 5):
+        "ae2f65b9fc9605f01f3e7412da04d9df01bb45c005392ae41d3c577b67b7bd11",
+    ("singletons", 3, 6):
+        "43401853d2484402ae89b8cb9c3915e2d1ee1af0ca8952f18d7da106d8d904e8",
+}
+
+
+def test_leading_coeff_digest():
+    for (category, s, k), digest in LEADING_DIGESTS.items():
+        indices = wg_indices(k, category)
+        text = "\n".join(" ".join(str(wg_leading_coeff(a, b, s, category))
+                                   for b in indices) for a in indices)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, \
+            (category, s, k)
+
+
+@pytest.mark.parametrize("k, s, category", [
+    (k, s, c) for k in (1, 2, 3, 4)
+    for s, c in ((4, "noncrossing"), (5, "all"), (3, "singletons"))])
+def test_leading_coeff_inverts_inner_gram_blocks(k, s, category):
+    # for one outer p, the coefficients times [s^b(a v b)] over the inner
+    # partitions a of the indices (p, a) give the identity; across p, zero
+    indices = wg_indices(k, category)
+    for p in {p for p, _ in indices}:
+        run = [idx for idx in indices if idx[0] == p]
+        gram = [[s ** c for c in row]
+                for row in _join_counts([a for _, a in run])]
+        coeffs = [[wg_leading_coeff(x, y, s, category) for y in run]
+                  for x in run]
+        assert [[sum(map(mul, row, col)) for col in zip(*gram)]
+                for row in coeffs] == \
+            [[int(i == j) for j in range(len(run))] for i in range(len(run))]
+    assert all(wg_leading_coeff(x, y, s, category) == 0
+               for x in indices for y in indices if x[0] != y[0])
+
+
+def test_leading_coeff_refusals():
+    whole = Partition(0, 4, [[1, 2, 3, 4]])
+    crossing = Partition(0, 4, [[1, 3], [2, 4]])
+    with pytest.raises(ValueError):     # a crossing inner partition
+        wg_leading_coeff((whole, crossing), (whole, crossing), 4,
+                         "noncrossing")
+    with pytest.raises(ValueError):     # an outer partition that crosses
+        wg_leading_coeff((crossing, crossing), (crossing, crossing), 4, "all")
+    # different outer partitions, of different orders too, give zero
+    one = wg_indices(1, "noncrossing")[0]
+    assert wg_leading_coeff(one, (whole, whole), 4, "noncrossing") == 0
+    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+        wg_leading_coeff((whole, whole), (whole, whole), 3, "all")
 
 
 def test_scaled_errors_zero_at_k1():
