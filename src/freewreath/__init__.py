@@ -16,7 +16,7 @@ from .fusion import (FiniteGroup, FusionData, IntegersFusion,
                      sort_words, symmetric_group_3, symmetric_group_3_fusion,
                      trivial_fusion)
 from .homspaces import DecoratedPartition, dim_hom_wreath, parse_star_list
-from .linmaps import (SparseMap, build_tp, gram_brute, gram_nc, identity_map,
+from .linmaps import (SparseMap, build_tp, gram_brute, gram_nc,
                       verify_category_relations, verify_conjugate_equations)
 from .partition import (Partition, discrete_partition, enumerate_partitions,
                         full_block, identity_partition, kernel,

@@ -22,14 +22,14 @@ base-N weight in the upper and in the lower multi-index, and each of the
 N^blocks value assignments gives one position (j, i) as a pair of integers.
 A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs of
 such integers to nonzero Fractions, with tensor, compose and adjoint;
-:func:`build_tp` keys T_p by its support for the conjugate equations and the
-Gram brute force.  The category check ORs the support into 0/1 bit rows and
-columns, one Python int each, and compares the three relations through
-shifts, ANDs and popcounts; its partition side (the pairs and their
-products, on block labels) is computed once per point bound.  A
-configurable cap (default 10**7) bounds the number of stored entries, and
-the number of composable pairs the category check lists; exceeding it
-raises CapExceededError rather than thrashing.
+:func:`build_tp` keys T_p by its support for the Gram brute force.  The
+category check ORs the support into 0/1 bit rows and columns, one Python int
+each, and compares the three relations through shifts, ANDs and popcounts;
+its partition side (the pairs and their products, on block labels) is
+computed once per point bound.  A configurable cap (default 10**7) bounds
+the number of stored entries, and the number of composable pairs the
+category check lists; exceeding it raises CapExceededError rather than
+thrashing.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class SparseMap:
         if len(big) < len(small):
             small, big = big, small
         return Fraction(sum(v * big[k] for k, v in small.items() if k in big))
-
-
-def identity_map(k: int, dim: int) -> SparseMap:
-    check_entry_cap(dim ** k)
-    return SparseMap(dim, k, k, {(i, i): 1 for i in range(dim ** k)})
 
 
 def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
@@ -335,21 +330,30 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
 
 
 def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
-    """Check (T_r* tensor id) . (id tensor T_r) = id with r the nested pairing."""
+    """Check (T_r* tensor id) . (id tensor T_r) = id with r the nested pairing.
+
+    The support of T_r, split into halves (a, b), is a relation a -> b on
+    the basis of (C^N)^{tensor k}.  The first product sends e_y to the sum
+    of e_b over b in succ[a], a in succ[y]; the second to the sum of e_a over
+    a in pred[b], b in pred[y].  Each must be e_y: that list must be [y].
+    """
     r = nested_pairing(k)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     # refuse before any work: both tensor products hold N**(2k) entries
     check_entry_cap(dim ** (2 * k))
     rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
-    t_r = build_tp(r, dim)
-    ident = identity_map(k, dim)
-    left = t_r.adjoint().tensor(ident)
-    right = ident.tensor(t_r)
-    rep.add("(T_r* tensor id) . (id tensor T_r) = id",
-            left.compose(right) == ident)
-    rep.add("(id tensor T_r*) . (T_r tensor id) = id",
-            ident.tensor(t_r.adjoint()).compose(t_r.tensor(ident)) == ident)
+    size = dim ** k
+    succ = [[] for _ in range(size)]
+    pred = [[] for _ in range(size)]
+    for j, _ in _support(r, dim):
+        a, b = divmod(j, size)
+        succ[a].append(b)
+        pred[b].append(a)
+    rep.add("(T_r* tensor id) . (id tensor T_r) = id", all(
+        [b for a in succ[y] for b in succ[a]] == [y] for y in range(size)))
+    rep.add("(id tensor T_r*) . (T_r tensor id) = id", all(
+        [a for b in pred[y] for a in pred[b]] == [y] for y in range(size)))
     return rep
 
 

@@ -12,7 +12,7 @@ from freewreath.exactmat import bareiss_det_rank, kernel_vector
 from freewreath.fusion import (cyclic_group, group_dual_fusion,
                                symmetric_group_3)
 from freewreath.homspaces import block_trivial_mult, hom_terms
-from freewreath.linmaps import (build_tp, gram_brute, gram_nc, identity_map,
+from freewreath.linmaps import (build_tp, gram_brute, gram_nc,
                                 verify_category_relations,
                                 verify_conjugate_equations)
 from freewreath.partition import (Partition, discrete_partition,
@@ -23,7 +23,7 @@ from freewreath.weingarten import wg_gram
 
 def test_build_tp_identity():
     t = build_tp(identity_partition(2), 3)
-    assert t == identity_map(2, 3)
+    assert t.entries == {(i, i): 1 for i in range(9)}
     assert t.entries[(0, 0)] == 1
     assert len(t.entries) == 9
 
@@ -205,18 +205,47 @@ def test_verify_category_relations_catches_a_corrupt_map(monkeypatch, corrupt,
     assert _failure_counts(report) == failures, report.render()
 
 
-def test_verify_conjugate_equations():
-    for k in (1, 2):
-        for n in (2, 4):
+def _conjugate_products(r, k, n):
+    """Whether (T_r* tensor id)(id tensor T_r) and (id tensor T_r*)(T_r
+    tensor id) are the identity, by SparseMap composition."""
+    tr = build_tp(r, n)
+    ident = build_tp(identity_partition(k), n)
+    return (tr.adjoint().tensor(ident).compose(ident.tensor(tr)) == ident,
+            ident.tensor(tr.adjoint()).compose(tr.tensor(ident)) == ident)
+
+
+def test_verify_conjugate_equations(monkeypatch):
+    # the nested pairing satisfies both equations
+    for k in range(4):
+        for n in range(1, 5):
             report = verify_conjugate_equations(k, n)
             assert report.passed, report.render()
-    # the nested pairing satisfies (T_r* tensor id)(id tensor T_r) = id
-    r = nested_pairing(2)
-    n = 3
-    tr = build_tp(r, n)
-    lhs = tr.adjoint().tensor(identity_map(2, n)).compose(
-        identity_map(2, n).tensor(tr))
-    assert lhs == identity_map(2, n)
+            assert _conjugate_products(nested_pairing(k), k, n) == (True, True)
+    # any partition of 2k points in place of r: both checks agree with the
+    # composition, failures included
+    for k in range(3):
+        for r in enumerate_partitions(0, 2 * k, "all"):
+            monkeypatch.setattr(linmaps, "nested_pairing", lambda _, r=r: r)
+            for n in range(1, 4):
+                checks = verify_conjugate_equations(k, n).checks
+                assert tuple(c.passed for c in checks) == \
+                    _conjugate_products(r, k, n), (r, n)
+    # partitions that are no duality fail both equations once N >= 2
+    for r, k in ((discrete_partition(0, 2), 1), (discrete_partition(0, 4), 2),
+                 (full_block(0, 4), 2)):
+        monkeypatch.setattr(linmaps, "nested_pairing", lambda _, r=r: r)
+        for n in (2, 3):
+            checks = verify_conjugate_equations(k, n).checks
+            assert [c.passed for c in checks] == [False, False], (r, n)
+
+
+def test_conjugate_equations_build_no_sparse_map(monkeypatch):
+    # both sides are read off the support of T_r; no map is stored
+    def never(self, *args, **kwargs):
+        raise AssertionError("SparseMap built")
+
+    monkeypatch.setattr(linmaps.SparseMap, "__init__", never)
+    assert verify_conjugate_equations(3, 4).passed
 
 
 def test_gram_entries_match_brute_force():
@@ -299,7 +328,7 @@ def test_group_dual_map():
 
 def test_sparse_map_trace_inner():
     n = 3
-    ident = identity_map(2, n)
+    ident = build_tp(identity_partition(2), n)
     assert ident.trace() == n ** 2
     t = build_tp(full_block(1, 1), n)
     assert t.inner(t) == n

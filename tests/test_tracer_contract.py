@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from freewreath import exactmat, linmaps, partition, tl
+from freewreath.partition import identity_partition, nested_pairing
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,7 +43,9 @@ def test_tracer_wraps_the_diagram_and_map_methods():
     tracer = load_tracer().Tracer().install()
     try:
         assert tl.verify_phi(4).passed
-        assert linmaps.verify_conjugate_equations(1, 2).passed
+        t_r = linmaps.build_tp(nested_pairing(1), 2)
+        ident = linmaps.build_tp(identity_partition(1), 2)
+        assert t_r.adjoint().tensor(ident).compose(ident.tensor(t_r)) == ident
     finally:
         tracer.uninstall()
     assert (dict(vars(tl.TLDiagram)), dict(vars(linmaps.SparseMap))) == before

@@ -16,10 +16,10 @@ from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
 from freewreath.partition import (Partition, _join_counts, discrete_partition,
                                   kernel)
-from freewreath.weingarten import (CATEGORIES, haar_state, inner_partitions,
-                                   trace_identity, wg_certify_asymptotics,
-                                   wg_gram, wg_indices, wg_leading_coeff,
-                                   wg_scaled_errors, wg_table)
+from freewreath.weingarten import (CATEGORIES, LADDER, haar_state,
+                                   inner_partitions, trace_identity,
+                                   wg_certify_asymptotics, wg_gram, wg_indices,
+                                   wg_leading_coeff, wg_table)
 
 
 def test_index_counts():
@@ -63,9 +63,9 @@ def test_gram_small():
 
 def test_k1_table():
     t = wg_table(1, 5, 1)
-    assert t.winv[0][0] == Fraction(1, 5)
+    assert Fraction(t.wnum[0][0], t.wden) == Fraction(1, 5)
     t2 = wg_table(1, 6, 2, "noncrossing")
-    assert t2.winv[0][0] == Fraction(1, 12)
+    assert Fraction(t2.wnum[0][0], t2.wden) == Fraction(1, 12)
 
 
 def test_trace_identity():
@@ -124,7 +124,8 @@ def _haar_oracle(table, inner_row, inner_col, outer_row, outer_col):
     def support(outer, inner):
         return [t for t, (p, a) in enumerate(table.indices)
                 if p.refines(kernel(outer)) and a.refines(kernel(inner))]
-    return sum((table.winv[t][u] for t in support(outer_row, inner_row)
+    return sum((Fraction(table.wnum[t][u], table.wden)
+                for t in support(outer_row, inner_row)
                 for u in support(outer_col, inner_col)), Fraction(0))
 
 
@@ -277,13 +278,49 @@ def test_leading_coeff_refusals():
 
 
 def test_scaled_errors_zero_at_k1():
-    errs = wg_scaled_errors(1, 16, 4, "noncrossing")
-    assert set(errs.values()) == {Fraction(0)}
+    # one index, and W = 1/(N s) is its own leading term at every N
+    report = wg_certify_asymptotics(1, 4, "noncrossing")
+    assert report.passed
+    assert [c.detail for c in report.checks] == [
+        "max scaled error 0 at N=64", "max scaled error 0 at N=256",
+        "0 -> 0 -> 0"]
 
 
 def test_scaled_errors_need_square():
-    with pytest.raises(ValueError):
-        wg_scaled_errors(2, 5, 1, "singletons")
+    # the scale sqrt(N)^(b(p)+b(q)) is an exact integer only at squares,
+    # and the ladder quadruples N from one
+    assert all(math.isqrt(n) ** 2 == n for n in LADDER)
+    assert all(b == 4 * a for a, b in zip(LADDER, LADDER[1:]))
+
+
+def _scaled_leading(monkeypatch, factor):
+    leading = weingarten._leading_coeffs
+    monkeypatch.setattr(weingarten, "_leading_coeffs", lambda k, s, c: tuple(
+        tuple(factor * x for x in row) for row in leading(k, s, c)))
+
+
+def test_certification_reports_violations(monkeypatch):
+    # a leading term twice too large: the errors settle at c/2 and stop
+    # halving; the first four violating index pairs are named at each step
+    _scaled_leading(monkeypatch, 2)
+    assert wg_certify_asymptotics(2, 4, "noncrossing").render() == (
+        "verify weingarten asymptotics k=2 s=4 noncrossing: FAIL\n"
+        "  FAIL: scaled error halves from N=16 to N=64 on all 9 entries "
+        "[violations at index pairs [(0, 0), (1, 1), (1, 2), (2, 1)]]\n"
+        "  FAIL: scaled error halves from N=64 to N=256 on all 9 entries "
+        "[violations at index pairs [(0, 0), (1, 1), (1, 2), (2, 1)]]\n"
+        "  FAIL: largest scaled error decreases monotonically along the "
+        "ladder [1/3 -> 1/3 -> 1/3]")
+    # a zero leading term: the diagonal errors shrink but do not halve
+    _scaled_leading(monkeypatch, 0)
+    assert wg_certify_asymptotics(2, 1, None).render() == (
+        "verify weingarten asymptotics k=2 s=1 singletons: FAIL\n"
+        "  FAIL: scaled error halves from N=16 to N=64 on all 4 entries "
+        "[violations at index pairs [(0, 0), (1, 1)]]\n"
+        "  FAIL: scaled error halves from N=64 to N=256 on all 4 entries "
+        "[violations at index pairs [(0, 0), (1, 1)]]\n"
+        "  ok: largest scaled error decreases monotonically along the "
+        "ladder [16/15 -> 64/63 -> 256/255]")
 
 
 def test_certification_passes():
@@ -346,7 +383,8 @@ def test_gram_and_weingarten_are_rotation_invariant(params):
                    for t in range(m) for u in range(m))
     table = wg_table(k, n, s, category)
     assert [list(row) for row in table.gram] == gram
-    assert [list(row) for row in table.winv] == winv
+    assert [[Fraction(x, table.wden) for x in row]
+            for row in table.wnum] == winv
 
 
 @pytest.mark.parametrize("category, n, s, top", (
@@ -357,8 +395,8 @@ def test_table_matches_gauss_jordan(category, n, s, top):
     # compares those with the full-width integer inverse
     for k in range(1, top + 1):
         table = wg_table(k, n, s, category)
-        assert [list(row) for row in table.winv] == \
-            gauss_jordan_inverse(wg_gram(k, n, s, category))
+        assert [[Fraction(x, table.wden) for x in row]
+                for row in table.wnum] == gauss_jordan_inverse(wg_gram(k, n, s, category))
         assert table.wden > 0
         assert math.gcd(table.wden, *(x for row in table.wnum for x in row)) == 1
 
