@@ -5,6 +5,10 @@ list of lines, or a verification report.  ``main`` alone prints that output
 and picks the exit code: 0 success, 1 bad input or mathematical domain error,
 2 an enumeration or entry cap was exceeded, 3 a verification suite reported
 failures or a second route to the same values disagreed.
+
+Each subcommand imports the layer functions it calls in its own body, so a
+call loads only the modules its command runs: ``dim`` never loads the
+Weingarten or Temperley-Lieb layers, nor ``fractions``.
 """
 
 from __future__ import annotations
@@ -12,25 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
-from .config import CapExceededError, caps, check_enum_cap
-from .fusion import (central_char_poly, dim_multiplicativity_failures,
-                     dim_wreath, fuse, fusion_from_uri, parse_word,
-                     render_word, sort_words)
-from .freeprob import (brute_force_z2_s3_moments, character_moment_wreath,
-                       classical_wreath_moment, compound_poisson_moment,
-                       free_cumulants_to_moments, parse_eps,
-                       partial_trace_moments, plain_eps, rep_block_moment,
-                       render_eps, z2_block_moment)
-from .homspaces import dim_hom_wreath, parse_star_list
-from .linmaps import verify_category_relations, verify_conjugate_equations
-from .qnum import render_poly
-from .report import VerificationReport
-from .tl import (collapse, markov_trace_exponent, parse_tl, phi, sqrt_power,
-                 verify_phi)
-from .weingarten import (CATEGORIES, haar_state, wg_certify_asymptotics,
-                         wg_table)
+from .config import CATEGORIES, CapExceededError, caps, check_enum_cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +43,8 @@ def _float(args, value):
 
 
 def cmd_fuse(args) -> list[str]:
+    from .fusion import fuse, fusion_from_uri, parse_word, render_word, sort_words
+
     fd = fusion_from_uri(args.fusion)
     result = fuse(parse_word(args.x, fd), parse_word(args.y, fd), fd,
                   method=args.method)
@@ -64,16 +53,24 @@ def cmd_fuse(args) -> list[str]:
 
 
 def cmd_dim(args) -> list[str]:
+    from .fusion import dim_wreath, fusion_from_uri, parse_word
+
     fd = fusion_from_uri(args.fusion)
     return [str(dim_wreath(parse_word(args.x, fd), fd, args.N))]
 
 
 def cmd_char_poly(args) -> list[str]:
+    from .fusion import central_char_poly, fusion_from_uri, parse_word
+    from .qnum import render_poly
+
     fd = fusion_from_uri(args.fusion)
     return [render_poly(central_char_poly(parse_word(args.x, fd), fd))]
 
 
 def cmd_hom_dim(args) -> list[str]:
+    from .fusion import fusion_from_uri
+    from .homspaces import dim_hom_wreath, parse_star_list
+
     fd = fusion_from_uri(args.fusion)
     up = parse_star_list(args.up, fd)
     down = parse_star_list(args.down, fd)
@@ -81,6 +78,11 @@ def cmd_hom_dim(args) -> list[str]:
 
 
 def cmd_char_law(args) -> list[str]:
+    from .freeprob import (character_moment_wreath, compound_poisson_moment,
+                           free_cumulants_to_moments, parse_eps, plain_eps,
+                           rep_block_moment, render_eps)
+    from .fusion import fusion_from_uri
+
     fd = fusion_from_uri(args.fusion)
     rep = fd.parse_label(args.rep)
     fd.check_label(rep)
@@ -108,6 +110,9 @@ def cmd_char_law(args) -> list[str]:
 
 
 def cmd_classical(args) -> list[str]:
+    from .freeprob import (brute_force_z2_s3_moments, classical_wreath_moment,
+                           z2_block_moment)
+
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.k < 0:
@@ -123,6 +128,11 @@ def cmd_classical(args) -> list[str]:
 
 
 def cmd_partial_trace(args) -> list[str]:
+    from fractions import Fraction
+
+    from .freeprob import partial_trace_moments, rep_block_moment
+    from .fusion import fusion_from_uri
+
     fd = fusion_from_uri(args.fusion)
     rep = fd.parse_label(args.rep) if args.rep is not None else fd.trivial()
     fd.check_label(rep)
@@ -141,6 +151,10 @@ def cmd_partial_trace(args) -> list[str]:
 
 
 def cmd_weingarten(args) -> list[str]:
+    from fractions import Fraction
+
+    from .weingarten import haar_state, wg_table
+
     table = wg_table(args.k, args.N, args.s, args.category)
     k = args.k
     if args.haar is not None:
@@ -161,13 +175,48 @@ def cmd_weingarten(args) -> list[str]:
 
 
 def cmd_tl_trace(args) -> list[str]:
+    from .tl import markov_trace_exponent, parse_tl, sqrt_power
+
     diagram = parse_tl(args.diagram)
     value = sqrt_power(args.N, markov_trace_exponent(diagram), args.float)
     return [str(_float(args, value))]
 
 
-def cmd_verify_fusion_dim(args) -> VerificationReport:
+def cmd_tl_collapse(args) -> list[str]:
+    from .tl import collapse, parse_tl
+
+    return [collapse(parse_tl(args.diagram)).render()]
+
+
+def cmd_tl_phi(args) -> list[str]:
+    from .tl import parse_tl, phi
+
+    return [phi(parse_tl(args.diagram)).render()]
+
+
+def cmd_tl_verify(args):
+    from .tl import verify_phi
+
+    return verify_phi(max_points=args.max_points)
+
+
+def cmd_verify_category(args):
+    from .linmaps import verify_category_relations
+
+    return verify_category_relations(args.N, max_points=args.max_points)
+
+
+def cmd_verify_conjugate(args):
+    from .linmaps import verify_conjugate_equations
+
+    return verify_conjugate_equations(args.k, args.N)
+
+
+def cmd_verify_fusion_dim(args):
     import random
+
+    from .fusion import dim_multiplicativity_failures, fusion_from_uri
+    from .report import VerificationReport
 
     fd = fusion_from_uri(args.fusion)
     if fd.labels() is None:
@@ -178,6 +227,12 @@ def cmd_verify_fusion_dim(args) -> VerificationReport:
     report.add(f"{args.count} random products have multiplicative dimension",
                not bad, f"first failure {bad[0]}" if bad else "")
     return report
+
+
+def cmd_verify_weingarten(args):
+    from .weingarten import wg_certify_asymptotics
+
+    return wg_certify_asymptotics(args.k, args.s, args.category)
 
 
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -270,25 +325,24 @@ def build_parser() -> _Parser:
     t.set_defaults(run=cmd_tl_trace)
     t = tsub.add_parser("collapse", help="collapse a diagram to a partition")
     t.add_argument("diagram")
-    t.set_defaults(run=lambda args: [collapse(parse_tl(args.diagram)).render()])
+    t.set_defaults(run=cmd_tl_collapse)
     t = tsub.add_parser("phi", help="image of a diagram under the collapsing "
                                     "isomorphism, with its power of sqrt(N)")
     t.add_argument("diagram")
-    t.set_defaults(run=lambda args: [phi(parse_tl(args.diagram)).render()])
+    t.set_defaults(run=cmd_tl_phi)
     t = tsub.add_parser("verify", parents=[max_points],
                         help="check the collapsing isomorphism")
-    t.set_defaults(run=lambda args: verify_phi(max_points=args.max_points))
+    t.set_defaults(run=cmd_tl_verify)
 
     p = sub.add_parser("verify", help="verification suites")
     vsub = p.add_subparsers(dest="verify_command", required=True)
     v = vsub.add_parser("category", parents=[n, max_points],
                         help="tensor/compose/involution relations of the "
                              "partition maps")
-    v.set_defaults(run=lambda args: verify_category_relations(
-        args.N, max_points=args.max_points))
+    v.set_defaults(run=cmd_verify_category)
     v = vsub.add_parser("conjugate", parents=[n], help="conjugate equations")
     v.add_argument("--k", type=int, required=True)
-    v.set_defaults(run=lambda args: verify_conjugate_equations(args.k, args.N))
+    v.set_defaults(run=cmd_verify_conjugate)
     v = vsub.add_parser("fusion-dim", parents=[fusion, n],
                         help="dimension multiplicativity on random words")
     v.add_argument("--count", type=int, default=200)
@@ -298,8 +352,7 @@ def build_parser() -> _Parser:
                         help="Weingarten asymptotics")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--s", type=int, default=1)
-    v.set_defaults(run=lambda args: wg_certify_asymptotics(
-        args.k, args.s, args.category))
+    v.set_defaults(run=cmd_verify_weingarten)
 
     return parser
 
@@ -310,7 +363,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         caps()  # refuse a bad cap variable even where no cap is checked
         result = args.run(args)
-        if isinstance(result, VerificationReport):
+        if not isinstance(result, list):  # a verification report
             print(result.render())
             return 0 if result.passed else 3
         for line in result:

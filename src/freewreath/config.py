@@ -1,6 +1,9 @@
-"""Resource caps for enumeration and sparse storage.
+"""Resource caps, the inner categories, and the base of the value classes.
 
-Defaults are overridable through environment variables (read at first use):
+This is the leaf module: every layer may import it, and it imports no layer.
+
+Each cap has a default, overridable through an environment variable (read at
+first use):
 
     FREEWREATH_ENUM_CAP    maximum number of ground points a partition/diagram
                            enumeration will accept, and the longest word or
@@ -18,6 +21,52 @@ from __future__ import annotations
 
 import os
 from functools import cache
+
+
+# the inner categories of the Weingarten calculus, declared here so that the
+# command line parser lists them without importing the weingarten layer
+CATEGORIES = ("noncrossing", "all", "singletons")
+
+
+class Value:
+    """Base of the package's small value classes.
+
+    A subclass names its fields in ``_fields`` and writes its own
+    ``__init__``.  Values are equal when they are of the same class and their
+    fields are equal, and hash over their fields.  They are frozen unless
+    ``_frozen`` is false; a frozen ``__init__`` sets its fields with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _frozen = True
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
 
 
 class CapExceededError(Exception):

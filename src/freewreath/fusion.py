@@ -39,14 +39,13 @@ integer polynomial in X.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+from .config import Value
 from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
@@ -57,43 +56,43 @@ Word = tuple
 # finite groups (used for group duals and for decorated partition maps)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    elements: tuple[str, ...]
-    table: dict
+class FiniteGroup(Value):
+    __slots__ = ("elements", "table", "_identity")
+    _fields = ("elements", "table")
 
-    def __post_init__(self):
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+    def __init__(self, elements: tuple[str, ...], table: dict):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "table", table)
+        elems = set(elements)
+        if len(elems) != len(elements):
             raise ValueError("duplicate group elements")
-        for a in self.elements:
-            for b in self.elements:
-                if self.table.get((a, b)) not in elems:
+        for a in elements:
+            for b in elements:
+                if table.get((a, b)) not in elems:
                     raise ValueError(f"multiplication table misses ({a},{b})")
         ident = None
-        for e in self.elements:
-            if all(self.table[(e, a)] == a and self.table[(a, e)] == a
-                   for a in self.elements):
+        for e in elements:
+            if all(table[(e, a)] == a and table[(a, e)] == a for a in elements):
                 ident = e
                 break
         if ident is None:
             raise ValueError("no identity element")
         object.__setattr__(self, "_identity", ident)
-        for a in self.elements:
-            if not any(self.table[(a, b)] == ident for b in self.elements):
+        for a in elements:
+            if not any(table[(a, b)] == ident for b in elements):
                 raise ValueError(f"{a} has no inverse")
         # Light's test: the b with (xb)y = x(by) for all x, y are closed
         # under the product, so it suffices to check b on a generating set,
         # chosen greedily; span lists what the checked b generate, and the
         # pairs among span[:done] have been multiplied
-        t = self.table
+        t = table
         span, spanned, done = [ident], {ident}, 0
-        for b in self.elements:
+        for b in elements:
             if b in spanned:
                 continue
-            for x in self.elements:
+            for x in elements:
                 xb = t[(x, b)]
-                if any(t[(xb, y)] != t[(x, t[(b, y)])] for y in self.elements):
+                if any(t[(xb, y)] != t[(x, t[(b, y)])] for y in elements):
                     raise ValueError("multiplication is not associative")
             span.append(b)
             spanned.add(b)
@@ -278,6 +277,8 @@ class TableFusion(FusionData):
             raise ValueError(f"unknown irreducible label {label!r}")
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "irreps": [{"label": a, "dim": self._dims[a]} for a in self._labels],
             "trivial": self._trivial,
@@ -300,6 +301,8 @@ def _expect(value, kind: type, what: str):
 
 
 def fusion_from_json(text: str, name: str = "file") -> TableFusion:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -509,8 +512,7 @@ def conj_word(word: Word, fd: FusionData) -> Word:
     return tuple(fd.conj(a) for a in reversed(word))
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Value):
     """Alternating form b^{l1} a1 b^{l2} ... a_{k-1} b^{lk}.
 
     The exponent list is never empty; the empty word is exponents (0,).  For a
@@ -518,12 +520,13 @@ class ReducedWord:
     and every letter is nontrivial.
     """
 
-    exponents: tuple[int, ...]
-    letters: tuple
+    __slots__ = _fields = ("exponents", "letters")
 
-    def __post_init__(self):
-        if len(self.exponents) != len(self.letters) + 1:
+    def __init__(self, exponents: tuple[int, ...], letters: tuple):
+        if len(exponents) != len(letters) + 1:
             raise ValueError("need one more exponent than letters")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "letters", letters)
 
 
 def reduce_word(word: Word, fd: FusionData) -> ReducedWord:

@@ -34,10 +34,9 @@ stands for the conjugate representation and is resolved at parse time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .config import check_enum_cap
+from .config import Value, check_enum_cap
 from .fusion import FusionData, Word, fuse
 from .partition import Partition, enumerate_partitions
 
@@ -80,16 +79,16 @@ def block_trivial_mult(fd: FusionData, upper_labels: Sequence,
     return trivial_mult(fd, folded)
 
 
-@dataclass(frozen=True)
-class DecoratedPartition:
+class DecoratedPartition(Value):
     """A noncrossing partition together with its per-block trivial multiplicities."""
 
-    partition: Partition
-    block_dims: tuple[int, ...]
+    __slots__ = _fields = ("partition", "block_dims")
 
-    def __post_init__(self):
-        if len(self.block_dims) != len(self.partition.blocks):
+    def __init__(self, partition: Partition, block_dims: tuple[int, ...]):
+        if len(block_dims) != len(partition.blocks):
             raise ValueError("need one multiplicity per block")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "block_dims", block_dims)
 
     def weight(self) -> int:
         w = 1

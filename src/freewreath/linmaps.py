@@ -337,6 +337,8 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     of e_b over b in succ[a], a in succ[y]; the second to the sum of e_a over
     a in pred[b], b in pred[y].  Each must be e_y: that list must be [y].
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     r = nested_pairing(k)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")

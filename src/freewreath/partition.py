@@ -35,12 +35,11 @@ same grammar with arbitrary whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .config import check_enum_cap
+from .config import Value, check_enum_cap
 
 Block = tuple[int, ...]
 # the block index of each point 1..k+l; blocks are ordered by their smallest
@@ -149,25 +148,26 @@ def _from_labels(k: int, l: int, labels: Labels) -> Partition:
     return Partition(k, l, blocks)
 
 
-@dataclass(frozen=True)
-class Partition:
-    upper: int
-    lower: int
-    blocks: tuple[Block, ...]
+class Partition(Value):
+    __slots__ = _fields = ("upper", "lower", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-        if self.upper < 0 or self.lower < 0:
+    def __init__(self, upper: int, lower: int,
+                 blocks: Iterable[Iterable[int]]):
+        blocks = _canonical_blocks(blocks)
+        if upper < 0 or lower < 0:
             raise ValueError("arities must be nonnegative")
-        n = self.upper + self.lower
+        n = upper + lower
         seen: list[int] = []
-        for b in self.blocks:
+        for b in blocks:
             seen.extend(b)
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(
-                f"blocks {self.blocks} do not partition 1..{n} "
-                f"(upper={self.upper}, lower={self.lower})"
+                f"blocks {blocks} do not partition 1..{n} "
+                f"(upper={upper}, lower={lower})"
             )
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def points(self) -> int:
@@ -268,10 +268,12 @@ class Partition:
         return f"Partition({self.render()})"
 
 
-@dataclass(frozen=True)
-class ComposeResult:
-    partition: Partition
-    closed_blocks: int
+class ComposeResult(Value):
+    __slots__ = _fields = ("partition", "closed_blocks")
+
+    def __init__(self, partition: Partition, closed_blocks: int):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "closed_blocks", closed_blocks)
 
 
 _LITERAL = re.compile(r"^\{(?P<blocks>[^{}]*)\}\(k=(?P<k>\d+),l=(?P<l>\d+)\)$")

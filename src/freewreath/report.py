@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .config import Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    description: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    __slots__ = _fields = ("description", "passed", "detail")
+
+    def __init__(self, description: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationReport(Value):
+    __slots__ = _fields = ("name", "checks")
+    _frozen = False
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str, checks: list[CheckResult] | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
 
     def add(self, description: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(description, bool(passed), detail))

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .config import check_enum_cap
+from .config import Value, check_enum_cap
 from .partition import Partition, _from_labels, _merge, _position_to_point
 from .report import VerificationReport
 
@@ -48,16 +47,18 @@ Pair = tuple[int, int]
 class TLDiagram(Partition):
     """A noncrossing partition whose blocks are pairs."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, upper: int, lower: int, blocks):
         # the matching checks come first, so a bad diagram gets their message
-        n = self.upper + self.lower
+        n = upper + lower
         if n % 2:
             raise ValueError("a Temperley-Lieb diagram needs an even point count")
-        pairs = tuple(sorted(tuple(sorted(pr)) for pr in self.blocks))
+        pairs = tuple(sorted(tuple(sorted(pr)) for pr in blocks))
         flat = sorted(pt for pr in pairs for pt in pr)
         if flat != list(range(1, n + 1)) or any(len(pr) != 2 for pr in pairs):
             raise ValueError(f"pairs {pairs} are not a perfect matching of 1..{n}")
-        super().__post_init__()
+        super().__init__(upper, lower, blocks)
         if not self.is_noncrossing():
             raise ValueError(f"pairs {self.blocks} cross")
 
@@ -271,12 +272,14 @@ def black_regions(d: TLDiagram) -> int:
 # scaled noncrossing partitions and the isomorphism
 
 
-@dataclass(frozen=True)
-class ScaledPartition:
+class ScaledPartition(Value):
     """A noncrossing partition scaled by N^(quarters/4), N kept symbolic."""
 
-    quarters: int
-    partition: Partition
+    __slots__ = _fields = ("quarters", "partition")
+
+    def __init__(self, quarters: int, partition: Partition):
+        object.__setattr__(self, "quarters", quarters)
+        object.__setattr__(self, "partition", partition)
 
     def compose(self, top: "ScaledPartition") -> "ScaledPartition":
         res = self.partition.compose(top.partition)

@@ -30,20 +30,17 @@ error at least halve with each quadrupling of N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from operator import mul
 from typing import Sequence
 
-from .config import check_entry_cap
+from .config import CATEGORIES, Value, check_entry_cap
 from .exactmat import bareiss_inverse
 from .partition import (Partition, _canonical_labels, _join_counts,
                         discrete_partition, enumerate_partitions, kernel)
 from .report import VerificationReport
-
-CATEGORIES = ("noncrossing", "all", "singletons")
 
 # the values of N the certification compares, each four times the last
 LADDER = (16, 64, 256)
@@ -152,21 +149,21 @@ def wg_gram(k: int, n: int, s: int,
             for orow, irow in zip(outer, inner)]
 
 
-@dataclass(frozen=True)
-class WeingartenTable:
+class WeingartenTable(Value):
     """The Gram matrix of the (p, a) indices and its inverse W.
 
     W is held as one integer matrix over one positive denominator:
     W = wnum / wden, with wden the least common denominator of W's entries.
     """
-    k: int
-    n: int
-    s: int
-    category: str
-    indices: tuple
-    gram: tuple
-    wnum: tuple
-    wden: int
+
+    __slots__ = _fields = ("k", "n", "s", "category", "indices", "gram",
+                           "wnum", "wden")
+
+    def __init__(self, k: int, n: int, s: int, category: str, indices: tuple,
+                 gram: tuple, wnum: tuple, wden: int):
+        for name, value in zip(self._fields, (k, n, s, category, indices,
+                                              gram, wnum, wden)):
+            object.__setattr__(self, name, value)
 
 
 def wg_table(k: int, n: int, s: int = 1,
@@ -289,6 +286,8 @@ def wg_certify_asymptotics(k: int, s: int,
     N's maximum and each step's first four violations.  As everywhere,
     s = 1 degenerates the category to singletons.
     """
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
     category = _category_in_effect(s, category)
     report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
     tables = [wg_table(k, n, s, category) for n in LADDER]

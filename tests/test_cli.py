@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import freewreath
-from freewreath import cli, homspaces, linmaps, partition, weingarten
+from freewreath import (cli, freeprob, homspaces, linmaps, partition, tl,
+                        weingarten)
 from freewreath.cli import main
 from freewreath.fusion import fusion_from_uri
 from freewreath.homspaces import dim_hom_fusion, parse_star_list
@@ -290,7 +291,7 @@ def test_float_overflow_prints_nothing(capsys, monkeypatch, argv, patches):
     # no input within the caps reaches the float range in these commands, so
     # the moments are replaced by ones that do
     for name, fake in patches.items():
-        monkeypatch.setattr(cli, name, fake)
+        monkeypatch.setattr(freeprob, name, fake)
     assert run(capsys, *argv)[0] == 0
     code, out, err = run(capsys, *argv, "--float")
     assert (code, out) == (1, "") and err.startswith("error:")
@@ -481,14 +482,14 @@ def test_exit_code_usage(capsys):
 
 
 def test_classical_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_z2_s3_moments",
+    monkeypatch.setattr(freeprob, "brute_force_z2_s3_moments",
                         lambda rep, k: [0] * (k + 1))
     assert run(capsys, "classical", "--n", "3") == (
         3, "", "brute-force group average disagrees\n")
 
 
 def test_char_law_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "character_moment_wreath",
+    monkeypatch.setattr(freeprob, "character_moment_wreath",
                         lambda fd, rep, eps: -1)
     assert run(capsys, "char-law", "--rep", "g") == (
         3, "", "internal disagreement at 1: -1 vs 0\n")
@@ -499,7 +500,7 @@ def test_char_law_disagreement_exits_3(capsys, monkeypatch):
 def test_failing_report_exits_3(capsys, monkeypatch):
     report = VerificationReport("collapsing isomorphism")
     report.add("a check that fails", False, "1 failure")
-    monkeypatch.setattr(cli, "verify_phi", lambda max_points: report)
+    monkeypatch.setattr(tl, "verify_phi", lambda max_points: report)
     assert run(capsys, "tl", "verify") == (3, report.render() + "\n", "")
 
 
@@ -510,6 +511,13 @@ def test_failing_report_exits_3(capsys, monkeypatch):
 def test_command_refusal_prints_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_verify_refusals_name_the_typed_input(capsys):
+    assert run(capsys, "verify", "conjugate", "--k", "-1", "--N", "2") == (
+        1, "", "error: k must be nonnegative, got -1\n")
+    assert run(capsys, "verify", "weingarten", "--k", "2", "--s", "0") == (
+        1, "", "error: s must be positive, got 0\n")
 
 
 def test_only_main_prints():
@@ -623,7 +631,40 @@ def test_bad_cap_variable_refused():
                   FREEWREATH_ENUM_CAP="abc").returncode == 0
 
 
-def test_cli_imports_stdlib_only():
+# stdlib modules that no command of the paper's main results needs at start-up
+HEAVY = ("dataclasses", "inspect", "json", "fractions", "decimal", "numpy")
+
+# runs each argv through main in one fresh interpreter and prints, as the last
+# line, the modules each call has loaded so far beyond the interpreter's own
+LOADS = """
+import sys
+before = set(sys.modules)
+from freewreath.cli import main
+loaded = []
+for argv in {argvs!r}:
+    assert main(argv) == 0, argv
+    loaded.append(sorted(m for m in set(sys.modules) - before
+                         if m.startswith("freewreath.") or m in {heavy!r}))
+print(loaded)
+"""
+
+
+def test_cli_imports_stdlib_only(tmp_path):
     done = python("-c", "import sys, freewreath.cli; "
                         "assert 'numpy' not in sys.modules")
     assert done.returncode == 0, done.stderr
+    # each command imports only what it runs, without timing it: the paper's
+    # results load no dataclasses, json or fractions and no other layer
+    path = tmp_path / "z2.json"
+    path.write_text(fusion_from_uri("builtin:cyclic:2").to_json())
+    argvs = [["dim", "(g,1,g)", "--N", "4"], ["fuse", "(g)", "(g)"],
+             ["char-poly", "(1)"], ["hom-dim", "--up", "g", "--down", "g"],
+             ["dim", "(g)", "--N", "4", "--fusion", f"file:{path}"]]
+    done = python("-c", LOADS.format(argvs=argvs, heavy=HEAVY))
+    assert done.returncode == 0, done.stderr
+    *words, hom, table = ast.literal_eval(done.stdout.splitlines()[-1])
+    layers = {f"freewreath.{m}" for m in ("cli", "config", "fusion", "qnum")}
+    for modules in words:
+        assert set(modules) <= layers
+    assert set(hom) <= layers | {"freewreath.homspaces", "freewreath.partition"}
+    assert set(table) - set(hom) == {"json"}

@@ -1,0 +1,210 @@
+"""The package's two contracts: lazy public names, and plain value classes.
+
+``import freewreath`` loads no layer; each public name is looked up in its
+defining module on access.  The value classes compare equal exactly when
+they are of the same class with equal fields, hash over those fields, and
+refuse assignment unless mutable.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import freewreath
+from freewreath import fusion
+from freewreath.fusion import FiniteGroup, ReducedWord
+from freewreath.homspaces import DecoratedPartition
+from freewreath.partition import ComposeResult, Partition
+from freewreath.report import CheckResult, VerificationReport
+from freewreath.tl import ScaledPartition, TLDiagram
+from freewreath.weingarten import WeingartenTable
+
+SRC = str(Path(freewreath.__file__).resolve().parents[1])
+
+EXPORTS = [
+    "CapExceededError", "CheckResult", "DecoratedPartition", "FiniteGroup",
+    "FusionData", "IntegersFusion", "Partition", "QuantumPermutationFusion",
+    "ReducedWord", "ScaledPartition", "SparseMap", "TLDiagram", "TableFusion",
+    "VerificationReport", "WeingartenTable", "brute_force_z2_s3_moments",
+    "build_tp", "central_char_poly", "character_moment_wreath",
+    "character_moments_wreath", "cheb_int_factor", "cheb_poly",
+    "classical_wreath_moment", "collapse", "compound_poisson_moments",
+    "conj_word", "cyclic_fusion", "cyclic_group", "dim_hom_wreath",
+    "dim_wreath", "discrete_partition", "enumerate_partitions",
+    "expand_reduced", "fatten", "free_cumulants_to_moments", "full_block",
+    "fuse", "fusion_from_json", "fusion_from_uri", "gram_brute", "gram_nc",
+    "group_dual_fusion", "haar_state", "identity_partition",
+    "integers_fusion", "kernel", "load_fusion_file", "markov_trace_exponent",
+    "moment_of_rep", "moments_to_free_cumulants", "nested_pairing",
+    "parse_eps", "parse_partition", "parse_star_list", "parse_tl",
+    "parse_word", "partial_trace_moments", "phi", "plain_eps",
+    "quantum_permutation_fusion", "reduce_word", "render_eps", "render_poly",
+    "render_word", "sort_words", "sqrt_power", "symmetric_group_3",
+    "symmetric_group_3_fusion", "tl_compose", "tl_enumerate",
+    "trivial_fusion", "verify_category_relations",
+    "verify_conjugate_equations", "verify_phi", "wg_certify_asymptotics",
+    "wg_gram", "wg_indices", "wg_leading_coeff", "wg_table",
+]
+
+
+# ---------------------------------------------------------------------------
+# the lazy package
+
+
+def test_import_loads_no_layer():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, freewreath; print(sorted("
+         "m for m in sys.modules if m.startswith('freewreath')))"],
+        capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "['freewreath']\n"), done.stderr
+
+
+def test_exports_resolve_to_their_defining_module():
+    assert len(EXPORTS) == 79 and freewreath.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(freewreath))
+    for name in EXPORTS:
+        obj = getattr(freewreath, name)
+        assert obj.__module__.startswith("freewreath.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert name not in vars(freewreath)  # nothing is cached here
+
+
+def test_exports_follow_a_patched_binding(monkeypatch):
+    def fake():
+        pass
+    monkeypatch.setattr(fusion, "fuse", fake)
+    assert freewreath.fuse is fake
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        freewreath.no_such_name
+    assert not hasattr(freewreath, "dim_multiplicativity_failures")
+
+
+# ---------------------------------------------------------------------------
+# the value classes
+
+Z2 = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "1"}
+Z2_A = {("a", "a"): "a", ("a", "1"): "1", ("1", "a"): "1", ("1", "1"): "a"}
+P = Partition(1, 1, [(1, 2)])
+Q = Partition(1, 1, [(1,), (2,)])
+WG = (1, 4, 1, "singletons", (), (), (), 1)
+WG_OTHER = (2, 5, 2, "all", (P,), ((1,),), ((1,),), 2)
+
+# class -> its field names and one instance, then instances that each differ
+# from it in at least one field; together they vary every field
+VALUES = {
+    CheckResult: (("description", "passed", "detail"),
+                  lambda: CheckResult("c", True, ""),
+                  [CheckResult("d", True), CheckResult("c", False),
+                   CheckResult("c", True, "x")]),
+    VerificationReport: (("name", "checks"),
+                         lambda: VerificationReport("r"),
+                         [VerificationReport("s"),
+                          VerificationReport("r", [CheckResult("c", True)])]),
+    FiniteGroup: (("elements", "table"),
+                  lambda: FiniteGroup(("1", "a"), Z2),
+                  [FiniteGroup(("a", "1"), Z2), FiniteGroup(("1", "a"), Z2_A)]),
+    ReducedWord: (("exponents", "letters"),
+                  lambda: ReducedWord((1, 1), ("g",)),
+                  [ReducedWord((3, 1), ("g",)), ReducedWord((1, 1), ("h",))]),
+    Partition: (("upper", "lower", "blocks"),
+                lambda: Partition(1, 1, [(2, 1)]),
+                [Partition(0, 2, [(1, 2)]), Q]),
+    TLDiagram: (("upper", "lower", "blocks"),
+                lambda: TLDiagram(1, 1, [(1, 2)]),
+                [TLDiagram(0, 2, [(1, 2)]), TLDiagram(2, 0, [(1, 2)]),
+                 TLDiagram(2, 2, [(1, 3), (2, 4)])]),
+    ComposeResult: (("partition", "closed_blocks"),
+                    lambda: ComposeResult(P, 0),
+                    [ComposeResult(Q, 0), ComposeResult(P, 1)]),
+    DecoratedPartition: (("partition", "block_dims"),
+                         lambda: DecoratedPartition(P, (1,)),
+                         [DecoratedPartition(P, (2,)),
+                          DecoratedPartition(Partition(0, 1, [(1,)]), (1,))]),
+    ScaledPartition: (("quarters", "partition"),
+                      lambda: ScaledPartition(0, P),
+                      [ScaledPartition(1, P), ScaledPartition(0, Q)]),
+    WeingartenTable: (("k", "n", "s", "category", "indices", "gram", "wnum",
+                       "wden"),
+                      lambda: WeingartenTable(*WG),
+                      [WeingartenTable(*WG[:i], other, *WG[i + 1:])
+                       for i, other in enumerate(WG_OTHER)]),
+}
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_equality_and_hash(cls):
+    fields, make, others = VALUES[cls]
+    a, b = make(), make()
+    assert a == b and not a != b and a is not b
+    assert type(a) is cls
+    if _hashable(tuple(getattr(a, name) for name in fields)):
+        assert hash(a) == hash(b)
+    varied = {name for other in others for name in fields
+              if getattr(other, name) != getattr(a, name)}
+    assert varied == set(fields)
+    for i, other in enumerate(others):
+        assert a != other and other != a
+        assert all(other != third for third in others[i + 1:])
+    assert a.__eq__(None) is NotImplemented
+
+
+def test_values_of_different_classes_differ():
+    d = TLDiagram(0, 2, [(1, 2)])
+    p = Partition(0, 2, [(1, 2)])
+    assert d.blocks == p.blocks and d != p and p != d
+    assert len({d, p}) == 2
+    assert ScaledPartition(0, P) != ComposeResult(P, 0)
+
+
+@pytest.mark.parametrize("cls", [c for c in VALUES if c is not VerificationReport],
+                         ids=lambda cls: cls.__name__)
+def test_frozen_values_refuse_assignment(cls):
+    fields, make, _ = VALUES[cls]
+    value = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make()
+
+
+def test_report_is_mutable_and_unhashable():
+    report = VerificationReport("r")
+    report.add("c", True)
+    report.name = "s"
+    assert report == VerificationReport("s", [CheckResult("c", True)])
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_value_checks_and_repr():
+    with pytest.raises(ValueError, match="duplicate group elements"):
+        FiniteGroup(("1", "1"), Z2)
+    # identity 1 and inverses, but (ba)b = b while b(ab) = ba = 1
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(("1", "a", "b"), {
+            (x, y): y if x == "1" else x if y == "1" else "1"
+            for x in "1ab" for y in "1ab"} | {("a", "b"): "a"})
+    with pytest.raises(ValueError, match="one more exponent than letters"):
+        ReducedWord((1,), ("g",))
+    assert repr(ReducedWord((2, 2), ("g",))) == \
+        "ReducedWord(exponents=(2, 2), letters=('g',))"
+    assert repr(CheckResult("c", True)) == \
+        "CheckResult(description='c', passed=True, detail='')"
