@@ -200,6 +200,7 @@ def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:
 
 def dim_hom_fusion(up: Word, down: Word, fd: FusionData) -> int:
     """Hom dimension by pairing the two irreducible decompositions."""
+    check_enum_cap(len(up) + len(down))
     dec_up = word_tensor_decomposition(up, fd)
     dec_down = word_tensor_decomposition(down, fd)
     return sum(m * dec_down.get(w, 0) for w, m in dec_up.items())

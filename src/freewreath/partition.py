@@ -28,6 +28,10 @@ one union-find, ``_merge``, over block ids.  ``join`` is the common coarsening
 in the full partition lattice of the ground set, ``refines`` the comparison,
 and ``kernel`` the level-set partition of an index tuple.
 
+``enumerate_partitions`` lists a category by name from one table: one
+first-block recursion on the circle cut open at the left edge, whose
+positions ``_circle`` maps to points, gives the noncrossing families.
+
 Partition literals render as ``{1,2|3} (k=0,l=3)`` and the parser accepts the
 same grammar with arbitrary whitespace.
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import Value, check_enum_cap
 
@@ -189,9 +193,7 @@ class Partition(Value):
 
     def traversal(self) -> tuple[int, ...]:
         """Ground points in boundary-circle order (top L-to-R, bottom R-to-L)."""
-        ups = tuple(range(1, self.upper + 1))
-        lows = tuple(range(self.points, self.upper, -1))
-        return ups + lows
+        return _circle(self.upper, self.lower)
 
     def is_noncrossing(self) -> bool:
         block_id = _block_index(self.blocks)
@@ -334,20 +336,29 @@ def kernel(values: tuple) -> Partition:
 
 
 @cache
-def _nc_shapes(n: int) -> tuple[tuple[Block, ...], ...]:
-    """All noncrossing partitions of the linearly ordered points 0..n-1."""
+def _circle(k: int, l: int) -> tuple[int, ...]:
+    """The point at each position 0..k+l-1 of the boundary circle cut open at
+    the left edge: the upper row left to right, then the lower row right to
+    left."""
+    return tuple(range(1, k + 1)) + tuple(range(k + l, k, -1))
+
+
+@cache
+def _nc_shapes(n: int, size: int) -> tuple[tuple[Block, ...], ...]:
+    """The noncrossing partitions of the linearly ordered points 0..n-1 whose
+    blocks all have ``size`` points, or any number of points for size 0."""
     if n == 0:
         return ((),)
     out: list[tuple[Block, ...]] = []
     rest = range(1, n)
-    for t in range(0, n):
+    for t in (size - 1,) if size else range(n):
         for chosen in combinations(rest, t):
             first_block = (0,) + chosen
             bounds = list(first_block) + [n]
             gaps = [(bounds[i] + 1, bounds[i + 1]) for i in range(len(first_block))]
             partial: list[tuple[Block, ...]] = [(first_block,)]
             for lo, hi in gaps:
-                sub = _nc_shapes(hi - lo)
+                sub = _nc_shapes(hi - lo, size)
                 partial = [
                     acc + tuple(tuple(x + lo for x in blk) for blk in shape)
                     for acc in partial
@@ -379,38 +390,32 @@ def _all_shapes(n: int) -> Iterator[tuple[Block, ...]]:
     yield from rec(0)
 
 
-def _position_to_point(k: int, l: int):
-    def conv(t: int) -> int:
-        return t + 1 if t < k else 2 * k + l - t
+# the category of partitions named by each mode, as the shapes on n points
+_FAMILIES = {
+    "noncrossing": lambda n: _nc_shapes(n, 0),
+    "pairings": lambda n: _nc_shapes(n, 2),
+    "singletons": lambda n: _nc_shapes(n, 1),
+    "all": _all_shapes,
+}
 
-    return conv
 
+def enumerate_partitions(k: int, l: int,
+                         mode: str = "noncrossing") -> tuple[Partition, ...]:
+    """All partitions of a category with k upper and l lower points.
 
-Mode = Literal["noncrossing", "all"]
-
-
-def enumerate_partitions(
-    k: int, l: int, mode: Mode = "noncrossing"
-) -> tuple[Partition, ...]:
-    """All partitions with k upper and l lower points, canonically ordered.
-
-    ``mode="noncrossing"`` generates the noncrossing ones directly in the
-    boundary-circle order (no filtering); ``mode="all"`` generates every set
-    partition.  The result is sorted by the canonical block-tuple key.  The
-    ground-point cap (default 14) guards against runaway enumeration.
+    ``mode`` names the category: "noncrossing", "pairings" (noncrossing, every
+    block of two points), "singletons" (every block of one point) or "all"
+    (every set partition).  The noncrossing families are generated directly
+    in the boundary-circle order, with no filtering.  The result is sorted by
+    the canonical block-tuple key.  The ground-point cap (default 14) guards
+    against runaway enumeration.
     """
     n = k + l
     check_enum_cap(n)
-    conv = _position_to_point(k, l)
-    if mode == "noncrossing":
-        shapes: Iterable[tuple[Block, ...]] = _nc_shapes(n)
-    elif mode == "all":
-        shapes = _all_shapes(n)
-    else:
+    if mode not in _FAMILIES:
         raise ValueError(f"unknown mode {mode!r}")
-    parts = [
-        Partition(k, l, [tuple(conv(t) for t in blk) for blk in shape])
-        for shape in shapes
-    ]
+    circle = _circle(k, l)
+    parts = [Partition(k, l, [[circle[t] for t in blk] for blk in shape])
+             for shape in _FAMILIES[mode](n)]
     parts.sort(key=lambda p: p.blocks)
     return tuple(parts)

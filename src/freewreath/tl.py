@@ -2,10 +2,11 @@
 
 A diagram in TL(a, b) is a noncrossing perfect matching of a upper and b lower
 points, drawn in a box, held as a :class:`Partition` into pairs; a+b must be
-even.  Points are numbered as in :mod:`freewreath.partition`: 1..a on top left
-to right, a+1..a+b on the bottom left to right, and the boundary circle runs
-top left-to-right then bottom right-to-left, so the wrap gap is the left edge
-of the box.
+even; ``tl_enumerate`` lists them as the "pairings" category of
+:func:`~freewreath.partition.enumerate_partitions`.  Points are numbered as
+in :mod:`freewreath.partition`: 1..a on top left to right, a+1..a+b on the
+bottom left to right, and the boundary circle runs top left-to-right then
+bottom right-to-left, so the wrap gap is the left edge of the box.
 
 Composition glues boxes vertically; every strand closed in the middle becomes
 a loop worth sqrt(N), so D compose E = N^{loops/2} times a diagram.  The
@@ -35,13 +36,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
 
-from .config import Value, check_enum_cap
-from .partition import Partition, _from_labels, _merge, _position_to_point
+from .config import Value
+from .partition import (Partition, _circle, _from_labels, _merge,
+                        enumerate_partitions)
 from .report import VerificationReport
-
-Pair = tuple[int, int]
 
 
 class TLDiagram(Partition):
@@ -107,36 +106,10 @@ def cup() -> TLDiagram:
     return TLDiagram(2, 0, [(1, 2)])
 
 
-@cache
-def _matching_shapes(n: int) -> tuple[tuple[Pair, ...], ...]:
-    """Noncrossing perfect matchings of linear positions 0..n-1."""
-    if n % 2:
-        return ()
-    if n == 0:
-        return ((),)
-    out = []
-    for j in range(1, n, 2):
-        inside = _matching_shapes(j - 1)
-        outside = _matching_shapes(n - j - 1)
-        for ins in inside:
-            shifted_in = tuple((a + 1, b + 1) for a, b in ins)
-            for outs in outside:
-                shifted_out = tuple((a + j + 1, b + j + 1) for a, b in outs)
-                out.append(((0, j),) + shifted_in + shifted_out)
-    return tuple(out)
-
-
 def tl_enumerate(a: int, b: int) -> tuple[TLDiagram, ...]:
     """All diagrams in TL(a, b), canonically ordered; empty if a+b is odd."""
-    n = a + b
-    check_enum_cap(n)
-    if n % 2:
-        return ()
-    conv = _position_to_point(a, b)
-    diags = [TLDiagram(a, b, [(conv(x), conv(y)) for x, y in shape])
-             for shape in _matching_shapes(n)]
-    diags.sort(key=lambda d: d.blocks)
-    return tuple(diags)
+    return tuple(TLDiagram(p.upper, p.lower, p.blocks)
+                 for p in enumerate_partitions(a, b, "pairings"))
 
 
 def tl_compose(bottom: TLDiagram, top: TLDiagram) -> tuple[TLDiagram, int]:
@@ -216,14 +189,6 @@ def collapse(d: TLDiagram) -> Partition:
     return _from_labels(d.upper // 2, d.lower // 2, labels)
 
 
-def _position(upper: int, lower: int, pt: int) -> int:
-    """Position of a point on the cut-open boundary circle.
-
-    Positions are 0-based and the wrap gap is the left edge of the picture.
-    """
-    return pt - 1 if pt <= upper else 2 * upper + lower - pt
-
-
 def fatten(p: Partition) -> TLDiagram:
     """Boundary of the thickened blocks: the right inverse of collapse.
 
@@ -240,9 +205,12 @@ def fatten(p: Partition) -> TLDiagram:
         j = pt - k
         return 2 * k + 2 * j, 2 * k + 2 * j - 1
 
+    cycles: list[list[int]] = [[] for _ in p.blocks]
+    labels = p.labels
+    for pt in _circle(k, l):
+        cycles[labels[pt - 1]].append(pt)
     pairs = []
-    for block in p.blocks:
-        cyc = sorted(block, key=lambda pt: _position(k, l, pt))
+    for cyc in cycles:
         m = len(cyc)
         for t in range(m):
             a = copies(cyc[t])[1]
@@ -258,8 +226,8 @@ def black_regions(d: TLDiagram) -> int:
     a strand properly contained in an even number of other strands bounds a
     region at odd depth from the white outer region, hence black.
     """
-    arcs = [tuple(sorted(_position(d.upper, d.lower, pt) for pt in pair))
-            for pair in d.blocks]
+    position = {pt: t for t, pt in enumerate(_circle(d.upper, d.lower))}
+    arcs = [tuple(sorted(position[pt] for pt in pair)) for pair in d.blocks]
     count = 0
     for u, v in arcs:
         depth = sum(1 for x, y in arcs if x < u and v < y)
@@ -390,7 +358,6 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     # blocks and phi(fatten(p)) = N^{(k+l-2b(p))/4} p; the scale vanishes
     # exactly on pair partitions
     checked, failures = 0, 0
-    from .partition import enumerate_partitions
     for k in range(0, max_points // 2 + 1):
         for l in range(0, max_points // 2 + 1 - k):
             for p in enumerate_partitions(k, l, "noncrossing"):

@@ -4,7 +4,8 @@ For the free wreath product of an inner (quantum) permutation group on s
 points by the quantum permutation group on N points, the fixed vectors of the
 k-th tensor power of the basic representation are indexed by pairs (p, a):
 an outer noncrossing partition p of k points and an inner partition a
-refining p, drawn from the inner group's category:
+refining p, drawn from the inner group's category, which
+:func:`~freewreath.partition.enumerate_partitions` lists by name:
 
 * "noncrossing": inner quantum permutations, a noncrossing;
 * "all": inner classical permutations, a arbitrary;
@@ -39,7 +40,7 @@ from typing import Sequence
 from .config import CATEGORIES, Value, check_entry_cap
 from .exactmat import bareiss_inverse
 from .partition import (Partition, _canonical_labels, _join_counts,
-                        discrete_partition, enumerate_partitions, kernel)
+                        enumerate_partitions, kernel)
 from .report import VerificationReport
 
 # the values of N the certification compares, each four times the last
@@ -48,14 +49,10 @@ LADDER = (16, 64, 256)
 Index = tuple  # (outer Partition, inner Partition)
 
 
-def inner_partitions(k: int, category: str) -> tuple[Partition, ...]:
-    if category == "noncrossing":
-        return enumerate_partitions(0, k, mode="noncrossing")
-    if category == "all":
-        return enumerate_partitions(0, k, mode="all")
-    if category == "singletons":
-        return (discrete_partition(0, k),)
-    raise ValueError(f"unknown category {category!r}, expected one of {CATEGORIES}")
+def _check_category(category: str) -> None:
+    if category not in CATEGORIES:
+        raise ValueError(
+            f"unknown category {category!r}, expected one of {CATEGORIES}")
 
 
 def _category_in_effect(s: int, category: str | None) -> str:
@@ -71,13 +68,24 @@ def _category_in_effect(s: int, category: str | None) -> str:
 @cache
 def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
     """All pairs (outer noncrossing p, inner a refining p)."""
-    inners = inner_partitions(k, category)
-    out = []
-    for p in enumerate_partitions(0, k, mode="noncrossing"):
-        for a in inners:
-            if a.refines(p):
-                out.append((p, a))
-    return tuple(out)
+    _check_category(category)
+    inners = enumerate_partitions(0, k, category)
+    return tuple((p, a) for p in enumerate_partitions(0, k, "noncrossing")
+                 for a in inners if a.refines(p))
+
+
+@cache
+def _index_count(k: int, category: str) -> int:
+    """len(wg_indices(k, category)), counted without listing the indices.
+
+    The inner partitions refining p are a choice of one partition of the
+    category on each block of p, so p contributes the product of the
+    category's sizes at its block sizes.
+    """
+    _check_category(category)
+    sizes = [len(enumerate_partitions(0, m, category)) for m in range(k + 1)]
+    return sum(math.prod(sizes[len(b)] for b in p.blocks)
+               for p in enumerate_partitions(0, k, "noncrossing"))
 
 
 @cache
@@ -181,9 +189,11 @@ def wg_table(k: int, n: int, s: int = 1,
         raise ValueError("k must be at least 1")
     if n < 1 or s < 1:
         raise ValueError("N and s must be positive")
-    # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries
+    # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries;
+    # checked before anything is enumerated, then the exact count
     check_entry_cap((math.comb(2 * k, k) // (k + 1)) ** 2)
     category = _category_in_effect(s, category)
+    check_entry_cap(_index_count(k, category) ** 2)
     indices = wg_indices(k, category)
     gram = wg_gram(k, n, s, category)
     columns = bareiss_inverse(gram, _orbits(k, category)[0])

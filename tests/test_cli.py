@@ -14,6 +14,7 @@ import freewreath
 from freewreath import (cli, freeprob, homspaces, linmaps, partition, tl,
                         weingarten)
 from freewreath.cli import main
+from freewreath.config import CATEGORIES
 from freewreath.fusion import fusion_from_uri
 from freewreath.homspaces import dim_hom_fusion, parse_star_list
 from freewreath.report import VerificationReport
@@ -438,6 +439,30 @@ def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
                                       "entries exceeds the cap of 10000000\n")
 
 
+def test_weingarten_caps_the_exact_index_count(capsys, monkeypatch):
+    # Catalan(7)**2 = 184,041 passes the pre-check, but "noncrossing" at
+    # k = 7 has 7752 indices, so 60,093,504 Gram entries
+    def never(*args, **kwargs):
+        raise AssertionError("indices listed before the entry cap was checked")
+
+    monkeypatch.setattr(weingarten, "wg_indices", never)
+    for argv in (("weingarten", "--k", "7", "--N", "4", "--s", "2"),
+                 ("verify", "weingarten", "--k", "7", "--s", "2")):
+        assert run(capsys, *argv) == (2, "", "cap exceeded: storing 60093504 "
+                                      "entries exceeds the cap of 10000000\n")
+
+
+def test_category_choices_are_the_weingarten_categories(capsys):
+    # the partition layer also knows "pairings"; the command line does not
+    # offer it for the Weingarten calculus
+    for argv in (("weingarten", "--k", "2", "--N", "4"),
+                 ("verify", "weingarten", "--k", "2")):
+        code, out, err = run(capsys, *argv, "--category", "pairings")
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'pairings'" in err
+        assert "[--category {" + ",".join(CATEGORIES) + "}]" in err
+
+
 def test_weingarten_caps_the_gram_entries():
     # k = 4 has Catalan(4)**2 = 196 entries at least; k = 3 has 25
     for argv in (("weingarten", "--k", "4", "--N", "4"),
@@ -465,6 +490,16 @@ def test_hom_dim_unknown_letter_refused(capsys):
                              "--fusion", "builtin:cyclic:3", "--method", method)
         assert (code, out) == (1, "")
         assert err == "error: unknown irreducible label 'g3'\n"
+
+
+def test_hom_dim_over_cap_refused_by_both_methods(capsys):
+    # 15 points, one past the enumeration cap, whichever route counts them
+    for method in ("partition", "fusion"):
+        assert run(capsys, "hom-dim", "--up", ",".join(["g"] * 8), "--down",
+                   ",".join(["g2"] * 7), "--fusion", "builtin:cyclic:3",
+                   "--method", method) == (
+            2, "", "cap exceeded: enumeration over 15 points exceeds the cap "
+                   "of 14\n")
 
 
 def test_dim_long_trivial_word(capsys):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from freewreath import config
-from freewreath.config import CapExceededError
+from freewreath.config import CATEGORIES, CapExceededError
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition, kernel, nested_pairing,
@@ -146,6 +146,25 @@ def test_enumerate_noncrossing_subset_of_all():
     assert nc < allp
     assert all(p.is_noncrossing() for p in nc)
     assert all(not p.is_noncrossing() for p in allp - nc)
+
+
+def test_enumerate_block_size_families():
+    # "pairings" and "singletons" are the noncrossing partitions whose blocks
+    # all have two points, or one
+    for n in range(9):
+        for k in range(n + 1):
+            nc = enumerate_partitions(k, n - k, mode="noncrossing")
+            assert enumerate_partitions(k, n - k, mode="pairings") == tuple(
+                p for p in nc if all(len(b) == 2 for b in p.blocks))
+            assert enumerate_partitions(k, n - k, mode="singletons") == (
+                discrete_partition(k, n - k),)
+
+
+def test_every_category_enumerates():
+    for category in CATEGORIES:
+        assert enumerate_partitions(1, 2, mode=category)
+    with pytest.raises(ValueError, match="unknown mode 'nope'"):
+        enumerate_partitions(1, 2, mode="nope")
 
 
 def test_enumerate_deterministic_order():

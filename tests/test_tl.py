@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from freewreath.partition import (Partition, discrete_partition,
@@ -35,6 +37,10 @@ def test_enumeration_catalan():
                           ((0, 6), 5), ((2, 4), 5), ((4, 4), 14)):
         assert len(tl_enumerate(a, b)) == count
     assert tl_enumerate(1, 2) == ()              # odd point count: none
+    for n in range(15):
+        count = math.comb(n, n // 2) // (n // 2 + 1) if n % 2 == 0 else 0
+        for a in range(n + 1):
+            assert len(tl_enumerate(a, n - a)) == count
 
 
 def test_parse_render_round_trip():

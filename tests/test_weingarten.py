@@ -15,11 +15,11 @@ from freewreath.exactmat import bareiss_inverse, gauss_jordan_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import quantum_permutation_fusion
 from freewreath.partition import (Partition, _join_counts, discrete_partition,
-                                  kernel)
+                                  enumerate_partitions, kernel)
 from freewreath.weingarten import (CATEGORIES, LADDER, haar_state,
-                                   inner_partitions, trace_identity,
-                                   wg_certify_asymptotics, wg_gram, wg_indices,
-                                   wg_leading_coeff, wg_table)
+                                   trace_identity, wg_certify_asymptotics,
+                                   wg_gram, wg_indices, wg_leading_coeff,
+                                   wg_table)
 
 
 def test_index_counts():
@@ -45,13 +45,43 @@ def test_index_count_is_character_moment():
 
 
 def test_inner_partitions_categories():
-    assert len(inner_partitions(3, "noncrossing")) == 5
-    assert len(inner_partitions(3, "all")) == 5
-    assert len(inner_partitions(4, "all")) == 15
-    assert len(inner_partitions(4, "noncrossing")) == 14
-    assert inner_partitions(3, "singletons") == (discrete_partition(0, 3),)
+    assert len(enumerate_partitions(0, 3, "noncrossing")) == 5
+    assert len(enumerate_partitions(0, 3, "all")) == 5
+    assert len(enumerate_partitions(0, 4, "all")) == 15
+    assert len(enumerate_partitions(0, 4, "noncrossing")) == 14
+    assert enumerate_partitions(0, 3, "singletons") == (discrete_partition(0, 3),)
+    # every partition of the category refines the full block, so the inner
+    # partitions of the indices are exactly the category's enumeration
+    for category in CATEGORIES:
+        for k in range(1, 5):
+            assert {a for _, a in wg_indices(k, category)} == \
+                set(enumerate_partitions(0, k, category))
     with pytest.raises(ValueError):
-        inner_partitions(2, "nope")
+        wg_indices(2, "nope")
+
+
+def test_weingarten_refuses_pairings():
+    # the partition layer enumerates "pairings"; the Weingarten calculus
+    # does not offer it as an inner category
+    message = ("unknown category 'pairings', expected one of "
+               "('noncrossing', 'all', 'singletons')")
+    idx = wg_indices(2, "noncrossing")[0]
+    for call in (lambda: wg_indices(2, "pairings"),
+                 lambda: wg_table(2, 4, 2, "pairings"),
+                 lambda: wg_leading_coeff(idx, idx, 2, "pairings")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_index_count_without_listing():
+    # sum over NC(k) of the product of the category's sizes at the block sizes
+    for category in CATEGORIES:
+        for k in range(1, 7):
+            assert weingarten._index_count(k, category) == \
+                len(wg_indices(k, category))
+    assert [weingarten._index_count(k, "noncrossing") for k in range(1, 8)] \
+        == [1, 3, 12, 55, 273, 1428, 7752]
 
 
 def test_gram_small():
