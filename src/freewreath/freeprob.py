@@ -154,12 +154,11 @@ def _nc_sum(cumulants, moments, word: tuple):
     return total
 
 
-def _nc_moment(cumulant: Callable, word: tuple):
-    """_nc_sum of one word, with cumulant(letters) and the moments of its
-    contiguous subwords computed on demand and memoised for this call only."""
-    cumulants = _Memo(cumulant)
-    moments = _Memo(lambda sub: _nc_sum(cumulants, moments, sub))
-    return moments[word]
+def _nc_moments(cumulants) -> _Memo:
+    """The moments of the free cumulants (a dict, or a :class:`_Memo` that
+    computes them), each computed on lookup as its :func:`_nc_sum` and kept."""
+    moments = _Memo(lambda word: _nc_sum(cumulants, moments, word))
+    return moments
 
 
 def free_cumulants_to_moments(cumulants: dict) -> dict:
@@ -170,10 +169,8 @@ def free_cumulants_to_moments(cumulants: dict) -> dict:
     each first-block sum finds the moments of its gaps already computed.
     """
     check_enum_cap(max(map(len, cumulants), default=0))
-    moments: dict = {}
-    for eps in sorted(cumulants, key=len):
-        moments[eps] = _nc_sum(cumulants, moments, eps)
-    return moments
+    moments = _nc_moments(cumulants)
+    return {eps: moments[eps] for eps in sorted(cumulants, key=len)}
 
 
 def moments_to_free_cumulants(moments: dict) -> dict:
@@ -215,7 +212,8 @@ def compound_poisson_moment(fd: FusionData, rep, eps: Eps) -> int:
     sub-sequences that its blocks pick out.
     """
     check_enum_cap(len(eps))
-    return _nc_moment(lambda sub: moment_of_rep(fd, rep, sub), tuple(eps))
+    cumulants = _Memo(lambda sub: moment_of_rep(fd, rep, sub))
+    return _nc_moments(cumulants)[tuple(eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +242,7 @@ def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
 
 
 def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
+    check_enum_cap(max_len)
     return {eps: character_moment_wreath(fd, rep, eps)
             for k in range(1, max_len + 1) for eps in all_eps(k)}
 
@@ -266,6 +265,7 @@ def partial_trace_moments(t, block_moment: Callable[[int], int],
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    check_enum_cap(k)
     if k == 0:
         return Fraction(1)
     cumulants = {plain_eps(s): t * block_moment(s) for s in range(1, k + 1)}

@@ -295,37 +295,22 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     maps = [_bit_rows(d, dim) for d in diagrams]
 
-    failures = 0
-    spread: dict[tuple[int, int], list[int]] = {}
-    for a, b, ab in tensors:
-        stride = dim ** diagrams[b].upper
-        left = spread.get((a, stride))
-        if left is None:
-            rows = maps[a][0]
-            # rows of T_p repeat, so each distinct one is spread once
-            moved = {r: _spread(r, stride) for r in set(rows)}
-            left = spread[a, stride] = list(map(moved.__getitem__, rows))
-        kron = [x * y for x in left for y in maps[b][0]]
-        if kron != maps[ab][0]:
-            failures += 1
-    rep.add(f"T_(p tensor q) = T_p tensor T_q on {len(tensors)} pairs",
-            failures == 0, f"{failures} failures")
+    @cache
+    def spread_rows(a: int, stride: int) -> list[int]:
+        """The rows of T_a with bit b moved to b * stride."""
+        rows = maps[a][0]
+        # rows of T_p repeat, so each distinct one is spread once
+        moved = {r: _spread(r, stride) for r in set(rows)}
+        return list(map(moved.__getitem__, rows))
 
-    failures = 0
-    for top, bottom, res, closed in composes:
-        if not _product_is(maps[bottom][0], maps[top][1], maps[res][0],
-                           dim ** closed):
-            failures += 1
-    rep.add("T_(p compose q) * N^closed = T_p . T_q "
-            f"on {len(composes)} stacked pairs", failures == 0,
-            f"{failures} failures")
-
-    failures = 0
-    for p, star in enumerate(involutes):
-        if maps[star][0] != maps[p][1]:
-            failures += 1
-    rep.add(f"T_(p*) = (T_p)* on {len(diagrams)} diagrams",
-            failures == 0, f"{failures} failures")
+    rep.tally("T_(p tensor q) = T_p tensor T_q on {} pairs", (
+        [x * y for x in spread_rows(a, dim ** diagrams[b].upper)
+         for y in maps[b][0]] == maps[ab][0] for a, b, ab in tensors))
+    rep.tally("T_(p compose q) * N^closed = T_p . T_q on {} stacked pairs", (
+        _product_is(maps[bottom][0], maps[top][1], maps[res][0], dim ** closed)
+        for top, bottom, res, closed in composes))
+    rep.tally("T_(p*) = (T_p)* on {} diagrams", (
+        maps[star][0] == maps[p][1] for p, star in enumerate(involutes)))
     return rep
 
 

@@ -15,7 +15,6 @@ an integer exponent.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 
 
@@ -69,12 +68,17 @@ def cheb_poly(l: int) -> tuple[int, ...]:
     """Coefficient tuple of the dilated Chebyshev polynomial A_l.
 
     Closed form: A_l = sum over 0 <= j <= l/2 of (-1)^j C(l-j, j) X^(l-2j).
+    Each binomial is the previous one times (l-2j)/(l-j), then (l-2j-1)/(j+1);
+    taken in that order, each division is exact.
     """
     if l < 0:
         raise ValueError(f"negative Chebyshev index {l}")
     coeffs = [0] * (l + 1)
+    c = 1
     for j in range(l // 2 + 1):
-        coeffs[l - 2 * j] = (-1) ** j * math.comb(l - j, j)
+        coeffs[l - 2 * j] = -c if j % 2 else c
+        if j < l // 2:
+            c = c * (l - 2 * j) // (l - j) * (l - 2 * j - 1) // (j + 1)
     return tuple(coeffs)
 
 

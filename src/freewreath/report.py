@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .config import Value
 
 
@@ -25,6 +27,15 @@ class VerificationReport(Value):
 
     def add(self, description: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(description, bool(passed), detail))
+
+    def tally(self, description: str, outcomes: Iterable[bool]) -> None:
+        """One check over many cases, from one outcome per case: the case
+        count fills the description's ``{}``, the detail counts failures."""
+        cases = failures = 0
+        for ok in outcomes:
+            cases += 1
+            failures += not ok
+        self.add(description.format(cases), not failures, f"{failures} failures")
 
     @property
     def passed(self) -> bool:

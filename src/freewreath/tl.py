@@ -300,73 +300,50 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     if max_points < 0:
         raise ValueError(f"max_points must be nonnegative, got {max_points}")
     rep = VerificationReport(f"collapsing isomorphism up to {max_points} points")
-    even_shapes = [(a, b) for a in range(0, max_points + 1, 2)
-                   for b in range(0, max_points + 1 - a, 2)]
-    even_diags = {sh: tl_enumerate(*sh) for sh in even_shapes}
-
-    checked, failures = 0, 0
-    for (k1, m1), tops in even_diags.items():
-        for (m2, l2), bottoms in even_diags.items():
-            if m2 != m1:
-                continue
-            for top in tops:
-                for bottom in bottoms:
-                    checked += 1
-                    diag, loops = tl_compose(bottom, top)
-                    lhs = ScaledPartition(phi(diag).quarters + 2 * loops,
-                                          phi(diag).partition)
-                    rhs = phi(bottom).compose(phi(top))
-                    if lhs != rhs:
-                        failures += 1
-    rep.add(f"phi(D . E) = phi(D) . phi(E) on {checked} pairs",
-            failures == 0, f"{failures} failures")
-
-    checked, failures = 0, 0
+    even_diags = {(a, b): tl_enumerate(a, b) for a in range(0, max_points + 1, 2)
+                  for b in range(0, max_points + 1 - a, 2)}
     all_even = [d for diags in even_diags.values() for d in diags]
-    for d in all_even:
-        for e in all_even:
-            if d.points + e.points > max_points:
-                continue
-            checked += 1
-            if phi(d.tensor(e)) != phi(d).tensor(phi(e)):
-                failures += 1
-    rep.add(f"phi(D tensor E) = phi(D) tensor phi(E) on {checked} pairs",
-            failures == 0, f"{failures} failures")
+    # every tensor product, involution and fattening below is one of these
+    image = {d: phi(d) for d in all_even}
 
-    failures = sum(1 for d in all_even if phi(d.involute()) != phi(d).involute())
-    rep.add(f"phi(D*) = phi(D)* on {len(all_even)} diagrams",
-            failures == 0, f"{failures} failures")
+    def composes_ok(bottom: TLDiagram, top: TLDiagram) -> bool:
+        diag, loops = tl_compose(bottom, top)
+        lhs = phi(diag)
+        return ScaledPartition(lhs.quarters + 2 * loops, lhs.partition) == \
+            image[bottom].compose(image[top])
 
-    checked, failures = 0, 0
-    for sh, diags in even_diags.items():
-        for d in diags:
-            for e in diags:
-                checked += 1
-                prod, loops = tl_compose(d.involute(), e)
-                lhs_exp = loops + markov_trace_exponent(prod)
-                sp = phi(d).involute().compose(phi(e))
-                if sp.quarters % 2:
-                    failures += 1
-                    continue
-                rhs_exp = sp.quarters // 2 + 2 * nc_closure_components(sp.partition)
-                if lhs_exp != rhs_exp:
-                    failures += 1
-    rep.add("trace isometry tau(D* E) = tau~(phi(D)* phi(E)) "
-            f"on {checked} pairs", failures == 0, f"{failures} failures")
+    def trace_ok(d: TLDiagram, e: TLDiagram) -> bool:
+        prod, loops = tl_compose(d.involute(), e)
+        sp = image[d].involute().compose(image[e])
+        return sp.quarters % 2 == 0 and \
+            loops + markov_trace_exponent(prod) == \
+            sp.quarters // 2 + 2 * nc_closure_components(sp.partition)
 
+    def fatten_ok(p: Partition) -> bool:
+        fat = fatten(p)
+        return collapse(fat) == p and image[fat] == ScaledPartition(
+            p.points - 2 * len(p.blocks), p)
+
+    rep.tally("phi(D . E) = phi(D) . phi(E) on {} pairs", (
+        composes_ok(bottom, top)
+        for (k1, m1), tops in even_diags.items()
+        for (m2, l2), bottoms in even_diags.items() if m2 == m1
+        for top in tops for bottom in bottoms))
+    rep.tally("phi(D tensor E) = phi(D) tensor phi(E) on {} pairs", (
+        image[d.tensor(e)] == image[d].tensor(image[e])
+        for d in all_even for e in all_even
+        if d.points + e.points <= max_points))
+    rep.tally("phi(D*) = phi(D)* on {} diagrams", (
+        image[d.involute()] == image[d].involute() for d in all_even))
+    rep.tally("trace isometry tau(D* E) = tau~(phi(D)* phi(E)) on {} pairs", (
+        trace_ok(d, e) for diags in even_diags.values()
+        for d in diags for e in diags))
     # a fattened block forms a single black region, so br(fatten(p)) counts
     # blocks and phi(fatten(p)) = N^{(k+l-2b(p))/4} p; the scale vanishes
     # exactly on pair partitions
-    checked, failures = 0, 0
-    for k in range(0, max_points // 2 + 1):
-        for l in range(0, max_points // 2 + 1 - k):
-            for p in enumerate_partitions(k, l, "noncrossing"):
-                checked += 1
-                fat = fatten(p)
-                quarters = (k + l) - 2 * len(p.blocks)
-                if collapse(fat) != p or phi(fat) != ScaledPartition(quarters, p):
-                    failures += 1
-    rep.add("collapse(fatten(p)) = p and phi(fatten(p)) = "
-            f"N^((k+l-2b)/4) p on {checked} partitions",
-            failures == 0, f"{failures} failures")
+    rep.tally("collapse(fatten(p)) = p and phi(fatten(p)) = "
+              "N^((k+l-2b)/4) p on {} partitions", (
+                  fatten_ok(p) for k in range(0, max_points // 2 + 1)
+                  for l in range(0, max_points // 2 + 1 - k)
+                  for p in enumerate_partitions(k, l, "noncrossing")))
     return rep

@@ -254,8 +254,9 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
 
     Zero unless the outer partitions agree; otherwise the entry of the
     inverse inner Gram block of that outer partition.  ValueError for an
-    index not in wg_indices.
+    unknown category, and for an index not in wg_indices.
     """
+    _check_category(category)
     if idx1[0] != idx2[0]:
         return Fraction(0)
     k = idx1[0].points

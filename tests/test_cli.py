@@ -503,10 +503,11 @@ def test_hom_dim_over_cap_refused_by_both_methods(capsys):
 
 
 def test_dim_long_trivial_word(capsys):
-    # one reduced exponent of 1200: A_1200(2) = 1201
-    word = "(" + ",".join(["1"] * 600) + ")"
-    code, out, _ = run(capsys, "dim", word, "--N", "4")
-    assert code == 0 and out == "1201\n"
+    # one reduced exponent of 2l: A_2l(2) = 2l + 1
+    for letters in (600, 20000):
+        word = "(" + ",".join(["1"] * letters) + ")"
+        code, out, _ = run(capsys, "dim", word, "--N", "4")
+        assert code == 0 and out == f"{2 * letters + 1}\n"
 
 
 def test_exit_code_usage(capsys):

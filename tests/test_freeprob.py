@@ -175,7 +175,8 @@ def test_classical_matches_partition_oracle():
 
 def test_cap_checked_before_any_sum(monkeypatch):
     # order 15 is over the default cap of 14: refused before any shorter
-    # word is summed, and classical before any block moment is taken
+    # word is summed, and classical and the truncated character law before
+    # any block moment is taken
     def refuse(*args):
         raise AssertionError("summed before the cap was checked")
 
@@ -191,7 +192,9 @@ def test_cap_checked_before_any_sum(monkeypatch):
     with pytest.raises(CapExceededError):
         homspaces.dim_hom_partition(("g",) * 5, ("g",) * 10, Z2)
     with pytest.raises(CapExceededError):
-        partial_trace_moments(Fraction(1, 2), z2_block_moment("regular"), 15)
+        partial_trace_moments(Fraction(1, 2), refuse, 15)
+    with pytest.raises(CapExceededError):
+        character_moments_wreath(Z2, "g", 15)
     with pytest.raises(CapExceededError):
         classical_wreath_moment(refuse, 3, 15)
 

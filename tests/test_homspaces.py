@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
-from freewreath.freeprob import _nc_moment
+from freewreath.freeprob import _Memo, _nc_moments
 from freewreath.fusion import (cyclic_fusion, fuse, fuse_direct,
                                fuse_via_reduced, group_dual_fusion,
                                integers_fusion, quantum_permutation_fusion,
@@ -269,8 +269,8 @@ def test_three_partition_routes_agree(case):
     # the fusion-ring-valued recursion, the first-block sum over block
     # choices with memoised trivial multiplicities, and the enumeration
     fd, up, down = case
-    by_blocks = _nc_moment(lambda letters: trivial_mult(fd, letters),
-                           _bend(up, fd) + down)
+    cumulants = _Memo(lambda letters: trivial_mult(fd, letters))
+    by_blocks = _nc_moments(cumulants)[_bend(up, fd) + down]
     assert dim_hom_partition(up, down, fd) == by_blocks == \
         _oracle(up, down, fd)
 

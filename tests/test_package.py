@@ -194,6 +194,21 @@ def test_report_is_mutable_and_unhashable():
         hash(report)
 
 
+def test_report_tally_counts_cases_and_failures():
+    report = VerificationReport("r")
+    report.tally("x = x on {} cases", (n % 3 != 0 for n in range(1, 8)))
+    report.tally("nothing on {} cases", iter(()))
+    report.tally("{} pairs, none failing", [True, True])
+    assert report.checks == [
+        CheckResult("x = x on 7 cases", False, "2 failures"),
+        CheckResult("nothing on 0 cases", True, "0 failures"),
+        CheckResult("2 pairs, none failing", True, "0 failures")]
+    assert report.render().splitlines()[1:] == [
+        "  FAIL: x = x on 7 cases [2 failures]",
+        "  ok: nothing on 0 cases [0 failures]",
+        "  ok: 2 pairs, none failing [0 failures]"]
+
+
 def test_value_checks_and_repr():
     with pytest.raises(ValueError, match="duplicate group elements"):
         FiniteGroup(("1", "1"), Z2)

@@ -46,7 +46,7 @@ def test_cheb_eval_sqrt_matches_horner(cheb_qnum):
 
 def test_cheb_recursion():
     # A_{l+1} = t A_l - A_{l-1}
-    for l in range(1, 8):
+    for l in range(1, 60):
         t_a = poly_mul((0, 1), cheb_poly(l))
         prev = cheb_poly(l - 1)
         rhs = [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate(t_a)]

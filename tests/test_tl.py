@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from freewreath import tl
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
@@ -201,3 +202,13 @@ def test_trace_isometry_spot():
 def test_verify_phi_suite():
     report = verify_phi(max_points=6)
     assert report.passed, report.render()
+
+
+def test_verify_phi_takes_each_image_once(monkeypatch):
+    # phi once per enumerated diagram (29 up to 6 points), whose images the
+    # tensor, involution and fattening checks look up, and once per composed
+    # pair (219), whose composite may have more points than the bound
+    calls = []
+    monkeypatch.setattr(tl, "phi", lambda d: calls.append(d) or phi(d))
+    assert verify_phi(max_points=6).passed
+    assert len(calls) <= 29 + 219

@@ -303,6 +303,10 @@ def test_leading_coeff_refusals():
     # different outer partitions, of different orders too, give zero
     one = wg_indices(1, "noncrossing")[0]
     assert wg_leading_coeff(one, (whole, whole), 4, "noncrossing") == 0
+    # the category is checked before the outer partitions are compared
+    for category in ("nope", "pairings"):
+        with pytest.raises(ValueError, match="unknown category"):
+            wg_leading_coeff(*wg_indices(2)[:2], 4, category)
     with pytest.raises(ZeroDivisionError, match="matrix is singular"):
         wg_leading_coeff((whole, whole), (whole, whole), 3, "all")
 
