@@ -144,10 +144,12 @@ def cmd_partial_trace(args) -> list[str]:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     bm = rep_block_moment(fd, rep)
-    # k = 0 (the moment 1, not printed) checks t even when --k is 0
-    values = [partial_trace_moments(t, bm, k) for k in range(args.k + 1)]
-    return [f"k={k}: {_float(args, value)}"
-            for k, value in enumerate(values[1:], start=1)]
+    # k = 0 (the moment 1, not printed) checks t even when --k is 0; the cap
+    # is checked next, on the k that was typed, before any moment is computed
+    partial_trace_moments(t, bm, 0)
+    check_enum_cap(args.k)
+    return [f"k={k}: {_float(args, partial_trace_moments(t, bm, k))}"
+            for k in range(1, args.k + 1)]
 
 
 def cmd_weingarten(args) -> list[str]:

@@ -23,13 +23,16 @@ N^blocks value assignments gives one position (j, i) as a pair of integers.
 A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs of
 such integers to nonzero Fractions, with tensor, compose and adjoint;
 :func:`build_tp` keys T_p by its support for the Gram brute force.  The
-category check ORs the support into 0/1 bit rows and columns, one Python int
-each, and compares the three relations through shifts, ANDs and popcounts;
-its partition side (the pairs and their products, on block labels) is
-computed once per point bound.  A configurable cap (default 10**7) bounds
-the number of stored entries, and the number of composable pairs the
-category check lists; exceeding it raises CapExceededError rather than
-thrashing.
+category check holds T_p as 0/1 bit rows and columns, one Python int each,
+built from the same block weights: a nonzero row is the mask of every
+assignment of the upper-only blocks shifted by the through-block values that
+the row fixes, and a column likewise with the rows swapped.  It compares the
+three relations through shifts, ANDs and popcounts; the popcount rows of a
+product are computed once per top, and its partition side (the pairs and
+their products, on block labels) once per point bound.  A configurable cap
+(default 10**7) bounds the number of stored entries, and the number of
+composable pairs the category check lists; exceeding it raises
+CapExceededError rather than thrashing.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from fractions import Fraction
 from functools import cache
 
 from .config import check_entry_cap, check_enum_cap, check_pair_cap
-from .partition import (Partition, _compose_labels, _involute_labels,
-                        _join_counts, _tensor_labels, enumerate_partitions,
-                        nested_pairing)
+from .partition import (Partition, _involute_labels, _join_counts, _merge,
+                        _tensor_labels, enumerate_partitions, nested_pairing)
 from .report import VerificationReport
 
 
@@ -139,28 +141,37 @@ class SparseMap:
         return Fraction(sum(v * big[k] for k, v in small.items() if k in big))
 
 
-def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
-    """The nonzero positions (j, i) of T_p, one per block assignment.
+def _block_weights(p: Partition, dim: int) -> list[list[int]]:
+    """Each block's base-N weights [u, w] in the upper and the lower row.
 
-    Each block takes a value in 0..N-1.  A multi-index is read as a base-N
-    number, first letter most significant, so a block adds its value times
-    its weight in the lower row to j and times its weight in the upper row
-    to i.
+    A multi-index is read as a base-N number, first letter most
+    significant, so a block whose points take the value v adds v * w to the
+    lower index j and v * u to the upper index i.
     """
-    blocks = p.block_count()
-    check_entry_cap(dim ** blocks)
     k, n = p.upper, p.points
-    upper, lower = [0] * blocks, [0] * blocks
+    weights = [[0, 0] for _ in range(p.block_count())]
     for pt, b in enumerate(p.labels):
         if pt < k:
-            upper[b] += dim ** (k - 1 - pt)
+            weights[b][0] += dim ** (k - 1 - pt)
         else:
-            lower[b] += dim ** (n - 1 - pt)
+            weights[b][1] += dim ** (n - 1 - pt)
+    return weights
+
+
+def _positions(weights, dim: int) -> list[tuple[int, int]]:
+    """The pairs (sum of v_b w_b, sum of v_b u_b), for blocks b with weights
+    (u_b, w_b), over every value v_b in 0..N-1 of each block."""
     cells = [(0, 0)]
-    for u, w in zip(upper, lower):
+    for u, w in weights:
         steps = [(v * w, v * u) for v in range(dim)]
         cells = [(j + dj, i + di) for j, i in cells for dj, di in steps]
     return cells
+
+
+def _support(p: Partition, dim: int) -> list[tuple[int, int]]:
+    """The nonzero positions (j, i) of T_p, one per block assignment."""
+    check_entry_cap(dim ** p.block_count())
+    return _positions(_block_weights(p, dim), dim)
 
 
 def build_tp(p: Partition, dim: int) -> SparseMap:
@@ -182,35 +193,43 @@ def _category_pairs(max_points: int):
     max_points points in all; (top, bottom, result, closed blocks) for every
     composable pair whose stacked picture has at most max_points points; and
     the index of p* for each p.  The products are taken on block labels and
-    looked up by (upper, lower, labels); no Partition is built per pair.
+    looked up by shape, then labels; no Partition is built per pair.
     """
     diagrams = tuple(d for total in range(max_points + 1)
                      for k in range(total + 1)
                      for d in enumerate_partitions(k, total - k, "noncrossing"))
     shapes = [(d.upper, d.lower) for d in diagrams]
     labels = [d.labels for d in diagrams]
-    index = {(k, l, lab): n
-             for n, ((k, l), lab) in enumerate(zip(shapes, labels))}
     by_points: dict[int, list[int]] = {}
     by_shape: dict[tuple[int, int], list[int]] = {}
     for n, (k, l) in enumerate(shapes):
         by_points.setdefault(k + l, []).append(n)
         by_shape.setdefault((k, l), []).append(n)
+    index = {shape: {labels[n]: n for n in group}
+             for shape, group in by_shape.items()}
     tensors = []
     for a, (k1, l1) in enumerate(shapes):
         for total in range(max_points - k1 - l1 + 1):
             for b in by_points[total]:
                 k2, l2 = shapes[b]
-                tensors.append((a, b, index[k1 + k2, l1 + l2, _tensor_labels(
+                tensors.append((a, b, index[k1 + k2, l1 + l2][_tensor_labels(
                     k1, labels[a], k2, labels[b])]))
+    # the stacked picture is one union-find over the blocks of both factors:
+    # top block t is the point t, bottom block c the point ~c
+    blocks = [max(lab, default=-1) + 1 for lab in labels]
+    bottoms = {(m, l): [(b, blocks[b], tuple(~c for c in labels[b][:m]),
+                         tuple(~c for c in labels[b][m:])) for b in group]
+               for (m, l), group in by_shape.items()}
     composes = []
     for (k, m), tops in by_shape.items():
         for l in range(max_points - k - m + 1):
+            results = index[k, l]
             for t in tops:
-                for b in by_shape[m, l]:
-                    res, closed = _compose_labels(k, m, labels[t], labels[b])
-                    composes.append((t, b, index[k, l, res], closed))
-    involutes = [index[l, k, _involute_labels(k, lab)]
+                up, mid, nt = labels[t][:k], labels[t][k:], blocks[t]
+                for b, nb, bmid, low in bottoms[m, l]:
+                    res, closed = _merge(nt + nb, zip(mid, bmid), up + low)
+                    composes.append((t, b, results[res], closed))
+    involutes = [index[l, k][_involute_labels(k, lab)]
                  for (k, l), lab in zip(shapes, labels)]
     return diagrams, tensors, composes, involutes
 
@@ -225,17 +244,50 @@ def _compose_pair_count(max_points: int) -> int:
                for l in range(max_points + 1 - k - m))
 
 
-def _bit_rows(p: Partition, dim: int) -> tuple[list[int], list[int]]:
-    """T_p as one bitmask per row and one per column, from :func:`_support`.
+def _copies(x: int, step: int, count: int) -> int:
+    """x | x << step | ... | x << (count - 1) * step, by doubling."""
+    out = done = 0
+    held = 1        # the copies x holds
+    while count:
+        if count & 1:
+            out |= x << done * step
+            done += held
+        count >>= 1
+        if count:
+            x |= x << held * step
+            held *= 2
+    return out
 
-    Row j has bit i set when T_p[j, i] = 1, column i has bit j set.
+
+def _fibres(weights, dim: int, size: int) -> list[int]:
+    """The size rows of the 0/1 matrix with a 1 at each of
+    :func:`_positions` of weights.
+
+    Only the blocks with w_b > 0 move the row index: a row that their values
+    reach is M << s, where s is the sum of v_b u_b those values give and M
+    has a bit at each sum over the other blocks.
     """
-    rows = [0] * dim ** p.lower
-    cols = [0] * dim ** p.upper
-    for j, i in _support(p, dim):
-        rows[j] |= 1 << i
-        cols[i] |= 1 << j
-    return rows, cols
+    free = 1
+    for u, w in weights:
+        if not w:
+            free = _copies(free, u, dim)
+    rows = [0] * size
+    for j, s in _positions([b for b in weights if b[1]], dim):
+        rows[j] = free << s
+    return rows
+
+
+def _bit_rows(p: Partition, dim: int) -> tuple[list[int], list[int]]:
+    """T_p as one bitmask per row and one per column, from its blocks.
+
+    Row j has bit i set when T_p[j, i] = 1, column i has bit j set.  A
+    nonzero row is the mask of every assignment of the upper-only blocks,
+    shifted by the upper offset of the through-block values that j fixes; a
+    column is the same with the rows swapped.
+    """
+    weights = _block_weights(p, dim)
+    return (_fibres(weights, dim, dim ** p.lower),
+            _fibres([(w, u) for u, w in weights], dim, dim ** p.upper))
 
 
 def _spread(x: int, stride: int) -> int:
@@ -243,26 +295,46 @@ def _spread(x: int, stride: int) -> int:
     return int(("0" * (stride - 1)).join(format(x, "b")), 2)
 
 
-def _product_is(rows: list[int], cols: list[int], want: list[int],
-                scale: int) -> bool:
-    """Whether rows times cols is scale times the 0/1 matrix with rows want.
+def _scaled(row: int, scale: int, width: int) -> list[int]:
+    """The first width bits of row, low bit first, with each 1 as scale."""
+    return [scale if bit == "1" else 0
+            for bit in reversed(format(row, f"0{width}b"))]
 
-    Entry (o, i) of the product is the popcount of rows[o] & cols[i]; every
-    entry is compared, zeros included.
+
+def _products_hold(maps: list[tuple[list[int], list[int]]],
+                   composes: list[tuple[int, int, int, int]], dim: int):
+    """For each stacked pair (top, bottom, result, closed): whether
+    T_bottom . T_top is N^closed T_result.
+
+    Entry (o, i) of the product is the popcount of row o of T_bottom and
+    column i of T_top; every entry is compared, zeros included.  The pairs
+    of one top come together, so each distinct bottom row is counted
+    against the top's columns, and each expected row is built, once per top.
     """
-    for row, want_row in zip(rows, want):
-        if not row:
-            if want_row:
-                return False
-            continue
-        expected = [0] * len(cols)
-        while want_row:
-            low = want_row & -want_row
-            expected[low.bit_length() - 1] = scale
-            want_row ^= low
-        if list(map(int.bit_count, map(row.__and__, cols))) != expected:
-            return False
-    return True
+    last = None
+    for top, bottom, res, closed in composes:
+        if top != last:
+            last, cols, products, expected = top, maps[top][1], {}, {}
+        scale = dim ** closed
+        ok = True
+        for row, want_row in zip(maps[bottom][0], maps[res][0]):
+            if not row:
+                if want_row:
+                    ok = False
+                    break
+                continue
+            got = products.get(row)
+            if got is None:
+                got = products[row] = list(map(int.bit_count,
+                                               map(row.__and__, cols)))
+            want = expected.get((want_row, scale))
+            if want is None:
+                want = expected[want_row, scale] = \
+                    _scaled(want_row, scale, len(cols))
+            if got != want:
+                ok = False
+                break
+        yield ok
 
 
 def verify_category_relations(dim: int, max_points: int = 6) -> VerificationReport:
@@ -276,7 +348,7 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     relation runs over single diagrams up to max_points.
 
     Each T_p is compared entry by entry, zeros included, as 0/1 bit rows
-    built from its support: the Kronecker row of T_p tensor T_q at (j1, j2)
+    built from its blocks: the Kronecker row of T_p tensor T_q at (j1, j2)
     is the row of T_p at j1 with bit b moved to b * N^upper(q),
     times the row of T_q at j2; the (o, i) entry of T_bottom T_top is the
     popcount of row o of T_bottom and column i of T_top.
@@ -306,9 +378,8 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     rep.tally("T_(p tensor q) = T_p tensor T_q on {} pairs", (
         [x * y for x in spread_rows(a, dim ** diagrams[b].upper)
          for y in maps[b][0]] == maps[ab][0] for a, b, ab in tensors))
-    rep.tally("T_(p compose q) * N^closed = T_p . T_q on {} stacked pairs", (
-        _product_is(maps[bottom][0], maps[top][1], maps[res][0], dim ** closed)
-        for top, bottom, res, closed in composes))
+    rep.tally("T_(p compose q) * N^closed = T_p . T_q on {} stacked pairs",
+              _products_hold(maps, composes, dim))
     rep.tally("T_(p*) = (T_p)* on {} diagrams", (
         maps[star][0] == maps[p][1] for p, star in enumerate(involutes)))
     return rep

@@ -24,9 +24,11 @@ bottom factor) together with the count of closed blocks it produces,
 ``involute`` turns the picture upside down.  All three run on block labels,
 the block index of each point: tensor and involute reorder and renumber
 them, and compose joins the top's lower row to the bottom's upper row by the
-one union-find, ``_merge``, over block ids.  ``join`` is the common coarsening
-in the full partition lattice of the ground set, ``refines`` the comparison,
-and ``kernel`` the level-set partition of an index tuple.
+one union-find, ``_merge``, over block ids: its points are any ints, and n
+is how many there are, so top block t is the point t and bottom block c the
+point ~c.  ``join`` is the common coarsening in the full partition lattice
+of the ground set, ``refines`` the comparison, and ``kernel`` the level-set
+partition of an index tuple.
 
 ``enumerate_partitions`` lists a category by name from one table: one
 first-block recursion on the circle cut open at the left edge, whose
@@ -68,31 +70,33 @@ def _block_index(blocks: Iterable[Block]) -> dict[int, int]:
 
 def _merge(n: int, chains: Iterable[Sequence[int]],
            boundary: Iterable[int]) -> tuple[Labels, int]:
-    """Union-find on the points 1..n that merges the points of each chain.
+    """Union-find on n points that merges the points of each chain.
 
-    Returns the block labels of the points of ``boundary`` in the order
-    listed, the classes numbered 0, 1, ... by first appearance, and the
-    number of classes that miss ``boundary``.
+    Points are any ints, and n is how many there are; a point that no chain
+    or boundary names is a class of its own.  Returns the block labels of
+    the points of ``boundary`` in the order listed, the classes numbered
+    0, 1, ... by first appearance, and the number of classes that miss
+    ``boundary``.
     """
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    classes = n
+    # a point is a root when it is not a key; each union adds one key
+    parent: dict[int, int] = {}
     for pts in chains:
-        root = find(pts[0])
-        for pt in pts[1:]:
-            other = find(pt)
-            if other != root:
-                parent[other] = root
-                classes -= 1
+        it = iter(pts)
+        root = next(it)
+        while root in parent:
+            root = parent[root]
+        for pt in it:
+            while pt in parent:
+                pt = parent[pt]
+            if pt != root:
+                parent[pt] = root
     ids: dict[int, int] = {}
-    labels = tuple([ids.setdefault(find(pt), len(ids)) for pt in boundary])
-    return labels, classes - len(ids)
+    labels = []
+    for pt in boundary:
+        while pt in parent:
+            pt = parent[pt]
+        labels.append(ids.setdefault(pt, len(ids)))
+    return tuple(labels), n - len(parent) - len(ids)
 
 
 def _join_counts(parts: Sequence[Partition],
@@ -128,16 +132,14 @@ def _compose_labels(k: int, m: int, top: Labels,
                     bottom: Labels) -> tuple[Labels, int]:
     """top, with k upper and m lower points, stacked on bottom.
 
-    The blocks of both are the points of the union-find: top's block b is
-    b + 1 and bottom's block c is c + 1 + (top's block count), and the middle
-    row joins the two.  Returns the labels of the result and the number of
-    closed blocks.
+    The blocks of both are the points of the union-find: top's block t is
+    the point t and bottom's block c the point ~c, and the middle row joins
+    the two.  Returns the labels of the result and the number of closed
+    blocks.
     """
-    shift = max(top, default=-1) + 1
-    return _merge(
-        shift + max(bottom, default=-1) + 1,
-        [(t + 1, shift + c + 1) for t, c in zip(top[k:], bottom[:m])],
-        [t + 1 for t in top[:k]] + [shift + c + 1 for c in bottom[m:]])
+    return _merge(max(top, default=-1) + max(bottom, default=-1) + 2,
+                  zip(top[k:], [~c for c in bottom[:m]]),
+                  top[:k] + tuple(~c for c in bottom[m:]))
 
 
 def _involute_labels(k: int, a: Labels) -> Labels:

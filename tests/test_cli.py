@@ -388,6 +388,24 @@ def test_order_over_cap_prints_nothing(argv):
     assert done.stderr.startswith("cap exceeded:")
 
 
+def test_partial_trace_cap_names_the_typed_k(capsys, monkeypatch):
+    orders = []
+    moments = freeprob.partial_trace_moments
+
+    def recorded(t, bm, k):
+        orders.append(k)
+        return moments(t, bm, k)
+
+    monkeypatch.setattr(freeprob, "partial_trace_moments", recorded)
+    assert run(capsys, "partial-trace", "--t", "1/2", "--k", "100000") == \
+        (2, "", "cap exceeded: enumeration over 100000 points exceeds the "
+                "cap of 14\n")
+    # only the moment 1 of k = 0, which checks t, came before the refusal
+    assert orders == [0]
+    assert run(capsys, "partial-trace", "--t", "2", "--k", "100000") == \
+        (1, "", "error: t must lie in [0, 1], got 2\n")
+
+
 def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("called before the entry cap was checked")

@@ -15,9 +15,10 @@ from freewreath.homspaces import block_trivial_mult, hom_terms
 from freewreath.linmaps import (build_tp, gram_brute, gram_nc,
                                 verify_category_relations,
                                 verify_conjugate_equations)
-from freewreath.partition import (Partition, discrete_partition,
-                                  enumerate_partitions, full_block,
-                                  identity_partition, nested_pairing)
+from freewreath.partition import (ComposeResult, Partition,
+                                  discrete_partition, enumerate_partitions,
+                                  full_block, identity_partition,
+                                  nested_pairing)
 from freewreath.weingarten import wg_gram
 
 
@@ -165,24 +166,36 @@ def test_support_matches_brute_force():
                         assert len(got) == len(want) and set(got) == want
 
 
+def test_category_pairs_compose_like_partitions():
+    for max_points in range(6):
+        diagrams, _, composes, _ = linmaps._category_pairs(max_points)
+        for top, bottom, res, closed in composes:
+            assert diagrams[bottom].compose(diagrams[top]) == \
+                ComposeResult(diagrams[res], closed)
+
+
 def test_bit_rows_match_build_tp():
-    for p in enumerate_partitions(2, 2) + enumerate_partitions(1, 3):
-        for n in (1, 2, 3):
-            rows, cols = [0] * n ** p.lower, [0] * n ** p.upper
-            for (j, i), v in build_tp(p, n).entries.items():
-                rows[j] |= v << i
-                cols[i] |= v << j
-            assert linmaps._bit_rows(p, n) == (rows, cols)
+    for points in range(6):
+        for k in range(points + 1):
+            for p in enumerate_partitions(k, points - k, "all"):
+                for n in range(1, 5):
+                    rows, cols = [0] * n ** p.lower, [0] * n ** p.upper
+                    for (j, i), v in build_tp(p, n).entries.items():
+                        rows[j] |= v << i
+                        cols[i] |= v << j
+                    assert linmaps._bit_rows(p, n) == (rows, cols)
 
 
-def _drop_first(cells):
-    # position (j, i) = (0, 0), every index 1: the entry listed first
-    cells.remove((0, 0))
+def _drop_first(rows, cols):
+    # position (j, i) = (0, 0), every index 1
+    rows[0] &= ~1
+    cols[0] &= ~1
 
 
-def _add_spurious(cells):
+def _add_spurious(rows, cols):
     # a 1 at lower (2, 1), upper (1,), off the support: j = 1 * 3 + 0, i = 0
-    cells.append((3, 0))
+    rows[3] |= 1
+    cols[0] |= 1 << 3
 
 
 # the counts are the ones the check gave when it read the same corruption
@@ -192,17 +205,58 @@ def _add_spurious(cells):
 def test_verify_category_relations_catches_a_corrupt_map(monkeypatch, corrupt,
                                                          failures):
     target = Partition(1, 2, [(1, 2), (3,)])
-    support = linmaps._support
+    bit_rows = linmaps._bit_rows
 
-    def corrupted_support(p, dim):
-        cells = support(p, dim)
+    def corrupted_bit_rows(p, dim):
+        rows, cols = bit_rows(p, dim)
         if p == target:
-            corrupt(cells)
-        return cells
+            corrupt(rows, cols)
+        return rows, cols
 
-    monkeypatch.setattr(linmaps, "_support", corrupted_support)
+    monkeypatch.setattr(linmaps, "_bit_rows", corrupted_bit_rows)
     report = verify_category_relations(3, max_points=4)
     assert _failure_counts(report) == failures, report.render()
+
+
+def _patched_pairs(monkeypatch, max_points, edit):
+    """Make the category check read _category_pairs(max_points) with its
+    compose list passed through edit."""
+    diagrams, tensors, composes, involutes = \
+        linmaps._category_pairs(max_points)
+    pairs = (diagrams, tensors, edit(list(composes)), involutes)
+    monkeypatch.setattr(linmaps, "_category_pairs", lambda _: pairs)
+
+
+def test_compose_check_catches_a_wrong_pair(monkeypatch):
+    def closed_off_by_one(composes):
+        top, bottom, res, closed = composes[100]
+        composes[100] = (top, bottom, res, closed + 1)
+        return composes
+
+    _patched_pairs(monkeypatch, 4, closed_off_by_one)
+    for n in (2, 3):
+        assert _failure_counts(verify_category_relations(n, 4)) == (0, 1, 0)
+
+
+def test_compose_check_catches_swapped_results(monkeypatch):
+    # two pairs of one top, over bottoms of one shape, with different
+    # results: each now names the other's
+    diagrams, _, composes, _ = linmaps._category_pairs(4)
+    first = next(n for n, (top, bottom, _, _) in enumerate(composes)
+                 if diagrams[top].upper == 1 and diagrams[bottom].lower == 2)
+    top, bottom, res, _ = composes[first]
+    second = next(n for n, (t, b, r, _) in enumerate(composes)
+                  if t == top and r != res and
+                  diagrams[b].lower == diagrams[bottom].lower)
+
+    def swap(composes):
+        (t, b, r, c), (t2, b2, r2, c2) = composes[first], composes[second]
+        composes[first], composes[second] = (t, b, r2, c), (t2, b2, r, c2)
+        return composes
+
+    _patched_pairs(monkeypatch, 4, swap)
+    for n in (2, 3):
+        assert _failure_counts(verify_category_relations(n, 4)) == (0, 2, 0)
 
 
 def _conjugate_products(r, k, n):

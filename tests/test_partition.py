@@ -4,7 +4,7 @@ import pytest
 
 from freewreath import config
 from freewreath.config import CATEGORIES, CapExceededError
-from freewreath.partition import (Partition, discrete_partition,
+from freewreath.partition import (Partition, _merge, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition, kernel, nested_pairing,
                                   parse_partition)
@@ -99,6 +99,20 @@ def test_join_and_refines():
     assert discrete_partition(0, 3).refines(full_block(0, 3))
     assert not full_block(0, 3).refines(discrete_partition(0, 3))
     assert a.refines(a)
+
+
+def test_merge_on_any_int_points():
+    # points -2, -1, 0, 1, 2 and a sixth, 5, that nothing names: the chains
+    # join -2 with 1 and -1 with 0 with 2, so there are three classes
+    chains = [(-2, 1), (0, -1), (2, 0)]
+    assert _merge(6, chains, [1, 2, -2, 0]) == ((0, 1, 0, 1), 1)
+    assert _merge(6, chains, [-1]) == ((0,), 2)
+    assert _merge(6, chains, ()) == ((), 3)
+    # the same picture on the points 1..6 gives the same answer
+    shifted = [tuple(pt + 3 for pt in c) for c in chains]
+    assert _merge(6, shifted, [4, 5, 1, 3]) == ((0, 1, 0, 1), 1)
+    # ~c, the bottom blocks of a stacked pair, next to the top blocks 0, 1
+    assert _merge(4, zip((0, 1), (~0, ~0)), (~1,)) == ((0,), 1)
 
 
 def test_kernel():
