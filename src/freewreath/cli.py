@@ -78,9 +78,8 @@ def cmd_hom_dim(args) -> list[str]:
 
 
 def cmd_char_law(args) -> list[str]:
-    from .freeprob import (character_moment_wreath, compound_poisson_moment,
-                           free_cumulants_to_moments, parse_eps, plain_eps,
-                           rep_block_moment, render_eps)
+    from .freeprob import (character_moment_wreath, compound_poisson_law,
+                           parse_eps, plain_eps, render_eps)
     from .fusion import fusion_from_uri
 
     fd = fusion_from_uri(args.fusion)
@@ -90,15 +89,12 @@ def cmd_char_law(args) -> list[str]:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
-        predicted = {eps_list[0]: compound_poisson_moment(fd, rep, eps_list[0])}
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
-        check_enum_cap(args.order)  # plain words need plain cumulants only
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
-        block_moment = rep_block_moment(fd, rep)
-        predicted = free_cumulants_to_moments(
-            {eps: block_moment(len(eps)) for eps in eps_list})
+    check_enum_cap(len(eps_list[-1]))
+    predicted = compound_poisson_law(fd, rep)
     lines = []
     for eps in eps_list:
         value = character_moment_wreath(fd, rep, eps)
@@ -130,7 +126,8 @@ def cmd_classical(args) -> list[str]:
 def cmd_partial_trace(args) -> list[str]:
     from fractions import Fraction
 
-    from .freeprob import partial_trace_moments, rep_block_moment
+    from .freeprob import (free_cumulants_to_moments, partial_trace_moments,
+                           plain_eps, rep_block_moment)
     from .fusion import fusion_from_uri
 
     fd = fusion_from_uri(args.fusion)
@@ -148,8 +145,11 @@ def cmd_partial_trace(args) -> list[str]:
     # is checked next, on the k that was typed, before any moment is computed
     partial_trace_moments(t, bm, 0)
     check_enum_cap(args.k)
-    return [f"k={k}: {_float(args, partial_trace_moments(t, bm, k))}"
-            for k in range(1, args.k + 1)]
+    # one transform gives every moment up to --k
+    moments = free_cumulants_to_moments(
+        {plain_eps(s): t * bm(s) for s in range(1, args.k + 1)})
+    return [f"k={len(eps)}: {_float(args, value)}"
+            for eps, value in moments.items()]
 
 
 def cmd_weingarten(args) -> list[str]:

@@ -9,8 +9,9 @@ first use):
                            enumeration will accept, and the longest word or
                            order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
-                           map or a Gram matrix, and of composable pairs the
-                           category check lists (default 10**7)
+                           map, a Gram matrix or a cyclic group table, and of
+                           the pairs the category check lists and the
+                           collapsing-isomorphism check takes (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to

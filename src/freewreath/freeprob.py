@@ -14,7 +14,9 @@ Three independent computations meet here:
   partitions runs as the recursion on the first block with trivial
   multiplicities in G as cumulants, all blocks from one start carried as one
   element of the fusion ring of G (the enumeration of those partitions is
-  its oracle);
+  its oracle).  A representation of G is one fusion-ring element, a
+  label->multiplicity dict, and the recursion takes it, or its conjugate, as
+  every letter, so a reducible a costs one recursion;
 
 * cumulant route: a free compound Poisson law of rate t with jump law mu has
   free cumulants k(eps) = t * m_mu(eps); the moment/cumulant dictionaries are
@@ -22,7 +24,9 @@ Three independent computations meet here:
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
   that B leaves.  That sum over the choices of B is ``_nc_sum`` here; the
-  moment route does not use it, so the two routes stay independent;
+  moment route does not use it, so the two routes stay independent.  The law
+  is one lazy table, :func:`compound_poisson_law`, that computes a moment,
+  and the cumulants its blocks pick out, on first lookup;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -46,7 +50,7 @@ from typing import Callable, Iterable
 
 from .config import check_enum_cap
 from .fusion import FusionData
-from .homspaces import dim_hom_wreath, tensor_fold
+from .homspaces import _boundary_moment, tensor_fold
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -188,32 +192,26 @@ def moments_to_free_cumulants(moments: dict) -> dict:
     return cumulants
 
 
-def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
-    """eps-moments of the free compound Poisson with jump law chi_rep.
+def compound_poisson_law(fd: FusionData, rep) -> _Memo:
+    """eps-moments of the free compound Poisson with jump law chi_rep, lazily.
 
     Built through the cumulant route: every free cumulant equals the
-    matching eps-moment of chi_rep in G.  The cap is checked on max_len
-    before any of those 2^(max_len+1)-2 moments of G is computed.
+    matching eps-moment of chi_rep in G.  Looking up eps asks only for the
+    moments of its contiguous subwords and for the cumulants of the
+    sub-sequences that its blocks pick out.  A lookup checks no cap, so the
+    caller checks it on its longest word first.
+    """
+    return _nc_moments(_Memo(lambda eps: moment_of_rep(fd, rep, eps)))
+
+
+def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
+    """The eps-moments of :func:`compound_poisson_law` up to length max_len.
+
+    The cap is checked on max_len before any moment of G is computed.
     """
     check_enum_cap(max_len)
-    cumulants = {}
-    for k in range(1, max_len + 1):
-        for eps in all_eps(k):
-            cumulants[eps] = moment_of_rep(fd, rep, eps)
-    return free_cumulants_to_moments(cumulants)
-
-
-def compound_poisson_moment(fd: FusionData, rep, eps: Eps) -> int:
-    """The eps-moment of the free compound Poisson with jump law chi_rep.
-
-    The same value as ``compound_poisson_moments(fd, rep, len(eps))[eps]``,
-    but the first-block sum only asks for the moments of the contiguous
-    subwords of eps and for the cumulants, moments of chi_rep in G, of the
-    sub-sequences that its blocks pick out.
-    """
-    check_enum_cap(len(eps))
-    cumulants = _Memo(lambda sub: moment_of_rep(fd, rep, sub))
-    return _nc_moments(cumulants)[tuple(eps)]
+    law = compound_poisson_law(fd, rep)
+    return {eps: law[eps] for k in range(1, max_len + 1) for eps in all_eps(k)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +221,16 @@ def compound_poisson_moment(fd: FusionData, rep, eps: Eps) -> int:
 def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     """eps-moment of the character of the basic representation r(rep).
 
-    Computed as dim Hom(1, r^{eps_1} x ... x r^{eps_k}) through the decorated
-    partition count, expanding a reducible rep over the tensor positions.
-    The conjugate of the basic representation r(a) is r(conj a).
+    Computed as dim Hom(1, r^{eps_1} x ... x r^{eps_k}) by the first-block
+    recursion of the partition route, with the ring element rep, or at a
+    starred position its conjugate, as every letter: the conjugate of the
+    basic representation r(a) is r(conj a), and the count is linear in each
+    letter.
     """
     rd = rep_as_dict(fd, rep)
+    check_enum_cap(len(eps))
     rd_bar = conj_rep(fd, rd)
-    per_position = [sorted((rd_bar if star else rd).items(),
-                           key=lambda kv: str(kv[0])) for star in eps]
-    total = 0
-    for choices in itertools.product(*per_position):
-        weight = 1
-        for _, m in choices:
-            weight *= m
-        letters = tuple(a for a, _ in choices)
-        total += weight * dim_hom_wreath((), letters, fd, method="partition")
-    return total
+    return _boundary_moment(fd, [rd_bar if star else rd for star in eps])
 
 
 def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:

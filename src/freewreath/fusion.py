@@ -45,7 +45,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Hashable, Sequence
 
-from .config import Value
+from .config import Value, check_entry_cap
 from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
@@ -122,6 +122,7 @@ class FiniteGroup(Value):
 def cyclic_group(s: int) -> FiniteGroup:
     if s < 1:
         raise ValueError("order must be positive")
+    check_entry_cap(s * s)  # the multiplication table, before any of it
     names = ["1"] + [f"g{j}" if j > 1 else "g" for j in range(1, s)]
     table = {(names[a], names[b]): names[(a + b) % s]
              for a in range(s) for b in range(s)}

@@ -21,7 +21,10 @@ choices of the block one by one.  Here a block's weight is
 linear in the tensor product of its letters, so all partial blocks from one
 start are carried together as one element of the fusion ring
 (:func:`_boundary_moment`): O(|w|^2) tensor steps and O(|w|^3) integer
-additions in place of Catalan(|w|) partitions.  The enumerating sum over
+additions in place of Catalan(|w|) partitions.  Its letters are themselves
+fusion-ring elements, so a reducible representation at every position (the
+character moments of :mod:`freewreath.freeprob`) costs one recursion, not
+one per choice of constituents.  The enumerating sum over
 decorated partitions (:func:`hom_terms`) stays as the oracle for it.
 
 The same dimension is computable through the fusion ring: decompose both
@@ -125,9 +128,11 @@ def hom_terms(up: Word, down: Word, fd: FusionData,
     return tuple(out)
 
 
-def _boundary_moment(fd: FusionData, word: Word) -> int:
+def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:
     """Sum over NC(|word|) of the product of the block trivial multiplicities.
 
+    Each letter is a fusion-ring element, a label->multiplicity dict, and a
+    block weighs the trivial multiplicity of the product of its letters.
     m[i][j] is that sum for word[i:j] (m[i][i] = 1).  For a start i, taken
     from the right, v[t] is the sum over the partial blocks from i to t of
     the tensor product of their letters times the moments of their inner
@@ -141,7 +146,7 @@ def _boundary_moment(fd: FusionData, word: Word) -> int:
     m = [[0] * (n + 1) for _ in range(n + 1)]
     m[n][n] = 1
     for i in range(n - 1, -1, -1):
-        v = [{word[i]: 1}]
+        v = [word[i]]
         for t in range(i + 1, n):
             acc: dict = {}
             for r in range(i, t):
@@ -167,8 +172,8 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
     for letter in up + down:
         fd.check_label(letter)
     check_enum_cap(len(up) + len(down))
-    boundary = tuple(fd.conj(a) for a in reversed(up)) + tuple(down)
-    return _boundary_moment(fd, boundary)
+    return _boundary_moment(fd, [{fd.conj(a): 1} for a in reversed(up)]
+                            + [{b: 1} for b in down])
 
 
 def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:

@@ -282,11 +282,12 @@ def _huge(k):
     (("classical", "--n", "4", "--k", "3"),
      {"classical_wreath_moment": lambda bm, n, k: _huge(k)}),
     (("partial-trace", "--t", "1/2", "--k", "3"),
-     {"partial_trace_moments": lambda t, bm, k: _huge(k)}),
+     {"free_cumulants_to_moments": lambda cumulants: {
+         eps: _huge(len(eps)) for eps in cumulants}}),
     (("char-law", "--rep", "g", "--order", "3"),
      {"character_moment_wreath": lambda fd, rep, eps: _huge(len(eps)),
-      "free_cumulants_to_moments": lambda cumulants: {
-          eps: _huge(len(eps)) for eps in cumulants}}),
+      "compound_poisson_law": lambda fd, rep: freeprob._Memo(
+          lambda eps: _huge(len(eps)))}),
 ])
 def test_float_overflow_prints_nothing(capsys, monkeypatch, argv, patches):
     # no input within the caps reaches the float range in these commands, so
@@ -406,6 +407,20 @@ def test_partial_trace_cap_names_the_typed_k(capsys, monkeypatch):
         (1, "", "error: t must lie in [0, 1], got 2\n")
 
 
+def test_partial_trace_runs_one_transform(capsys, monkeypatch):
+    tables = []
+    transform = freeprob.free_cumulants_to_moments
+
+    def recorded(cumulants):
+        tables.append(len(cumulants))
+        return transform(cumulants)
+
+    monkeypatch.setattr(freeprob, "free_cumulants_to_moments", recorded)
+    code, out, _ = run(capsys, "partial-trace", "--t", "1/2", "--k", "5")
+    assert code == 0 and len(out.splitlines()) == 5
+    assert tables == [5]
+
+
 def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("called before the entry cap was checked")
@@ -430,6 +445,27 @@ def test_verify_category_caps_the_compose_pairs():
     assert done.stderr == ("cap exceeded: listing 43371 composable pairs "
                            "exceeds the cap of 40000\n")
     assert python(*argv, FREEWREATH_ENTRY_CAP="50000").returncode == 0
+
+
+def test_tl_verify_caps_its_pairs():
+    # 6 points: 219 composed, 85 tensor and 115 trace pairs
+    argv = ("-m", "freewreath.cli", "tl", "verify", "--max-points", "6")
+    done = python(*argv, FREEWREATH_ENTRY_CAP="418")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("cap exceeded: listing 419 composable pairs "
+                           "exceeds the cap of 418\n")
+    assert python(*argv, FREEWREATH_ENTRY_CAP="419").returncode == 0
+
+
+def test_cyclic_table_over_cap_refused():
+    # builtin:cyclic:s stores an s x s multiplication table
+    argv = ("-m", "freewreath.cli", "fuse", "(g)", "(g)", "--fusion")
+    done = python(*argv, "builtin:cyclic:11", FREEWREATH_ENTRY_CAP="100")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("cap exceeded: storing 121 entries exceeds the cap "
+                           "of 100\n")
+    done = python(*argv, "builtin:cyclic:10", FREEWREATH_ENTRY_CAP="100")
+    assert (done.returncode, done.stdout) == (0, "(g2) ×1\n(g,g) ×1\n")
 
 
 def test_verify_conjugate_over_cap_refused_before_any_work(capsys,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,20 +11,26 @@ from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
                                  character_moments_wreath,
                                  classical_wreath_moment,
-                                 compound_poisson_moment,
+                                 compound_poisson_law,
                                  compound_poisson_moments, conj_rep,
                                  free_cumulants_to_moments, moment_of_rep,
                                  moments_to_free_cumulants, parse_eps,
                                  partial_trace_moments, plain_eps,
                                  render_eps, rep_as_dict, rep_block_moment,
                                  z2_block_moment)
-from freewreath.fusion import (cyclic_fusion, symmetric_group_3_fusion,
+from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
+                               symmetric_group_3, symmetric_group_3_fusion,
                                trivial_fusion)
+from freewreath.homspaces import dim_hom_wreath
 from freewreath.partition import enumerate_partitions
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
+S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
+# reducible representations: two constituents each
+REDUCIBLE = ((S3, {"std": 1, "sgn": 1}), (Z3, {"g": 2, "1": 1}),
+             (S3_DUAL, {"213": 1, "231": 2}))
 
 
 def partition_sum(n, mode, term):
@@ -129,7 +136,48 @@ def test_single_word_compound_poisson_moment():
     for fd, rep in ((Z2, "g"), (Z3, "g"), (S3, "std"), (S3, {"std": 1, "sgn": 1})):
         table = compound_poisson_moments(fd, rep, 6)
         for eps, value in table.items():
-            assert compound_poisson_moment(fd, rep, eps) == value, (rep, eps)
+            assert compound_poisson_law(fd, rep)[eps] == value, (rep, eps)
+
+
+def expanded_character_moment(fd, rep, eps):
+    """Oracle: one Hom count per choice of a constituent at every position,
+    weighted by the product of the chosen multiplicities."""
+    rd = rep_as_dict(fd, rep)
+    rd_bar = conj_rep(fd, rd)
+    total = 0
+    for choices in itertools.product(*((rd_bar if star else rd).items()
+                                       for star in eps)):
+        letters = tuple(a for a, _ in choices)
+        total += math.prod(m for _, m in choices) * \
+            dim_hom_wreath((), letters, fd, method="partition")
+    return total
+
+
+def test_ring_element_letters_match_the_constituent_expansion():
+    for fd, rep in REDUCIBLE:
+        for k in range(7):
+            for eps in all_eps(k):
+                assert character_moment_wreath(fd, rep, eps) == \
+                    expanded_character_moment(fd, rep, eps), (rep, eps)
+
+
+def test_ring_element_letters_make_quadratically_many_tensor_calls():
+    # one recursion with the two-constituent rep as every letter: one tensor
+    # step per (start, end) pair, each at most one tensor call per pair of an
+    # irreducible in the carried element and a constituent of the letter
+    fd = symmetric_group_3_fusion()
+    calls = []
+    tensor = fd.tensor
+
+    def counted(a, b):
+        calls.append((a, b))
+        return tensor(a, b)
+
+    fd.tensor = counted
+    rep, n = {"std": 1, "sgn": 1}, 10
+    value = character_moment_wreath(fd, rep, plain_eps(n))
+    assert len(calls) <= 2 * len(fd.labels()) * n * (n - 1) // 2
+    assert value == compound_poisson_moments(S3, rep, n)[plain_eps(n)]
 
 
 def test_character_moment_trivial_letter_catalan():
@@ -183,12 +231,13 @@ def test_cap_checked_before_any_sum(monkeypatch):
     # the first-block sum over block choices is replaced, and so are the
     # Hom partition route's own recursion and the tensor_fold it runs on
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
+    monkeypatch.setattr(freeprob, "_boundary_moment", refuse)
     monkeypatch.setattr(homspaces, "_boundary_moment", refuse)
     monkeypatch.setattr(homspaces, "tensor_fold", refuse)
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
     with pytest.raises(CapExceededError):
-        compound_poisson_moment(Z2, "g", plain_eps(15))
+        character_moment_wreath(Z2, "g", plain_eps(15))
     with pytest.raises(CapExceededError):
         homspaces.dim_hom_partition(("g",) * 5, ("g",) * 10, Z2)
     with pytest.raises(CapExceededError):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from freewreath import tl
+from freewreath import config, tl
+from freewreath.config import CapExceededError
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
@@ -202,6 +203,17 @@ def test_trace_isometry_spot():
 def test_verify_phi_suite():
     report = verify_phi(max_points=6)
     assert report.passed, report.render()
+
+
+def test_verify_phi_caps_its_pairs_before_any_phi(monkeypatch):
+    # 6 points: 219 composed, 85 tensor and 115 trace pairs
+    def never(d):
+        raise AssertionError("phi taken before the pair cap was checked")
+
+    monkeypatch.setattr(config, "caps", lambda: (14, 418))
+    monkeypatch.setattr(tl, "phi", never)
+    with pytest.raises(CapExceededError, match="listing 419 composable pairs"):
+        verify_phi(max_points=6)
 
 
 def test_verify_phi_takes_each_image_once(monkeypatch):
