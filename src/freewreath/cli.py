@@ -89,11 +89,12 @@ def cmd_char_law(args) -> list[str]:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
+        check_enum_cap(len(eps_list[0]))
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
+        check_enum_cap(args.order)  # the typed order, before any star word
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
-    check_enum_cap(len(eps_list[-1]))
     predicted = compound_poisson_law(fd, rep)
     lines = []
     for eps in eps_list:
@@ -113,6 +114,7 @@ def cmd_classical(args) -> list[str]:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
+    check_enum_cap(args.k)
     bm = z2_block_moment(args.rep)
     values = [classical_wreath_moment(bm, args.n, k) for k in range(args.k + 1)]
     lines = [f"k={k}: {_float(args, value)}" for k, value in enumerate(values)]
@@ -126,8 +128,7 @@ def cmd_classical(args) -> list[str]:
 def cmd_partial_trace(args) -> list[str]:
     from fractions import Fraction
 
-    from .freeprob import (free_cumulants_to_moments, partial_trace_moments,
-                           plain_eps, rep_block_moment)
+    from .freeprob import partial_trace_law, plain_eps, rep_block_moment
     from .fusion import fusion_from_uri
 
     fd = fusion_from_uri(args.fusion)
@@ -140,16 +141,11 @@ def cmd_partial_trace(args) -> list[str]:
                          f"got {args.t!r}") from None
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
-    bm = rep_block_moment(fd, rep)
-    # k = 0 (the moment 1, not printed) checks t even when --k is 0; the cap
-    # is checked next, on the k that was typed, before any moment is computed
-    partial_trace_moments(t, bm, 0)
+    # t is checked even at --k 0, and the cap on the typed k, before any moment
+    law = partial_trace_law(t, rep_block_moment(fd, rep))
     check_enum_cap(args.k)
-    # one transform gives every moment up to --k
-    moments = free_cumulants_to_moments(
-        {plain_eps(s): t * bm(s) for s in range(1, args.k + 1)})
-    return [f"k={len(eps)}: {_float(args, value)}"
-            for eps, value in moments.items()]
+    return [f"k={k}: {_float(args, law[plain_eps(k)])}"
+            for k in range(1, args.k + 1)]
 
 
 def cmd_weingarten(args) -> list[str]:

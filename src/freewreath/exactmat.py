@@ -1,12 +1,12 @@
 """Exact integer/rational matrix elimination (no floating point).
 
 One integer elimination, ``_eliminate``, gives rank and determinant from its
-forward pass, and the inverse and kernel vectors from an optional backward
-pass.  The inverse can be asked for on chosen columns only: the elimination
-then runs on [M | those columns of I], n + |cols| entries a row, not 2n.
-One plain Fraction Gauss-Jordan is the oracle independent of it: as
-``gauss_jordan_inverse`` tests/ check it against ``bareiss_inverse``, and
-the weingarten workload of perfbench/ builds its Haar-state oracle with it.
+forward pass, and the inverse from an optional backward pass.  The inverse
+can be asked for on chosen columns only: the elimination then runs on
+[M | those columns of I], n + |cols| entries a row, not 2n.  One plain
+Fraction Gauss-Jordan, ``gauss_jordan_inverse``, is the oracle independent
+of it: tests/ check ``bareiss_inverse`` against it and build their
+Haar-state oracle with it, as the weingarten workload of perfbench/ does.
 """
 
 from __future__ import annotations
@@ -107,24 +107,6 @@ def bareiss_inverse(matrix, cols: Sequence[int] | None = None) -> FracMatrix:
     if len(_eliminate(a, n, back=True)[0]) < n:
         raise ZeroDivisionError("matrix is singular")
     return [[Fraction(x, a[r][r]) for x in a[r][n:]] for r in range(n)]
-
-
-def kernel_vector(matrix) -> list[Fraction] | None:
-    """A nonzero rational kernel vector of a square integer matrix, or None.
-
-    Both passes of ``_eliminate``; the first free column c gets 1 and pivot
-    column p_r gets -a[r][c] / a[r][p_r], as in the reduced echelon form.
-    """
-    a = _square_ints(matrix)
-    n = len(a)
-    pivots = _eliminate(a, n, back=True)[0]
-    if len(pivots) == n:
-        return None
-    free_col = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(c == free_col) for c in range(n)]
-    for r, c in enumerate(pivots):
-        vec[c] = Fraction(-a[r][free_col], a[r][c])
-    return vec
 
 
 def _reduce_rows(a: FracMatrix, cols: int) -> list[int]:

@@ -34,8 +34,8 @@ Three independent computations meet here:
   checked against a direct group average for Z/2 wr S_3.
 
 The truncated character (a partial sum of t*N of the N diagonal entries)
-converges to the free compound Poisson of rate t: its plain free cumulants
-are t times the jump moments.
+converges to :func:`partial_trace_law`, the free compound Poisson of rate t:
+its plain free cumulants are t times the jump moments.
 
 No partition is materialised.  The enumeration cap bounds the longest word or
 order of every transform here, and is checked before any sum is computed.
@@ -243,25 +243,28 @@ def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
 # truncated characters
 
 
-def partial_trace_moments(t, block_moment: Callable[[int], int],
-                          k: int) -> Fraction:
-    """k-th moment of the rate-t free compound Poisson with the given jump moments.
+def partial_trace_law(t, block_moment: Callable[[int], int]) -> _Memo:
+    """Plain moments of the rate-t free compound Poisson law, lazily.
 
-    Its plain free cumulants are t * block_moment(s), so the moment comes
-    from the first-block recursion of :func:`free_cumulants_to_moments`.
-    This is the limit law of the truncated character keeping a fraction t of
-    the diagonal, so t must lie in [0, 1].
+    The limit law of the truncated character keeping a fraction t of the
+    diagonal, so t lies in [0, 1]; its free cumulant at a plain word of
+    length s is t * block_moment(s).  As in :func:`compound_poisson_law`, a
+    lookup checks no cap, so the caller checks it on its largest order first.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    return _nc_moments(_Memo(lambda word: t * block_moment(len(word))))
+
+
+def partial_trace_moments(t, block_moment: Callable[[int], int],
+                          k: int) -> Fraction:
+    """k-th moment of :func:`partial_trace_law`, after the checks on t and k."""
+    law = partial_trace_law(t, block_moment)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     check_enum_cap(k)
-    if k == 0:
-        return Fraction(1)
-    cumulants = {plain_eps(s): t * block_moment(s) for s in range(1, k + 1)}
-    return free_cumulants_to_moments(cumulants)[plain_eps(k)]
+    return Fraction(law[plain_eps(k)])
 
 
 def rep_block_moment(fd: FusionData, rep) -> Callable[[int], int]:

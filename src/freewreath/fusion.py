@@ -231,25 +231,29 @@ class FusionData(ABC):
 
 
 class TableFusion(FusionData):
+    """A finite fusion ring given by tables: dims and conj keyed by exactly
+    its labels, tensor by exactly their ordered pairs."""
+
     def __init__(self, labels: Sequence[str], dims: dict, trivial: str,
-                 conj: dict, tensor: dict, name: str = "table"):
+                 conj: dict, tensor: dict):
         self._labels = tuple(labels)
         self._label_set = frozenset(self._labels)
         self._dims = dict(dims)
         self._trivial = trivial
         self._conj = dict(conj)
         self._tensor = {k: {c: int(m) for c, m in v.items() if m}
-                        for k, v in tensor.items() if set(k) <= self._label_set}
-        self.name = name
-        for a in self._labels:
-            if a not in self._dims:
-                raise ValueError(f"missing dimension for {a!r}")
-            if a not in self._conj:
-                raise ValueError(f"missing conjugate for {a!r}")
-        for a in self._labels:
-            for b in self._labels:
-                if (a, b) not in self._tensor:
-                    raise ValueError(f"missing tensor entry for {a!r},{b!r}")
+                        for k, v in tensor.items()}
+        pairs = [(a, b) for a in self._labels for b in self._labels]
+        for what, table, keys in (("dimension", self._dims, self._labels),
+                                  ("conjugate", self._conj, self._labels),
+                                  ("tensor entry", self._tensor, pairs)):
+            missing = [k for k in keys if k not in table]
+            stray = table.keys() - set(keys)
+            if missing or stray:
+                key = missing[0] if missing else min(stray, key=repr)
+                shown = ",".join(map(repr, key)) if keys is pairs else repr(key)
+                raise ValueError(f"missing {what} for {shown}" if missing else
+                                 f"{what} for {shown} names an unlisted label")
         self.validate()
 
     def trivial(self):
@@ -301,7 +305,7 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def fusion_from_json(text: str, name: str = "file") -> TableFusion:
+def fusion_from_json(text: str) -> TableFusion:
     import json
 
     try:
@@ -331,7 +335,7 @@ def fusion_from_json(text: str, name: str = "file") -> TableFusion:
         trivial = _expect(doc["trivial"], str, "trivial")
     except KeyError as exc:
         raise ValueError(f"fusion file misses the field {exc}") from exc
-    fd = TableFusion(labels, dims, trivial, conj, tensor, name)
+    fd = TableFusion(labels, dims, trivial, conj, tensor)
     _check_associative(fd)
     return fd
 
@@ -363,21 +367,20 @@ def _check_associative(fd: TableFusion) -> None:
 
 def load_fusion_file(path: str) -> TableFusion:
     with open(path, "r", encoding="utf-8") as fh:
-        return fusion_from_json(fh.read(), name=path)
+        return fusion_from_json(fh.read())
 
 
-def group_dual_fusion(group: FiniteGroup, name: str | None = None) -> TableFusion:
+def group_dual_fusion(group: FiniteGroup) -> TableFusion:
     """The dual of a finite group: one-dimensional labels, tensor = product."""
     labels = group.elements
     tensor = {(a, b): {group.mult(a, b): 1} for a in labels for b in labels}
     return TableFusion(labels, {a: 1 for a in labels}, group.identity,
-                       {a: group.inverse(a) for a in labels}, tensor,
-                       name or "group dual")
+                       {a: group.inverse(a) for a in labels}, tensor)
 
 
 def cyclic_fusion(s: int) -> TableFusion:
     """Irreducibles of the dual of Z/s; labels 1, g, g2, ..."""
-    return group_dual_fusion(cyclic_group(s), f"cyclic({s})")
+    return group_dual_fusion(cyclic_group(s))
 
 
 def trivial_fusion() -> TableFusion:
@@ -386,8 +389,6 @@ def trivial_fusion() -> TableFusion:
 
 class IntegersFusion(FusionData):
     """The dual of the integers: labels are the integers, tensor is addition."""
-
-    name = "integers"
 
     def trivial(self):
         return 0
@@ -425,7 +426,7 @@ def symmetric_group_3_fusion() -> TableFusion:
     t[("sgn", "std")] = {"std": 1}
     t[("std", "sgn")] = {"std": 1}
     t[("std", "std")] = {"triv": 1, "sgn": 1, "std": 1}
-    return TableFusion(labels, dims, "triv", conj, t, "character ring of S3")
+    return TableFusion(labels, dims, "triv", conj, t)
 
 
 class QuantumPermutationFusion(FusionData):
@@ -440,7 +441,6 @@ class QuantumPermutationFusion(FusionData):
         if s < 4:
             raise ValueError("the label set is free only for s >= 4")
         self.s = s
-        self.name = f"quantum permutation({s})"
 
     def trivial(self):
         return 0

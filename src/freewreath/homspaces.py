@@ -110,22 +110,15 @@ def _decorate(p: Partition, up: Word, down: Word, fd: FusionData) -> DecoratedPa
     return DecoratedPartition(p, tuple(dims))
 
 
-def hom_terms(up: Word, down: Word, fd: FusionData,
-              admissible_only: bool = True) -> tuple[DecoratedPartition, ...]:
-    """The decorated noncrossing partitions between the two words.
-
-    With admissible_only, partitions containing a zero-multiplicity block are
-    dropped (they contribute nothing to the Hom dimension).
-    """
+def hom_terms(up: Word, down: Word, fd: FusionData
+              ) -> tuple[DecoratedPartition, ...]:
+    """The decorated noncrossing partitions between the two words with no
+    zero-multiplicity block: the others add nothing to the Hom dimension."""
     for letter in up + down:
         fd.check_label(letter)
-    out = []
-    for p in enumerate_partitions(len(up), len(down), mode="noncrossing"):
-        dp = _decorate(p, up, down, fd)
-        if admissible_only and 0 in dp.block_dims:
-            continue
-        out.append(dp)
-    return tuple(out)
+    decorated = (_decorate(p, up, down, fd) for p in
+                 enumerate_partitions(len(up), len(down), mode="noncrossing"))
+    return tuple(dp for dp in decorated if 0 not in dp.block_dims)
 
 
 def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:

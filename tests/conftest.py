@@ -3,7 +3,7 @@ from functools import cache
 
 import pytest
 
-from freewreath.exactmat import bareiss_inverse
+from freewreath.exactmat import gauss_jordan_inverse
 from freewreath.linmaps import build_tp
 from freewreath.partition import enumerate_partitions
 from freewreath.qnum import cheb_poly
@@ -22,11 +22,12 @@ def _projection_oracle(k: int, n: int):
     """Entries of the orthogonal projection onto the span of the T_p at s=1.
 
     The Gram matrix is built from Partition.join here, independently of the
-    join counts the library shares between its Gram matrices.
+    join counts the library shares between its Gram matrices, and inverted
+    by Fraction Gauss-Jordan, not by the elimination the library uses.
     """
     parts = enumerate_partitions(0, k, mode="noncrossing")
     gram = [[n ** len(p.join(q).blocks) for q in parts] for p in parts]
-    winv = bareiss_inverse(gram)
+    winv = gauss_jordan_inverse(gram)
     vecs = [build_tp(p, n) for p in parts]
 
     def entry(row: tuple, col: tuple) -> Fraction:

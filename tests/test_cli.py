@@ -282,8 +282,8 @@ def _huge(k):
     (("classical", "--n", "4", "--k", "3"),
      {"classical_wreath_moment": lambda bm, n, k: _huge(k)}),
     (("partial-trace", "--t", "1/2", "--k", "3"),
-     {"free_cumulants_to_moments": lambda cumulants: {
-         eps: _huge(len(eps)) for eps in cumulants}}),
+     {"partial_trace_law": lambda t, bm: freeprob._Memo(
+         lambda eps: _huge(len(eps)))}),
     (("char-law", "--rep", "g", "--order", "3"),
      {"character_moment_wreath": lambda fd, rep, eps: _huge(len(eps)),
       "compound_poisson_law": lambda fd, rep: freeprob._Memo(
@@ -390,35 +390,38 @@ def test_order_over_cap_prints_nothing(argv):
 
 
 def test_partial_trace_cap_names_the_typed_k(capsys, monkeypatch):
-    orders = []
-    moments = freeprob.partial_trace_moments
+    looked_up = []
+    law = freeprob.partial_trace_law
 
-    def recorded(t, bm, k):
-        orders.append(k)
-        return moments(t, bm, k)
+    def recorded(t, bm):
+        table = law(t, bm)
+        fn = table.fn
+        table.fn = lambda eps: looked_up.append(eps) or fn(eps)
+        return table
 
-    monkeypatch.setattr(freeprob, "partial_trace_moments", recorded)
+    monkeypatch.setattr(freeprob, "partial_trace_law", recorded)
     assert run(capsys, "partial-trace", "--t", "1/2", "--k", "100000") == \
         (2, "", "cap exceeded: enumeration over 100000 points exceeds the "
                 "cap of 14\n")
-    # only the moment 1 of k = 0, which checks t, came before the refusal
-    assert orders == [0]
+    # the law, which checks t, was built, but no moment came before the refusal
+    assert looked_up == []
     assert run(capsys, "partial-trace", "--t", "2", "--k", "100000") == \
         (1, "", "error: t must lie in [0, 1], got 2\n")
 
 
 def test_partial_trace_runs_one_transform(capsys, monkeypatch):
-    tables = []
-    transform = freeprob.free_cumulants_to_moments
+    laws = []
+    law = freeprob.partial_trace_law
 
-    def recorded(cumulants):
-        tables.append(len(cumulants))
-        return transform(cumulants)
+    def recorded(t, bm):
+        laws.append(law(t, bm))
+        return laws[-1]
 
-    monkeypatch.setattr(freeprob, "free_cumulants_to_moments", recorded)
+    monkeypatch.setattr(freeprob, "partial_trace_law", recorded)
     code, out, _ = run(capsys, "partial-trace", "--t", "1/2", "--k", "5")
     assert code == 0 and len(out.splitlines()) == 5
-    assert tables == [5]
+    # one law per call, holding the moments of every order up to --k
+    assert len(laws) == 1 and set(map(len, laws[0])) == set(range(1, 6))
 
 
 def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
@@ -674,6 +677,130 @@ def test_duplicate_irrep_label_refused(capsys, tmp_path):
     code, out, err = run(capsys, "fuse", "(g)", "(g)", "--fusion",
                          f"file:{path}")
     assert (code, out, err) == (1, "", "error: duplicate irrep label 'g'\n")
+
+
+def _z2_table_with(edit) -> str:
+    doc = json.loads(fusion_from_uri("builtin:cyclic:2").to_json())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["tensor"].update({"g,zz": {"g": 1}}),
+     "tensor entry for 'g','zz' names an unlisted label"),
+    (lambda d: d["conj"].update(zz="zz"),
+     "conjugate for 'zz' names an unlisted label"),
+    (lambda d: d["tensor"].pop("g,g"), "missing tensor entry for 'g','g'"),
+    (lambda d: d["conj"].pop("g"), "missing conjugate for 'g'"),
+])
+def test_fusion_file_keys_are_exactly_its_labels(capsys, tmp_path, edit,
+                                                 message):
+    path = tmp_path / "fd.json"
+    path.write_text(_z2_table_with(edit))
+    assert run(capsys, "fuse", "(g)", "(g)", "--fusion", f"file:{path}") == \
+        (1, "", f"error: {message}\n")
+
+
+def test_char_law_cap_checked_before_any_star_word(capsys, monkeypatch):
+    built = []
+    plain_eps = freeprob.plain_eps
+    monkeypatch.setattr(freeprob, "plain_eps",
+                        lambda k: built.append(k) or plain_eps(k))
+    assert run(capsys, "char-law", "--rep", "g", "--order", "16") == \
+        (2, "", "cap exceeded: enumeration over 16 points exceeds the cap "
+                "of 14\n")
+    assert built == []
+
+
+def test_classical_cap_names_the_typed_k(capsys):
+    assert run(capsys, "classical", "--n", "3", "--k", "100") == \
+        (2, "", "cap exceeded: enumeration over 100 points exceeds the cap "
+                "of 14\n")
+
+
+_NO_TRACEBACK_CHILD = """
+import json, sys, traceback
+from freewreath.cli import main
+results = []
+for argv in json.loads(sys.stdin.read()):
+    try:
+        results.append([argv, main(argv), None])
+    except BaseException:
+        results.append([argv, None, traceback.format_exc()])
+print(json.dumps(results))
+"""
+
+
+def test_no_typed_input_ends_in_a_traceback(tmp_path):
+    # one child under a 1 GiB address-space limit and low caps calls main on
+    # extreme and malformed inputs; each must end in an exit code, never in
+    # an exception (a MemoryError included) that escapes main
+    resource = pytest.importorskip("resource")
+    big = str(10 ** 30)
+    stray = tmp_path / "stray.json"
+    stray.write_text(_z2_table_with(
+        lambda d: d["tensor"].update({"g,zz": {"g": 1}})))
+    haar = ("weingarten", "--k", "2", "--N", "4", "--haar")
+    cases = [
+        ("char-law", "--rep", "g", "--order", big),
+        ("char-law", "--rep", "g", "--order", "50000"),
+        ("char-law", "--rep", "g", "--eps", "1" * 100),
+        ("char-law", "--rep", "g", "--eps", "1x"),
+        ("char-law", "--rep", "zz"),
+        ("classical", "--n", big, "--k", "3"),
+        ("classical", "--n", "3", "--k", big),
+        ("partial-trace", "--t", "1/2", "--k", big),
+        ("partial-trace", "--t", "1e400", "--k", "3"),
+        ("partial-trace", "--t", "nan", "--k", "3"),
+        ("weingarten", "--k", "9", "--N", "4"),
+        ("weingarten", "--k", "2", "--N", big, "--float"),
+        ("weingarten", "--k", "2", "--N", "0"),
+        (*haar, "1,1"), (*haar, "a,b,c,d,e,f,g,h"),
+        (*haar, "9,9,9,9,9,9,9,9"), (*haar, "-1,1,1,1,1,1,1,1"),
+        ("verify", "category", "--N", big),
+        ("verify", "conjugate", "--k", "40", "--N", "2"),
+        ("verify", "fusion-dim", "--N", big, "--count", "3"),
+        ("tl", "verify", "--max-points", "20"),
+        ("tl", "trace", "TL(2,2): (1,2)(3,4)", "--N", big, "--float"),
+        ("tl", "collapse", "garbage"),
+        ("tl", "phi", "TL(1,1): (1,3)"),
+        ("tl", "collapse", "TL(-1,2): (1,2)"),
+        ("tl", "collapse", "TL(100000,100000): (1,2)"),
+        ("hom-dim", "--up", "g,g,g,g,g", "--down", "g,g,g,g"),
+        ("hom-dim", "--up", "g,g,g,g,g", "--down", "g,g,g,g", "--method",
+         "fusion"),
+        ("hom-dim", "--up", "g**,g", "--down", ""),
+        ("hom-dim", "--up", "g,,g", "--down", ""),
+        ("fuse", "(g)", "(g)", "--fusion", "builtin:cyclic:1000"),
+        ("fuse", "(g)", "(g)", "--fusion", f"builtin:cyclic:{big}"),
+        ("fuse", "(g)", "(g)", "--fusion", "builtin:cyclic:0"),
+        ("fuse", "(g)", "(g)", "--fusion", "nope"),
+        ("fuse", "(g)", "(g)", "--fusion", "file:"),
+        ("fuse", "(g)", "(g)", "--fusion", f"file:{tmp_path}"),
+        ("fuse", "(g)", "(g)", "--fusion", f"file:{stray}"),
+        ("fuse", "g", "(g)"),
+        ("fuse", "(g", "(g)"),
+        ("fuse", "(zz)", "(g)"),
+        ("dim", "(,)", "--N", "4"),
+        ("dim", "(g)", "--N", big),
+        ("char-poly", "(1.5)", "--fusion", "builtin:integers"),
+    ]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_TRACEBACK_CHILD], input=json.dumps(cases),
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "FREEWREATH_ENUM_CAP": "8",
+             "FREEWREATH_ENTRY_CAP": "100000"})
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert len(results) == len(cases)
+    assert [(argv, tb) for argv, _, tb in results if tb] == []
+    assert all(code in (0, 1, 2, 3) for _, code, _ in results)
+    assert results[0][1] == results[1][1] == 2  # the huge orders
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewreath.exactmat import (_reduce_rows, bareiss_det_rank,
-                                 bareiss_inverse, gauss_jordan_inverse,
-                                 kernel_vector)
+                                 bareiss_inverse, gauss_jordan_inverse)
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
@@ -132,28 +131,6 @@ def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
 
 
 @DERANDOMIZED
-@given(*DEPENDENT_ROWS)
-def test_kernel_vector_matches_reduction(matrix, dependent, coeffs):
-    make_dependent(matrix, dependent, coeffs)
-    n = len(matrix)
-    # the oracle: the first free column of the reduced row echelon form
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pivots = _reduce_rows(a, n)
-    free_col = next((c for c in range(n) if c not in pivots), None)
-    expected = None
-    if free_col is not None:
-        expected = [Fraction(c == free_col) for c in range(n)]
-        for r, c in enumerate(pivots):
-            expected[c] = -a[r][free_col]
-    vec = kernel_vector(matrix)
-    assert vec == expected
-    assert (vec is None) == (bareiss_det_rank(matrix)[0] == n)
-    if vec is not None:
-        assert [sum(x * v for x, v in zip(row, vec)) for row in matrix] \
-            == [0] * n
-
-
-@DERANDOMIZED
 @given(*DEPENDENT_ROWS, st.lists(st.integers(0, 5), max_size=8))
 def test_inverse_columns_match_full_inverse(matrix, dependent, coeffs, picks):
     # any columns, in any order and with repeats; singular matrices refused
@@ -182,8 +159,7 @@ def test_inverse_columns_out_of_range_refused(cols):
         bareiss_inverse([[2, 1], [1, 2]], cols)
 
 
-@pytest.mark.parametrize("function",
-                         (bareiss_det_rank, bareiss_inverse, kernel_vector))
+@pytest.mark.parametrize("function", (bareiss_det_rank, bareiss_inverse))
 @pytest.mark.parametrize("matrix", ([[1, 2]], [[1], [2]], [[1, 2], [3]],
                                     [[1, 2, 3], [4, 5, 6]]))
 def test_non_square_refused(function, matrix):
@@ -191,8 +167,7 @@ def test_non_square_refused(function, matrix):
         function(matrix)
 
 
-@pytest.mark.parametrize("function",
-                         (bareiss_det_rank, bareiss_inverse, kernel_vector))
+@pytest.mark.parametrize("function", (bareiss_det_rank, bareiss_inverse))
 def test_non_integer_refused(function):
     # int() would truncate 1/2 to 0 and turn this singular matrix regular
     with pytest.raises(TypeError):

@@ -317,6 +317,17 @@ def test_group_dual_matches_cyclic():
     assert fd.tensor("g", "g") == {"g2": 1}
 
 
+def test_table_refuses_unlisted_dimension():
+    # a file: table takes its dimensions from the label list; a table built
+    # in code may list more
+    labels = Z2.labels()
+    tensor = {(a, b): Z2.tensor(a, b) for a in labels for b in labels}
+    conj = {a: Z2.conj(a) for a in labels}
+    with pytest.raises(ValueError, match="^dimension for 'zz' names an "
+                                         "unlisted label$"):
+        TableFusion(labels, {"1": 1, "g": 1, "zz": 2}, "1", conj, tensor)
+
+
 class _Unchecked(TableFusion):
     """A table built without validate, for the triple-loop oracle."""
 

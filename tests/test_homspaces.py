@@ -167,18 +167,18 @@ def test_word_tensor_decomposition():
 
 
 def test_hom_terms_admissibility():
-    terms = hom_terms(("g",), ("g",), Z2, admissible_only=False)
+    # of {1,2} and {1|2}, only {1,2}: the singleton blocks have no invariants
     admissible = hom_terms(("g",), ("g",), Z2)
-    assert len(terms) == 2            # {1,2} and {1|2}
-    assert len(admissible) == 1       # the singleton blocks have no invariants
-    assert admissible[0].weight() == 1
+    assert [dp.partition.blocks for dp in admissible] == [((1, 2),)]
+    assert admissible[0].block_dims == (1,) and admissible[0].weight() == 1
 
 
 def test_weights_multiply_over_blocks():
-    # upper (g,g), lower (g,g) over Z/2: full partition set NC(2,2), each
-    # block weight 0 or 1, total is the End dimension
-    total = sum(dp.weight() for dp in hom_terms(("g", "g"), ("g", "g"), Z2,
-                                                admissible_only=False))
+    # upper (g,g), lower (g,g) over Z/2: the admissible part of NC(2,2), each
+    # block weight 1, total is the End dimension
+    terms = hom_terms(("g", "g"), ("g", "g"), Z2)
+    assert all(set(dp.block_dims) == {1} for dp in terms)
+    total = sum(dp.weight() for dp in terms)
     assert total == dim_hom_wreath(("g", "g"), ("g", "g"), Z2)
 
 
