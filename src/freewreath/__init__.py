@@ -20,11 +20,9 @@ _EXPORTS = {
                "central_char_poly", "conj_word", "cyclic_fusion",
                "cyclic_group", "dim_wreath", "expand_reduced", "fuse",
                "fusion_from_json", "fusion_from_uri", "group_dual_fusion",
-               "integers_fusion", "load_fusion_file", "parse_word",
-               "quantum_permutation_fusion", "reduce_word", "render_word",
-               "sort_words", "symmetric_group_3", "symmetric_group_3_fusion",
-               "trivial_fusion"),
-    "homspaces": ("DecoratedPartition", "dim_hom_wreath", "parse_star_list"),
+               "load_fusion_file", "parse_word", "reduce_word", "render_word",
+               "sort_words", "symmetric_group_3", "symmetric_group_3_fusion"),
+    "homspaces": ("dim_hom_wreath", "parse_star_list"),
     "linmaps": ("SparseMap", "build_tp", "gram_brute", "gram_nc",
                 "verify_category_relations", "verify_conjugate_equations"),
     "partition": ("Partition", "discrete_partition", "enumerate_partitions",

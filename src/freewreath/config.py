@@ -10,8 +10,9 @@ first use):
                            order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
                            map, a Gram matrix or a cyclic group table, and of
-                           the pairs the category check lists and the
-                           collapsing-isomorphism check takes (default 10**7)
+                           the product rows the category check compares and
+                           the pairs the collapsing-isomorphism check takes
+                           (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
@@ -109,3 +110,7 @@ def check_entry_cap(entries: int) -> None:
 
 def check_pair_cap(pairs: int) -> None:
     _check(pairs, caps()[1], f"listing {pairs} composable pairs")
+
+
+def check_row_cap(rows: int) -> None:
+    _check(rows, caps()[1], f"comparing {rows} product rows")

@@ -383,10 +383,6 @@ def cyclic_fusion(s: int) -> TableFusion:
     return group_dual_fusion(cyclic_group(s))
 
 
-def trivial_fusion() -> TableFusion:
-    return cyclic_fusion(1)
-
-
 class IntegersFusion(FusionData):
     """The dual of the integers: labels are the integers, tensor is addition."""
 
@@ -407,10 +403,6 @@ class IntegersFusion(FusionData):
             return int(text)
         except ValueError as exc:
             raise ValueError(f"integer label expected, got {text!r}") from exc
-
-
-def integers_fusion() -> IntegersFusion:
-    return IntegersFusion()
 
 
 def symmetric_group_3_fusion() -> TableFusion:
@@ -462,10 +454,6 @@ class QuantumPermutationFusion(FusionData):
         return int(text)
 
 
-def quantum_permutation_fusion(s: int) -> QuantumPermutationFusion:
-    return QuantumPermutationFusion(s)
-
-
 _URI = re.compile(r"^(builtin|file):(.*)$")
 
 
@@ -479,9 +467,9 @@ def fusion_from_uri(uri: str) -> FusionData:
     if kind == "file":
         return load_fusion_file(rest)
     if rest == "trivial":
-        return trivial_fusion()
+        return cyclic_fusion(1)
     if rest == "integers":
-        return integers_fusion()
+        return IntegersFusion()
     cm = re.match(r"^cyclic:(\d+)$", rest)
     if cm:
         return cyclic_fusion(int(cm.group(1)))

@@ -24,12 +24,13 @@ start are carried together as one element of the fusion ring
 additions in place of Catalan(|w|) partitions.  Its letters are themselves
 fusion-ring elements, so a reducible representation at every position (the
 character moments of :mod:`freewreath.freeprob`) costs one recursion, not
-one per choice of constituents.  The enumerating sum over
-decorated partitions (:func:`hom_terms`) stays as the oracle for it.
+one per choice of constituents.
 
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words, one letter at a time, and pair up
 the multiplicity vectors.  The two routes are independent and must agree.
+Their oracle, :func:`hom_terms`, lists the decorated partitions as plain
+(partition, block multiplicities) pairs, one tensor fold per block.
 
 Letters may carry a conjugation star in text form ("g,g2*"); a starred letter
 stands for the conjugate representation and is resolved at parse time.
@@ -39,8 +40,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .config import Value, check_enum_cap
-from .fusion import FusionData, Word, fuse
+from .config import check_enum_cap
+from .fusion import FusionData, Word, conj_word, fuse
 from .partition import Partition, enumerate_partitions
 
 # Neither Hom route calls ``fuse``.  The name stays bound here because the
@@ -70,55 +71,25 @@ def tensor_fold(fd: FusionData, factors: Sequence,
     return acc
 
 
-def trivial_mult(fd: FusionData, labels: Sequence) -> int:
-    return tensor_fold(fd, labels).get(fd.trivial(), 0)
-
-
-def block_trivial_mult(fd: FusionData, upper_labels: Sequence,
-                       lower_labels: Sequence) -> int:
-    """Multiplicity of the trivial rep in conj(u_m) x .. x conj(u_1) x v_1 x .. x v_n."""
-    folded = [fd.conj(a) for a in reversed(list(upper_labels))]
-    folded.extend(lower_labels)
-    return trivial_mult(fd, folded)
-
-
-class DecoratedPartition(Value):
-    """A noncrossing partition together with its per-block trivial multiplicities."""
-
-    __slots__ = _fields = ("partition", "block_dims")
-
-    def __init__(self, partition: Partition, block_dims: tuple[int, ...]):
-        if len(block_dims) != len(partition.blocks):
-            raise ValueError("need one multiplicity per block")
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "block_dims", block_dims)
-
-    def weight(self) -> int:
-        w = 1
-        for d in self.block_dims:
-            w *= d
-        return w
-
-
-def _decorate(p: Partition, up: Word, down: Word, fd: FusionData) -> DecoratedPartition:
-    k = p.upper
-    dims = []
-    for block in p.blocks:
-        uppers = [up[pt - 1] for pt in block if pt <= k]
-        lowers = [down[pt - k - 1] for pt in block if pt > k]
-        dims.append(block_trivial_mult(fd, uppers, lowers))
-    return DecoratedPartition(p, tuple(dims))
-
-
 def hom_terms(up: Word, down: Word, fd: FusionData
-              ) -> tuple[DecoratedPartition, ...]:
-    """The decorated noncrossing partitions between the two words with no
-    zero-multiplicity block: the others add nothing to the Hom dimension."""
+              ) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """(partition, block multiplicities) for the noncrossing partitions
+    between the two words with no zero-multiplicity block: the others add
+    nothing to the Hom dimension."""
     for letter in up + down:
         fd.check_label(letter)
-    decorated = (_decorate(p, up, down, fd) for p in
-                 enumerate_partitions(len(up), len(down), mode="noncrossing"))
-    return tuple(dp for dp in decorated if 0 not in dp.block_dims)
+    k, one = len(up), fd.trivial()
+    terms = []
+    for p in enumerate_partitions(k, len(down), mode="noncrossing"):
+        dims = []
+        for block in p.blocks:
+            uppers = tuple(up[pt - 1] for pt in block if pt <= k)
+            lowers = tuple(down[pt - k - 1] for pt in block if pt > k)
+            dims.append(tensor_fold(fd, conj_word(uppers, fd) + lowers)
+                        .get(one, 0))
+        if 0 not in dims:
+            terms.append((p, tuple(dims)))
+    return tuple(terms)
 
 
 def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:

@@ -31,7 +31,7 @@ three relations through shifts, ANDs and popcounts; the popcount rows of a
 product are computed once per top, and its partition side (the pairs and
 their products, on block labels) once per point bound.  A configurable cap
 (default 10**7) bounds the number of stored entries, and the number of
-composable pairs the category check lists; exceeding it raises
+product rows the category check compares; exceeding it raises
 CapExceededError rather than thrashing.
 """
 
@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .config import check_entry_cap, check_enum_cap, check_pair_cap
+from .config import check_entry_cap, check_enum_cap, check_row_cap
 from .partition import (Partition, _involute_labels, _join_counts, _merge,
                         _tensor_labels, enumerate_partitions, nested_pairing)
 from .report import VerificationReport
@@ -234,11 +234,12 @@ def _category_pairs(max_points: int):
     return diagrams, tensors, composes, involutes
 
 
-def _compose_pair_count(max_points: int) -> int:
-    """len(_category_pairs(max_points)[2]): Cat(k+m) Cat(m+l) noncrossing
-    pairs of shapes (k, m) over (m, l), summed over k + m + l <= max_points."""
+def _compose_row_count(max_points: int, dim: int) -> int:
+    """The rows the compose check compares: N^l for each of the Cat(k+m)
+    Cat(m+l) noncrossing pairs of shapes (k, m) over (m, l), summed over
+    k + m + l <= max_points; at N = 1, the pairs ``_category_pairs`` lists."""
     cat = [math.comb(2 * n, n) // (n + 1) for n in range(max_points + 1)]
-    return sum(cat[k + m] * cat[m + l]
+    return sum(cat[k + m] * cat[m + l] * dim ** l
                for k in range(max_points + 1)
                for m in range(max_points + 1 - k)
                for l in range(max_points + 1 - k - m))
@@ -358,11 +359,11 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     # refuse before any work: the discrete partition on max_points points is
-    # among the diagrams, and its map has N**max_points entries; the list of
-    # composable pairs is stored too
+    # among the diagrams, and its map has N**max_points entries; the compose
+    # check compares no fewer rows than it lists pairs
     check_enum_cap(max_points)
     check_entry_cap(dim ** max_points)
-    check_pair_cap(_compose_pair_count(max_points))
+    check_row_cap(_compose_row_count(max_points, dim))
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     maps = [_bit_rows(d, dim) for d in diagrams]

@@ -20,7 +20,7 @@ Conventions, fixed once and used everywhere:
 
 Operations: ``tensor`` is horizontal concatenation, ``compose`` is vertical
 concatenation (lower row of the top factor glued to the upper row of the
-bottom factor) together with the count of closed blocks it produces,
+bottom factor), as the pair (partition, count of closed blocks),
 ``involute`` turns the picture upside down.  All three run on block labels,
 the block index of each point: tensor and involute reorder and renumber
 them, and compose joins the top's lower row to the bottom's upper row by the
@@ -220,14 +220,14 @@ class Partition(Value):
                             _tensor_labels(self.upper, self.labels,
                                            other.upper, other.labels))
 
-    def compose(self, top: "Partition") -> "ComposeResult":
+    def compose(self, top: "Partition") -> tuple["Partition", int]:
         """Vertical concatenation with ``top`` above ``self``.
 
         Requires lower(top) == upper(self); the middle rows are identified
-        point by point.  Returns the induced partition on upper(top) and
-        lower(self) plus the number of closed blocks (components living
-        entirely in the middle), each of which contributes one factor of N on
-        the linear-map side.
+        point by point.  Returns the pair (partition, closed): the induced
+        partition on upper(top) and lower(self), and the number of closed
+        blocks (components living entirely in the middle), each of which
+        contributes one factor of N on the linear-map side.
         """
         if top.lower != self.upper:
             raise ValueError(
@@ -236,7 +236,7 @@ class Partition(Value):
             )
         labels, closed = _compose_labels(top.upper, self.upper, top.labels,
                                          self.labels)
-        return ComposeResult(_from_labels(top.upper, self.lower, labels), closed)
+        return _from_labels(top.upper, self.lower, labels), closed
 
     def involute(self) -> "Partition":
         """Upside-down reflection: upper and lower rows trade places."""
@@ -270,14 +270,6 @@ class Partition(Value):
 
     def __repr__(self):
         return f"Partition({self.render()})"
-
-
-class ComposeResult(Value):
-    __slots__ = _fields = ("partition", "closed_blocks")
-
-    def __init__(self, partition: Partition, closed_blocks: int):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "closed_blocks", closed_blocks)
 
 
 _LITERAL = re.compile(r"^\{(?P<blocks>[^{}]*)\}\(k=(?P<k>\d+),l=(?P<l>\d+)\)$")

@@ -13,7 +13,8 @@ a loop worth sqrt(N), so D compose E = N^{loops/2} times a diagram.  The
 Markov trace equals sqrt(N)^{closed curves of the full closure}, counted by
 the union-find of the closure; closing strand by strand from the right
 (partial_close, one step as conditional expectation to one fewer strand)
-gives the same count.
+gives the same count.  That one closure count takes any square partition, so
+it also gives Tr(T_p) = N^count on the partition side below.
 
 The collapsing map identifies the upper points in consecutive pairs
 (1,2),(3,4),... and likewise below, sending TL(2k, 2l) onto the noncrossing
@@ -118,9 +119,8 @@ def tl_compose(bottom: TLDiagram, top: TLDiagram) -> tuple[TLDiagram, int]:
     As elements of the algebra at loop value sqrt(N):
     T_bottom . T_top = N^{loops/2} T_diagram.
     """
-    res = bottom.compose(top)
-    p = res.partition
-    return TLDiagram(p.upper, p.lower, p.blocks), res.closed_blocks
+    p, loops = bottom.compose(top)
+    return TLDiagram(p.upper, p.lower, p.blocks), loops
 
 
 def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
@@ -142,16 +142,16 @@ def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
     return step2, loops1 + loops2
 
 
-def markov_trace_exponent(d: TLDiagram) -> int:
-    """The exponent of sqrt(N) in the Markov trace of a square diagram.
-
-    The trace is sqrt(N)^{closed curves}: the components of the closure,
-    which joins upper point i to lower point i.  A non-square diagram is
-    refused with ValueError.
-    """
-    if d.upper != d.lower:
+def markov_trace_exponent(p: Partition) -> int:
+    """The blocks of a square partition once upper point i is joined to lower
+    point i: for a diagram, the exponent of sqrt(N) in its Markov trace; for
+    a partition p, Tr(T_p) = N to this power.  Non-square ones raise
+    ValueError."""
+    if p.upper != p.lower:
         raise ValueError("the Markov trace needs a square diagram")
-    return nc_closure_components(d)
+    k = p.upper
+    return _merge(2 * k, p.blocks + tuple((i, k + i) for i in range(1, k + 1)),
+                  ())[1]
 
 
 def sqrt_power(dim: int, exponent: int, as_float: bool = False) -> str | float:
@@ -250,9 +250,8 @@ class ScaledPartition(Value):
         object.__setattr__(self, "partition", partition)
 
     def compose(self, top: "ScaledPartition") -> "ScaledPartition":
-        res = self.partition.compose(top.partition)
-        return ScaledPartition(self.quarters + top.quarters + 4 * res.closed_blocks,
-                               res.partition)
+        p, closed = self.partition.compose(top.partition)
+        return ScaledPartition(self.quarters + top.quarters + 4 * closed, p)
 
     def tensor(self, other: "ScaledPartition") -> "ScaledPartition":
         return ScaledPartition(self.quarters + other.quarters,
@@ -279,15 +278,6 @@ def phi(d: TLDiagram) -> ScaledPartition:
     p = collapse(d)
     quarters = (p.upper + p.lower) - 2 * black_regions(d)
     return ScaledPartition(quarters, p)
-
-
-def nc_closure_components(p: Partition) -> int:
-    """Blocks of a square partition after identifying upper i with lower i."""
-    if p.upper != p.lower:
-        raise ValueError("closure needs equal arities")
-    k = p.upper
-    return _merge(2 * k, p.blocks + tuple((i, k + i) for i in range(1, k + 1)),
-                  ())[1]
 
 
 def verify_phi(max_points: int = 6) -> VerificationReport:
@@ -323,7 +313,7 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
         sp = image[d].involute().compose(image[e])
         return sp.quarters % 2 == 0 and \
             loops + markov_trace_exponent(prod) == \
-            sp.quarters // 2 + 2 * nc_closure_components(sp.partition)
+            sp.quarters // 2 + 2 * markov_trace_exponent(sp.partition)
 
     def fatten_ok(p: Partition) -> bool:
         fat = fatten(p)

@@ -440,14 +440,34 @@ def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
 
 
 def test_verify_category_caps_the_compose_pairs():
-    # 6 points list 43,371 composable pairs; every map has at most 64 entries
+    # 6 points list 43,371 composable pairs, whose products have 91,396 rows
+    # at N = 2; every map has at most 64 entries
     argv = ("-m", "freewreath.cli", "verify", "category", "--N", "2",
             "--max-points", "6")
-    done = python(*argv, FREEWREATH_ENTRY_CAP="40000")
+    done = python(*argv, FREEWREATH_ENTRY_CAP="91395")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == ("cap exceeded: listing 43371 composable pairs "
-                           "exceeds the cap of 40000\n")
-    assert python(*argv, FREEWREATH_ENTRY_CAP="50000").returncode == 0
+    assert done.stderr == ("cap exceeded: comparing 91396 product rows "
+                           "exceeds the cap of 91395\n")
+    assert python(*argv, FREEWREATH_ENTRY_CAP="91396").returncode == 0
+
+
+def test_verify_category_row_cap_refused_before_any_pair(capsys, monkeypatch):
+    # N^max_points passes the entry cap in both, but the compose check would
+    # compare 53,710,806 and 18,012,011 rows
+    def never(*args, **kwargs):
+        raise AssertionError("pairs listed before the row cap was checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linmaps, "_category_pairs", never)
+        patched.setattr(linmaps, "_bit_rows", never)
+        for n, p, rows in (("5", "7", 53710806), ("3000", "2", 18012011)):
+            assert run(capsys, "verify", "category", "--N", n,
+                       "--max-points", p) == \
+                (2, "", f"cap exceeded: comparing {rows} product rows "
+                        "exceeds the cap of 10000000\n")
+    code, out, _ = run(capsys, "verify", "category", "--N", "300",
+                       "--max-points", "2")
+    assert code == 0 and "on 17 stacked pairs [0 failures]" in out
 
 
 def test_tl_verify_caps_its_pairs():
@@ -758,6 +778,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         (*haar, "1,1"), (*haar, "a,b,c,d,e,f,g,h"),
         (*haar, "9,9,9,9,9,9,9,9"), (*haar, "-1,1,1,1,1,1,1,1"),
         ("verify", "category", "--N", big),
+        ("verify", "category", "--N", "5", "--max-points", "7"),
         ("verify", "conjugate", "--k", "40", "--N", "2"),
         ("verify", "fusion-dim", "--N", big, "--count", "3"),
         ("tl", "verify", "--max-points", "20"),

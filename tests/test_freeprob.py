@@ -19,8 +19,7 @@ from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  render_eps, rep_as_dict, rep_block_moment,
                                  z2_block_moment)
 from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
-                               symmetric_group_3, symmetric_group_3_fusion,
-                               trivial_fusion)
+                               symmetric_group_3, symmetric_group_3_fusion)
 from freewreath.homspaces import dim_hom_wreath
 from freewreath.partition import enumerate_partitions
 
@@ -187,13 +186,13 @@ def test_character_moment_trivial_letter_catalan():
 
 def test_partial_trace_moments():
     half = Fraction(1, 2)
-    bm = rep_block_moment(trivial_fusion(), "1")
+    bm = rep_block_moment(cyclic_fusion(1), "1")
     vals = [partial_trace_moments(half, bm, k) for k in (1, 2, 3, 4)]
     assert vals == [half, Fraction(3, 4), Fraction(11, 8), Fraction(45, 16)]
     # rate 1 recovers the untruncated moments
     for k in (1, 2, 3, 4):
         assert partial_trace_moments(1, bm, k) == \
-            character_moment_wreath(trivial_fusion(), "1", plain_eps(k))
+            character_moment_wreath(cyclic_fusion(1), "1", plain_eps(k))
     for t, k in ((2, 3), (-1, 3), (half, -1)):
         with pytest.raises(ValueError):
             partial_trace_moments(t, bm, k)

@@ -4,21 +4,21 @@ import random
 
 import pytest
 
-from freewreath.fusion import (FiniteGroup, QuantumPermutationFusion,
-                               ReducedWord, TableFusion,
-                               central_char_poly, conj_word, cyclic_fusion,
-                               cyclic_group, dim_wreath, expand_reduced, fuse,
-                               fuse_direct, fuse_via_reduced, fusion_from_json,
+from freewreath.fusion import (FiniteGroup, IntegersFusion,
+                               QuantumPermutationFusion, ReducedWord,
+                               TableFusion, central_char_poly, conj_word,
+                               cyclic_fusion, cyclic_group, dim_wreath,
+                               expand_reduced, fuse, fuse_direct,
+                               fuse_via_reduced, fusion_from_json,
                                fusion_from_uri, group_dual_fusion,
-                               integers_fusion, load_fusion_file, parse_word,
-                               reduce_word, render_word, sort_words,
-                               symmetric_group_3, symmetric_group_3_fusion,
-                               trivial_fusion)
+                               load_fusion_file, parse_word, reduce_word,
+                               render_word, sort_words, symmetric_group_3,
+                               symmetric_group_3_fusion)
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
-ALL_FD = (trivial_fusion(), Z2, Z3, S3)
+ALL_FD = (cyclic_fusion(1), Z2, Z3, S3)
 
 
 def test_finite_group_validation():
@@ -86,7 +86,7 @@ def test_symmetric_group_3():
 
 
 def test_builtin_fusion_validates():
-    for fd in ALL_FD + (integers_fusion(), QuantumPermutationFusion(4)):
+    for fd in ALL_FD + (IntegersFusion(), QuantumPermutationFusion(4)):
         fd.validate()
 
 

@@ -8,11 +8,10 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewreath.fusion import (conj_word, cyclic_fusion, expand_reduced,
-                               fuse_direct, fuse_via_reduced,
-                               group_dual_fusion, integers_fusion,
-                               reduce_word, symmetric_group_3,
-                               symmetric_group_3_fusion)
+from freewreath.fusion import (IntegersFusion, conj_word, cyclic_fusion,
+                               expand_reduced, fuse_direct, fuse_via_reduced,
+                               group_dual_fusion, reduce_word,
+                               symmetric_group_3, symmetric_group_3_fusion)
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         database=None)
@@ -20,7 +19,7 @@ DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
 S3_DUAL = group_dual_fusion(symmetric_group_3())
 RINGS = [(fd, fd.labels()) for fd in (cyclic_fusion(2), cyclic_fusion(3),
                                       symmetric_group_3_fusion(), S3_DUAL)]
-RINGS.append((integers_fusion(), tuple(range(-3, 4))))
+RINGS.append((IntegersFusion(), tuple(range(-3, 4))))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -8,21 +9,20 @@ from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
 from freewreath.freeprob import _Memo, _nc_moments
-from freewreath.fusion import (cyclic_fusion, fuse, fuse_direct,
+from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
+                               cyclic_fusion, fuse, fuse_direct,
                                fuse_via_reduced, group_dual_fusion,
-                               integers_fusion, quantum_permutation_fusion,
-                               symmetric_group_3, symmetric_group_3_fusion,
-                               trivial_fusion)
-from freewreath.homspaces import (block_trivial_mult, dim_hom_fusion,
-                                  dim_hom_partition, dim_hom_wreath,
-                                  hom_terms, parse_star_list, tensor_fold,
-                                  trivial_mult, word_tensor_decomposition)
+                               symmetric_group_3, symmetric_group_3_fusion)
+from freewreath.homspaces import (dim_hom_fusion, dim_hom_partition,
+                                  dim_hom_wreath, hom_terms, parse_star_list,
+                                  tensor_fold, word_tensor_decomposition)
+from freewreath.partition import full_block
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
-TRIV = trivial_fusion()
+TRIV = cyclic_fusion(1)
 S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
-INTEGERS = integers_fusion()  # infinitely many labels: labels() is None
+INTEGERS = IntegersFusion()  # infinitely many labels: labels() is None
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         database=None)
@@ -32,7 +32,7 @@ def test_tensor_fold():
     assert tensor_fold(Z2, ()) == {"1": 1}
     assert tensor_fold(Z2, ("g", "g")) == {"1": 1}
     assert tensor_fold(S3, ("std", "std")) == {"triv": 1, "sgn": 1, "std": 1}
-    assert trivial_mult(S3, ("std", "std", "std")) == 1
+    assert tensor_fold(S3, ("std", "std", "std"))["triv"] == 1
     # a start vector is multiplied on the left of the factors
     assert tensor_fold(S3, ("std",), {"sgn": 2, "std": 1}) == \
         {"std": 3, "triv": 1, "sgn": 1}
@@ -42,14 +42,21 @@ def test_tensor_fold():
         tensor_fold(S3_DUAL, (cycle, swap))
 
 
+def _full_block_mult(fd, up, down):
+    """The multiplicity hom_terms gives the one-block partition of a nonempty
+    split, 0 when it leaves that partition out."""
+    terms = dict(hom_terms(up, down, fd))
+    return terms.get(full_block(len(up), len(down)), (0,))[0]
+
+
 def test_block_trivial_mult_conjugates_upper():
     # upper g, lower g over Z/3: conj(g) x g = g2 x g contains the trivial
-    assert block_trivial_mult(Z3, ("g",), ("g",)) == 1
-    assert block_trivial_mult(Z3, (), ("g", "g")) == 0
-    assert block_trivial_mult(Z3, (), ("g", "g", "g")) == 1
+    assert _full_block_mult(Z3, ("g",), ("g",)) == 1
+    assert _full_block_mult(Z3, (), ("g", "g")) == 0
+    assert _full_block_mult(Z3, (), ("g", "g", "g")) == 1
     # reversal matters for noncommutative rings only through conj order; for
     # S3 the standard rep is self conjugate
-    assert block_trivial_mult(S3, ("std",), ("std",)) == 1
+    assert _full_block_mult(S3, ("std",), ("std",)) == 1
 
 
 def test_hom_single_letters():
@@ -119,7 +126,7 @@ def _fold_with(route, letters, fd):
 
 def test_letter_fold_matches_both_fusion_routes():
     cases = [(Z3, Z3.labels(), 5), (S3, S3.labels(), 5),
-             (quantum_permutation_fusion(5), (0, 1, 2), 4),
+             (QuantumPermutationFusion(5), (0, 1, 2), 4),
              (INTEGERS, tuple(range(-2, 3)), 4)]
     for fd, labels, max_len in cases:
         for n in range(max_len + 1):
@@ -167,18 +174,17 @@ def test_word_tensor_decomposition():
 
 
 def test_hom_terms_admissibility():
-    # of {1,2} and {1|2}, only {1,2}: the singleton blocks have no invariants
-    admissible = hom_terms(("g",), ("g",), Z2)
-    assert [dp.partition.blocks for dp in admissible] == [((1, 2),)]
-    assert admissible[0].block_dims == (1,) and admissible[0].weight() == 1
+    # of {1,2} and {1|2}, only {1,2}, with multiplicity 1: the singleton
+    # blocks have no invariants
+    assert hom_terms(("g",), ("g",), Z2) == ((full_block(1, 1), (1,)),)
 
 
 def test_weights_multiply_over_blocks():
     # upper (g,g), lower (g,g) over Z/2: the admissible part of NC(2,2), each
     # block weight 1, total is the End dimension
     terms = hom_terms(("g", "g"), ("g", "g"), Z2)
-    assert all(set(dp.block_dims) == {1} for dp in terms)
-    total = sum(dp.weight() for dp in terms)
+    assert all(set(dims) == {1} for _, dims in terms)
+    total = sum(math.prod(dims) for _, dims in terms)
     assert total == dim_hom_wreath(("g", "g"), ("g", "g"), Z2)
 
 
@@ -198,7 +204,7 @@ def _words(fd, max_len):
 
 
 def _oracle(up, down, fd):
-    return sum(dp.weight() for dp in hom_terms(up, down, fd))
+    return sum(math.prod(dims) for _, dims in hom_terms(up, down, fd))
 
 
 def test_first_block_sum_matches_enumeration():
@@ -269,7 +275,8 @@ def test_three_partition_routes_agree(case):
     # the fusion-ring-valued recursion, the first-block sum over block
     # choices with memoised trivial multiplicities, and the enumeration
     fd, up, down = case
-    cumulants = _Memo(lambda letters: trivial_mult(fd, letters))
+    one = fd.trivial()
+    cumulants = _Memo(lambda letters: tensor_fold(fd, letters).get(one, 0))
     by_blocks = _nc_moments(cumulants)[_bend(up, fd) + down]
     assert dim_hom_partition(up, down, fd) == by_blocks == \
         _oracle(up, down, fd)

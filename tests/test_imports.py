@@ -1,6 +1,9 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every top-level
+helper of the library has a caller in the library.
 
 The package ``__init__.py`` is exempt: its imports are the public re-exports.
+A helper is a top-level function or class that the package does not export;
+the few that only tests or the benchmark call are listed with their reason.
 """
 
 import ast
@@ -39,3 +42,46 @@ def test_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in MODULES + TESTS}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+# top-level helpers that only tests or the benchmark call, each with why
+NO_LIBRARY_CALLER = {
+    "gauss_jordan_inverse": "test oracle of bareiss_inverse",
+    "hom_terms": "test oracle: the enumeration behind both Hom routes",
+    "partial_close": "test oracle of markov_trace_exponent",
+    "bareiss_det_rank": "the benchmark times and traces it",
+    "trace_identity": "the benchmark's weingarten workload calls it",
+}
+
+
+def uncalled_helpers(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Top-level functions and classes, not in ``exported``, that no
+    statement of the sources names outside the definition itself."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    named = [{n.id if isinstance(n, ast.Name) else n.attr
+              for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))}
+             for _, node in statements]
+    return [f"{module}:{node.name}"
+            for i, (module, node) in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in exported
+            and not any(node.name in names
+                        for j, names in enumerate(named) if j != i)]
+
+
+def test_scanner_flags_an_uncalled_helper():
+    sources = {"a": "def f():\n    return f()\ndef g():\n    pass\n"
+                    "class C:\n    pass\nx = [C]\n",
+               "b": "import a\na.g()\n"}
+    assert uncalled_helpers(sources, set()) == ["a:f"]
+    assert uncalled_helpers(sources, {"f"}) == []
+
+
+def test_every_helper_has_a_library_caller():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    flagged = uncalled_helpers(sources, set(freewreath.__all__))
+    assert sorted(name.split(":")[1] for name in flagged) == \
+        sorted(NO_LIBRARY_CALLER)

@@ -9,16 +9,15 @@ import pytest
 from freewreath import config, linmaps
 from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_det_rank
-from freewreath.fusion import (cyclic_group, group_dual_fusion,
+from freewreath.fusion import (conj_word, cyclic_group, group_dual_fusion,
                                symmetric_group_3)
-from freewreath.homspaces import block_trivial_mult, hom_terms
+from freewreath.homspaces import hom_terms, tensor_fold
 from freewreath.linmaps import (build_tp, gram_brute, gram_nc,
                                 verify_category_relations,
                                 verify_conjugate_equations)
-from freewreath.partition import (ComposeResult, Partition,
-                                  discrete_partition, enumerate_partitions,
-                                  full_block, identity_partition,
-                                  nested_pairing)
+from freewreath.partition import (Partition, discrete_partition,
+                                  enumerate_partitions, full_block,
+                                  identity_partition, nested_pairing)
 from freewreath.weingarten import wg_gram
 
 
@@ -64,9 +63,9 @@ def test_compose_with_loop_factor():
     n = 4
     cup = full_block(2, 0)
     cap_ = full_block(0, 2)
-    res = cup.compose(cap_)
+    res, closed = cup.compose(cap_)
     lhs = build_tp(cup, n).compose(build_tp(cap_, n))
-    rhs = build_tp(res.partition, n).scale(Fraction(n) ** res.closed_blocks)
+    rhs = build_tp(res, n).scale(Fraction(n) ** closed)
     assert lhs == rhs
     # the scalar map value is N
     assert lhs.entries[(0, 0)] == n
@@ -110,9 +109,13 @@ def test_verify_category_relations():
 
 
 def test_compose_pair_count_closed_form():
+    # the rows the compose check compares: N^lower of each listed bottom
     for p in range(7):
-        assert linmaps._compose_pair_count(p) == \
-            len(linmaps._category_pairs(p)[2])
+        diagrams, _, composes, _ = linmaps._category_pairs(p)
+        for n in (1, 2, 5):
+            assert linmaps._compose_row_count(p, n) == \
+                sum(n ** diagrams[bottom].lower for _, bottom, _, _ in composes)
+        assert linmaps._compose_row_count(p, 1) == len(composes)
 
 
 # sha256 of _category_pairs(p): each diagram's render() on its own line,
@@ -171,7 +174,7 @@ def test_category_pairs_compose_like_partitions():
         diagrams, _, composes, _ = linmaps._category_pairs(max_points)
         for top, bottom, res, closed in composes:
             assert diagrams[bottom].compose(diagrams[top]) == \
-                ComposeResult(diagrams[res], closed)
+                (diagrams[res], closed)
 
 
 def test_bit_rows_match_build_tp():
@@ -346,7 +349,8 @@ def test_group_dual_admissibility():
                 if len(up) + len(down) <= 3:
                     agree = (_ordered_product(group, up)
                              == _ordered_product(group, down))
-                    assert block_trivial_mult(fd, up, down) == int(agree)
+                    block = tensor_fold(fd, conj_word(up, fd) + down)
+                    assert block.get(fd.trivial(), 0) == int(agree)
 
 
 def test_group_dual_map():
@@ -365,8 +369,8 @@ def test_group_dual_map():
                                                        for pt in b if pt > k])
                            for b in p.blocks)]
         terms = hom_terms(up, down, fd)
-        assert [t.partition for t in terms] == expected
-        assert all(set(t.block_dims) == {1} for t in terms)
+        assert [p for p, _ in terms] == expected
+        assert all(set(dims) == {1} for _, dims in terms)
     assert hom_terms(("g",), ("1",), fd) == ()
 
 

@@ -16,8 +16,7 @@ import pytest
 import freewreath
 from freewreath import fusion
 from freewreath.fusion import FiniteGroup, ReducedWord
-from freewreath.homspaces import DecoratedPartition
-from freewreath.partition import ComposeResult, Partition
+from freewreath.partition import Partition
 from freewreath.report import CheckResult, VerificationReport
 from freewreath.tl import ScaledPartition, TLDiagram
 from freewreath.weingarten import WeingartenTable
@@ -25,9 +24,9 @@ from freewreath.weingarten import WeingartenTable
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
 EXPORTS = [
-    "CapExceededError", "CheckResult", "DecoratedPartition", "FiniteGroup",
-    "FusionData", "IntegersFusion", "Partition", "QuantumPermutationFusion",
-    "ReducedWord", "ScaledPartition", "SparseMap", "TLDiagram", "TableFusion",
+    "CapExceededError", "CheckResult", "FiniteGroup", "FusionData",
+    "IntegersFusion", "Partition", "QuantumPermutationFusion", "ReducedWord",
+    "ScaledPartition", "SparseMap", "TLDiagram", "TableFusion",
     "VerificationReport", "WeingartenTable", "brute_force_z2_s3_moments",
     "build_tp", "central_char_poly", "character_moment_wreath",
     "character_moments_wreath", "cheb_int_factor", "cheb_poly",
@@ -36,15 +35,14 @@ EXPORTS = [
     "dim_wreath", "discrete_partition", "enumerate_partitions",
     "expand_reduced", "fatten", "free_cumulants_to_moments", "full_block",
     "fuse", "fusion_from_json", "fusion_from_uri", "gram_brute", "gram_nc",
-    "group_dual_fusion", "haar_state", "identity_partition",
-    "integers_fusion", "kernel", "load_fusion_file", "markov_trace_exponent",
-    "moment_of_rep", "moments_to_free_cumulants", "nested_pairing",
-    "parse_eps", "parse_partition", "parse_star_list", "parse_tl",
-    "parse_word", "partial_trace_moments", "phi", "plain_eps",
-    "quantum_permutation_fusion", "reduce_word", "render_eps", "render_poly",
-    "render_word", "sort_words", "sqrt_power", "symmetric_group_3",
-    "symmetric_group_3_fusion", "tl_compose", "tl_enumerate",
-    "trivial_fusion", "verify_category_relations",
+    "group_dual_fusion", "haar_state", "identity_partition", "kernel",
+    "load_fusion_file", "markov_trace_exponent", "moment_of_rep",
+    "moments_to_free_cumulants", "nested_pairing", "parse_eps",
+    "parse_partition", "parse_star_list", "parse_tl", "parse_word",
+    "partial_trace_moments", "phi", "plain_eps", "reduce_word", "render_eps",
+    "render_poly", "render_word", "sort_words", "sqrt_power",
+    "symmetric_group_3", "symmetric_group_3_fusion", "tl_compose",
+    "tl_enumerate", "verify_category_relations",
     "verify_conjugate_equations", "verify_phi", "wg_certify_asymptotics",
     "wg_gram", "wg_indices", "wg_leading_coeff", "wg_table",
 ]
@@ -65,7 +63,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 79 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 75 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)
@@ -121,13 +119,6 @@ VALUES = {
                 lambda: TLDiagram(1, 1, [(1, 2)]),
                 [TLDiagram(0, 2, [(1, 2)]), TLDiagram(2, 0, [(1, 2)]),
                  TLDiagram(2, 2, [(1, 3), (2, 4)])]),
-    ComposeResult: (("partition", "closed_blocks"),
-                    lambda: ComposeResult(P, 0),
-                    [ComposeResult(Q, 0), ComposeResult(P, 1)]),
-    DecoratedPartition: (("partition", "block_dims"),
-                         lambda: DecoratedPartition(P, (1,)),
-                         [DecoratedPartition(P, (2,)),
-                          DecoratedPartition(Partition(0, 1, [(1,)]), (1,))]),
     ScaledPartition: (("quarters", "partition"),
                       lambda: ScaledPartition(0, P),
                       [ScaledPartition(1, P), ScaledPartition(0, Q)]),
@@ -169,7 +160,8 @@ def test_values_of_different_classes_differ():
     p = Partition(0, 2, [(1, 2)])
     assert d.blocks == p.blocks and d != p and p != d
     assert len({d, p}) == 2
-    assert ScaledPartition(0, P) != ComposeResult(P, 0)
+    # N^0 times P is not the partition P itself
+    assert ScaledPartition(0, P) != P and P != ScaledPartition(0, P)
 
 
 @pytest.mark.parametrize("cls", [c for c in VALUES if c is not VerificationReport],

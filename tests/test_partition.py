@@ -65,17 +65,13 @@ def test_tensor():
 def test_compose_cup_cap():
     cup = full_block(2, 0)
     cap = full_block(0, 2)
-    res = cup.compose(cap)
-    assert res.partition == Partition(0, 0, [])
-    assert res.closed_blocks == 1
+    assert cup.compose(cap) == (Partition(0, 0, []), 1)
 
 
 def test_compose_identity():
     p = Partition(2, 1, [(1, 3), (2,)])
-    res = p.compose(identity_partition(2))
-    assert res.partition == p and res.closed_blocks == 0
-    res2 = identity_partition(1).compose(p)
-    assert res2.partition == p and res2.closed_blocks == 0
+    assert p.compose(identity_partition(2)) == (p, 0)
+    assert identity_partition(1).compose(p) == (p, 0)
 
 
 def test_compose_shape_mismatch():
@@ -231,15 +227,14 @@ def test_compose_associative_with_closed_blocks():
     nc = [p for k in range(3) for l in range(3)
           for p in enumerate_partitions(k, l, mode="noncrossing")]
     comp = {(a, b): a.compose(b) for a in nc for b in nc if b.lower == a.upper}
-    for (a, b), ab in comp.items():
+    for (a, b), (ab, ab_closed) in comp.items():
         for c in nc:
             if c.lower == b.upper:
-                bc = comp[b, c]
-                left = comp[ab.partition, c]
-                right = comp[a, bc.partition]
-                assert left.partition == right.partition
-                assert (ab.closed_blocks + left.closed_blocks
-                        == bc.closed_blocks + right.closed_blocks)
+                bc, bc_closed = comp[b, c]
+                left, left_closed = comp[ab, c]
+                right, right_closed = comp[a, bc]
+                assert left == right
+                assert ab_closed + left_closed == bc_closed + right_closed
 
 
 def _nc_upto(max_points: int):
@@ -274,20 +269,18 @@ def test_compose_digest_all_partitions():
             for l in range(6 - k - m):
                 for top in enumerate_partitions(k, m, mode="all"):
                     for bottom in enumerate_partitions(m, l, mode="all"):
-                        res = bottom.compose(top)
-                        h.update(f"{res.partition.render()} "
-                                 f"{res.closed_blocks}\n".encode())
+                        res, closed = bottom.compose(top)
+                        h.update(f"{res.render()} {closed}\n".encode())
     assert h.hexdigest() == COMPOSE_ALL_5
 
 
 def test_involute_reverses_compose():
     for pairs in _composable(5).values():
         for top, bottom in pairs:
-            res = bottom.compose(top)
-            star = top.involute().compose(bottom.involute())
-            assert star.partition == res.partition.involute()
-            assert star.closed_blocks == res.closed_blocks
-            assert res.partition.involute().involute() == res.partition
+            res, closed = bottom.compose(top)
+            star, star_closed = top.involute().compose(bottom.involute())
+            assert star == res.involute() and star_closed == closed
+            assert res.involute().involute() == res
 
 
 def test_interchange_law():
@@ -297,13 +290,11 @@ def test_interchange_law():
     for n1, first in by_points.items():
         for n2 in range(6 - n1):
             for r, p in first:
-                pr = p.compose(r)
+                pr, pr_closed = p.compose(r)
                 for s, q in by_points[n2]:
-                    qs = q.compose(s)
-                    res = p.tensor(q).compose(r.tensor(s))
-                    assert res.partition == pr.partition.tensor(qs.partition)
-                    assert res.closed_blocks == \
-                        pr.closed_blocks + qs.closed_blocks
+                    qs, qs_closed = q.compose(s)
+                    assert p.tensor(q).compose(r.tensor(s)) == \
+                        (pr.tensor(qs), pr_closed + qs_closed)
 
 
 def test_identities_are_neutral():
@@ -311,5 +302,5 @@ def test_identities_are_neutral():
     for p in _nc_upto(5):
         for res in (p.compose(identity_partition(p.upper)),
                     identity_partition(p.lower).compose(p)):
-            assert (res.partition, res.closed_blocks) == (p, 0)
+            assert res == (p, 0)
         assert p.tensor(empty) == empty.tensor(p) == p

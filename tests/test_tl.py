@@ -9,9 +9,8 @@ from freewreath.partition import (Partition, discrete_partition,
                                   identity_partition)
 from freewreath.tl import (ScaledPartition, TLDiagram, black_regions, cap,
                            collapse, cup, fatten, markov_trace_exponent,
-                           nc_closure_components, parse_tl, partial_close,
-                           phi, sqrt_power, tl_compose, tl_enumerate,
-                           tl_identity, verify_phi)
+                           parse_tl, partial_close, phi, sqrt_power,
+                           tl_compose, tl_enumerate, tl_identity, verify_phi)
 
 
 def test_diagram_validation():
@@ -181,12 +180,13 @@ def test_scaled_partition_coefficient_requires_half_powers():
 
 
 def test_nc_closure_and_trace():
-    assert nc_closure_components(identity_partition(2)) == 2
-    assert nc_closure_components(full_block(2, 2)) == 1
+    # the one closure count also takes partitions that are not diagrams
+    assert markov_trace_exponent(identity_partition(2)) == 2
+    assert markov_trace_exponent(full_block(2, 2)) == 1
     # the collapsed-side trace N^{components} of id_2 at N = 3
-    assert sqrt_power(3, 2 * nc_closure_components(identity_partition(2))) == "9"
-    with pytest.raises(ValueError):
-        nc_closure_components(full_block(1, 2))
+    assert sqrt_power(3, 2 * markov_trace_exponent(identity_partition(2))) == "9"
+    with pytest.raises(ValueError, match="needs a square diagram"):
+        markov_trace_exponent(full_block(1, 2))
 
 
 def test_trace_isometry_spot():
@@ -196,7 +196,7 @@ def test_trace_isometry_spot():
     # coefficient N^{quarters/4} * N^{closure components} must equal sqrt(N):
     sp = phi(e)
     assert sp.quarters == -2
-    assert nc_closure_components(p) == 1
+    assert markov_trace_exponent(p) == 1
     # total exponent in sqrt(N) units: -1 + 2 = 1
 
 

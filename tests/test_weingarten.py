@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from freewreath import partition, weingarten
 from freewreath.exactmat import bareiss_inverse, gauss_jordan_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
-from freewreath.fusion import quantum_permutation_fusion
+from freewreath.fusion import QuantumPermutationFusion
 from freewreath.partition import (Partition, _join_counts, discrete_partition,
                                   enumerate_partitions, kernel)
 from freewreath.weingarten import (CATEGORIES, LADDER, haar_state,
@@ -34,7 +34,7 @@ def test_index_counts():
 def test_index_count_is_character_moment():
     # the number of indices equals the k-th character moment of the basic
     # representation over the quantum permutation inner fusion ring
-    fd = quantum_permutation_fusion(4)
+    fd = QuantumPermutationFusion(4)
     rep = {0: 1, 1: 1}
     for k in range(1, 5):
         assert len(wg_indices(k, "noncrossing")) == \
