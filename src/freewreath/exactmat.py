@@ -109,31 +109,20 @@ def bareiss_inverse(matrix, cols: Sequence[int] | None = None) -> FracMatrix:
     return [[Fraction(x, a[r][r]) for x in a[r][n:]] for r in range(n)]
 
 
-def _reduce_rows(a: FracMatrix, cols: int) -> list[int]:
-    """Gauss-Jordan on the first cols columns of a, in place; returns the
-    pivot column of each leading row, fewer than cols when a is singular."""
-    pivots: list[int] = []
-    for col in range(cols):
-        row = len(pivots)
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                fac = a[r][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-    return pivots
-
-
 def gauss_jordan_inverse(matrix) -> FracMatrix:
     """Fraction Gauss-Jordan inverse; independent oracle for bareiss_inverse."""
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(matrix)]
-    if len(_reduce_rows(a, n)) < n:
-        raise ZeroDivisionError("matrix is singular")
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                fac = a[r][col]
+                a[r] = [x - fac * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]

@@ -7,11 +7,13 @@ the trivial letter kept as distinct irreducibles (the letter is not dropped).
 
 Fusion data for G is supplied by a :class:`FusionData` oracle (trivial label,
 integer dimensions, conjugates, tensor decompositions).  Shipped instances:
-the trivial group, cyclic groups, the integers (a group dual on infinitely
-many labels), duals of arbitrary finite groups given by multiplication table,
-arbitrary finite tables loaded from a JSON file, the character ring of the
-symmetric group on three letters (the standard non-abelian example with
-dimensions 1, 1, 2), and the quantum permutation groups.
+the trivial group and the cyclic groups (tables built from
+g^i x g^j = g^(i+j mod s)), the integers (a group dual on infinitely many
+labels), arbitrary finite tables loaded from a JSON file, the character ring
+of the symmetric group on three letters (the standard non-abelian example
+with dimensions 1, 1, 2), and the quantum permutation groups.  The dual of
+any other finite group is a file table: its elements are the labels, each of
+dimension 1, and a x b is the product ab once.
 
 Tensor products of word representations decompose by two independent routes,
 which must agree:
@@ -50,96 +52,6 @@ from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
 Word = tuple
-
-
-# ---------------------------------------------------------------------------
-# finite groups (used for group duals and for decorated partition maps)
-
-
-class FiniteGroup(Value):
-    __slots__ = ("elements", "table", "_identity")
-    _fields = ("elements", "table")
-
-    def __init__(self, elements: tuple[str, ...], table: dict):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "table", table)
-        elems = set(elements)
-        if len(elems) != len(elements):
-            raise ValueError("duplicate group elements")
-        for a in elements:
-            for b in elements:
-                if table.get((a, b)) not in elems:
-                    raise ValueError(f"multiplication table misses ({a},{b})")
-        ident = None
-        for e in elements:
-            if all(table[(e, a)] == a and table[(a, e)] == a for a in elements):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("no identity element")
-        object.__setattr__(self, "_identity", ident)
-        for a in elements:
-            if not any(table[(a, b)] == ident for b in elements):
-                raise ValueError(f"{a} has no inverse")
-        # Light's test: the b with (xb)y = x(by) for all x, y are closed
-        # under the product, so it suffices to check b on a generating set,
-        # chosen greedily; span lists what the checked b generate, and the
-        # pairs among span[:done] have been multiplied
-        t = table
-        span, spanned, done = [ident], {ident}, 0
-        for b in elements:
-            if b in spanned:
-                continue
-            for x in elements:
-                xb = t[(x, b)]
-                if any(t[(xb, y)] != t[(x, t[(b, y)])] for y in elements):
-                    raise ValueError("multiplication is not associative")
-            span.append(b)
-            spanned.add(b)
-            while done < len(span):
-                x = span[done]
-                for y in span[:done + 1]:
-                    for z in (t[(x, y)], t[(y, x)]):
-                        if z not in spanned:
-                            span.append(z)
-                            spanned.add(z)
-                done += 1
-
-    @property
-    def identity(self) -> str:
-        return self._identity
-
-    def mult(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
-
-    def inverse(self, a: str) -> str:
-        for b in self.elements:
-            if self.table[(a, b)] == self.identity:
-                return b
-        raise ValueError(f"{a} has no inverse")
-
-
-def cyclic_group(s: int) -> FiniteGroup:
-    if s < 1:
-        raise ValueError("order must be positive")
-    check_entry_cap(s * s)  # the multiplication table, before any of it
-    names = ["1"] + [f"g{j}" if j > 1 else "g" for j in range(1, s)]
-    table = {(names[a], names[b]): names[(a + b) % s]
-             for a in range(s) for b in range(s)}
-    return FiniteGroup(tuple(names), table)
-
-
-def symmetric_group_3() -> FiniteGroup:
-    """S3 as permutations of three letters, elements named by their one-line form."""
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    name = {p: "".join(str(x + 1) for x in p) for p in perms}
-    compose = {}
-    for p in perms:
-        for q in perms:
-            pq = tuple(p[q[i]] for i in range(3))
-            compose[(name[p], name[q])] = name[pq]
-    return FiniteGroup(tuple(name[p] for p in perms), compose)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +150,10 @@ class TableFusion(FusionData):
                  conj: dict, tensor: dict):
         self._labels = tuple(labels)
         self._label_set = frozenset(self._labels)
+        if len(self._label_set) < len(self._labels):
+            dup = next(a for i, a in enumerate(self._labels)
+                       if a in self._labels[:i])
+            raise ValueError(f"duplicate irrep label {dup!r}")
         self._dims = dict(dims)
         self._trivial = trivial
         self._conj = dict(conj)
@@ -281,18 +197,6 @@ class TableFusion(FusionData):
         if label not in self._label_set:
             raise ValueError(f"unknown irreducible label {label!r}")
 
-    def to_json(self) -> str:
-        import json
-
-        doc = {
-            "irreps": [{"label": a, "dim": self._dims[a]} for a in self._labels],
-            "trivial": self._trivial,
-            "conj": {a: self._conj[a] for a in self._labels},
-            "tensor": {f"{a},{b}": self._tensor[(a, b)]
-                       for a in self._labels for b in self._labels},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer"}
@@ -318,8 +222,6 @@ def fusion_from_json(text: str) -> TableFusion:
                              list, "irreps"):
             label = _expect(_expect(entry, dict, "irreps entry")["label"],
                             str, "irrep label")
-            if label in dims:
-                raise ValueError(f"duplicate irrep label {label!r}")
             labels.append(label)
             dims[label] = _expect(entry["dim"], int, f"dimension of {label!r}")
         conj = {a: _expect(b, str, f"conjugate of {a!r}")
@@ -343,8 +245,7 @@ def fusion_from_json(text: str) -> TableFusion:
 def _check_associative(fd: TableFusion) -> None:
     """ValueError unless (a x b) x c = a x (b x c) for all labels a, b, c.
 
-    Not part of ``validate``: it costs two products per label triple, and
-    the group duals built here already pass Light's test in ``FiniteGroup``.
+    Not part of ``validate``: it costs two products per label triple.
     """
     labels = fd.labels()
     table = {(a, b): tuple(fd.tensor(a, b).items())
@@ -370,17 +271,16 @@ def load_fusion_file(path: str) -> TableFusion:
         return fusion_from_json(fh.read())
 
 
-def group_dual_fusion(group: FiniteGroup) -> TableFusion:
-    """The dual of a finite group: one-dimensional labels, tensor = product."""
-    labels = group.elements
-    tensor = {(a, b): {group.mult(a, b): 1} for a in labels for b in labels}
-    return TableFusion(labels, {a: 1 for a in labels}, group.identity,
-                       {a: group.inverse(a) for a in labels}, tensor)
-
-
 def cyclic_fusion(s: int) -> TableFusion:
-    """Irreducibles of the dual of Z/s; labels 1, g, g2, ..."""
-    return group_dual_fusion(cyclic_group(s))
+    """The dual of Z/s: labels 1, g, g2, ... with g^i x g^j = g^(i+j mod s)."""
+    if s < 1:
+        raise ValueError("order must be positive")
+    check_entry_cap(s * s)  # the tensor table, before any of it
+    names = ["1", "g"][:s] + [f"g{j}" for j in range(2, s)]
+    tensor = {(a, b): {names[(i + j) % s]: 1}
+              for i, a in enumerate(names) for j, b in enumerate(names)}
+    return TableFusion(names, dict.fromkeys(names, 1), "1",
+                       {a: names[-i % s] for i, a in enumerate(names)}, tensor)
 
 
 class IntegersFusion(FusionData):

@@ -11,10 +11,8 @@ bottom right-to-left, so the wrap gap is the left edge of the box.
 Composition glues boxes vertically; every strand closed in the middle becomes
 a loop worth sqrt(N), so D compose E = N^{loops/2} times a diagram.  The
 Markov trace equals sqrt(N)^{closed curves of the full closure}, counted by
-the union-find of the closure; closing strand by strand from the right
-(partial_close, one step as conditional expectation to one fewer strand)
-gives the same count.  That one closure count takes any square partition, so
-it also gives Tr(T_p) = N^count on the partition side below.
+the union-find of the closure.  That one closure count takes any square
+partition, so it also gives Tr(T_p) = N^count on the partition side below.
 
 The collapsing map identifies the upper points in consecutive pairs
 (1,2),(3,4),... and likewise below, sending TL(2k, 2l) onto the noncrossing
@@ -93,20 +91,6 @@ def parse_tl(text: str) -> TLDiagram:
     return TLDiagram(int(m.group("a")), int(m.group("b")), pairs)
 
 
-def tl_identity(k: int) -> TLDiagram:
-    return TLDiagram(k, k, [(i, k + i) for i in range(1, k + 1)])
-
-
-def cap() -> TLDiagram:
-    """The single lower arc in TL(0,2)."""
-    return TLDiagram(0, 2, [(1, 2)])
-
-
-def cup() -> TLDiagram:
-    """The single upper arc in TL(2,0)."""
-    return TLDiagram(2, 0, [(1, 2)])
-
-
 def tl_enumerate(a: int, b: int) -> tuple[TLDiagram, ...]:
     """All diagrams in TL(a, b), canonically ordered; empty if a+b is odd."""
     return tuple(TLDiagram(p.upper, p.lower, p.blocks)
@@ -121,25 +105,6 @@ def tl_compose(bottom: TLDiagram, top: TLDiagram) -> tuple[TLDiagram, int]:
     """
     p, loops = bottom.compose(top)
     return TLDiagram(p.upper, p.lower, p.blocks), loops
-
-
-def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
-    """Close the last strand of a square diagram: (id tensor cup) . (D tensor id) . (id tensor cap).
-
-    Returns the smaller diagram and the number of loops closed (each worth
-    sqrt(N)).
-    """
-    if d.upper != d.lower:
-        raise ValueError("partial closing needs a square diagram")
-    if d.upper == 0:
-        raise ValueError("nothing to close in TL(0,0)")
-    k = d.upper - 1
-    top = tl_identity(k).tensor(cap())          # TL(k, k+2)
-    mid = d.tensor(tl_identity(1))              # TL(k+2, k+2)
-    bot = tl_identity(k).tensor(cup())          # TL(k+2, k)
-    step1, loops1 = tl_compose(mid, top)
-    step2, loops2 = tl_compose(bot, step1)
-    return step2, loops1 + loops2
 
 
 def markov_trace_exponent(p: Partition) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import freewreath
+from builders import cyclic_names, cyclic_product, group_dual_json, tl_identity
 from freewreath import (cli, freeprob, homspaces, linmaps, partition, tl,
                         weingarten)
 from freewreath.cli import main
@@ -18,7 +19,6 @@ from freewreath.config import CATEGORIES
 from freewreath.fusion import fusion_from_uri
 from freewreath.homspaces import dim_hom_fusion, parse_star_list
 from freewreath.report import VerificationReport
-from freewreath.tl import tl_identity
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
@@ -700,7 +700,7 @@ def test_duplicate_irrep_label_refused(capsys, tmp_path):
 
 
 def _z2_table_with(edit) -> str:
-    doc = json.loads(fusion_from_uri("builtin:cyclic:2").to_json())
+    doc = json.loads(group_dual_json(cyclic_names(2), cyclic_product(2)))
     edit(doc)
     return json.dumps(doc)
 
@@ -894,7 +894,7 @@ def test_cli_imports_stdlib_only(tmp_path):
     # each command imports only what it runs, without timing it: the paper's
     # results load no dataclasses, json or fractions and no other layer
     path = tmp_path / "z2.json"
-    path.write_text(fusion_from_uri("builtin:cyclic:2").to_json())
+    path.write_text(group_dual_json(cyclic_names(2), cyclic_product(2)))
     argvs = [["dim", "(g,1,g)", "--N", "4"], ["fuse", "(g)", "(g)"],
              ["char-poly", "(1)"], ["hom-dim", "--up", "g", "--down", "g"],
              ["dim", "(g)", "--N", "4", "--fusion", f"file:{path}"]]

@@ -18,15 +18,17 @@ from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  partial_trace_moments, plain_eps,
                                  render_eps, rep_as_dict, rep_block_moment,
                                  z2_block_moment)
-from freewreath.fusion import (cyclic_fusion, group_dual_fusion,
-                               symmetric_group_3, symmetric_group_3_fusion)
+from builders import S3_ELEMENTS, group_dual_json, s3_product
+from freewreath.fusion import (cyclic_fusion, fusion_from_json,
+                               symmetric_group_3_fusion)
 from freewreath.homspaces import dim_hom_wreath
 from freewreath.partition import enumerate_partitions
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
-S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
+# noncommutative letters
+S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 # reducible representations: two constituents each
 REDUCIBLE = ((S3, {"std": 1, "sgn": 1}), (Z3, {"g": 2, "1": 1}),
              (S3_DUAL, {"213": 1, "231": 2}))

@@ -1,35 +1,44 @@
 import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
-from freewreath.fusion import (FiniteGroup, IntegersFusion,
-                               QuantumPermutationFusion, ReducedWord,
-                               TableFusion, central_char_poly, conj_word,
-                               cyclic_fusion, cyclic_group, dim_wreath,
+from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
+                      group_dual_json, s3_product)
+from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
+                               ReducedWord, TableFusion, central_char_poly,
+                               conj_word, cyclic_fusion, dim_wreath,
                                expand_reduced, fuse, fuse_direct,
                                fuse_via_reduced, fusion_from_json,
-                               fusion_from_uri, group_dual_fusion,
-                               load_fusion_file, parse_word, reduce_word,
-                               render_word, sort_words, symmetric_group_3,
+                               fusion_from_uri, load_fusion_file, parse_word,
+                               reduce_word, render_word, sort_words,
                                symmetric_group_3_fusion)
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
 ALL_FD = (cyclic_fusion(1), Z2, Z3, S3)
+Z2_JSON = group_dual_json(cyclic_names(2), cyclic_product(2))
+S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 
 
 def test_finite_group_validation():
-    g = cyclic_group(3)
-    assert g.identity == "1"
-    assert g.mult("g", "g2") == "1" and g.inverse("g2") == "g"
-    with pytest.raises(ValueError):
-        FiniteGroup(("1", "a"), {("1", "1"): "1"})       # incomplete table
-    bad = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "a"}
-    with pytest.raises(ValueError):
-        FiniteGroup(("1", "a"), bad)                     # no inverse for a
+    # a group dual holds the identity, products and inverses in its table
+    assert Z3.trivial() == "1"
+    assert Z3.tensor("g", "g2") == {"1": 1} and Z3.conj("g2") == "g"
+    doc = json.loads(Z2_JSON)
+    doc["tensor"] = {"1,1": {"1": 1}}                    # incomplete table
+    with pytest.raises(ValueError, match="^missing tensor entry for '1','g'$"):
+        fusion_from_json(json.dumps(doc))
+    doc = json.loads(Z2_JSON)
+    doc["tensor"]["g,g"] = {"g": 1}                      # no inverse for g
+    with pytest.raises(ValueError, match=re.escape(
+            "Frobenius symmetry fails: mult('g', '1'x'g')=1 but "
+            "mult('1', 'g'x'g')=0")):
+        fusion_from_json(json.dumps(doc))
 
 
 def _loops(n):
@@ -54,35 +63,47 @@ def _loops(n):
     yield from fill(0)
 
 
+LOOP_CHECKS = ("conjugation is not involutive", "Frobenius symmetry fails",
+               "fusion rules are not associative")
+
+
 def test_finite_group_refuses_non_associative_loops():
-    # the former check over every triple is the oracle; the 4 loops of
-    # order 4 are groups, of the 56 of order 5 only the 6 labellings of Z/5,
-    # and LOOP6 is none
-    accepted = 0
+    # a loop's dual, conj taken as the right inverse, loads as a fusion file
+    # exactly when the loop is a group, and the check over every triple is
+    # the oracle: the 4 loops of order 4 are groups, of the 56 of order 5
+    # only the 6 labellings of Z/5, and LOOP6 is none.  Each other loop is
+    # refused by the first check it fails
+    accepted, refused = 0, Counter()
     for square in itertools.chain(_loops(4), _loops(5), [LOOP6]):
         n = len(square)
-        labels = tuple(str(a) for a in range(n))
-        table = {(str(a), str(b)): str(square[a][b])
-                 for a in range(n) for b in range(n)}
+        text = group_dual_json([str(a) for a in range(n)],
+                               lambda a, b: str(square[int(a)][int(b)]))
         if all(square[square[a][b]][c] == square[a][square[b][c]]
                for a, b, c in itertools.product(range(n), repeat=3)):
-            FiniteGroup(labels, table)
+            fusion_from_json(text)
             accepted += 1
         else:
-            with pytest.raises(ValueError, match="not associative"):
-                FiniteGroup(labels, table)
+            with pytest.raises(ValueError) as exc:
+                fusion_from_json(text)
+            refused[next(check for check in LOOP_CHECKS
+                         if str(exc.value).startswith(check))] += 1
     assert accepted == 4 + 6
+    assert refused == {"conjugation is not involutive": 48,
+                       "Frobenius symmetry fails": 1,
+                       "fusion rules are not associative": 2}
 
 
 def test_symmetric_group_3():
-    g = symmetric_group_3()
-    assert len(g.elements) == 6
+    g = S3_DUAL
+    one = g.trivial()
+    assert len(g.labels()) == 6 and one == "123"
     # a transposition squares to the identity, a 3-cycle does not
-    tr = next(e for e in g.elements if g.mult(e, e) == g.identity
-              and e != g.identity)
-    assert g.inverse(tr) == tr
-    cyc = next(e for e in g.elements if g.mult(e, e) != g.identity)
-    assert g.mult(g.mult(cyc, cyc), cyc) == g.identity
+    tr = next(e for e in g.labels() if g.tensor(e, e) == {one: 1}
+              and e != one)
+    assert g.conj(tr) == tr
+    cyc = next(e for e in g.labels() if g.tensor(e, e) != {one: 1})
+    [square] = g.tensor(cyc, cyc)
+    assert g.tensor(square, cyc) == {one: 1}
 
 
 def test_builtin_fusion_validates():
@@ -261,7 +282,7 @@ def test_quantum_permutation_dims_match_qnum(cheb_qnum):
 
 
 def test_json_round_trip(tmp_path):
-    text = Z3.to_json()
+    text = group_dual_json(cyclic_names(3), cyclic_product(3))
     fd = fusion_from_json(text)
     assert fd.labels() == Z3.labels()
     assert fd.tensor("g", "g2") == Z3.tensor("g", "g2")
@@ -274,11 +295,11 @@ def test_json_round_trip(tmp_path):
 def test_json_malformed():
     with pytest.raises(ValueError):
         fusion_from_json("not json")
-    doc = json.loads(Z2.to_json())
+    doc = json.loads(Z2_JSON)
     del doc["tensor"]["g,g"]
     with pytest.raises(ValueError):
         fusion_from_json(json.dumps(doc))
-    doc2 = json.loads(Z2.to_json())
+    doc2 = json.loads(Z2_JSON)
     doc2["irreps"] = [{"label": "1"}]
     with pytest.raises(ValueError):
         fusion_from_json(json.dumps(doc2))
@@ -292,7 +313,7 @@ def test_json_malformed():
         lambda d: d["conj"].update(g=["g"]),
     )
     for edit in edits:
-        doc3 = json.loads(Z2.to_json())
+        doc3 = json.loads(Z2_JSON)
         edit(doc3)
         with pytest.raises(ValueError):
             fusion_from_json(json.dumps(doc3))
@@ -305,16 +326,25 @@ def test_fusion_from_uri(tmp_path):
     assert fusion_from_uri("builtin:cyclic:3").labels() == Z3.labels()
     assert fusion_from_uri("builtin:integers").labels() is None
     path = tmp_path / "fd.json"
-    path.write_text(Z2.to_json())
+    path.write_text(Z2_JSON)
     assert fusion_from_uri(f"file:{path}").labels() == Z2.labels()
     with pytest.raises(ValueError):
         fusion_from_uri("builtin:nope")
 
 
 def test_group_dual_matches_cyclic():
-    fd = group_dual_fusion(cyclic_group(3))
-    assert set(fd.labels()) == set(Z3.labels())
-    assert fd.tensor("g", "g") == {"g2": 1}
+    # the tables built from g^i x g^j = g^(i+j mod s) are the duals of Z/s
+    # that a fusion file gives, read from addition mod s and fully checked
+    for s in range(1, 13):
+        fd = fusion_from_json(group_dual_json(cyclic_names(s),
+                                              cyclic_product(s)))
+        cyc = cyclic_fusion(s)
+        labels = fd.labels()
+        assert cyc.labels() == labels and cyc.trivial() == fd.trivial()
+        for a in labels:
+            assert (cyc.dim(a), cyc.conj(a)) == (fd.dim(a), fd.conj(a))
+            for b in labels:
+                assert cyc.tensor(a, b) == fd.tensor(a, b)
 
 
 def test_table_refuses_unlisted_dimension():
@@ -326,6 +356,14 @@ def test_table_refuses_unlisted_dimension():
     with pytest.raises(ValueError, match="^dimension for 'zz' names an "
                                          "unlisted label$"):
         TableFusion(labels, {"1": 1, "g": 1, "zz": 2}, "1", conj, tensor)
+
+
+def test_table_refuses_a_repeated_label():
+    # a table built in code is held to the rule of a file: labels are unique
+    tensor = {(a, b): Z2.tensor(a, b) for a in "1g" for b in "1g"}
+    with pytest.raises(ValueError, match="^duplicate irrep label 'g'$"):
+        TableFusion(("1", "g", "g"), {"1": 1, "g": 1}, "1",
+                    {"1": "1", "g": "g"}, tensor)
 
 
 class _Unchecked(TableFusion):
@@ -418,7 +456,7 @@ def _frobenius_cases():
         for tensor in itertools.chain(_commutative_tables(z3),
                                       _one_entry_changed(Z3)):
             yield Z3.labels(), z3, "1", conj, tensor
-    s3_dual = group_dual_fusion(symmetric_group_3())  # not commutative
+    s3_dual = S3_DUAL  # not commutative
     for tensor in _one_entry_changed(s3_dual):
         yield (s3_dual.labels(), dict.fromkeys(s3_dual.labels(), 1), "123",
                {a: s3_dual.conj(a) for a in s3_dual.labels()}, tensor)

@@ -8,15 +8,16 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import S3_ELEMENTS, group_dual_json, s3_product
 from freewreath.fusion import (IntegersFusion, conj_word, cyclic_fusion,
                                expand_reduced, fuse_direct, fuse_via_reduced,
-                               group_dual_fusion, reduce_word,
-                               symmetric_group_3, symmetric_group_3_fusion)
+                               fusion_from_json, reduce_word,
+                               symmetric_group_3_fusion)
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         database=None)
 
-S3_DUAL = group_dual_fusion(symmetric_group_3())
+S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 RINGS = [(fd, fd.labels()) for fd in (cyclic_fusion(2), cyclic_fusion(3),
                                       symmetric_group_3_fusion(), S3_DUAL)]
 RINGS.append((IntegersFusion(), tuple(range(-3, 4))))

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
 from freewreath.freeprob import _Memo, _nc_moments
+from builders import S3_ELEMENTS, group_dual_json, s3_product
 from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                cyclic_fusion, fuse, fuse_direct,
-                               fuse_via_reduced, group_dual_fusion,
-                               symmetric_group_3, symmetric_group_3_fusion)
+                               fuse_via_reduced, fusion_from_json,
+                               symmetric_group_3_fusion)
 from freewreath.homspaces import (dim_hom_fusion, dim_hom_partition,
                                   dim_hom_wreath, hom_terms, parse_star_list,
                                   tensor_fold, word_tensor_decomposition)
@@ -21,7 +22,8 @@ Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
 S3 = symmetric_group_3_fusion()
 TRIV = cyclic_fusion(1)
-S3_DUAL = group_dual_fusion(symmetric_group_3())  # noncommutative letters
+# noncommutative letters
+S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 INTEGERS = IntegersFusion()  # infinitely many labels: labels() is None
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -9,8 +10,9 @@ import pytest
 from freewreath import config, linmaps
 from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_det_rank
-from freewreath.fusion import (conj_word, cyclic_group, group_dual_fusion,
-                               symmetric_group_3)
+from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
+                      group_dual_json, s3_product)
+from freewreath.fusion import conj_word, cyclic_fusion, fusion_from_json
 from freewreath.homspaces import hom_terms, tensor_fold
 from freewreath.linmaps import (build_tp, gram_brute, gram_nc,
                                 verify_category_relations,
@@ -330,25 +332,24 @@ def test_gram_rank_small():
     assert rank == 14
 
 
-def _ordered_product(group, letters):
-    out = group.identity
-    for g in letters:
-        out = group.mult(out, g)
-    return out
+# (elements, identity first; their product; the dual), the products
+# computed on the group and not read from the ring
+GROUPS = ((S3_ELEMENTS, s3_product,
+           fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))),
+          (cyclic_names(3), cyclic_product(3), cyclic_fusion(3)))
 
 
 def test_group_dual_admissibility():
     # for a group dual a block carries the trivial rep, once, exactly when the
     # ordered product of its upper decorations equals that of its lower ones
-    for group in (symmetric_group_3(), cyclic_group(3)):
-        fd = group_dual_fusion(group)
+    for elements, mult, fd in GROUPS:
         words = [w for n in range(4)
-                 for w in itertools.product(group.elements, repeat=n)]
+                 for w in itertools.product(elements, repeat=n)]
         for up in words:
             for down in words:
                 if len(up) + len(down) <= 3:
-                    agree = (_ordered_product(group, up)
-                             == _ordered_product(group, down))
+                    agree = (functools.reduce(mult, up, elements[0])
+                             == functools.reduce(mult, down, elements[0]))
                     block = tensor_fold(fd, conj_word(up, fd) + down)
                     assert block.get(fd.trivial(), 0) == int(agree)
 
@@ -357,16 +358,17 @@ def test_group_dual_map():
     # the decoration only gates existence for a group dual: a noncrossing p
     # is a Hom term, with multiplicity 1 on each block, exactly when every
     # block's upper and lower ordered products agree
-    group = cyclic_group(3)
-    fd = group_dual_fusion(group)
+    elements, mult, fd = GROUPS[1]
+
+    def product(letters):
+        return functools.reduce(mult, letters, elements[0])
+
     for up, down in ((("g",), ("g",)), (("g",), ("1",)), (("g", "g"), ("g2",)),
                      (("g", "g2"), ("1", "g")), (("g2", "g"), ("g", "g2"))):
         k = len(up)
         expected = [p for p in enumerate_partitions(k, len(down))
-                    if all(_ordered_product(group, [up[pt - 1] for pt in b
-                                                    if pt <= k])
-                           == _ordered_product(group, [down[pt - k - 1]
-                                                       for pt in b if pt > k])
+                    if all(product([up[pt - 1] for pt in b if pt <= k])
+                           == product([down[pt - k - 1] for pt in b if pt > k])
                            for b in p.blocks)]
         terms = hom_terms(up, down, fd)
         assert [p for p, _ in terms] == expected

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import freewreath
+from builders import group_dual_json
 from freewreath import fusion
-from freewreath.fusion import FiniteGroup, ReducedWord
+from freewreath.fusion import ReducedWord, TableFusion, fusion_from_json
 from freewreath.partition import Partition
 from freewreath.report import CheckResult, VerificationReport
 from freewreath.tl import ScaledPartition, TLDiagram
@@ -24,25 +25,24 @@ from freewreath.weingarten import WeingartenTable
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
 EXPORTS = [
-    "CapExceededError", "CheckResult", "FiniteGroup", "FusionData",
-    "IntegersFusion", "Partition", "QuantumPermutationFusion", "ReducedWord",
-    "ScaledPartition", "SparseMap", "TLDiagram", "TableFusion",
-    "VerificationReport", "WeingartenTable", "brute_force_z2_s3_moments",
-    "build_tp", "central_char_poly", "character_moment_wreath",
+    "CapExceededError", "CheckResult", "FusionData", "IntegersFusion",
+    "Partition", "QuantumPermutationFusion", "ReducedWord", "ScaledPartition",
+    "SparseMap", "TLDiagram", "TableFusion", "VerificationReport",
+    "WeingartenTable", "brute_force_z2_s3_moments", "build_tp",
+    "central_char_poly", "character_moment_wreath",
     "character_moments_wreath", "cheb_int_factor", "cheb_poly",
     "classical_wreath_moment", "collapse", "compound_poisson_moments",
-    "conj_word", "cyclic_fusion", "cyclic_group", "dim_hom_wreath",
-    "dim_wreath", "discrete_partition", "enumerate_partitions",
-    "expand_reduced", "fatten", "free_cumulants_to_moments", "full_block",
-    "fuse", "fusion_from_json", "fusion_from_uri", "gram_brute", "gram_nc",
-    "group_dual_fusion", "haar_state", "identity_partition", "kernel",
-    "load_fusion_file", "markov_trace_exponent", "moment_of_rep",
-    "moments_to_free_cumulants", "nested_pairing", "parse_eps",
-    "parse_partition", "parse_star_list", "parse_tl", "parse_word",
-    "partial_trace_moments", "phi", "plain_eps", "reduce_word", "render_eps",
-    "render_poly", "render_word", "sort_words", "sqrt_power",
-    "symmetric_group_3", "symmetric_group_3_fusion", "tl_compose",
-    "tl_enumerate", "verify_category_relations",
+    "conj_word", "cyclic_fusion", "dim_hom_wreath", "dim_wreath",
+    "discrete_partition", "enumerate_partitions", "expand_reduced", "fatten",
+    "free_cumulants_to_moments", "full_block", "fuse", "fusion_from_json",
+    "fusion_from_uri", "gram_brute", "gram_nc", "haar_state",
+    "identity_partition", "kernel", "load_fusion_file",
+    "markov_trace_exponent", "moment_of_rep", "moments_to_free_cumulants",
+    "nested_pairing", "parse_eps", "parse_partition", "parse_star_list",
+    "parse_tl", "parse_word", "partial_trace_moments", "phi", "plain_eps",
+    "reduce_word", "render_eps", "render_poly", "render_word", "sort_words",
+    "sqrt_power", "symmetric_group_3_fusion", "tl_compose", "tl_enumerate",
+    "verify_category_relations",
     "verify_conjugate_equations", "verify_phi", "wg_certify_asymptotics",
     "wg_gram", "wg_indices", "wg_leading_coeff", "wg_table",
 ]
@@ -63,7 +63,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 75 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 71 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)
@@ -88,8 +88,6 @@ def test_unknown_name_raises_attribute_error():
 # ---------------------------------------------------------------------------
 # the value classes
 
-Z2 = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "1"}
-Z2_A = {("a", "a"): "a", ("a", "1"): "1", ("1", "a"): "1", ("1", "1"): "a"}
 P = Partition(1, 1, [(1, 2)])
 Q = Partition(1, 1, [(1,), (2,)])
 WG = (1, 4, 1, "singletons", (), (), (), 1)
@@ -106,9 +104,6 @@ VALUES = {
                          lambda: VerificationReport("r"),
                          [VerificationReport("s"),
                           VerificationReport("r", [CheckResult("c", True)])]),
-    FiniteGroup: (("elements", "table"),
-                  lambda: FiniteGroup(("1", "a"), Z2),
-                  [FiniteGroup(("a", "1"), Z2), FiniteGroup(("1", "a"), Z2_A)]),
     ReducedWord: (("exponents", "letters"),
                   lambda: ReducedWord((1, 1), ("g",)),
                   [ReducedWord((3, 1), ("g",)), ReducedWord((1, 1), ("h",))]),
@@ -202,13 +197,16 @@ def test_report_tally_counts_cases_and_failures():
 
 
 def test_value_checks_and_repr():
-    with pytest.raises(ValueError, match="duplicate group elements"):
-        FiniteGroup(("1", "1"), Z2)
-    # identity 1 and inverses, but (ba)b = b while b(ab) = ba = 1
-    with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(("1", "a", "b"), {
-            (x, y): y if x == "1" else x if y == "1" else "1"
-            for x in "1ab" for y in "1ab"} | {("a", "b"): "a"})
+    with pytest.raises(ValueError, match="^duplicate irrep label '1'$"):
+        TableFusion(("1", "1"), {"1": 1}, "1", {"1": "1"},
+                    {("1", "1"): {"1": 1}})
+    # identity 0, each element its own inverse, but (1x1)x2 = 2 while
+    # 1x(1x2) = 1x3 = 4: the dual passes validate and is refused as a file
+    square = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+              (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    with pytest.raises(ValueError, match="^fusion rules are not associative"):
+        fusion_from_json(group_dual_json(
+            "01234", lambda a, b: str(square[int(a)][int(b)])))
     with pytest.raises(ValueError, match="one more exponent than letters"):
         ReducedWord((1,), ("g",))
     assert repr(ReducedWord((2, 2), ("g",))) == \

@@ -7,10 +7,37 @@ from freewreath.config import CapExceededError
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
-from freewreath.tl import (ScaledPartition, TLDiagram, black_regions, cap,
-                           collapse, cup, fatten, markov_trace_exponent,
-                           parse_tl, partial_close, phi, sqrt_power,
-                           tl_compose, tl_enumerate, tl_identity, verify_phi)
+from builders import tl_identity
+from freewreath.tl import (ScaledPartition, TLDiagram, black_regions,
+                           collapse, fatten, markov_trace_exponent, parse_tl,
+                           phi, sqrt_power, tl_compose, tl_enumerate,
+                           verify_phi)
+
+
+def cap() -> TLDiagram:
+    """The single lower arc in TL(0,2)."""
+    return TLDiagram(0, 2, [(1, 2)])
+
+
+def cup() -> TLDiagram:
+    """The single upper arc in TL(2,0)."""
+    return TLDiagram(2, 0, [(1, 2)])
+
+
+def partial_close(d: TLDiagram) -> tuple[TLDiagram, int]:
+    """Close the last strand of a square diagram D, k + 1 strands wide:
+    (id_k tensor cup) . (D tensor id_1) . (id_k tensor cap).
+
+    Returns the smaller diagram and the number of loops closed (each worth
+    sqrt(N)); the test oracle of markov_trace_exponent.
+    """
+    k = d.upper - 1
+    top = tl_identity(k).tensor(cap())          # TL(k, k+2)
+    mid = d.tensor(tl_identity(1))              # TL(k+2, k+2)
+    bot = tl_identity(k).tensor(cup())          # TL(k+2, k)
+    step1, loops1 = tl_compose(mid, top)
+    step2, loops2 = tl_compose(bot, step1)
+    return step2, loops1 + loops2
 
 
 def test_diagram_validation():
