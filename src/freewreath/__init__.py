@@ -16,10 +16,10 @@ _EXPORTS = {
                  "moment_of_rep", "moments_to_free_cumulants", "parse_eps",
                  "partial_trace_moments", "plain_eps", "render_eps"),
     "fusion": ("FusionData", "IntegersFusion", "QuantumPermutationFusion",
-               "ReducedWord", "TableFusion", "central_char_poly", "conj_word",
-               "cyclic_fusion", "dim_wreath", "expand_reduced", "fuse",
-               "fusion_from_json", "fusion_from_uri", "load_fusion_file",
-               "parse_word", "reduce_word", "render_word", "sort_words",
+               "TableFusion", "central_char_poly", "conj_word",
+               "cyclic_fusion", "dim_wreath", "fuse", "fusion_from_json",
+               "fusion_from_uri", "load_fusion_file", "parse_word",
+               "reduce_word", "render_word", "sort_words",
                "symmetric_group_3_fusion"),
     "homspaces": ("dim_hom_wreath", "parse_star_list"),
     "linmaps": ("SparseMap", "build_tp", "gram_brute", "gram_nc",

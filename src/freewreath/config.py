@@ -10,8 +10,9 @@ first use):
                            order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
                            map, a Gram matrix or a cyclic group table, and of
-                           the product rows the category check compares and
-                           the pairs the collapsing-isomorphism check takes
+                           the product rows the category check compares, the
+                           pairs the collapsing-isomorphism check takes and
+                           the random products the dimension check fuses
                            (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
@@ -108,9 +109,7 @@ def check_entry_cap(entries: int) -> None:
     _check(entries, caps()[1], f"storing {entries} entries")
 
 
-def check_pair_cap(pairs: int) -> None:
-    _check(pairs, caps()[1], f"listing {pairs} composable pairs")
-
-
-def check_row_cap(rows: int) -> None:
-    _check(rows, caps()[1], f"comparing {rows} product rows")
+def check_work_cap(count: int, work: str) -> None:
+    """Refuse count steps of a check beyond the entry cap; work names them,
+    with {} for the count ("comparing {} product rows")."""
+    _check(count, caps()[1], work.format(count))

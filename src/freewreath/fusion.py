@@ -22,14 +22,17 @@ which must agree:
   of the concatenated word (u, v), plus, when both u and v are nonempty, the
   boundary-fused words obtained by replacing the adjacent letters a = last(u),
   b = first(v) with each constituent of a tensor b -- the trivial constituent
-  included (it leaves a trivial letter in the word);
+  included (it leaves a trivial letter in the word).  The valid cuts t are
+  those shorter than the first letter pair that fails to match;
 
 * the reduced-word route: a word embeds in the free product of Irr(G) with
   quantum SU(2) as the reduced word b^{l1} a1 b^{l2} ... b^{lk} (outer
-  exponents odd, inner ones even, letters nontrivial).  The free-product rule
-  walks inward from the boundary of the concatenation: b^p x b^q and a x c
-  splice each nontrivial constituent into the concatenation, and the trivial
-  one removes both boundary letters and moves on to the next pair.
+  exponents odd, inner ones even, letters nontrivial), kept as the plain
+  pair (exponents, letters).  The free-product rule walks inward from the
+  boundary of the concatenation: b^p x b^q and a x c splice each nontrivial
+  constituent into the concatenation, and the trivial one removes both
+  boundary letters and moves on to the next pair.  Each constituent is
+  written out from slices of x and y cut at their nontrivial letters.
 
 The dimension of the word (a1, ..., a_{k-1}) with reduced exponents (l1..lk)
 is prod dim(a_i) * prod A_{l_i}(sqrt(N)).  Each factor is the integer a_l(N)
@@ -47,7 +50,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Hashable, Sequence
 
-from .config import Value, check_entry_cap
+from .config import check_entry_cap, check_work_cap
 from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
@@ -401,60 +404,25 @@ def conj_word(word: Word, fd: FusionData) -> Word:
     return tuple(fd.conj(a) for a in reversed(word))
 
 
-class ReducedWord(Value):
-    """Alternating form b^{l1} a1 b^{l2} ... a_{k-1} b^{lk}.
+def reduce_word(word: Word, fd: FusionData) -> tuple[tuple[int, ...], tuple]:
+    """The alternating form b^{l1} a1 b^{l2} ... a_{k-1} b^{lk} of a word.
 
-    The exponent list is never empty; the empty word is exponents (0,).  For a
-    nonempty word the outer exponents are odd, the inner ones even and >= 2,
-    and every letter is nontrivial.
+    Returns (exponents, letters): the nontrivial letters in order, and one
+    more exponent than letters.  Each trivial letter adds 2 to the exponent
+    it sits in.  For a nonempty word the outer exponents are odd and the
+    inner ones even and >= 2; a word of trivial letters alone has the one
+    exponent 2 * len(word), so the empty word is ((0,), ()).
     """
-
-    __slots__ = _fields = ("exponents", "letters")
-
-    def __init__(self, exponents: tuple[int, ...], letters: tuple):
-        if len(exponents) != len(letters) + 1:
-            raise ValueError("need one more exponent than letters")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "letters", letters)
-
-
-def reduce_word(word: Word, fd: FusionData) -> ReducedWord:
-    """Embed a word as an alternating product, merging across trivial letters."""
     triv = fd.trivial()
-    exponents = [1] + [2] * (len(word) - 1) + [1] if word else [0]
-    letters = list(word)
-    i = 0
-    while i < len(letters):
-        if letters[i] == triv:
-            exponents[i] += exponents[i + 1]
-            del letters[i], exponents[i + 1]
+    exponents, letters = [1], []
+    for a in word:
+        if a == triv:
+            exponents[-1] += 2
         else:
-            i += 1
-    return ReducedWord(tuple(exponents), tuple(letters))
-
-
-def expand_reduced(rw: ReducedWord, fd: FusionData) -> Word:
-    """Inverse of reduce_word: reinsert the trivial letters."""
-    triv = fd.trivial()
-    exps, letters = rw.exponents, rw.letters
-    if not letters:
-        single = exps[0]
-        if single % 2:
-            raise ValueError(f"pure exponent {single} must be even")
-        return (triv,) * (single // 2)
-    if exps[0] % 2 == 0 or exps[-1] % 2 == 0:
-        raise ValueError(f"outer exponents of {rw} must be odd")
-    if any(e % 2 or e < 2 for e in exps[1:-1]):
-        raise ValueError(f"inner exponents of {rw} must be even and positive")
-    if any(a == triv for a in letters):
-        raise ValueError("letters of a reduced word must be nontrivial")
-    out: list = [triv] * ((exps[0] - 1) // 2)
-    for i, a in enumerate(letters):
-        out.append(a)
-        gap = exps[i + 1]
-        out.extend([triv] * (((gap - 1) // 2) if i == len(letters) - 1
-                             else ((gap - 2) // 2)))
-    return tuple(out)
+            letters.append(a)
+            exponents.append(2)
+    exponents[-1] -= 1
+    return tuple(exponents), tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +444,18 @@ def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> Counter:
 
 
 def fuse_direct(x: Word, y: Word, fd: FusionData) -> Counter:
+    """The closed splitting formula over the cuts x = u.t, y = conj(t).v.
+
+    Cut c is valid when conj(x[-s]) = y[s-1] for every s <= c, so the valid
+    cuts run from 0 up to the first mismatch, one conjugate each.
+    """
     for letter in x + y:
         fd.check_label(letter)
     out: Counter = Counter()
     for cut in range(min(len(x), len(y)) + 1):
-        u, t = x[:len(x) - cut], x[len(x) - cut:]
-        if conj_word(t, fd) != y[:cut]:
-            continue
-        v = y[cut:]
+        if cut and fd.conj(x[-cut]) != y[cut - 1]:
+            break
+        u, v = x[:len(x) - cut], y[cut:]
         out[u + v] += 1
         if u and v:
             for gamma, mult in fd.tensor(u[-1], v[0]).items():
@@ -496,36 +468,37 @@ def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
     """The free-product rule on the reduced forms, one boundary product a step.
 
     The boundary exponents give b^p x b^q = b^|p-q| + b^(|p-q|+2) + ... +
-    b^(p+q); the boundary letters of G give fd.tensor(a, c).  Each nontrivial
-    constituent is spliced into the concatenation.  The trivial one, present
-    once when p = q or c = conj(a), drops both boundary letters and exposes
-    the next pair.
+    b^(p+q); the boundary letters of G give fd.tensor(a, c).  The trivial
+    constituent, present once when p = q or c = conj(a), drops both boundary
+    letters and exposes the next pair.  The others are cut from the inputs:
+    with u the rest of x up to its last letter and v the rest of y from its
+    first, b^r gives u, (r - ends) // 2 trivial letters, v, where ends
+    counts the nonempty ones, and a letter c gives u[:-1], c, v[1:].
     """
     for letter in x + y:
         fd.check_label(letter)
-    rx, ry = reduce_word(x, fd), reduce_word(y, fd)
-    xe, xl, ye, yl = rx.exponents, rx.letters, ry.exponents, ry.letters
     triv = fd.trivial()
+    xe, ye = reduce_word(x, fd)[0], reduce_word(y, fd)[0]
+    xcut = [0] + [k + 1 for k, a in enumerate(x) if a != triv]
+    ycut = [k for k, a in enumerate(y) if a != triv] + [len(y)]
     out: Counter = Counter()
-    i, j = len(xl), 0
+    i, j = len(xcut) - 1, 0
     while True:
         p, q = xe[i], ye[j]
+        u, v = x[:xcut[i]], y[ycut[j]:]
+        ends = bool(u) + bool(v)
         for r in range(abs(p - q) or 2, p + q + 1, 2):  # r = 0 is trivial
-            rw = ReducedWord(xe[:i] + (r,) + ye[j + 1:], xl[:i] + yl[j:])
-            out[expand_reduced(rw, fd)] += 1
+            out[u + (triv,) * ((r - ends) // 2) + v] += 1
         if p != q:
             return out
-        if i == 0 or j == len(yl):
+        if not (u and v):
             # by parity both words are used up here, leaving the empty word
-            rw = ReducedWord(xe[:i] + ye[j + 1:] or (0,), xl[:i] + yl[j:])
-            out[expand_reduced(rw, fd)] += 1
+            out[()] += 1
             return out
-        prod = fd.tensor(xl[i - 1], yl[j])
+        prod = fd.tensor(u[-1], v[0])
         for c, m in prod.items():
             if c != triv and m:
-                rw = ReducedWord(xe[:i] + ye[j + 1:],
-                                 xl[:i - 1] + (c,) + yl[j + 1:])
-                out[expand_reduced(rw, fd)] += m
+                out[u[:-1] + (c,) + v[1:]] += m
         if not prod.get(triv):
             return out
         i, j = i - 1, j + 1
@@ -550,10 +523,10 @@ def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
     """
     if n < 4:
         raise ValueError(f"word dimensions need N >= 4, got N={n}")
-    rw = reduce_word(word, fd)
-    odd = sum(e % 2 for e in rw.exponents)
-    return (n ** (odd // 2) * math.prod(map(fd.dim, rw.letters))
-            * math.prod(cheb_int_factor(e, n) for e in rw.exponents))
+    exponents, letters = reduce_word(word, fd)
+    odd = sum(e % 2 for e in exponents)
+    return (n ** (odd // 2) * math.prod(map(fd.dim, letters))
+            * math.prod(cheb_int_factor(e, n) for e in exponents))
 
 
 def dim_multiplicativity_failures(fd: FusionData, n: int, rng,
@@ -562,10 +535,12 @@ def dim_multiplicativity_failures(fd: FusionData, n: int, rng,
 
     Each pair draws x, then y, as words of length 0..3 over the finite label
     set, from ``rng`` (a random.Random).  Returns the failures as
-    (x, y, lhs, rhs) tuples.
+    (x, y, lhs, rhs) tuples.  A count above the entry cap is refused before
+    the first pair.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    check_work_cap(count, "checking {} random products")
     labels = fd.labels()
     bad = []
     for _ in range(count):
@@ -585,12 +560,12 @@ def central_char_poly(word: Word, fd: FusionData) -> tuple[int, ...]:
     powers of sqrt(X) because the exponent sum is even, so it is an integer
     polynomial in X; evaluating at X=N recovers dim_wreath.
     """
-    rw = reduce_word(word, fd)
+    exponents, letters = reduce_word(word, fd)
     poly: tuple[int, ...] = (1,)
-    for e in rw.exponents:
+    for e in exponents:
         poly = poly_mul(poly, cheb_poly(e))
     scalar = 1
-    for a in rw.letters:
+    for a in letters:
         scalar = scalar * fd.dim(a)
     poly = tuple(scalar * c for c in poly)
     if any(c for i, c in enumerate(poly) if i % 2):

@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .config import check_entry_cap, check_enum_cap, check_row_cap
+from .config import check_entry_cap, check_enum_cap, check_work_cap
 from .partition import (Partition, _involute_labels, _join_counts, _merge,
                         _tensor_labels, enumerate_partitions, nested_pairing)
 from .report import VerificationReport
@@ -363,7 +363,8 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     # check compares no fewer rows than it lists pairs
     check_enum_cap(max_points)
     check_entry_cap(dim ** max_points)
-    check_row_cap(_compose_row_count(max_points, dim))
+    check_work_cap(_compose_row_count(max_points, dim),
+                   "comparing {} product rows")
     rep = VerificationReport(f"category relations at N={dim}")
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     maps = [_bit_rows(d, dim) for d in diagrams]

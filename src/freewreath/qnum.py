@@ -44,8 +44,8 @@ def poly_eval(coeffs, x):
     return val
 
 
-def render_poly(coeffs, var: str = "X") -> str:
-    """Deterministic human-readable form, highest power first; "0" if zero."""
+def render_poly(coeffs) -> str:
+    """Deterministic readable form in X, highest power first; "0" if zero."""
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -55,7 +55,7 @@ def render_poly(coeffs, var: str = "X") -> str:
             body = str(abs(c))
         else:
             head = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+            body = f"{head}X" if i == 1 else f"{head}X^{i}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
         else:

@@ -36,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .config import Value, check_pair_cap
+from .config import Value, check_work_cap
 from .partition import (Partition, _circle, _from_labels, _merge,
                         enumerate_partitions)
 from .report import VerificationReport
@@ -260,10 +260,11 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     all_even = [d for diags in even_diags.values() for d in diags]
     # the composed, tensor and trace pairs, counted by shape before any phi
     size = {shape: len(diags) for shape, diags in even_diags.items()}
-    check_pair_cap(sum(
+    check_work_cap(sum(
         n * m * ((m1 == m2) + (k1 + m1 + m2 + l2 <= max_points)
                  + ((k1, m1) == (m2, l2)))
-        for (k1, m1), n in size.items() for (m2, l2), m in size.items()))
+        for (k1, m1), n in size.items() for (m2, l2), m in size.items()),
+        "listing {} composable pairs")
     # every tensor product, involution and fattening below is one of these
     image = {d: phi(d) for d in all_even}
 

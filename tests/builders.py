@@ -1,5 +1,6 @@
 """Objects the tests build that the library does not: group duals written as
-fusion files, and the identity Temperley-Lieb diagrams.
+fusion files, the identity Temperley-Lieb diagrams, and the word a reduced
+form stands for.
 
 A group dual reaches the library the way a user's ``file:`` table does, so
 ``fusion_from_json`` runs every check on it, associativity included.
@@ -8,6 +9,7 @@ A group dual reaches the library the way a user's ``file:`` table does, so
 import itertools
 import json
 
+from freewreath.fusion import reduce_word
 from freewreath.tl import TLDiagram
 
 # S3 as permutations of 1, 2, 3 in one-line form, the identity first
@@ -49,3 +51,25 @@ def group_dual_json(elements, mult) -> str:
 
 def tl_identity(k: int) -> TLDiagram:
     return TLDiagram(k, k, [(i, k + i) for i in range(1, k + 1)])
+
+
+def check_reduced_form(word, fd) -> None:
+    """Assert the invariants of reduce_word's pair, and that it gives back
+    the word: a gap of exponent e between `sides` letters holds
+    (e - sides) // 2 trivial letters."""
+    exponents, letters = reduce_word(word, fd)
+    triv = fd.trivial()
+    assert letters == tuple(a for a in word if a != triv)
+    if letters:
+        assert exponents[0] % 2 == exponents[-1] % 2 == 1
+        assert all(e % 2 == 0 and e >= 2 for e in exponents[1:-1])
+    else:
+        assert exponents == (2 * len(word),)
+    if word:
+        assert sum(exponents) == 2 * len(word)
+    last = len(letters)
+    gaps = [(e - (i > 0) - (i < last)) // 2 for i, e in enumerate(exponents)]
+    rebuilt = (triv,) * gaps[0]
+    for a, gap in zip(letters, gaps[1:]):
+        rebuilt += (a,) + (triv,) * gap
+    assert rebuilt == word

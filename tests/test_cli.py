@@ -12,8 +12,8 @@ import pytest
 
 import freewreath
 from builders import cyclic_names, cyclic_product, group_dual_json, tl_identity
-from freewreath import (cli, freeprob, homspaces, linmaps, partition, tl,
-                        weingarten)
+from freewreath import (cli, freeprob, fusion, homspaces, linmaps, partition,
+                        tl, weingarten)
 from freewreath.cli import main
 from freewreath.config import CATEGORIES
 from freewreath.fusion import fusion_from_uri
@@ -335,6 +335,27 @@ def test_verify_fusion_dim(capsys):
     code, out, _ = run(capsys, "verify", "fusion-dim", "--N", "4",
                        "--count", "50", "--seed", "1")
     assert code == 0
+
+
+def test_verify_fusion_dim_caps_its_count(capsys, monkeypatch):
+    argv = ("-m", "freewreath.cli", "verify", "fusion-dim", "--N", "4",
+            "--count")
+    done = python(*argv, "51", FREEWREATH_ENTRY_CAP="50")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("cap exceeded: checking 51 random products "
+                           "exceeds the cap of 50\n")
+    done = python(*argv, "50", FREEWREATH_ENTRY_CAP="50")
+    assert done.returncode == 0
+    assert "ok: 50 random products" in done.stdout
+
+    def never(*args, **kwargs):
+        raise AssertionError("a product was fused before the cap was checked")
+
+    monkeypatch.setattr(fusion, "fuse", never)
+    assert run(capsys, "verify", "fusion-dim", "--N", "4", "--count",
+               "1000000000") == \
+        (2, "", "cap exceeded: checking 1000000000 random products exceeds "
+                "the cap of 10000000\n")
 
 
 def test_verify_weingarten(capsys):
@@ -781,6 +802,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("verify", "category", "--N", "5", "--max-points", "7"),
         ("verify", "conjugate", "--k", "40", "--N", "2"),
         ("verify", "fusion-dim", "--N", big, "--count", "3"),
+        ("verify", "fusion-dim", "--count", "1000000000"),
         ("tl", "verify", "--max-points", "20"),
         ("tl", "trace", "TL(2,2): (1,2)(3,4)", "--N", big, "--float"),
         ("tl", "collapse", "garbage"),

@@ -6,12 +6,11 @@ from collections import Counter
 
 import pytest
 
-from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
-                      group_dual_json, s3_product)
+from builders import (S3_ELEMENTS, check_reduced_form, cyclic_names,
+                      cyclic_product, group_dual_json, s3_product)
 from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
-                               ReducedWord, TableFusion, central_char_poly,
-                               conj_word, cyclic_fusion, dim_wreath,
-                               expand_reduced, fuse, fuse_direct,
+                               TableFusion, central_char_poly, conj_word,
+                               cyclic_fusion, dim_wreath, fuse, fuse_direct,
                                fuse_via_reduced, fusion_from_json,
                                fusion_from_uri, load_fusion_file, parse_word,
                                reduce_word, render_word, sort_words,
@@ -148,24 +147,13 @@ def test_reduce_expand_round_trip():
         labels = fd.labels()
         for _ in range(60):
             w = tuple(rng.choice(labels) for _ in range(rng.randrange(6)))
-            rw = reduce_word(w, fd)
-            assert expand_reduced(rw, fd) == w
-            # no nontrivial letter is lost
-            assert [a for a in rw.letters] == \
-                [a for a in w if a != fd.trivial()]
+            check_reduced_form(w, fd)
 
 
 def test_reduced_word_validation():
-    with pytest.raises(ValueError):
-        ReducedWord((1,), ("g",))            # needs one more exponent than letters
     # a run of trivial letters reduces to a bare even exponent
-    assert reduce_word(("1",), Z2) == ReducedWord((2,), ())
-    with pytest.raises(ValueError):
-        expand_reduced(ReducedWord((3,), ()), Z2)        # odd pure exponent
-    with pytest.raises(ValueError):
-        expand_reduced(ReducedWord((2, 2), ("g",)), Z2)  # even outer exponent
-    with pytest.raises(ValueError):
-        expand_reduced(ReducedWord((1, 1, 1), ("g", "g")), Z2)
+    assert reduce_word(("1",), Z2) == ((2,), ())
+    assert reduce_word((), Z2) == ((0,), ())
 
 
 def test_fuse_single_letters():
@@ -195,6 +183,20 @@ def test_fuse_methods_agree():
             direct = fuse(x, y, fd, method="direct")
             free = fuse_via_reduced(x, y, fd)
             assert +direct == +free, (x, y)
+
+
+def test_fuse_direct_looks_up_one_conjugate_per_cut(monkeypatch):
+    # every cut of g^200 against g^200 is valid; each adds one letter pair
+    ring = cyclic_fusion(2)
+    calls = []
+    conj = ring.conj
+    monkeypatch.setattr(ring, "conj", lambda a: calls.append(a) or conj(a))
+    x = ("g",) * 200
+    assert len(fuse_direct(x, x, ring)) == 401
+    assert len(calls) <= 200
+    # long words with trivial letters between, where both routes cut slices
+    w = ("g", "1") * 500
+    assert fuse_direct(w, w[::-1], Z2) == fuse_via_reduced(w, w[::-1], Z2)
 
 
 def test_fusion_routes_check_letters():
@@ -237,9 +239,9 @@ def test_dim_matches_qnum_product(cheb_qnum, qnum_prod):
         words = [w for k in range(7) for w in itertools.product(labels, repeat=k)]
         for n in (4, 5, 9, 16):
             for w in words:
-                rw = reduce_word(w, fd)
-                value = qnum_prod([(fd.dim(a), 0) for a in rw.letters]
-                                  + [cheb_qnum(e, n) for e in rw.exponents], n)
+                exponents, letters = reduce_word(w, fd)
+                value = qnum_prod([(fd.dim(a), 0) for a in letters]
+                                  + [cheb_qnum(e, n) for e in exponents], n)
                 assert value == (dim_wreath(w, fd, n), 0), (w, n)
 
 

@@ -16,7 +16,7 @@ import pytest
 import freewreath
 from builders import group_dual_json
 from freewreath import fusion
-from freewreath.fusion import ReducedWord, TableFusion, fusion_from_json
+from freewreath.fusion import TableFusion, fusion_from_json
 from freewreath.partition import Partition
 from freewreath.report import CheckResult, VerificationReport
 from freewreath.tl import ScaledPartition, TLDiagram
@@ -26,14 +26,14 @@ SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
 EXPORTS = [
     "CapExceededError", "CheckResult", "FusionData", "IntegersFusion",
-    "Partition", "QuantumPermutationFusion", "ReducedWord", "ScaledPartition",
+    "Partition", "QuantumPermutationFusion", "ScaledPartition",
     "SparseMap", "TLDiagram", "TableFusion", "VerificationReport",
     "WeingartenTable", "brute_force_z2_s3_moments", "build_tp",
     "central_char_poly", "character_moment_wreath",
     "character_moments_wreath", "cheb_int_factor", "cheb_poly",
     "classical_wreath_moment", "collapse", "compound_poisson_moments",
     "conj_word", "cyclic_fusion", "dim_hom_wreath", "dim_wreath",
-    "discrete_partition", "enumerate_partitions", "expand_reduced", "fatten",
+    "discrete_partition", "enumerate_partitions", "fatten",
     "free_cumulants_to_moments", "full_block", "fuse", "fusion_from_json",
     "fusion_from_uri", "gram_brute", "gram_nc", "haar_state",
     "identity_partition", "kernel", "load_fusion_file",
@@ -63,7 +63,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 71 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 69 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)
@@ -104,9 +104,6 @@ VALUES = {
                          lambda: VerificationReport("r"),
                          [VerificationReport("s"),
                           VerificationReport("r", [CheckResult("c", True)])]),
-    ReducedWord: (("exponents", "letters"),
-                  lambda: ReducedWord((1, 1), ("g",)),
-                  [ReducedWord((3, 1), ("g",)), ReducedWord((1, 1), ("h",))]),
     Partition: (("upper", "lower", "blocks"),
                 lambda: Partition(1, 1, [(2, 1)]),
                 [Partition(0, 2, [(1, 2)]), Q]),
@@ -207,9 +204,5 @@ def test_value_checks_and_repr():
     with pytest.raises(ValueError, match="^fusion rules are not associative"):
         fusion_from_json(group_dual_json(
             "01234", lambda a, b: str(square[int(a)][int(b)])))
-    with pytest.raises(ValueError, match="one more exponent than letters"):
-        ReducedWord((1,), ("g",))
-    assert repr(ReducedWord((2, 2), ("g",))) == \
-        "ReducedWord(exponents=(2, 2), letters=('g',))"
     assert repr(CheckResult("c", True)) == \
         "CheckResult(description='c', passed=True, detail='')"
