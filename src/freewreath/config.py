@@ -1,4 +1,5 @@
-"""Resource caps, the inner categories, and the base of the value classes.
+"""Resource caps, the inner categories, the base of the value classes, and
+``_Memo``, the dict that computes a missing value on lookup.
 
 This is the leaf module: every layer may import it, and it imports no layer.
 
@@ -9,11 +10,12 @@ first use):
                            enumeration will accept, and the longest word or
                            order of a character law in freeprob (default 14)
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
-                           map, a Gram matrix or a cyclic group table, and of
-                           the product rows the category check compares, the
-                           pairs the collapsing-isomorphism check takes and
-                           the random products the dimension check fuses
-                           (default 10**7)
+                           map, a Gram matrix or a fusion table, and of the
+                           label triples a file table's associativity check
+                           takes, the product rows the category check
+                           compares, the pairs the collapsing-isomorphism
+                           check takes and the random products the dimension
+                           check fuses (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import os
 from functools import cache
+from typing import Callable
 
 
 # the inner categories of the Weingarten calculus, declared here so that the
@@ -70,6 +73,18 @@ class Value:
         if self._frozen:
             raise AttributeError(f"cannot delete field {name!r}")
         object.__delattr__(self, name)
+
+
+class _Memo(dict):
+    """A dict that computes a missing value as fn(key) and keeps it."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class CapExceededError(Exception):

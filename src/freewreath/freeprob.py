@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .config import check_enum_cap
+from .config import _Memo, check_enum_cap
 from .fusion import FusionData
 from .homspaces import _boundary_moment, tensor_fold
 
@@ -117,18 +117,6 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
 
 # ---------------------------------------------------------------------------
 # noncrossing moment/cumulant transforms on eps-indexed families
-
-
-class _Memo(dict):
-    """A dict that computes a missing value as fn(key) and keeps it."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _nc_sum(cumulants, moments, word: tuple):

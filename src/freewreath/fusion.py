@@ -50,7 +50,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Hashable, Sequence
 
-from .config import check_entry_cap, check_work_cap
+from .config import _Memo, check_entry_cap, check_work_cap
 from .qnum import cheb_int_factor, cheb_poly, poly_mul, poly_trim
 
 Label = Hashable
@@ -240,7 +240,10 @@ def fusion_from_json(text: str) -> TableFusion:
         trivial = _expect(doc["trivial"], str, "trivial")
     except KeyError as exc:
         raise ValueError(f"fusion file misses the field {exc}") from exc
+    check_entry_cap(len(labels) ** 2)  # the tensor table, before it is built
     fd = TableFusion(labels, dims, trivial, conj, tensor)
+    check_work_cap(len(labels) ** 3,
+                   "checking associativity on {} label triples")
     _check_associative(fd)
     return fd
 
@@ -505,10 +508,13 @@ def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
 
 
 def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
-    """Deterministic presentation order: by length, then rendered letters."""
+    """Deterministic presentation order: by length, then rendered letters.
+
+    Each distinct label is rendered once per call.
+    """
+    text = _Memo(fd.render_label).__getitem__
     return sorted(counter.items(),
-                  key=lambda kv: (len(kv[0]),
-                                  tuple(fd.render_label(a) for a in kv[0])))
+                  key=lambda kv: (len(kv[0]), tuple(map(text, kv[0]))))
 
 
 # ---------------------------------------------------------------------------

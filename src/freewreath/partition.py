@@ -14,21 +14,20 @@ Conventions, fixed once and used everywhere:
   turns this into the usual linear noncrossing condition, which is what the
   stack test below checks.
 
-* Blocks are stored sorted ascending, and the tuple of blocks is ordered by
-  smallest element ("the block containing the smallest uncovered point comes
-  first"), so equal partitions compare and hash equal.
+* A partition stores its labels, the block index of each point 1..k+l with
+  blocks numbered 0, 1, ... by smallest point, so equal partitions compare
+  and hash equal.  ``blocks`` is a view: sorted blocks, ordered likewise.
 
 Operations: ``tensor`` is horizontal concatenation, ``compose`` is vertical
 concatenation (lower row of the top factor glued to the upper row of the
 bottom factor), as the pair (partition, count of closed blocks),
-``involute`` turns the picture upside down.  All three run on block labels,
-the block index of each point: tensor and involute reorder and renumber
-them, and compose joins the top's lower row to the bottom's upper row by the
-one union-find, ``_merge``, over block ids: its points are any ints, and n
-is how many there are, so top block t is the point t and bottom block c the
-point ~c.  ``join`` is the common coarsening in the full partition lattice
-of the ground set, ``refines`` the comparison, and ``kernel`` the level-set
-partition of an index tuple.
+``involute`` turns the picture upside down, ``join`` is the common
+coarsening in the full partition lattice of the ground set, ``refines`` the
+comparison, and ``kernel`` the level-set partition of an index tuple.  All
+run on labels, which come out canonical, so each result is built from them
+unchecked.  Compose and join merge blocks by the one union-find, ``_merge``:
+its points are any ints, and n is how many there are, so block t of one
+factor is the point t and block c of the other the point ~c.
 
 ``enumerate_partitions`` lists a category by name from one table: one
 first-block recursion on the circle cut open at the left edge, whose
@@ -43,29 +42,40 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .config import Value, check_enum_cap
 
 Block = tuple[int, ...]
-# the block index of each point 1..k+l; blocks are ordered by their smallest
+# the block index of each point 1..k+l; blocks are numbered by their smallest
 # point, so equal partitions have equal labels
 Labels = tuple[int, ...]
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
+def _blocks_to_labels(upper: int, lower: int, blocks: Iterable[Iterable[int]]
+                      ) -> tuple[tuple[Block, ...], Labels]:
+    """The sorted blocks and their labels; Partition's checks, in order."""
     out = []
     for b in blocks:
         t = tuple(sorted(b))
         if not t:
             raise ValueError("empty block")
         out.append(t)
-    return tuple(sorted(out, key=lambda b: b[0]))
-
-
-def _block_index(blocks: Iterable[Block]) -> dict[int, int]:
-    """Each point mapped to the position of its block."""
-    return {pt: i for i, b in enumerate(blocks) for pt in b}
+    out.sort(key=itemgetter(0))
+    if upper < 0 or lower < 0:
+        raise ValueError("arities must be nonnegative")
+    n = upper + lower
+    if sorted(chain.from_iterable(out)) != list(range(1, n + 1)):
+        raise ValueError(
+            f"blocks {tuple(out)} do not partition 1..{n} "
+            f"(upper={upper}, lower={lower})"
+        )
+    labels = [0] * n
+    for i, b in enumerate(out):
+        for pt in b:
+            labels[pt - 1] = i
+    return tuple(out), tuple(labels)
 
 
 def _merge(n: int, chains: Iterable[Sequence[int]],
@@ -106,10 +116,10 @@ def _join_counts(parts: Sequence[Partition],
     With ``rows``, only the rows of the parts at those positions.  Every Gram
     matrix of the package is a power of these counts.
     """
-    xs = parts if rows is None else [parts[r] for r in rows]
-    return tuple(bytes(_merge(x.points, x.blocks + y.blocks, ())[1]
-                       for y in parts)
-                 for x in xs)
+    blocks = [p.blocks for p in parts]
+    return tuple(bytes(_merge(parts[r].points, blocks[r] + y, ())[1]
+                       for y in blocks)
+                 for r in (range(len(parts)) if rows is None else rows))
 
 
 # -- category operations on block labels ------------------------------------
@@ -148,48 +158,39 @@ def _involute_labels(k: int, a: Labels) -> Labels:
 
 
 def _from_labels(k: int, l: int, labels: Labels) -> Partition:
-    blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
-    for pt, b in enumerate(labels, 1):
-        blocks[b].append(pt)
-    return Partition(k, l, blocks)
+    """The partition with these canonical labels, unchecked."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "upper", k)
+    object.__setattr__(p, "lower", l)
+    object.__setattr__(p, "labels", labels)
+    return p
 
 
 class Partition(Value):
-    __slots__ = _fields = ("upper", "lower", "blocks")
+    """A partition of 1..upper+lower into ``blocks``, stored as its labels."""
+
+    __slots__ = _fields = ("upper", "lower", "labels")
 
     def __init__(self, upper: int, lower: int,
                  blocks: Iterable[Iterable[int]]):
-        blocks = _canonical_blocks(blocks)
-        if upper < 0 or lower < 0:
-            raise ValueError("arities must be nonnegative")
-        n = upper + lower
-        seen: list[int] = []
-        for b in blocks:
-            seen.extend(b)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(
-                f"blocks {blocks} do not partition 1..{n} "
-                f"(upper={upper}, lower={lower})"
-            )
+        _, labels = _blocks_to_labels(upper, lower, blocks)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def points(self) -> int:
         return self.upper + self.lower
 
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.labels, default=-1) + 1
 
     @property
-    def labels(self) -> Labels:
-        """The block index of each point 1..k+l."""
-        labels = [0] * self.points
-        for b, block in enumerate(self.blocks):
-            for pt in block:
-                labels[pt - 1] = b
-        return tuple(labels)
+    def blocks(self) -> tuple[Block, ...]:
+        blocks: list[list[int]] = [[] for _ in range(self.block_count())]
+        for pt, b in enumerate(self.labels, 1):
+            blocks[b].append(pt)
+        return tuple(map(tuple, blocks))
 
     # -- circular order ----------------------------------------------------
 
@@ -198,17 +199,17 @@ class Partition(Value):
         return _circle(self.upper, self.lower)
 
     def is_noncrossing(self) -> bool:
-        block_id = _block_index(self.blocks)
-        remaining = [len(b) for b in self.blocks]
+        labels = self.labels
+        remaining = [labels.count(b) for b in range(self.block_count())]
         stack: list[int] = []
         for pt in self.traversal():
-            i = block_id[pt]
-            if remaining[i] == len(self.blocks[i]):
-                stack.append(i)
-            elif not stack or stack[-1] != i:
+            b = labels[pt - 1]
+            if b not in stack:  # a closed block has no point left to visit
+                stack.append(b)
+            elif stack[-1] != b:
                 return False
-            remaining[i] -= 1
-            if remaining[i] == 0:
+            remaining[b] -= 1
+            if remaining[b] == 0:
                 stack.pop()
         return True
 
@@ -249,16 +250,16 @@ class Partition(Value):
         """Common coarsening in the partition lattice of the ground set."""
         if (self.upper, self.lower) != (other.upper, other.lower):
             raise ValueError("join requires identical point sets")
-        labels, _ = _merge(self.points, self.blocks + other.blocks,
-                           range(1, self.points + 1))
+        labels, _ = _merge(self.block_count() + other.block_count(),
+                           zip(self.labels, [~c for c in other.labels]),
+                           self.labels)
         return _from_labels(self.upper, self.lower, labels)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
         if (self.upper, self.lower) != (other.upper, other.lower):
             raise ValueError("refinement requires identical point sets")
-        owner = _block_index(other.blocks)
-        return all(len({owner[pt] for pt in b}) == 1 for b in self.blocks)
+        return len(set(zip(self.labels, other.labels))) == self.block_count()
 
     # -- rendering ---------------------------------------------------------
 
@@ -318,11 +319,9 @@ def nested_pairing(k: int) -> Partition:
 
 
 def kernel(values: tuple) -> Partition:
-    """Level-set partition of an index tuple, as a partition of (0, r)."""
-    groups: dict = {}
-    for pos, v in enumerate(values, start=1):
-        groups.setdefault(v, []).append(pos)
-    return Partition(0, len(values), [tuple(g) for g in groups.values()])
+    """Level-set partition of an index tuple, as a partition of (0, r): the
+    values renumbered by first occurrence are its labels."""
+    return _from_labels(0, len(values), _canonical_labels(values))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +400,14 @@ def enumerate_partitions(k: int, l: int,
     block of two points), "singletons" (every block of one point) or "all"
     (every set partition).  The noncrossing families are generated directly
     in the boundary-circle order, with no filtering.  The result is sorted by
-    the canonical block-tuple key.  The ground-point cap (default 14) guards
-    against runaway enumeration.
+    the sorted blocks of each shape, computed once with its labels.  The
+    ground-point cap (default 14) guards against runaway enumeration.
     """
     n = k + l
     check_enum_cap(n)
     if mode not in _FAMILIES:
         raise ValueError(f"unknown mode {mode!r}")
-    circle = _circle(k, l)
-    parts = [Partition(k, l, [[circle[t] for t in blk] for blk in shape])
-             for shape in _FAMILIES[mode](n)]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+    point = _circle(k, l).__getitem__
+    keyed = sorted((_blocks_to_labels(k, l, (map(point, blk) for blk in shape))
+                    for shape in _FAMILIES[mode](n)), key=itemgetter(0))
+    return tuple(_from_labels(k, l, labels) for _, labels in keyed)

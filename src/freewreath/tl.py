@@ -114,8 +114,8 @@ def markov_trace_exponent(p: Partition) -> int:
     ValueError."""
     if p.upper != p.lower:
         raise ValueError("the Markov trace needs a square diagram")
-    k = p.upper
-    return _merge(2 * k, p.blocks + tuple((i, k + i) for i in range(1, k + 1)),
+    labels = p.labels
+    return _merge(p.block_count(), zip(labels[:p.upper], labels[p.upper:]),
                   ())[1]
 
 
@@ -148,9 +148,9 @@ def collapse(d: TLDiagram) -> Partition:
     """Identify upper points (1,2),(3,4),... and lower points likewise."""
     if d.upper % 2 or d.lower % 2:
         raise ValueError("collapse needs even arities TL(2k, 2l)")
-    # the odd points 1, 3, ... stand for the collapsed points in order
-    odd = range(1, d.points, 2)
-    labels, _ = _merge(d.points, d.blocks + tuple((x, x + 1) for x in odd), odd)
+    # the blocks of the odd points 1, 3, ... stand for the collapsed points
+    odd = d.labels[::2]
+    labels, _ = _merge(d.block_count(), zip(odd, d.labels[1::2]), odd)
     return _from_labels(d.upper // 2, d.lower // 2, labels)
 
 
@@ -170,7 +170,7 @@ def fatten(p: Partition) -> TLDiagram:
         j = pt - k
         return 2 * k + 2 * j, 2 * k + 2 * j - 1
 
-    cycles: list[list[int]] = [[] for _ in p.blocks]
+    cycles: list[list[int]] = [[] for _ in range(p.block_count())]
     labels = p.labels
     for pt in _circle(k, l):
         cycles[labels[pt - 1]].append(pt)
@@ -284,7 +284,7 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     def fatten_ok(p: Partition) -> bool:
         fat = fatten(p)
         return collapse(fat) == p and image[fat] == ScaledPartition(
-            p.points - 2 * len(p.blocks), p)
+            p.points - 2 * p.block_count(), p)
 
     rep.tally("phi(D . E) = phi(D) . phi(E) on {} pairs", (
         composes_ok(bottom, top)

@@ -39,8 +39,8 @@ from typing import Sequence
 
 from .config import CATEGORIES, Value, check_entry_cap
 from .exactmat import bareiss_inverse
-from .partition import (Partition, _canonical_labels, _join_counts,
-                        enumerate_partitions, kernel)
+from .partition import (Partition, _canonical_labels, _from_labels,
+                        _join_counts, enumerate_partitions, kernel)
 from .report import VerificationReport
 
 # the values of N the certification compares, each four times the last
@@ -111,10 +111,10 @@ def _orbits(k: int, category: str
     indices = wg_indices(k, category)
     position = _positions(k, category)
 
-    def rotate(p: Partition) -> Partition:
-        return Partition(0, k, [[pt % k + 1 for pt in b] for b in p.blocks])
+    def rotate(labels: tuple) -> Partition:
+        return _from_labels(0, k, _canonical_labels(labels[-1:] + labels[:-1]))
 
-    sigma = [position[rotate(p), rotate(a)] for p, a in indices]
+    sigma = [position[rotate(p.labels), rotate(a.labels)] for p, a in indices]
     reps: list[int] = []
     source: list[tuple[int, int] | None] = [None] * len(indices)
     for t in range(len(indices)):
@@ -303,7 +303,7 @@ def wg_certify_asymptotics(k: int, s: int,
     report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
     tables = [wg_table(k, n, s, category) for n in LADDER]
     coeffs = _leading_coeffs(k, s, category)
-    blocks = [len(p.blocks) for p, _ in tables[0].indices]
+    blocks = [p.block_count() for p, _ in tables[0].indices]
     worst = [Fraction(0)] * len(LADDER)
     bad = [[] for _ in LADDER[1:]]
     for t, bp in enumerate(blocks):

@@ -12,8 +12,8 @@ import pytest
 
 import freewreath
 from builders import cyclic_names, cyclic_product, group_dual_json, tl_identity
-from freewreath import (cli, freeprob, fusion, homspaces, linmaps, partition,
-                        tl, weingarten)
+from freewreath import (cli, config, freeprob, fusion, homspaces, linmaps,
+                        partition, tl, weingarten)
 from freewreath.cli import main
 from freewreath.config import CATEGORIES
 from freewreath.fusion import fusion_from_uri
@@ -512,6 +512,35 @@ def test_cyclic_table_over_cap_refused():
     assert (done.returncode, done.stdout) == (0, "(g2) ×1\n(g,g) ×1\n")
 
 
+@pytest.mark.parametrize("s, cap, refusal", [
+    (5, 24, "storing 25 entries exceeds the cap of 24"),
+    (5, 100, "checking associativity on 125 label triples exceeds the cap "
+             "of 100"),
+    (4, 100, None),
+])
+def test_fusion_file_counted_before_it_is_built(capsys, monkeypatch, tmp_path,
+                                                s, cap, refusal):
+    # the |Irr|^2 tensor entries before the table is built, the |Irr|^3
+    # label triples before associativity is checked
+    path = tmp_path / "z.json"
+    path.write_text(group_dual_json(cyclic_names(s), cyclic_product(s)))
+    monkeypatch.setattr(config, "caps", lambda: (14, cap))
+    built, checked = [], []
+    table, associative = fusion.TableFusion, fusion._check_associative
+    monkeypatch.setattr(fusion, "TableFusion",
+                        lambda *args: built.append(s) or table(*args))
+    monkeypatch.setattr(fusion, "_check_associative",
+                        lambda fd: checked.append(s) or associative(fd))
+    got = run(capsys, "fuse", "(g)", "(g)", "--fusion", f"file:{path}")
+    if refusal is None:
+        assert got == (0, "(g2) ×1\n(g,g) ×1\n", "")
+        assert built == checked == [s]
+    else:
+        assert got == (2, "", f"cap exceeded: {refusal}\n")
+        assert built == ([] if "entries" in refusal else [s])
+        assert checked == []
+
+
 def test_verify_conjugate_over_cap_refused_before_any_work(capsys,
                                                           monkeypatch):
     # both tensor products of k = 6 at N = 10 hold 10**12 entries
@@ -781,6 +810,8 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     stray = tmp_path / "stray.json"
     stray.write_text(_z2_table_with(
         lambda d: d["tensor"].update({"g,zz": {"g": 1}})))
+    big_table = tmp_path / "z50.json"  # 125,000 label triples
+    big_table.write_text(group_dual_json(cyclic_names(50), cyclic_product(50)))
     haar = ("weingarten", "--k", "2", "--N", "4", "--haar")
     cases = [
         ("char-law", "--rep", "g", "--order", big),
@@ -821,6 +852,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("fuse", "(g)", "(g)", "--fusion", "file:"),
         ("fuse", "(g)", "(g)", "--fusion", f"file:{tmp_path}"),
         ("fuse", "(g)", "(g)", "--fusion", f"file:{stray}"),
+        ("fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"),
         ("fuse", "g", "(g)"),
         ("fuse", "(g", "(g)"),
         ("fuse", "(zz)", "(g)"),
@@ -844,6 +876,8 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     assert [(argv, tb) for argv, _, tb in results if tb] == []
     assert all(code in (0, 1, 2, 3) for _, code, _ in results)
     assert results[0][1] == results[1][1] == 2  # the huge orders
+    codes = {tuple(argv): code for argv, code, _ in results}
+    assert codes["fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"] == 2
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

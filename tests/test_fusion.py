@@ -251,6 +251,17 @@ def test_sort_words_deterministic():
     assert [render_word(w, Z2) for w, _ in listed] == ["()", "(1)", "(g,g)"]
 
 
+def test_sort_words_renders_each_label_once():
+    ring = cyclic_fusion(2)
+    render, rendered = ring.render_label, []
+    ring.render_label = lambda a: rendered.append(a) or render(a)
+    out = fuse(("g",) * 100, ("g",) * 100, ring)  # words of up to 200 letters
+    listed = sort_words(out, ring)
+    assert sorted(rendered) == ["1", "g"]
+    assert listed == sorted(out.items(), key=lambda kv: (
+        len(kv[0]), tuple(render(a) for a in kv[0])))
+
+
 def test_central_char_poly():
     # chi of (g,g) is X^2 - X evaluated at N (even coefficients in X)
     assert central_char_poly(("g", "g"), Z2) == (0, -1, 1)

@@ -104,10 +104,10 @@ VALUES = {
                          lambda: VerificationReport("r"),
                          [VerificationReport("s"),
                           VerificationReport("r", [CheckResult("c", True)])]),
-    Partition: (("upper", "lower", "blocks"),
+    Partition: (("upper", "lower", "labels"),
                 lambda: Partition(1, 1, [(2, 1)]),
                 [Partition(0, 2, [(1, 2)]), Q]),
-    TLDiagram: (("upper", "lower", "blocks"),
+    TLDiagram: (("upper", "lower", "labels"),
                 lambda: TLDiagram(1, 1, [(1, 2)]),
                 [TLDiagram(0, 2, [(1, 2)]), TLDiagram(2, 0, [(1, 2)]),
                  TLDiagram(2, 2, [(1, 3), (2, 4)])]),
@@ -133,6 +133,7 @@ def _hashable(value) -> bool:
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
 def test_value_equality_and_hash(cls):
     fields, make, others = VALUES[cls]
+    assert cls._fields == fields
     a, b = make(), make()
     assert a == b and not a != b and a is not b
     assert type(a) is cls
@@ -166,6 +167,10 @@ def test_frozen_values_refuse_assignment(cls):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+    if isinstance(value, Partition):
+        # the blocks are a view of the labels, and as frozen
+        with pytest.raises(AttributeError):
+            value.blocks = ()
     assert value == make()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -8,6 +9,7 @@ from freewreath.partition import (Partition, _merge, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition, kernel, nested_pairing,
                                   parse_partition)
+from freewreath.tl import collapse, tl_enumerate
 
 
 def test_canonicalization():
@@ -304,3 +306,35 @@ def test_identities_are_neutral():
                     identity_partition(p.lower).compose(p)):
             assert res == (p, 0)
         assert p.tensor(empty) == empty.tensor(p) == p
+
+
+def _assert_canonical(p: Partition):
+    """p is the partition its blocks give, and its labels number the blocks
+    0, 1, 2, ... in the order of their first point."""
+    assert type(p) is Partition
+    assert p == Partition(p.upper, p.lower, p.blocks)
+    assert list(dict.fromkeys(p.labels)) == list(range(p.block_count()))
+
+
+def test_operation_results_have_canonical_labels():
+    # _nc_upto lists by point count, so a prefix holds the smaller diagrams
+    nc, upto = _nc_upto(6), [len(_nc_upto(n)) for n in range(7)]
+    for p in nc:
+        _assert_canonical(p.involute())
+        for q in nc[:upto[6 - p.points]]:
+            _assert_canonical(p.tensor(q))
+    for pairs in _composable(6).values():
+        for top, bottom in pairs:
+            _assert_canonical(bottom.compose(top)[0])
+    for parts, join in _join_tables(5):
+        for (a, b), ab in join.items():
+            _assert_canonical(ab)
+            assert a.refines(b) == all(
+                any(set(x) <= set(y) for y in b.blocks) for x in a.blocks)
+    for r in range(6):
+        for values in itertools.product((1, 2, 3), repeat=r):
+            _assert_canonical(kernel(values))
+    for k in range(5):
+        for l in range(5 - k):
+            for d in tl_enumerate(2 * k, 2 * l):
+                _assert_canonical(collapse(d))
