@@ -156,7 +156,13 @@ def cmd_weingarten(args) -> list[str]:
     table = wg_table(args.k, args.N, args.s, args.category)
     k = args.k
     if args.haar is not None:
-        flat = [int(x) for x in args.haar.split(",")]
+        flat = []
+        for x in args.haar.split(","):
+            try:
+                flat.append(int(x))
+            except ValueError:
+                raise ValueError(f"--haar entries must be integers, "
+                                 f"got {x!r}") from None
         if len(flat) != 4 * k:
             raise ValueError(f"--haar needs 4*k = {4 * k} comma-separated "
                              f"indices (inner row, inner col, outer row, "

@@ -29,9 +29,10 @@ unchecked.  Compose and join merge blocks by the one union-find, ``_merge``:
 its points are any ints, and n is how many there are, so block t of one
 factor is the point t and block c of the other the point ~c.
 
-``enumerate_partitions`` lists a category by name from one table: one
-first-block recursion on the circle cut open at the left edge, whose
-positions ``_circle`` maps to points, gives the noncrossing families.
+``enumerate_partitions`` lists a category by name from one table, each
+result built unchecked: one first-block recursion on the circle cut open at
+the left edge, whose positions ``_circle`` maps to points, gives the
+noncrossing families.
 
 Partition literals render as ``{1,2|3} (k=0,l=3)`` and the parser accepts the
 same grammar with arbitrary whitespace.
@@ -53,29 +54,13 @@ Block = tuple[int, ...]
 Labels = tuple[int, ...]
 
 
-def _blocks_to_labels(upper: int, lower: int, blocks: Iterable[Iterable[int]]
-                      ) -> tuple[tuple[Block, ...], Labels]:
-    """The sorted blocks and their labels; Partition's checks, in order."""
-    out = []
-    for b in blocks:
-        t = tuple(sorted(b))
-        if not t:
-            raise ValueError("empty block")
-        out.append(t)
-    out.sort(key=itemgetter(0))
-    if upper < 0 or lower < 0:
-        raise ValueError("arities must be nonnegative")
-    n = upper + lower
-    if sorted(chain.from_iterable(out)) != list(range(1, n + 1)):
-        raise ValueError(
-            f"blocks {tuple(out)} do not partition 1..{n} "
-            f"(upper={upper}, lower={lower})"
-        )
+def _labels(n: int, blocks: Iterable[Block]) -> Labels:
+    """The labels of sorted blocks of 1..n, listed by their first point."""
     labels = [0] * n
-    for i, b in enumerate(out):
+    for i, b in enumerate(blocks):
         for pt in b:
             labels[pt - 1] = i
-    return tuple(out), tuple(labels)
+    return tuple(labels)
 
 
 def _merge(n: int, chains: Iterable[Sequence[int]],
@@ -157,9 +142,9 @@ def _involute_labels(k: int, a: Labels) -> Labels:
     return _canonical_labels(a[k:] + a[:k])
 
 
-def _from_labels(k: int, l: int, labels: Labels) -> Partition:
-    """The partition with these canonical labels, unchecked."""
-    p = object.__new__(Partition)
+def _from_labels(k: int, l: int, labels: Labels, cls: type | None = None):
+    """The Partition (or cls) with these canonical labels, unchecked."""
+    p = object.__new__(cls or Partition)
     object.__setattr__(p, "upper", k)
     object.__setattr__(p, "lower", l)
     object.__setattr__(p, "labels", labels)
@@ -173,10 +158,24 @@ class Partition(Value):
 
     def __init__(self, upper: int, lower: int,
                  blocks: Iterable[Iterable[int]]):
-        _, labels = _blocks_to_labels(upper, lower, blocks)
+        out = []
+        for b in blocks:
+            t = tuple(sorted(b))
+            if not t:
+                raise ValueError("empty block")
+            out.append(t)
+        out.sort(key=itemgetter(0))
+        if upper < 0 or lower < 0:
+            raise ValueError("arities must be nonnegative")
+        n = upper + lower
+        if sorted(chain.from_iterable(out)) != list(range(1, n + 1)):
+            raise ValueError(
+                f"blocks {tuple(out)} do not partition 1..{n} "
+                f"(upper={upper}, lower={lower})"
+            )
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(n, out))
 
     @property
     def points(self) -> int:
@@ -194,15 +193,11 @@ class Partition(Value):
 
     # -- circular order ----------------------------------------------------
 
-    def traversal(self) -> tuple[int, ...]:
-        """Ground points in boundary-circle order (top L-to-R, bottom R-to-L)."""
-        return _circle(self.upper, self.lower)
-
     def is_noncrossing(self) -> bool:
         labels = self.labels
         remaining = [labels.count(b) for b in range(self.block_count())]
         stack: list[int] = []
-        for pt in self.traversal():
+        for pt in _circle(self.upper, self.lower):
             b = labels[pt - 1]
             if b not in stack:  # a closed block has no point left to visit
                 stack.append(b)
@@ -400,14 +395,15 @@ def enumerate_partitions(k: int, l: int,
     block of two points), "singletons" (every block of one point) or "all"
     (every set partition).  The noncrossing families are generated directly
     in the boundary-circle order, with no filtering.  The result is sorted by
-    the sorted blocks of each shape, computed once with its labels.  The
-    ground-point cap (default 14) guards against runaway enumeration.
+    the sorted blocks of each shape, and each is built unchecked from their
+    labels, as the shapes are partitions by construction.  The ground-point
+    cap (default 14) guards against runaway enumeration.
     """
     n = k + l
     check_enum_cap(n)
     if mode not in _FAMILIES:
         raise ValueError(f"unknown mode {mode!r}")
     point = _circle(k, l).__getitem__
-    keyed = sorted((_blocks_to_labels(k, l, (map(point, blk) for blk in shape))
-                    for shape in _FAMILIES[mode](n)), key=itemgetter(0))
-    return tuple(_from_labels(k, l, labels) for _, labels in keyed)
+    keyed = sorted(sorted(tuple(sorted(map(point, blk))) for blk in shape)
+                   for shape in _FAMILIES[mode](n))
+    return tuple(_from_labels(k, l, _labels(n, blocks)) for blocks in keyed)

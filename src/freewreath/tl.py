@@ -3,7 +3,9 @@
 A diagram in TL(a, b) is a noncrossing perfect matching of a upper and b lower
 points, drawn in a box, held as a :class:`Partition` into pairs; a+b must be
 even; ``tl_enumerate`` lists them as the "pairings" category of
-:func:`~freewreath.partition.enumerate_partitions`.  Points are numbered as
+:func:`~freewreath.partition.enumerate_partitions`.  Diagrams from outside
+(literals, fattenings) are checked; computed ones are built unchecked from
+their labels, unless an operand is a plain partition.  Points are numbered as
 in :mod:`freewreath.partition`: 1..a on top left to right, a+1..a+b on the
 bottom left to right, and the boundary circle runs top left-to-right then
 bottom right-to-left, so the wrap gap is the left edge of the box.
@@ -19,8 +21,8 @@ The collapsing map identifies the upper points in consecutive pairs
 partitions NC(k, l); fattening is its right inverse (draw the boundary of a
 thickened block).  Shading the box regions starting white at the left edge and
 alternating across strands, br(D) counts the black regions; equivalently a
-strand at even nesting depth from the left-edge cut contributes one black
-region (its region lies at odd tree depth).  The rescaled collapse
+strand at even nesting depth from the left-edge cut, read in one pass,
+contributes one black region (at odd tree depth).  The rescaled collapse
 
     phi(D) = N^{(k+l)/4 - br(D)/2} c(D)
 
@@ -61,12 +63,10 @@ class TLDiagram(Partition):
             raise ValueError(f"pairs {self.blocks} cross")
 
     def tensor(self, other: "TLDiagram") -> "TLDiagram":
-        p = super().tensor(other)
-        return TLDiagram(p.upper, p.lower, p.blocks)
+        return _diagram(super().tensor(other), other)
 
     def involute(self) -> "TLDiagram":
-        p = super().involute()
-        return TLDiagram(p.upper, p.lower, p.blocks)
+        return _diagram(super().involute(), self)
 
     def render(self) -> str:
         body = "".join(f"({a},{b})" for a, b in self.blocks)
@@ -76,6 +76,13 @@ class TLDiagram(Partition):
 
     def __repr__(self):
         return f"TLDiagram({self.render()})"
+
+
+def _diagram(p: Partition, *operands: Partition) -> TLDiagram:
+    """p as a diagram, unchecked only when every operand is a diagram."""
+    if all(isinstance(d, TLDiagram) for d in operands):
+        return _from_labels(p.upper, p.lower, p.labels, TLDiagram)
+    return TLDiagram(p.upper, p.lower, p.blocks)
 
 
 _TL_LITERAL = re.compile(r"^TL\((?P<a>\d+),(?P<b>\d+)\):(?P<pairs>(\(\d+,\d+\))*)$")
@@ -93,7 +100,7 @@ def parse_tl(text: str) -> TLDiagram:
 
 def tl_enumerate(a: int, b: int) -> tuple[TLDiagram, ...]:
     """All diagrams in TL(a, b), canonically ordered; empty if a+b is odd."""
-    return tuple(TLDiagram(p.upper, p.lower, p.blocks)
+    return tuple(_from_labels(a, b, p.labels, TLDiagram)
                  for p in enumerate_partitions(a, b, "pairings"))
 
 
@@ -104,7 +111,7 @@ def tl_compose(bottom: TLDiagram, top: TLDiagram) -> tuple[TLDiagram, int]:
     T_bottom . T_top = N^{loops/2} T_diagram.
     """
     p, loops = bottom.compose(top)
-    return TLDiagram(p.upper, p.lower, p.blocks), loops
+    return _diagram(p, bottom, top), loops
 
 
 def markov_trace_exponent(p: Partition) -> int:
@@ -162,26 +169,15 @@ def fatten(p: Partition) -> TLDiagram:
     point's incoming copy (cyclically), tracing the block's boundary.
     """
     k, l = p.upper, p.lower
-
-    def copies(pt: int) -> tuple[int, int]:
-        """(incoming, outgoing) copy in diagram numbering along the traversal."""
-        if pt <= k:
-            return 2 * pt - 1, 2 * pt
-        j = pt - k
-        return 2 * k + 2 * j, 2 * k + 2 * j - 1
-
     cycles: list[list[int]] = [[] for _ in range(p.block_count())]
     labels = p.labels
     for pt in _circle(k, l):
         cycles[labels[pt - 1]].append(pt)
-    pairs = []
-    for cyc in cycles:
-        m = len(cyc)
-        for t in range(m):
-            a = copies(cyc[t])[1]
-            b = copies(cyc[(t + 1) % m])[0]
-            pairs.append((a, b))
-    return TLDiagram(2 * k, 2 * l, pairs)
+    # point pt's copies are 2pt - 1 and 2pt; the walk enters an upper point
+    # by the first and a lower point by the second
+    return TLDiagram(2 * k, 2 * l, [(2 * a - (a > k), 2 * b - (b <= k))
+                                    for cyc in cycles
+                                    for a, b in zip(cyc, cyc[1:] + cyc[:1])])
 
 
 def black_regions(d: TLDiagram) -> int:
@@ -189,15 +185,17 @@ def black_regions(d: TLDiagram) -> int:
 
     With the box cut open at the left edge, the strands form a nesting forest;
     a strand properly contained in an even number of other strands bounds a
-    region at odd depth from the white outer region, hence black.
+    region at odd depth from the white outer region, hence black; its depth
+    is the number of strands still open when it opens along the cut circle.
     """
-    position = {pt: t for t, pt in enumerate(_circle(d.upper, d.lower))}
-    arcs = [tuple(sorted(position[pt] for pt in pair)) for pair in d.blocks]
-    count = 0
-    for u, v in arcs:
-        depth = sum(1 for x, y in arcs if x < u and v < y)
-        if depth % 2 == 0:
-            count += 1
+    labels, count = d.labels, 0
+    stack: list[int] = []
+    for pt in _circle(d.upper, d.lower):
+        if stack and stack[-1] == labels[pt - 1]:
+            stack.pop()
+        else:
+            count += len(stack) % 2 == 0
+            stack.append(labels[pt - 1])
     return count
 
 

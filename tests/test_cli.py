@@ -168,6 +168,13 @@ def test_weingarten_haar_bad_length(capsys):
     assert code == 1 and "4*k" in err
 
 
+def test_weingarten_haar_non_integer(capsys):
+    code, out, err = run(capsys, "weingarten", "--k", "2", "--N", "4",
+                         "--haar", "1,1,a,1,1,1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: --haar entries must be integers, got 'a'\n"
+
+
 def test_tl_trace(capsys):
     code, out, _ = run(capsys, "tl", "trace", "TL(2,2): (1,3)(2,4)",
                        "--N", "4")

@@ -5,11 +5,11 @@ import pytest
 
 from freewreath import config
 from freewreath.config import CATEGORIES, CapExceededError
-from freewreath.partition import (Partition, _merge, discrete_partition,
-                                  enumerate_partitions, full_block,
-                                  identity_partition, kernel, nested_pairing,
-                                  parse_partition)
-from freewreath.tl import collapse, tl_enumerate
+from freewreath.partition import (Partition, _circle, _merge,
+                                  discrete_partition, enumerate_partitions,
+                                  full_block, identity_partition, kernel,
+                                  nested_pairing, parse_partition)
+from freewreath.tl import TLDiagram, collapse, tl_compose, tl_enumerate
 
 
 def test_canonicalization():
@@ -41,8 +41,7 @@ def test_constructors():
 
 def test_traversal_order():
     # upper left to right, then lower right to left
-    p = discrete_partition(2, 3)
-    assert p.traversal() == (1, 2, 5, 4, 3)
+    assert _circle(2, 3) == (1, 2, 5, 4, 3)
 
 
 def test_noncrossing():
@@ -308,11 +307,11 @@ def test_identities_are_neutral():
         assert p.tensor(empty) == empty.tensor(p) == p
 
 
-def _assert_canonical(p: Partition):
-    """p is the partition its blocks give, and its labels number the blocks
-    0, 1, 2, ... in the order of their first point."""
-    assert type(p) is Partition
-    assert p == Partition(p.upper, p.lower, p.blocks)
+def _assert_canonical(p: Partition, cls: type = Partition):
+    """p is the partition (or diagram, for cls TLDiagram) its blocks give,
+    and its labels number the blocks 0, 1, 2, ... by their first point."""
+    assert type(p) is cls
+    assert p == cls(p.upper, p.lower, p.blocks)
     assert list(dict.fromkeys(p.labels)) == list(range(p.block_count()))
 
 
@@ -338,3 +337,25 @@ def test_operation_results_have_canonical_labels():
         for l in range(5 - k):
             for d in tl_enumerate(2 * k, 2 * l):
                 _assert_canonical(collapse(d))
+    # diagram results are built unchecked, so the checks run here
+    tl = [d for n in range(11) for a in range(n + 1)
+          for d in tl_enumerate(a, n - a)]
+    upto = [sum(d.points <= n for d in tl) for n in range(7)]
+    for d in tl:
+        _assert_canonical(d, TLDiagram)
+    for d in tl[:upto[6]]:
+        _assert_canonical(d.involute(), TLDiagram)
+        for e in tl[:upto[6 - d.points]]:
+            _assert_canonical(d.tensor(e), TLDiagram)
+        for bottom in tl[:upto[6]]:
+            if bottom.upper == d.lower:
+                _assert_canonical(tl_compose(bottom, d)[0], TLDiagram)
+
+
+def test_enumerated_partitions_pass_the_checks():
+    # enumeration builds its results unchecked from the shapes it generates
+    for mode in CATEGORIES + ("pairings",):
+        for n in range(9):
+            for k in range(n + 1):
+                for p in enumerate_partitions(k, n - k, mode):
+                    _assert_canonical(p)

@@ -4,7 +4,7 @@ import pytest
 
 from freewreath import config, tl
 from freewreath.config import CapExceededError
-from freewreath.partition import (Partition, discrete_partition,
+from freewreath.partition import (Partition, _circle, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
 from builders import tl_identity
@@ -57,6 +57,22 @@ def test_diagram_validation():
     # a diagram is a partition, but never equal to a plain one
     assert isinstance(d, Partition) and d != Partition(2, 2, d.blocks)
     assert len({d, Partition(2, 2, d.blocks)}) == 2
+
+
+def test_partition_operands_take_the_checks():
+    # a result that is no noncrossing pairing is refused, as from the
+    # constructor, and never returned as a diagram
+    with pytest.raises(ValueError, match="^a Temperley-Lieb diagram needs an "
+                       "even point count$"):
+        cap().tensor(Partition(0, 1, [(1,)]))
+    with pytest.raises(ValueError, match=r"^pairs \(\(1,\), \(2,\)\) are "
+                       r"not a perfect matching of 1..2$"):
+        tl_compose(TLDiagram(1, 1, [(1, 2)]), Partition(1, 1, [(1,), (2,)]))
+    with pytest.raises(ValueError, match="cross$"):
+        cap().tensor(Partition(0, 4, [(1, 3), (2, 4)]))
+    # a partition that is a noncrossing pairing gives a diagram
+    d = cap().tensor(Partition(0, 2, [(1, 2)]))
+    assert type(d) is TLDiagram and d == TLDiagram(0, 4, [(1, 2), (3, 4)])
 
 
 def test_enumeration_catalan():
@@ -171,6 +187,22 @@ def test_black_regions():
         assert black_regions(d.tensor(cup())) == black_regions(d) + 1
 
 
+def _pairwise_black_regions(d: TLDiagram) -> int:
+    """The oracle of black_regions: each strand's nesting depth counted as
+    the strands that contain it, over every pair of strands."""
+    position = {pt: t for t, pt in enumerate(_circle(d.upper, d.lower))}
+    arcs = [tuple(sorted(position[pt] for pt in pair)) for pair in d.blocks]
+    return sum(sum(x < u and v < y for x, y in arcs) % 2 == 0
+               for u, v in arcs)
+
+
+def test_black_regions_match_the_pairwise_count():
+    for n in range(11):
+        for a in range(n + 1):
+            for d in tl_enumerate(a, n - a):
+                assert black_regions(d) == _pairwise_black_regions(d)
+
+
 def test_black_regions_count_blocks_after_fattening():
     for k in range(0, 4):
         for l in range(0, 4 - k):
@@ -230,6 +262,25 @@ def test_trace_isometry_spot():
 def test_verify_phi_suite():
     report = verify_phi(max_points=6)
     assert report.passed, report.render()
+
+
+def test_verify_phi_at_eight_points():
+    report = verify_phi(max_points=8)
+    assert report.passed, report.render()
+    assert [c.description.split(" on ")[-1] for c in report.checks] == [
+        "2011 pairs", "341 pairs", "99 diagrams", "1095 pairs",
+        "99 partitions"]
+
+
+def test_verify_phi_checks_only_the_fattened_diagrams(monkeypatch):
+    # every other diagram is enumerated or computed, so built unchecked;
+    # the 29 fattenings are the noncrossing partitions of at most 3 points
+    calls = []
+    init = TLDiagram.__init__
+    monkeypatch.setattr(TLDiagram, "__init__",
+                        lambda self, *a: calls.append(a) or init(self, *a))
+    assert verify_phi(max_points=6).passed
+    assert len(calls) == 29
 
 
 def test_verify_phi_caps_its_pairs_before_any_phi(monkeypatch):
