@@ -22,16 +22,16 @@ _EXPORTS = {
                "reduce_word", "render_word", "sort_words",
                "symmetric_group_3_fusion"),
     "homspaces": ("dim_hom_wreath", "parse_star_list"),
-    "linmaps": ("SparseMap", "build_tp", "gram_brute", "gram_nc",
+    "linmaps": ("SparseMap", "build_tp", "gram_brute",
                 "verify_category_relations", "verify_conjugate_equations"),
     "partition": ("Partition", "discrete_partition", "enumerate_partitions",
                   "full_block", "identity_partition", "kernel",
                   "nested_pairing", "parse_partition"),
     "qnum": ("cheb_int_factor", "cheb_poly", "render_poly"),
     "report": ("CheckResult", "VerificationReport"),
-    "tl": ("ScaledPartition", "TLDiagram", "collapse", "fatten",
-           "markov_trace_exponent", "parse_tl", "phi", "sqrt_power",
-           "tl_compose", "tl_enumerate", "verify_phi"),
+    "tl": ("TLDiagram", "collapse", "fatten", "markov_trace_exponent",
+           "parse_tl", "phi", "sqrt_power", "tl_compose", "tl_enumerate",
+           "verify_phi"),
     "weingarten": ("WeingartenTable", "haar_state", "wg_certify_asymptotics",
                    "wg_gram", "wg_indices", "wg_leading_coeff", "wg_table"),
 }

@@ -193,9 +193,9 @@ def cmd_tl_collapse(args) -> list[str]:
 
 
 def cmd_tl_phi(args) -> list[str]:
-    from .tl import parse_tl, phi
+    from .tl import parse_tl, phi, render_scaled
 
-    return [phi(parse_tl(args.diagram)).render()]
+    return [render_scaled(*phi(parse_tl(args.diagram)))]
 
 
 def cmd_tl_verify(args):
@@ -219,18 +219,10 @@ def cmd_verify_conjugate(args):
 def cmd_verify_fusion_dim(args):
     import random
 
-    from .fusion import dim_multiplicativity_failures, fusion_from_uri
-    from .report import VerificationReport
+    from .fusion import fusion_from_uri, verify_dim_multiplicativity
 
-    fd = fusion_from_uri(args.fusion)
-    if fd.labels() is None:
-        raise ValueError("fusion-dim needs a finite fusion table")
-    bad = dim_multiplicativity_failures(
-        fd, args.N, random.Random(args.seed), args.count)
-    report = VerificationReport(f"dimension multiplicativity N={args.N}")
-    report.add(f"{args.count} random products have multiplicative dimension",
-               not bad, f"first failure {bad[0]}" if bad else "")
-    return report
+    return verify_dim_multiplicativity(fusion_from_uri(args.fusion), args.N,
+                                       random.Random(args.seed), args.count)
 
 
 def cmd_verify_weingarten(args):

@@ -39,7 +39,10 @@ is prod dim(a_i) * prod A_{l_i}(sqrt(N)).  Each factor is the integer a_l(N)
 times sqrt(N)**(l mod 2), and 0 or 2 exponents are odd, so it is computed in
 integers as N**(odd/2) * prod dim(a_i) * prod a_{l_i}(N).  Replacing
 sqrt(N) by a variable sqrt(X) gives the central character polynomial, an
-integer polynomial in X.
+integer polynomial in X.  The dimension formula holds for N >= 4 only, and
+smaller N is refused.  ``verify_dim_multiplicativity`` checks dim(x) dim(y)
+against the dimensions of x tensor y on random pairs of words and returns
+its verification report, as every suite's layer does.
 """
 
 from __future__ import annotations
@@ -521,42 +524,56 @@ def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
 # dimensions
 
 
+def _check_word_n(n: int) -> None:
+    if n < 4:
+        raise ValueError(f"word dimensions need N >= 4, got N={n}")
+
+
 def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
     """prod dim(letters) * prod A_l(sqrt(N)) over the reduced exponents.
 
     That is N**(odd // 2) * prod dim(letters) * prod a_l(N), the 0 or 2 odd
     exponents giving one sqrt(N) each.  It holds for N >= 4 only.
     """
-    if n < 4:
-        raise ValueError(f"word dimensions need N >= 4, got N={n}")
+    _check_word_n(n)
     exponents, letters = reduce_word(word, fd)
     odd = sum(e % 2 for e in exponents)
     return (n ** (odd // 2) * math.prod(map(fd.dim, letters))
             * math.prod(cheb_int_factor(e, n) for e in exponents))
 
 
-def dim_multiplicativity_failures(fd: FusionData, n: int, rng,
-                                  count: int) -> list:
+def verify_dim_multiplicativity(fd: FusionData, n: int, rng, count: int):
     """Check dim(x) dim(y) = sum of dims over x tensor y on count random pairs.
 
     Each pair draws x, then y, as words of length 0..3 over the finite label
-    set, from ``rng`` (a random.Random).  Returns the failures as
-    (x, y, lhs, rhs) tuples.  A count above the entry cap is refused before
+    set, from ``rng`` (a random.Random); the check stops at the first failure
+    and names it as (x, y, lhs, rhs).  An infinite table, N < 4, a negative
+    count and a count above the entry cap are refused, in that order, before
     the first pair.
     """
+    # imported here, so the commands that only fuse or measure words load no
+    # report layer
+    from .report import VerificationReport
+
+    labels = fd.labels()
+    if labels is None:
+        raise ValueError("fusion-dim needs a finite fusion table")
+    _check_word_n(n)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     check_work_cap(count, "checking {} random products")
-    labels = fd.labels()
-    bad = []
+    report = VerificationReport(f"dimension multiplicativity N={n}")
+    description = f"{count} random products have multiplicative dimension"
     for _ in range(count):
         x = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
         y = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
         lhs = dim_wreath(x, fd, n) * dim_wreath(y, fd, n)
         rhs = sum(m * dim_wreath(w, fd, n) for w, m in fuse(x, y, fd).items())
         if lhs != rhs:
-            bad.append((x, y, lhs, rhs))
-    return bad
+            report.add(description, False, f"first failure {(x, y, lhs, rhs)}")
+            return report
+    report.add(description, True)
+    return report
 
 
 def central_char_poly(word: Word, fd: FusionData) -> tuple[int, ...]:

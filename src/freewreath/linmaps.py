@@ -12,10 +12,11 @@ satisfy
 
 and the nested pairing solves the conjugate equations.  The family
 {T_p : p noncrossing} is linearly independent iff N >= 4; its Gram matrix is
-<T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}: :func:`gram_nc` powers the
-counts of ``partition._join_counts``, and :func:`gram_brute` counts the index
-assignments where both maps are nonzero (the two must agree; the brute force
-never takes a join, so it is an independent oracle).
+<T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}, which
+``weingarten.wg_gram`` builds from the join counts (the "singletons"
+category); :func:`gram_brute` counts the index assignments where both maps
+are nonzero instead (the two must agree; the brute force never takes a join,
+so it is an independent oracle).
 
 The support of T_p is enumerated once, by ``_support``: each block has a
 base-N weight in the upper and in the lower multi-index, and each of the
@@ -42,8 +43,8 @@ from fractions import Fraction
 from functools import cache
 
 from .config import check_entry_cap, check_enum_cap, check_work_cap
-from .partition import (Partition, _involute_labels, _join_counts, _merge,
-                        _tensor_labels, enumerate_partitions, nested_pairing)
+from .partition import (Partition, _involute_labels, _merge, _tensor_labels,
+                        enumerate_partitions, nested_pairing)
 from .report import VerificationReport
 
 
@@ -421,16 +422,10 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
 # Gram matrices
 
 
-def gram_nc(k: int, l: int, dim: int) -> list[list[int]]:
-    """Gram matrix <T_p, T_q> = N^{b(p v q)} over the noncrossing partitions
-    of (k, l), in the order of enumerate_partitions."""
-    parts = enumerate_partitions(k, l, "noncrossing")
-    return [[dim ** c for c in row] for row in _join_counts(parts)]
-
-
 def gram_brute(k: int, l: int, dim: int) -> list[list[int]]:
-    """The matrix of gram_nc by brute force: Tr(T_p* T_q) as the number of
-    nonzero entries T_p and T_q share.
+    """The Gram matrix <T_p, T_q> over the noncrossing partitions of (k, l),
+    in the order of enumerate_partitions, by brute force: Tr(T_p* T_q) as the
+    number of nonzero entries T_p and T_q share.
 
     Each T_p comes once from :func:`build_tp`, which enumerates the index
     assignments constant on its blocks; no join is taken, so the count is an

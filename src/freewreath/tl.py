@@ -27,9 +27,12 @@ contributes one black region (at odd tree depth).  The rescaled collapse
     phi(D) = N^{(k+l)/4 - br(D)/2} c(D)
 
 is a trace-preserving tensor-* isomorphism; its coefficients are quarter
-powers of N, so scaled diagrams carry the exponent in quarter units.  Every
-scalar here is a power of sqrt(N) and is kept as its integer exponent; only
-``sqrt_power`` turns one into a number, for display.
+powers of N, so ``phi`` returns the plain pair (partition, quarters), and the
+scaled algebra is exponent arithmetic on the partition operations: a
+composite adds both quarters and 4 per closed block, a tensor product adds
+them, the involution keeps them.  Every scalar here is a power of N or
+sqrt(N) and is kept as its integer exponent; only ``sqrt_power`` and
+``render_scaled`` turn one into a number or text, for display.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import re
 from fractions import Fraction
 
-from .config import Value, check_work_cap
+from .config import check_work_cap
 from .partition import (Partition, _circle, _from_labels, _merge,
                         enumerate_partitions)
 from .report import VerificationReport
@@ -200,47 +203,25 @@ def black_regions(d: TLDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scaled noncrossing partitions and the isomorphism
+# the isomorphism onto noncrossing partitions scaled by quarter powers of N
 
 
-class ScaledPartition(Value):
-    """A noncrossing partition scaled by N^(quarters/4), N kept symbolic."""
-
-    __slots__ = _fields = ("quarters", "partition")
-
-    def __init__(self, quarters: int, partition: Partition):
-        object.__setattr__(self, "quarters", quarters)
-        object.__setattr__(self, "partition", partition)
-
-    def compose(self, top: "ScaledPartition") -> "ScaledPartition":
-        p, closed = self.partition.compose(top.partition)
-        return ScaledPartition(self.quarters + top.quarters + 4 * closed, p)
-
-    def tensor(self, other: "ScaledPartition") -> "ScaledPartition":
-        return ScaledPartition(self.quarters + other.quarters,
-                               self.partition.tensor(other.partition))
-
-    def involute(self) -> "ScaledPartition":
-        return ScaledPartition(self.quarters, self.partition.involute())
-
-    def render(self) -> str:
-        q = self.quarters
-        if q == 0:
-            coeff = "1"
-        elif q % 4 == 0:
-            coeff = f"N^{q // 4}"
-        else:
-            coeff = f"N^({Fraction(q, 4)})"
-        return f"{coeff} * {self.partition.render()}"
-
-    __str__ = render
-
-
-def phi(d: TLDiagram) -> ScaledPartition:
-    """The rescaled collapse N^{(k+l)/4 - br/2} c(D) on TL(2k, 2l)."""
+def phi(d: TLDiagram) -> tuple[Partition, int]:
+    """(c(D), quarters) for the rescaled collapse N^{quarters/4} c(D) on
+    TL(2k, 2l), where quarters = k + l - 2 br(D)."""
     p = collapse(d)
-    quarters = (p.upper + p.lower) - 2 * black_regions(d)
-    return ScaledPartition(quarters, p)
+    return p, p.upper + p.lower - 2 * black_regions(d)
+
+
+def render_scaled(p: Partition, quarters: int) -> str:
+    """N^(quarters/4) * p as text, the exponent as a reduced fraction."""
+    if quarters == 0:
+        coeff = "1"
+    elif quarters % 4 == 0:
+        coeff = f"N^{quarters // 4}"
+    else:
+        coeff = f"N^({Fraction(quarters, 4)})"
+    return f"{coeff} * {p.render()}"
 
 
 def verify_phi(max_points: int = 6) -> VerificationReport:
@@ -268,21 +249,31 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
 
     def composes_ok(bottom: TLDiagram, top: TLDiagram) -> bool:
         diag, loops = tl_compose(bottom, top)
-        lhs = phi(diag)
-        return ScaledPartition(lhs.quarters + 2 * loops, lhs.partition) == \
-            image[bottom].compose(image[top])
+        p, q = phi(diag)
+        (pb, qb), (pt, qt) = image[bottom], image[top]
+        r, closed = pb.compose(pt)
+        return (p, q + 2 * loops) == (r, qb + qt + 4 * closed)
+
+    def tensors_ok(d: TLDiagram, e: TLDiagram) -> bool:
+        (pd, qd), (pe, qe) = image[d], image[e]
+        return image[d.tensor(e)] == (pd.tensor(pe), qd + qe)
+
+    def involutes_ok(d: TLDiagram) -> bool:
+        p, q = image[d]
+        return image[d.involute()] == (p.involute(), q)
 
     def trace_ok(d: TLDiagram, e: TLDiagram) -> bool:
         prod, loops = tl_compose(d.involute(), e)
-        sp = image[d].involute().compose(image[e])
-        return sp.quarters % 2 == 0 and \
-            loops + markov_trace_exponent(prod) == \
-            sp.quarters // 2 + 2 * markov_trace_exponent(sp.partition)
+        (pd, qd), (pe, qe) = image[d], image[e]
+        r, closed = pd.involute().compose(pe)
+        q = qd + qe + 4 * closed
+        return q % 2 == 0 and loops + markov_trace_exponent(prod) == \
+            q // 2 + 2 * markov_trace_exponent(r)
 
     def fatten_ok(p: Partition) -> bool:
         fat = fatten(p)
-        return collapse(fat) == p and image[fat] == ScaledPartition(
-            p.points - 2 * p.block_count(), p)
+        return collapse(fat) == p and \
+            image[fat] == (p, p.points - 2 * p.block_count())
 
     rep.tally("phi(D . E) = phi(D) . phi(E) on {} pairs", (
         composes_ok(bottom, top)
@@ -290,11 +281,10 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
         for (m2, l2), bottoms in even_diags.items() if m2 == m1
         for top in tops for bottom in bottoms))
     rep.tally("phi(D tensor E) = phi(D) tensor phi(E) on {} pairs", (
-        image[d.tensor(e)] == image[d].tensor(image[e])
-        for d in all_even for e in all_even
+        tensors_ok(d, e) for d in all_even for e in all_even
         if d.points + e.points <= max_points))
     rep.tally("phi(D*) = phi(D)* on {} diagrams", (
-        image[d.involute()] == image[d].involute() for d in all_even))
+        involutes_ok(d) for d in all_even))
     rep.tally("trace isometry tau(D* E) = tau~(phi(D)* phi(E)) on {} pairs", (
         trace_ok(d, e) for diags in even_diags.values()
         for d in diags for e in diags))

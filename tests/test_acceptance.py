@@ -16,12 +16,13 @@ from freewreath.freeprob import (brute_force_z2_s3_moments,
                                  compound_poisson_moments, plain_eps,
                                  z2_block_moment)
 from freewreath.fusion import (central_char_poly, cyclic_fusion, dim_wreath,
-                               dim_multiplicativity_failures,
-                               symmetric_group_3_fusion)
+                               symmetric_group_3_fusion,
+                               verify_dim_multiplicativity)
 from freewreath.homspaces import dim_hom_wreath
-from freewreath.linmaps import gram_nc, verify_category_relations
+from freewreath.linmaps import verify_category_relations
 from freewreath.tl import verify_phi
-from freewreath.weingarten import haar_state, wg_certify_asymptotics, wg_table
+from freewreath.weingarten import (haar_state, wg_certify_asymptotics, wg_gram,
+                                   wg_table)
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
@@ -44,8 +45,8 @@ def test_criterion_1_category_relations():
 
 
 def test_criterion_2_linear_independence_threshold():
-    rank4, det4 = bareiss_det_rank(gram_nc(0, 6, 4))
-    rank3, det3 = bareiss_det_rank(gram_nc(0, 6, 3))
+    rank4, det4 = bareiss_det_rank(wg_gram(6, 4, 1, "singletons"))
+    rank3, det3 = bareiss_det_rank(wg_gram(6, 3, 1, "singletons"))
     ok = det4 != 0 and rank4 == 132 and det3 == 0 and rank3 == 122
     assert _report(2, ok, "NC(6) Gram rank 132 at N=4, rank 122 at N=3")
 
@@ -62,9 +63,9 @@ def test_criterion_4_dimension_multiplicativity():
     checked, ok = 0, True
     for fd in TEST_FUSION:
         for n in (4, 9):
-            bad = dim_multiplicativity_failures(fd, n, rng, 40)
+            report = verify_dim_multiplicativity(fd, n, rng, 40)
             checked += 40
-            ok = ok and not bad
+            ok = ok and report.passed
     assert checked >= 200
     assert _report(4, ok, f"dimension multiplicative on {checked} random "
                           "fusion products at N=4 and N=9")

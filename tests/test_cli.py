@@ -614,8 +614,11 @@ def test_dim_below_four_refused(capsys):
     for word, n in (("(1,1)", "2"), ("(1,1,1)", "3")):
         code, out, err = run(capsys, "dim", word, "--N", n)
         assert code == 1 and out == "" and "Traceback" not in err
-    code, out, _ = run(capsys, "verify", "fusion-dim", "--N", "3")
-    assert code == 1 and out == ""
+    # the N check precedes the count's, so no count escapes it
+    for count in ("200", "0", "1000000000"):
+        assert run(capsys, "verify", "fusion-dim", "--N", "3", "--count",
+                   count) == (
+            1, "", "error: word dimensions need N >= 4, got N=3\n")
 
 
 def test_hom_dim_unknown_letter_refused(capsys):

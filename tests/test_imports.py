@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every top-level
-helper of the library has a caller in the library.
+"""Every name a module imports is used in that module, every top-level
+helper of the library has a caller in the library, and the command line
+builds no verification report of its own.
 
 The package ``__init__.py`` is exempt: its imports are the public re-exports.
 A helper is a top-level function or class that the package does not export;
@@ -92,3 +93,23 @@ def test_every_helper_has_a_library_caller():
                                set(NO_LIBRARY_CALLER))
     assert sorted(name.split(":")[1] for name in flagged) == \
         sorted(NO_LIBRARY_CALLER)
+
+
+def names_in(source: str) -> set[str]:
+    """Every name, attribute and imported name the source mentions."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {alias.name for n in nodes
+               if isinstance(n, (ast.Import, ast.ImportFrom))
+               for alias in n.names})
+
+
+def test_cli_names_no_report_class():
+    # every suite returns its report from its layer; the cli only prints it
+    report_classes = {"VerificationReport", "CheckResult"}
+    assert names_in("from .report import VerificationReport\n"
+                    "report.CheckResult('c', True)\n") == \
+        report_classes | {"report"}
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert not names_in(cli) & report_classes

@@ -19,23 +19,23 @@ from freewreath import fusion
 from freewreath.fusion import TableFusion, fusion_from_json
 from freewreath.partition import Partition
 from freewreath.report import CheckResult, VerificationReport
-from freewreath.tl import ScaledPartition, TLDiagram
+from freewreath.tl import TLDiagram
 from freewreath.weingarten import WeingartenTable
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
 
 EXPORTS = [
     "CapExceededError", "CheckResult", "FusionData", "IntegersFusion",
-    "Partition", "QuantumPermutationFusion", "ScaledPartition",
-    "SparseMap", "TLDiagram", "TableFusion", "VerificationReport",
-    "WeingartenTable", "brute_force_z2_s3_moments", "build_tp",
+    "Partition", "QuantumPermutationFusion", "SparseMap", "TLDiagram",
+    "TableFusion", "VerificationReport", "WeingartenTable",
+    "brute_force_z2_s3_moments", "build_tp",
     "central_char_poly", "character_moment_wreath",
     "character_moments_wreath", "cheb_int_factor", "cheb_poly",
     "classical_wreath_moment", "collapse", "compound_poisson_moments",
     "conj_word", "cyclic_fusion", "dim_hom_wreath", "dim_wreath",
     "discrete_partition", "enumerate_partitions", "fatten",
     "free_cumulants_to_moments", "full_block", "fuse", "fusion_from_json",
-    "fusion_from_uri", "gram_brute", "gram_nc", "haar_state",
+    "fusion_from_uri", "gram_brute", "haar_state",
     "identity_partition", "kernel", "load_fusion_file",
     "markov_trace_exponent", "moment_of_rep", "moments_to_free_cumulants",
     "nested_pairing", "parse_eps", "parse_partition", "parse_star_list",
@@ -63,7 +63,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 69 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 67 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)
@@ -82,7 +82,7 @@ def test_exports_follow_a_patched_binding(monkeypatch):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         freewreath.no_such_name
-    assert not hasattr(freewreath, "dim_multiplicativity_failures")
+    assert not hasattr(freewreath, "verify_dim_multiplicativity")
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +111,6 @@ VALUES = {
                 lambda: TLDiagram(1, 1, [(1, 2)]),
                 [TLDiagram(0, 2, [(1, 2)]), TLDiagram(2, 0, [(1, 2)]),
                  TLDiagram(2, 2, [(1, 3), (2, 4)])]),
-    ScaledPartition: (("quarters", "partition"),
-                      lambda: ScaledPartition(0, P),
-                      [ScaledPartition(1, P), ScaledPartition(0, Q)]),
     WeingartenTable: (("k", "n", "s", "category", "indices", "gram", "wnum",
                        "wden"),
                       lambda: WeingartenTable(*WG),
@@ -153,8 +150,6 @@ def test_values_of_different_classes_differ():
     p = Partition(0, 2, [(1, 2)])
     assert d.blocks == p.blocks and d != p and p != d
     assert len({d, p}) == 2
-    # N^0 times P is not the partition P itself
-    assert ScaledPartition(0, P) != P and P != ScaledPartition(0, P)
 
 
 @pytest.mark.parametrize("cls", [c for c in VALUES if c is not VerificationReport],

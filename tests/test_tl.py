@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewreath import config, tl
 from freewreath.config import CapExceededError
@@ -8,10 +10,14 @@ from freewreath.partition import (Partition, _circle, discrete_partition,
                                   enumerate_partitions, full_block,
                                   identity_partition)
 from builders import tl_identity
-from freewreath.tl import (ScaledPartition, TLDiagram, black_regions,
-                           collapse, fatten, markov_trace_exponent, parse_tl,
-                           phi, sqrt_power, tl_compose, tl_enumerate,
-                           verify_phi)
+from freewreath.tl import (TLDiagram, black_regions, collapse, fatten,
+                           markov_trace_exponent, parse_tl, phi,
+                           render_scaled, sqrt_power, tl_compose,
+                           tl_enumerate, verify_phi)
+
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
+                        database=None)
 
 
 def cap() -> TLDiagram:
@@ -211,31 +217,76 @@ def test_black_regions_count_blocks_after_fattening():
 
 
 def test_phi_values():
-    assert phi(tl_identity(2)) == ScaledPartition(0, identity_partition(1))
-    assert phi(cap()) == ScaledPartition(-1, discrete_partition(0, 1))
-    assert phi(cup()) == ScaledPartition(-1, discrete_partition(1, 0))
+    assert phi(tl_identity(2)) == (identity_partition(1), 0)
+    assert phi(cap()) == (discrete_partition(0, 1), -1)
+    assert phi(cup()) == (discrete_partition(1, 0), -1)
     nested = TLDiagram(0, 4, [(1, 4), (2, 3)])
-    assert phi(nested) == ScaledPartition(0, full_block(0, 2))
+    assert phi(nested) == (full_block(0, 2), 0)
+    p, quarters = phi(nested)
+    assert type(p) is Partition and type(quarters) is int
 
 
 def test_phi_cap_cup_compose_gives_sqrtN():
     # phi(cup) . phi(cap) carries N^{-1/4} twice and one closed block: sqrt(N)
-    sp = phi(cup()).compose(phi(cap()))
-    assert sp.partition == Partition(0, 0, [])
-    assert sp.quarters == 2
-    assert sqrt_power(9, sp.quarters // 2) == "3"
-    assert sqrt_power(5, sp.quarters // 2) == "0 + 1*sqrt(5)"
+    (pb, qb), (pt, qt) = phi(cup()), phi(cap())
+    p, closed = pb.compose(pt)
+    quarters = qb + qt + 4 * closed
+    assert p == Partition(0, 0, [])
+    assert quarters == 2
+    assert sqrt_power(9, quarters // 2) == "3"
+    assert sqrt_power(5, quarters // 2) == "0 + 1*sqrt(5)"
 
 
 def test_scaled_partition_coefficient_requires_half_powers():
     # N^(-1/4) stays a quarter power; N^(2/4) is sqrt(N) and renders as one
-    sp = ScaledPartition(-1, discrete_partition(0, 1))
-    assert sp.quarters % 2 == 1 and sp.render().startswith("N^(-1/4) * ")
-    half = ScaledPartition(2, full_block(0, 2))
-    assert half.render().startswith("N^(1/2) * ")
-    assert sqrt_power(4, half.quarters // 2) == "2"
+    p, quarters = discrete_partition(0, 1), -1
+    assert quarters % 2 == 1
+    assert render_scaled(p, quarters).startswith("N^(-1/4) * ")
+    half = 2
+    assert render_scaled(full_block(0, 2), half).startswith("N^(1/2) * ")
+    assert sqrt_power(4, half // 2) == "2"
     with pytest.raises(ValueError):
         sqrt_power(4, -1)
+
+
+def test_render_scaled_reduces_the_quarter_exponent():
+    p = full_block(1, 1)
+    coeffs = ["N^-1", "N^(-3/4)", "N^(-1/2)", "N^(-1/4)", "1", "N^(1/4)",
+              "N^(1/2)", "N^(3/4)", "N^1", "N^(5/4)", "N^(3/2)", "N^(7/4)",
+              "N^2"]
+    assert [render_scaled(p, q) for q in range(-4, 9)] == \
+        [f"{c} * {p.render()}" for c in coeffs]
+    assert render_scaled(p, -3) == "N^(-3/4) * {1,2} (k=1,l=1)"
+
+
+@st.composite
+def stacked_diagrams(draw):
+    """(top, bottom, twin): top in TL(a, m), bottom in TL(m, b) glued below
+    it, and twin in TL(a, m) beside top; every arity even and at most 6, so
+    a stacked picture has up to 24 points."""
+    a, m, b = (draw(st.sampled_from((0, 2, 4, 6))) for _ in range(3))
+    top, twin = (draw(st.sampled_from(tl_enumerate(a, m))) for _ in range(2))
+    return top, draw(st.sampled_from(tl_enumerate(m, b))), twin
+
+
+@DERANDOMIZED
+@given(stacked_diagrams())
+def test_phi_relations_past_eight_points(case):
+    top, bottom, twin = case
+    (pt, qt), (pb, qb), (pw, qw) = phi(top), phi(bottom), phi(twin)
+    diag, loops = tl_compose(bottom, top)
+    p, q = phi(diag)
+    r, closed = pb.compose(pt)
+    assert (p, q + 2 * loops) == (r, qb + qt + 4 * closed)
+    assert phi(top.tensor(bottom)) == (pt.tensor(pb), qt + qb)
+    assert phi(top.involute()) == (pt.involute(), qt)
+    # tau(W* T) = tau~(phi(W)* phi(T)), both sides as exponents of sqrt(N)
+    prod, loops = tl_compose(twin.involute(), top)
+    r, closed = pw.involute().compose(pt)
+    q = qw + qt + 4 * closed
+    assert q % 2 == 0
+    assert loops + markov_trace_exponent(prod) == \
+        q // 2 + 2 * markov_trace_exponent(r)
 
 
 def test_nc_closure_and_trace():
@@ -253,8 +304,7 @@ def test_trace_isometry_spot():
     e = TLDiagram(2, 2, [(1, 2), (3, 4)])
     p = collapse(e)
     # coefficient N^{quarters/4} * N^{closure components} must equal sqrt(N):
-    sp = phi(e)
-    assert sp.quarters == -2
+    assert phi(e) == (p, -2)
     assert markov_trace_exponent(p) == 1
     # total exponent in sqrt(N) units: -1 + 2 = 1
 
