@@ -228,6 +228,14 @@ def fusion_from_json(text: str) -> TableFusion:
                              list, "irreps"):
             label = _expect(_expect(entry, dict, "irreps entry")["label"],
                             str, "irrep label")
+            # the word parsers split on commas and parentheses, strip
+            # whitespace and read a trailing star as conjugation
+            if not label or label != label.strip() or any(
+                    c in label for c in ",()*"):
+                raise ValueError(
+                    f"irrep label {label!r} cannot be spelled in a word: it "
+                    "must be nonempty, with no surrounding whitespace and "
+                    "no ',', '(', ')' or '*'")
             labels.append(label)
             dims[label] = _expect(entry["dim"], int, f"dimension of {label!r}")
         conj = {a: _expect(b, str, f"conjugate of {a!r}")

@@ -29,10 +29,10 @@ unchecked.  Compose and join merge blocks by the one union-find, ``_merge``:
 its points are any ints, and n is how many there are, so block t of one
 factor is the point t and block c of the other the point ~c.
 
-``enumerate_partitions`` lists a category by name from one table, each
-result built unchecked: one first-block recursion on the circle cut open at
-the left edge, whose positions ``_circle`` maps to points, gives the
-noncrossing families.
+``enumerate_partitions`` lists every category from one recursion that emits
+canonical labels in the order of the sorted blocks, each result built
+unchecked; a category is a block size, and all but "all" keep every block
+inside one arc of each closed block on the circle cut open at the left edge.
 
 Partition literals render as ``{1,2|3} (k=0,l=3)`` and the parser accepts the
 same grammar with arbitrary whitespace.
@@ -41,10 +41,11 @@ same grammar with arbitrary whitespace.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .config import Value, check_enum_cap
 
@@ -331,60 +332,8 @@ def _circle(k: int, l: int) -> tuple[int, ...]:
     return tuple(range(1, k + 1)) + tuple(range(k + l, k, -1))
 
 
-@cache
-def _nc_shapes(n: int, size: int) -> tuple[tuple[Block, ...], ...]:
-    """The noncrossing partitions of the linearly ordered points 0..n-1 whose
-    blocks all have ``size`` points, or any number of points for size 0."""
-    if n == 0:
-        return ((),)
-    out: list[tuple[Block, ...]] = []
-    rest = range(1, n)
-    for t in (size - 1,) if size else range(n):
-        for chosen in combinations(rest, t):
-            first_block = (0,) + chosen
-            bounds = list(first_block) + [n]
-            gaps = [(bounds[i] + 1, bounds[i + 1]) for i in range(len(first_block))]
-            partial: list[tuple[Block, ...]] = [(first_block,)]
-            for lo, hi in gaps:
-                sub = _nc_shapes(hi - lo, size)
-                partial = [
-                    acc + tuple(tuple(x + lo for x in blk) for blk in shape)
-                    for acc in partial
-                    for shape in sub
-                ]
-            out.extend(partial)
-    return tuple(out)
-
-
-def _all_shapes(n: int) -> Iterator[tuple[Block, ...]]:
-    """All set partitions of 0..n-1 (restricted-growth order)."""
-    if n == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[Block, ...]]:
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
-# the category of partitions named by each mode, as the shapes on n points
-_FAMILIES = {
-    "noncrossing": lambda n: _nc_shapes(n, 0),
-    "pairings": lambda n: _nc_shapes(n, 2),
-    "singletons": lambda n: _nc_shapes(n, 1),
-    "all": _all_shapes,
-}
+# the size of every block of each category, 0 for any size
+_BLOCK_SIZE = {"noncrossing": 0, "pairings": 2, "singletons": 1, "all": 0}
 
 
 def enumerate_partitions(k: int, l: int,
@@ -393,17 +342,57 @@ def enumerate_partitions(k: int, l: int,
 
     ``mode`` names the category: "noncrossing", "pairings" (noncrossing, every
     block of two points), "singletons" (every block of one point) or "all"
-    (every set partition).  The noncrossing families are generated directly
-    in the boundary-circle order, with no filtering.  The result is sorted by
-    the sorted blocks of each shape, and each is built unchecked from their
-    labels, as the shapes are partitions by construction.  The ground-point
-    cap (default 14) guards against runaway enumeration.
+    (every set partition).  One recursion lists every category, in the order
+    of the sorted blocks ``p.blocks``: the smallest free point opens the
+    block with the next label, which is closed as it stands and then
+    extended by each later free point in increasing order.  Outside "all" a
+    block takes only points of one region, the points that lie in the same
+    arc of every closed block on the boundary circle, so no filtering is
+    needed.  Each result is built unchecked from its labels.  The
+    ground-point cap (default 14) guards against runaway enumeration.
     """
     n = k + l
     check_enum_cap(n)
-    if mode not in _FAMILIES:
+    if mode not in _BLOCK_SIZE:
         raise ValueError(f"unknown mode {mode!r}")
-    point = _circle(k, l).__getitem__
-    keyed = sorted(sorted(tuple(sorted(map(point, blk))) for blk in shape)
-                   for shape in _FAMILIES[mode](n))
-    return tuple(_from_labels(k, l, _labels(n, blocks)) for blocks in keyed)
+    size = _BLOCK_SIZE[mode]
+    # points are counted from 0 here; the place of each on the circle cut
+    # open at the left edge, the inverse of _circle
+    position = [*range(k), *range(n - 1, k - 1, -1)]
+    labels = [-1] * n
+    out: list[Partition] = []
+
+    def open_block(label: int, free: dict[int, int]) -> None:
+        """Open the block of the smallest free point, or emit the labels.
+
+        ``free`` maps each free point, in increasing order, to its region.
+        """
+        if not free:
+            out.append(_from_labels(k, l, tuple(labels)))
+            return
+        p = next(iter(free))
+        labels[p] = label
+        grow(label, [p], free)
+        labels[p] = -1
+
+    def grow(label: int, block: list[int], free: dict[int, int]) -> None:
+        r = free[block[0]]
+        if not size or len(block) == size:
+            if mode == "all":
+                rest = {q: g for q, g in free.items() if labels[q] == -1}
+            else:
+                # the closed block cuts its region into arcs, each named by
+                # the position of the block point that starts it
+                cut = sorted(position[q] for q in block)
+                rest = {q: cut[bisect(cut, position[q]) - 1] if g == r else g
+                        for q, g in free.items() if labels[q] == -1}
+            open_block(label + 1, rest)
+        if len(block) != size:
+            for q, g in free.items():
+                if q > block[-1] and g == r:
+                    labels[q] = label
+                    grow(label, block + [q], free)
+                    labels[q] = -1
+
+    open_block(0, dict.fromkeys(range(n), 0))
+    return tuple(out)

@@ -61,7 +61,7 @@ class TLDiagram(Partition):
         flat = sorted(pt for pr in pairs for pt in pr)
         if flat != list(range(1, n + 1)) or any(len(pr) != 2 for pr in pairs):
             raise ValueError(f"pairs {pairs} are not a perfect matching of 1..{n}")
-        super().__init__(upper, lower, blocks)
+        super().__init__(upper, lower, pairs)
         if not self.is_noncrossing():
             raise ValueError(f"pairs {self.blocks} cross")
 

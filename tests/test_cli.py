@@ -781,6 +781,22 @@ def test_fusion_file_keys_are_exactly_its_labels(capsys, tmp_path, edit,
         (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("label", ["g*", "", " g", "(g)", "g,h"])
+def test_fusion_file_labels_are_spellable(capsys, tmp_path, label):
+    # a word cannot spell a label that its parsers would split, strip or
+    # read as a conjugate, so the file is refused while its irreps are read
+    path = tmp_path / "fd.json"
+    path.write_text(json.dumps({
+        "irreps": [{"label": a, "dim": 1} for a in ("1", label)],
+        "trivial": "1", "conj": {"1": "1", label: label},
+        "tensor": {"1,1": {"1": 1}, f"1,{label}": {label: 1},
+                   f"{label},1": {label: 1}, f"{label},{label}": {"1": 1}}}))
+    assert run(capsys, "fuse", "(1)", "(1)", "--fusion", f"file:{path}") == \
+        (1, "", f"error: irrep label {label!r} cannot be spelled in a word: "
+                "it must be nonempty, with no surrounding whitespace and no "
+                "',', '(', ')' or '*'\n")
+
+
 def test_char_law_cap_checked_before_any_star_word(capsys, monkeypatch):
     built = []
     plain_eps = freeprob.plain_eps

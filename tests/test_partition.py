@@ -131,15 +131,57 @@ def test_render_parse():
 
 
 def test_enumerate_noncrossing_counts():
-    # Catalan numbers 1, 1, 2, 5, 14, 42, 132
-    for n, cat in ((0, 1), (1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (6, 132)):
+    # Catalan numbers 1, 1, 2, 5, 14, 42, 132, ..., 16796
+    for n, cat in enumerate((1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862,
+                             16796)):
         assert len(enumerate_partitions(0, n, mode="noncrossing")) == cat
 
 
 def test_enumerate_all_counts():
-    # Bell numbers 1, 1, 2, 5, 15, 52
-    for n, bell in ((0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)):
+    # Bell numbers 1, 1, 2, 5, 15, 52, 203, 877, 4140
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52, 203, 877, 4140)):
         assert len(enumerate_partitions(0, n, mode="all")) == bell
+
+
+def _restricted_growth(n: int) -> list[tuple[int, ...]]:
+    """Every set partition of n points as a restricted-growth string: each
+    entry at most one more than the largest before it."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings
+                   for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def _brute_force(k: int, l: int) -> dict[str, set[Partition]]:
+    """Each category with k upper and l lower points, filtered from every
+    restricted-growth string."""
+    found: dict[str, set[Partition]] = {
+        mode: set() for mode in ("all", "noncrossing", "pairings",
+                                 "singletons")}
+    for s in _restricted_growth(k + l):
+        p = Partition(k, l, [[pt for pt, x in enumerate(s, 1) if x == b]
+                             for b in range(max(s, default=-1) + 1)])
+        found["all"].add(p)
+        if p.is_noncrossing():
+            found["noncrossing"].add(p)
+            for mode, size in (("pairings", 2), ("singletons", 1)):
+                if all(len(b) == size for b in p.blocks):
+                    found[mode].add(p)
+    return found
+
+
+def test_enumeration_is_sorted_by_blocks_and_complete():
+    # the Weingarten index order, the Gram rows and hom_terms all read this
+    # order, so it is pinned: strictly increasing in the sorted blocks, and
+    # as a set every restricted-growth string of the category
+    for n in range(9):
+        for k in range(n + 1):
+            for mode, expected in _brute_force(k, n - k).items():
+                got = enumerate_partitions(k, n - k, mode)
+                keys = [p.blocks for p in got]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert set(got) == expected
 
 
 def test_enumerate_split_shapes():

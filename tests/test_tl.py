@@ -65,6 +65,13 @@ def test_diagram_validation():
     assert len({d, Partition(2, 2, d.blocks)}) == 2
 
 
+def test_diagram_from_a_one_shot_iterable():
+    # the matching check reads the blocks once, as Partition does
+    d = TLDiagram(0, 2, (b for b in [(1, 2)]))
+    assert d == TLDiagram(0, 2, [(1, 2)])
+    assert Partition(0, 2, (b for b in [(1, 2)])) == Partition(0, 2, d.blocks)
+
+
 def test_partition_operands_take_the_checks():
     # a result that is no noncrossing pairing is refused, as from the
     # constructor, and never returned as a diagram
