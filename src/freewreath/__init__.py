@@ -18,10 +18,10 @@ _EXPORTS = {
     "fusion": ("FusionData", "IntegersFusion", "QuantumPermutationFusion",
                "TableFusion", "central_char_poly", "conj_word",
                "cyclic_fusion", "dim_wreath", "fuse", "fusion_from_json",
-               "fusion_from_uri", "load_fusion_file", "parse_word",
-               "reduce_word", "render_word", "sort_words",
+               "fusion_from_uri", "load_fusion_file", "parse_star_list",
+               "parse_word", "reduce_word", "render_word", "sort_words",
                "symmetric_group_3_fusion"),
-    "homspaces": ("dim_hom_wreath", "parse_star_list"),
+    "homspaces": ("dim_hom_wreath",),
     "linmaps": ("SparseMap", "build_tp", "gram_brute",
                 "verify_category_relations", "verify_conjugate_equations"),
     "partition": ("Partition", "discrete_partition", "enumerate_partitions",

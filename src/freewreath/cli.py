@@ -68,8 +68,8 @@ def cmd_char_poly(args) -> list[str]:
 
 
 def cmd_hom_dim(args) -> list[str]:
-    from .fusion import fusion_from_uri
-    from .homspaces import dim_hom_wreath, parse_star_list
+    from .fusion import fusion_from_uri, parse_star_list
+    from .homspaces import dim_hom_wreath
 
     fd = fusion_from_uri(args.fusion)
     up = parse_star_list(args.up, fd)
@@ -80,16 +80,14 @@ def cmd_hom_dim(args) -> list[str]:
 def cmd_char_law(args) -> list[str]:
     from .freeprob import (character_moment_wreath, compound_poisson_law,
                            parse_eps, plain_eps, render_eps)
-    from .fusion import fusion_from_uri
+    from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
-    rep = fd.parse_label(args.rep)
-    fd.check_label(rep)
+    rep = parse_letter(args.rep, fd)
     if args.eps is not None:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
-        check_enum_cap(len(eps_list[0]))
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
@@ -129,11 +127,10 @@ def cmd_partial_trace(args) -> list[str]:
     from fractions import Fraction
 
     from .freeprob import partial_trace_law, plain_eps, rep_block_moment
-    from .fusion import fusion_from_uri
+    from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
-    rep = fd.parse_label(args.rep) if args.rep is not None else fd.trivial()
-    fd.check_label(rep)
+    rep = parse_letter(args.rep, fd) if args.rep is not None else fd.trivial()
     try:
         t = Fraction(args.t)
     except (ValueError, ZeroDivisionError):

@@ -14,9 +14,9 @@ Three independent computations meet here:
   partitions runs as the recursion on the first block with trivial
   multiplicities in G as cumulants, all blocks from one start carried as one
   element of the fusion ring of G (the enumeration of those partitions is
-  its oracle).  A representation of G is one fusion-ring element, a
-  label->multiplicity dict, and the recursion takes it, or its conjugate, as
-  every letter, so a reducible a costs one recursion;
+  its oracle).  A representation of G is one :mod:`freewreath.fusion` ring
+  element, a label->multiplicity dict, and the recursion takes it, or its
+  conjugate, as every letter, so a reducible a costs one recursion;
 
 * cumulant route: a free compound Poisson law of rate t with jump law mu has
   free cumulants k(eps) = t * m_mu(eps); the moment/cumulant dictionaries are
@@ -49,8 +49,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .config import _Memo, check_enum_cap
-from .fusion import FusionData
-from .homspaces import _boundary_moment, tensor_fold
+from .fusion import FusionData, rep_as_dict, tensor_fold
+from .homspaces import _boundary_moment
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -83,24 +83,11 @@ def plain_eps(k: int) -> Eps:
 # moments of a representation of G itself
 
 
-def rep_as_dict(fd: FusionData, rep) -> dict:
-    """Accept a bare label or a label->multiplicity dict."""
-    if isinstance(rep, dict):
-        for label, m in rep.items():
-            fd.check_label(label)
-            if m < 0:
-                raise ValueError(f"negative multiplicity for {label!r}")
-        return {a: m for a, m in rep.items() if m}
-    fd.check_label(rep)
-    return {rep: 1}
-
-
-def conj_rep(fd: FusionData, rep: dict) -> dict:
-    out: dict = {}
-    for a, m in rep.items():
-        c = fd.conj(a)
-        out[c] = out.get(c, 0) + m
-    return out
+def _eps_letters(fd: FusionData, rd: dict, eps: Eps) -> list[dict]:
+    """The ring element rd, or at a starred position its conjugate, per letter
+    of eps; conjugation is a bijection on labels."""
+    rd_bar = {fd.conj(a): m for a, m in rd.items()}
+    return [rd_bar if star else rd for star in eps]
 
 
 def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
@@ -109,9 +96,7 @@ def moment_of_rep(fd: FusionData, rep, eps: Eps) -> int:
     This is the eps-moment of the character of rep against the Haar state of
     G, an integer.
     """
-    rd = rep_as_dict(fd, rep)
-    rd_bar = conj_rep(fd, rd)
-    return tensor_fold(fd, [rd_bar if star else rd for star in eps]).get(
+    return tensor_fold(fd, _eps_letters(fd, rep_as_dict(fd, rep), eps)).get(
         fd.trivial(), 0)
 
 
@@ -217,8 +202,7 @@ def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     """
     rd = rep_as_dict(fd, rep)
     check_enum_cap(len(eps))
-    rd_bar = conj_rep(fd, rd)
-    return _boundary_moment(fd, [rd_bar if star else rd for star in eps])
+    return _boundary_moment(fd, _eps_letters(fd, rd, eps))
 
 
 def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:

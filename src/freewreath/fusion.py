@@ -43,6 +43,11 @@ integer polynomial in X.  The dimension formula holds for N >= 4 only, and
 smaller N is refused.  ``verify_dim_multiplicativity`` checks dim(x) dim(y)
 against the dimensions of x tensor y on random pairs of words and returns
 its verification report, as every suite's layer does.
+
+Letters and ring elements: every typed letter goes through
+:func:`parse_letter`, which reads a trailing star ("g2*") as the conjugate
+representation.  An element of the fusion ring of G is a label->multiplicity
+dict, and :func:`tensor_fold` multiplies such elements.
 """
 
 from __future__ import annotations
@@ -397,17 +402,34 @@ def fusion_from_uri(uri: str) -> FusionData:
 # words
 
 
+def parse_letter(text: str, fd: FusionData) -> Label:
+    """One typed letter: a label, or with a trailing star its conjugate."""
+    text = text.strip()
+    starred = text.endswith("*")
+    label = fd.parse_label(text[:-1].strip() if starred else text)
+    fd.check_label(label)
+    return fd.conj(label) if starred else label
+
+
+def parse_star_list(text: str, fd: FusionData) -> Word:
+    """Parse "g,g2*,1" into letters, each read by :func:`parse_letter`.
+
+    Accepts surrounding parentheses and an empty string (or "()") for the
+    empty word.
+    """
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1].strip()
+    if not body:
+        return ()
+    return tuple(parse_letter(part, fd) for part in body.split(","))
+
+
 def parse_word(text: str, fd: FusionData) -> Word:
     compact = text.strip()
     if not (compact.startswith("(") and compact.endswith(")")):
         raise ValueError(f"word literal must be parenthesized, got {text!r}")
-    body = compact[1:-1].strip()
-    if not body:
-        return ()
-    letters = tuple(fd.parse_label(part.strip()) for part in body.split(","))
-    for letter in letters:
-        fd.check_label(letter)
-    return letters
+    return parse_star_list(compact, fd)
 
 
 def render_word(word: Word, fd: FusionData) -> str:
@@ -437,6 +459,44 @@ def reduce_word(word: Word, fd: FusionData) -> tuple[tuple[int, ...], tuple]:
             exponents.append(2)
     exponents[-1] -= 1
     return tuple(exponents), tuple(letters)
+
+
+# ---------------------------------------------------------------------------
+# fusion-ring elements
+
+
+def tensor_fold(fd: FusionData, factors: Sequence,
+                start: dict | None = None) -> dict:
+    """Irreducible multiplicities of the tensor product of the factors, in order.
+
+    A factor is a label->multiplicity dict; a bare label stands for {label: 1}.
+    The product is taken on the right of ``start``, a label->multiplicity
+    dict, or of the trivial representation.
+    """
+    acc = {fd.trivial(): 1} if start is None else start
+    for factor in factors:
+        terms = factor.items() if isinstance(factor, dict) else ((factor, 1),)
+        nxt: dict = {}
+        for c, m in acc.items():
+            for a, ma in terms:
+                mm = m * ma
+                for d, md in fd.tensor(c, a).items():
+                    if md:
+                        nxt[d] = nxt.get(d, 0) + mm * md
+        acc = nxt
+    return acc
+
+
+def rep_as_dict(fd: FusionData, rep) -> dict:
+    """Accept a bare label or a label->multiplicity dict."""
+    if isinstance(rep, dict):
+        for label, m in rep.items():
+            fd.check_label(label)
+            if m < 0:
+                raise ValueError(f"negative multiplicity for {label!r}")
+        return {a: m for a, m in rep.items() if m}
+    fd.check_label(rep)
+    return {rep: 1}
 
 
 # ---------------------------------------------------------------------------

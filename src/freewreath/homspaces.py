@@ -31,9 +31,6 @@ tensor products into irreducible words, one letter at a time, and pair up
 the multiplicity vectors.  The two routes are independent and must agree.
 Their oracle, :func:`hom_terms`, lists the decorated partitions as plain
 (partition, block multiplicities) pairs, one tensor fold per block.
-
-Letters may carry a conjugation star in text form ("g,g2*"); a starred letter
-stands for the conjugate representation and is resolved at parse time.
 """
 
 from __future__ import annotations
@@ -41,34 +38,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .config import check_enum_cap
-from .fusion import FusionData, Word, conj_word, fuse
+from .fusion import FusionData, Word, conj_word, fuse, tensor_fold
 from .partition import Partition, enumerate_partitions
 
 # Neither Hom route calls ``fuse``.  The name stays bound here because the
 # benchmark harness's tracer test patches and restores ``homspaces.fuse``.
 _KEPT_BINDINGS = (fuse,)
-
-
-def tensor_fold(fd: FusionData, factors: Sequence,
-                start: dict | None = None) -> dict:
-    """Irreducible multiplicities of the tensor product of the factors, in order.
-
-    A factor is a label->multiplicity dict; a bare label stands for {label: 1}.
-    The product is taken on the right of ``start``, a label->multiplicity
-    dict, or of the trivial representation.
-    """
-    acc = {fd.trivial(): 1} if start is None else start
-    for factor in factors:
-        terms = factor.items() if isinstance(factor, dict) else ((factor, 1),)
-        nxt: dict = {}
-        for c, m in acc.items():
-            for a, ma in terms:
-                mm = m * ma
-                for d, md in fd.tensor(c, a).items():
-                    if md:
-                        nxt[d] = nxt.get(d, 0) + mm * md
-        acc = nxt
-    return acc
 
 
 def hom_terms(up: Word, down: Word, fd: FusionData
@@ -187,26 +162,3 @@ def dim_hom_wreath(up: Word, down: Word, fd: FusionData,
     if method == "fusion":
         return dim_hom_fusion(up, down, fd)
     raise ValueError(f"unknown hom method {method!r}")
-
-
-def parse_star_list(text: str, fd: FusionData) -> Word:
-    """Parse "g,g2*,1" into effective labels, resolving conjugation stars.
-
-    Accepts surrounding parentheses and an empty string (or "()") for the
-    empty word.
-    """
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].strip()
-    if not body:
-        return ()
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        starred = part.endswith("*")
-        if starred:
-            part = part[:-1].strip()
-        label = fd.parse_label(part)
-        fd.check_label(label)
-        out.append(fd.conj(label) if starred else label)
-    return tuple(out)

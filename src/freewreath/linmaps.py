@@ -401,8 +401,8 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     r = nested_pairing(k)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    # refuse before any work: both tensor products hold N**(2k) entries
-    check_entry_cap(dim ** (2 * k))
+    # refuse before any work: the two products compared hold N**(2k) entries
+    check_work_cap(dim ** (2 * k), "comparing {} entries of the two products")
     rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
     size = dim ** k
     succ = [[] for _ in range(size)]

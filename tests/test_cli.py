@@ -16,8 +16,8 @@ from freewreath import (cli, config, freeprob, fusion, homspaces, linmaps,
                         partition, tl, weingarten)
 from freewreath.cli import main
 from freewreath.config import CATEGORIES
-from freewreath.fusion import fusion_from_uri
-from freewreath.homspaces import dim_hom_fusion, parse_star_list
+from freewreath.fusion import fusion_from_uri, parse_star_list
+from freewreath.homspaces import dim_hom_fusion
 from freewreath.report import VerificationReport
 
 SRC = str(Path(freewreath.__file__).resolve().parents[1])
@@ -550,14 +550,14 @@ def test_fusion_file_counted_before_it_is_built(capsys, monkeypatch, tmp_path,
 
 def test_verify_conjugate_over_cap_refused_before_any_work(capsys,
                                                           monkeypatch):
-    # both tensor products of k = 6 at N = 10 hold 10**12 entries
+    # the two products of k = 6 at N = 10 have 10**12 entries to compare
     def never(*args, **kwargs):
         raise AssertionError("called before the entry cap was checked")
 
     monkeypatch.setattr(linmaps, "_support", never)
     assert run(capsys, "verify", "conjugate", "--k", "6", "--N", "10") == \
-        (2, "", "cap exceeded: storing 1000000000000 entries exceeds the cap "
-                "of 10000000\n")
+        (2, "", "cap exceeded: comparing 1000000000000 entries of the two "
+                "products exceeds the cap of 10000000\n")
 
 
 def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
@@ -627,6 +627,28 @@ def test_hom_dim_unknown_letter_refused(capsys):
                              "--fusion", "builtin:cyclic:3", "--method", method)
         assert (code, out) == (1, "")
         assert err == "error: unknown irreducible label 'g3'\n"
+
+
+def test_a_starred_letter_reads_as_its_conjugate_in_every_command(capsys):
+    # over Z/3 the conjugate of g is g2, wherever a letter is typed
+    z3 = ("--fusion", "builtin:cyclic:3")
+    for starred, plain in (
+            (("fuse", "(g*)", "(g)"), ("fuse", "(g2)", "(g)")),
+            (("dim", "(g*,1)", "--N", "5"), ("dim", "(g2,1)", "--N", "5")),
+            (("char-poly", "(g*)"), ("char-poly", "(g2)")),
+            (("char-law", "--rep", "g*", "--order", "4"),
+             ("char-law", "--rep", "g2", "--order", "4")),
+            (("partial-trace", "--t", "1/2", "--k", "4", "--rep", "g*"),
+             ("partial-trace", "--t", "1/2", "--k", "4", "--rep", "g2"))):
+        expect = run(capsys, *plain, *z3)
+        assert expect[0] == 0 and expect[1] and expect[2] == ""
+        assert run(capsys, *starred, *z3) == expect, starred
+    # g* x g holds the empty word, which g x g does not
+    assert "() ×1" in run(capsys, "fuse", "(g*)", "(g)", *z3)[1]
+    assert "() ×1" not in run(capsys, "fuse", "(g)", "(g)", *z3)[1]
+    # the label before the star is checked, so the refusal names 'h'
+    assert run(capsys, "dim", "(h*)", "--N", "4", *z3) == (
+        1, "", "error: unknown irreducible label 'h'\n")
 
 
 def test_hom_dim_over_cap_refused_by_both_methods(capsys):

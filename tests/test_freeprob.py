@@ -12,14 +12,14 @@ from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moments_wreath,
                                  classical_wreath_moment,
                                  compound_poisson_law,
-                                 compound_poisson_moments, conj_rep,
+                                 compound_poisson_moments,
                                  free_cumulants_to_moments, moment_of_rep,
                                  moments_to_free_cumulants, parse_eps,
                                  partial_trace_moments, plain_eps,
-                                 render_eps, rep_as_dict, rep_block_moment,
+                                 render_eps, rep_block_moment,
                                  z2_block_moment)
 from builders import S3_ELEMENTS, group_dual_json, s3_product
-from freewreath.fusion import (cyclic_fusion, fusion_from_json,
+from freewreath.fusion import (cyclic_fusion, fusion_from_json, rep_as_dict,
                                symmetric_group_3_fusion)
 from freewreath.homspaces import dim_hom_wreath
 from freewreath.partition import enumerate_partitions
@@ -62,7 +62,6 @@ def test_eps_parsing():
 def test_rep_as_dict():
     assert rep_as_dict(Z2, "g") == {"g": 1}
     assert rep_as_dict(Z3, {"g": 2, "1": 1}) == {"g": 2, "1": 1}
-    assert conj_rep(Z3, {"g": 2}) == {"g2": 2}
     with pytest.raises(ValueError):
         rep_as_dict(Z2, "nope")
 
@@ -144,7 +143,7 @@ def expanded_character_moment(fd, rep, eps):
     """Oracle: one Hom count per choice of a constituent at every position,
     weighted by the product of the chosen multiplicities."""
     rd = rep_as_dict(fd, rep)
-    rd_bar = conj_rep(fd, rd)
+    rd_bar = {fd.conj(a): m for a, m in rd.items()}
     total = 0
     for choices in itertools.product(*((rd_bar if star else rd).items()
                                        for star in eps)):

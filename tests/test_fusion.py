@@ -12,8 +12,9 @@ from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                TableFusion, central_char_poly, conj_word,
                                cyclic_fusion, dim_wreath, fuse, fuse_direct,
                                fuse_via_reduced, fusion_from_json,
-                               fusion_from_uri, load_fusion_file, parse_word,
-                               reduce_word, render_word, sort_words,
+                               fusion_from_uri, load_fusion_file,
+                               parse_letter, parse_word, reduce_word,
+                               render_word, sort_words,
                                symmetric_group_3_fusion)
 
 Z2 = cyclic_fusion(2)
@@ -128,6 +129,17 @@ def test_parse_render_word():
         parse_word("(h)", Z2)
     with pytest.raises(ValueError):
         parse_word("g,g", Z2)
+
+
+def test_a_trailing_star_reads_the_conjugate_letter():
+    assert parse_word("(g*,g2*)", Z3) == ("g2", "g")
+    assert parse_word("(3*)", IntegersFusion()) == (-3,)
+    assert parse_letter(" g2 * ", Z3) == "g"
+    assert parse_letter("g", Z3) == "g"
+    for text, unknown in (("h*", "h"), ("*", "")):
+        with pytest.raises(ValueError,
+                           match=f"unknown irreducible label '{unknown}'"):
+            parse_letter(text, Z3)
 
 
 def test_conj_word_antiautomorphism():

@@ -113,3 +113,21 @@ def test_cli_names_no_report_class():
         report_classes | {"report"}
     cli = (SRC / "cli.py").read_text(encoding="utf-8")
     assert not names_in(cli) & report_classes
+
+
+def test_fusion_is_the_one_home_of_letters_and_ring_elements():
+    # one letter grammar and one ring-element arithmetic, both in fusion.py
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert "parse_label" in names_in(sources["fusion.py"])
+    assert [name for name, source in sources.items()
+            if "parse_label" in names_in(source)] == ["fusion.py"]
+    home = {"tensor_fold", "rep_as_dict", "parse_letter", "parse_star_list"}
+    defined = {name: {node.name for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.FunctionDef)}
+               for name, source in sources.items()}
+    assert {name: names & (home | {"conj_rep"})
+            for name, names in defined.items()
+            if names & (home | {"conj_rep"})} == {"fusion.py": home}
+    assert not any("conj_rep" in names_in(source)
+                   for source in sources.values())
