@@ -348,14 +348,20 @@ def enumerate_partitions(k: int, l: int,
     extended by each later free point in increasing order.  Outside "all" a
     block takes only points of one region, the points that lie in the same
     arc of every closed block on the boundary circle, so no filtering is
-    needed.  Each result is built unchecked from its labels.  The
-    ground-point cap (default 14) guards against runaway enumeration.
+    needed.  Pairings stop where a region would be left an odd count of
+    free points, as no pairing completes it.  Each result is built
+    unchecked from its labels.  The ground-point cap (default 14) guards
+    against runaway enumeration.
     """
+    if k < 0 or l < 0:
+        raise ValueError("arities must be nonnegative")
     n = k + l
     check_enum_cap(n)
     if mode not in _BLOCK_SIZE:
         raise ValueError(f"unknown mode {mode!r}")
     size = _BLOCK_SIZE[mode]
+    if size == 2 and n % 2:
+        return ()
     # points are counted from 0 here; the place of each on the circle cut
     # open at the left edge, the inverse of _circle
     position = [*range(k), *range(n - 1, k - 1, -1)]
@@ -386,6 +392,8 @@ def enumerate_partitions(k: int, l: int,
                 cut = sorted(position[q] for q in block)
                 rest = {q: cut[bisect(cut, position[q]) - 1] if g == r else g
                         for q, g in free.items() if labels[q] == -1}
+                if size == 2 and [*rest.values()].count(cut[0]) % 2:
+                    return
             open_block(label + 1, rest)
         if len(block) != size:
             for q, g in free.items():

@@ -35,12 +35,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import CATEGORIES, Value, check_entry_cap
 from .exactmat import bareiss_inverse
-from .partition import (Partition, _canonical_labels, _from_labels,
-                        _join_counts, enumerate_partitions, kernel)
+from .partition import (_canonical_labels, _join_counts,
+                        enumerate_partitions, kernel)
 from .report import VerificationReport
 
 # the values of N the certification compares, each four times the last
@@ -88,70 +88,63 @@ def _index_count(k: int, category: str) -> int:
                for p in enumerate_partitions(0, k, "noncrossing"))
 
 
-@cache
-def _positions(k: int, category: str) -> dict[Index, int]:
-    """Each index of wg_indices(k, category) mapped to its position."""
-    return {idx: t for t, idx in enumerate(wg_indices(k, category))}
-
-
-@cache
-def _orbits(k: int, category: str
-            ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
-                       tuple[tuple[int, ...], ...]]:
-    """The rotation orbits of wg_indices(k, category).
+class _IndexSpace(NamedTuple):
+    """The indices of one order and category, with their rotation.
 
     The rotation r of the k points, point i to i + 1 mod k, maps NC(k) and
     each inner category to itself and preserves refinement and b(x v y), so
     it permutes the indices by sigma(p, a) = (rp, ra), and the Gram and
-    Weingarten matrices X satisfy X[sigma t][sigma u] = X[t][u].  Returns
-    the representatives (the first index of each orbit), for each index t
-    the pair (j, e) with t = sigma^e(reps[j]), and back[e] = sigma^-e as a
-    tuple, so that row t of X is row reps[j] read at the positions back[e].
+    Weingarten matrices X satisfy X[sigma t][sigma u] = X[t][u].  ``reps``
+    holds the least index of each orbit of sigma, ``joins`` the rows of
+    b(p v q) and of b(a v b), one bytes per row.
     """
-    indices = wg_indices(k, category)
-    position = _positions(k, category)
 
-    def rotate(labels: tuple) -> Partition:
-        return _from_labels(0, k, _canonical_labels(labels[-1:] + labels[:-1]))
+    indices: tuple[Index, ...]
+    position: dict[Index, int]
+    sigma: tuple[int, ...]
+    unsigma: tuple[int, ...]
+    reps: tuple[int, ...]
+    joins: tuple[tuple[bytes, ...], ...]
 
-    sigma = [position[rotate(p.labels), rotate(a.labels)] for p, a in indices]
-    reps: list[int] = []
-    source: list[tuple[int, int] | None] = [None] * len(indices)
-    for t in range(len(indices)):
-        if source[t] is None:
-            u, e = t, 0
-            while source[u] is None:
-                source[u] = (len(reps), e)
-                u, e = sigma[u], e + 1
-            reps.append(t)
-    unrotate = [0] * len(indices)
-    for t, u in enumerate(sigma):
-        unrotate[u] = t
-    back = [tuple(range(len(indices)))]
-    for _ in range(1, k):
-        back.append(tuple(back[-1][u] for u in unrotate))
-    return tuple(reps), tuple(source), tuple(back)
-
-
-def _fill(rep_rows: Sequence, k: int, category: str, kind=tuple) -> tuple:
-    """Every row of a rotation-invariant matrix from its representative rows."""
-    _, source, back = _orbits(k, category)
-    return tuple(kind(map(rep_rows[j].__getitem__, back[e]))
-                 for j, e in source)
+    def fill(self, rep_rows: Sequence, kind=tuple) -> tuple:
+        """Every row of a rotation-invariant matrix from the rows at reps:
+        walking each orbit, row sigma(t) is row t read through sigma^-1."""
+        rows = [None] * len(self.sigma)
+        for t, row in zip(self.reps, rep_rows):
+            while rows[t] is None:
+                rows[t] = row = kind(row)
+                row = map(row.__getitem__, self.unsigma)
+                t = self.sigma[t]
+        return tuple(rows)
 
 
 @cache
-def _join_block_counts(k: int, category: str) -> tuple[tuple[bytes, ...], ...]:
-    """Rows of b(p v q) and of b(a v b) over wg_indices, one bytes per row;
+def _index_space(k: int, category: str) -> _IndexSpace:
+    """The index space of wg_indices(k, category); the join counts are
     computed on the orbit representatives' rows only."""
-    reps = _orbits(k, category)[0]
-    return tuple(_fill(_join_counts(parts, reps), k, category, bytes)
-                 for parts in zip(*wg_indices(k, category)))
+    indices = wg_indices(k, category)
+    position = {idx: t for t, idx in enumerate(indices)}
+    # a partition rotated by one is the kernel of its rotated labels
+    sigma = tuple(position[tuple(kernel(x.labels[-1:] + x.labels[:-1])
+                                 for x in idx)] for idx in indices)
+    # the positions sorted by their image: the inverse permutation
+    unsigma = tuple(sorted(range(len(sigma)), key=sigma.__getitem__))
+    reps, seen = [], set()
+    for t in range(len(sigma)):
+        if t not in seen:
+            reps.append(t)
+            while t not in seen:
+                seen.add(t)
+                t = sigma[t]
+    space = _IndexSpace(indices, position, sigma, unsigma, tuple(reps), ())
+    return space._replace(joins=tuple(
+        space.fill(_join_counts(parts, reps), bytes)
+        for parts in zip(*indices)))
 
 
 def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
-    outer, inner = _join_block_counts(k, category)
+    outer, inner = _index_space(k, category).joins
     powers = [[n ** b * s ** c for c in range(k + 1)] for b in range(k + 1)]
     return [[powers[b][c] for b, c in zip(orow, irow)]
             for orow, irow in zip(outer, inner)]
@@ -194,15 +187,15 @@ def wg_table(k: int, n: int, s: int = 1,
     check_entry_cap((math.comb(2 * k, k) // (k + 1)) ** 2)
     category = _category_in_effect(s, category)
     check_entry_cap(_index_count(k, category) ** 2)
-    indices = wg_indices(k, category)
+    space = _index_space(k, category)
     gram = wg_gram(k, n, s, category)
-    columns = bareiss_inverse(gram, _orbits(k, category)[0])
+    columns = bareiss_inverse(gram, space.reps)
     wden = math.lcm(*{x.denominator for row in columns for x in row})
     rep_rows = [[x.numerator * (wden // x.denominator) for x in col]
                 for col in zip(*columns)]
-    return WeingartenTable(k, n, s, category, indices,
+    return WeingartenTable(k, n, s, category, space.indices,
                            tuple(tuple(row) for row in gram),
-                           _fill(rep_rows, k, category), wden)
+                           space.fill(rep_rows), wden)
 
 
 def haar_state(table: WeingartenTable, inner_row: Sequence[int],
@@ -257,10 +250,8 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
     unknown category, and for an index not in wg_indices.
     """
     _check_category(category)
-    if idx1[0] != idx2[0]:
-        return Fraction(0)
     k = idx1[0].points
-    position = _positions(k, category)
+    position = _index_space(k, category).position
     for idx in (idx1, idx2):
         if idx not in position:
             raise ValueError(f"{idx!r} is not an index of order {k} "
@@ -275,8 +266,8 @@ def _leading_coeffs(k: int, s: int,
 
     wg_indices lists the indices of one outer p in a run: one inverse each.
     """
-    indices = wg_indices(k, category)
-    inner = _join_block_counts(k, category)[1]
+    space = _index_space(k, category)
+    indices, inner = space.indices, space.joins[1]
     zero = Fraction(0)
     coeffs = [[zero] * len(indices) for _ in indices]
     for _, run in groupby(range(len(indices)), key=lambda t: indices[t][0]):

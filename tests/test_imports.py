@@ -131,3 +131,25 @@ def test_fusion_is_the_one_home_of_letters_and_ring_elements():
             if names & (home | {"conj_rep"})} == {"fusion.py": home}
     assert not any("conj_rep" in names_in(source)
                    for source in sources.values())
+
+
+def cached_functions(source: str) -> set[str]:
+    """Top-level functions of the source wrapped by ``functools.cache``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id in ("cache", "lru_cache")
+                    for d in node.decorator_list)}
+
+
+def test_weingarten_holds_one_index_space():
+    # the indices, their positions, the rotation, its orbits and the join
+    # counts of one (k, category) live in one cached builder
+    assert cached_functions("@cache\ndef f():\n    pass\n"
+                            "def g():\n    pass\n") == {"f"}
+    from freewreath import weingarten
+    expected = {"wg_indices", "_index_count", "_index_space", "_support",
+                "_leading_coeffs"}
+    source = (SRC / "weingarten.py").read_text(encoding="utf-8")
+    assert cached_functions(source) == expected
+    assert {name for name, obj in vars(weingarten).items()
+            if hasattr(obj, "cache_clear")} == expected

@@ -10,6 +10,7 @@ from freewreath.partition import (Partition, _circle, _merge,
                                   full_block, identity_partition, kernel,
                                   nested_pairing, parse_partition)
 from freewreath.tl import TLDiagram, collapse, tl_compose, tl_enumerate
+from freewreath.weingarten import wg_indices
 
 
 def test_canonicalization():
@@ -234,6 +235,17 @@ def test_enumeration_cap(monkeypatch):
     assert enumerate_partitions(0, 3, mode="all")
     with pytest.raises(CapExceededError):
         enumerate_partitions(0, 4, mode="all")
+
+
+def test_enumeration_refuses_negative_arities():
+    # as the constructor does, and before the cap or the mode is read
+    for call in (lambda: enumerate_partitions(-1, 2),
+                 lambda: enumerate_partitions(2, -1, mode="nope"),
+                 lambda: enumerate_partitions(-1, 40),
+                 lambda: tl_enumerate(-1, 3),
+                 lambda: wg_indices(-1)):
+        with pytest.raises(ValueError, match="arities must be nonnegative"):
+            call()
 
 
 

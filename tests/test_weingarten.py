@@ -300,9 +300,14 @@ def test_leading_coeff_refusals():
                          "noncrossing")
     with pytest.raises(ValueError):     # an outer partition that crosses
         wg_leading_coeff((crossing, crossing), (crossing, crossing), 4, "all")
-    # different outer partitions, of different orders too, give zero
+    # both indices are looked up before their outer partitions are compared:
+    # an index of another order is refused, in either place
     one = wg_indices(1, "noncrossing")[0]
-    assert wg_leading_coeff(one, (whole, whole), 4, "noncrossing") == 0
+    for pair in ((one, (whole, whole)), ((whole, whole), one)):
+        with pytest.raises(ValueError, match="is not an index of order"):
+            wg_leading_coeff(*pair, 4, "noncrossing")
+    with pytest.raises(ValueError, match="is not an index of order 1"):
+        wg_leading_coeff(wg_indices(1)[0], wg_indices(2)[0], 1, "singletons")
     # the category is checked before the outer partitions are compared
     for category in ("nope", "pairings"):
         with pytest.raises(ValueError, match="unknown category"):
@@ -453,7 +458,7 @@ def test_integer_inverse_k7_representative_columns():
     # wnum G is rotation invariant with W and G, so its columns at the
     # orbit representatives determine it
     table = wg_table(7, 4, 1)
-    reps = weingarten._orbits(7, "singletons")[0]
+    reps = weingarten._index_space(7, "singletons").reps
     assert len(table.indices) == 429 and len(reps) == 63
     _assert_integer_columns(table, reps)
 
@@ -474,11 +479,11 @@ def test_work_scales_with_the_orbits(monkeypatch, k, orbits, m):
         merges.append(1)
         return merge(*args)
 
-    weingarten._join_block_counts.cache_clear()
+    weingarten._index_space.cache_clear()
     monkeypatch.setattr(partition, "_merge", counted)
-    weingarten._join_block_counts(k, "singletons")
+    weingarten._index_space(k, "singletons")
     monkeypatch.setattr(partition, "_merge", merge)
-    weingarten._join_block_counts.cache_clear()
+    weingarten._index_space.cache_clear()
     assert len(merges) == 2 * orbits * m
 
     calls = []
@@ -490,7 +495,7 @@ def test_work_scales_with_the_orbits(monkeypatch, k, orbits, m):
     monkeypatch.setattr(weingarten, "bareiss_inverse", stop)
     with pytest.raises(_Stop):
         wg_table(k, 4, 1)
-    assert calls == [(m, list(weingarten._orbits(k, "singletons")[0]))]
+    assert calls == [(m, list(weingarten._index_space(k, "singletons").reps))]
     assert len(calls[0][1]) == orbits
 
 
@@ -498,13 +503,25 @@ def test_orbit_counts():
     for k, category, orbits, m in ((4, "noncrossing", 19, 55),
                                    (6, "singletons", 28, 132),
                                    (7, "singletons", 63, 429)):
-        reps, source, back = weingarten._orbits(k, category)
-        assert (len(reps), len(source)) == (orbits, m)
-        sigma = _rotation(k, category)
-        for t, (j, e) in enumerate(source):
-            u = reps[j]
-            for _ in range(e):
-                u = sigma[u]
-            assert u == t
-        assert all(back[e][sigma[t]] == back[e - 1][t]
-                   for e in range(1, k) for t in range(m))
+        space = weingarten._index_space(k, category)
+        assert (len(space.reps), len(space.sigma)) == (orbits, m)
+        assert space.indices == wg_indices(k, category)
+        assert [space.position[idx] for idx in space.indices] == list(range(m))
+        # sigma is the rotation, a permutation of order dividing k
+        assert list(space.sigma) == _rotation(k, category)
+        assert sorted(space.sigma) == list(range(m))
+        assert all(space.sigma[space.unsigma[t]] == t for t in range(m))
+        power = list(range(m))
+        for _ in range(k):
+            power = [space.sigma[t] for t in power]
+        assert power == list(range(m))
+        # each representative is the least index of its orbit, and the
+        # orbits cover the indices
+        covered = []
+        for t in space.reps:
+            orbit = [t]
+            while space.sigma[orbit[-1]] != t:
+                orbit.append(space.sigma[orbit[-1]])
+            assert min(orbit) == t
+            covered += orbit
+        assert sorted(covered) == list(range(m))
