@@ -1,5 +1,5 @@
-"""Resource caps, the inner categories, the base of the value classes, and
-``_Memo``, the dict that computes a missing value on lookup.
+"""Resource caps, the inner categories, and ``_Memo``, the dict that computes
+a missing value on lookup.
 
 This is the leaf module: every layer may import it, and it imports no layer.
 
@@ -14,8 +14,10 @@ first use):
                            label triples a file table's associativity check
                            takes, the product rows the category check
                            compares, the pairs the collapsing-isomorphism
-                           check takes and the random products the dimension
-                           check fuses (default 10**7)
+                           check takes, the random products the dimension
+                           check fuses and the N^(2k) entries of the two
+                           products the conjugate-equation check compares
+                           (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
@@ -32,47 +34,6 @@ from typing import Callable
 # the inner categories of the Weingarten calculus, declared here so that the
 # command line parser lists them without importing the weingarten layer
 CATEGORIES = ("noncrossing", "all", "singletons")
-
-
-class Value:
-    """Base of the package's small value classes.
-
-    A subclass names its fields in ``_fields`` and writes its own
-    ``__init__``.  Values are equal when they are of the same class and their
-    fields are equal, and hash over their fields.  They are frozen unless
-    ``_frozen`` is false; a frozen ``__init__`` sets its fields with
-    ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    _frozen = True
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        if self._frozen:
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        if self._frozen:
-            raise AttributeError(f"cannot delete field {name!r}")
-        object.__delattr__(self, name)
 
 
 class _Memo(dict):

@@ -47,7 +47,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .config import Value, check_enum_cap
+from .config import check_enum_cap
 
 Block = tuple[int, ...]
 # the block index of each point 1..k+l; blocks are numbered by their smallest
@@ -152,10 +152,13 @@ def _from_labels(k: int, l: int, labels: Labels, cls: type | None = None):
     return p
 
 
-class Partition(Value):
-    """A partition of 1..upper+lower into ``blocks``, stored as its labels."""
+class Partition:
+    """A partition of 1..upper+lower into ``blocks``, stored as its labels.
 
-    __slots__ = _fields = ("upper", "lower", "labels")
+    Frozen: equal to a partition of the same class, upper and labels (which
+    fix lower), and hashed over its arities and labels."""
+
+    __slots__ = ("upper", "lower", "labels")
 
     def __init__(self, upper: int, lower: int,
                  blocks: Iterable[Iterable[int]]):
@@ -267,6 +270,20 @@ class Partition(Value):
 
     def __repr__(self):
         return f"Partition({self.render()})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.upper == other.upper and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.upper, self.lower, self.labels))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _LITERAL = re.compile(r"^\{(?P<blocks>[^{}]*)\}\(k=(?P<k>\d+),l=(?P<l>\d+)\)$")

@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .config import Value
+from typing import Iterable, NamedTuple
 
 
-class CheckResult(Value):
-    __slots__ = _fields = ("description", "passed", "detail")
-
-    def __init__(self, description: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+class CheckResult(NamedTuple):
+    description: str
+    passed: bool
+    detail: str = ""
 
 
-class VerificationReport(Value):
-    __slots__ = _fields = ("name", "checks")
-    _frozen = False
-    __hash__ = None  # mutable
+class VerificationReport:
+    """A named, growing list of checks; equal to a report of the same name
+    and checks, and unhashable, since it is mutable."""
 
     def __init__(self, name: str, checks: list[CheckResult] | None = None):
         self.name = name
         self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
 
     def add(self, description: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(description, bool(passed), detail))

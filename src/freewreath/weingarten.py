@@ -37,7 +37,7 @@ from itertools import groupby
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .config import CATEGORIES, Value, check_entry_cap
+from .config import CATEGORIES, check_entry_cap
 from .exactmat import bareiss_inverse
 from .partition import (_canonical_labels, _join_counts,
                         enumerate_partitions, kernel)
@@ -150,21 +150,21 @@ def wg_gram(k: int, n: int, s: int,
             for orow, irow in zip(outer, inner)]
 
 
-class WeingartenTable(Value):
+class WeingartenTable(NamedTuple):
     """The Gram matrix of the (p, a) indices and its inverse W.
 
     W is held as one integer matrix over one positive denominator:
     W = wnum / wden, with wden the least common denominator of W's entries.
     """
 
-    __slots__ = _fields = ("k", "n", "s", "category", "indices", "gram",
-                           "wnum", "wden")
-
-    def __init__(self, k: int, n: int, s: int, category: str, indices: tuple,
-                 gram: tuple, wnum: tuple, wden: int):
-        for name, value in zip(self._fields, (k, n, s, category, indices,
-                                              gram, wnum, wden)):
-            object.__setattr__(self, name, value)
+    k: int
+    n: int
+    s: int
+    category: str
+    indices: tuple
+    gram: tuple
+    wnum: tuple
+    wden: int
 
 
 def wg_table(k: int, n: int, s: int = 1,

@@ -1010,3 +1010,12 @@ def test_cli_imports_stdlib_only(tmp_path):
         assert set(modules) <= layers
     assert set(hom) <= layers | {"freewreath.homspaces", "freewreath.partition"}
     assert set(table) - set(hom) == {"json"}
+    # the records these commands build are NamedTuples, not dataclasses
+    records = [["weingarten", "--k", "2", "--N", "4"],
+               ["verify", "fusion-dim", "--N", "4"],
+               ["tl", "verify", "--max-points", "2"]]
+    done = python("-c", LOADS.format(argvs=records, heavy=HEAVY))
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert len(loaded) == 3 and "freewreath.report" in loaded[0]
+    assert not any("dataclasses" in modules for modules in loaded)

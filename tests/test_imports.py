@@ -153,3 +153,31 @@ def test_weingarten_holds_one_index_space():
     assert cached_functions(source) == expected
     assert {name for name, obj in vars(weingarten).items()
             if hasattr(obj, "cache_clear")} == expected
+
+
+def class_bases(source: str) -> dict[str, list[str]]:
+    """Every class the source defines, with the names of its bases."""
+    return {node.name: [ast.unparse(base) for base in node.bases]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)}
+
+
+def test_records_are_named_tuples_and_no_value_base_is_left():
+    # one record idiom: the plain records are NamedTuples, and no module
+    # defines or imports a home-made value base
+    assert class_bases("class A(B, c.D):\n    class E:\n        pass\n") == \
+        {"A": ["B", "c.D"], "E": []}
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    defined = {name: {node.name for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+               for name, source in sources.items()}
+    assert len(sources) == len(MODULES) + 1
+    assert [name for name, source in sources.items()
+            if "Value" in names_in(source) | defined[name]] == []
+    assert set(class_bases(sources["config.py"])) == \
+        {"CapExceededError", "_Memo"}
+    records = {"CheckResult": "report.py", "WeingartenTable": "weingarten.py",
+               "_IndexSpace": "weingarten.py"}
+    for record, module in records.items():
+        assert class_bases(sources[module])[record] == ["NamedTuple"]

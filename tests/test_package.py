@@ -2,8 +2,8 @@
 
 ``import freewreath`` loads no layer; each public name is looked up in its
 defining module on access.  The value classes compare equal exactly when
-they are of the same class with equal fields, hash over those fields, and
-refuse assignment unless mutable.
+their fields are equal (a partition only to one of its own class), hash over
+those fields, and refuse assignment unless mutable.
 """
 
 import os
@@ -119,6 +119,18 @@ VALUES = {
 }
 
 
+def _field_names(value) -> tuple[str, ...]:
+    """The fields a value's class declares: a NamedTuple's ``_fields``, the
+    slots of a partition's classes, a plain instance's attributes."""
+    cls = type(value)
+    if hasattr(cls, "_fields"):
+        return cls._fields
+    if hasattr(value, "__dict__"):
+        return tuple(vars(value))
+    return tuple(name for c in reversed(cls.__mro__)
+                 for name in vars(c).get("__slots__", ()))
+
+
 def _hashable(value) -> bool:
     try:
         hash(value)
@@ -130,8 +142,8 @@ def _hashable(value) -> bool:
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
 def test_value_equality_and_hash(cls):
     fields, make, others = VALUES[cls]
-    assert cls._fields == fields
     a, b = make(), make()
+    assert _field_names(a) == fields
     assert a == b and not a != b and a is not b
     assert type(a) is cls
     if _hashable(tuple(getattr(a, name) for name in fields)):

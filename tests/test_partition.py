@@ -366,6 +366,7 @@ def _assert_canonical(p: Partition, cls: type = Partition):
     and its labels number the blocks 0, 1, 2, ... by their first point."""
     assert type(p) is cls
     assert p == cls(p.upper, p.lower, p.blocks)
+    assert hash(p) == hash(cls(p.upper, p.lower, p.blocks))
     assert list(dict.fromkeys(p.labels)) == list(range(p.block_count()))
 
 
