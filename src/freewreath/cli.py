@@ -17,7 +17,8 @@ import argparse
 import math
 import sys
 
-from .config import CATEGORIES, CapExceededError, caps, check_enum_cap
+from .config import (CATEGORIES, CapExceededError, caps, check_enum_cap,
+                     check_work_cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,20 +79,24 @@ def cmd_hom_dim(args) -> list[str]:
 
 
 def cmd_char_law(args) -> list[str]:
-    from .freeprob import (character_moment_wreath, compound_poisson_law,
-                           parse_eps, plain_eps, render_eps)
+    from .freeprob import (char_law_work, character_moment_wreath,
+                           compound_poisson_law, parse_eps, plain_eps,
+                           render_eps)
     from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
     rep = parse_letter(args.rep, fd)
+    # the cap on the typed word or order, before any moment
     if args.eps is not None:
         eps_list = [parse_eps(args.eps)]
         if not eps_list[0]:
             raise ValueError("--eps needs a star word of at least one letter")
+        check_enum_cap(len(eps_list[0]))  # its first-block sum
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
-        check_enum_cap(args.order)  # the typed order, before any star word
+        check_work_cap(char_law_work(fd, rep, args.order),
+                       f"{{}} steps for the moments to order {args.order}")
         eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
     predicted = compound_poisson_law(fd, rep)
     lines = []
@@ -105,18 +110,19 @@ def cmd_char_law(args) -> list[str]:
 
 
 def cmd_classical(args) -> list[str]:
-    from .freeprob import (brute_force_z2_s3_moments, classical_wreath_moment,
+    from .freeprob import (brute_force_z2_s3_moments, classical_wreath_moments,
                            z2_block_moment)
 
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
-    check_enum_cap(args.k)
-    bm = z2_block_moment(args.rep)
-    values = [classical_wreath_moment(bm, args.n, k) for k in range(args.k + 1)]
+    values = classical_wreath_moments(z2_block_moment(args.rep), args.n,
+                                      args.k)
     lines = [f"k={k}: {_float(args, value)}" for k, value in enumerate(values)]
     if args.n == 3:
+        # the group average's 48 (k+1) powers: fewer than the products of
+        # the recursion's capped count from k = 24 on, and 1152 at most below
         if brute_force_z2_s3_moments(args.rep, args.k) != values:
             raise Disagreement("brute-force group average disagrees")
         lines.append("verified against the average over all 48 group elements")
@@ -126,7 +132,7 @@ def cmd_classical(args) -> list[str]:
 def cmd_partial_trace(args) -> list[str]:
     from fractions import Fraction
 
-    from .freeprob import partial_trace_law, plain_eps, rep_block_moment
+    from .freeprob import partial_trace_law, rep_block_moment
     from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
@@ -138,11 +144,9 @@ def cmd_partial_trace(args) -> list[str]:
                          f"got {args.t!r}") from None
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
-    # t is checked even at --k 0, and the cap on the typed k, before any moment
-    law = partial_trace_law(t, rep_block_moment(fd, rep))
-    check_enum_cap(args.k)
-    return [f"k={k}: {_float(args, law[plain_eps(k)])}"
-            for k in range(1, args.k + 1)]
+    # the law checks t, even at --k 0, then its cap, before any moment
+    moments = partial_trace_law(t, rep_block_moment(fd, rep), args.k)
+    return [f"k={k}: {_float(args, moments[k])}" for k in range(1, args.k + 1)]
 
 
 def cmd_weingarten(args) -> list[str]:

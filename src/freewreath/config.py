@@ -7,16 +7,20 @@ Each cap has a default, overridable through an environment variable (read at
 first use):
 
     FREEWREATH_ENUM_CAP    maximum number of ground points a partition/diagram
-                           enumeration will accept, and the longest word or
-                           order of a character law in freeprob (default 14)
+                           enumeration will accept, and the longest star word
+                           of a transform in freeprob that sums over block
+                           choices (default 14); it bounds no plain order
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
                            map, a Gram matrix or a fusion table, and of the
                            label triples a file table's associativity check
                            takes, the product rows the category check
                            compares, the pairs the collapsing-isomorphism
                            check takes, the random products the dimension
-                           check fuses and the N^(2k) entries of the two
-                           products the conjugate-equation check compares
+                           check fuses, the N^(2k) entries of the two
+                           products the conjugate-equation check compares,
+                           and the steps of freeprob's plain orders, Hom
+                           route and classical recursion, a closed-form
+                           count checked before the first block moment
                            (default 10**7)
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap

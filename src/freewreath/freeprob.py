@@ -24,9 +24,13 @@ Three independent computations meet here:
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
   that B leaves.  That sum over the choices of B is ``_nc_sum`` here; the
-  moment route does not use it, so the two routes stay independent.  The law
-  is one lazy table, :func:`compound_poisson_law`, that computes a moment,
-  and the cumulants its blocks pick out, on first lookup;
+  moment route does not use it, so the two routes stay independent.  On a
+  plain word every cumulant depends on the length alone, and the sum
+  collapses to a functional equation that ``_plain_moments`` solves in
+  O(k^3) products (Lectures 10 and 16); ``_nc_sum`` stays for star words and
+  is the solver's oracle.  The law is one lazy table,
+  :func:`compound_poisson_law`, that computes a moment, and the cumulants its
+  blocks pick out, on first lookup;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -37,18 +41,21 @@ The truncated character (a partial sum of t*N of the N diagonal entries)
 converges to :func:`partial_trace_law`, the free compound Poisson of rate t:
 its plain free cumulants are t times the jump moments.
 
-No partition is materialised.  The enumeration cap bounds the longest word or
-order of every transform here, and is checked before any sum is computed.
+No partition is materialised.  The enumeration cap bounds the longest star
+word of the transforms that sum over block choices; the plain orders, the
+Hom route and the classical recursion are bounded by the entry cap on a
+closed-form count of their work, checked before the first block moment.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from math import comb
+from operator import add, mul
+from typing import Callable, Iterable, Iterator
 
-from .config import _Memo, check_enum_cap
+from .config import _Memo, caps, check_enum_cap, check_work_cap
 from .fusion import FusionData, rep_as_dict, tensor_fold
 from .homspaces import _boundary_moment
 
@@ -138,6 +145,65 @@ def _nc_moments(cumulants) -> _Memo:
     return moments
 
 
+def _plain_moments(cumulant: Callable[[int], int]) -> Iterator[int]:
+    """The moments m_0 = 1, m_1, m_2, ... of the plain words whose free
+    cumulant at length s is cumulant(s), asked for once each, in order.
+
+    The first block of a plain word of length n has some size s, and its s
+    gaps are plain words of any lengths, so the first-block sum collapses to
+    the functional equation M(z) = 1 + sum_s k_s z^s M(z)^s (Nica-Speicher,
+    Lectures 10 and 16): m_n = sum over 1 <= s <= n of k_s [z^(n-s)] M^s.
+    powers[s-1] holds [z^j] M^s for j + s <= n, and step n adds one
+    coefficient to each power, [z^j] M^s = sum over i <= j of
+    m_i [z^(j-i)] M^(s-1): at most n(n+1)/2 products, each through ``mul``.
+    """
+    moments, powers, cumulants = [1], [[]], []
+    yield 1
+    for n in itertools.count(1):
+        # from the top down, so that M^(s-1) is still one degree short
+        for s in range(n - 1, 1, -1):
+            powers[s - 1].append(sum(map(mul, moments,
+                                         reversed(powers[s - 2]))))
+        powers[0].append(moments[-1])
+        powers.append([1])
+        cumulants.append(cumulant(n))
+        moments.append(sum(map(mul, cumulants, (p[-1] for p in powers))))
+        yield moments[-1]
+
+
+def _plain_work(k: int, bits: int) -> int:
+    """A bound on the work of :func:`_plain_moments` to order k and on the
+    digits of its k moments, when every integer it meets at order n has at
+    most n * bits bits.
+
+    Step n makes at most n(n+1)/2 products, and a product weighs one plus
+    the 64-bit words of its larger operand, at most 1 + n * bits / 64; the
+    sums of these over n are closed forms.  The moment of order n prints at
+    most 2 n bits digits, numerator and denominator.
+    """
+    return (k * (k + 1) * (k + 2) // 6
+            + bits * k * (k + 1) * (k + 2) * (3 * k + 1) // 1536
+            + bits * k * (k + 1))
+
+
+def _block_moments(block_moment: Callable[[int], int], k: int,
+                   work: Callable[[int], int]) -> list[int]:
+    """block_moment(s) for 1 <= s <= k, which must be integers.
+
+    The cap is checked on work(e) before the first, with e = 0, and after the
+    last, with the least e such that |block_moment(s)| < 2^(e s) for every s:
+    a count that is over the cap whatever the block moments is refused before
+    any is taken.
+    """
+    what = f"{{}} steps for the moments to order {k}"
+    check_work_cap(work(0), what)
+    beta = [block_moment(s) for s in range(1, k + 1)]
+    e = max((-(-x.bit_length() // s) for s, x in enumerate(beta, 1)),
+            default=0)
+    check_work_cap(work(e), what)
+    return beta
+
+
 def free_cumulants_to_moments(cumulants: dict) -> dict:
     """Moments from free cumulants: m(eps) = sum over NC of prod k(eps|block).
 
@@ -169,12 +235,26 @@ def compound_poisson_law(fd: FusionData, rep) -> _Memo:
     """eps-moments of the free compound Poisson with jump law chi_rep, lazily.
 
     Built through the cumulant route: every free cumulant equals the
-    matching eps-moment of chi_rep in G.  Looking up eps asks only for the
-    moments of its contiguous subwords and for the cumulants of the
-    sub-sequences that its blocks pick out.  A lookup checks no cap, so the
-    caller checks it on its longest word first.
+    matching eps-moment of chi_rep in G.  A plain word is read from
+    :func:`_plain_moments`, run as far as its length; a star word is its
+    first-block sum, which asks only for the moments of its contiguous
+    subwords and for the cumulants of the sub-sequences that its blocks pick
+    out.  A lookup checks no cap, so the caller checks it on its longest word
+    first.
     """
-    return _nc_moments(_Memo(lambda eps: moment_of_rep(fd, rep, eps)))
+    cumulants = _Memo(lambda eps: moment_of_rep(fd, rep, eps))
+    plain = _plain_moments(lambda s: cumulants[plain_eps(s)])
+    solved: list[int] = []
+
+    def moment(eps):
+        if any(eps):
+            return _nc_sum(cumulants, moments, eps)
+        while len(solved) <= len(eps):
+            solved.append(next(plain))
+        return solved[len(eps)]
+
+    moments = _Memo(moment)
+    return moments
 
 
 def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
@@ -191,6 +271,32 @@ def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
 # character moments of the wreath product, via Hom spaces
 
 
+def _dim_width(fd: FusionData, rd: dict, n: int) -> tuple[int, int]:
+    """(d, w): the dimension d of rd, and a bound w on the labels of a product
+    of at most n letters that are rd or its conjugate: one if d is one, else
+    the label count of a finite ring, else d^n, which past the cap's bit
+    length exceeds the cap, as every count it enters does."""
+    d = sum(m * fd.dim(a) for a, m in rd.items())
+    labels = fd.labels()
+    return d, (1 if d == 1 else len(labels) if labels is not None
+               else d ** min(n, caps()[1].bit_length()))
+
+
+def _hom_work(w: int, r: int, n: int) -> int:
+    """A bound on the steps of the Hom route, ``_boundary_moment``, on one
+    word of each length 1..n, whose letters have r constituents and whose
+    products have at most w labels; the difference of two consecutive values
+    bounds one word.
+
+    On m letters it makes at most w r m(m-1)/2 tensor calls, w (m^3-m)/6
+    additions into the carried elements and m(m+1)(m+2)/6 updates of its
+    moment table; the sums of these over m <= n are closed forms.
+    """
+    return (w * (n - 1) * n * (n + 1) * (n + 2) // 24
+            + n * (n + 1) * (n + 2) * (n + 3) // 24
+            + w * r * (n - 1) * n * (n + 1) // 6)
+
+
 def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     """eps-moment of the character of the basic representation r(rep).
 
@@ -198,10 +304,12 @@ def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     recursion of the partition route, with the ring element rep, or at a
     starred position its conjugate, as every letter: the conjugate of the
     basic representation r(a) is r(conj a), and the count is linear in each
-    letter.
+    letter.  The cap is checked on the recursion's steps first.
     """
     rd = rep_as_dict(fd, rep)
-    check_enum_cap(len(eps))
+    n, w, r = len(eps), _dim_width(fd, rd, len(eps))[1], len(rd)
+    check_work_cap(_hom_work(w, r, n) - _hom_work(w, r, n - 1),
+                   f"{{}} steps for a word of length {n}")
     return _boundary_moment(fd, _eps_letters(fd, rd, eps))
 
 
@@ -211,32 +319,57 @@ def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
             for k in range(1, max_len + 1) for eps in all_eps(k)}
 
 
+def char_law_work(fd: FusionData, rep, k: int) -> int:
+    """A bound on the work of the plain moments of orders 1..k by both
+    routes, and on their digits.
+
+    The Hom route runs once per order, and the cumulant route takes the
+    block moments, at most w r s tensor calls for the s-th (see
+    :func:`_hom_work`), then solves for the moments as
+    :func:`partial_trace_law` does at t = 1: the block moment of s letters
+    is at most d^s < 2^(s bitlen(d)).
+    """
+    rd = rep_as_dict(fd, rep)
+    (d, w), r = _dim_width(fd, rd, k), len(rd)
+    return (_hom_work(w, r, k) + w * r * k * (k + 1) // 2
+            + _plain_work(k, 4 + d.bit_length()))
+
+
 # ---------------------------------------------------------------------------
 # truncated characters
 
 
-def partial_trace_law(t, block_moment: Callable[[int], int]) -> _Memo:
-    """Plain moments of the rate-t free compound Poisson law, lazily.
+def partial_trace_law(t, block_moment: Callable[[int], int],
+                      k: int) -> list[Fraction]:
+    """The plain moments m_0, ..., m_k of the rate-t free compound Poisson law.
 
     The limit law of the truncated character keeping a fraction t of the
     diagonal, so t lies in [0, 1]; its free cumulant at a plain word of
-    length s is t * block_moment(s).  As in :func:`compound_poisson_law`, a
-    lookup checks no cap, so the caller checks it on its largest order first.
+    length s is t * block_moment(s).  With t = a/b the scaled moments
+    b^n m_n solve the same functional equation with the integer cumulants
+    a block_moment(s) b^(s-1), so :func:`_plain_moments` runs on integers.
+    t and k are checked first, then the cap on the solver's work (see
+    :func:`_block_moments`): with |block_moment(s)| < 2^(e s), every integer
+    at order n has at most n (3 + e + bitlen(b)) bits, since fewer than 4^n
+    noncrossing partitions add up in b^n m_n and a power of its series sums
+    fewer than 2^n of their products.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return _nc_moments(_Memo(lambda word: t * block_moment(len(word))))
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    a, b = t.numerator, t.denominator
+    beta = _block_moments(block_moment, k,
+                          lambda e: _plain_work(k, 3 + e + b.bit_length()))
+    scaled = _plain_moments(lambda s: a * beta[s - 1] * b ** (s - 1))
+    return [Fraction(m, b ** n) for n, m in zip(range(k + 1), scaled)]
 
 
 def partial_trace_moments(t, block_moment: Callable[[int], int],
                           k: int) -> Fraction:
-    """k-th moment of :func:`partial_trace_law`, after the checks on t and k."""
-    law = partial_trace_law(t, block_moment)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    check_enum_cap(k)
-    return Fraction(law[plain_eps(k)])
+    """k-th moment of :func:`partial_trace_law`, after its checks."""
+    return partial_trace_law(t, block_moment, k)[k]
 
 
 def rep_block_moment(fd: FusionData, rep) -> Callable[[int], int]:
@@ -250,9 +383,25 @@ def rep_block_moment(fd: FusionData, rep) -> Callable[[int], int]:
 # classical wreath products
 
 
-def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
-                            k: int) -> Fraction:
-    """k-th character moment of the classical wreath product by S_n.
+def _classical_work(n: int, k: int, e: int) -> int:
+    """A bound on the products of :func:`classical_wreath_moments` and on the
+    digits of its moments, with |block_moment(s)| < 2^(e s).
+
+    The table of C(m-1, s-1) block_moment(s) and each of the min(n, k)
+    passes make m products at m points, every operand below
+    2^(m (1 + e + bitlen(k))): a sum over fewer than m^m set partitions, or a
+    binomial below 2^m times a block moment.  Each product weighs one plus
+    its 64-bit words, as in :func:`_plain_work`.
+    """
+    bits = 1 + e + k.bit_length()
+    per_pass = (k * (k + 1) // 2
+                + bits * k * (k + 1) * (2 * k + 1) // 384)
+    return (min(n, k) + 1) * per_pass + bits * k * (k + 1) // 2
+
+
+def classical_wreath_moments(block_moment: Callable[[int], int], n: int,
+                             k: int) -> list[Fraction]:
+    """Character moments 0..k of the classical wreath product by S_n.
 
     Sum over *all* partitions of k points with at most n blocks of the product
     of block moments; the symmetric-group average contributes exactly the
@@ -260,19 +409,29 @@ def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
     points into exactly j blocks.  The block of the last point has some size
     s, and C(m-1, s-1) ways to pick its other points, so
     a_j(m) = sum over s of C(m-1, s-1) * block_moment(s) * a_{j-1}(m-s);
-    the moment is the sum of a_j(k) over j <= n.
+    the moment is the sum of a_j(k) over j <= n.  The cap is checked on
+    :func:`_classical_work` as in :func:`_block_moments`.
     """
     if n < 0 or k < 0:
         raise ValueError(f"classical moments need n, k >= 0, got n={n}, k={k}")
-    check_enum_cap(k)
-    beta = {s: block_moment(s) for s in range(1, k + 1)}
+    beta = _block_moments(block_moment, k,
+                          lambda e: _classical_work(n, k, e))
+    # the block of the last of m points, by its size s
+    weights = [[comb(m - 1, s - 1) * beta[s - 1] for s in range(1, m + 1)]
+               for m in range(k + 1)]
     row = [1] + [0] * k  # a_0(m)
-    total = row[k]
+    totals = row
     for _ in range(min(n, k)):  # a_j vanishes for j > k
-        row = [sum(math.comb(m - 1, s - 1) * beta[s] * row[m - s]
-                   for s in range(1, m + 1)) for m in range(k + 1)]
-        total += row[k]
-    return Fraction(total)
+        row = [sum(map(mul, weights[m], reversed(row[:m])))
+               for m in range(k + 1)]
+        totals = list(map(add, totals, row))
+    return [Fraction(x) for x in totals]
+
+
+def classical_wreath_moment(block_moment: Callable[[int], int], n: int,
+                            k: int) -> Fraction:
+    """k-th moment of :func:`classical_wreath_moments`."""
+    return classical_wreath_moments(block_moment, n, k)[k]
 
 
 def brute_force_z2_s3_moments(rep: str, max_k: int) -> list[Fraction]:

@@ -82,6 +82,7 @@ def cheb_poly(l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+@cache
 def cheb_int_factor(l: int, n: int) -> int:
     """a_l(n): the coefficients of A_l of l's parity, evaluated at X**2 = n."""
     return poly_eval(cheb_poly(l)[l % 2::2], n)

@@ -287,10 +287,10 @@ def _huge(k):
 
 @pytest.mark.parametrize("argv, patches", [
     (("classical", "--n", "4", "--k", "3"),
-     {"classical_wreath_moment": lambda bm, n, k: _huge(k)}),
+     {"classical_wreath_moments": lambda bm, n, k: list(map(_huge,
+                                                             range(k + 1)))}),
     (("partial-trace", "--t", "1/2", "--k", "3"),
-     {"partial_trace_law": lambda t, bm: freeprob._Memo(
-         lambda eps: _huge(len(eps)))}),
+     {"partial_trace_law": lambda t, bm, k: list(map(_huge, range(k + 1)))}),
     (("char-law", "--rep", "g", "--order", "3"),
      {"character_moment_wreath": lambda fd, rep, eps: _huge(len(eps)),
       "compound_poisson_law": lambda fd, rep: freeprob._Memo(
@@ -411,45 +411,71 @@ def test_out_of_range_refused(capsys, argv, message):
     ("char-law", "--rep", "g", "--order", "6"),
     ("classical", "--n", "3", "--k", "6"),
 ])
-def test_order_over_cap_prints_nothing(argv):
-    done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENUM_CAP="5")
+def test_order_over_cap_prints_nothing(capsys, monkeypatch, argv):
+    # the work of order 6 is over an entry cap of 100, and order 6 is over
+    # no enumeration cap
+    done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENTRY_CAP="100",
+                  FREEWREATH_ENUM_CAP="5")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("cap exceeded:")
+    assert done.stderr.startswith("cap exceeded: ")
+    assert done.stderr.endswith(" steps for the moments to order 6 exceeds "
+                                "the cap of 100\n")
+    monkeypatch.setattr(config, "caps", lambda: (5, 10 ** 7))
+    code, out, _ = run(capsys, *argv)
+    assert (code, len(out.splitlines())) == (0, 6 + (argv[0] == "classical") * 2)
+
+
+def _recording_block_moments(monkeypatch, name):
+    """Patch freeprob's block-moment factory ``name``; returns the list of
+    the block moments its functions are asked for."""
+    asked = []
+    factory = getattr(freeprob, name)
+
+    def recorded(*args):
+        fn = factory(*args)
+        return lambda s: asked.append(s) or fn(s)
+
+    monkeypatch.setattr(freeprob, name, recorded)
+    return asked
 
 
 def test_partial_trace_cap_names_the_typed_k(capsys, monkeypatch):
-    looked_up = []
-    law = freeprob.partial_trace_law
-
-    def recorded(t, bm):
-        table = law(t, bm)
-        fn = table.fn
-        table.fn = lambda eps: looked_up.append(eps) or fn(eps)
-        return table
-
-    monkeypatch.setattr(freeprob, "partial_trace_law", recorded)
+    asked = _recording_block_moments(monkeypatch, "rep_block_moment")
     assert run(capsys, "partial-trace", "--t", "1/2", "--k", "100000") == \
-        (2, "", "cap exceeded: enumeration over 100000 points exceeds the "
-                "cap of 14\n")
-    # the law, which checks t, was built, but no moment came before the refusal
-    assert looked_up == []
+        (2, "", "cap exceeded: 976761774043502734 steps for the moments to "
+                "order 100000 exceeds the cap of 10000000\n")
+    # the count is that of the solver's integers at five bits per order
+    assert freeprob._plain_work(10 ** 5, 5) == 976761774043502734
+    # t was checked, but no block moment came before the refusal
+    assert asked == []
     assert run(capsys, "partial-trace", "--t", "2", "--k", "100000") == \
         (1, "", "error: t must lie in [0, 1], got 2\n")
+    # a denominator of 10**6 digits is over the cap from order 3 on
+    code, out, err = run(capsys, "partial-trace", "--t", "1e-1000000", "--k",
+                         "3")
+    assert (code, out, asked) == (2, "", [])
+    assert err.endswith("steps for the moments to order 3 exceeds the cap of "
+                        "10000000\n")
 
 
 def test_partial_trace_runs_one_transform(capsys, monkeypatch):
-    laws = []
-    law = freeprob.partial_trace_law
+    laws, solvers = [], []
+    law, solver = freeprob.partial_trace_law, freeprob._plain_moments
 
-    def recorded(t, bm):
-        laws.append(law(t, bm))
+    def recorded(t, bm, k):
+        laws.append(law(t, bm, k))
         return laws[-1]
 
     monkeypatch.setattr(freeprob, "partial_trace_law", recorded)
+    monkeypatch.setattr(freeprob, "_plain_moments",
+                        lambda cumulant: solvers.append(1) or solver(cumulant))
     code, out, _ = run(capsys, "partial-trace", "--t", "1/2", "--k", "5")
     assert code == 0 and len(out.splitlines()) == 5
-    # one law per call, holding the moments of every order up to --k
-    assert len(laws) == 1 and set(map(len, laws[0])) == set(range(1, 6))
+    # one law per call, from one run of the solver, holding the moments of
+    # every order up to --k
+    assert len(laws) == len(solvers) == 1
+    assert out.splitlines() == [f"k={k}: {laws[0][k]}" for k in range(1, 6)]
+    assert len(laws[0]) == 6 and laws[0][0] == 1
 
 
 def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
@@ -820,20 +846,36 @@ def test_fusion_file_labels_are_spellable(capsys, tmp_path, label):
 
 
 def test_char_law_cap_checked_before_any_star_word(capsys, monkeypatch):
+    # the work of the typed order, or the enumeration of the typed star
+    # word, is refused before any word is built or any moment taken
     built = []
     plain_eps = freeprob.plain_eps
     monkeypatch.setattr(freeprob, "plain_eps",
                         lambda k: built.append(k) or plain_eps(k))
-    assert run(capsys, "char-law", "--rep", "g", "--order", "16") == \
-        (2, "", "cap exceeded: enumeration over 16 points exceeds the cap "
+
+    def never(*args):
+        raise AssertionError("a moment came before the cap was checked")
+
+    monkeypatch.setattr(freeprob, "character_moment_wreath", never)
+    monkeypatch.setattr(freeprob, "compound_poisson_law", never)
+    assert run(capsys, "char-law", "--rep", "g", "--order", "100000") == \
+        (2, "", "cap exceeded: 9310595116543552734 steps for the moments to "
+                "order 100000 exceeds the cap of 10000000\n")
+    assert run(capsys, "char-law", "--rep", "g", "--eps", "1" * 15) == \
+        (2, "", "cap exceeded: enumeration over 15 points exceeds the cap "
                 "of 14\n")
     assert built == []
 
 
-def test_classical_cap_names_the_typed_k(capsys):
-    assert run(capsys, "classical", "--n", "3", "--k", "100") == \
-        (2, "", "cap exceeded: enumeration over 100 points exceeds the cap "
-                "of 14\n")
+def test_classical_cap_names_the_typed_k(capsys, monkeypatch):
+    asked = _recording_block_moments(monkeypatch, "z2_block_moment")
+    assert run(capsys, "classical", "--n", "3", "--k", "100000") == \
+        (2, "", "cap exceeded: 375115626118748 steps for the moments to "
+                "order 100000 exceeds the cap of 10000000\n")
+    assert asked == []
+    code, out, _ = run(capsys, "classical", "--n", "3", "--k", "60")
+    assert code == 0 and out.splitlines()[-1] == \
+        "verified against the average over all 48 group elements"
 
 
 _NO_TRACEBACK_CHILD = """
@@ -869,9 +911,11 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("char-law", "--rep", "zz"),
         ("classical", "--n", big, "--k", "3"),
         ("classical", "--n", "3", "--k", big),
+        ("classical", "--n", big, "--k", "100000"),
         ("partial-trace", "--t", "1/2", "--k", big),
         ("partial-trace", "--t", "1e400", "--k", "3"),
         ("partial-trace", "--t", "nan", "--k", "3"),
+        ("partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"),
         ("weingarten", "--k", "9", "--N", "4"),
         ("weingarten", "--k", "2", "--N", big, "--float"),
         ("weingarten", "--k", "2", "--N", "0"),
@@ -925,6 +969,8 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     assert all(code in (0, 1, 2, 3) for _, code, _ in results)
     assert results[0][1] == results[1][1] == 2  # the huge orders
     codes = {tuple(argv): code for argv, code, _ in results}
+    assert codes["classical", "--n", big, "--k", "100000"] == 2
+    assert codes["partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"] == 2
     assert codes["fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"] == 2
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from freewreath import freeprob, homspaces
+from freewreath import config, freeprob, homspaces
 from freewreath.config import CapExceededError
 from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
@@ -177,7 +177,7 @@ def test_ring_element_letters_make_quadratically_many_tensor_calls():
     rep, n = {"std": 1, "sgn": 1}, 10
     value = character_moment_wreath(fd, rep, plain_eps(n))
     assert len(calls) <= 2 * len(fd.labels()) * n * (n - 1) // 2
-    assert value == compound_poisson_moments(S3, rep, n)[plain_eps(n)]
+    assert value == compound_poisson_law(S3, rep)[plain_eps(n)]
 
 
 def test_character_moment_trivial_letter_catalan():
@@ -222,30 +222,183 @@ def test_classical_matches_partition_oracle():
 
 
 def test_cap_checked_before_any_sum(monkeypatch):
-    # order 15 is over the default cap of 14: refused before any shorter
-    # word is summed, and classical and the truncated character law before
-    # any block moment is taken
+    # the transforms that sum over block choices refuse a word of 15 letters,
+    # over the default enumeration cap of 14, before any shorter word is
+    # summed; the plain orders, the Hom route and the classical recursion
+    # refuse a count of work over the entry cap before any block moment is
+    # taken, and a t with a huge denominator is such a count at order 3
     def refuse(*args):
         raise AssertionError("summed before the cap was checked")
 
     # the first-block sum over block choices is replaced, and so are the
     # Hom partition route's own recursion and the tensor_fold it runs on
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
+    monkeypatch.setattr(freeprob, "_plain_moments", refuse)
     monkeypatch.setattr(freeprob, "_boundary_moment", refuse)
     monkeypatch.setattr(homspaces, "_boundary_moment", refuse)
     monkeypatch.setattr(homspaces, "tensor_fold", refuse)
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
     with pytest.raises(CapExceededError):
-        character_moment_wreath(Z2, "g", plain_eps(15))
-    with pytest.raises(CapExceededError):
         homspaces.dim_hom_partition(("g",) * 5, ("g",) * 10, Z2)
     with pytest.raises(CapExceededError):
-        partial_trace_moments(Fraction(1, 2), refuse, 15)
-    with pytest.raises(CapExceededError):
         character_moments_wreath(Z2, "g", 15)
-    with pytest.raises(CapExceededError):
-        classical_wreath_moment(refuse, 3, 15)
+    with pytest.raises(CapExceededError, match="order 100000"):
+        partial_trace_moments(Fraction(1, 2), refuse, 10 ** 5)
+    with pytest.raises(CapExceededError, match="order 3 "):
+        partial_trace_moments(Fraction(1, 10 ** 10 ** 6), refuse, 3)
+    with pytest.raises(CapExceededError, match="order 100000"):
+        classical_wreath_moment(refuse, 3, 10 ** 5)
+    with pytest.raises(CapExceededError, match="order 100000"):
+        classical_wreath_moment(refuse, 10 ** 30, 10 ** 5)
+    with pytest.raises(CapExceededError, match="length 100000"):
+        character_moment_wreath(Z2, "g", plain_eps(10 ** 5))
+    with pytest.raises(CapExceededError, match="order 100000"):
+        config.check_work_cap(freeprob.char_law_work(Z2, "g", 10 ** 5),
+                              "{} steps for the moments to order 100000")
+
+
+# ---------------------------------------------------------------------------
+# the plain-word solver against its oracles
+
+RATES = (0, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), 1)
+RINGS = (cyclic_fusion(1), Z2, Z3, S3, S3_DUAL)
+
+
+def scaled_first_block_sums(t, bm, k):
+    """Oracle: b^n m_n for n <= k from the first-block sum, with the integer
+    cumulants a bm(s) b^(s-1) of the plain words, t = a/b."""
+    t = Fraction(t)
+    a, b = t.numerator, t.denominator
+    return free_cumulants_to_moments(
+        {plain_eps(s): a * bm(s) * b ** (s - 1) for s in range(1, k + 1)})
+
+
+def test_plain_solver_matches_free_poisson_closed_form():
+    # the trivial block moment: the free Poisson law of rate t, whose k-th
+    # moment is the Narayana sum of C(k, j) C(k, j-1) / k t^j
+    bm = rep_block_moment(cyclic_fusion(1), "1")
+    for t in RATES:
+        law = freeprob.partial_trace_law(t, bm, 60)
+        assert law[0] == 1
+        for k in range(1, 61):
+            assert law[k] == sum(
+                Fraction(math.comb(k, j) * math.comb(k, j - 1), k)
+                * Fraction(t) ** j for j in range(1, k + 1)), (t, k)
+
+
+def test_plain_solver_matches_first_block_sum():
+    # every label of every ring the tests build, and a reducible element, at
+    # every rate to order 8; each ring at one rate to order 14, the oracle's
+    # enumeration cap
+    for i, fd in enumerate(RINGS):
+        reps = (*fd.labels(), *(rep for ring, rep in REDUCIBLE if ring is fd))
+        for rep in reps:
+            bm = rep_block_moment(fd, rep)
+            for t in RATES:
+                law = freeprob.partial_trace_law(t, bm, 8)
+                oracle = scaled_first_block_sums(t, bm, 8)
+                assert [law[n] * Fraction(t).denominator ** n
+                        for n in range(1, 9)] == \
+                    [oracle[plain_eps(n)] for n in range(1, 9)], (rep, t)
+        t, bm = RATES[i], rep_block_moment(fd, reps[-1])
+        law = freeprob.partial_trace_law(t, bm, 14)
+        assert law[14] * Fraction(t).denominator ** 14 == \
+            scaled_first_block_sums(t, bm, 14)[plain_eps(14)], (reps[-1], t)
+
+
+def test_plain_solver_matches_hom_route_to_order_40():
+    rep = {"triv": 1, "std": 1}
+    law = compound_poisson_law(S3, rep)
+    assert [law[plain_eps(k)] for k in range(1, 41)] == \
+        [character_moment_wreath(S3, rep, plain_eps(k)) for k in range(1, 41)]
+
+
+# ---------------------------------------------------------------------------
+# the capped counts bound the work they count
+
+
+def instrument(monkeypatch):
+    """Patch freeprob's ``mul`` and ``check_work_cap``; returns the weights
+    of the products (one plus the 64-bit words of the larger operand) and
+    the counts checked against the cap, in order."""
+    weights, counts = [], []
+    check = freeprob.check_work_cap
+
+    def counted(x, y):
+        weights.append(1 + max(x.bit_length(), y.bit_length()) // 64)
+        return x * y
+
+    monkeypatch.setattr(freeprob, "mul", counted)
+    monkeypatch.setattr(freeprob, "check_work_cap",
+                        lambda count, work: counts.append(count) or
+                        check(count, work))
+    return weights, counts
+
+
+def digits(values):
+    return sum(len(str(Fraction(v).numerator))
+               + len(str(Fraction(v).denominator)) for v in values)
+
+
+def test_plain_work_bounds_the_solver(monkeypatch):
+    weights, counts = instrument(monkeypatch)
+    for fd, rep in ((cyclic_fusion(1), "1"), (Z2, "g"), (S3, "std"),
+                    (S3, {"std": 2, "sgn": 1})):
+        bm = rep_block_moment(fd, rep)
+        for t in (*RATES, Fraction(1, 10 ** 30),
+                  Fraction(10 ** 20 - 1, 10 ** 20)):
+            for k in range(13):
+                del weights[:], counts[:]
+                law = freeprob.partial_trace_law(t, bm, k)
+                assert len(counts) == 2 and counts[0] <= counts[1]
+                assert sum(weights) + digits(law[1:]) <= counts[1], (rep, t, k)
+
+
+def test_classical_work_bounds_the_recursion(monkeypatch):
+    weights, counts = instrument(monkeypatch)
+    block_moments = (z2_block_moment("sign"), z2_block_moment("regular"),
+                     lambda s: 7 ** s - 1)
+    for bm in block_moments:
+        for n in (0, 1, 3, 7, 20):
+            for k in range(15):
+                del weights[:], counts[:]
+                values = freeprob.classical_wreath_moments(bm, n, k)
+                assert len(counts) == 2 and counts[0] <= counts[1]
+                # the table of binomials times block moments takes k(k+1)/2
+                # products by ``*``, counted here at their largest weight;
+                # the moment of order 0 is 1
+                table = k * (k + 1) // 2 * (1 + max(
+                    (math.comb(k - 1, s - 1) * bm(s)).bit_length()
+                    for s in range(1, k + 1)) // 64) if k else 0
+                work = sum(weights) + table + digits(values[1:])
+                assert work <= counts[1], (n, k)
+
+
+def test_char_law_work_bounds_both_routes(monkeypatch):
+    # the tensor calls of both routes, the solver's weighted products and
+    # the digits of the moments; and each word's tensor calls against the
+    # count the Hom route checks for it
+    weights, counts = instrument(monkeypatch)
+    for fd, rep in ((cyclic_fusion(2), "g"), (cyclic_fusion(3), "g"),
+                    (symmetric_group_3_fusion(), "std"),
+                    (symmetric_group_3_fusion(), {"triv": 1, "std": 1}),
+                    (fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product)),
+                     "231")):
+        calls = []
+        tensor = fd.tensor
+        fd.tensor = lambda a, b: calls.append(1) or tensor(a, b)
+        for k in range(1, 13):
+            del weights[:], counts[:], calls[:]
+            law = compound_poisson_law(fd, rep)
+            values = []
+            for n in range(1, k + 1):
+                before = len(calls)
+                values.append(character_moment_wreath(fd, rep, plain_eps(n)))
+                assert len(calls) - before <= counts[-1], (rep, n)
+                assert law[plain_eps(n)] == values[-1]
+            assert len(calls) + sum(weights) + digits(values) <= \
+                freeprob.char_law_work(fd, rep, k), (rep, k)
 
 
 def test_classical_wreath_small_n_brute_force():
