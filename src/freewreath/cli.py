@@ -3,7 +3,8 @@
 Each subcommand is one function from the parsed arguments to its output: a
 list of lines, or a verification report.  ``main`` alone prints that output
 and picks the exit code: 0 success, 1 bad input or mathematical domain error,
-2 an enumeration or entry cap was exceeded, 3 a verification suite reported
+2 an enumeration or entry cap was exceeded, or an exact value has more
+digits than Python converts an int to, 3 a verification suite reported
 failures or a second route to the same values disagreed.
 
 Each subcommand imports the layer functions it calls in its own body, so a
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from sys import get_int_max_str_digits
 
 from .config import (CATEGORIES, CapExceededError, caps, check_enum_cap,
                      check_work_cap)
@@ -33,14 +35,22 @@ class Disagreement(Exception):
     """Two routes to the same values disagree: exit 3, nothing on stdout."""
 
 
-def _float(args, value):
-    """value as printed: exact, or with --float a float, refused past its range."""
-    if not args.float:
-        return value
-    shown = float(value)  # a huge exact value raises OverflowError here
-    if math.isinf(shown):
-        raise OverflowError("the value exceeds the float range")
-    return shown
+def _shown(args, value) -> str:
+    """value as printed: exact, or with --float a float, each refused where
+    it cannot print: past the float range, or past the digits that Python
+    converts an int to (``get_int_max_str_digits``)."""
+    if args.float:
+        shown = float(value)  # a huge exact value raises OverflowError here
+        if math.isinf(shown):
+            raise OverflowError("the value exceeds the float range")
+        return str(shown)
+    try:
+        return str(value)
+    except ValueError:  # an int or Fraction raises it only past that limit
+        limit = get_int_max_str_digits()
+        raise CapExceededError(
+            f"printing an exact value of more than {limit} digits exceeds "
+            f"the cap of {limit}; --float prints it approximately") from None
 
 
 def cmd_fuse(args) -> list[str]:
@@ -80,32 +90,34 @@ def cmd_hom_dim(args) -> list[str]:
 
 def cmd_char_law(args) -> list[str]:
     from .freeprob import (char_law_work, character_moment_wreath,
-                           compound_poisson_law, parse_eps, plain_eps,
-                           render_eps)
+                           compound_poisson_law, parse_eps,
+                           plain_character_moments, plain_eps, render_eps)
     from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
     rep = parse_letter(args.rep, fd)
     # the cap on the typed word or order, before any moment
     if args.eps is not None:
-        eps_list = [parse_eps(args.eps)]
-        if not eps_list[0]:
+        eps = parse_eps(args.eps)
+        if not eps:
             raise ValueError("--eps needs a star word of at least one letter")
-        check_enum_cap(len(eps_list[0]))  # its first-block sum
+        check_enum_cap(len(eps))  # its first-block sum
+        moments = {eps: character_moment_wreath(fd, rep, eps)}
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
         check_work_cap(char_law_work(fd, rep, args.order),
                        f"{{}} steps for the moments to order {args.order}")
-        eps_list = [plain_eps(k) for k in range(1, args.order + 1)]
+        # every order from the one Hom-route run on the longest word
+        moments = dict(zip(map(plain_eps, range(1, args.order + 1)),
+                           plain_character_moments(fd, rep, args.order)[1:]))
     predicted = compound_poisson_law(fd, rep)
     lines = []
-    for eps in eps_list:
-        value = character_moment_wreath(fd, rep, eps)
+    for eps, value in moments.items():
         if value != predicted[eps]:
             raise Disagreement(f"internal disagreement at {render_eps(eps)}: "
                                f"{value} vs {predicted[eps]}")
-        lines.append(f"moment {render_eps(eps)}: {_float(args, value)}")
+        lines.append(f"moment {render_eps(eps)}: {_shown(args, value)}")
     return lines
 
 
@@ -119,7 +131,7 @@ def cmd_classical(args) -> list[str]:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     values = classical_wreath_moments(z2_block_moment(args.rep), args.n,
                                       args.k)
-    lines = [f"k={k}: {_float(args, value)}" for k, value in enumerate(values)]
+    lines = [f"k={k}: {_shown(args, value)}" for k, value in enumerate(values)]
     if args.n == 3:
         # the group average's 48 (k+1) powers: fewer than the products of
         # the recursion's capped count from k = 24 on, and 1152 at most below
@@ -146,7 +158,7 @@ def cmd_partial_trace(args) -> list[str]:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     # the law checks t, even at --k 0, then its cap, before any moment
     moments = partial_trace_law(t, rep_block_moment(fd, rep), args.k)
-    return [f"k={k}: {_float(args, moments[k])}" for k in range(1, args.k + 1)]
+    return [f"k={k}: {_shown(args, moments[k])}" for k in range(1, args.k + 1)]
 
 
 def cmd_weingarten(args) -> list[str]:
@@ -170,12 +182,12 @@ def cmd_weingarten(args) -> list[str]:
                              f"outer col)")
         value = haar_state(table, tuple(flat[:k]), tuple(flat[k:2 * k]),
                            tuple(flat[2 * k:3 * k]), tuple(flat[3 * k:]))
-        return [str(_float(args, value))]
+        return [_shown(args, value)]
     lines = [f"index {t}: outer {p.render()}  inner {a.render()}"
              for t, (p, a) in enumerate(table.indices)]
     rows = ((Fraction(x, table.wden) for x in row) for row in table.wnum)
     for row in rows if args.invert else table.gram:
-        lines.append(" ".join(str(_float(args, x)) for x in row))
+        lines.append(" ".join(_shown(args, x) for x in row))
     return lines
 
 
@@ -184,7 +196,7 @@ def cmd_tl_trace(args) -> list[str]:
 
     diagram = parse_tl(args.diagram)
     value = sqrt_power(args.N, markov_trace_exponent(diagram), args.float)
-    return [str(_float(args, value))]
+    return [_shown(args, value)]
 
 
 def cmd_tl_collapse(args) -> list[str]:

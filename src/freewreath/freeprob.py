@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator
 
 from .config import _Memo, caps, check_enum_cap, check_work_cap
 from .fusion import FusionData, rep_as_dict, tensor_fold
-from .homspaces import _boundary_moment
+from .homspaces import _boundary_moments
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -283,7 +283,7 @@ def _dim_width(fd: FusionData, rd: dict, n: int) -> tuple[int, int]:
 
 
 def _hom_work(w: int, r: int, n: int) -> int:
-    """A bound on the steps of the Hom route, ``_boundary_moment``, on one
+    """A bound on the steps of the Hom route, ``_boundary_moments``, on one
     word of each length 1..n, whose letters have r constituents and whose
     products have at most w labels; the difference of two consecutive values
     bounds one word.
@@ -297,6 +297,14 @@ def _hom_work(w: int, r: int, n: int) -> int:
             + w * r * (n - 1) * n * (n + 1) // 6)
 
 
+def _check_hom_work(fd: FusionData, rd: dict, n: int) -> None:
+    """The cap on the Hom route's steps on one word of n letters rd or its
+    conjugate."""
+    w, r = _dim_width(fd, rd, n)[1], len(rd)
+    check_work_cap(_hom_work(w, r, n) - _hom_work(w, r, n - 1),
+                   f"{{}} steps for a word of length {n}")
+
+
 def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     """eps-moment of the character of the basic representation r(rep).
 
@@ -307,10 +315,20 @@ def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     letter.  The cap is checked on the recursion's steps first.
     """
     rd = rep_as_dict(fd, rep)
-    n, w, r = len(eps), _dim_width(fd, rd, len(eps))[1], len(rd)
-    check_work_cap(_hom_work(w, r, n) - _hom_work(w, r, n - 1),
-                   f"{{}} steps for a word of length {n}")
-    return _boundary_moment(fd, _eps_letters(fd, rd, eps))
+    _check_hom_work(fd, rd, len(eps))
+    return _boundary_moments(fd, _eps_letters(fd, rd, eps))[-1]
+
+
+def plain_character_moments(fd: FusionData, rep, k: int) -> list[int]:
+    """The plain moments of orders 0..k of the character of r(rep).
+
+    One run of the Hom route, :func:`character_moment_wreath`'s, on the
+    plain word of k letters: the sum it makes for every prefix is the
+    moment of that order.  The cap is checked on the run's steps first.
+    """
+    rd = rep_as_dict(fd, rep)
+    _check_hom_work(fd, rd, k)
+    return _boundary_moments(fd, [rd] * k)
 
 
 def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
@@ -323,16 +341,16 @@ def char_law_work(fd: FusionData, rep, k: int) -> int:
     """A bound on the work of the plain moments of orders 1..k by both
     routes, and on their digits.
 
-    The Hom route runs once per order, and the cumulant route takes the
-    block moments, at most w r s tensor calls for the s-th (see
-    :func:`_hom_work`), then solves for the moments as
-    :func:`partial_trace_law` does at t = 1: the block moment of s letters
-    is at most d^s < 2^(s bitlen(d)).
+    The Hom route runs once, on the word of k letters (see
+    :func:`plain_character_moments` and :func:`_hom_work`), and the
+    cumulant route takes the block moments, at most w r s tensor calls for
+    the s-th, then solves for the moments as :func:`partial_trace_law` does
+    at t = 1: the block moment of s letters is at most d^s < 2^(s bitlen(d)).
     """
     rd = rep_as_dict(fd, rep)
     (d, w), r = _dim_width(fd, rd, k), len(rd)
-    return (_hom_work(w, r, k) + w * r * k * (k + 1) // 2
-            + _plain_work(k, 4 + d.bit_length()))
+    return (_hom_work(w, r, k) - _hom_work(w, r, k - 1)
+            + w * r * k * (k + 1) // 2 + _plain_work(k, 4 + d.bit_length()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ recursion, ``_nc_sum`` in :mod:`freewreath.freeprob`, tries the 2^(|w|-1)
 choices of the block one by one.  Here a block's weight is
 linear in the tensor product of its letters, so all partial blocks from one
 start are carried together as one element of the fusion ring
-(:func:`_boundary_moment`): O(|w|^2) tensor steps and O(|w|^3) integer
+(:func:`_boundary_moments`): O(|w|^2) tensor steps and O(|w|^3) integer
 additions in place of Catalan(|w|) partitions.  Its letters are themselves
 fusion-ring elements, so a reducible representation at every position (the
 character moments of :mod:`freewreath.freeprob`) costs one recursion, not
@@ -67,8 +67,9 @@ def hom_terms(up: Word, down: Word, fd: FusionData
     return tuple(terms)
 
 
-def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:
-    """Sum over NC(|word|) of the product of the block trivial multiplicities.
+def _boundary_moments(fd: FusionData, word: Sequence[dict]) -> list[int]:
+    """Sum over NC(j) of the product of the block trivial multiplicities of
+    word[:j], for every j <= |word|: the row m[0] below.
 
     Each letter is a fusion-ring element, a label->multiplicity dict, and a
     block weighs the trivial multiplicity of the product of its letters.
@@ -78,7 +79,8 @@ def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:
     gaps: v[i] = word[i] and v[t] = (sum over i <= r < t of
     m[r+1][t] v[r]) x word[t], one tensor step.  Closing the block at t
     leaves the gap word[t+1:j], so
-    m[i][j] = sum over i <= t < j of <1, v[t]> m[t+1][j].
+    m[i][j] = sum over i <= t < j of <1, v[t]> m[t+1][j].  The row m[0]
+    holds every prefix of the word at no extra cost.
     """
     n = len(word)
     one = fd.trivial()
@@ -102,7 +104,7 @@ def _boundary_moment(fd: FusionData, word: Sequence[dict]) -> int:
                 gaps = m[t + 1]
                 for j in range(t + 1, n + 1):
                     row[j] += c * gaps[j]
-    return m[0][n]
+    return m[0]
 
 
 def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
@@ -111,8 +113,8 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
     for letter in up + down:
         fd.check_label(letter)
     check_enum_cap(len(up) + len(down))
-    return _boundary_moment(fd, [{fd.conj(a): 1} for a in reversed(up)]
-                            + [{b: 1} for b in down])
+    return _boundary_moments(fd, [{fd.conj(a): 1} for a in reversed(up)]
+                             + [{b: 1} for b in down])[-1]
 
 
 def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:

@@ -100,12 +100,19 @@ def _join_counts(parts: Sequence[Partition],
     """Rows of b(x v y), the block count of the join, over parts x and y.
 
     With ``rows``, only the rows of the parts at those positions.  Every Gram
-    matrix of the package is a power of these counts.
+    matrix of the package is a power of these counts.  Each distinct pair of
+    parts is joined once: a row is read through the position of each part
+    among the distinct ones.
     """
-    blocks = [p.blocks for p in parts]
-    return tuple(bytes(_merge(parts[r].points, blocks[r] + y, ())[1]
+    position = {x: t for t, x in enumerate(dict.fromkeys(parts))}
+    blocks = [x.blocks for x in position]
+    rows = range(len(parts)) if rows is None else rows
+    counts = {x: bytes(_merge(x.points, blocks[position[x]] + y, ())[1]
                        for y in blocks)
-                 for r in (range(len(parts)) if rows is None else rows))
+              for x in dict.fromkeys(parts[r] for r in rows)}
+    where = [position[x] for x in parts]
+    return tuple(bytes(map(counts[parts[r]].__getitem__, where))
+                 for r in rows)
 
 
 # -- category operations on block labels ------------------------------------
@@ -114,7 +121,7 @@ def _join_counts(parts: Sequence[Partition],
 def _canonical_labels(raw: Iterable[int]) -> Labels:
     """Blocks renumbered 0, 1, ... in the order of their first point."""
     first: dict[int, int] = {}
-    return tuple(first.setdefault(b, len(first)) for b in raw)
+    return tuple([first.setdefault(b, len(first)) for b in raw])
 
 
 def _tensor_labels(k1: int, a: Labels, k2: int, b: Labels) -> Labels:

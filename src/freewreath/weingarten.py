@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from operator import mul
+from operator import add, gt, mul
 from typing import NamedTuple, Sequence
 
 from .config import CATEGORIES, check_entry_cap
@@ -95,8 +95,10 @@ class _IndexSpace(NamedTuple):
     each inner category to itself and preserves refinement and b(x v y), so
     it permutes the indices by sigma(p, a) = (rp, ra), and the Gram and
     Weingarten matrices X satisfy X[sigma t][sigma u] = X[t][u].  ``reps``
-    holds the least index of each orbit of sigma, ``joins`` the rows of
-    b(p v q) and of b(a v b), one bytes per row.
+    holds the least index of each orbit of sigma, ``keys`` one bytes row
+    per index of the join counts packed as b(p v q) (k + 1) + b(a v b),
+    both at most k: a byte for every k <= 15, far past the orders whose
+    Catalan(k)^2 Gram entries the entry cap lets through.
     """
 
     indices: tuple[Index, ...]
@@ -104,7 +106,7 @@ class _IndexSpace(NamedTuple):
     sigma: tuple[int, ...]
     unsigma: tuple[int, ...]
     reps: tuple[int, ...]
-    joins: tuple[tuple[bytes, ...], ...]
+    keys: tuple[bytes, ...]
 
     def fill(self, rep_rows: Sequence, kind=tuple) -> tuple:
         """Every row of a rotation-invariant matrix from the rows at reps:
@@ -136,18 +138,20 @@ def _index_space(k: int, category: str) -> _IndexSpace:
             while t not in seen:
                 seen.add(t)
                 t = sigma[t]
+    outer, inner = (_join_counts(parts, reps) for parts in zip(*indices))
     space = _IndexSpace(indices, position, sigma, unsigma, tuple(reps), ())
-    return space._replace(joins=tuple(
-        space.fill(_join_counts(parts, reps), bytes)
-        for parts in zip(*indices)))
+    return space._replace(keys=space.fill(
+        (bytes(map(add, map((k + 1).__mul__, o), i))
+         for o, i in zip(outer, inner)), bytes))
 
 
 def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
-    outer, inner = _index_space(k, category).joins
-    powers = [[n ** b * s ** c for c in range(k + 1)] for b in range(k + 1)]
-    return [[powers[b][c] for b, c in zip(orow, irow)]
-            for orow, irow in zip(outer, inner)]
+    """The Gram matrix [N^b(p v q) * s^b(a v b)] over wg_indices(k, category),
+    read from one table of the powers at the index space's keys."""
+    powers = [n ** b * s ** c for b in range(k + 1) for c in range(k + 1)]
+    return [list(map(powers.__getitem__, row))
+            for row in _index_space(k, category).keys]
 
 
 class WeingartenTable(NamedTuple):
@@ -216,7 +220,7 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
                           ("outer_col", outer_col, table.n)):
         if len(tup) != k:
             raise ValueError(f"{name} must have length {k}")
-        if any(not (1 <= x <= hi) for x in tup):
+        if min(tup) < 1 or max(tup) > hi:
             raise ValueError(f"{name} entries must lie in 1..{hi}")
     # an index tuple relabelled by first occurrence is its kernel as a tuple
     rows = _support(k, table.category, _canonical_labels(outer_row),
@@ -224,7 +228,8 @@ def haar_state(table: WeingartenTable, inner_row: Sequence[int],
     cols = _support(k, table.category, _canonical_labels(outer_col),
                     _canonical_labels(inner_col))
     wnum = table.wnum
-    return Fraction(sum(wnum[t][u] for t in rows for u in cols), table.wden)
+    return Fraction(sum(sum(map(wnum[t].__getitem__, cols)) for t in rows),
+                    table.wden)
 
 
 @cache
@@ -256,26 +261,35 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
         if idx not in position:
             raise ValueError(f"{idx!r} is not an index of order {k} "
                              f"in the {category!r} category")
-    return _leading_coeffs(k, s, category)[position[idx1]][position[idx2]]
+    cnum, cden = _leading_coeffs(k, s, category)
+    return Fraction(cnum[position[idx1]][position[idx2]], cden)
 
 
 @cache
-def _leading_coeffs(k: int, s: int,
-                    category: str) -> tuple[tuple[Fraction, ...], ...]:
+def _leading_coeffs(k: int, s: int, category: str
+                    ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """wg_leading_coeff over all index pairs; it does not depend on N.
 
-    wg_indices lists the indices of one outer p in a run: one inverse each.
+    Held as a WeingartenTable holds W: one integer matrix over one positive
+    denominator, the least common one.  wg_indices lists the indices of one
+    outer p in a run: one inverse each.
     """
     space = _index_space(k, category)
-    indices, inner = space.indices, space.joins[1]
-    zero = Fraction(0)
-    coeffs = [[zero] * len(indices) for _ in indices]
+    indices, keys = space.indices, space.keys
+    blocks = []
     for _, run in groupby(range(len(indices)), key=lambda t: indices[t][0]):
         run = list(run)
-        block = bareiss_inverse([[s ** inner[t][u] for u in run] for t in run])
+        # the inner join count is the key's remainder mod k + 1
+        blocks.append((run, bareiss_inverse(
+            [[s ** (keys[t][u] % (k + 1)) for u in run] for t in run])))
+    cden = math.lcm(*{x.denominator for _, block in blocks
+                      for row in block for x in row})
+    cnum = [[0] * len(indices) for _ in indices]
+    for run, block in blocks:
         for t, row in zip(run, block):
-            coeffs[t][run[0]:run[-1] + 1] = row
-    return tuple(map(tuple, coeffs))
+            cnum[t][run[0]:run[-1] + 1] = [
+                x.numerator * (cden // x.denominator) for x in row]
+    return tuple(map(tuple, cnum)), cden
 
 
 def wg_certify_asymptotics(k: int, s: int,
@@ -287,29 +301,47 @@ def wg_certify_asymptotics(k: int, s: int,
     forces monotone decrease.  One pass over the index pairs keeps only each
     N's maximum and each step's first four violations.  As everywhere,
     s = 1 degenerates the category to singletons.
+
+    The pass runs on integers.  With W = wnum / wden, c = cnum / cden over
+    the common denominator of the leading coefficients, and N = r^2, the
+    scaled error at (t, u) is X r^(b(q)-b(p)+k) / (wden cden r^k), where
+    X = |wnum r^(2 b(p)) cden - cnum wden|: a numerator per entry over one
+    denominator D per N, so the halving test is the cross-multiplication
+    2 X' D > X D' and each N's maximum a maximum of numerators.  Only the
+    maxima become Fractions.
     """
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     category = _category_in_effect(s, category)
     report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
     tables = [wg_table(k, n, s, category) for n in LADDER]
-    coeffs = _leading_coeffs(k, s, category)
+    cnum, cden = _leading_coeffs(k, s, category)
     blocks = [p.block_count() for p, _ in tables[0].indices]
-    worst = [Fraction(0)] * len(LADDER)
+    roots = [math.isqrt(n) for n in LADDER]
+    dens = [w.wden * cden * r ** k for r, w in zip(roots, tables)]
+    # at each N and b(p): r^(2 b(p)) cden, and the row of r^(b(q)-b(p)+k)
+    lifts = [[r ** (2 * b) * cden for b in range(k + 1)] for r in roots]
+    scales = [[[r ** (bq - b + k) for bq in blocks] for b in range(k + 1)]
+              for r in roots]
+    # 2 X' D > X D' at each step, as the products with these factors
+    steps = [(2 * d0, d1) for d0, d1 in zip(dens, dens[1:])]
+    worst = [0] * len(LADDER)
     bad = [[] for _ in LADDER[1:]]
     for t, bp in enumerate(blocks):
-        for u, bq in enumerate(blocks):
-            c = coeffs[t][u]
-            # |wnum/wden - c/N^b(p)| * sqrt(N)^(b(p)+b(q)), each N a square
-            errors = [Fraction(abs(w.wnum[t][u] * n ** bp * c.denominator
-                                   - c.numerator * w.wden)
-                               * math.isqrt(n) ** (bp + bq),
-                               w.wden * n ** bp * c.denominator)
-                      for n, w in zip(LADDER, tables)]
-            for e0, e1, violations in zip(errors, errors[1:], bad):
-                if e1 * 2 > e0 and len(violations) < 4:
-                    violations.append((t, u))
-            worst = list(map(max, worst, errors))
+        crow = cnum[t]
+        errors = [[abs(x * lift[bp] - c * w.wden) * q
+                   for x, c, q in zip(w.wnum[t], crow, scale[bp])]
+                  for w, lift, scale in zip(tables, lifts, scales)]
+        for (d0, d1), e0, e1, violations in zip(steps, errors, errors[1:],
+                                                 bad):
+            if len(violations) < 4 and any(
+                    map(gt, map(d0.__mul__, e1), map(d1.__mul__, e0))):
+                violations.extend(
+                    (t, u) for u, (x0, x1) in enumerate(zip(e0, e1))
+                    if x1 * d0 > x0 * d1)
+                del violations[4:]
+        worst = list(map(max, worst, map(max, errors)))
+    worst = [Fraction(x, d) for x, d in zip(worst, dens)]
     for step, violations in enumerate(bad):
         report.add(
             f"scaled error halves from N={LADDER[step]} to N={LADDER[step+1]} "

@@ -292,7 +292,8 @@ def _huge(k):
     (("partial-trace", "--t", "1/2", "--k", "3"),
      {"partial_trace_law": lambda t, bm, k: list(map(_huge, range(k + 1)))}),
     (("char-law", "--rep", "g", "--order", "3"),
-     {"character_moment_wreath": lambda fd, rep, eps: _huge(len(eps)),
+     {"plain_character_moments": lambda fd, rep, k: list(map(_huge,
+                                                              range(k + 1))),
       "compound_poisson_law": lambda fd, rep: freeprob._Memo(
           lambda eps: _huge(len(eps)))}),
 ])
@@ -456,6 +457,22 @@ def test_partial_trace_cap_names_the_typed_k(capsys, monkeypatch):
     assert (code, out, asked) == (2, "", [])
     assert err.endswith("steps for the moments to order 3 exceeds the cap of "
                         "10000000\n")
+
+
+def test_exact_value_past_the_digit_limit_is_refused(capsys):
+    # t = 10^-5000 has a 5001-digit denominator, past Python's int-to-string
+    # limit: a cap refusal that prints nothing, where --float prints it
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "partial-trace", "--t", "1e-5000", "--k", "1") == \
+        (2, "", f"cap exceeded: printing an exact value of more than {limit} "
+                f"digits exceeds the cap of {limit}; --float prints it "
+                "approximately\n")
+    assert run(capsys, "partial-trace", "--t", "1e-5000", "--k", "1",
+               "--float") == (0, "k=1: 0.0\n", "")
+    # a value within the limit prints in full
+    code, out, _ = run(capsys, "partial-trace", "--t", f"1e-{limit - 1}",
+                       "--k", "1")
+    assert (code, len(out)) == (0, len(f"k=1: 1/1{'0' * (limit - 1)}\n"))
 
 
 def test_partial_trace_runs_one_transform(capsys, monkeypatch):
@@ -710,6 +727,8 @@ def test_classical_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_char_law_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(freeprob, "plain_character_moments",
+                        lambda fd, rep, k: [-1] * (k + 1))
     monkeypatch.setattr(freeprob, "character_moment_wreath",
                         lambda fd, rep, eps: -1)
     assert run(capsys, "char-law", "--rep", "g") == (
@@ -857,9 +876,10 @@ def test_char_law_cap_checked_before_any_star_word(capsys, monkeypatch):
         raise AssertionError("a moment came before the cap was checked")
 
     monkeypatch.setattr(freeprob, "character_moment_wreath", never)
+    monkeypatch.setattr(freeprob, "plain_character_moments", never)
     monkeypatch.setattr(freeprob, "compound_poisson_law", never)
     assert run(capsys, "char-law", "--rep", "g", "--order", "100000") == \
-        (2, "", "cap exceeded: 9310595116543552734 steps for the moments to "
+        (2, "", "cap exceeded: 977095122376852734 steps for the moments to "
                 "order 100000 exceeds the cap of 10000000\n")
     assert run(capsys, "char-law", "--rep", "g", "--eps", "1" * 15) == \
         (2, "", "cap exceeded: enumeration over 15 points exceeds the cap "
@@ -916,6 +936,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("partial-trace", "--t", "1e400", "--k", "3"),
         ("partial-trace", "--t", "nan", "--k", "3"),
         ("partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"),
+        ("partial-trace", "--t", "1e-5000", "--k", "1"),
         ("weingarten", "--k", "9", "--N", "4"),
         ("weingarten", "--k", "2", "--N", big, "--float"),
         ("weingarten", "--k", "2", "--N", "0"),

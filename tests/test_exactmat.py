@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from freewreath.exactmat import (bareiss_det_rank, bareiss_inverse,
                                  gauss_jordan_inverse)
+from freewreath import weingarten
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
@@ -113,20 +114,25 @@ def make_dependent(matrix, dependent, coeffs) -> int:
     return free
 
 
-def fraction_rank(matrix) -> int:
-    """The rank of a square matrix by Fraction Gaussian elimination."""
+def fraction_rank_det(matrix) -> tuple[int, Fraction]:
+    """(rank, determinant) of a square matrix by Fraction Gaussian
+    elimination: the determinant is the signed product of the pivots."""
     a = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
+    rank, det = 0, Fraction(1)
     for col in range(len(a)):
         piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
+            det = Fraction(0)
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
         for r in range(rank + 1, len(a)):
             fac = a[r][col] / a[rank][col]
             a[r] = [x - fac * y for x, y in zip(a[r], a[rank])]
         rank += 1
-    return rank
+    return rank, det
 
 
 DEPENDENT_ROWS = (square_matrices(), st.integers(0, 6),
@@ -140,7 +146,7 @@ def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
     free = make_dependent(matrix, dependent, coeffs)
     rank, det = bareiss_det_rank(matrix)
     assert det == leibniz_det(matrix)
-    assert rank == fraction_rank(matrix)
+    assert rank == fraction_rank_det(matrix)[0]
     assert rank <= free
     assert (det == 0) == (rank < n)
 
@@ -159,6 +165,66 @@ def test_inverse_columns_match_full_inverse(matrix, dependent, coeffs, picks):
     full = gauss_jordan_inverse(matrix)
     assert bareiss_inverse(matrix, cols) == \
         [[row[c] for c in cols] for row in full]
+
+
+def sparse_matrices(max_size=10):
+    """Square matrices of up to max_size rows, about half of whose entries
+    are zero, so that rows meet with zero spans in many places."""
+    entry = st.integers(-6, 6).map(lambda x: x if abs(x) > 3 else 0)
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def check_against_fractions(matrix, cols):
+    """bareiss_det_rank against Fraction elimination, and bareiss_inverse
+    on the columns cols against the Fraction Gauss-Jordan inverse, or
+    refused with it when singular."""
+    rank, det = bareiss_det_rank(matrix)
+    assert (rank, det) == fraction_rank_det(matrix)
+    if rank < len(matrix):
+        with pytest.raises(ZeroDivisionError):
+            bareiss_inverse(matrix, cols)
+        with pytest.raises(ZeroDivisionError):
+            gauss_jordan_inverse(matrix)
+        return
+    full = gauss_jordan_inverse(matrix)
+    assert bareiss_inverse(matrix, cols) == \
+        [[row[c] for c in cols] for row in full]
+
+
+@DERANDOMIZED
+@given(sparse_matrices(), st.lists(st.integers(0, 9), max_size=12))
+def test_sparse_elimination_matches_fractions(matrix, picks):
+    check_against_fractions(matrix, [c % len(matrix) for c in picks])
+
+
+@DERANDOMIZED
+@given(sparse_matrices(8), st.integers(1, 4),
+       st.lists(st.integers(-2, 2), min_size=48, max_size=48),
+       st.permutations(range(8)))
+def test_rank_deficient_elimination_matches_fractions(matrix, dependent,
+                                                      coeffs, order):
+    # the dependent rows moved among the others, so that the forward pass
+    # meets a zero column below its pivots and skips it
+    n = len(matrix)
+    make_dependent(matrix, dependent, coeffs)
+    matrix = [matrix[i] for i in order if i < n]
+    check_against_fractions(matrix, range(n))
+    assert bareiss_det_rank(matrix)[0] < n or dependent >= n
+
+
+@pytest.mark.parametrize("k, n, s, category", [
+    (2, 5, 4, "noncrossing"), (3, 16, 4, "noncrossing"),
+    (4, 4, 4, "noncrossing"), (3, 64, 5, "all"), (4, 4, 1, "singletons"),
+    (5, 5, 1, "singletons"), (5, 3, 1, "singletons"),
+    (3, 2, 2, "all")])
+def test_workload_grams_match_fractions(k, n, s, category):
+    # Gram matrices as the weingarten benchmark and the certification
+    # ladder invert them, on their orbit representatives' columns; the last
+    # two are singular, as NC(5) is at N = 3 and S_2's category at k = 3
+    gram = wg_gram(k, n, s, category)
+    check_against_fractions(gram, weingarten._index_space(k, category).reps)
+    assert (bareiss_det_rank(gram)[0] < len(gram)) == (n < 4)
 
 
 @pytest.mark.parametrize("matrix", ([[1, 2]], [[1], [2]], [[1, 2], [3]],

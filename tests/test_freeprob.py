@@ -234,8 +234,8 @@ def test_cap_checked_before_any_sum(monkeypatch):
     # Hom partition route's own recursion and the tensor_fold it runs on
     monkeypatch.setattr(freeprob, "_nc_sum", refuse)
     monkeypatch.setattr(freeprob, "_plain_moments", refuse)
-    monkeypatch.setattr(freeprob, "_boundary_moment", refuse)
-    monkeypatch.setattr(homspaces, "_boundary_moment", refuse)
+    monkeypatch.setattr(freeprob, "_boundary_moments", refuse)
+    monkeypatch.setattr(homspaces, "_boundary_moments", refuse)
     monkeypatch.setattr(homspaces, "tensor_fold", refuse)
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
@@ -253,6 +253,8 @@ def test_cap_checked_before_any_sum(monkeypatch):
         classical_wreath_moment(refuse, 10 ** 30, 10 ** 5)
     with pytest.raises(CapExceededError, match="length 100000"):
         character_moment_wreath(Z2, "g", plain_eps(10 ** 5))
+    with pytest.raises(CapExceededError, match="length 100000"):
+        freeprob.plain_character_moments(Z2, "g", 10 ** 5)
     with pytest.raises(CapExceededError, match="order 100000"):
         config.check_work_cap(freeprob.char_law_work(Z2, "g", 10 ** 5),
                               "{} steps for the moments to order 100000")
@@ -377,8 +379,8 @@ def test_classical_work_bounds_the_recursion(monkeypatch):
 
 def test_char_law_work_bounds_both_routes(monkeypatch):
     # the tensor calls of both routes, the solver's weighted products and
-    # the digits of the moments; and each word's tensor calls against the
-    # count the Hom route checks for it
+    # the digits of the moments; and the Hom route's tensor calls against
+    # the count it checks for its one word
     weights, counts = instrument(monkeypatch)
     for fd, rep in ((cyclic_fusion(2), "g"), (cyclic_fusion(3), "g"),
                     (symmetric_group_3_fusion(), "std"),
@@ -391,14 +393,20 @@ def test_char_law_work_bounds_both_routes(monkeypatch):
         for k in range(1, 13):
             del weights[:], counts[:], calls[:]
             law = compound_poisson_law(fd, rep)
-            values = []
-            for n in range(1, k + 1):
-                before = len(calls)
-                values.append(character_moment_wreath(fd, rep, plain_eps(n)))
-                assert len(calls) - before <= counts[-1], (rep, n)
-                assert law[plain_eps(n)] == values[-1]
+            values = freeprob.plain_character_moments(fd, rep, k)[1:]
+            assert len(calls) <= counts[-1], (rep, k)
+            assert [law[plain_eps(n)] for n in range(1, k + 1)] == values
             assert len(calls) + sum(weights) + digits(values) <= \
                 freeprob.char_law_work(fd, rep, k), (rep, k)
+
+
+@pytest.mark.parametrize("fd, rep", [
+    (Z2, "g"), (S3, "std"), (S3, {"triv": 1, "std": 1})])
+def test_plain_character_moments_match_each_order(fd, rep):
+    # one Hom-route run on the word of 40 letters against one run per order
+    assert freeprob.plain_character_moments(fd, rep, 40) == [1] + [
+        character_moment_wreath(fd, rep, plain_eps(k)) for k in range(1, 41)]
+    assert freeprob.plain_character_moments(fd, rep, 0) == [1]
 
 
 def test_classical_wreath_small_n_brute_force():

@@ -16,6 +16,7 @@ from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import QuantumPermutationFusion
 from freewreath.partition import (Partition, _join_counts, discrete_partition,
                                   enumerate_partitions, kernel)
+from freewreath.report import VerificationReport
 from freewreath.weingarten import (CATEGORIES, LADDER, haar_state,
                                    trace_identity, wg_certify_asymptotics,
                                    wg_gram, wg_indices, wg_leading_coeff,
@@ -334,8 +335,12 @@ def test_scaled_errors_need_square():
 
 def _scaled_leading(monkeypatch, factor):
     leading = weingarten._leading_coeffs
-    monkeypatch.setattr(weingarten, "_leading_coeffs", lambda k, s, c: tuple(
-        tuple(factor * x for x in row) for row in leading(k, s, c)))
+
+    def scaled(k, s, c):
+        cnum, cden = leading(k, s, c)
+        return tuple(tuple(factor * x for x in row) for row in cnum), cden
+
+    monkeypatch.setattr(weingarten, "_leading_coeffs", scaled)
 
 
 def test_certification_reports_violations(monkeypatch):
@@ -367,6 +372,127 @@ def test_certification_passes():
         for k in (2, 3):
             report = wg_certify_asymptotics(k, s, cat)
             assert report.passed, report.render()
+
+
+def fraction_certify(k, s, category):
+    """The certification pass over Fractions, three scaled errors per entry,
+    with the leading coefficients read one by one: the oracle of
+    wg_certify_asymptotics's integer pass.  Its tables are read through
+    weingarten.wg_table, so a test that replaces that reaches both."""
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
+    category = weingarten._category_in_effect(s, category)
+    report = VerificationReport(f"weingarten asymptotics k={k} s={s} {category}")
+    tables = [weingarten.wg_table(k, n, s, category) for n in LADDER]
+    indices = tables[0].indices
+    coeffs = [[wg_leading_coeff(x, y, s, category) for y in indices]
+              for x in indices]
+    blocks = [p.block_count() for p, _ in indices]
+    worst = [Fraction(0)] * len(LADDER)
+    bad = [[] for _ in LADDER[1:]]
+    for t, bp in enumerate(blocks):
+        for u, bq in enumerate(blocks):
+            c = coeffs[t][u]
+            # |wnum/wden - c/N^b(p)| * sqrt(N)^(b(p)+b(q)), each N a square
+            errors = [Fraction(abs(w.wnum[t][u] * n ** bp * c.denominator
+                                   - c.numerator * w.wden)
+                               * math.isqrt(n) ** (bp + bq),
+                               w.wden * n ** bp * c.denominator)
+                      for n, w in zip(LADDER, tables)]
+            for e0, e1, violations in zip(errors, errors[1:], bad):
+                if e1 * 2 > e0 and len(violations) < 4:
+                    violations.append((t, u))
+            worst = list(map(max, worst, errors))
+    for step, violations in enumerate(bad):
+        report.add(
+            f"scaled error halves from N={LADDER[step]} to N={LADDER[step+1]} "
+            f"on all {len(blocks) ** 2} entries",
+            not violations,
+            f"violations at index pairs {violations}" if violations else
+            f"max scaled error {worst[step + 1]} at N={LADDER[step+1]}")
+    report.add(
+        "largest scaled error decreases monotonically along the ladder",
+        all(x > y for x, y in zip(worst, worst[1:])) or worst[0] == 0,
+        " -> ".join(str(w) for w in worst))
+    return report
+
+
+def _outcome(certify, *args):
+    """The rendered report, or the type and message of what was raised."""
+    try:
+        return certify(*args).render()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("category", (*CATEGORIES, None))
+@pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
+def test_integer_certification_matches_fraction_oracle(s, category):
+    # every order to 4, the singular inner Grams included (S_s with s < k,
+    # S_s^+ with s < 4), raise as the oracle does or render as it does
+    outcomes = [(k, _outcome(wg_certify_asymptotics, k, s, category))
+                for k in range(1, 5)]
+    assert outcomes == [(k, _outcome(fraction_certify, k, s, category))
+                        for k in range(1, 5)]
+    in_effect = weingarten._category_in_effect(s, category)
+    assert [k for k, o in outcomes if isinstance(o, tuple)] == \
+        [k for k in range(1, 5) if (k, s, in_effect) in SINGULAR]
+
+
+# the orders, s and categories up to k = 4 whose Gram matrices are singular
+SINGULAR = {(3, 2, "noncrossing"), (4, 2, "noncrossing"), (3, 2, "all"),
+            (4, 2, "all"), (4, 3, "all")}
+
+
+@pytest.mark.parametrize("k, s, category, rung, entry", [
+    (3, 4, "noncrossing", 1, (4, 7)), (4, 1, "singletons", 2, (3, 3)),
+    (4, 5, "all", 2, (10, 2)), (2, 4, "noncrossing", 1, (0, 0))])
+def test_perturbed_table_reports_as_the_oracle(monkeypatch, k, s, category,
+                                               rung, entry):
+    # one Weingarten entry moved by 1 at one N past the first, so that its
+    # scaled error cannot halve into that N: both passes name the same
+    # violations and the same maxima
+    table = weingarten.wg_table
+
+    def perturbed(k, n, s, category):
+        w = table(k, n, s, category)
+        if n != LADDER[rung]:
+            return w
+        rows = [list(row) for row in w.wnum]
+        t, u = entry
+        rows[t][u] += w.wden
+        return w._replace(wnum=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(weingarten, "wg_table", perturbed)
+    report = wg_certify_asymptotics(k, s, category)
+    assert report.render() == fraction_certify(k, s, category).render()
+    assert not report.passed
+
+
+@pytest.mark.parametrize("factor", (0, 2, 3))
+def test_scaled_leading_terms_report_as_the_oracle(monkeypatch, factor):
+    # leading terms off by a factor: the scaled errors settle instead of
+    # halving, near the boundary of the halving test
+    _scaled_leading(monkeypatch, factor)
+    for k, s, category in ((2, 4, "noncrossing"), (3, 1, None),
+                           (3, 5, "all"), (4, 4, "noncrossing")):
+        report = wg_certify_asymptotics(k, s, category)
+        assert report.render() == fraction_certify(k, s, category).render()
+        assert not report.passed
+
+
+def test_certification_makes_one_fraction_per_rung(monkeypatch):
+    # the scaled errors stay integers; only each N's maximum is a Fraction,
+    # on a cold cache of leading coefficients too
+    made = []
+    monkeypatch.setattr(weingarten, "Fraction",
+                        lambda *args: made.append(args) or Fraction(*args))
+    weingarten._leading_coeffs.cache_clear()
+    for k, s, category in ((4, 4, "noncrossing"), (5, 1, None),
+                           (3, 5, "all")):
+        del made[:]
+        assert wg_certify_asymptotics(k, s, category).passed
+        assert len(made) <= len(LADDER), (k, s, category)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +595,10 @@ class _Stop(Exception):
 
 @pytest.mark.parametrize("k, orbits, m", ((6, 28, 132), (7, 63, 429)))
 def test_work_scales_with_the_orbits(monkeypatch, k, orbits, m):
-    # join rows and inverse columns only at the orbit representatives:
-    # one outer and one inner join per representative row and index, one
+    # join rows and inverse columns only at the orbit representatives, and
+    # one join per distinct pair of partitions: one outer join per
+    # representative row and index (the outer partitions of "singletons"
+    # are distinct), one inner join (its inner partitions are one), and one
     # inverse column per representative
     merges = []
     merge = partition._merge
@@ -484,7 +612,7 @@ def test_work_scales_with_the_orbits(monkeypatch, k, orbits, m):
     weingarten._index_space(k, "singletons")
     monkeypatch.setattr(partition, "_merge", merge)
     weingarten._index_space.cache_clear()
-    assert len(merges) == 2 * orbits * m
+    assert len(merges) == orbits * m + 1
 
     calls = []
 
