@@ -93,6 +93,7 @@ def _back(a: IntMatrix, n: int) -> None:
     column top up to the augmented columns, and the pivot row is zero left
     of its pivot: row r is only scaled on columns r..top-1, column top
     becomes zero, and the rows are combined on the augmented columns alone.
+    Only those spans are written; the zeros left of r and past top stay.
     Each row ends as a multiple of its reduced echelon row.
     """
     for top in reversed(range(n)):
@@ -105,8 +106,9 @@ def _back(a: IntMatrix, n: int) -> None:
                 p = pv // g
                 head = _primitive([p * x for x in row[r:top]]
                                   + _combine(p, fac // g, row[n:], aug))[0]
-                a[r] = [0] * r + head[:top - r] + [0] * (n - top) \
-                    + head[top - r:]
+                row[r:top] = head[:top - r]
+                row[top] = 0
+                row[n:] = head[top - r:]
 
 
 def bareiss_det_rank(matrix) -> tuple[int, int]:

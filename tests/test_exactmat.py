@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewreath.exactmat import (bareiss_det_rank, bareiss_inverse,
-                                 gauss_jordan_inverse)
+from freewreath.exactmat import (_back, _forward, bareiss_det_rank,
+                                 bareiss_inverse, gauss_jordan_inverse)
 from freewreath import weingarten
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
 
@@ -211,6 +211,23 @@ def test_rank_deficient_elimination_matches_fractions(matrix, dependent,
     matrix = [matrix[i] for i in order if i < n]
     check_against_fractions(matrix, range(n))
     assert bareiss_det_rank(matrix)[0] < n or dependent >= n
+
+
+@DERANDOMIZED
+@given(sparse_matrices(8), st.permutations(range(8)),
+       st.lists(st.integers(0, 7), max_size=8))
+def test_back_pass_leaves_the_square_part_diagonal(matrix, order, picks):
+    # a diagonally dominant matrix is full rank; its rows shuffled, so that
+    # the forward pass swaps, and some columns of I appended
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        row[i] = 1 + sum(map(abs, row))
+    a = [matrix[i] + [int(i == c % n) for c in picks]
+         for i in order if i < n]
+    assert len(_forward(a, n)[0]) == n
+    _back(a, n)
+    assert [[x != 0 for x in row[:n]] for row in a] == \
+        [[r == c for c in range(n)] for r in range(n)]
 
 
 @pytest.mark.parametrize("k, n, s, category", [

@@ -173,11 +173,35 @@ def test_support_matches_brute_force():
 
 
 def test_category_pairs_compose_like_partitions():
-    for max_points in range(6):
+    # every pair up to five points, a seeded sample of the 43,371 on six
+    for max_points in range(7):
         diagrams, _, composes, _ = linmaps._category_pairs(max_points)
+        if max_points == 6:
+            composes = random.Random(6).sample(composes, 2000)
         for top, bottom, res, closed in composes:
             assert diagrams[bottom].compose(diagrams[top]) == \
                 (diagrams[res], closed)
+
+
+def test_category_pairs_join_once_per_state_and_link(monkeypatch):
+    # the stacked pairs on six points share their joins: one union-find per
+    # distinct (link, state), far fewer than one per pair
+    merges, joins = [], []
+    merge, joined = linmaps._merge, linmaps._joined
+
+    def counted_merge(*args):
+        merges.append(args)
+        return merge(*args)
+
+    def counted_join(a, b, state):
+        joins.append((a, b, state))
+        return joined(a, b, state)
+
+    monkeypatch.setattr(linmaps, "_merge", counted_merge)
+    monkeypatch.setattr(linmaps, "_joined", counted_join)
+    composes = linmaps._category_pairs.__wrapped__(6)[2]
+    assert len(composes) == 43371
+    assert len(merges) == len(joins) == len(set(joins)) == 2874
 
 
 def test_bit_rows_match_build_tp():
