@@ -54,11 +54,14 @@ def _shown(args, value) -> str:
 
 
 def cmd_fuse(args) -> list[str]:
-    from .fusion import fuse, fusion_from_uri, parse_word, render_word, sort_words
+    from .fusion import (fuse, fused_letters, fusion_from_uri, parse_word,
+                         render_word, sort_words)
 
     fd = fusion_from_uri(args.fusion)
-    result = fuse(parse_word(args.x, fd), parse_word(args.y, fd), fd,
-                  method=args.method)
+    x, y = parse_word(args.x, fd), parse_word(args.y, fd)
+    check_work_cap(fused_letters(x, y, fd),
+                   "building {} letters of the product's words")
+    result = fuse(x, y, fd, method=args.method)
     return [f"{render_word(word, fd)} ×{mult}"
             for word, mult in sort_words(result, fd)]
 
@@ -71,11 +74,15 @@ def cmd_dim(args) -> list[str]:
 
 
 def cmd_char_poly(args) -> list[str]:
-    from .fusion import central_char_poly, fusion_from_uri, parse_word
+    from .fusion import (central_char_poly, char_poly_products,
+                         fusion_from_uri, parse_word)
     from .qnum import render_poly
 
     fd = fusion_from_uri(args.fusion)
-    return [render_poly(central_char_poly(parse_word(args.x, fd), fd))]
+    word = parse_word(args.x, fd)
+    check_work_cap(char_poly_products(word, fd),
+                   "taking {} coefficient products for the character polynomial")
+    return [render_poly(central_char_poly(word, fd))]
 
 
 def cmd_hom_dim(args) -> list[str]:

@@ -18,6 +18,9 @@ first use):
                            check takes, the random products the dimension
                            check fuses, the N^(2k) entries of the two
                            products the conjugate-equation check compares,
+                           the letters of the words a fuse command prints,
+                           the coefficient products of a character
+                           polynomial,
                            and the steps of freeprob's plain orders, Hom
                            route and classical recursion, a closed-form
                            count checked before the first block moment

@@ -37,7 +37,8 @@ which must agree:
 The dimension of the word (a1, ..., a_{k-1}) with reduced exponents (l1..lk)
 is prod dim(a_i) * prod A_{l_i}(sqrt(N)).  Each factor is the integer a_l(N)
 times sqrt(N)**(l mod 2), and 0 or 2 exponents are odd, so it is computed in
-integers as N**(odd/2) * prod dim(a_i) * prod a_{l_i}(N).  Replacing
+integers as N**(odd/2) * prod dim(a_i) * prod a_{l_i}(N), in one scan of
+the word with no reduced form built.  Replacing
 sqrt(N) by a variable sqrt(X) gives the central character polynomial, an
 integer polynomial in X.  The dimension formula holds for N >= 4 only, and
 smaller N is refused.  ``verify_dim_multiplicativity`` checks dim(x) dim(y)
@@ -52,7 +53,6 @@ dict, and :func:`tensor_fold` multiplies such elements.
 
 from __future__ import annotations
 
-import math
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -187,12 +187,16 @@ class TableFusion(FusionData):
         return self._trivial
 
     def dim(self, label):
-        self.check_label(label)
-        return self._dims[label]
+        try:
+            return self._dims[label]
+        except KeyError:
+            raise ValueError(f"unknown irreducible label {label!r}") from None
 
     def conj(self, label):
-        self.check_label(label)
-        return self._conj[label]
+        try:
+            return self._conj[label]
+        except KeyError:
+            raise ValueError(f"unknown irreducible label {label!r}") from None
 
     def tensor(self, a, b):
         try:
@@ -526,9 +530,7 @@ def fuse_direct(x: Word, y: Word, fd: FusionData) -> Counter:
     for letter in x + y:
         fd.check_label(letter)
     out: Counter = Counter()
-    for cut in range(min(len(x), len(y)) + 1):
-        if cut and fd.conj(x[-cut]) != y[cut - 1]:
-            break
+    for cut in range(_cut_count(x, y, fd)):
         u, v = x[:len(x) - cut], y[cut:]
         out[u + v] += 1
         if u and v:
@@ -536,6 +538,34 @@ def fuse_direct(x: Word, y: Word, fd: FusionData) -> Counter:
                 if mult:
                     out[u[:-1] + (gamma,) + v[1:]] += mult
     return out
+
+
+def _cut_count(x: Word, y: Word, fd: FusionData) -> int:
+    """The valid cuts of :func:`fuse_direct`, one conjugate looked up each:
+    cut c is valid when conj(x[-s]) = y[s-1] for every s <= c."""
+    cut, top = 0, min(len(x), len(y))
+    while cut < top and fd.conj(x[-cut - 1]) == y[cut]:
+        cut += 1
+    return cut + 1
+
+
+def fused_letters(x: Word, y: Word, fd: FusionData) -> int:
+    """The letters of the distinct words x tensor y decomposes into, counted
+    before any is built, so that a command can refuse a long product.
+
+    The valid cut c gives the concatenation, of len(x) + len(y) - 2c letters,
+    and, while both sides keep a letter, one word of a letter fewer per
+    constituent of the boundary product.  The lengths differ between cuts,
+    so no word comes twice and the count is exact.
+    """
+    size = len(x) + len(y)
+    letters = 0
+    for cut in range(_cut_count(x, y, fd)):
+        letters += size - 2 * cut
+        if cut < len(x) and cut < len(y):
+            letters += (size - 2 * cut - 1) * len(fd.tensor(x[-cut - 1],
+                                                            y[cut]))
+    return letters
 
 
 def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
@@ -601,13 +631,23 @@ def dim_wreath(word: Word, fd: FusionData, n: int) -> int:
     """prod dim(letters) * prod A_l(sqrt(N)) over the reduced exponents.
 
     That is N**(odd // 2) * prod dim(letters) * prod a_l(N), the 0 or 2 odd
-    exponents giving one sqrt(N) each.  It holds for N >= 4 only.
+    exponents giving one sqrt(N) each, and it holds for N >= 4 only.  It is
+    taken in one scan of the word, no reduced form built: a trivial letter
+    adds 2 to the running exponent, and a nontrivial letter a closes it,
+    multiplying in dim(a) * a_e(N), and opens the next at 2.  The last
+    exponent is closed at the end, one less; the outer two are odd, and
+    their sqrt(N)s make N, exactly when a nontrivial letter was read.
     """
     _check_word_n(n)
-    exponents, letters = reduce_word(word, fd)
-    odd = sum(e % 2 for e in exponents)
-    return (n ** (odd // 2) * math.prod(map(fd.dim, letters))
-            * math.prod(cheb_int_factor(e, n) for e in exponents))
+    triv, dim = fd.trivial(), fd.dim
+    value, e, root = 1, 1, 1
+    for a in word:
+        if a == triv:
+            e += 2
+        else:
+            value *= dim(a) * cheb_int_factor(e, n)
+            e, root = 2, n
+    return value * root * cheb_int_factor(e - 1, n)
 
 
 def verify_dim_multiplicativity(fd: FusionData, n: int, rng, count: int):
@@ -642,6 +682,16 @@ def verify_dim_multiplicativity(fd: FusionData, n: int, rng, count: int):
             return report
     report.add(description, True)
     return report
+
+
+def char_poly_products(word: Word, fd: FusionData) -> int:
+    """The coefficient products :func:`central_char_poly` takes on word:
+    multiplying a product of degree d by A_e takes (d + 1)(e + 1)."""
+    products = degree = 0
+    for e in reduce_word(word, fd)[0]:
+        products += (degree + 1) * (e + 1)
+        degree += e
+    return products
 
 
 def central_char_poly(word: Word, fd: FusionData) -> tuple[int, ...]:

@@ -28,8 +28,9 @@ category check holds T_p as 0/1 bit rows and columns, one Python int each,
 built from the same block weights: a nonzero row is the mask of every
 assignment of the upper-only blocks shifted by the through-block values that
 the row fixes, and a column likewise with the rows swapped.  It compares the
-three relations through shifts, ANDs and popcounts; the popcount rows of a
-product are computed once per top, a repeated expected row once per call,
+three relations through shifts, ANDs and popcounts, a tensor product on
+the shorter of its rows and columns; the popcount rows of a product are
+computed once per top, a repeated expected row once per call,
 and its partition side (the pairs and their products, on block labels) once
 per point bound.  A composite is read off the labels of its stacked picture,
 joined one link at a time: each link is a memo from labels to joined labels,
@@ -404,9 +405,12 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     relation runs over single diagrams up to max_points.
 
     Each T_p is compared entry by entry, zeros included, as 0/1 bit rows
-    built from its blocks: the Kronecker row of T_p tensor T_q at (j1, j2)
-    is the row of T_p at j1 with bit b moved to b * N^upper(q),
-    times the row of T_q at j2; the (o, i) entry of T_bottom T_top is the
+    and columns built from its blocks.  A tensor pair is walked on the
+    shorter side of T_p tensor T_q, chosen by its arities: the Kronecker
+    row at (j1, j2) is the row of T_p at j1 with bit b moved to
+    b * N^upper(q), times the row of T_q at j2, and the column at (i1, i2)
+    is the column of T_p at i1 with bit b moved to b * N^lower(q), times the
+    column of T_q at i2.  The (o, i) entry of T_bottom T_top is the
     popcount of row o of T_bottom and column i of T_top.
     """
     if max_points < 0:
@@ -425,18 +429,26 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     maps = [_bit_rows(d, dim) for d in diagrams]
 
     @cache
-    def spread_rows(a: int, stride: int) -> list[int]:
-        """The rows of T_a with bit b moved to b * stride."""
-        rows = maps[a][0]
-        # rows of T_p repeat, so each distinct one is spread once
-        moved = {r: _spread(r, stride) for r in set(rows)}
-        return list(map(moved.__getitem__, rows))
+    def spread(a: int, side: int, stride: int) -> list[int]:
+        """The rows (side 0) or columns (side 1) of T_a with bit b moved to
+        b * stride."""
+        masks = maps[a][side]
+        # the masks of T_p repeat, so each distinct one is spread once
+        moved = {r: _spread(r, stride) for r in set(masks)}
+        return list(map(moved.__getitem__, masks))
 
-    rep.tally("T_(p tensor q) = T_p tensor T_q on {} pairs", (
-        [x * y for x in spread_rows(a, dim ** diagrams[b].upper)
-         for y in maps[b][0]] == maps[ab][0] for a, b, ab in tensors))
+    def tensor_holds(a: int, b: int, ab: int) -> bool:
+        # the rows of T_ab or its columns, whichever are fewer at every N
+        side = int(diagrams[ab].lower > diagrams[ab].upper)
+        q = diagrams[b]
+        stride = dim ** (q.lower if side else q.upper)
+        return [x * y for x in spread(a, side, stride)
+                for y in maps[b][side]] == maps[ab][side]
+
+    rep.tally("T_(p tensor q) = T_p tensor T_q on {} pairs",
+              (tensor_holds(*triple) for triple in tensors))
     # not read again: the compose check runs without them in memory
-    spread_rows.cache_clear()
+    spread.cache_clear()
     rep.tally("T_(p compose q) * N^closed = T_p . T_q on {} stacked pairs",
               _products_hold(maps, composes, dim))
     rep.tally("T_(p*) = (T_p)* on {} diagrams", (

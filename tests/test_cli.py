@@ -704,6 +704,28 @@ def test_hom_dim_over_cap_refused_by_both_methods(capsys):
                    "of 14\n")
 
 
+def test_long_words_refused_before_any_word_is_built(capsys, monkeypatch):
+    # fuse of (g,g) and (g) prints (g), (g,1) and (g,g,g): six letters, and
+    # the character polynomial of (g,g) multiplies A_1 A_2 A_1 in 2 + 6 + 8
+    # coefficient products
+    def never(*args, **kwargs):
+        raise AssertionError("built before the cap was checked")
+
+    cases = ((("fuse", "(g,g)", "(g)"), 6,
+              "building 6 letters of the product's words"),
+             (("char-poly", "(g,g)"), 16,
+              "taking 16 coefficient products for the character polynomial"))
+    for argv, count, work in cases:
+        monkeypatch.setattr(config, "caps", lambda: (14, count))
+        assert run(capsys, *argv)[0] == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(config, "caps", lambda: (14, count - 1))
+            patched.setattr(fusion, "fuse", never)
+            patched.setattr(fusion, "central_char_poly", never)
+            assert run(capsys, *argv) == (
+                2, "", f"cap exceeded: {work} exceeds the cap of {count - 1}\n")
+
+
 def test_dim_long_trivial_word(capsys):
     # one reduced exponent of 2l: A_2l(2) = 2l + 1
     for letters in (600, 20000):
@@ -923,6 +945,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     big_table = tmp_path / "z50.json"  # 125,000 label triples
     big_table.write_text(group_dual_json(cyclic_names(50), cyclic_product(50)))
     haar = ("weingarten", "--k", "2", "--N", "4", "--haar")
+    long_g = "(" + ",".join(["g"] * 3000) + ")"
     cases = [
         ("char-law", "--rep", "g", "--order", big),
         ("char-law", "--rep", "g", "--order", "50000"),
@@ -972,6 +995,8 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("dim", "(,)", "--N", "4"),
         ("dim", "(g)", "--N", big),
         ("char-poly", "(1.5)", "--fusion", "builtin:integers"),
+        ("fuse", long_g, long_g),
+        ("char-poly", long_g),
     ]
 
     def limit_memory():
@@ -993,6 +1018,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     assert codes["classical", "--n", big, "--k", "100000"] == 2
     assert codes["partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"] == 2
     assert codes["fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"] == 2
+    assert codes["fuse", long_g, long_g] == codes["char-poly", long_g] == 2
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

@@ -8,9 +8,11 @@ import pytest
 
 from builders import (S3_ELEMENTS, check_reduced_form, cyclic_names,
                       cyclic_product, group_dual_json, s3_product)
+from freewreath import fusion
 from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
-                               TableFusion, central_char_poly, conj_word,
-                               cyclic_fusion, dim_wreath, fuse, fuse_direct,
+                               TableFusion, central_char_poly,
+                               char_poly_products, conj_word, cyclic_fusion,
+                               dim_wreath, fuse, fuse_direct, fused_letters,
                                fuse_via_reduced, fusion_from_json,
                                fusion_from_uri, load_fusion_file,
                                parse_letter, parse_word, reduce_word,
@@ -211,6 +213,56 @@ def test_fuse_direct_looks_up_one_conjugate_per_cut(monkeypatch):
     assert fuse_direct(w, w[::-1], Z2) == fuse_via_reduced(w, w[::-1], Z2)
 
 
+def _ring_words(seed, count, max_len):
+    """count seeded pairs of words over every shipped ring, y opening with
+    part of conj(x) half the time, so that many cuts are valid."""
+    rng = random.Random(seed)
+    rings = [(fd, fd.labels()) for fd in ALL_FD]
+    rings += [(IntegersFusion(), range(-2, 3)),
+              (QuantumPermutationFusion(4), range(4))]
+    for fd, labels in rings:
+        for _ in range(count):
+            x = tuple(rng.choice(labels) for _ in range(rng.randrange(max_len)))
+            y = tuple(rng.choice(labels) for _ in range(rng.randrange(max_len)))
+            if rng.random() < 0.5:
+                y = conj_word(x, fd)[:rng.randrange(len(x) + 1)] + y
+            yield fd, x, y
+
+
+def test_fused_letters_count_what_each_route_builds(monkeypatch):
+    # every word either route writes into its Counter, with its letters
+    built = []
+
+    class Recording(Counter):
+        def __setitem__(self, word, mult):
+            built.append(len(word))
+            super().__setitem__(word, mult)
+
+    monkeypatch.setattr(fusion, "Counter", Recording)
+    for fd, x, y in _ring_words(17, 150, 7):
+        count = fused_letters(x, y, fd)
+        for route in (fuse_direct, fuse_via_reduced):
+            built.clear()
+            words = route(x, y, fd)
+            # each route writes each of its words once: the count is exact
+            assert sum(built) == sum(map(len, words)) == count, (route, x, y)
+    # the two 3000-letter g words: every cut valid, one product word each
+    g = ("g",) * 3000
+    assert fused_letters(g, g, Z2) == 18003000
+
+
+def test_char_poly_products_count_the_coefficient_products(monkeypatch):
+    taken = []
+    multiply = fusion.poly_mul
+    monkeypatch.setattr(fusion, "poly_mul", lambda a, b: taken.append(
+        len(a) * len(b)) or multiply(a, b))
+    for fd, x, y in _ring_words(19, 40, 9):
+        taken.clear()
+        central_char_poly(x + y, fd)
+        assert sum(taken) == char_poly_products(x + y, fd), (x + y)
+    assert char_poly_products(("g",) * 3000, Z2) == 27003002
+
+
 def test_fusion_routes_check_letters():
     # the unknown letter sits at no cut and in no boundary product
     for route in (fuse_direct, fuse_via_reduced):
@@ -255,6 +307,28 @@ def test_dim_matches_qnum_product(cheb_qnum, qnum_prod):
                 value = qnum_prod([(fd.dim(a), 0) for a in letters]
                                   + [cheb_qnum(e, n) for e in exponents], n)
                 assert value == (dim_wreath(w, fd, n), 0), (w, n)
+
+
+def test_dim_refuses_small_n_then_the_first_unknown_letter():
+    # N is refused before a letter is read, and the scan stops at the first
+    # unknown letter, after trivial and known ones
+    with pytest.raises(ValueError, match=r"^word dimensions need N >= 4, "
+                                         r"got N=3$"):
+        dim_wreath(("zz",), Z2, 3)
+    for word in (("zz", "yy"), ("1", "g", "1", "zz", "yy")):
+        with pytest.raises(ValueError,
+                           match="^unknown irreducible label 'zz'$"):
+            dim_wreath(word, Z2, 4)
+
+
+@pytest.mark.parametrize("read", ["dim", "conj"])
+def test_table_reads_refuse_an_unknown_label(read):
+    for fd in ALL_FD + (S3_DUAL,):
+        with pytest.raises(ValueError,
+                           match="^unknown irreducible label 'zz'$"):
+            getattr(fd, read)("zz")
+        with pytest.raises(TypeError):
+            getattr(fd, read)(["g"])
 
 
 def test_sort_words_deterministic():
