@@ -97,33 +97,38 @@ def cmd_hom_dim(args) -> list[str]:
 
 def cmd_char_law(args) -> list[str]:
     from .freeprob import (char_law_work, character_moment_wreath,
-                           compound_poisson_law, parse_eps,
-                           plain_character_moments, plain_eps, render_eps)
+                           compound_poisson_law, parse_eps, partial_trace_law,
+                           plain_character_moments, plain_eps, render_eps,
+                           rep_block_moment)
     from .fusion import fusion_from_uri, parse_letter
 
     fd = fusion_from_uri(args.fusion)
     rep = parse_letter(args.rep, fd)
-    # the cap on the typed word or order, before any moment
+    # the cap on the typed word or order, before any moment; each word comes
+    # with its moment by the Hom route and by the free compound Poisson law
     if args.eps is not None:
         eps = parse_eps(args.eps)
         if not eps:
             raise ValueError("--eps needs a star word of at least one letter")
         check_enum_cap(len(eps))  # its first-block sum
-        moments = {eps: character_moment_wreath(fd, rep, eps)}
+        rows = [(eps, character_moment_wreath(fd, rep, eps),
+                 compound_poisson_law(fd, rep)[eps])]
     elif args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     else:
-        check_work_cap(char_law_work(fd, rep, args.order),
-                       f"{{}} steps for the moments to order {args.order}")
-        # every order from the one Hom-route run on the longest word
-        moments = dict(zip(map(plain_eps, range(1, args.order + 1)),
-                           plain_character_moments(fd, rep, args.order)[1:]))
-    predicted = compound_poisson_law(fd, rep)
+        k = args.order
+        check_work_cap(char_law_work(fd, rep, k),
+                       f"{{}} steps for the moments to order {k}")
+        # every order from one Hom-route run on the longest word, against
+        # one run of the law's plain-word solver at rate 1
+        rows = zip(map(plain_eps, range(1, k + 1)),
+                   plain_character_moments(fd, rep, k)[1:],
+                   partial_trace_law(1, rep_block_moment(fd, rep), k)[1:])
     lines = []
-    for eps, value in moments.items():
-        if value != predicted[eps]:
+    for eps, value, predicted in rows:
+        if value != predicted:
             raise Disagreement(f"internal disagreement at {render_eps(eps)}: "
-                               f"{value} vs {predicted[eps]}")
+                               f"{value} vs {predicted}")
         lines.append(f"moment {render_eps(eps)}: {_shown(args, value)}")
     return lines
 

@@ -24,13 +24,14 @@ Three independent computations meet here:
   (Nica-Speicher, Lectures on the Combinatorics of Free Probability, 2006,
   Lecture 10): m(eps) = sum over B of k(eps|B) times the moments of the gaps
   that B leaves.  That sum over the choices of B is ``_nc_sum`` here; the
-  moment route does not use it, so the two routes stay independent.  On a
+  moment route does not use it, so the two routes stay independent.  The
+  law is one lazy table, :func:`compound_poisson_law`, that computes a
+  moment, and the cumulants its blocks pick out, on first lookup.  On a
   plain word every cumulant depends on the length alone, and the sum
   collapses to a functional equation that ``_plain_moments`` solves in
-  O(k^3) products (Lectures 10 and 16); ``_nc_sum`` stays for star words and
-  is the solver's oracle.  The law is one lazy table,
-  :func:`compound_poisson_law`, that computes a moment, and the cumulants its
-  blocks pick out, on first lookup;
+  O(k^3) products (Lectures 10 and 16), with ``_nc_sum`` as its oracle.  Its
+  one caller is :func:`partial_trace_law`, the law at rate t, whose run at
+  t = 1 gives every plain order of the untruncated law;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -41,8 +42,8 @@ The truncated character (a partial sum of t*N of the N diagonal entries)
 converges to :func:`partial_trace_law`, the free compound Poisson of rate t:
 its plain free cumulants are t times the jump moments.
 
-No partition is materialised.  The enumeration cap bounds the longest star
-word of the transforms that sum over block choices; the plain orders, the
+No partition is materialised.  The enumeration cap bounds the longest word
+of the transforms that sum over block choices; the plain-word solver, the
 Hom route and the classical recursion are bounded by the entry cap on a
 closed-form count of their work, checked before the first block moment.
 """
@@ -235,26 +236,12 @@ def compound_poisson_law(fd: FusionData, rep) -> _Memo:
     """eps-moments of the free compound Poisson with jump law chi_rep, lazily.
 
     Built through the cumulant route: every free cumulant equals the
-    matching eps-moment of chi_rep in G.  A plain word is read from
-    :func:`_plain_moments`, run as far as its length; a star word is its
-    first-block sum, which asks only for the moments of its contiguous
-    subwords and for the cumulants of the sub-sequences that its blocks pick
-    out.  A lookup checks no cap, so the caller checks it on its longest word
-    first.
+    matching eps-moment of chi_rep in G.  Looking up eps asks only for the
+    moments of its contiguous subwords and for the cumulants of the
+    sub-sequences that its blocks pick out.  A lookup checks no cap, so the
+    caller checks it on its longest word first.
     """
-    cumulants = _Memo(lambda eps: moment_of_rep(fd, rep, eps))
-    plain = _plain_moments(lambda s: cumulants[plain_eps(s)])
-    solved: list[int] = []
-
-    def moment(eps):
-        if any(eps):
-            return _nc_sum(cumulants, moments, eps)
-        while len(solved) <= len(eps):
-            solved.append(next(plain))
-        return solved[len(eps)]
-
-    moments = _Memo(moment)
-    return moments
+    return _nc_moments(_Memo(lambda eps: moment_of_rep(fd, rep, eps)))
 
 
 def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
@@ -284,25 +271,20 @@ def _dim_width(fd: FusionData, rd: dict, n: int) -> tuple[int, int]:
 
 def _hom_work(w: int, r: int, n: int) -> int:
     """A bound on the steps of the Hom route, ``_boundary_moments``, on one
-    word of each length 1..n, whose letters have r constituents and whose
-    products have at most w labels; the difference of two consecutive values
-    bounds one word.
-
-    On m letters it makes at most w r m(m-1)/2 tensor calls, w (m^3-m)/6
-    additions into the carried elements and m(m+1)(m+2)/6 updates of its
-    moment table; the sums of these over m <= n are closed forms.
+    word of n letters, whose letters have r constituents and whose products
+    have at most w labels: at most w r n(n-1)/2 tensor calls, w (n^3-n)/6
+    additions into the carried elements and n(n+1)(n+2)/6 updates of its
+    moment table.
     """
-    return (w * (n - 1) * n * (n + 1) * (n + 2) // 24
-            + n * (n + 1) * (n + 2) * (n + 3) // 24
-            + w * r * (n - 1) * n * (n + 1) // 6)
+    return (w * (n ** 3 - n) // 6 + n * (n + 1) * (n + 2) // 6
+            + w * r * n * (n - 1) // 2)
 
 
 def _check_hom_work(fd: FusionData, rd: dict, n: int) -> None:
     """The cap on the Hom route's steps on one word of n letters rd or its
     conjugate."""
     w, r = _dim_width(fd, rd, n)[1], len(rd)
-    check_work_cap(_hom_work(w, r, n) - _hom_work(w, r, n - 1),
-                   f"{{}} steps for a word of length {n}")
+    check_work_cap(_hom_work(w, r, n), f"{{}} steps for a word of length {n}")
 
 
 def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
@@ -343,14 +325,15 @@ def char_law_work(fd: FusionData, rep, k: int) -> int:
 
     The Hom route runs once, on the word of k letters (see
     :func:`plain_character_moments` and :func:`_hom_work`), and the
-    cumulant route takes the block moments, at most w r s tensor calls for
-    the s-th, then solves for the moments as :func:`partial_trace_law` does
-    at t = 1: the block moment of s letters is at most d^s < 2^(s bitlen(d)).
+    cumulant route is :func:`partial_trace_law` at t = 1: it takes the
+    block moments, at most w r s tensor calls for the s-th, then solves for
+    the moments, and the block moment of s letters is at most
+    d^s < 2^(s bitlen(d)).
     """
     rd = rep_as_dict(fd, rep)
     (d, w), r = _dim_width(fd, rd, k), len(rd)
-    return (_hom_work(w, r, k) - _hom_work(w, r, k - 1)
-            + w * r * k * (k + 1) // 2 + _plain_work(k, 4 + d.bit_length()))
+    return (_hom_work(w, r, k) + w * r * k * (k + 1) // 2
+            + _plain_work(k, 4 + d.bit_length()))
 
 
 # ---------------------------------------------------------------------------

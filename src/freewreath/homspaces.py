@@ -29,45 +29,21 @@ one per choice of constituents.
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words, one letter at a time, and pair up
 the multiplicity vectors.  The two routes are independent and must agree.
-Their oracle, :func:`hom_terms`, lists the decorated partitions as plain
-(partition, block multiplicities) pairs, one tensor fold per distinct block.
+Neither lists a partition, so this module does not import the partition
+layer; the enumeration of the decorated partitions, the oracle of both
+routes, lives with the tests.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .config import _Memo, check_enum_cap
-from .fusion import FusionData, Word, conj_word, fuse, tensor_fold
-from .partition import Partition, enumerate_partitions
+from .config import check_enum_cap
+from .fusion import FusionData, Word, fuse, tensor_fold
 
 # Neither Hom route calls ``fuse``.  The name stays bound here because the
 # benchmark harness's tracer test patches and restores ``homspaces.fuse``.
 _KEPT_BINDINGS = (fuse,)
-
-
-def hom_terms(up: Word, down: Word, fd: FusionData
-              ) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
-    """(partition, block multiplicities) for the noncrossing partitions
-    between the two words with no zero-multiplicity block: the others add
-    nothing to the Hom dimension."""
-    for letter in up + down:
-        fd.check_label(letter)
-    k, one = len(up), fd.trivial()
-
-    def weight(block: tuple[int, ...]) -> int:
-        uppers = tuple(up[pt - 1] for pt in block if pt <= k)
-        lowers = tuple(down[pt - k - 1] for pt in block if pt > k)
-        return tensor_fold(fd, conj_word(uppers, fd) + lowers).get(one, 0)
-
-    # the words are fixed, so a block's weight is folded once per call
-    weights = _Memo(weight)
-    terms = []
-    for p in enumerate_partitions(k, len(down), mode="noncrossing"):
-        dims = tuple(map(weights.__getitem__, p.blocks))
-        if 0 not in dims:
-            terms.append((p, dims))
-    return tuple(terms)
 
 
 def _boundary_moments(fd: FusionData, word: Sequence[dict]) -> list[int]:

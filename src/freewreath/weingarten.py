@@ -58,10 +58,14 @@ def _check_category(category: str) -> None:
 def _category_in_effect(s: int, category: str | None) -> str:
     """The inner category in effect.
 
-    s = 1 forces "singletons"; otherwise None means "noncrossing".
+    s = 1 forces "singletons"; otherwise None means "noncrossing", and
+    "singletons", the trivial inner group on one point, is refused.
     """
     if s == 1:
         return "singletons"
+    if category == "singletons":
+        raise ValueError(f"category 'singletons' is the trivial inner group, "
+                         f"which needs s = 1, got s = {s}")
     return "noncrossing" if category is None else category
 
 
@@ -186,10 +190,10 @@ def wg_table(k: int, n: int, s: int = 1,
         raise ValueError("k must be at least 1")
     if n < 1 or s < 1:
         raise ValueError("N and s must be positive")
+    category = _category_in_effect(s, category)
     # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries;
     # checked before anything is enumerated, then the exact count
     check_entry_cap((math.comb(2 * k, k) // (k + 1)) ** 2)
-    category = _category_in_effect(s, category)
     check_entry_cap(_index_count(k, category) ** 2)
     space = _index_space(k, category)
     gram = wg_gram(k, n, s, category)

@@ -1,15 +1,17 @@
 """Objects the tests build that the library does not: group duals written as
-fusion files, the identity Temperley-Lieb diagrams, and the word a reduced
-form stands for.
+fusion files, the identity Temperley-Lieb diagrams, the word a reduced form
+stands for, and the decorated partitions that both Hom routes count.
 
 A group dual reaches the library the way a user's ``file:`` table does, so
 ``fusion_from_json`` runs every check on it, associativity included.
 """
 
+import functools
 import itertools
 import json
 
-from freewreath.fusion import reduce_word
+from freewreath.fusion import conj_word, reduce_word, tensor_fold
+from freewreath.partition import enumerate_partitions
 from freewreath.tl import TLDiagram
 
 # S3 as permutations of 1, 2, 3 in one-line form, the identity first
@@ -73,3 +75,31 @@ def check_reduced_form(word, fd) -> None:
     for a, gap in zip(letters, gaps[1:]):
         rebuilt += (a,) + (triv,) * gap
     assert rebuilt == word
+
+
+def hom_terms(up, down, fd) -> tuple:
+    """(partition, block multiplicities) for the noncrossing partitions
+    between the two words with no zero-multiplicity block: the others add
+    nothing to the Hom dimension.  The oracle of both Hom routes.
+
+    A block's multiplicity is the trivial multiplicity of the tensor product
+    of its decorations, the upper ones conjugated and read right to left,
+    then the lower ones; the words are fixed, so each distinct block is
+    folded once per call.
+    """
+    for letter in up + down:
+        fd.check_label(letter)
+    k, one = len(up), fd.trivial()
+
+    @functools.cache
+    def weight(block: tuple) -> int:
+        uppers = tuple(up[pt - 1] for pt in block if pt <= k)
+        lowers = tuple(down[pt - k - 1] for pt in block if pt > k)
+        return tensor_fold(fd, conj_word(uppers, fd) + lowers).get(one, 0)
+
+    terms = []
+    for p in enumerate_partitions(k, len(down), mode="noncrossing"):
+        dims = tuple(map(weight, p.blocks))
+        if 0 not in dims:
+            terms.append((p, dims))
+    return tuple(terms)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import freewreath
-from builders import cyclic_names, cyclic_product, group_dual_json, tl_identity
+from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
+                      group_dual_json, s3_product, tl_identity)
 from freewreath import (cli, config, freeprob, fusion, homspaces, linmaps,
                         partition, tl, weingarten)
 from freewreath.cli import main
@@ -86,7 +87,8 @@ def test_hom_dim_enumerates_no_partition(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the partition route enumerated partitions")
 
-    monkeypatch.setattr(homspaces, "enumerate_partitions", never)
+    # the Hom layer does not import the partition layer at all
+    assert not hasattr(homspaces, "enumerate_partitions")
     monkeypatch.setattr(partition, "enumerate_partitions", never)
     z3 = fusion_from_uri("builtin:cyclic:3")
     up, down = "g,g2,g,1", "1,g,1,g2,g,g,g2,g2,g,1"  # 14 points, the cap
@@ -294,8 +296,7 @@ def _huge(k):
     (("char-law", "--rep", "g", "--order", "3"),
      {"plain_character_moments": lambda fd, rep, k: list(map(_huge,
                                                               range(k + 1))),
-      "compound_poisson_law": lambda fd, rep: freeprob._Memo(
-          lambda eps: _huge(len(eps)))}),
+      "partial_trace_law": lambda t, bm, k: list(map(_huge, range(k + 1)))}),
 ])
 def test_float_overflow_prints_nothing(capsys, monkeypatch, argv, patches):
     # no input within the caps reaches the float range in these commands, so
@@ -493,6 +494,29 @@ def test_partial_trace_runs_one_transform(capsys, monkeypatch):
     assert len(laws) == len(solvers) == 1
     assert out.splitlines() == [f"k={k}: {laws[0][k]}" for k in range(1, 6)]
     assert len(laws[0]) == 6 and laws[0][0] == 1
+
+
+def test_char_law_orders_match_partial_trace_at_rate_1(capsys, tmp_path):
+    # char-law --order checks its Hom-route moments against the solver run
+    # that partial-trace --t 1 makes, so both print the same value per order
+    path = tmp_path / "s3.json"
+    path.write_text(group_dual_json(S3_ELEMENTS, s3_product))
+    for ring, letters in (("builtin:cyclic:2", ("1", "g")),
+                          ("builtin:cyclic:3", ("g", "g2*")),
+                          (f"file:{path}", ("123", "213", "231"))):
+        for rep in letters:
+            code, law, _ = run(capsys, "char-law", "--fusion", ring,
+                               "--rep", rep, "--order", "30")
+            assert code == 0
+            code, trace, _ = run(capsys, "partial-trace", "--t", "1",
+                                 "--fusion", ring, "--rep", rep, "--k", "30")
+            assert code == 0
+            rows = list(zip(law.splitlines(), trace.splitlines()))
+            assert len(rows) == 30, (ring, rep)
+            for k, (moment, entry) in enumerate(rows, 1):
+                assert moment.startswith(f"moment {'1' * k}: ")
+                assert entry.startswith(f"k={k}: ")
+                assert moment.split(": ")[1] == entry.split(": ")[1]
 
 
 def test_verify_category_over_cap_refused_before_any_work(capsys, monkeypatch):
@@ -900,6 +924,7 @@ def test_char_law_cap_checked_before_any_star_word(capsys, monkeypatch):
     monkeypatch.setattr(freeprob, "character_moment_wreath", never)
     monkeypatch.setattr(freeprob, "plain_character_moments", never)
     monkeypatch.setattr(freeprob, "compound_poisson_law", never)
+    monkeypatch.setattr(freeprob, "partial_trace_law", never)
     assert run(capsys, "char-law", "--rep", "g", "--order", "100000") == \
         (2, "", "cap exceeded: 977095122376852734 steps for the moments to "
                 "order 100000 exceeds the cap of 10000000\n")
@@ -963,6 +988,10 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("weingarten", "--k", "9", "--N", "4"),
         ("weingarten", "--k", "2", "--N", big, "--float"),
         ("weingarten", "--k", "2", "--N", "0"),
+        ("weingarten", "--k", "2", "--N", "4", "--s", "3", "--category",
+         "singletons"),
+        ("verify", "weingarten", "--k", "1", "--s", "3", "--category",
+         "singletons"),
         (*haar, "1,1"), (*haar, "a,b,c,d,e,f,g,h"),
         (*haar, "9,9,9,9,9,9,9,9"), (*haar, "-1,1,1,1,1,1,1,1"),
         ("verify", "category", "--N", big),
@@ -1019,6 +1048,10 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     assert codes["partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"] == 2
     assert codes["fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"] == 2
     assert codes["fuse", long_g, long_g] == codes["char-poly", long_g] == 2
+    assert codes["weingarten", "--k", "2", "--N", "4", "--s", "3",
+                 "--category", "singletons"] == 1
+    assert codes["verify", "weingarten", "--k", "1", "--s", "3",
+                 "--category", "singletons"] == 1
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:
@@ -1101,8 +1134,15 @@ def test_cli_imports_stdlib_only(tmp_path):
     layers = {f"freewreath.{m}" for m in ("cli", "config", "fusion", "qnum")}
     for modules in words:
         assert set(modules) <= layers
-    assert set(hom) <= layers | {"freewreath.homspaces", "freewreath.partition"}
+    # hom-dim loads no partition layer, nor does char-law, which runs the
+    # same Hom recursion
+    assert set(hom) <= layers | {"freewreath.homspaces"}
     assert set(table) - set(hom) == {"json"}
+    done = python("-c", LOADS.format(argvs=[["char-law", "--rep", "g"]],
+                                     heavy=HEAVY))
+    assert done.returncode == 0, done.stderr
+    [law] = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert "freewreath.homspaces" in law and "freewreath.partition" not in law
     # the records these commands build are NamedTuples, not dataclasses
     records = [["weingarten", "--k", "2", "--N", "4"],
                ["verify", "fusion-dim", "--N", "4"],

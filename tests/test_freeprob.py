@@ -310,9 +310,10 @@ def test_plain_solver_matches_first_block_sum():
 
 
 def test_plain_solver_matches_hom_route_to_order_40():
+    # the law at rate 1 is the untruncated character law
     rep = {"triv": 1, "std": 1}
-    law = compound_poisson_law(S3, rep)
-    assert [law[plain_eps(k)] for k in range(1, 41)] == \
+    law = freeprob.partial_trace_law(1, rep_block_moment(S3, rep), 40)
+    assert law[1:] == \
         [character_moment_wreath(S3, rep, plain_eps(k)) for k in range(1, 41)]
 
 
@@ -378,9 +379,9 @@ def test_classical_work_bounds_the_recursion(monkeypatch):
 
 
 def test_char_law_work_bounds_both_routes(monkeypatch):
-    # the tensor calls of both routes, the solver's weighted products and
-    # the digits of the moments; and the Hom route's tensor calls against
-    # the count it checks for its one word
+    # the path of char-law --order k: the tensor calls of both routes, the
+    # solver's weighted products and the digits of the moments; and the Hom
+    # route's tensor calls against the count it checks for its one word
     weights, counts = instrument(monkeypatch)
     for fd, rep in ((cyclic_fusion(2), "g"), (cyclic_fusion(3), "g"),
                     (symmetric_group_3_fusion(), "std"),
@@ -392,10 +393,13 @@ def test_char_law_work_bounds_both_routes(monkeypatch):
         fd.tensor = lambda a, b: calls.append(1) or tensor(a, b)
         for k in range(1, 13):
             del weights[:], counts[:], calls[:]
-            law = compound_poisson_law(fd, rep)
+            law = freeprob.partial_trace_law(1, rep_block_moment(fd, rep), k)
+            law_calls = len(calls)
             values = freeprob.plain_character_moments(fd, rep, k)[1:]
-            assert len(calls) <= counts[-1], (rep, k)
-            assert [law[plain_eps(n)] for n in range(1, k + 1)] == values
+            # the law's two checks, then the Hom route's
+            assert len(counts) == 3
+            assert len(calls) - law_calls <= counts[-1], (rep, k)
+            assert law[1:] == values
             assert len(calls) + sum(weights) + digits(values) <= \
                 freeprob.char_law_work(fd, rep, k), (rep, k)
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
 from freewreath.freeprob import _Memo, _nc_moments
-from builders import S3_ELEMENTS, group_dual_json, s3_product
+from builders import S3_ELEMENTS, group_dual_json, hom_terms, s3_product
 from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                cyclic_fusion, fuse, fuse_direct,
                                fuse_via_reduced, fusion_from_json,
                                parse_star_list, symmetric_group_3_fusion,
                                tensor_fold)
 from freewreath.homspaces import (dim_hom_fusion, dim_hom_partition,
-                                  dim_hom_wreath, hom_terms,
-                                  word_tensor_decomposition)
+                                  dim_hom_wreath, word_tensor_decomposition)
 from freewreath.partition import full_block
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)

@@ -48,7 +48,6 @@ def test_no_unused_imports():
 # top-level helpers that only tests or the benchmark call, each with why
 NO_LIBRARY_CALLER = {
     "gauss_jordan_inverse": "test oracle of bareiss_inverse",
-    "hom_terms": "test oracle: the enumeration behind both Hom routes",
     "bareiss_det_rank": "the benchmark times and traces it",
     "trace_identity": "the benchmark's weingarten workload calls it",
 }

@@ -11,10 +11,9 @@ from freewreath import config, linmaps
 from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_det_rank
 from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
-                      group_dual_json, s3_product)
+                      group_dual_json, hom_terms, s3_product)
 from freewreath.fusion import (conj_word, cyclic_fusion, fusion_from_json,
                                tensor_fold)
-from freewreath.homspaces import hom_terms
 from freewreath.linmaps import (build_tp, gram_brute,
                                 verify_category_relations,
                                 verify_conjugate_equations)

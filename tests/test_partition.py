@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewreath import config
 from freewreath.config import CATEGORIES, CapExceededError
@@ -290,6 +293,35 @@ def test_compose_associative_with_closed_blocks():
                 right, right_closed = comp[a, bc]
                 assert left == right
                 assert ab_closed + left_closed == bc_closed + right_closed
+
+
+@functools.cache
+def _listed(k: int, l: int, mode: str):
+    return enumerate_partitions(k, l, mode=mode)
+
+
+@st.composite
+def composable_triples(draw, mode: str):
+    """(bottom, middle, top) of the category, top glued above middle above
+    bottom, every row of at most 4 points."""
+    rows = [draw(st.integers(0, 4)) for _ in range(4)]
+    return tuple(draw(st.sampled_from(_listed(upper, lower, mode)))
+                 for lower, upper in zip(rows, rows[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.sampled_from(("noncrossing", "all")).flatmap(composable_triples))
+def test_compose_associative_on_random_triples(case):
+    # past the rows of the exhaustive test above, crossing partitions
+    # included: both bracketings give one partition and one closed count
+    bottom, middle, top = case
+    lower, lower_closed = bottom.compose(middle)
+    left, left_closed = lower.compose(top)
+    upper, upper_closed = middle.compose(top)
+    right, right_closed = bottom.compose(upper)
+    assert left == right
+    assert (left.upper, left.lower) == (top.upper, bottom.lower)
+    assert lower_closed + left_closed == upper_closed + right_closed
 
 
 def _nc_upto(max_points: int):

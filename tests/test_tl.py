@@ -276,6 +276,29 @@ def stacked_diagrams(draw):
     return top, draw(st.sampled_from(tl_enumerate(m, b))), twin
 
 
+@st.composite
+def composable_diagrams(draw):
+    """(bottom, middle, top), top glued above middle above bottom, every
+    arity even and at most 6."""
+    rows = [draw(st.sampled_from((0, 2, 4, 6))) for _ in range(4)]
+    return tuple(draw(st.sampled_from(tl_enumerate(upper, lower)))
+                 for lower, upper in zip(rows, rows[1:]))
+
+
+@DERANDOMIZED
+@given(composable_diagrams())
+def test_tl_compose_associative_with_loops(case):
+    # both bracketings give one diagram and one loop count: the scalar
+    # sqrt(N)^loops of the product is associative too
+    bottom, middle, top = case
+    lower, lower_loops = tl_compose(bottom, middle)
+    left, left_loops = tl_compose(lower, top)
+    upper, upper_loops = tl_compose(middle, top)
+    right, right_loops = tl_compose(bottom, upper)
+    assert left == right and isinstance(left, TLDiagram)
+    assert lower_loops + left_loops == upper_loops + right_loops
+
+
 @DERANDOMIZED
 @given(stacked_diagrams())
 def test_phi_relations_past_eight_points(case):

@@ -126,6 +126,17 @@ def test_s1_certification_degenerates_too():
     assert report.passed, report.render()
 
 
+def test_singletons_needs_s1():
+    # "singletons" is the trivial inner group on one point; with s > 1 its
+    # Gram and certificate belong to no quantum group, so both refuse
+    for s in (2, 3, 5):
+        with pytest.raises(ValueError, match=f"needs s = 1, got s = {s}"):
+            wg_table(2, 4, s, "singletons")
+        with pytest.raises(ValueError, match=f"needs s = 1, got s = {s}"):
+            wg_certify_asymptotics(1, s, "singletons")
+    assert wg_table(2, 4, 1, "singletons").category == "singletons"
+
+
 def test_haar_state_matches_projection_s1(projection_oracle):
     # at s=1 the Haar state of u_{r1 c1} ... u_{rk ck} is the matrix entry of
     # the projection onto the noncrossing span
@@ -434,6 +445,12 @@ def test_integer_certification_matches_fraction_oracle(s, category):
                 for k in range(1, 5)]
     assert outcomes == [(k, _outcome(fraction_certify, k, s, category))
                         for k in range(1, 5)]
+    if category == "singletons" and s != 1:
+        # the trivial inner group needs s = 1, so every order refuses
+        assert outcomes == [(k, ("ValueError", "category 'singletons' is the "
+                                 "trivial inner group, which needs s = 1, "
+                                 f"got s = {s}")) for k in range(1, 5)]
+        return
     in_effect = weingarten._category_in_effect(s, category)
     assert [k for k, o in outcomes if isinstance(o, tuple)] == \
         [k for k in range(1, 5) if (k, s, in_effect) in SINGULAR]
@@ -525,9 +542,11 @@ def table_parameters(draw):
     category = draw(st.sampled_from(CATEGORIES))
     k = draw(st.integers(1, 5))
     n = draw(st.sampled_from((4, 5, 9)))
-    # inner Grams regular: S_s^+ needs s >= 4, S_s needs s >= k
+    # inner Grams regular: S_s^+ needs s >= 4, S_s needs s >= k; the
+    # trivial inner group acts on one point, s = 1, whatever s is drawn
     low = {"noncrossing": 4, "all": max(k, 2), "singletons": 1}[category]
-    return k, n, draw(st.integers(low, low + 3)), category
+    s = draw(st.integers(low, low + 3))
+    return k, n, 1 if category == "singletons" else s, category
 
 
 @DERANDOMIZED
