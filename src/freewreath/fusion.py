@@ -685,8 +685,9 @@ def verify_dim_multiplicativity(fd: FusionData, n: int, rng, count: int):
 
 
 def char_poly_products(word: Word, fd: FusionData) -> int:
-    """The coefficient products :func:`central_char_poly` takes on word:
-    multiplying a product of degree d by A_e takes (d + 1)(e + 1)."""
+    """The coefficient pairs :func:`central_char_poly` hands ``poly_mul`` on
+    word: a product of degree d times A_e is (d + 1)(e + 1) pairs, a bound on
+    the products taken, since only the nonzero pairs are multiplied."""
     products = degree = 0
     for e in reduce_word(word, fd)[0]:
         products += (degree + 1) * (e + 1)

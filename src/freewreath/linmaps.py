@@ -29,13 +29,16 @@ built from the same block weights: a nonzero row is the mask of every
 assignment of the upper-only blocks shifted by the through-block values that
 the row fixes, and a column likewise with the rows swapped.  It compares the
 three relations through shifts, ANDs and popcounts, a tensor product on
-the shorter of its rows and columns; the popcount rows of a product are
+the shorter of its rows and columns, each distinct mask spread from its
+lowest set bit once per call; the popcount rows of a product are
 computed once per top, a repeated expected row once per call,
 and its partition side (the pairs and their products, on block labels) once
-per point bound.  A composite is read off the labels of its stacked picture,
-joined one link at a time: each link is a memo from labels to joined labels,
-exact because canonical labels name one partition, so the 43,371 stacked
-pairs on six points take 2,874 union-finds, one per distinct (labels, link).
+per point bound, held as columns of typed arrays: 13 bytes a stacked pair
+and 12 a tensor triple.  A composite is read off the labels of its stacked
+picture, joined one link at a time: each link is a memo from labels to
+joined labels, exact because canonical labels name one partition, so the
+43,371 stacked pairs on six points take 2,874 union-finds, one per distinct
+(labels, link).
 A configurable cap (default 10**7) bounds the number of stored entries, and
 the number of product rows the category check compares; exceeding it raises
 CapExceededError rather than thrashing.
@@ -44,8 +47,11 @@ CapExceededError rather than thrashing.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from itertools import repeat
 
 from .config import _Memo, check_entry_cap, check_enum_cap, check_work_cap
 from .partition import (Labels, Partition, _canonical_labels,
@@ -219,6 +225,27 @@ def _outcome(k: int, lower: int, results: dict, state: Labels
             max(state, default=-1) + 1 - len(set(outer)))
 
 
+class _Pairs(Sequence):
+    """Tuples of ints held as columns, one typed array each.
+
+    An item is a plain tuple of ints, and iteration zips the columns, so a
+    reader sees a list of tuples; a stacked pair takes 4 + 4 + 4 + 1 bytes
+    where a tuple of four ints in a list takes 96 or more.
+    """
+
+    def __init__(self, typecodes: str):
+        self.columns = tuple(map(array, typecodes))
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, n):
+        return tuple(column[n] for column in self.columns)
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
 @cache
 def _category_pairs(max_points: int):
     """The partition side of the category check; it does not depend on N.
@@ -228,7 +255,12 @@ def _category_pairs(max_points: int):
     max_points points in all; (top, bottom, result, closed blocks) for every
     composable pair whose stacked picture has at most max_points points; and
     the index of p* for each p.  The products are taken on block labels and
-    looked up by shape, then labels; no Partition is built per pair.
+    looked up by shape, then labels; no Partition is built per pair.  The
+    triples and the stacked pairs are :class:`_Pairs`, an index an unsigned
+    32-bit int (the 54,177,741 diagrams on at most 14 points overflow 16
+    bits from 9 points on) and a closed count a byte: 12 and 13 bytes each.
+    The pairs of one top over one group of bottoms share its index and the
+    group's, so those two columns grow by whole runs.
 
     A compose is walked on the stacked picture's k + m + l points, its state
     the canonical labels of the partition joined so far: a top starts as its
@@ -252,32 +284,42 @@ def _category_pairs(max_points: int):
         by_shape.setdefault((k, l), []).append(n)
     index = {shape: {labels[n]: n for n in group}
              for shape, group in by_shape.items()}
-    tensors = []
+    tensors = _Pairs("III")
+    firsts, seconds, products = tensors.columns
     for a, (k1, l1) in enumerate(shapes):
-        for total in range(max_points - k1 - l1 + 1):
-            for b in by_points[total]:
-                k2, l2 = shapes[b]
-                tensors.append((a, b, index[k1 + k2, l1 + l2][_tensor_labels(
-                    k1, labels[a], k2, labels[b])]))
+        group = array("I", [b for total in range(max_points - k1 - l1 + 1)
+                            for b in by_points[total]])
+        firsts.extend(repeat(a, len(group)))
+        seconds.extend(group)
+        for b in group:
+            k2, l2 = shapes[b]
+            products.append(index[k1 + k2, l1 + l2][_tensor_labels(
+                k1, labels[a], k2, labels[b])])
     blocks = [max(lab, default=-1) + 1 for lab in labels]
     chains = [_chain(lab) for lab in labels]
     # one object per distinct state, so that the memos share their tuples
     states = _Memo(lambda state: state)
     links = _Memo(lambda pair: _Memo(
         lambda state: states[_joined(*pair, state)]))
-    composes = []
+    composes = _Pairs("IIIB")
+    top_col, bottom_col, results, closed = composes.columns
     for (k, m), tops in by_shape.items():
         for l in range(max_points - k - m + 1):
             final = _Memo(partial(_outcome, k, k + m, index[k, l]))
-            bottoms = [(b, [links[k + a, k + pt] for a, pt in chains[b]])
-                       for b in by_shape[m, l]]
+            group = array("I", by_shape[m, l])
+            chained = [[links[k + a, k + pt] for a, pt in chains[b]]
+                       for b in group]
             for t in tops:
+                top_col.extend(repeat(t, len(group)))
+                bottom_col.extend(group)
                 start = labels[t] + tuple(range(blocks[t], blocks[t] + l))
-                for b, chain in bottoms:
+                for chain in chained:
                     state = start
                     for link in chain:
                         state = link[state]
-                    composes.append((t, b, *final[state]))
+                    res, shut = final[state]
+                    results.append(res)
+                    closed.append(shut)
     involutes = [index[l, k][_involute_labels(k, lab)]
                  for (k, l), lab in zip(shapes, labels)]
     return diagrams, tensors, composes, involutes
@@ -352,7 +394,7 @@ def _scaled(row: int, scale: int, width: int) -> list[int]:
 
 
 def _products_hold(maps: list[tuple[list[int], list[int]]],
-                   composes: list[tuple[int, int, int, int]], dim: int):
+                   composes: Sequence[tuple[int, int, int, int]], dim: int):
     """For each stacked pair (top, bottom, result, closed): whether
     T_bottom . T_top is N^closed T_result.
 
@@ -428,13 +470,21 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
     diagrams, tensors, composes, involutes = _category_pairs(max_points)
     maps = [_bit_rows(d, dim) for d in diagrams]
 
-    @cache
+    # spread(x << s) = spread(x) << s * stride, and the nonzero rows of T_p
+    # are one mask shifted: a mask is spread from its lowest set bit, once
+    lowest = _Memo(lambda key: _spread(*key))
+
+    # the triples come grouped by their first diagram, which asks for at
+    # most two sides at max_points + 1 strides: one diagram's rows are held
+    @lru_cache(maxsize=2 * (max_points + 1))
     def spread(a: int, side: int, stride: int) -> list[int]:
         """The rows (side 0) or columns (side 1) of T_a with bit b moved to
         b * stride."""
         masks = maps[a][side]
-        # the masks of T_p repeat, so each distinct one is spread once
-        moved = {r: _spread(r, stride) for r in set(masks)}
+        moved = {0: 0}
+        for r in set(masks).difference(moved):
+            s = (r & -r).bit_length() - 1
+            moved[r] = lowest[r >> s, stride] << s * stride
         return list(map(moved.__getitem__, masks))
 
     def tensor_holds(a: int, b: int, ab: int) -> bool:
@@ -449,6 +499,7 @@ def verify_category_relations(dim: int, max_points: int = 6) -> VerificationRepo
               (tensor_holds(*triple) for triple in tensors))
     # not read again: the compose check runs without them in memory
     spread.cache_clear()
+    lowest.clear()
     rep.tally("T_(p compose q) * N^closed = T_p . T_q on {} stacked pairs",
               _products_hold(maps, composes, dim))
     rep.tally("T_(p*) = (T_p)* on {} diagrams", (

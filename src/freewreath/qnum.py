@@ -26,14 +26,15 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 
 
 def poly_mul(a, b) -> tuple[int, ...]:
+    """The product, one multiplication per pair of nonzero coefficients."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+    terms = [(i, x) for i, x in enumerate(a) if x]
+    for j, y in enumerate(b):
+        if y:
+            for i, x in terms:
+                out[i + j] += x * y
     return poly_trim(out)
 
 

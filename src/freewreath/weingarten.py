@@ -55,17 +55,22 @@ def _check_category(category: str) -> None:
             f"unknown category {category!r}, expected one of {CATEGORIES}")
 
 
+def _refuse_singletons(s: int, category: str | None) -> None:
+    """Refuse "singletons", the trivial inner group on one point, at s != 1."""
+    if category == "singletons" and s != 1:
+        raise ValueError(f"category 'singletons' is the trivial inner group, "
+                         f"which needs s = 1, got s = {s}")
+
+
 def _category_in_effect(s: int, category: str | None) -> str:
     """The inner category in effect.
 
     s = 1 forces "singletons"; otherwise None means "noncrossing", and
-    "singletons", the trivial inner group on one point, is refused.
+    "singletons" is refused.
     """
     if s == 1:
         return "singletons"
-    if category == "singletons":
-        raise ValueError(f"category 'singletons' is the trivial inner group, "
-                         f"which needs s = 1, got s = {s}")
+    _refuse_singletons(s, category)
     return "noncrossing" if category is None else category
 
 
@@ -152,7 +157,9 @@ def _index_space(k: int, category: str) -> _IndexSpace:
 def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
     """The Gram matrix [N^b(p v q) * s^b(a v b)] over wg_indices(k, category),
-    read from one table of the powers at the index space's keys."""
+    read from one table of the powers at the index space's keys.
+    ValueError for "singletons" with s != 1."""
+    _refuse_singletons(s, category)
     powers = [n ** b * s ** c for b in range(k + 1) for c in range(k + 1)]
     return [list(map(powers.__getitem__, row))
             for row in _index_space(k, category).keys]
@@ -256,9 +263,11 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
 
     Zero unless the outer partitions agree; otherwise the entry of the
     inverse inner Gram block of that outer partition.  ValueError for an
-    unknown category, and for an index not in wg_indices.
+    unknown category, for "singletons" with s != 1, and for an index not in
+    wg_indices.
     """
     _check_category(category)
+    _refuse_singletons(s, category)
     k = idx1[0].points
     position = _index_space(k, category).position
     for idx in (idx1, idx2):

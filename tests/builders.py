@@ -1,6 +1,7 @@
 """Objects the tests build that the library does not: group duals written as
 fusion files, the identity Temperley-Lieb diagrams, the word a reduced form
-stands for, and the decorated partitions that both Hom routes count.
+stands for, the decorated partitions that both Hom routes count, and the
+bytes a call's result keeps.
 
 A group dual reaches the library the way a user's ``file:`` table does, so
 ``fusion_from_json`` runs every check on it, associativity included.
@@ -9,6 +10,7 @@ A group dual reaches the library the way a user's ``file:`` table does, so
 import functools
 import itertools
 import json
+import tracemalloc
 
 from freewreath.fusion import conj_word, reduce_word, tensor_fold
 from freewreath.partition import enumerate_partitions
@@ -103,3 +105,16 @@ def hom_terms(up, down, fd) -> tuple:
         if 0 not in dims:
             terms.append((p, dims))
     return tuple(terms)
+
+
+def kept_bytes(call) -> int:
+    """The bytes that call()'s result keeps allocated, by tracemalloc: the
+    traced size with the result alive, less the size before the call.  A
+    cache that the call fills counts too, so warm it first."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()

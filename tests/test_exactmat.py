@@ -79,6 +79,11 @@ def test_gram_matches_join_formula(category):
     for k in range(1, 5):
         indices = wg_indices(k, category)
         for n, s in ((1, 1), (4, 1), (5, 4), (3, 2)):
+            if category == "singletons" and s != 1:
+                # the trivial inner group is refused at s != 1
+                with pytest.raises(ValueError, match=f"got s = {s}"):
+                    wg_gram(k, n, s, category)
+                continue
             assert wg_gram(k, n, s, category) == [
                 [n ** len(p.join(q).blocks) * s ** len(a.join(b).blocks)
                  for q, b in indices] for p, a in indices]

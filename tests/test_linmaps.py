@@ -1,8 +1,10 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from freewreath import config, linmaps
 from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_det_rank
 from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
-                      group_dual_json, hom_terms, s3_product)
+                      group_dual_json, hom_terms, kept_bytes, s3_product)
 from freewreath.fusion import (conj_word, cyclic_fusion, fusion_from_json,
                                tensor_fold)
 from freewreath.linmaps import (build_tp, gram_brute,
@@ -121,8 +123,9 @@ def test_compose_pair_count_closed_form():
 
 
 # sha256 of _category_pairs(p): each diagram's render() on its own line,
-# then repr((tensors, composes, involutes)); taken from the tables built
-# with Partition objects
+# then the repr of the tensor triples and the stacked pairs, each as a list
+# of tuples, and of the involutes; taken from the tables built with Partition
+# objects
 CATEGORY_PAIRS_DIGESTS = (
     "e62bde35711813e8fe9e7035a31042cbd1d9af3e9cd69a406a8eb2aca4af3370",
     "2df17ecc440d5d70c2f878dbfe9d9b69828b449499444da618c55b5c21bde9f6",
@@ -141,8 +144,36 @@ def test_category_pairs_digest(max_points):
     h = hashlib.sha256()
     for d in diagrams:
         h.update(d.render().encode() + b"\n")
-    h.update(repr((tensors, composes, involutes)).encode())
+    h.update(repr((list(tensors), list(composes), involutes)).encode())
     assert h.hexdigest() == CATEGORY_PAIRS_DIGESTS[max_points]
+
+
+def test_category_pairs_keep_compact_tables():
+    # 5,461 tensor triples and 43,371 stacked pairs in typed arrays, 12 and
+    # 13 bytes each; lists of tuples would keep about 4 MiB
+    linmaps._category_pairs(6)      # the enumeration caches, filled
+    kept = kept_bytes(lambda: linmaps._category_pairs.__wrapped__(6)[1:3])
+    assert kept < 2 ** 20
+
+
+def test_category_pairs_typecodes_hold_the_enumeration_cap():
+    # the diagrams on at most the cap's points, (n + 1) Cat(n) on n points,
+    # are indexed by the tensor columns and all but the last compose column;
+    # a closed count is at most the cap
+    _, tensors, composes, _ = linmaps._category_pairs(0)
+    *indices, closed = composes.columns
+    codes = {column.typecode for column in tensors.columns + tuple(indices)}
+    cap = config.caps()[0]
+
+    def diagrams(points):
+        return sum(math.comb(2 * n, n) for n in range(points + 1))
+
+    assert [diagrams(p) for p in range(6)] == \
+        [len(linmaps._category_pairs(p)[0]) for p in range(6)]
+    assert diagrams(cap) == 54177741
+    for code in codes:
+        assert array(code, [diagrams(cap) - 1])
+    assert array(closed.typecode, [cap])
 
 
 def _number(index, n):

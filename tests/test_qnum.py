@@ -51,3 +51,29 @@ def test_cheb_recursion():
         prev = cheb_poly(l - 1)
         rhs = [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate(t_a)]
         assert cheb_poly(l + 1) == poly_trim(rhs)
+
+
+class _Counted(int):
+    """An int that counts the products it is the left factor of."""
+    taken = 0
+
+    def __mul__(self, other):
+        _Counted.taken += 1
+        return int(self) * other
+
+
+def test_poly_mul_takes_one_product_per_nonzero_pair():
+    # A_e is zero at every other coefficient; so are the products of A_e
+    factors = [cheb_poly(e) for e in range(9)] + [
+        (0, 0, 3), (2, 0, 0, -1, 0), (5,), (0, 1), (1, 1, 1)]
+    for a in factors:
+        for b in factors:
+            _Counted.taken = 0
+            got = poly_mul(tuple(map(_Counted, a)), b)
+            assert _Counted.taken == \
+                sum(map(bool, a)) * sum(map(bool, b)), (a, b)
+            dense = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    dense[i + j] += x * y
+            assert got == poly_trim(dense)

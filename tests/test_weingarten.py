@@ -137,6 +137,27 @@ def test_singletons_needs_s1():
     assert wg_table(2, 4, 1, "singletons").category == "singletons"
 
 
+def test_wg_gram_refuses_singletons_without_s1():
+    # "singletons" is the trivial inner group; the join formula at s = 3
+    # would give [[144, 36], [36, 36]], the Gram of no quantum group
+    for k, s in ((1, 2), (2, 3), (3, 5)):
+        with pytest.raises(ValueError, match=f"needs s = 1, got s = {s}"):
+            wg_gram(k, 4, s, "singletons")
+    assert wg_gram(2, 4, 1, "singletons") == [[16, 4], [4, 4]]
+    assert wg_gram(2, 4, 3, "noncrossing")[0] == [144, 36, 12]
+
+
+def test_wg_leading_coeff_refuses_singletons_without_s1():
+    # "singletons" is the trivial inner group; at s = 3 the inverse inner
+    # Gram would give 1/9 on the first index of order 2, for no quantum group
+    for k, s in ((1, 2), (2, 3), (3, 5)):
+        first = wg_indices(k, "singletons")[0]
+        with pytest.raises(ValueError, match=f"needs s = 1, got s = {s}"):
+            wg_leading_coeff(first, first, s, "singletons")
+    first = wg_indices(2, "singletons")[0]
+    assert wg_leading_coeff(first, first, 1, "singletons") == 1
+
+
 def test_haar_state_matches_projection_s1(projection_oracle):
     # at s=1 the Haar state of u_{r1 c1} ... u_{rk ck} is the matrix entry of
     # the projection onto the noncrossing span
@@ -228,7 +249,8 @@ def test_leading_coefficient():
 # sha256 of wg_leading_coeff over every index pair, rows in wg_indices order,
 # entries as str(Fraction) joined by spaces and rows by newlines; the values
 # of the product over the outer blocks of p of the inner Weingarten entries
-# at the restricted inner partitions, computed block by block
+# at the restricted inner partitions, computed block by block; "singletons"
+# only at s = 1, the trivial inner group's one s
 LEADING_DIGESTS = {
     ("noncrossing", 4, 1):
         "f70b94aeb67de2a5eb4bd8c2ea85128f13776cb545a661abe422b378a6cf3099",
@@ -260,18 +282,6 @@ LEADING_DIGESTS = {
         "cfd72a14c1e7759a3a7383acf8958842106cce1178602a379309243e50dca5f0",
     ("singletons", 1, 6):
         "5aa76dc8f5799ec81f02cbe498d1b682ed3cd477c308152f8e2196cc7170022d",
-    ("singletons", 3, 1):
-        "0d7f0e336166042f8cc9e4c20ae427ba367c279d6e3dfd1bd7247b0fbce61d50",
-    ("singletons", 3, 2):
-        "4e25cea7b9de0d89bfb52a1128ecf221e7e594dc30d7a40316a9f7428a6f9d6d",
-    ("singletons", 3, 3):
-        "82c06196a0e12a3512efd64b435500ccb3992df69172c711a92003b3f3fa60bf",
-    ("singletons", 3, 4):
-        "92552d13fae543f6e7e4b2759537c77c22eb5ec0b35f863f96a64ba303270d65",
-    ("singletons", 3, 5):
-        "ae2f65b9fc9605f01f3e7412da04d9df01bb45c005392ae41d3c577b67b7bd11",
-    ("singletons", 3, 6):
-        "43401853d2484402ae89b8cb9c3915e2d1ee1af0ca8952f18d7da106d8d904e8",
 }
 
 
@@ -291,6 +301,11 @@ def test_leading_coeff_inverts_inner_gram_blocks(k, s, category):
     # for one outer p, the coefficients times [s^b(a v b)] over the inner
     # partitions a of the indices (p, a) give the identity; across p, zero
     indices = wg_indices(k, category)
+    if category == "singletons":
+        # the trivial inner group is refused at s != 1 and checked at s = 1
+        with pytest.raises(ValueError, match=f"needs s = 1, got s = {s}"):
+            wg_leading_coeff(indices[0], indices[0], s, category)
+        s = 1
     for p in {p for p, _ in indices}:
         run = [idx for idx in indices if idx[0] == p]
         gram = [[s ** c for c in row]
