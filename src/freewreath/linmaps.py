@@ -336,33 +336,21 @@ def _compose_row_count(max_points: int, dim: int) -> int:
                for l in range(max_points + 1 - k - m))
 
 
-def _copies(x: int, step: int, count: int) -> int:
-    """x | x << step | ... | x << (count - 1) * step, by doubling."""
-    out = done = 0
-    held = 1        # the copies x holds
-    while count:
-        if count & 1:
-            out |= x << done * step
-            done += held
-        count >>= 1
-        if count:
-            x |= x << held * step
-            held *= 2
-    return out
-
-
 def _fibres(weights, dim: int, size: int) -> list[int]:
     """The size rows of the 0/1 matrix with a 1 at each of
     :func:`_positions` of weights.
 
     Only the blocks with w_b > 0 move the row index: a row that their values
     reach is M << s, where s is the sum of v_b u_b those values give and M
-    has a bit at each sum over the other blocks.
+    has a bit at each sum over the other blocks.  Each of those adds v u_b
+    for v < N, so it multiplies M by the repunit 1 + 2^u_b + ... +
+    2^((N-1) u_b): distinct values give distinct base-N positions, so the N
+    shifted copies of M are disjoint and their union is their sum.
     """
     free = 1
     for u, w in weights:
         if not w:
-            free = _copies(free, u, dim)
+            free *= ((1 << u * dim) - 1) // ((1 << u) - 1)
     rows = [0] * size
     for j, s in _positions([b for b in weights if b[1]], dim):
         rows[j] = free << s

@@ -49,29 +49,24 @@ LADDER = (16, 64, 256)
 Index = tuple  # (outer Partition, inner Partition)
 
 
-def _check_category(category: str) -> None:
+def _check_category(category: str, s: int = 1) -> None:
+    """Refuse an unknown category, and "singletons", the trivial inner group
+    on one point, at s != 1."""
     if category not in CATEGORIES:
         raise ValueError(
             f"unknown category {category!r}, expected one of {CATEGORIES}")
-
-
-def _refuse_singletons(s: int, category: str | None) -> None:
-    """Refuse "singletons", the trivial inner group on one point, at s != 1."""
     if category == "singletons" and s != 1:
         raise ValueError(f"category 'singletons' is the trivial inner group, "
                          f"which needs s = 1, got s = {s}")
 
 
 def _category_in_effect(s: int, category: str | None) -> str:
-    """The inner category in effect.
-
-    s = 1 forces "singletons"; otherwise None means "noncrossing", and
-    "singletons" is refused.
-    """
-    if s == 1:
-        return "singletons"
-    _refuse_singletons(s, category)
-    return "noncrossing" if category is None else category
+    """The inner category in effect, once :func:`_check_category` has passed
+    the name given, None meaning "noncrossing": s = 1 forces "singletons"."""
+    if category is None:
+        category = "noncrossing"
+    _check_category(category, s)
+    return "singletons" if s == 1 else category
 
 
 @cache
@@ -91,7 +86,6 @@ def _index_count(k: int, category: str) -> int:
     category on each block of p, so p contributes the product of the
     category's sizes at its block sizes.
     """
-    _check_category(category)
     sizes = [len(enumerate_partitions(0, m, category)) for m in range(k + 1)]
     return sum(math.prod(sizes[len(b)] for b in p.blocks)
                for p in enumerate_partitions(0, k, "noncrossing"))
@@ -158,8 +152,8 @@ def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
     """The Gram matrix [N^b(p v q) * s^b(a v b)] over wg_indices(k, category),
     read from one table of the powers at the index space's keys.
-    ValueError for "singletons" with s != 1."""
-    _refuse_singletons(s, category)
+    ValueError for an unknown category and for "singletons" with s != 1."""
+    _check_category(category, s)
     powers = [n ** b * s ** c for b in range(k + 1) for c in range(k + 1)]
     return [list(map(powers.__getitem__, row))
             for row in _index_space(k, category).keys]
@@ -266,8 +260,7 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
     unknown category, for "singletons" with s != 1, and for an index not in
     wg_indices.
     """
-    _check_category(category)
-    _refuse_singletons(s, category)
+    _check_category(category, s)
     k = idx1[0].points
     position = _index_space(k, category).position
     for idx in (idx1, idx2):

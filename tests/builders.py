@@ -100,11 +100,18 @@ def hom_terms(up, down, fd) -> tuple:
         return tensor_fold(fd, conj_word(uppers, fd) + lowers).get(one, 0)
 
     terms = []
-    for p in enumerate_partitions(k, len(down), mode="noncrossing"):
-        dims = tuple(map(weight, p.blocks))
+    for p, blocks in _nc_blocks(k, len(down)):
+        dims = tuple(map(weight, blocks))
         if 0 not in dims:
             terms.append((p, dims))
     return tuple(terms)
+
+
+@functools.cache
+def _nc_blocks(k: int, l: int) -> tuple:
+    """The (p, p.blocks) pairs of NC(k, l), enumerated once per shape."""
+    return tuple((p, p.blocks)
+                 for p in enumerate_partitions(k, l, mode="noncrossing"))
 
 
 def kept_bytes(call) -> int:

@@ -2,11 +2,18 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import settings
 
 from freewreath.exactmat import gauss_jordan_inverse
 from freewreath.linmaps import build_tp
 from freewreath.partition import enumerate_partitions
 from freewreath.qnum import cheb_poly
+
+# every property test draws the same cases on every run; the slow ones take
+# fewer examples through their own settings
+settings.register_profile("freewreath", derandomize=True, deadline=None,
+                          database=None, max_examples=150)
+settings.load_profile("freewreath")
 
 
 def _position(index: tuple, n: int) -> int:

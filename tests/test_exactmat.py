@@ -3,16 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from freewreath.exactmat import (_back, _forward, bareiss_det_rank,
                                  bareiss_inverse, gauss_jordan_inverse)
 from freewreath import weingarten
 from freewreath.weingarten import CATEGORIES, wg_gram, wg_indices, wg_table
-
-DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
-                        database=None)
 
 
 def assert_integer_inverse(winv, matrix):
@@ -50,7 +47,6 @@ def square_matrices(max_size=6):
         min_size=n, max_size=n))
 
 
-@DERANDOMIZED
 @given(square_matrices())
 def test_inverse_matches_oracle(matrix):
     rank, _ = bareiss_det_rank(matrix)
@@ -63,7 +59,6 @@ def test_inverse_matches_oracle(matrix):
     assert_integer_inverse(winv, matrix)
 
 
-@DERANDOMIZED
 @given(square_matrices(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_singular_inverse_refused(matrix, coeffs):
     # the last row becomes a combination of the others (zero for one row)
@@ -144,7 +139,6 @@ DEPENDENT_ROWS = (square_matrices(), st.integers(0, 6),
                   st.lists(st.integers(-2, 2), min_size=36, max_size=36))
 
 
-@DERANDOMIZED
 @given(*DEPENDENT_ROWS)
 def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
     n = len(matrix)
@@ -156,7 +150,6 @@ def test_det_rank_matches_leibniz_and_reduction(matrix, dependent, coeffs):
     assert (det == 0) == (rank < n)
 
 
-@DERANDOMIZED
 @given(*DEPENDENT_ROWS, st.lists(st.integers(0, 5), max_size=8))
 def test_inverse_columns_match_full_inverse(matrix, dependent, coeffs, picks):
     # any columns, in any order and with repeats; singular matrices refused
@@ -197,13 +190,11 @@ def check_against_fractions(matrix, cols):
         [[row[c] for c in cols] for row in full]
 
 
-@DERANDOMIZED
 @given(sparse_matrices(), st.lists(st.integers(0, 9), max_size=12))
 def test_sparse_elimination_matches_fractions(matrix, picks):
     check_against_fractions(matrix, [c % len(matrix) for c in picks])
 
 
-@DERANDOMIZED
 @given(sparse_matrices(8), st.integers(1, 4),
        st.lists(st.integers(-2, 2), min_size=48, max_size=48),
        st.permutations(range(8)))
@@ -218,7 +209,6 @@ def test_rank_deficient_elimination_matches_fractions(matrix, dependent,
     assert bareiss_det_rank(matrix)[0] < n or dependent >= n
 
 
-@DERANDOMIZED
 @given(sparse_matrices(8), st.permutations(range(8)),
        st.lists(st.integers(0, 7), max_size=8))
 def test_back_pass_leaves_the_square_part_diagonal(matrix, order, picks):

@@ -16,8 +16,9 @@ from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                fuse_via_reduced, fusion_from_json,
                                fusion_from_uri, load_fusion_file,
                                parse_letter, parse_word, reduce_word,
-                               render_word, sort_words,
-                               symmetric_group_3_fusion)
+                               render_word, rep_as_dict, sort_words,
+                               symmetric_group_3_fusion,
+                               verify_dim_multiplicativity)
 
 Z2 = cyclic_fusion(2)
 Z3 = cyclic_fusion(3)
@@ -586,3 +587,66 @@ def test_validate_refuses_what_the_triple_loop_refuses():
     assert seen["loop"] == {"frobenius"}
     assert seen["s3"] == seen["z3"] == seen["s3_dual"] == {
         None, "pair", "frobenius"}
+
+
+def _z1_table(**changes):
+    """The table of the trivial group, one label "1", with some of its
+    arguments replaced: built through TableFusion, so validate runs."""
+    args = dict(labels=["1"], dims={"1": 1}, trivial="1", conj={"1": "1"},
+                tensor={("1", "1"): {"1": 1}})
+    args.update(changes)
+    return TableFusion(**args)
+
+
+def _z1_json(tensor_key: str) -> str:
+    doc = json.loads(group_dual_json(["1"], lambda a, b: "1"))
+    doc["tensor"] = {tensor_key: {"1": 1}}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _z1_table(trivial="e"), "trivial label missing from label list"),
+    (lambda: _z1_table(labels=["1", "g"], dims={"1": 1, "g": 1},
+                       conj={"1": "g", "g": "1"},
+                       tensor={(a, b): {"1": 1} for a in "1g" for b in "1g"}),
+     "conjugate of the trivial label must be itself"),
+    (lambda: _z1_table(dims={"1": 0}), "dimension of '1' must be positive"),
+    (lambda: _z1_table(labels=["1", "a", "b"], dims={"1": 1, "a": 2, "b": 3},
+                       conj={"1": "1", "a": "b", "b": "a"},
+                       tensor={(x, y): {} for x in "1ab" for y in "1ab"}),
+     "conjugate of 'a' has a different dimension"),
+    (lambda: _z1_table(tensor={("1", "1"): {"1": -1}}),
+     "bad tensor entry '1':-1 in '1'x'1'"),
+    (lambda: _z1_table(tensor={("1", "1"): {"1": 2}}),
+     "dimension count fails in '1'x'1': 2 != 1"),
+    (lambda: fusion_from_json(_z1_json("1,1,1")),
+     "bad tensor key '1,1,1', expected 'a,b'"),
+    (lambda: cyclic_fusion(0), "order must be positive"),
+    (lambda: fusion_from_uri("cyclic:3"),
+     "cannot parse fusion locator 'cyclic:3'"),
+    (lambda: rep_as_dict(Z2, {"1": 1, "g": -1}),
+     "negative multiplicity for 'g'"),
+    (lambda: QuantumPermutationFusion(4).dim(-1),
+     "labels must be nonnegative"),
+    (lambda: QuantumPermutationFusion(4).tensor(1, -2),
+     "labels must be nonnegative"),
+], ids=["trivial-missing", "trivial-conjugate", "dimension", "conjugate-dim",
+        "tensor-entry", "dimension-count", "tensor-key", "cyclic-0", "locator",
+        "multiplicity", "qperm-dim", "qperm-tensor"])
+def test_fusion_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_dim_multiplicativity_names_the_first_failure(monkeypatch):
+    # one word's dimension is off by one: the third pair drawn is the first
+    # whose product reads it, and the report stops there and names it
+    real = fusion.dim_wreath
+    monkeypatch.setattr(fusion, "dim_wreath", lambda w, fd, n: real(
+        w, fd, n) + (w == ("g", "g")))
+    report = verify_dim_multiplicativity(Z3, 4, random.Random(1), 30)
+    assert report.render() == (
+        "verify dimension multiplicativity N=4: FAIL\n"
+        "  FAIL: 30 random products have multiplicative dimension "
+        "[first failure (('1',), ('1', 'g', 'g'), 72, 73)]")

@@ -20,9 +20,6 @@ from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                symmetric_group_3_fusion)
 from freewreath.qnum import cheb_int_factor, poly_eval
 
-DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
-                        database=None)
-
 S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 RINGS = [(fd, fd.labels()) for fd in (cyclic_fusion(2), cyclic_fusion(3),
                                       symmetric_group_3_fusion(), S3_DUAL)]
@@ -40,21 +37,18 @@ def s3_words(max_len, fd=S3_DUAL):
     return st.lists(st.sampled_from(fd.labels()), max_size=max_len).map(tuple)
 
 
-@DERANDOMIZED
 @given(ring_and_words(2))
 def test_fusion_routes_agree(case):
     fd, x, y = case
     assert +fuse_via_reduced(x, y, fd) == +fuse_direct(x, y, fd)
 
 
-@DERANDOMIZED
 @given(ring_and_words(1))
 def test_reduce_expand_round_trip(case):
     fd, w = case
     check_reduced_form(w, fd)
 
 
-@DERANDOMIZED
 @given(s3_words(5), s3_words(5), s3_words(6))
 def test_frobenius_reciprocity(x, y, z):
     # mult(z, x (x) y) = mult(x, z (x) conj(y)), on the dual of S3
@@ -79,7 +73,6 @@ def _fuse_sum(left: Counter, right: Counter, fd) -> Counter:
     return +out
 
 
-@DERANDOMIZED
 @given(st.sampled_from([symmetric_group_3_fusion(), S3_DUAL]).flatmap(
     lambda fd: st.tuples(st.just(fd), *[s3_words(3, fd)] * 3)))
 def test_fusion_associative(case):
@@ -126,7 +119,7 @@ def ring_and_short_word(draw):
     return fd, tuple(draw(st.lists(st.sampled_from(labels), max_size=12)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(max_examples=60)
 @given(ring_and_short_word())
 def test_word_dimension_matches_the_reduced_form_and_the_character(case):
     check_word_dimension(*case)

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
@@ -25,9 +25,6 @@ TRIV = cyclic_fusion(1)
 # noncommutative letters
 S3_DUAL = fusion_from_json(group_dual_json(S3_ELEMENTS, s3_product))
 INTEGERS = IntegersFusion()  # infinitely many labels: labels() is None
-
-DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
-                        database=None)
 
 
 def test_tensor_fold():
@@ -271,7 +268,6 @@ def ring_and_word_split(draw, max_len):
     return fd, word[:k], word[k:]
 
 
-@DERANDOMIZED
 @given(ring_and_word_split(8))
 def test_three_partition_routes_agree(case):
     # the fusion-ring-valued recursion, the first-block sum over block
@@ -284,7 +280,6 @@ def test_three_partition_routes_agree(case):
         _oracle(up, down, fd)
 
 
-@DERANDOMIZED
 @given(ring_and_split(4))
 def test_frobenius_reciprocity(case):
     # bending the upper letters down: Hom(a, b) = Hom(1, conj(reversed a) b)
@@ -294,7 +289,6 @@ def test_frobenius_reciprocity(case):
             dim_hom_wreath((), _bend(up, fd) + down, fd, method), method
 
 
-@DERANDOMIZED
 @given(ring_and_split(6))
 def test_rotation_invariance(case):
     # the first-block sum reads the boundary word linearly, so rotating it

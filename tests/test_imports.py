@@ -154,6 +154,36 @@ def test_weingarten_holds_one_index_space():
             if hasattr(obj, "cache_clear")} == expected
 
 
+def function_names(source: str) -> dict[str, list[str]]:
+    """Every top-level function of the source, with the sorted plain names
+    its body mentions, a name once per mention."""
+    return {node.name: sorted(n.id for n in ast.walk(node)
+                              if isinstance(n, ast.Name))
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_weingarten_checks_the_category_once_per_entry_point():
+    # one category check: only _check_category reads CATEGORIES, and each
+    # entry point calls it, or _category_in_effect that calls it, once
+    assert function_names("def f(x):\n    return g(x) + g(1)\nh = 1\n") \
+        == {"f": ["g", "g", "x"]}
+    source = (SRC / "weingarten.py").read_text(encoding="utf-8")
+    checks = ("_check_category", "_category_in_effect")
+    names = function_names(source)
+    assert [name for name, used in names.items() if "CATEGORIES" in used] \
+        == ["_check_category"]
+    assert {name: [n for n in used if n in checks]
+            for name, used in names.items()
+            if any(n in checks for n in used)} == {
+        "_category_in_effect": ["_check_category"],
+        "wg_indices": ["_check_category"],
+        "wg_gram": ["_check_category"],
+        "wg_table": ["_category_in_effect"],
+        "wg_leading_coeff": ["_check_category"],
+        "wg_certify_asymptotics": ["_category_in_effect"]}
+
+
 def class_bases(source: str) -> dict[str, list[str]]:
     """Every class the source defines, with the names of its bases."""
     return {node.name: [ast.unparse(base) for base in node.bases]

@@ -235,10 +235,11 @@ def test_category_pairs_join_once_per_state_and_link(monkeypatch):
 
 
 def test_bit_rows_match_build_tp():
+    # N = 1..4 up to 5 points, and N = 5 up to 4
     for points in range(6):
         for k in range(points + 1):
             for p in enumerate_partitions(k, points - k, "all"):
-                for n in range(1, 5):
+                for n in range(1, 5 + (points <= 4)):
                     rows, cols = [0] * n ** p.lower, [0] * n ** p.upper
                     for (j, i), v in build_tp(p, n).entries.items():
                         rows[j] |= v << i

@@ -3,7 +3,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from freewreath import config
@@ -15,6 +15,18 @@ from freewreath.partition import (Partition, _circle, _merge,
 from freewreath.tl import TLDiagram, collapse, tl_compose, tl_enumerate
 from freewreath.weingarten import wg_indices
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Partition(1, 1, [(1, 2), ()]), "empty block"),
+    (lambda: full_block(1, 1).join(full_block(0, 2)),
+     "join requires identical point sets"),
+    (lambda: full_block(1, 1).refines(full_block(1, 2)),
+     "refinement requires identical point sets"),
+], ids=["empty-block", "join", "refines"])
+def test_partition_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 def test_canonicalization():
     p = Partition(1, 2, [(3, 2), (1,)])
@@ -309,7 +321,6 @@ def composable_triples(draw, mode: str):
                  for lower, upper in zip(rows, rows[1:]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(st.sampled_from(("noncrossing", "all")).flatmap(composable_triples))
 def test_compose_associative_on_random_triples(case):
     # past the rows of the exhaustive test above, crossing partitions

@@ -1,3 +1,5 @@
+import pytest
+
 from freewreath.qnum import (cheb_int_factor, cheb_poly, poly_eval, poly_mul,
                              poly_trim, render_poly)
 
@@ -77,3 +79,10 @@ def test_poly_mul_takes_one_product_per_nonzero_pair():
                 for j, y in enumerate(b):
                     dense[i + j] += x * y
             assert got == poly_trim(dense)
+
+
+@pytest.mark.parametrize("l", [-1, -4])
+def test_cheb_poly_refuses_a_negative_index(l):
+    with pytest.raises(ValueError) as info:
+        cheb_poly(l)
+    assert str(info.value) == f"negative Chebyshev index {l}"

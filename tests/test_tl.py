@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from freewreath import config, tl
@@ -14,10 +14,6 @@ from freewreath.tl import (TLDiagram, black_regions, collapse, fatten,
                            markov_trace_exponent, parse_tl, phi,
                            render_scaled, sqrt_power, tl_compose,
                            tl_enumerate, verify_phi)
-
-
-DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
-                        database=None)
 
 
 def cap() -> TLDiagram:
@@ -163,6 +159,13 @@ def test_markov_trace_exponent_matches_closure():
             assert markov_trace_exponent(d) == loops
 
 
+@pytest.mark.parametrize("upper, lower, pairs", [
+    (1, 1, [(1, 2)]), (3, 1, [(1, 4), (2, 3)]), (1, 3, [(1, 2), (3, 4)])])
+def test_collapse_refuses_odd_arities(upper, lower, pairs):
+    with pytest.raises(ValueError) as info:
+        collapse(TLDiagram(upper, lower, pairs))
+    assert str(info.value) == "collapse needs even arities TL(2k, 2l)"
+
 def test_collapse():
     assert collapse(tl_identity(2)) == identity_partition(1)
     assert collapse(cap()) == discrete_partition(0, 1)
@@ -285,7 +288,6 @@ def composable_diagrams(draw):
                  for lower, upper in zip(rows, rows[1:]))
 
 
-@DERANDOMIZED
 @given(composable_diagrams())
 def test_tl_compose_associative_with_loops(case):
     # both bracketings give one diagram and one loop count: the scalar
@@ -299,7 +301,6 @@ def test_tl_compose_associative_with_loops(case):
     assert lower_loops + left_loops == upper_loops + right_loops
 
 
-@DERANDOMIZED
 @given(stacked_diagrams())
 def test_phi_relations_past_eight_points(case):
     top, bottom, twin = case

@@ -75,6 +75,20 @@ def test_weingarten_refuses_pairings():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("category", ("bogus", "pairings"))
+def test_unknown_category_refused_at_s1(category):
+    # s = 1 forces "singletons", but only once the name given has passed
+    # the check, and before any cap: order 30 would exceed the entry cap
+    message = (f"unknown category {category!r}, expected one of "
+               "('noncrossing', 'all', 'singletons')")
+    for call in (lambda: wg_table(2, 4, 1, category),
+                 lambda: wg_table(30, 4, 1, category),
+                 lambda: wg_certify_asymptotics(2, 1, category)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_index_count_without_listing():
     # sum over NC(k) of the product of the category's sizes at the block sizes
     for category in CATEGORIES:
@@ -530,9 +544,6 @@ def test_certification_makes_one_fraction_per_rung(monkeypatch):
 # ---------------------------------------------------------------------------
 # rotation orbits and the integer table
 
-DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=30,
-                        database=None)
-
 
 def _rotation(k, category):
     """sigma(t): the position of the index t with its k points rotated by
@@ -564,7 +575,7 @@ def table_parameters(draw):
     return k, n, 1 if category == "singletons" else s, category
 
 
-@DERANDOMIZED
+@settings(max_examples=30)
 @given(table_parameters())
 def test_gram_and_weingarten_are_rotation_invariant(params):
     # G and W computed at full width, without the orbit map, satisfy
