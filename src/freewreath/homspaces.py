@@ -28,7 +28,10 @@ one per choice of constituents.
 
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words, one letter at a time, and pair up
-the multiplicity vectors.  The two routes are independent and must agree.
+the multiplicity vectors.  A word of a decomposition is never longer than
+its tensor product, so each side's fold carries only the words that can
+still end as short as the other side's letter count: one letter shortens a
+word by at most one.  The two routes are independent and must agree.
 Neither lists a partition, so this module does not import the partition
 layer; the enumeration of the decorated partitions, the oracle of both
 routes, lives with the tests.
@@ -96,38 +99,53 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
                              + [{b: 1} for b in down])[-1]
 
 
-def word_tensor_decomposition(letters: Word, fd: FusionData) -> dict:
+def word_tensor_decomposition(letters: Word, fd: FusionData,
+                              longest: int | None = None) -> dict:
     """Decompose r(a_1) x ... x r(a_k) into irreducible word representations.
 
     One letter at a time: the fusion rule splits w x (a) at two cuts, into
     w.(a) with w[:-1].(gamma) for gamma in last(w) x a, and w[:-1] when
     last(w) = conj(a); for the trivial letter r(1) = () + (1) adds w itself.
+
+    With ``longest``, only the words of at most that many letters are
+    returned, each with its full multiplicity.  A step shortens a word by at
+    most one letter, so a word longer than ``longest`` plus the letters
+    still to come is never made, and a word at that limit takes no tensor
+    step: only its contraction w[:-1] can still end short enough.
     """
+    if longest is None:
+        longest = len(letters)
     acc = {(): 1}
-    for a in letters:
+    for done, a in enumerate(letters, 1):
         a_bar, trivial = fd.conj(a), a == fd.trivial()
+        reach = longest + len(letters) - done
         nxt: dict = {}
         for w, m in acc.items():
-            key = w + (a,)
-            nxt[key] = nxt.get(key, 0) + m
-            if w:
-                head = w[:-1]
+            head, room = w[:-1], reach - len(w)
+            if room > 0:
+                key = w + (a,)
+                nxt[key] = nxt.get(key, 0) + m
+            if w and room >= 0:
                 for gamma, mult in fd.tensor(w[-1], a).items():
                     key = head + (gamma,)
                     nxt[key] = nxt.get(key, 0) + m * mult
-                if w[-1] == a_bar:
-                    nxt[head] = nxt.get(head, 0) + m
-            if trivial:
+            if w and w[-1] == a_bar:
+                nxt[head] = nxt.get(head, 0) + m
+            if trivial and room >= 0:
                 nxt[w] = nxt.get(w, 0) + m
         acc = nxt
     return acc
 
 
 def dim_hom_fusion(up: Word, down: Word, fd: FusionData) -> int:
-    """Hom dimension by pairing the two irreducible decompositions."""
+    """Hom dimension by pairing the two irreducible decompositions.
+
+    A word of a decomposition has at most as many letters as its tensor
+    product, so each side keeps only the words the other side can reach.
+    """
     check_enum_cap(len(up) + len(down))
-    dec_up = word_tensor_decomposition(up, fd)
-    dec_down = word_tensor_decomposition(down, fd)
+    dec_up = word_tensor_decomposition(up, fd, len(down))
+    dec_down = word_tensor_decomposition(down, fd, len(up))
     return sum(m * dec_down.get(w, 0) for w, m in dec_up.items())
 
 

@@ -60,6 +60,14 @@ def _check_category(category: str, s: int = 1) -> None:
                          f"which needs s = 1, got s = {s}")
 
 
+def _check_sizes(k: int, n: int, s: int) -> None:
+    """Refuse an order k < 1 and sizes N, s < 1, which name no quantum group."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < 1 or s < 1:
+        raise ValueError("N and s must be positive")
+
+
 def _category_in_effect(s: int, category: str | None) -> str:
     """The inner category in effect, once :func:`_check_category` has passed
     the name given, None meaning "noncrossing": s = 1 forces "singletons"."""
@@ -152,7 +160,9 @@ def wg_gram(k: int, n: int, s: int,
             category: str = "noncrossing") -> list[list[int]]:
     """The Gram matrix [N^b(p v q) * s^b(a v b)] over wg_indices(k, category),
     read from one table of the powers at the index space's keys.
-    ValueError for an unknown category and for "singletons" with s != 1."""
+    ValueError for k < 1, N < 1 or s < 1, an unknown category and for
+    "singletons" with s != 1."""
+    _check_sizes(k, n, s)
     _check_category(category, s)
     powers = [n ** b * s ** c for b in range(k + 1) for c in range(k + 1)]
     return [list(map(powers.__getitem__, row))
@@ -187,10 +197,7 @@ def wg_table(k: int, n: int, s: int = 1,
     for; W is symmetric, so they are the representatives' rows, and the
     rest follows by rotation invariance.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 1 or s < 1:
-        raise ValueError("N and s must be positive")
+    _check_sizes(k, n, s)
     category = _category_in_effect(s, category)
     # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries;
     # checked before anything is enumerated, then the exact count

@@ -135,6 +135,38 @@ def test_letter_fold_matches_both_fusion_routes():
                 assert dec == _fold_with(fuse_via_reduced, word, fd), word
 
 
+def test_bounded_decomposition_keeps_the_short_words_exactly():
+    # the bound drops words only once they cannot end short enough, so the
+    # words it keeps have their full multiplicities
+    cases = [(Z2, Z2.labels(), 6), (Z3, Z3.labels(), 6), (S3, S3.labels(), 6),
+             (QuantumPermutationFusion(5), (0, 1, 2), 5),
+             (INTEGERS, tuple(range(-2, 3)), 5)]
+    for fd, labels, max_len in cases:
+        for n in range(max_len + 1):
+            for word in itertools.product(labels, repeat=n):
+                full = word_tensor_decomposition(word, fd)
+                for longest in range(n + 1):
+                    assert word_tensor_decomposition(word, fd, longest) == {
+                        w: m for w, m in full.items() if len(w) <= longest
+                    }, (word, longest)
+
+
+def test_fusion_route_decomposes_only_what_can_pair():
+    # the empty upper word pairs only with the empty word, so the fold of
+    # std^12 keeps only the words that can still shrink to nothing
+    fd = symmetric_group_3_fusion()
+    calls = []
+    tensor = fd.tensor
+
+    def counted(a, b):
+        calls.append((a, b))
+        return tensor(a, b)
+
+    fd.tensor = counted
+    assert dim_hom_fusion((), ("std",) * 12, fd) == 35537
+    assert len(calls) < 400
+
+
 def test_fusion_route_calls_no_word_fusion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fusion route called a word fusion")

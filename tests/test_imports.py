@@ -165,7 +165,8 @@ def function_names(source: str) -> dict[str, list[str]]:
 
 def test_weingarten_checks_the_category_once_per_entry_point():
     # one category check: only _check_category reads CATEGORIES, and each
-    # entry point calls it, or _category_in_effect that calls it, once
+    # entry point calls it, or _category_in_effect that calls it, once; the
+    # order and sizes have one check too, which the Gram and table call once
     assert function_names("def f(x):\n    return g(x) + g(1)\nh = 1\n") \
         == {"f": ["g", "g", "x"]}
     source = (SRC / "weingarten.py").read_text(encoding="utf-8")
@@ -182,6 +183,8 @@ def test_weingarten_checks_the_category_once_per_entry_point():
         "wg_table": ["_category_in_effect"],
         "wg_leading_coeff": ["_check_category"],
         "wg_certify_asymptotics": ["_category_in_effect"]}
+    assert {name: used.count("_check_sizes") for name, used in names.items()
+            if "_check_sizes" in used} == {"wg_gram": 1, "wg_table": 1}
 
 
 def class_bases(source: str) -> dict[str, list[str]]:

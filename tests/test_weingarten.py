@@ -161,6 +161,19 @@ def test_wg_gram_refuses_singletons_without_s1():
     assert wg_gram(2, 4, 3, "noncrossing")[0] == [144, 36, 12]
 
 
+def test_wg_gram_refuses_what_wg_table_refuses():
+    # an order or a size below 1 names no quantum group; the join formula
+    # would still give a first row [144, -48, -12] at N = -3, a zero matrix
+    # at N = 0 and [[1]] at k = 0
+    for k, n, s, message in ((2, -3, 4, "N and s must be positive"),
+                             (2, 0, 4, "N and s must be positive"),
+                             (2, 4, 0, "N and s must be positive"),
+                             (0, 4, 1, "k must be at least 1")):
+        for build in (wg_gram, wg_table):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(k, n, s, "noncrossing")
+
+
 def test_wg_leading_coeff_refuses_singletons_without_s1():
     # "singletons" is the trivial inner group; at s = 3 the inverse inner
     # Gram would give 1/9 on the first index of order 2, for no quantum group
