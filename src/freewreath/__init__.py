@@ -22,7 +22,7 @@ _EXPORTS = {
                "parse_word", "reduce_word", "render_word", "sort_words",
                "symmetric_group_3_fusion"),
     "homspaces": ("dim_hom_wreath",),
-    "linmaps": ("SparseMap", "build_tp", "gram_brute",
+    "linmaps": ("SparseMap", "build_tp",
                 "verify_category_relations", "verify_conjugate_equations"),
     "partition": ("Partition", "discrete_partition", "enumerate_partitions",
                   "full_block", "identity_partition", "kernel",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from sys import get_int_max_str_digits
 
 from .config import (CATEGORIES, CapExceededError, caps, check_enum_cap,
@@ -263,6 +264,7 @@ def _option(*flags, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@cache  # parsing leaves the parser as it was, so main reuses one
 def build_parser() -> _Parser:
     fusion = _option("--fusion", default="builtin:cyclic:2")
     as_float = _option("--float", action="store_true")

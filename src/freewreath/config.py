@@ -14,10 +14,12 @@ first use):
                            map, a Gram matrix or a fusion table, and of the
                            label triples a file table's associativity check
                            takes, the product rows the category check
-                           compares, the pairs the collapsing-isomorphism
-                           check takes, the random products the dimension
-                           check fuses, the N^(2k) entries of the two
-                           products the conjugate-equation check compares,
+                           compares, the points of the stacked pairs the
+                           collapsing-isomorphism check takes, the random
+                           products the dimension check fuses, the 2k
+                           points of the nested pairing and the N^(2k)
+                           entries of the two products the conjugate-equation
+                           check compares,
                            the letters of the words a fuse command prints,
                            the coefficient products of a character
                            polynomial,

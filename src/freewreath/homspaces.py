@@ -100,21 +100,20 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
 
 
 def word_tensor_decomposition(letters: Word, fd: FusionData,
-                              longest: int | None = None) -> dict:
+                              longest: int) -> dict:
     """Decompose r(a_1) x ... x r(a_k) into irreducible word representations.
 
     One letter at a time: the fusion rule splits w x (a) at two cuts, into
     w.(a) with w[:-1].(gamma) for gamma in last(w) x a, and w[:-1] when
     last(w) = conj(a); for the trivial letter r(1) = () + (1) adds w itself.
 
-    With ``longest``, only the words of at most that many letters are
-    returned, each with its full multiplicity.  A step shortens a word by at
-    most one letter, so a word longer than ``longest`` plus the letters
-    still to come is never made, and a word at that limit takes no tensor
-    step: only its contraction w[:-1] can still end short enough.
+    Only the words of at most ``longest`` letters are returned, each with
+    its full multiplicity; ``len(letters)`` returns them all.  A step
+    shortens a word by at most one letter, so a word longer than ``longest``
+    plus the letters still to come is never made, and a word at that limit
+    takes no tensor step: only its contraction w[:-1] can still end short
+    enough.
     """
-    if longest is None:
-        longest = len(letters)
     acc = {(): 1}
     for done, a in enumerate(letters, 1):
         a_bar, trivial = fd.conj(a), a == fd.trivial()

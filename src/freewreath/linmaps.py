@@ -14,16 +14,17 @@ and the nested pairing solves the conjugate equations.  The family
 {T_p : p noncrossing} is linearly independent iff N >= 4; its Gram matrix is
 <T_p, T_q> = Tr(T_p* T_q) = N^{blocks(join(p,q))}, which
 ``weingarten.wg_gram`` builds from the join counts (the "singletons"
-category); :func:`gram_brute` counts the index assignments where both maps
-are nonzero instead (the two must agree; the brute force never takes a join,
-so it is an independent oracle).
+category); the tests' brute-force Gram, ``gram_brute`` in
+``tests/builders.py``, counts the index assignments where both maps are
+nonzero instead (the two must agree; the brute force never takes a join, so
+it is an independent oracle).
 
 The support of T_p is enumerated once, by ``_support``: each block has a
 base-N weight in the upper and in the lower multi-index, and each of the
 N^blocks value assignments gives one position (j, i) as a pair of integers.
 A map is a :class:`SparseMap`: a dict from (out_index, in_index) pairs of
 such integers to nonzero Fractions, with tensor, compose and adjoint;
-:func:`build_tp` keys T_p by its support for the Gram brute force.  The
+:func:`build_tp` keys T_p by its support for the tests' oracles.  The
 category check holds T_p as 0/1 bit rows and columns, one Python int each,
 built from the same block weights: a nonzero row is the mask of every
 assignment of the upper-only blocks shifted by the through-block values that
@@ -93,8 +94,6 @@ class SparseMap:
     def scale(self, c) -> "SparseMap":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        if c == 0:
-            return SparseMap(self.dim, self.in_arity, self.out_arity, {})
         return SparseMap(self.dim, self.in_arity, self.out_arity,
                          {k: v * c for k, v in self.entries.items()})
 
@@ -505,11 +504,13 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    r = nested_pairing(k)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    # refuse before any work: the two products compared hold N**(2k) entries
+    # refuse before any work: the pairing has 2k points, and the two products
+    # compared hold N**(2k) entries
+    check_work_cap(2 * k, "building the nested pairing on {} points")
     check_work_cap(dim ** (2 * k), "comparing {} entries of the two products")
+    r = nested_pairing(k)
     rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
     size = dim ** k
     succ = [[] for _ in range(size)]
@@ -523,20 +524,3 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     rep.add("(id tensor T_r*) . (T_r tensor id) = id", all(
         [a for b in pred[y] for a in pred[b]] == [y] for y in range(size)))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
-
-
-def gram_brute(k: int, l: int, dim: int) -> list[list[int]]:
-    """The Gram matrix <T_p, T_q> over the noncrossing partitions of (k, l),
-    in the order of enumerate_partitions, by brute force: Tr(T_p* T_q) as the
-    number of nonzero entries T_p and T_q share.
-
-    Each T_p comes once from :func:`build_tp`, which enumerates the index
-    assignments constant on its blocks; no join is taken, so the count is an
-    independent check of the join formula.
-    """
-    maps = [build_tp(p, dim) for p in enumerate_partitions(k, l, "noncrossing")]
-    return [[int(a.inner(b)) for b in maps] for a in maps]

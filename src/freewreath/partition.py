@@ -96,17 +96,15 @@ def _merge(n: int, chains: Iterable[Sequence[int]],
 
 
 def _join_counts(parts: Sequence[Partition],
-                 rows: Sequence[int] | None = None) -> tuple[bytes, ...]:
-    """Rows of b(x v y), the block count of the join, over parts x and y.
-
-    With ``rows``, only the rows of the parts at those positions.  Every Gram
-    matrix of the package is a power of these counts.  Each distinct pair of
-    parts is joined once: a row is read through the position of each part
-    among the distinct ones.
+                 rows: Sequence[int]) -> tuple[bytes, ...]:
+    """Rows of b(x v y), the block count of the join, over parts x and y,
+    for the parts x at the positions ``rows``; ``range(len(parts))`` gives
+    the whole matrix.  Every Gram matrix of the package is a power of these
+    counts.  Each distinct pair of parts is joined once: a row is read
+    through the position of each part among the distinct ones.
     """
     position = {x: t for t, x in enumerate(dict.fromkeys(parts))}
     blocks = [x.blocks for x in position]
-    rows = range(len(parts)) if rows is None else rows
     counts = {x: bytes(_merge(x.points, blocks[position[x]] + y, ())[1]
                        for y in blocks)
               for x in dict.fromkeys(parts[r] for r in rows)}

@@ -27,8 +27,6 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 
 def poly_mul(a, b) -> tuple[int, ...]:
     """The product, one multiplication per pair of nonzero coefficients."""
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     terms = [(i, x) for i, x in enumerate(a) if x]
     for j, y in enumerate(b):

@@ -237,13 +237,15 @@ def verify_phi(max_points: int = 6) -> VerificationReport:
     even_diags = {(a, b): tl_enumerate(a, b) for a in range(0, max_points + 1, 2)
                   for b in range(0, max_points + 1 - a, 2)}
     all_even = [d for diags in even_diags.values() for d in diags]
-    # the composed, tensor and trace pairs, counted by shape before any phi
+    # the points of the stacked pictures of the composed, tensor and trace
+    # pairs, counted by shape before any phi
     size = {shape: len(diags) for shape, diags in even_diags.items()}
     check_work_cap(sum(
-        n * m * ((m1 == m2) + (k1 + m1 + m2 + l2 <= max_points)
-                 + ((k1, m1) == (m2, l2)))
+        n * m * ((m1 == m2) * (k1 + m1 + l2)
+                 + (k1 + m1 + m2 + l2 <= max_points) * (k1 + m1 + m2 + l2)
+                 + ((k1, m1) == (m2, l2)) * (2 * k1 + m1))
         for (k1, m1), n in size.items() for (m2, l2), m in size.items()),
-        "listing {} composable pairs")
+        "stacking {} points of composed, tensor and trace pairs")
     # every tensor product, involution and fattening below is one of these
     image = {d: phi(d) for d in all_even}
 

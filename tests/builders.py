@@ -1,7 +1,7 @@
 """Objects the tests build that the library does not: group duals written as
 fusion files, the identity Temperley-Lieb diagrams, the word a reduced form
-stands for, the decorated partitions that both Hom routes count, and the
-bytes a call's result keeps.
+stands for, the decorated partitions that both Hom routes count, the
+brute-force noncrossing Gram matrix, and the bytes a call's result keeps.
 
 A group dual reaches the library the way a user's ``file:`` table does, so
 ``fusion_from_json`` runs every check on it, associativity included.
@@ -13,6 +13,7 @@ import json
 import tracemalloc
 
 from freewreath.fusion import conj_word, reduce_word, tensor_fold
+from freewreath.linmaps import build_tp
 from freewreath.partition import enumerate_partitions
 from freewreath.tl import TLDiagram
 
@@ -112,6 +113,20 @@ def _nc_blocks(k: int, l: int) -> tuple:
     """The (p, p.blocks) pairs of NC(k, l), enumerated once per shape."""
     return tuple((p, p.blocks)
                  for p in enumerate_partitions(k, l, mode="noncrossing"))
+
+
+def gram_brute(k: int, l: int, dim: int) -> list[list[int]]:
+    """The Gram matrix <T_p, T_q> over the noncrossing partitions of (k, l),
+    in the order of enumerate_partitions, by brute force: Tr(T_p* T_q) as the
+    number of nonzero entries T_p and T_q share.  The oracle of
+    ``weingarten.wg_gram``'s "singletons" Gram.
+
+    Each T_p comes once from ``linmaps.build_tp``, which enumerates the index
+    assignments constant on its blocks; no join is taken, so the count is an
+    independent check of the join formula.
+    """
+    maps = [build_tp(p, dim) for p in enumerate_partitions(k, l, "noncrossing")]
+    return [[int(a.inner(b)) for b in maps] for a in maps]
 
 
 def kept_bytes(call) -> int:

@@ -566,13 +566,14 @@ def test_verify_category_row_cap_refused_before_any_pair(capsys, monkeypatch):
 
 
 def test_tl_verify_caps_its_pairs():
-    # 6 points: 219 composed, 85 tensor and 115 trace pairs
+    # 6 points: 219 composed, 85 tensor and 115 trace pairs, whose stacked
+    # pictures hold 3152 points in all
     argv = ("-m", "freewreath.cli", "tl", "verify", "--max-points", "6")
-    done = python(*argv, FREEWREATH_ENTRY_CAP="418")
+    done = python(*argv, FREEWREATH_ENTRY_CAP="3151")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == ("cap exceeded: listing 419 composable pairs "
-                           "exceeds the cap of 418\n")
-    assert python(*argv, FREEWREATH_ENTRY_CAP="419").returncode == 0
+    assert done.stderr == ("cap exceeded: stacking 3152 points of composed, "
+                           "tensor and trace pairs exceeds the cap of 3151\n")
+    assert python(*argv, FREEWREATH_ENTRY_CAP="3152").returncode == 0
 
 
 def test_cyclic_table_over_cap_refused():

@@ -445,3 +445,16 @@ def test_star_structure_over_z3():
     m_plain = character_moment_wreath(Z3, "g", (False, False, False))
     m_star = character_moment_wreath(Z3, "g", (False, True, False))
     assert (m_plain, m_star) == (1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: freeprob.classical_wreath_moments(z2_block_moment("regular"),
+                                               -1, 3),
+     "classical moments need n, k >= 0, got n=-1, k=3"),
+    (lambda: z2_block_moment("x"), "unknown representation 'x'"),
+    (lambda: brute_force_z2_s3_moments("x", 3), "unknown representation 'x'"),
+], ids=["classical-n", "block-rep", "brute-force-rep"])
+def test_freeprob_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

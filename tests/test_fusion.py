@@ -650,3 +650,10 @@ def test_dim_multiplicativity_names_the_first_failure(monkeypatch):
         "verify dimension multiplicativity N=4: FAIL\n"
         "  FAIL: 30 random products have multiplicative dimension "
         "[first failure (('1',), ('1', 'g', 'g'), 72, 73)]")
+
+
+@pytest.mark.parametrize("text", ["x", "g", "1.5"])
+def test_integer_labels_refuse_a_non_integer(text):
+    with pytest.raises(ValueError) as info:
+        IntegersFusion().parse_label(text)
+    assert str(info.value) == f"integer label expected, got {text!r}"

@@ -103,8 +103,8 @@ def test_dual_routes_agree_length_four():
 
 def test_basic_rep_decomposition():
     # r(a) is the irreducible word (a), and r(1) = () + (1)
-    assert word_tensor_decomposition(("g",), Z2) == {("g",): 1}
-    assert word_tensor_decomposition(("1",), Z2) == {(): 1, ("1",): 1}
+    assert word_tensor_decomposition(("g",), Z2, 1) == {("g",): 1}
+    assert word_tensor_decomposition(("1",), Z2, 1) == {(): 1, ("1",): 1}
 
 
 def _fold_with(route, letters, fd):
@@ -130,7 +130,7 @@ def test_letter_fold_matches_both_fusion_routes():
     for fd, labels, max_len in cases:
         for n in range(max_len + 1):
             for word in itertools.product(labels, repeat=n):
-                dec = word_tensor_decomposition(word, fd)
+                dec = word_tensor_decomposition(word, fd, len(word))
                 assert dec == _fold_with(fuse_direct, word, fd), word
                 assert dec == _fold_with(fuse_via_reduced, word, fd), word
 
@@ -144,7 +144,7 @@ def test_bounded_decomposition_keeps_the_short_words_exactly():
     for fd, labels, max_len in cases:
         for n in range(max_len + 1):
             for word in itertools.product(labels, repeat=n):
-                full = word_tensor_decomposition(word, fd)
+                full = word_tensor_decomposition(word, fd, len(word))
                 for longest in range(n + 1):
                     assert word_tensor_decomposition(word, fd, longest) == {
                         w: m for w, m in full.items() if len(w) <= longest
@@ -195,7 +195,7 @@ def test_unknown_labels_refused(fd, bad):
 
 def test_word_tensor_decomposition():
     # r(g) x r(g) over Z/2 as irreducible words
-    dec = word_tensor_decomposition(("g", "g"), Z2)
+    dec = word_tensor_decomposition(("g", "g"), Z2, 2)
     assert dec == {(): 1, ("1",): 1, ("g", "g"): 1}
     # dimensions match at any N
     from freewreath.fusion import dim_wreath
@@ -330,3 +330,10 @@ def test_rotation_invariance(case):
     value = dim_hom_partition((), word, fd)
     assert value == dim_hom_partition((), word[1:] + word[:1], fd)
     assert value == dim_hom_fusion((), word, fd)
+
+
+@pytest.mark.parametrize("method", ["x", "Fusion"])
+def test_dim_hom_wreath_refuses_an_unknown_method(method):
+    with pytest.raises(ValueError) as info:
+        dim_hom_wreath(("g",), ("g",), Z2, method=method)
+    assert str(info.value) == f"unknown hom method {method!r}"

@@ -12,12 +12,11 @@ import pytest
 from freewreath import config, linmaps
 from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_det_rank
-from builders import (S3_ELEMENTS, cyclic_names, cyclic_product,
+from builders import (S3_ELEMENTS, cyclic_names, cyclic_product, gram_brute,
                       group_dual_json, hom_terms, kept_bytes, s3_product)
 from freewreath.fusion import (conj_word, cyclic_fusion, fusion_from_json,
                                tensor_fold)
-from freewreath.linmaps import (build_tp, gram_brute,
-                                verify_category_relations,
+from freewreath.linmaps import (build_tp, verify_category_relations,
                                 verify_conjugate_equations)
 from freewreath.partition import (Partition, discrete_partition,
                                   enumerate_partitions, full_block,
@@ -441,3 +440,48 @@ def test_sparse_map_trace_inner():
     assert ident.inner(ident) == n ** 2
     with pytest.raises(ValueError):
         ident.inner(t)
+
+
+def _tp(k: int, n: int):
+    return build_tp(identity_partition(k), n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linmaps.SparseMap(0, 1, 1), "dimension must be positive, got 0"),
+    (lambda: _tp(1, 2).tensor(_tp(1, 3)),
+     "tensor factors must share the dimension N"),
+    (lambda: _tp(1, 2).compose(_tp(1, 3)),
+     "composition requires equal dimension N"),
+    (lambda: _tp(1, 2).compose(_tp(2, 2)),
+     "arity mismatch: composing in_arity 1 with out_arity 2"),
+    (lambda: build_tp(nested_pairing(1), 2).trace(),
+     "trace requires a square map"),
+    (lambda: verify_conjugate_equations(1, 0),
+     "dimension must be positive, got 0"),
+], ids=["dimension", "tensor-N", "compose-N", "compose-arity", "trace",
+        "conjugate-N"])
+def test_linmaps_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_scale_by_zero_is_the_empty_map():
+    t = build_tp(full_block(2, 1), 3)
+    for zero in (0, Fraction(0)):
+        assert t.scale(zero) == linmaps.SparseMap(3, 2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conjugate_check_counts_the_pairing_before_building_it(monkeypatch, n):
+    # at N = 1 the products compare one entry, but the pairing of 2k points
+    # is still built; at N = 2 the entry count would be a 2 * 10**30-bit int
+    def never(k):
+        raise AssertionError("nested pairing built before the cap")
+
+    monkeypatch.setattr(config, "caps", lambda: (14, 10 ** 7))
+    monkeypatch.setattr(linmaps, "nested_pairing", never)
+    with pytest.raises(CapExceededError) as info:
+        verify_conjugate_equations(10 ** 30, n)
+    assert str(info.value) == (f"building the nested pairing on {2 * 10 ** 30} "
+                               "points exceeds the cap of 10000000")

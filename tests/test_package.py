@@ -35,7 +35,7 @@ EXPORTS = [
     "conj_word", "cyclic_fusion", "dim_hom_wreath", "dim_wreath",
     "discrete_partition", "enumerate_partitions", "fatten",
     "free_cumulants_to_moments", "full_block", "fuse", "fusion_from_json",
-    "fusion_from_uri", "gram_brute", "haar_state",
+    "fusion_from_uri", "haar_state",
     "identity_partition", "kernel", "load_fusion_file",
     "markov_trace_exponent", "moment_of_rep", "moments_to_free_cumulants",
     "nested_pairing", "parse_eps", "parse_partition", "parse_star_list",
@@ -63,7 +63,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 67 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 66 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)

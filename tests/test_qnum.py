@@ -86,3 +86,8 @@ def test_cheb_poly_refuses_a_negative_index(l):
     with pytest.raises(ValueError) as info:
         cheb_poly(l)
     assert str(info.value) == f"negative Chebyshev index {l}"
+
+
+@pytest.mark.parametrize("b", [(), (0,), (1,), (0, 2, 3)])
+def test_poly_mul_by_the_empty_polynomial_is_empty(b):
+    assert poly_mul((), b) == poly_mul(b, ()) == ()

@@ -365,13 +365,15 @@ def test_verify_phi_checks_only_the_fattened_diagrams(monkeypatch):
 
 
 def test_verify_phi_caps_its_pairs_before_any_phi(monkeypatch):
-    # 6 points: 219 composed, 85 tensor and 115 trace pairs
+    # 6 points: 219 composed, 85 tensor and 115 trace pairs, whose stacked
+    # pictures hold 3152 points in all
     def never(d):
         raise AssertionError("phi taken before the pair cap was checked")
 
-    monkeypatch.setattr(config, "caps", lambda: (14, 418))
+    monkeypatch.setattr(config, "caps", lambda: (14, 3151))
     monkeypatch.setattr(tl, "phi", never)
-    with pytest.raises(CapExceededError, match="listing 419 composable pairs"):
+    with pytest.raises(CapExceededError, match="stacking 3152 points of "
+                       "composed, tensor and trace pairs"):
         verify_phi(max_points=6)
 
 

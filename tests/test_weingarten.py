@@ -336,7 +336,7 @@ def test_leading_coeff_inverts_inner_gram_blocks(k, s, category):
     for p in {p for p, _ in indices}:
         run = [idx for idx in indices if idx[0] == p]
         gram = [[s ** c for c in row]
-                for row in _join_counts([a for _, a in run])]
+                for row in _join_counts([a for _, a in run], range(len(run)))]
         coeffs = [[wg_leading_coeff(x, y, s, category) for y in run]
                   for x in run]
         assert [[sum(map(mul, row, col)) for col in zip(*gram)]
@@ -573,7 +573,8 @@ def _rotation(k, category):
 @cache
 def _full_join_counts(k, category):
     """Every row of b(p v q) and b(a v b), with no orbit map."""
-    return tuple(_join_counts(parts) for parts in zip(*wg_indices(k, category)))
+    return tuple(_join_counts(parts, range(len(parts)))
+                 for parts in zip(*wg_indices(k, category)))
 
 
 @st.composite
