@@ -30,7 +30,8 @@ first use):
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
-exit code 2.  Tests lower a cap through the variables or by replacing caps().
+exit code 2; its message names the count, or past 2,000 bits its size.
+Tests lower a cap through the variables or by replacing caps().
 """
 
 from __future__ import annotations
@@ -81,20 +82,60 @@ def caps() -> tuple[int, int]:
             _env_int("FREEWREATH_ENTRY_CAP", 10**7))
 
 
+# a count of more bits is shown by its size: 2,000 bits are 603 digits, fewer
+# than the least limit Python may set on converting an int to a string (640)
+_SHOWN_BITS = 2000
+
+
+def _shown(count: int) -> str:
+    bits = count.bit_length()
+    return str(count) if bits <= _SHOWN_BITS else f"2^{bits - 1} or more"
+
+
 def _check(count: int, limit: int, what: str) -> None:
+    """Refuse a count over limit; what names it, with {} for the count."""
     if count > limit:
-        raise CapExceededError(f"{what} exceeds the cap of {limit}")
+        raise CapExceededError(
+            f"{what.format(_shown(count))} exceeds the cap of {limit}")
 
 
 def check_enum_cap(points: int) -> None:
-    _check(points, caps()[0], f"enumeration over {points} points")
+    _check(points, caps()[0], "enumeration over {} points")
 
 
 def check_entry_cap(entries: int) -> None:
-    _check(entries, caps()[1], f"storing {entries} entries")
+    _check(entries, caps()[1], "storing {} entries")
 
 
 def check_work_cap(count: int, work: str) -> None:
     """Refuse count steps of a check beyond the entry cap; work names them,
     with {} for the count ("comparing {} product rows")."""
-    _check(count, caps()[1], work.format(count))
+    _check(count, caps()[1], work)
+
+
+def check_power_cap(base: int, exponent: int, work: str) -> None:
+    """:func:`check_work_cap` on base**exponent, by bit length first: the
+    power is at least 2^(exponent (bitlen(base) - 1)), and a bound past both
+    the cap and the counts shown in digits refuses before the power is
+    taken."""
+    low = exponent * (base.bit_length() - 1)
+    limit = caps()[1]
+    if low > max(_SHOWN_BITS, limit.bit_length()):
+        raise CapExceededError(
+            f"{work.format(f'2^{low} or more')} exceeds the cap of {limit}")
+    check_work_cap(base ** exponent, work)
+
+
+def check_catalan_cap(k: int) -> None:
+    """:func:`check_entry_cap` on Catalan(k)**2, the fewest Gram entries of
+    a Weingarten table of order k.  The Catalan numbers are taken in turn,
+    so an order past the largest one the cap admits is refused after a few
+    steps, without its binomial."""
+    limit = caps()[1]
+    j, catalan = 0, 1
+    while j < k and catalan * catalan <= limit:
+        j, catalan = j + 1, catalan * (4 * j + 2) // (j + 2)
+    if j < k:
+        raise CapExceededError(f"storing Catalan({k})^2 or more entries "
+                               f"exceeds the cap of {limit}")
+    check_entry_cap(catalan * catalan)

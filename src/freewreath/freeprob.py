@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Iterator
 
 from .config import _Memo, caps, check_enum_cap, check_work_cap
 from .fusion import FusionData, rep_as_dict, tensor_fold
-from .homspaces import _boundary_moments
+from .homspaces import _boundary_moments, _frozen_letter
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -272,9 +272,10 @@ def _dim_width(fd: FusionData, rd: dict, n: int) -> tuple[int, int]:
 def _hom_work(w: int, r: int, n: int) -> int:
     """A bound on the steps of the Hom route, ``_boundary_moments``, on one
     word of n letters, whose letters have r constituents and whose products
-    have at most w labels: at most w r n(n-1)/2 tensor calls, w (n^3-n)/6
-    additions into the carried elements and n(n+1)(n+2)/6 updates of its
-    moment table.
+    have at most w labels, from a cold cache: at most w r n(n-1)/2 tensor
+    calls, w (n^3-n)/6 additions into the carried elements and
+    n(n+1)(n+2)/6 updates of its moment rows.  Rows kept from earlier words
+    only lower the count.
     """
     return (w * (n ** 3 - n) // 6 + n * (n + 1) * (n + 2) // 6
             + w * r * n * (n - 1) // 2)
@@ -298,7 +299,8 @@ def character_moment_wreath(fd: FusionData, rep, eps: Eps) -> int:
     """
     rd = rep_as_dict(fd, rep)
     _check_hom_work(fd, rd, len(eps))
-    return _boundary_moments(fd, _eps_letters(fd, rd, eps))[-1]
+    return _boundary_moments(
+        fd, tuple(map(_frozen_letter, _eps_letters(fd, rd, eps))))[-1]
 
 
 def plain_character_moments(fd: FusionData, rep, k: int) -> list[int]:
@@ -310,7 +312,7 @@ def plain_character_moments(fd: FusionData, rep, k: int) -> list[int]:
     """
     rd = rep_as_dict(fd, rep)
     _check_hom_work(fd, rd, k)
-    return _boundary_moments(fd, [rd] * k)
+    return list(_boundary_moments(fd, (_frozen_letter(rd),) * k))
 
 
 def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
@@ -323,11 +325,11 @@ def char_law_work(fd: FusionData, rep, k: int) -> int:
     """A bound on the work of the plain moments of orders 1..k by both
     routes, and on their digits.
 
-    The Hom route runs once, on the word of k letters (see
-    :func:`plain_character_moments` and :func:`_hom_work`), and the
-    cumulant route is :func:`partial_trace_law` at t = 1: it takes the
-    block moments, at most w r s tensor calls for the s-th, then solves for
-    the moments, and the block moment of s letters is at most
+    The Hom route runs once, on the word of k letters, bounded as from a
+    cold cache (see :func:`plain_character_moments` and :func:`_hom_work`),
+    and the cumulant route is :func:`partial_trace_law` at t = 1: it takes
+    the block moments, at most w r s tensor calls for the s-th, then solves
+    for the moments, and the block moment of s letters is at most
     d^s < 2^(s bitlen(d)).
     """
     rd = rep_as_dict(fd, rep)

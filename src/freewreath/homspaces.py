@@ -20,11 +20,16 @@ recursion, ``_nc_sum`` in :mod:`freewreath.freeprob`, tries the 2^(|w|-1)
 choices of the block one by one.  Here a block's weight is
 linear in the tensor product of its letters, so all partial blocks from one
 start are carried together as one element of the fusion ring
-(:func:`_boundary_moments`): O(|w|^2) tensor steps and O(|w|^3) integer
-additions in place of Catalan(|w|) partitions.  Its letters are themselves
-fusion-ring elements, so a reducible representation at every position (the
-character moments of :mod:`freewreath.freeprob`) costs one recursion, not
-one per choice of constituents.
+(:func:`_boundary_moments`): from a cold cache, O(|w|^2) tensor steps and
+O(|w|^3) integer additions in place of Catalan(|w|) partitions.  The work
+from one start yields the moments of every prefix of the suffix it starts,
+a row that depends on that suffix and the ring alone, so each row is kept:
+a word whose proper suffixes were met before costs one new row, at most
+|w| - 1 tensor steps and O(|w|^2) additions.  A sweep over many words pays
+once per distinct suffix; the module keeps at most ``_MAX_ROWS`` rows.  Its
+letters are themselves fusion-ring elements, so a reducible representation
+at every position (the character moments of :mod:`freewreath.freeprob`)
+costs one recursion, not one per choice of constituents.
 
 The same dimension is computable through the fusion ring: decompose both
 tensor products into irreducible words, one letter at a time, and pair up
@@ -39,9 +44,7 @@ routes, lives with the tests.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .config import check_enum_cap
+from .config import _Memo, check_enum_cap
 from .fusion import FusionData, Word, fuse, tensor_fold
 
 # Neither Hom route calls ``fuse``.  The name stays bound here because the
@@ -49,44 +52,72 @@ from .fusion import FusionData, Word, fuse, tensor_fold
 _KEPT_BINDINGS = (fuse,)
 
 
-def _boundary_moments(fd: FusionData, word: Sequence[dict]) -> list[int]:
-    """Sum over NC(j) of the product of the block trivial multiplicities of
-    word[:j], for every j <= |word|: the row m[0] below.
+# The rows of the first-block recursion, keyed by suffix + (ring,): a row
+# depends on its suffix and its ring alone, and Z/2 and Z/3 share the label
+# "g".  The keys hold the letters of _LETTERS, one object per distinct
+# letter, which _LABEL_LETTERS gives for an irreducible.  A row that would
+# pass _MAX_ROWS empties all three first.
+_MAX_ROWS = 4096
+_ROWS: dict[tuple, tuple[int, ...]] = {}
+_LETTERS: dict[frozenset, frozenset] = {}
 
-    Each letter is a fusion-ring element, a label->multiplicity dict, and a
-    block weighs the trivial multiplicity of the product of its letters.
-    m[i][j] is that sum for word[i:j] (m[i][i] = 1).  For a start i, taken
-    from the right, v[t] is the sum over the partial blocks from i to t of
-    the tensor product of their letters times the moments of their inner
-    gaps: v[i] = word[i] and v[t] = (sum over i <= r < t of
-    m[r+1][t] v[r]) x word[t], one tensor step.  Closing the block at t
-    leaves the gap word[t+1:j], so
-    m[i][j] = sum over i <= t < j of <1, v[t]> m[t+1][j].  The row m[0]
-    holds every prefix of the word at no extra cost.
+
+def _frozen_letter(element: dict) -> frozenset:
+    """A fusion-ring element, a label->multiplicity dict, in the hashable form
+    that :func:`_boundary_moments` takes: the frozenset of its items."""
+    letter = frozenset(element.items())
+    return _LETTERS.setdefault(letter, letter)
+
+
+_LABEL_LETTERS = _Memo(lambda a: _frozen_letter({a: 1}))
+
+
+def _boundary_moments(fd: FusionData, word: tuple) -> tuple[int, ...]:
+    """Sum over NC(j) of the product of the block trivial multiplicities of
+    word[:j], for every j <= |word|: the row of word below.
+
+    Each letter is a fusion-ring element in :func:`_frozen_letter`'s form,
+    and a block weighs the trivial multiplicity of the product of its
+    letters.  The row of word[i:] holds that sum for each of its prefixes
+    and depends on that suffix alone, so it is computed once per ring and
+    kept.  With m(i, j) the sum for word[i:j] (m(i, i) = 1), the partial
+    blocks from i to t, with the tensor product of their letters times the
+    moments of their inner gaps, sum to v[t]: v[i] = word[i] and
+    v[t] = (sum over i <= r < t of m(r+1, t) v[r]) x word[t], one tensor
+    step.  Closing the block at t leaves the gap word[t+1:j], so
+    m(i, j) = sum over i <= t < j of <1, v[t]> m(t+1, j).  The rows are
+    filled shortest suffix first, without recursion: a word whose proper
+    suffixes are kept costs one new row, at most |word| - 1 tensor steps.
     """
     n = len(word)
+    key = word + (fd,)
+    rows: list = [()] * n + [(1,)]  # rows[i]: the row of word[i:]
     one = fd.trivial()
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    m[n][n] = 1
     for i in range(n - 1, -1, -1):
-        v = [word[i]]
-        for t in range(i + 1, n):
-            acc: dict = {}
-            for r in range(i, t):
-                c = m[r + 1][t]
+        row = _ROWS.get(key[i:])
+        if row is None:
+            v = [dict(word[i])]
+            for t in range(i + 1, n):
+                acc: dict = {}
+                for r in range(i, t):
+                    c = rows[r + 1][t - r - 1]
+                    if c:
+                        for a, x in v[r - i].items():
+                            acc[a] = acc.get(a, 0) + c * x
+                v.append(tensor_fold(fd, (dict(word[t]),), acc) if acc else {})
+            new = [1] + [0] * (n - i)
+            for t, vt in enumerate(v, i):
+                c = vt.get(one, 0)
                 if c:
-                    for a, x in v[r - i].items():
-                        acc[a] = acc.get(a, 0) + c * x
-            v.append(tensor_fold(fd, (word[t],), acc) if acc else {})
-        row = m[i]
-        row[i] = 1
-        for t, vt in enumerate(v, i):
-            c = vt.get(one, 0)
-            if c:
-                gaps = m[t + 1]
-                for j in range(t + 1, n + 1):
-                    row[j] += c * gaps[j]
-    return m[0]
+                    for j, gap in enumerate(rows[t + 1], t + 1 - i):
+                        new[j] += c * gap
+            if len(_ROWS) >= _MAX_ROWS:
+                _ROWS.clear()
+                _LETTERS.clear()
+                _LABEL_LETTERS.clear()
+            row = _ROWS[key[i:]] = tuple(new)
+        rows[i] = row
+    return rows[0]
 
 
 def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
@@ -95,8 +126,9 @@ def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
     for letter in up + down:
         fd.check_label(letter)
     check_enum_cap(len(up) + len(down))
-    return _boundary_moments(fd, [{fd.conj(a): 1} for a in reversed(up)]
-                             + [{b: 1} for b in down])[-1]
+    return _boundary_moments(fd, tuple(
+        [_LABEL_LETTERS[fd.conj(a)] for a in reversed(up)]
+        + [_LABEL_LETTERS[b] for b in down]))[-1]
 
 
 def word_tensor_decomposition(letters: Word, fd: FusionData,

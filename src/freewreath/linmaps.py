@@ -54,7 +54,8 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import repeat
 
-from .config import _Memo, check_entry_cap, check_enum_cap, check_work_cap
+from .config import (_Memo, check_entry_cap, check_enum_cap, check_power_cap,
+                     check_work_cap)
 from .partition import (Labels, Partition, _canonical_labels,
                         _involute_labels, _merge, _tensor_labels,
                         enumerate_partitions, nested_pairing)
@@ -509,7 +510,7 @@ def verify_conjugate_equations(k: int, dim: int) -> VerificationReport:
     # refuse before any work: the pairing has 2k points, and the two products
     # compared hold N**(2k) entries
     check_work_cap(2 * k, "building the nested pairing on {} points")
-    check_work_cap(dim ** (2 * k), "comparing {} entries of the two products")
+    check_power_cap(dim, 2 * k, "comparing {} entries of the two products")
     r = nested_pairing(k)
     rep = VerificationReport(f"conjugate equations k={k}, N={dim}")
     size = dim ** k

@@ -37,7 +37,7 @@ from itertools import groupby
 from operator import add, gt, mul
 from typing import NamedTuple, Sequence
 
-from .config import CATEGORIES, check_entry_cap
+from .config import CATEGORIES, check_catalan_cap, check_entry_cap
 from .exactmat import bareiss_inverse
 from .partition import (_canonical_labels, _join_counts,
                         enumerate_partitions, kernel)
@@ -201,7 +201,7 @@ def wg_table(k: int, n: int, s: int = 1,
     category = _category_in_effect(s, category)
     # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries;
     # checked before anything is enumerated, then the exact count
-    check_entry_cap((math.comb(2 * k, k) // (k + 1)) ** 2)
+    check_catalan_cap(k)
     check_entry_cap(_index_count(k, category) ** 2)
     space = _index_space(k, category)
     gram = wg_gram(k, n, s, category)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -641,6 +642,24 @@ def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
                                       "entries exceeds the cap of 10000000\n")
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (("weingarten", "--k", str(10 ** 30), "--N", "4"),
+     f"storing Catalan({10 ** 30})^2 or more entries"),
+    (("weingarten", "--k", "100000000", "--N", "4"),
+     "storing Catalan(100000000)^2 or more entries"),
+    (("verify", "weingarten", "--k", "100000000"),
+     "storing Catalan(100000000)^2 or more entries"),
+    # N^(2k) has 6,001 digits: shown by its size, never computed
+    (("verify", "conjugate", "--k", "100", "--N", str(10 ** 30)),
+     "comparing 2^19800 or more entries of the two products"),
+])
+def test_huge_counts_refuse_at_once(capsys, argv, refusal):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (
+        2, "", f"cap exceeded: {refusal} exceeds the cap of 10000000\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_weingarten_caps_the_exact_index_count(capsys, monkeypatch):
     # Catalan(7)**2 = 184,041 passes the pre-check, but "noncrossing" at
     # k = 7 has 7752 indices, so 60,093,504 Gram entries
@@ -987,6 +1006,9 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"),
         ("partial-trace", "--t", "1e-5000", "--k", "1"),
         ("weingarten", "--k", "9", "--N", "4"),
+        ("weingarten", "--k", big, "--N", "4"),
+        ("weingarten", "--k", "100000000", "--N", "4"),
+        ("verify", "weingarten", "--k", "100000000"),
         ("weingarten", "--k", "2", "--N", big, "--float"),
         ("weingarten", "--k", "2", "--N", "0"),
         ("weingarten", "--k", "2", "--N", "4", "--s", "3", "--category",
@@ -998,6 +1020,7 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
         ("verify", "category", "--N", big),
         ("verify", "category", "--N", "5", "--max-points", "7"),
         ("verify", "conjugate", "--k", "40", "--N", "2"),
+        ("verify", "conjugate", "--k", "100", "--N", big),
         ("verify", "fusion-dim", "--N", big, "--count", "3"),
         ("verify", "fusion-dim", "--count", "1000000000"),
         ("tl", "verify", "--max-points", "20"),
@@ -1049,6 +1072,10 @@ def test_no_typed_input_ends_in_a_traceback(tmp_path):
     assert codes["partial-trace", "--t", "1/" + "7" * 3000, "--k", "3"] == 2
     assert codes["fuse", "(g)", "(g)", "--fusion", f"file:{big_table}"] == 2
     assert codes["fuse", long_g, long_g] == codes["char-poly", long_g] == 2
+    assert codes["weingarten", "--k", big, "--N", "4"] == 2
+    assert codes["weingarten", "--k", "100000000", "--N", "4"] == 2
+    assert codes["verify", "weingarten", "--k", "100000000"] == 2
+    assert codes["verify", "conjugate", "--k", "100", "--N", big] == 2
     assert codes["weingarten", "--k", "2", "--N", "4", "--s", "3",
                  "--category", "singletons"] == 1
     assert codes["verify", "weingarten", "--k", "1", "--s", "3",

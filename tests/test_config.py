@@ -21,3 +21,34 @@ def test_caps_refuse_a_bad_variable(monkeypatch, name, raw, message):
         assert str(info.value) == message
     finally:
         config.caps.cache_clear()
+
+
+@pytest.mark.parametrize("check, message", [
+    # a count of more than 2,000 bits is shown by its size, not its digits
+    (lambda: config.check_work_cap(10 ** 5000, "{} steps"),
+     "2^16609 or more steps exceeds the cap of 10000000"),
+    (lambda: config.check_work_cap(2 ** 2000 - 1, "{} steps"),
+     f"{2 ** 2000 - 1} steps exceeds the cap of 10000000"),
+    # a power refused by its bit length, and one small enough to be taken
+    (lambda: config.check_power_cap(10 ** 30, 10 ** 6, "{} entries"),
+     "2^99000000 or more entries exceeds the cap of 10000000"),
+    (lambda: config.check_power_cap(2, 80, "{} entries"),
+     f"{2 ** 80} entries exceeds the cap of 10000000"),
+    # the first order whose Catalan square passes the cap, and a later one
+    (lambda: config.check_catalan_cap(9),
+     "storing 23639044 entries exceeds the cap of 10000000"),
+    (lambda: config.check_catalan_cap(10 ** 30),
+     f"storing Catalan({10 ** 30})^2 or more entries exceeds the cap of "
+     "10000000"),
+])
+def test_refusals_show_huge_counts_by_size(check, message):
+    with pytest.raises(config.CapExceededError) as info:
+        check()
+    assert str(info.value) == message
+
+
+def test_caps_pass_what_fits():
+    config.check_catalan_cap(8)
+    config.check_power_cap(10, 7, "{} entries")
+    config.check_power_cap(1, 10 ** 30, "{} entries")
+    config.check_power_cap(10 ** 30, 0, "{} entries")

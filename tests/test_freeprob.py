@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -392,6 +394,8 @@ def test_char_law_work_bounds_both_routes(monkeypatch):
         tensor = fd.tensor
         fd.tensor = lambda a, b: calls.append(1) or tensor(a, b)
         for k in range(1, 13):
+            # the counts bound a cold run: no row kept from a shorter word
+            homspaces._ROWS.clear()
             del weights[:], counts[:], calls[:]
             law = freeprob.partial_trace_law(1, rep_block_moment(fd, rep), k)
             law_calls = len(calls)
@@ -411,6 +415,20 @@ def test_plain_character_moments_match_each_order(fd, rep):
     assert freeprob.plain_character_moments(fd, rep, 40) == [1] + [
         character_moment_wreath(fd, rep, plain_eps(k)) for k in range(1, 41)]
     assert freeprob.plain_character_moments(fd, rep, 0) == [1]
+
+
+def test_plain_character_moments_need_no_recursion():
+    # the rows are filled shortest suffix first, so an order above the
+    # recursion limit still answers: the trivial letter's moments are the
+    # Catalan numbers
+    order = len(traceback.extract_stack()) + 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(order - 70)
+    try:
+        values = freeprob.plain_character_moments(Z2, "1", order)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert values == [math.comb(2 * k, k) // (k + 1) for k in range(order + 1)]
 
 
 def test_classical_wreath_small_n_brute_force():

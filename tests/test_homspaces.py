@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from freewreath import fusion, homspaces
 from freewreath.freeprob import _Memo, _nc_moments
-from builders import S3_ELEMENTS, group_dual_json, hom_terms, s3_product
+from builders import (S3_ELEMENTS, group_dual_json, hom_terms, kept_bytes,
+                      s3_product)
 from freewreath.fusion import (IntegersFusion, QuantumPermutationFusion,
                                cyclic_fusion, fuse, fuse_direct,
                                fuse_via_reduced, fusion_from_json,
@@ -261,7 +262,8 @@ def test_first_block_sum_matches_fusion_route_std_powers():
 def test_first_block_recursion_makes_quadratically_many_tensor_calls():
     # the partial blocks from one start are carried as one fusion-ring
     # element: one tensor step per (start, end) pair, each at most one
-    # tensor call per irreducible in its support
+    # tensor call per irreducible in its support; a fresh ring has no kept
+    # rows, so this is the cost of a cold run
     fd = symmetric_group_3_fusion()
     calls = []
     tensor = fd.tensor
@@ -277,6 +279,71 @@ def test_first_block_recursion_makes_quadratically_many_tensor_calls():
     value = dim_hom_partition(up, down, fd)
     assert len(calls) <= len(fd.labels()) * n * (n + 1) // 2
     assert value == dim_hom_fusion(up, down, S3)
+
+
+def _counted_tensor(fd) -> list:
+    calls = []
+    tensor = fd.tensor
+    fd.tensor = lambda a, b: calls.append((a, b)) or tensor(a, b)
+    return calls
+
+
+def test_kept_suffix_rows_leave_one_row_per_word():
+    # once every proper suffix of w is kept, w costs one new row: at most
+    # |w| - 1 tensor steps, each one call per irreducible it carries
+    fd = symmetric_group_3_fusion()
+    calls = _counted_tensor(fd)
+    word = ("std", "sgn", "std", "triv", "std", "std", "sgn") * 2
+    dim_hom_partition((), word[1:], fd)
+    del calls[:]
+    value = dim_hom_partition((), word, fd)
+    assert len(calls) <= len(fd.labels()) * (len(word) - 1)
+    assert value == dim_hom_fusion((), word, S3)
+
+
+def test_kept_rows_do_not_mix_rings():
+    # Z/2 and Z/3 share the labels "1" and "g": g x g is trivial in one and
+    # not in the other, so rows kept for one ring must not serve the other
+    words = list(itertools.product(("1", "g"), repeat=5))
+    for order in ((2, 3), (3, 2)):
+        rings = [cyclic_fusion(s) for s in order]
+        for fd in rings:
+            for word in words:
+                assert dim_hom_partition(word[:2], word[2:], fd) == \
+                    dim_hom_fusion(word[:2], word[2:], fd), (order, word)
+
+
+def _empty_kept_rows():
+    for table in (homspaces._ROWS, homspaces._LETTERS,
+                  homspaces._LABEL_LETTERS):
+        table.clear()
+
+
+def test_kept_rows_stay_within_their_bound(monkeypatch):
+    # a sweep that makes more rows than the bound keeps at most that many
+    _empty_kept_rows()
+    monkeypatch.setattr(homspaces, "_MAX_ROWS", 20)
+    fd = symmetric_group_3_fusion()
+    for word in _words(fd, 4):
+        assert dim_hom_partition((), word, fd) == dim_hom_fusion((), word, fd)
+        assert len(homspaces._ROWS) <= 20
+
+
+def test_kept_rows_memory_budget():
+    # every word of up to 5 letters over Z/2, Z/3 and S3: 788 suffixes, one
+    # row each, whose keys share one object per letter
+    _empty_kept_rows()
+    rings = [cyclic_fusion(2), cyclic_fusion(3), symmetric_group_3_fusion()]
+
+    def sweep():
+        for fd in rings:
+            for word in _words(fd, 5):
+                dim_hom_partition((), word, fd)
+
+    kept = kept_bytes(sweep)
+    assert len(homspaces._ROWS) == 2 + 4 + 8 + 16 + 32 + 2 * (
+        3 + 9 + 27 + 81 + 243)
+    assert kept < 250_000, kept  # about 170 KB on Python 3.11
 
 
 def _bend(up, fd):
