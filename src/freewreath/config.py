@@ -30,8 +30,8 @@ first use):
 
 A value that is not a positive integer raises ValueError.  Exceeding a cap
 raises :class:`CapExceededError`, which the command line interface maps to
-exit code 2; its message names the count, or past 2,000 bits its size.
-Tests lower a cap through the variables or by replacing caps().
+exit code 2; its message names the count, a lower bound "or more", or past
+2,000 bits its size.  Tests set a cap by the variables or by replacing caps().
 """
 
 from __future__ import annotations
@@ -125,17 +125,3 @@ def check_power_cap(base: int, exponent: int, work: str) -> None:
             f"{work.format(f'2^{low} or more')} exceeds the cap of {limit}")
     check_work_cap(base ** exponent, work)
 
-
-def check_catalan_cap(k: int) -> None:
-    """:func:`check_entry_cap` on Catalan(k)**2, the fewest Gram entries of
-    a Weingarten table of order k.  The Catalan numbers are taken in turn,
-    so an order past the largest one the cap admits is refused after a few
-    steps, without its binomial."""
-    limit = caps()[1]
-    j, catalan = 0, 1
-    while j < k and catalan * catalan <= limit:
-        j, catalan = j + 1, catalan * (4 * j + 2) // (j + 2)
-    if j < k:
-        raise CapExceededError(f"storing Catalan({k})^2 or more entries "
-                               f"exceeds the cap of {limit}")
-    check_entry_cap(catalan * catalan)

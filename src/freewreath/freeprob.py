@@ -28,10 +28,10 @@ Three independent computations meet here:
   law is one lazy table, :func:`compound_poisson_law`, that computes a
   moment, and the cumulants its blocks pick out, on first lookup.  On a
   plain word every cumulant depends on the length alone, and the sum
-  collapses to a functional equation that ``_plain_moments`` solves in
-  O(k^3) products (Lectures 10 and 16), with ``_nc_sum`` as its oracle.  Its
-  one caller is :func:`partial_trace_law`, the law at rate t, whose run at
-  t = 1 gives every plain order of the untruncated law;
+  collapses to a functional equation that ``qnum._plain_moments`` solves in
+  O(k^3) products (Lectures 10 and 16), with ``_nc_sum`` as its oracle, for
+  :func:`partial_trace_law`, the law at rate t, whose run at t = 1 gives
+  every plain order of the untruncated law;
 
 * classical route: for the honest wreath product by the symmetric group on n
   letters the analogous character moments are sums over *all* partitions with
@@ -54,11 +54,12 @@ import itertools
 from fractions import Fraction
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .config import _Memo, caps, check_enum_cap, check_work_cap
 from .fusion import FusionData, rep_as_dict, tensor_fold
 from .homspaces import _boundary_moments, _frozen_letter
+from .qnum import _plain_moments
 
 Eps = tuple  # of bools; True marks a starred position
 
@@ -144,32 +145,6 @@ def _nc_moments(cumulants) -> _Memo:
     computes them), each computed on lookup as its :func:`_nc_sum` and kept."""
     moments = _Memo(lambda word: _nc_sum(cumulants, moments, word))
     return moments
-
-
-def _plain_moments(cumulant: Callable[[int], int]) -> Iterator[int]:
-    """The moments m_0 = 1, m_1, m_2, ... of the plain words whose free
-    cumulant at length s is cumulant(s), asked for once each, in order.
-
-    The first block of a plain word of length n has some size s, and its s
-    gaps are plain words of any lengths, so the first-block sum collapses to
-    the functional equation M(z) = 1 + sum_s k_s z^s M(z)^s (Nica-Speicher,
-    Lectures 10 and 16): m_n = sum over 1 <= s <= n of k_s [z^(n-s)] M^s.
-    powers[s-1] holds [z^j] M^s for j + s <= n, and step n adds one
-    coefficient to each power, [z^j] M^s = sum over i <= j of
-    m_i [z^(j-i)] M^(s-1): at most n(n+1)/2 products, each through ``mul``.
-    """
-    moments, powers, cumulants = [1], [[]], []
-    yield 1
-    for n in itertools.count(1):
-        # from the top down, so that M^(s-1) is still one degree short
-        for s in range(n - 1, 1, -1):
-            powers[s - 1].append(sum(map(mul, moments,
-                                         reversed(powers[s - 2]))))
-        powers[0].append(moments[-1])
-        powers.append([1])
-        cumulants.append(cumulant(n))
-        moments.append(sum(map(mul, cumulants, (p[-1] for p in powers))))
-        yield moments[-1]
 
 
 def _plain_work(k: int, bits: int) -> int:
@@ -308,8 +283,10 @@ def plain_character_moments(fd: FusionData, rep, k: int) -> list[int]:
 
     One run of the Hom route, :func:`character_moment_wreath`'s, on the
     plain word of k letters: the sum it makes for every prefix is the
-    moment of that order.  The cap is checked on the run's steps first.
+    moment of that order.  k < 0 is refused, then the run's steps capped.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     rd = rep_as_dict(fd, rep)
     _check_hom_work(fd, rd, k)
     return list(_boundary_moments(fd, (_frozen_letter(rd),) * k))

@@ -167,6 +167,8 @@ class Partition:
 
     def __init__(self, upper: int, lower: int,
                  blocks: Iterable[Iterable[int]]):
+        if upper < 0 or lower < 0:
+            raise ValueError("arities must be nonnegative")
         out = []
         for b in blocks:
             t = tuple(sorted(b))
@@ -174,8 +176,6 @@ class Partition:
                 raise ValueError("empty block")
             out.append(t)
         out.sort(key=itemgetter(0))
-        if upper < 0 or lower < 0:
-            raise ValueError("arities must be nonnegative")
         n = upper + lower
         if sorted(chain.from_iterable(out)) != list(range(1, n + 1)):
             raise ValueError(
@@ -318,9 +318,7 @@ def identity_partition(k: int) -> Partition:
 
 
 def full_block(k: int, l: int) -> Partition:
-    if k + l == 0:
-        return Partition(0, 0, [])
-    return Partition(k, l, [tuple(range(1, k + l + 1))])
+    return Partition(k, l, [range(1, k + l + 1)] if k + l > 0 else [])
 
 
 def discrete_partition(k: int, l: int) -> Partition:

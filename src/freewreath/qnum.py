@@ -1,4 +1,4 @@
-"""Integer polynomials and the dilated Chebyshev polynomials.
+"""Integer polynomials, Chebyshev polynomials and the plain-word moments.
 
 Polynomials are dense tuples of integer coefficients, lowest degree first.
 The dilated Chebyshev polynomials are the family
@@ -15,7 +15,10 @@ an integer exponent.
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
+from operator import mul
+from typing import Callable, Iterator
 
 
 def poly_trim(coeffs) -> tuple[int, ...]:
@@ -85,3 +88,29 @@ def cheb_poly(l: int) -> tuple[int, ...]:
 def cheb_int_factor(l: int, n: int) -> int:
     """a_l(n): the coefficients of A_l of l's parity, evaluated at X**2 = n."""
     return poly_eval(cheb_poly(l)[l % 2::2], n)
+
+
+def _plain_moments(cumulant: Callable[[int], int]) -> Iterator[int]:
+    """The moments m_0 = 1, m_1, m_2, ... of the plain words whose free
+    cumulant at length s is cumulant(s), asked for once each, in order.
+
+    The first block of a plain word of length n has some size s, and its s
+    gaps are plain words of any lengths, so the first-block sum collapses to
+    the functional equation M(z) = 1 + sum_s k_s z^s M(z)^s (Nica-Speicher,
+    Lectures 10 and 16): m_n = sum over 1 <= s <= n of k_s [z^(n-s)] M^s.
+    powers[s-1] holds [z^j] M^s for j + s <= n, and step n adds one
+    coefficient to each power, [z^j] M^s = sum over i <= j of
+    m_i [z^(j-i)] M^(s-1): at most n(n+1)/2 products, each through ``mul``.
+    """
+    moments, powers, cumulants = [1], [[]], []
+    yield 1
+    for n in itertools.count(1):
+        # from the top down, so that M^(s-1) is still one degree short
+        for s in range(n - 1, 1, -1):
+            powers[s - 1].append(sum(map(mul, moments,
+                                         reversed(powers[s - 2]))))
+        powers[0].append(moments[-1])
+        powers.append([1])
+        cumulants.append(cumulant(n))
+        moments.append(sum(map(mul, cumulants, (p[-1] for p in powers))))
+        yield moments[-1]

@@ -37,10 +37,11 @@ from itertools import groupby
 from operator import add, gt, mul
 from typing import NamedTuple, Sequence
 
-from .config import CATEGORIES, check_catalan_cap, check_entry_cap
+from .config import CATEGORIES, check_entry_cap, check_work_cap
 from .exactmat import bareiss_inverse
 from .partition import (_canonical_labels, _join_counts,
                         enumerate_partitions, kernel)
+from .qnum import _plain_moments
 from .report import VerificationReport
 
 # the values of N the certification compares, each four times the last
@@ -87,16 +88,24 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 
 
 @cache
-def _index_count(k: int, category: str) -> int:
-    """len(wg_indices(k, category)), counted without listing the indices.
+def _category_size(m: int, category: str) -> int:
+    return len(enumerate_partitions(0, m, category))
 
-    The inner partitions refining p are a choice of one partition of the
-    category on each block of p, so p contributes the product of the
-    category's sizes at its block sizes.
+
+def _check_gram_size(k: int, category: str) -> None:
+    """Refuse len(wg_indices(k, category))^2 Gram entries past the entry cap.
+
+    An index is p in NC(k) with a partition of the category on each block,
+    so the counts are the plain moments whose free cumulants are the
+    category's sizes (Nica-Speicher, Lectures 10 and 16).  They grow with
+    the order and are taken in turn: the first order whose square passes
+    the cap refuses, as "or more" below k, so a huge k refuses at once.
     """
-    sizes = [len(enumerate_partitions(0, m, category)) for m in range(k + 1)]
-    return sum(math.prod(sizes[len(b)] for b in p.blocks)
-               for p in enumerate_partitions(0, k, "noncrossing"))
+    counts = _plain_moments(lambda m: _category_size(m, category))
+    next(counts)  # order 0
+    for _ in range(1, k):
+        check_work_cap(next(counts) ** 2, "storing {} or more entries")
+    check_entry_cap(next(counts) ** 2)
 
 
 class _IndexSpace(NamedTuple):
@@ -108,8 +117,8 @@ class _IndexSpace(NamedTuple):
     Weingarten matrices X satisfy X[sigma t][sigma u] = X[t][u].  ``reps``
     holds the least index of each orbit of sigma, ``keys`` one bytes row
     per index of the join counts packed as b(p v q) (k + 1) + b(a v b),
-    both at most k: a byte for every k <= 15, far past the orders whose
-    Catalan(k)^2 Gram entries the entry cap lets through.
+    both at most k: a byte for every k <= 15, past the orders that the
+    default enumeration cap of 14 points lets through.
     """
 
     indices: tuple[Index, ...]
@@ -161,9 +170,10 @@ def wg_gram(k: int, n: int, s: int,
     """The Gram matrix [N^b(p v q) * s^b(a v b)] over wg_indices(k, category),
     read from one table of the powers at the index space's keys.
     ValueError for k < 1, N < 1 or s < 1, an unknown category and for
-    "singletons" with s != 1."""
+    "singletons" with s != 1; CapExceededError past the entry cap."""
     _check_sizes(k, n, s)
     _check_category(category, s)
+    _check_gram_size(k, category)
     powers = [n ** b * s ** c for b in range(k + 1) for c in range(k + 1)]
     return [list(map(powers.__getitem__, row))
             for row in _index_space(k, category).keys]
@@ -199,12 +209,8 @@ def wg_table(k: int, n: int, s: int = 1,
     """
     _check_sizes(k, n, s)
     category = _category_in_effect(s, category)
-    # at least Catalan(k) indices, so at least Catalan(k)**2 Gram entries;
-    # checked before anything is enumerated, then the exact count
-    check_catalan_cap(k)
-    check_entry_cap(_index_count(k, category) ** 2)
-    space = _index_space(k, category)
     gram = wg_gram(k, n, s, category)
+    space = _index_space(k, category)
     columns = bareiss_inverse(gram, space.reps)
     wden = math.lcm(*{x.denominator for row in columns for x in row})
     rep_rows = [[x.numerator * (wden // x.denominator) for x in col]
@@ -265,10 +271,11 @@ def wg_leading_coeff(idx1: Index, idx2: Index, s: int,
     Zero unless the outer partitions agree; otherwise the entry of the
     inverse inner Gram block of that outer partition.  ValueError for an
     unknown category, for "singletons" with s != 1, and for an index not in
-    wg_indices.
+    wg_indices; CapExceededError where :func:`wg_gram` raises it.
     """
     _check_category(category, s)
     k = idx1[0].points
+    _check_gram_size(k, category)
     position = _index_space(k, category).position
     for idx in (idx1, idx2):
         if idx not in position:

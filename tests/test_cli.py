@@ -630,25 +630,38 @@ def test_verify_conjugate_over_cap_refused_before_any_work(capsys,
 
 
 def test_weingarten_over_cap_refused_before_any_work(capsys, monkeypatch):
-    # wg_table(9, ...) has at least Catalan(9)**2 = 23,639,044 Gram entries
+    # wg_table(9, ...) at s = 1 has Catalan(9)**2 = 23,639,044 Gram entries;
+    # the count enumerates only the inner category, never NC(9)
     def never(*args, **kwargs):
         raise AssertionError("called before the entry cap was checked")
 
+    enumerated = []
+    enumerate_partitions = weingarten.enumerate_partitions
+
+    def inner_only(k, l, mode):
+        enumerated.append((k, l, mode))
+        return enumerate_partitions(k, l, mode)
+
     monkeypatch.setattr(weingarten, "wg_indices", never)
-    monkeypatch.setattr(weingarten, "enumerate_partitions", never)
+    monkeypatch.setattr(weingarten, "enumerate_partitions", inner_only)
     for argv in (("weingarten", "--k", "9", "--N", "4"),
                  ("verify", "weingarten", "--k", "9")):
+        enumerated.clear()
+        weingarten._category_size.cache_clear()
         assert run(capsys, *argv) == (2, "", "cap exceeded: storing 23639044 "
                                       "entries exceeds the cap of 10000000\n")
+        assert enumerated == [(0, m, "singletons") for m in range(1, 10)]
 
 
 @pytest.mark.parametrize("argv, refusal", [
+    # the index counts are taken order by order: Catalan(9)**2 at s = 1 is
+    # the first square past the cap
     (("weingarten", "--k", str(10 ** 30), "--N", "4"),
-     f"storing Catalan({10 ** 30})^2 or more entries"),
+     "storing 23639044 or more entries"),
     (("weingarten", "--k", "100000000", "--N", "4"),
-     "storing Catalan(100000000)^2 or more entries"),
+     "storing 23639044 or more entries"),
     (("verify", "weingarten", "--k", "100000000"),
-     "storing Catalan(100000000)^2 or more entries"),
+     "storing 23639044 or more entries"),
     # N^(2k) has 6,001 digits: shown by its size, never computed
     (("verify", "conjugate", "--k", "100", "--N", str(10 ** 30)),
      "comparing 2^19800 or more entries of the two products"),
@@ -661,8 +674,8 @@ def test_huge_counts_refuse_at_once(capsys, argv, refusal):
 
 
 def test_weingarten_caps_the_exact_index_count(capsys, monkeypatch):
-    # Catalan(7)**2 = 184,041 passes the pre-check, but "noncrossing" at
-    # k = 7 has 7752 indices, so 60,093,504 Gram entries
+    # "noncrossing" at k = 7 has 7752 indices, so 60,093,504 Gram entries,
+    # a lower bound for every higher order
     def never(*args, **kwargs):
         raise AssertionError("indices listed before the entry cap was checked")
 
@@ -671,6 +684,23 @@ def test_weingarten_caps_the_exact_index_count(capsys, monkeypatch):
                  ("verify", "weingarten", "--k", "7", "--s", "2")):
         assert run(capsys, *argv) == (2, "", "cap exceeded: storing 60093504 "
                                       "entries exceeds the cap of 10000000\n")
+    for k in ("8", "9"):
+        assert run(capsys, "weingarten", "--k", k, "--N", "4", "--s", "4") == (
+            2, "", "cap exceeded: storing 60093504 or more entries exceeds "
+                   "the cap of 10000000\n")
+
+
+def test_weingarten_caps_a_large_order_at_once(capsys, monkeypatch):
+    # under a cap of 10**12, "all" refuses at order 10, whose 2,260,209
+    # indices are counted from the 115,975 partitions of 10 points
+    monkeypatch.setattr(config, "caps", lambda: (14, 10 ** 12))
+    weingarten._category_size.cache_clear()
+    start = time.perf_counter()
+    assert run(capsys, "weingarten", "--k", "12", "--N", "4", "--s", "12",
+               "--category", "all") == (
+        2, "", "cap exceeded: storing 5108544723681 or more entries exceeds "
+               "the cap of 1000000000000\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_category_choices_are_the_weingarten_categories(capsys):
@@ -685,13 +715,14 @@ def test_category_choices_are_the_weingarten_categories(capsys):
 
 
 def test_weingarten_caps_the_gram_entries():
-    # k = 4 has Catalan(4)**2 = 196 entries at least; k = 3 has 25
-    for argv in (("weingarten", "--k", "4", "--N", "4"),
-                 ("verify", "weingarten", "--k", "4", "--s", "4")):
+    # k = 4 has 14 indices at s = 1 and 55 at s = 4; k = 3 has 5 at s = 1
+    for argv, entries in ((("weingarten", "--k", "4", "--N", "4"), 196),
+                          (("verify", "weingarten", "--k", "4", "--s", "4"),
+                           3025)):
         done = python("-m", "freewreath.cli", *argv, FREEWREATH_ENTRY_CAP="195")
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == ("cap exceeded: storing 196 entries exceeds the "
-                               "cap of 195\n")
+        assert done.stderr == (f"cap exceeded: storing {entries} entries "
+                               "exceeds the cap of 195\n")
     done = python("-m", "freewreath.cli", "weingarten", "--k", "3", "--N", "4",
                   FREEWREATH_ENTRY_CAP="25")
     assert done.returncode == 0 and done.stdout

@@ -34,12 +34,6 @@ def test_caps_refuse_a_bad_variable(monkeypatch, name, raw, message):
      "2^99000000 or more entries exceeds the cap of 10000000"),
     (lambda: config.check_power_cap(2, 80, "{} entries"),
      f"{2 ** 80} entries exceeds the cap of 10000000"),
-    # the first order whose Catalan square passes the cap, and a later one
-    (lambda: config.check_catalan_cap(9),
-     "storing 23639044 entries exceeds the cap of 10000000"),
-    (lambda: config.check_catalan_cap(10 ** 30),
-     f"storing Catalan({10 ** 30})^2 or more entries exceeds the cap of "
-     "10000000"),
 ])
 def test_refusals_show_huge_counts_by_size(check, message):
     with pytest.raises(config.CapExceededError) as info:
@@ -48,7 +42,6 @@ def test_refusals_show_huge_counts_by_size(check, message):
 
 
 def test_caps_pass_what_fits():
-    config.check_catalan_cap(8)
     config.check_power_cap(10, 7, "{} entries")
     config.check_power_cap(1, 10 ** 30, "{} entries")
     config.check_power_cap(10 ** 30, 0, "{} entries")

@@ -13,9 +13,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -237,8 +239,10 @@ GROUPS = {"hom_dim": hom_dim_calls, "readme": readme_calls,
 
 
 def replay(argv: list[str]) -> dict:
+    # argparse wraps its usage text to COLUMNS, so the width is pinned
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -471,7 +471,9 @@ def test_star_structure_over_z3():
      "classical moments need n, k >= 0, got n=-1, k=3"),
     (lambda: z2_block_moment("x"), "unknown representation 'x'"),
     (lambda: brute_force_z2_s3_moments("x", 3), "unknown representation 'x'"),
-], ids=["classical-n", "block-rep", "brute-force-rep"])
+    (lambda: freeprob.plain_character_moments(Z2, "g", -1),
+     "k must be nonnegative, got -1"),
+], ids=["classical-n", "block-rep", "brute-force-rep", "plain-order"])
 def test_freeprob_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()

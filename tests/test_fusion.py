@@ -652,6 +652,37 @@ def test_dim_multiplicativity_names_the_first_failure(monkeypatch):
         "[first failure (('1',), ('1', 'g', 'g'), 72, 73)]")
 
 
+class _OneLabel(fusion.FusionData):
+    """The trivial ring through the base class's own label checks."""
+
+    def trivial(self):
+        return "1"
+
+    def dim(self, label):
+        return 1
+
+    def conj(self, label):
+        return label
+
+    def tensor(self, a, b):
+        return {"1": 1}
+
+    def labels(self):
+        return ("1",)
+
+
+def test_finite_fusion_data_checks_its_labels():
+    fd = _OneLabel()
+    fd.check_label("1")
+    with pytest.raises(ValueError) as info:
+        fd.check_label("g")
+    assert str(info.value) == "unknown irreducible label 'g'"
+
+
+def test_quantum_permutation_labels_parse_as_integers():
+    assert QuantumPermutationFusion(4).parse_label("12") == 12
+
+
 @pytest.mark.parametrize("text", ["x", "g", "1.5"])
 def test_integer_labels_refuse_a_non_integer(text):
     with pytest.raises(ValueError) as info:

@@ -146,7 +146,7 @@ def test_weingarten_holds_one_index_space():
     assert cached_functions("@cache\ndef f():\n    pass\n"
                             "def g():\n    pass\n") == {"f"}
     from freewreath import weingarten
-    expected = {"wg_indices", "_index_count", "_index_space", "_support",
+    expected = {"wg_indices", "_category_size", "_index_space", "_support",
                 "_leading_coeffs"}
     source = (SRC / "weingarten.py").read_text(encoding="utf-8")
     assert cached_functions(source) == expected
@@ -185,6 +185,29 @@ def test_weingarten_checks_the_category_once_per_entry_point():
         "wg_certify_asymptotics": ["_category_in_effect"]}
     assert {name: used.count("_check_sizes") for name, used in names.items()
             if "_check_sizes" in used} == {"wg_gram": 1, "wg_table": 1}
+
+
+def test_weingarten_counts_its_indices_once():
+    # one size check, which only the Gram and the leading coefficients call,
+    # counts the indices by the plain-word solver on the cached category
+    # sizes; config holds no helper that only weingarten calls
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    names = function_names(sources["weingarten.py"])
+    assert sorted(name for name, used in names.items()
+                  if "_check_gram_size" in used) == \
+        ["wg_gram", "wg_leading_coeff"]
+    assert [name for name, used in names.items()
+            if {"_plain_moments", "_category_size"} & set(used)] == \
+        ["_check_gram_size"]
+    assert [name for name, source in sources.items()
+            if "_check_gram_size" in names_in(source)] == ["weingarten.py"]
+    callers = {name: [module for module, source in sources.items()
+                      if module != "config.py" and name in names_in(source)]
+               for name in function_names(sources["config.py"])}
+    assert "check_entry_cap" in callers
+    assert [name for name, modules in callers.items()
+            if modules == ["weingarten.py"]] == []
 
 
 def class_bases(source: str) -> dict[str, list[str]]:

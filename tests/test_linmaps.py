@@ -466,6 +466,17 @@ def test_linmaps_refusals(call, message):
     assert str(info.value) == message
 
 
+def test_sparse_map_compares_repr_and_scales():
+    t = build_tp(full_block(2, 1), 3)
+    # a map equals no other type, and says so by NotImplemented
+    assert t.__eq__("t") is NotImplemented and t != "t"
+    assert repr(t) == "SparseMap(N=3, in=2, out=1, nnz=3)"
+    # a scalar that is neither int nor Fraction is taken as a Fraction
+    half = t.scale(0.5)
+    assert all(type(v) is Fraction for v in half.entries.values())
+    assert half == t.scale(Fraction(1, 2))
+
+
 def test_scale_by_zero_is_the_empty_map():
     t = build_tp(full_block(2, 1), 3)
     for zero in (0, Fraction(0)):

@@ -28,6 +28,15 @@ def test_partition_refusals(call, message):
         call()
     assert str(info.value) == message
 
+
+@pytest.mark.parametrize("k, l", [(-1, 1), (2, -2), (-1, 0)])
+def test_full_block_refuses_negative_arities(k, l):
+    # the arities are checked before the blocks, so neither the empty
+    # partition nor an empty block stands in for them
+    with pytest.raises(ValueError) as info:
+        full_block(k, l)
+    assert str(info.value) == "arities must be nonnegative"
+
 def test_canonicalization():
     p = Partition(1, 2, [(3, 2), (1,)])
     assert p.blocks == ((1,), (2, 3))

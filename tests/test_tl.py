@@ -106,6 +106,11 @@ def test_parse_render_round_trip():
         parse_tl("diagram")
 
 
+def test_diagram_repr_wraps_its_rendering():
+    assert repr(TLDiagram(2, 2, [(1, 2), (3, 4)])) == \
+        "TLDiagram(TL(2,2): (1,2)(3,4))"
+
+
 def test_compose_identity_and_loops():
     # e = cap then cup on two strands: TL(2,2) with pairs (1,2)(3,4)
     e = TLDiagram(2, 2, [(1, 2), (3, 4)])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewreath import partition, weingarten
+from freewreath import config, partition, weingarten
+from freewreath.config import CapExceededError
 from freewreath.exactmat import bareiss_inverse, gauss_jordan_inverse
 from freewreath.freeprob import character_moment_wreath, plain_eps
 from freewreath.fusion import QuantumPermutationFusion
 from freewreath.partition import (Partition, _join_counts, discrete_partition,
-                                  enumerate_partitions, kernel)
+                                  enumerate_partitions, full_block, kernel)
 from freewreath.report import VerificationReport
 from freewreath.weingarten import (CATEGORIES, LADDER, haar_state,
                                    trace_identity, wg_certify_asymptotics,
@@ -89,14 +91,62 @@ def test_unknown_category_refused_at_s1(category):
         assert str(info.value) == message
 
 
+def gram_size_refusal(k: int, category: str, cap: int) -> str | None:
+    """The size check's refusal of order k under an entry cap, or None."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(config, "caps", lambda: (14, cap))
+        try:
+            weingarten._check_gram_size(k, category)
+        except CapExceededError as exc:
+            return str(exc)
+    return None
+
+
 def test_index_count_without_listing():
-    # sum over NC(k) of the product of the category's sizes at the block sizes
+    # the plain free moment whose cumulants are the category's sizes: the
+    # check refuses exactly the squares of the listed counts
+    def counted(k, category, count):
+        assert gram_size_refusal(k, category, count ** 2) is None
+        return gram_size_refusal(k, category, count ** 2 - 1) == \
+            f"storing {count ** 2} entries exceeds the cap of {count ** 2 - 1}"
+
     for category in CATEGORIES:
         for k in range(1, 7):
-            assert weingarten._index_count(k, category) == \
-                len(wg_indices(k, category))
-    assert [weingarten._index_count(k, "noncrossing") for k in range(1, 8)] \
-        == [1, 3, 12, 55, 273, 1428, 7752]
+            assert counted(k, category, len(wg_indices(k, category)))
+    assert all(counted(k, "noncrossing", count) for k, count in
+               enumerate([1, 3, 12, 55, 273, 1428, 7752], 1))
+
+
+@pytest.mark.parametrize("k, category, refusal", [
+    # the first order whose count squared passes the cap, and a later one
+    (9, "singletons", "storing 23639044 entries"),
+    (10 ** 30, "singletons", "storing 23639044 or more entries"),
+    # "noncrossing" and "all" pass the cap at order 7, with their own counts
+    (9, "noncrossing", "storing 60093504 or more entries"),
+    (9, "all", "storing 84658401 or more entries"),
+], ids=["singletons-9", "singletons-huge", "noncrossing-9", "all-9"])
+def test_gram_size_refusals(k, category, refusal):
+    assert gram_size_refusal(k, category, 10 ** 7) == \
+        f"{refusal} exceeds the cap of 10000000"
+
+
+def test_gram_size_passes_what_fits():
+    # order 8 at s = 1: Catalan(8)**2 = 2,044,900 entries
+    assert gram_size_refusal(8, "singletons", 10 ** 7) is None
+
+
+def test_every_gram_entry_point_refuses_at_once():
+    # order 9 at s = 2 would list 246,675 indices; both refuse before any
+    idx = (full_block(0, 9), discrete_partition(0, 9))
+    message = "storing 60093504 or more entries exceeds the cap of 10000000"
+    for call in (lambda: wg_gram(9, 4, 2),
+                 lambda: wg_table(9, 4, 2),
+                 lambda: wg_leading_coeff(idx, idx, 2, "noncrossing")):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert str(info.value) == message
+        assert time.perf_counter() - start < 1
 
 
 def test_gram_small():
