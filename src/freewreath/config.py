@@ -13,9 +13,11 @@ first use):
     FREEWREATH_ENTRY_CAP   maximum number of stored entries of a sparse linear
                            map, a Gram matrix or a fusion table, and of the
                            label triples a file table's associativity check
-                           takes, the product rows the category check
-                           compares, the points of the stacked pairs the
-                           collapsing-isomorphism check takes, the random
+                           takes, the partition pairs the Weingarten index
+                           listing tests for refinement, the product rows
+                           the category check compares, the points of the
+                           stacked pairs the collapsing-isomorphism check
+                           takes, the random
                            products the dimension check fuses, the 2k
                            points of the nested pairing and the N^(2k)
                            entries of the two products the conjugate-equation

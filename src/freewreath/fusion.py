@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from collections import Counter
 from typing import Hashable, Sequence
 
 from .config import _Memo, check_entry_cap, check_work_cap
@@ -330,6 +329,10 @@ class IntegersFusion(FusionData):
         except ValueError as exc:
             raise ValueError(f"integer label expected, got {text!r}") from exc
 
+    def check_label(self, label):
+        if type(label) is not int:  # a bool is no integer label
+            raise ValueError(f"unknown irreducible label {label!r}")
+
 
 def symmetric_group_3_fusion() -> TableFusion:
     """Character ring of the symmetric group on 3 letters: dims 1, 1, 2."""
@@ -378,6 +381,10 @@ class QuantumPermutationFusion(FusionData):
 
     def parse_label(self, text):
         return int(text)
+
+    def check_label(self, label):
+        if type(label) is not int or label < 0:
+            raise ValueError(f"unknown irreducible label {label!r}")
 
 
 _URI = re.compile(r"^(builtin|file):(.*)$")
@@ -507,12 +514,13 @@ def rep_as_dict(fd: FusionData, rep) -> dict:
 # fusion of words
 
 
-def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> Counter:
+def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> dict:
     """Decompose the tensor product of two word representations.
 
-    Returns a Counter over words.  method="direct" uses the closed splitting
-    formula; method="free-product" applies the free-product rule to the
-    reduced words; both agree, and each checks the letters once.
+    Returns a dict from each constituent word to its positive multiplicity.
+    method="direct" uses the closed splitting formula; method="free-product"
+    applies the free-product rule to the reduced words; both agree, and each
+    checks the letters once.
     """
     if method == "direct":
         return fuse_direct(x, y, fd)
@@ -521,22 +529,23 @@ def fuse(x: Word, y: Word, fd: FusionData, method: str = "direct") -> Counter:
     raise ValueError(f"unknown fusion method {method!r}")
 
 
-def fuse_direct(x: Word, y: Word, fd: FusionData) -> Counter:
+def fuse_direct(x: Word, y: Word, fd: FusionData) -> dict:
     """The closed splitting formula over the cuts x = u.t, y = conj(t).v.
 
     Cut c is valid when conj(x[-s]) = y[s-1] for every s <= c, so the valid
-    cuts run from 0 up to the first mismatch, one conjugate each.
+    cuts run from 0 up to the first mismatch, one conjugate each.  No word
+    comes twice (see :func:`fused_letters`), so each is set once.
     """
     for letter in x + y:
         fd.check_label(letter)
-    out: Counter = Counter()
+    out: dict = {}
     for cut in range(_cut_count(x, y, fd)):
         u, v = x[:len(x) - cut], y[cut:]
-        out[u + v] += 1
+        out[u + v] = 1
         if u and v:
             for gamma, mult in fd.tensor(u[-1], v[0]).items():
                 if mult:
-                    out[u[:-1] + (gamma,) + v[1:]] += mult
+                    out[u[:-1] + (gamma,) + v[1:]] = mult
     return out
 
 
@@ -568,7 +577,23 @@ def fused_letters(x: Word, y: Word, fd: FusionData) -> int:
     return letters
 
 
-def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
+def _exponents_and_cuts(word: Word, triv: Label) -> tuple[list, list]:
+    """The exponents of :func:`reduce_word` and the cuts around them, in one
+    scan of the word: exponent i lies between positions cuts[i] and
+    cuts[i + 1], each a nontrivial letter or an end, -1 or len(word)."""
+    exponents, cuts = [1], [-1]
+    for k, a in enumerate(word):
+        if a == triv:
+            exponents[-1] += 2
+        else:
+            cuts.append(k)
+            exponents.append(2)
+    exponents[-1] -= 1
+    cuts.append(len(word))
+    return exponents, cuts
+
+
+def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> dict:
     """The free-product rule on the reduced forms, one boundary product a step.
 
     The boundary exponents give b^p x b^q = b^|p-q| + b^(|p-q|+2) + ... +
@@ -577,44 +602,46 @@ def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> Counter:
     letters and exposes the next pair.  The others are cut from the inputs:
     with u the rest of x up to its last letter and v the rest of y from its
     first, b^r gives u, (r - ends) // 2 trivial letters, v, where ends
-    counts the nonempty ones, and a letter c gives u[:-1], c, v[1:].
+    counts the nonempty ones, and a letter c gives u[:-1], c, v[1:].  Each
+    word is read once, for its exponents and its nontrivial letters'
+    positions, and no constituent comes twice, so each is set once.
     """
     for letter in x + y:
         fd.check_label(letter)
     triv = fd.trivial()
-    xe, ye = reduce_word(x, fd)[0], reduce_word(y, fd)[0]
-    xcut = [0] + [k + 1 for k, a in enumerate(x) if a != triv]
-    ycut = [k for k, a in enumerate(y) if a != triv] + [len(y)]
-    out: Counter = Counter()
-    i, j = len(xcut) - 1, 0
+    xe, xcut = _exponents_and_cuts(x, triv)
+    ye, ycut = _exponents_and_cuts(y, triv)
+    out: dict = {}
+    i, j = len(xe) - 1, 0
     while True:
         p, q = xe[i], ye[j]
-        u, v = x[:xcut[i]], y[ycut[j]:]
+        u, v = x[:xcut[i] + 1], y[ycut[j + 1]:]
         ends = bool(u) + bool(v)
         for r in range(abs(p - q) or 2, p + q + 1, 2):  # r = 0 is trivial
-            out[u + (triv,) * ((r - ends) // 2) + v] += 1
+            out[u + (triv,) * ((r - ends) // 2) + v] = 1
         if p != q:
             return out
         if not (u and v):
             # by parity both words are used up here, leaving the empty word
-            out[()] += 1
+            out[()] = 1
             return out
         prod = fd.tensor(u[-1], v[0])
         for c, m in prod.items():
             if c != triv and m:
-                out[u[:-1] + (c,) + v[1:]] += m
+                out[u[:-1] + (c,) + v[1:]] = m
         if not prod.get(triv):
             return out
         i, j = i - 1, j + 1
 
 
-def sort_words(counter: Counter, fd: FusionData) -> list[tuple[Word, int]]:
-    """Deterministic presentation order: by length, then rendered letters.
+def sort_words(words: dict, fd: FusionData) -> list[tuple[Word, int]]:
+    """The (word, multiplicity) items of a word->multiplicity dict in a
+    deterministic presentation order: by length, then rendered letters.
 
     Each distinct label is rendered once per call.
     """
     text = _Memo(fd.render_label).__getitem__
-    return sorted(counter.items(),
+    return sorted(words.items(),
                   key=lambda kv: (len(kv[0]), tuple(map(text, kv[0]))))
 
 

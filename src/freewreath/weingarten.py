@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import accumulate, count, groupby
 from operator import add, gt, mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .config import CATEGORIES, check_entry_cap, check_work_cap
+from .config import CATEGORIES, check_work_cap
 from .exactmat import bareiss_inverse
 from .partition import (_canonical_labels, _join_counts,
                         enumerate_partitions, kernel)
@@ -80,8 +80,15 @@ def _category_in_effect(s: int, category: str | None) -> str:
 
 @cache
 def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
-    """All pairs (outer noncrossing p, inner a refining p)."""
+    """All pairs (outer noncrossing p, inner a refining p).
+
+    Each pair of NC(k) and the category is tested once, and that count is
+    refused past the entry cap, as :func:`_check_orders` takes it, before
+    any partition is listed."""
     _check_category(category)
+    _check_orders((_category_size(m, "noncrossing") * _category_size(
+        m, category) for m in count(1)), k,
+        "testing {} partition pairs for refinement")
     inners = enumerate_partitions(0, k, category)
     return tuple((p, a) for p in enumerate_partitions(0, k, "noncrossing")
                  for a in inners if a.refines(p))
@@ -89,7 +96,28 @@ def wg_indices(k: int, category: str = "noncrossing") -> tuple[Index, ...]:
 
 @cache
 def _category_size(m: int, category: str) -> int:
-    return len(enumerate_partitions(0, m, category))
+    """The partitions of m points in the category, in closed form: 1 for
+    "singletons", Catalan(m) for "noncrossing", and for "all" the Bell
+    number B(m), the first entry of row m of the Bell triangle: row m + 1
+    is the running sums of row m, started at its last entry."""
+    if category == "singletons":
+        return 1
+    if category == "noncrossing":
+        return math.comb(2 * m, m) // (m + 1)
+    row = [1]
+    for _ in range(m):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
+
+
+def _check_orders(counts: Iterator[int], k: int, work: str) -> None:
+    """Refuse the count of order k past the entry cap, named by work with {}
+    for the count.  ``counts`` yields the nondecreasing counts of orders
+    1, 2, ..., taken in turn: the first order whose count passes the cap
+    refuses, as "or more" below k, so a huge k refuses at once."""
+    for _ in range(1, k):
+        check_work_cap(next(counts), work.format("{} or more"))
+    check_work_cap(next(counts), work)
 
 
 def _check_gram_size(k: int, category: str) -> None:
@@ -98,14 +126,11 @@ def _check_gram_size(k: int, category: str) -> None:
     An index is p in NC(k) with a partition of the category on each block,
     so the counts are the plain moments whose free cumulants are the
     category's sizes (Nica-Speicher, Lectures 10 and 16).  They grow with
-    the order and are taken in turn: the first order whose square passes
-    the cap refuses, as "or more" below k, so a huge k refuses at once.
+    the order, and :func:`_check_orders` takes their squares.
     """
     counts = _plain_moments(lambda m: _category_size(m, category))
     next(counts)  # order 0
-    for _ in range(1, k):
-        check_work_cap(next(counts) ** 2, "storing {} or more entries")
-    check_entry_cap(next(counts) ** 2)
+    _check_orders((c * c for c in counts), k, "storing {} entries")
 
 
 class _IndexSpace(NamedTuple):

@@ -197,7 +197,8 @@ def test_fuse_methods_agree():
             y = tuple(rng.choice(labels) for _ in range(rng.randrange(4)))
             direct = fuse(x, y, fd, method="direct")
             free = fuse_via_reduced(x, y, fd)
-            assert +direct == +free, (x, y)
+            assert direct == free, (x, y)
+            assert all(m > 0 for m in direct.values()), (x, y)
 
 
 def test_fuse_direct_looks_up_one_conjugate_per_cut(monkeypatch):
@@ -230,23 +231,44 @@ def _ring_words(seed, count, max_len):
             yield fd, x, y
 
 
-def test_fused_letters_count_what_each_route_builds(monkeypatch):
-    # every word either route writes into its Counter, with its letters
-    built = []
+class _Letters(tuple):
+    """A word whose slices and sums are words again, and which records its
+    length each time it is hashed: a route hashes a word once for each time
+    it sets it in its dict."""
 
-    class Recording(Counter):
-        def __setitem__(self, word, mult):
-            built.append(len(word))
-            super().__setitem__(word, mult)
+    hashed: list = []
 
-    monkeypatch.setattr(fusion, "Counter", Recording)
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        return _Letters(item) if isinstance(key, slice) else item
+
+    def __add__(self, other):
+        return _Letters(tuple.__add__(self, other))
+
+    def __radd__(self, other):
+        return _Letters(tuple.__add__(other, self))
+
+    def __hash__(self):
+        self.hashed.append(len(self))
+        return tuple.__hash__(self)
+
+
+def test_fused_letters_count_what_each_route_builds():
+    # every word either route sets in its dict, with its letters: the words
+    # are cut from the inputs, so they are _Letters and each setting is
+    # recorded; the empty word has no letters to record, nor is its setting
+    # recorded, so the dimension count, exact too, finds it missing
+    built = _Letters.hashed
     for fd, x, y in _ring_words(17, 150, 7):
         count = fused_letters(x, y, fd)
+        dims = dim_wreath(x, fd, 4) * dim_wreath(y, fd, 4)
         for route in (fuse_direct, fuse_via_reduced):
             built.clear()
-            words = route(x, y, fd)
-            # each route writes each of its words once: the count is exact
+            words = route(_Letters(x), _Letters(y), fd)
+            # each route sets each of its words once: the count is exact
             assert sum(built) == sum(map(len, words)) == count, (route, x, y)
+            assert sum(m * dim_wreath(w, fd, 4)
+                       for w, m in words.items()) == dims, (route, x, y)
     # the two 3000-letter g words: every cut valid, one product word each
     g = ("g",) * 3000
     assert fused_letters(g, g, Z2) == 18003000
@@ -688,3 +710,29 @@ def test_integer_labels_refuse_a_non_integer(text):
     with pytest.raises(ValueError) as info:
         IntegersFusion().parse_label(text)
     assert str(info.value) == f"integer label expected, got {text!r}"
+
+
+@pytest.mark.parametrize("fd, label", [
+    (IntegersFusion(), "x"), (IntegersFusion(), 1.5),
+    (IntegersFusion(), True), (QuantumPermutationFusion(4), -1),
+    (QuantumPermutationFusion(4), "x"), (QuantumPermutationFusion(4), 1.5),
+    (QuantumPermutationFusion(4), True)],
+    ids=["integers-str", "integers-float", "integers-bool", "qperm-negative",
+         "qperm-str", "qperm-float", "qperm-bool"])
+def test_infinite_rings_refuse_what_they_cannot_name(fd, label):
+    # the letters are checked at entry, on either side, by both routes
+    message = f"unknown irreducible label {label!r}"
+    for route in ("direct", "free-product"):
+        for x, y in (((label,), ()), ((0,), (1, label))):
+            with pytest.raises(ValueError) as info:
+                fuse(x, y, fd, method=route)
+            assert str(info.value) == message
+    fd.check_label(0)
+    fd.check_label(3)
+
+
+def test_quantum_permutation_letters_refuse_a_negative_label():
+    with pytest.raises(ValueError) as info:
+        parse_letter("-1", QuantumPermutationFusion(4))
+    assert str(info.value) == "unknown irreducible label -1"
+    assert parse_letter("-1", IntegersFusion()) == -1

@@ -40,7 +40,29 @@ def s3_words(max_len, fd=S3_DUAL):
 @given(ring_and_words(2))
 def test_fusion_routes_agree(case):
     fd, x, y = case
-    assert +fuse_via_reduced(x, y, fd) == +fuse_direct(x, y, fd)
+    free = fuse_via_reduced(x, y, fd)
+    assert free == fuse_direct(x, y, fd)
+    assert all(m > 0 for m in free.values())
+
+
+# the rings whose fusion results are checked for their form
+DICT_RINGS = [(fd, fd.labels()) for fd in (
+    cyclic_fusion(2), cyclic_fusion(3), symmetric_group_3_fusion())]
+DICT_RINGS += [(IntegersFusion(), tuple(range(-3, 4))),
+               (QuantumPermutationFusion(5), tuple(range(4)))]
+
+
+@given(st.sampled_from(DICT_RINGS).flatmap(lambda ring: st.tuples(
+    st.just(ring[0]),
+    *[st.lists(st.sampled_from(ring[1]), max_size=6).map(tuple)] * 2)))
+def test_fusion_routes_answer_plain_dicts(case):
+    # word -> positive multiplicity, in a plain dict, from both routes
+    fd, x, y = case
+    for route in (fuse_direct, fuse_via_reduced):
+        words = route(x, y, fd)
+        assert type(words) is dict
+        assert all(type(w) is tuple and type(m) is int and m > 0
+                   for w, m in words.items()), (route, x, y)
 
 
 @given(ring_and_words(1))
@@ -55,7 +77,7 @@ def test_frobenius_reciprocity(x, y, z):
     xy = fuse_via_reduced(x, y, S3_DUAL)
     y_bar = conj_word(y, S3_DUAL)
     for w in set(xy) | {z}:
-        assert xy[w] == fuse_via_reduced(w, y_bar, S3_DUAL)[x]
+        assert xy.get(w, 0) == fuse_via_reduced(w, y_bar, S3_DUAL).get(x, 0)
 
 
 def test_routes_agree_past_old_recursion_limit():

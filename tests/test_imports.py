@@ -190,7 +190,8 @@ def test_weingarten_checks_the_category_once_per_entry_point():
 def test_weingarten_counts_its_indices_once():
     # one size check, which only the Gram and the leading coefficients call,
     # counts the indices by the plain-word solver on the cached category
-    # sizes; config holds no helper that only weingarten calls
+    # sizes; besides it only the listing reads a size, to count its tests;
+    # config holds no helper that only weingarten calls
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in MODULES}
     names = function_names(sources["weingarten.py"])
@@ -198,8 +199,14 @@ def test_weingarten_counts_its_indices_once():
                   if "_check_gram_size" in used) == \
         ["wg_gram", "wg_leading_coeff"]
     assert [name for name, used in names.items()
-            if {"_plain_moments", "_category_size"} & set(used)] == \
-        ["_check_gram_size"]
+            if "_plain_moments" in used] == ["_check_gram_size"]
+    assert sorted(name for name, used in names.items()
+                  if "_category_size" in used) == \
+        ["_check_gram_size", "wg_indices"]
+    # and both walk their counts through one order-by-order check
+    assert sorted(name for name, used in names.items()
+                  if "_check_orders" in used) == \
+        ["_check_gram_size", "wg_indices"]
     assert [name for name, source in sources.items()
             if "_check_gram_size" in names_in(source)] == ["weingarten.py"]
     callers = {name: [module for module, source in sources.items()

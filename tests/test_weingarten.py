@@ -135,6 +135,64 @@ def test_gram_size_passes_what_fits():
     assert gram_size_refusal(8, "singletons", 10 ** 7) is None
 
 
+def test_category_sizes_in_closed_form():
+    # Catalan, Bell and 1, against the partition layer's listing
+    for category in CATEGORIES:
+        assert [weingarten._category_size(m, category) for m in range(10)] \
+            == [len(enumerate_partitions(0, m, category)) for m in range(10)]
+    assert weingarten._category_size(20, "noncrossing") == 6564120420
+    assert weingarten._category_size(20, "all") == 51724158235372
+
+
+def listing_refusal(k: int, category: str, cap: int) -> str | None:
+    """wg_indices(k, category)'s refusal from a cold cache under an entry
+    cap, or None."""
+    wg_indices.cache_clear()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(config, "caps", lambda: (14, cap))
+        try:
+            wg_indices(k, category)
+        except CapExceededError as exc:
+            return str(exc)
+    return None
+
+
+def test_index_listing_counts_its_refinement_tests(monkeypatch):
+    # the count checked before the listing is the number of refines calls
+    tested = []
+    refines = Partition.refines
+    monkeypatch.setattr(Partition, "refines",
+                        lambda a, p: tested.append(a) or refines(a, p))
+    for category in CATEGORIES:
+        for k in range(1, 6):
+            tested.clear()
+            assert listing_refusal(k, category, 10 ** 7) is None
+            count = len(tested)
+            assert count == math.comb(2 * k, k) // (k + 1) * len(
+                enumerate_partitions(0, k, category))
+            assert listing_refusal(k, category, count - 1) == (
+                f"testing {count} partition pairs for refinement exceeds "
+                f"the cap of {count - 1}")
+    wg_indices.cache_clear()
+
+
+@pytest.mark.parametrize("k, category, refusal", [
+    # "all" passes the cap at order 9, Catalan(9) * Bell(9) tests, and
+    # "singletons" at order 16, Catalan(16) tests
+    (9, "all", "testing 102816714 partition pairs for refinement"),
+    (10 ** 30, "all", "testing 102816714 or more partition pairs for "
+                      "refinement"),
+    (10 ** 30, "singletons", "testing 35357670 or more partition pairs for "
+                             "refinement"),
+], ids=["all-9", "all-huge", "singletons-huge"])
+def test_index_listing_refuses_at_once(k, category, refusal):
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        wg_indices(k, category)
+    assert str(info.value) == f"{refusal} exceeds the cap of 10000000"
+    assert time.perf_counter() - start < 1
+
+
 def test_every_gram_entry_point_refuses_at_once():
     # order 9 at s = 2 would list 246,675 indices; both refuse before any
     idx = (full_block(0, 9), discrete_partition(0, 9))
