@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("CapExceededError",),
     "freeprob": ("brute_force_z2_s3_moments", "character_moment_wreath",
-                 "character_moments_wreath", "classical_wreath_moment",
-                 "compound_poisson_moments", "free_cumulants_to_moments",
-                 "moment_of_rep", "moments_to_free_cumulants", "parse_eps",
+                 "classical_wreath_moment", "compound_poisson_moments",
+                 "free_cumulants_to_moments", "moment_of_rep",
+                 "moments_to_free_cumulants", "parse_eps",
                  "partial_trace_moments", "plain_eps", "render_eps"),
     "fusion": ("FusionData", "IntegersFusion", "QuantumPermutationFusion",
                "TableFusion", "central_char_poly", "conj_word",

@@ -85,6 +85,8 @@ def all_eps(k: int) -> Iterable[Eps]:
 
 
 def plain_eps(k: int) -> Eps:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     return (False,) * k
 
 
@@ -222,8 +224,11 @@ def compound_poisson_law(fd: FusionData, rep) -> _Memo:
 def compound_poisson_moments(fd: FusionData, rep, max_len: int) -> dict:
     """The eps-moments of :func:`compound_poisson_law` up to length max_len.
 
-    The cap is checked on max_len before any moment of G is computed.
+    A negative max_len is refused, then the cap checked on it, before any
+    moment of G is computed.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     check_enum_cap(max_len)
     law = compound_poisson_law(fd, rep)
     return {eps: law[eps] for k in range(1, max_len + 1) for eps in all_eps(k)}
@@ -290,12 +295,6 @@ def plain_character_moments(fd: FusionData, rep, k: int) -> list[int]:
     rd = rep_as_dict(fd, rep)
     _check_hom_work(fd, rd, k)
     return list(_boundary_moments(fd, (_frozen_letter(rd),) * k))
-
-
-def character_moments_wreath(fd: FusionData, rep, max_len: int) -> dict:
-    check_enum_cap(max_len)
-    return {eps: character_moment_wreath(fd, rep, eps)
-            for k in range(1, max_len + 1) for eps in all_eps(k)}
 
 
 def char_law_work(fd: FusionData, rep, k: int) -> int:

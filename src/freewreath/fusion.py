@@ -32,7 +32,9 @@ which must agree:
   boundary of the concatenation: b^p x b^q and a x c splice each nontrivial
   constituent into the concatenation, and the trivial one removes both
   boundary letters and moves on to the next pair.  Each constituent is
-  written out from slices of x and y cut at their nontrivial letters.
+  written out from slices of x and y cut at their nontrivial letters.  The
+  one scan that lists a word's exponents and the positions of its
+  nontrivial letters serves every reader of the reduced form.
 
 The dimension of the word (a1, ..., a_{k-1}) with reduced exponents (l1..lk)
 is prod dim(a_i) * prod A_{l_i}(sqrt(N)).  Each factor is the integer a_l(N)
@@ -47,8 +49,10 @@ its verification report, as every suite's layer does.
 
 Letters and ring elements: every typed letter goes through
 :func:`parse_letter`, which reads a trailing star ("g2*") as the conjugate
-representation.  An element of the fusion ring of G is a label->multiplicity
-dict, and :func:`tensor_fold` multiplies such elements.
+representation.  Every shipped ring's ``dim`` refuses what its
+``check_label`` refuses, so word dimensions refuse unknown letters too.  An
+element of the fusion ring of G is a label->multiplicity dict, and
+:func:`tensor_fold` multiplies such elements.
 """
 
 from __future__ import annotations
@@ -315,6 +319,7 @@ class IntegersFusion(FusionData):
         return 0
 
     def dim(self, label):
+        self.check_label(label)
         return 1
 
     def conj(self, label):
@@ -367,16 +372,15 @@ class QuantumPermutationFusion(FusionData):
         return 0
 
     def dim(self, label):
-        if label < 0:
-            raise ValueError("labels must be nonnegative")
+        self.check_label(label)
         return cheb_int_factor(2 * label, self.s)
 
     def conj(self, label):
         return label
 
     def tensor(self, a, b):
-        if a < 0 or b < 0:
-            raise ValueError("labels must be nonnegative")
+        self.check_label(a)
+        self.check_label(b)
         return {j: 1 for j in range(abs(a - b), a + b + 1)}
 
     def parse_label(self, text):
@@ -451,6 +455,22 @@ def conj_word(word: Word, fd: FusionData) -> Word:
     return tuple(fd.conj(a) for a in reversed(word))
 
 
+def _exponents_and_cuts(word: Word, triv: Label) -> tuple[list, list]:
+    """The exponents of :func:`reduce_word` and the cuts around them, in the
+    one scan of a word that lists them: exponent i lies between positions
+    cuts[i] and cuts[i + 1], each a nontrivial letter or an end."""
+    exponents, cuts = [1], [-1]
+    for k, a in enumerate(word):
+        if a == triv:
+            exponents[-1] += 2
+        else:
+            cuts.append(k)
+            exponents.append(2)
+    exponents[-1] -= 1
+    cuts.append(len(word))
+    return exponents, cuts
+
+
 def reduce_word(word: Word, fd: FusionData) -> tuple[tuple[int, ...], tuple]:
     """The alternating form b^{l1} a1 b^{l2} ... a_{k-1} b^{lk} of a word.
 
@@ -460,16 +480,8 @@ def reduce_word(word: Word, fd: FusionData) -> tuple[tuple[int, ...], tuple]:
     inner ones even and >= 2; a word of trivial letters alone has the one
     exponent 2 * len(word), so the empty word is ((0,), ()).
     """
-    triv = fd.trivial()
-    exponents, letters = [1], []
-    for a in word:
-        if a == triv:
-            exponents[-1] += 2
-        else:
-            letters.append(a)
-            exponents.append(2)
-    exponents[-1] -= 1
-    return tuple(exponents), tuple(letters)
+    exponents, cuts = _exponents_and_cuts(word, fd.trivial())
+    return tuple(exponents), tuple(word[k] for k in cuts[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +587,6 @@ def fused_letters(x: Word, y: Word, fd: FusionData) -> int:
             letters += (size - 2 * cut - 1) * len(fd.tensor(x[-cut - 1],
                                                             y[cut]))
     return letters
-
-
-def _exponents_and_cuts(word: Word, triv: Label) -> tuple[list, list]:
-    """The exponents of :func:`reduce_word` and the cuts around them, in one
-    scan of the word: exponent i lies between positions cuts[i] and
-    cuts[i + 1], each a nontrivial letter or an end, -1 or len(word)."""
-    exponents, cuts = [1], [-1]
-    for k, a in enumerate(word):
-        if a == triv:
-            exponents[-1] += 2
-        else:
-            cuts.append(k)
-            exponents.append(2)
-    exponents[-1] -= 1
-    cuts.append(len(word))
-    return exponents, cuts
 
 
 def fuse_via_reduced(x: Word, y: Word, fd: FusionData) -> dict:
@@ -716,7 +712,7 @@ def char_poly_products(word: Word, fd: FusionData) -> int:
     word: a product of degree d times A_e is (d + 1)(e + 1) pairs, a bound on
     the products taken, since only the nonzero pairs are multiplied."""
     products = degree = 0
-    for e in reduce_word(word, fd)[0]:
+    for e in _exponents_and_cuts(word, fd.trivial())[0]:
         products += (degree + 1) * (e + 1)
         degree += e
     return products
@@ -727,15 +723,16 @@ def central_char_poly(word: Word, fd: FusionData) -> tuple[int, ...]:
 
     The product prod dim(a_i) * prod A_{l_i}(sqrt(X)) only involves even
     powers of sqrt(X) because the exponent sum is even, so it is an integer
-    polynomial in X; evaluating at X=N recovers dim_wreath.
+    polynomial in X; evaluating at X=N recovers dim_wreath.  An unknown
+    letter is refused, by its dimension, before any product is taken.
     """
-    exponents, letters = reduce_word(word, fd)
+    exponents, cuts = _exponents_and_cuts(word, fd.trivial())
+    scalar = 1
+    for k in cuts[1:-1]:
+        scalar *= fd.dim(word[k])
     poly: tuple[int, ...] = (1,)
     for e in exponents:
         poly = poly_mul(poly, cheb_poly(e))
-    scalar = 1
-    for a in letters:
-        scalar = scalar * fd.dim(a)
     poly = tuple(scalar * c for c in poly)
     if any(c for i, c in enumerate(poly) if i % 2):
         raise AssertionError(f"odd powers survived in {poly}")

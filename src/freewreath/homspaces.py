@@ -36,10 +36,11 @@ tensor products into irreducible words, one letter at a time, and pair up
 the multiplicity vectors.  A word of a decomposition is never longer than
 its tensor product, so each side's fold carries only the words that can
 still end as short as the other side's letter count: one letter shortens a
-word by at most one.  The two routes are independent and must agree.
-Neither lists a partition, so this module does not import the partition
-layer; the enumeration of the decorated partitions, the oracle of both
-routes, lives with the tests.
+word by at most one.  The two routes are independent and must agree; both
+take letters and a length that :func:`dim_hom_wreath`, the one entry, has
+checked.  Neither lists a partition, so this module does not import the
+partition layer; the enumeration of the decorated partitions, the oracle of
+both routes, lives with the tests.
 """
 
 from __future__ import annotations
@@ -122,10 +123,8 @@ def _boundary_moments(fd: FusionData, word: tuple) -> tuple[int, ...]:
 
 def dim_hom_partition(up: Word, down: Word, fd: FusionData) -> int:
     """Hom dimension by the fusion-ring-valued first-block recursion over the
-    boundary word (conj u_k, ..., conj u_1, v_1, ..., v_l)."""
-    for letter in up + down:
-        fd.check_label(letter)
-    check_enum_cap(len(up) + len(down))
+    boundary word (conj u_k, ..., conj u_1, v_1, ..., v_l), on letters that
+    :func:`dim_hom_wreath` checks."""
     return _boundary_moments(fd, tuple(
         [_LABEL_LETTERS[fd.conj(a)] for a in reversed(up)]
         + [_LABEL_LETTERS[b] for b in down]))[-1]
@@ -173,8 +172,8 @@ def dim_hom_fusion(up: Word, down: Word, fd: FusionData) -> int:
 
     A word of a decomposition has at most as many letters as its tensor
     product, so each side keeps only the words the other side can reach.
+    Its letters are checked by :func:`dim_hom_wreath`.
     """
-    check_enum_cap(len(up) + len(down))
     dec_up = word_tensor_decomposition(up, fd, len(down))
     dec_down = word_tensor_decomposition(down, fd, len(up))
     return sum(m * dec_down.get(w, 0) for w, m in dec_up.items())
@@ -185,8 +184,12 @@ def dim_hom_wreath(up: Word, down: Word, fd: FusionData,
     """Dimension of the intertwiner space between the two tensor words.
 
     method is "partition" (decorated noncrossing partition count) or
-    "fusion" (decompose and pair); the two must agree.
+    "fusion" (decompose and pair); the two must agree.  The letters, then
+    the cap on their count, are checked once here for both routes.
     """
+    for letter in up + down:
+        fd.check_label(letter)
+    check_enum_cap(len(up) + len(down))
     if method == "partition":
         return dim_hom_partition(up, down, fd)
     if method == "fusion":

@@ -15,9 +15,9 @@ class VerificationReport:
     """A named, growing list of checks; equal to a report of the same name
     and checks, and unhashable, since it is mutable."""
 
-    def __init__(self, name: str, checks: list[CheckResult] | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.checks = [] if checks is None else checks
+        self.checks: list[CheckResult] = []
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

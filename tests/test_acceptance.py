@@ -9,9 +9,8 @@ import itertools
 import random
 
 from freewreath.exactmat import bareiss_det_rank
-from freewreath.freeprob import (brute_force_z2_s3_moments,
+from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
-                                 character_moments_wreath,
                                  classical_wreath_moment,
                                  compound_poisson_moments, plain_eps,
                                  z2_block_moment)
@@ -88,7 +87,8 @@ def test_criterion_5_dual_path_hom_dimensions():
 def test_criterion_6_compound_poisson_character_law():
     ok = True
     for fd, rep in ((Z2, "g"), (Z2, "1"), (Z3, "g"), (S3, "std"), (S3, "sgn")):
-        wreath = character_moments_wreath(fd, rep, 5)
+        wreath = {eps: character_moment_wreath(fd, rep, eps)
+                  for k in range(1, 6) for eps in all_eps(k)}
         poisson = compound_poisson_moments(fd, rep, 5)
         ok = ok and wreath == poisson
     catalan = [character_moment_wreath(Z2, "1", plain_eps(k))

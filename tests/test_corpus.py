@@ -2,8 +2,9 @@
 
 Each file under ``corpus/`` holds one group of calls: the source commit it
 was recorded at, and for every argument vector the exit code, stdout and
-stderr it gave there.  Every call runs at the default caps.  The replay
-compares call by call, so a failure names the first call whose output
+stderr it gave there; ``corpus/tables/`` holds the fusion tables that the
+``files`` group reads.  Every call runs at the default caps, from the
+repository root.  The replay compares call by call, so a failure names the first call whose output
 differs.  An intended change of output rewrites its group with
 ``PYTHONPATH=src python tests/test_corpus.py COMMIT [GROUP ...]`` and is
 named, with its reason, in the changelog.
@@ -23,8 +24,10 @@ import pytest
 
 from freewreath.cli import main
 
-CORPUS = Path(__file__).resolve().parent / "corpus"
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "corpus"
+README = ROOT / "README.md"
+TABLES = "file:tests/corpus/tables/"  # read from the repository root
 CATEGORY_OPTIONS = ([], ["--category", "noncrossing"], ["--category", "all"],
                     ["--category", "singletons"])
 
@@ -232,18 +235,70 @@ def refusal_calls() -> list[list[str]]:
     ]
 
 
+def file_calls() -> list[list[str]]:
+    """The committed `file:` tables.  Over the dual of S3: `fuse` by both
+    methods on every pair of words of up to one letter and on two
+    noncommuting pairs, `dim` at N = 4, 5 on every word of up to two
+    letters, both Hom routes on every split of those words, and `verify
+    fusion-dim`.  Over the dual of Z/50 one call of each command.  Then the
+    refusals: the Z/2 table with a stray tensor key, a directory and a
+    missing file under each command, an unknown and a doubly starred
+    letter, and N = 3."""
+    s3 = ["--fusion", TABLES + "s3_dual.json"]
+    letters = ("123", "213", "231", "312*", "321")
+    pairs = [*itertools.product(_words(letters, 1), repeat=2),
+             ("(213,231)", "(231,213)"), ("(231,213)", "(213,231)")]
+    calls = [["fuse", x, y, *s3, "--method", method] for x, y in pairs
+             for method in ("direct", "free-product")]
+    calls += [["dim", x, *s3, "--N", str(n)] for x in _words(letters, 2)
+              for n in (4, 5)]
+    for n in range(3):
+        for word in itertools.product(letters, repeat=n):
+            for k, method in itertools.product(range(n + 1),
+                                               ("partition", "fusion")):
+                calls.append(["hom-dim", "--up", ",".join(word[:k]), "--down",
+                              ",".join(word[k:]), *s3, "--method", method])
+    calls += [["verify", "fusion-dim", *s3, "--N", str(n), "--count", "10",
+               "--seed", str(seed)] for n in (4, 5) for seed in (0, 1)]
+    z50 = ["--fusion", TABLES + "z50.json"]
+    calls += [["fuse", "(g2,g3)", "(g47,g48)", *z50],
+              ["dim", "(g,g25)", *z50, "--N", "4"],
+              ["hom-dim", "--up", "g,g2", "--down", "g3", *z50],
+              ["verify", "fusion-dim", *z50, "--N", "4", "--count", "10"]]
+    for fusion in ("z2_stray.json", "", "none.json"):
+        fz = ["--fusion", TABLES + fusion]
+        calls += [["fuse", "(g)", "(g)", *fz], ["dim", "(g)", *fz, "--N", "4"],
+                  ["hom-dim", "--up", "g", "--down", "g", *fz],
+                  ["verify", "fusion-dim", *fz, "--N", "4"]]
+    calls += [["fuse", "(g)", "(123)", *s3],
+              ["dim", "(213**)", *s3, "--N", "4"],
+              ["dim", "(213)", *s3, "--N", "3"],
+              ["hom-dim", "--up", "g", "--down", "", *s3],
+              ["verify", "fusion-dim", *s3, "--N", "3"]]
+    return calls
+
+
 GROUPS = {"hom_dim": hom_dim_calls, "readme": readme_calls,
           "words": word_calls, "laws": law_calls,
           "weingarten": weingarten_calls, "tl": tl_calls,
-          "verify": verify_calls, "refusals": refusal_calls}
+          "verify": verify_calls, "refusals": refusal_calls,
+          "files": file_calls}
 
 
 def replay(argv: list[str]) -> dict:
-    # argparse wraps its usage text to COLUMNS, so the width is pinned
+    # argparse wraps its usage text to COLUMNS, and the `file:` tables are
+    # named from the repository root, so the width and the directory are
+    # pinned
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

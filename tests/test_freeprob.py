@@ -11,7 +11,6 @@ from freewreath import config, freeprob, homspaces
 from freewreath.config import CapExceededError
 from freewreath.freeprob import (all_eps, brute_force_z2_s3_moments,
                                  character_moment_wreath,
-                                 character_moments_wreath,
                                  classical_wreath_moment,
                                  compound_poisson_law,
                                  compound_poisson_moments,
@@ -128,7 +127,8 @@ def test_character_is_free_compound_poisson():
     # the character law of r(rep) has free cumulants equal to the G-moments
     for fd, rep in ((Z2, "g"), (Z3, "g"), (S3, "std"), (Z2, "1"),
                     (S3, {"std": 1, "sgn": 1})):
-        wreath = character_moments_wreath(fd, rep, 4)
+        wreath = {eps: character_moment_wreath(fd, rep, eps)
+                  for k in range(1, 5) for eps in all_eps(k)}
         poisson = compound_poisson_moments(fd, rep, 4)
         assert wreath == poisson, (fd, rep)
 
@@ -242,9 +242,7 @@ def test_cap_checked_before_any_sum(monkeypatch):
     with pytest.raises(CapExceededError):
         compound_poisson_moments(Z2, "g", 15)
     with pytest.raises(CapExceededError):
-        homspaces.dim_hom_partition(("g",) * 5, ("g",) * 10, Z2)
-    with pytest.raises(CapExceededError):
-        character_moments_wreath(Z2, "g", 15)
+        dim_hom_wreath(("g",) * 5, ("g",) * 10, Z2, "partition")
     with pytest.raises(CapExceededError, match="order 100000"):
         partial_trace_moments(Fraction(1, 2), refuse, 10 ** 5)
     with pytest.raises(CapExceededError, match="order 3 "):

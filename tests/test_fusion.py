@@ -649,9 +649,9 @@ def _z1_json(tensor_key: str) -> str:
     (lambda: rep_as_dict(Z2, {"1": 1, "g": -1}),
      "negative multiplicity for 'g'"),
     (lambda: QuantumPermutationFusion(4).dim(-1),
-     "labels must be nonnegative"),
+     "unknown irreducible label -1"),
     (lambda: QuantumPermutationFusion(4).tensor(1, -2),
-     "labels must be nonnegative"),
+     "unknown irreducible label -2"),
 ], ids=["trivial-missing", "trivial-conjugate", "dimension", "conjugate-dim",
         "tensor-entry", "dimension-count", "tensor-key", "cyclic-0", "locator",
         "multiplicity", "qperm-dim", "qperm-tensor"])
@@ -720,12 +720,19 @@ def test_integer_labels_refuse_a_non_integer(text):
     ids=["integers-str", "integers-float", "integers-bool", "qperm-negative",
          "qperm-str", "qperm-float", "qperm-bool"])
 def test_infinite_rings_refuse_what_they_cannot_name(fd, label):
-    # the letters are checked at entry, on either side, by both routes
+    # the letters are checked at entry, on either side, by both routes, and
+    # by the ring's dim, alone or between trivial letters
     message = f"unknown irreducible label {label!r}"
     for route in ("direct", "free-product"):
         for x, y in (((label,), ()), ((0,), (1, label))):
             with pytest.raises(ValueError) as info:
                 fuse(x, y, fd, method=route)
+            assert str(info.value) == message
+    for word in ((label,), (0, label, 0)):
+        for call in (lambda: dim_wreath(word, fd, 4),
+                     lambda: central_char_poly(word, fd)):
+            with pytest.raises(ValueError) as info:
+                call()
             assert str(info.value) == message
     fd.check_label(0)
     fd.check_label(3)

@@ -194,6 +194,18 @@ def test_unknown_labels_refused(fd, bad):
                 dim_hom_wreath(up, down, fd, method)
 
 
+@pytest.mark.parametrize("fd, down", [
+    (QuantumPermutationFusion(4), ("x", "x")), (INTEGERS, (1.5, -1.5))],
+    ids=["qperm", "integers"])
+def test_both_hom_routes_refuse_an_unknown_letter_alike(fd, down):
+    # the letters are checked once, at the one entry, for either route
+    message = f"unknown irreducible label {down[0]!r}"
+    for method in ("partition", "fusion"):
+        with pytest.raises(ValueError) as info:
+            dim_hom_wreath((), down, fd, method)
+        assert str(info.value) == message
+
+
 def test_word_tensor_decomposition():
     # r(g) x r(g) over Z/2 as irreducible words
     dec = word_tensor_decomposition(("g", "g"), Z2, 2)

@@ -9,6 +9,7 @@ those fields, and refuse assignment unless mutable.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ EXPORTS = [
     "TableFusion", "VerificationReport", "WeingartenTable",
     "brute_force_z2_s3_moments", "build_tp",
     "central_char_poly", "character_moment_wreath",
-    "character_moments_wreath", "cheb_int_factor", "cheb_poly",
+    "cheb_int_factor", "cheb_poly",
     "classical_wreath_moment", "collapse", "compound_poisson_moments",
     "conj_word", "cyclic_fusion", "dim_hom_wreath", "dim_wreath",
     "discrete_partition", "enumerate_partitions", "fatten",
@@ -63,7 +64,7 @@ def test_import_loads_no_layer():
 
 
 def test_exports_resolve_to_their_defining_module():
-    assert len(EXPORTS) == 66 and freewreath.__all__ == EXPORTS
+    assert len(EXPORTS) == 65 and freewreath.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(freewreath))
     for name in EXPORTS:
         obj = getattr(freewreath, name)
@@ -88,6 +89,15 @@ def test_unknown_name_raises_attribute_error():
 # ---------------------------------------------------------------------------
 # the value classes
 
+
+def _report(name: str, *checks) -> VerificationReport:
+    """A report built as the library builds one, a check at a time."""
+    report = VerificationReport(name)
+    for check in checks:
+        report.add(*check)
+    return report
+
+
 P = Partition(1, 1, [(1, 2)])
 Q = Partition(1, 1, [(1,), (2,)])
 WG = (1, 4, 1, "singletons", (), (), (), 1)
@@ -103,7 +113,7 @@ VALUES = {
     VerificationReport: (("name", "checks"),
                          lambda: VerificationReport("r"),
                          [VerificationReport("s"),
-                          VerificationReport("r", [CheckResult("c", True)])]),
+                          _report("r", ("c", True))]),
     Partition: (("upper", "lower", "labels"),
                 lambda: Partition(1, 1, [(2, 1)]),
                 [Partition(0, 2, [(1, 2)]), Q]),
@@ -185,7 +195,7 @@ def test_report_is_mutable_and_unhashable():
     report = VerificationReport("r")
     report.add("c", True)
     report.name = "s"
-    assert report == VerificationReport("s", [CheckResult("c", True)])
+    assert report == _report("s", ("c", True))
     with pytest.raises(TypeError):
         hash(report)
 
@@ -218,3 +228,54 @@ def test_value_checks_and_repr():
             "01234", lambda a, b: str(square[int(a)][int(b)])))
     assert repr(CheckResult("c", True)) == \
         "CheckResult(description='c', passed=True, detail='')"
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+Z2 = fusion.cyclic_fusion(2)
+
+# one out-of-range order, length, N, s or count per call, by exported name
+OUT_OF_RANGE = {
+    "dim_wreath": lambda f: f(("g",), Z2, 3),
+    "cyclic_fusion": lambda f: f(0),
+    "QuantumPermutationFusion": lambda f: f(3),
+    "compound_poisson_moments": lambda f: f(Z2, "g", -1),
+    "plain_eps": lambda f: f(-1),
+    "partial_trace_moments-t": lambda f: f(Fraction(3, 2), lambda j: 1, 2),
+    "partial_trace_moments-k": lambda f: f(Fraction(1, 2), lambda j: 1, -1),
+    "classical_wreath_moment-n": lambda f: f(lambda j: 1, -1, 2),
+    "classical_wreath_moment-k": lambda f: f(lambda j: 1, 2, -1),
+    "enumerate_partitions": lambda f: f(-1, 2),
+    "discrete_partition": lambda f: f(2, -1),
+    "full_block": lambda f: f(-1, 0),
+    "identity_partition": lambda f: f(-1),
+    "nested_pairing": lambda f: f(-1),
+    "cheb_poly": lambda f: f(-1),
+    "tl_enumerate": lambda f: f(1, -1),
+    "sqrt_power-exponent": lambda f: f(4, -1),
+    "sqrt_power-N": lambda f: f(0, 2),
+    "verify_phi": lambda f: f(-1),
+    "verify_category_relations-N": lambda f: f(0, 2),
+    "verify_category_relations-points": lambda f: f(2, -1),
+    "verify_conjugate_equations-k": lambda f: f(-1, 2),
+    "verify_conjugate_equations-N": lambda f: f(1, 0),
+    "build_tp": lambda f: f(P, 0),
+    "wg_gram-k": lambda f: f(0, 4, 1),
+    "wg_gram-N": lambda f: f(1, 0, 1),
+    "wg_gram-s": lambda f: f(1, 4, 0),
+    "wg_table-k": lambda f: f(-1, 4, 1),
+    "wg_table-N": lambda f: f(1, -4, 1),
+    "wg_table-s": lambda f: f(1, 4, -1),
+    "wg_certify_asymptotics-k": lambda f: f(0, 1, None),
+    "wg_certify_asymptotics-s": lambda f: f(1, 0, None),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_exported_names_refuse_out_of_range_arguments(case):
+    # a clean ValueError, neither an answer nor a cap refusal
+    call = OUT_OF_RANGE[case]
+    with pytest.raises(Exception) as info:
+        call(getattr(freewreath, case.split("-")[0]))
+    assert type(info.value) is ValueError, info.value
